@@ -1,0 +1,87 @@
+"""Golden outputs: the command line's reports, byte for byte.
+
+Every case runs ``cli.main`` in process from the repository root and compares
+its exit code and stdout with ``tests/golden/<case>.txt``.  The files pin the
+scenario corpus on both engines, the built-in sweep states and the graph
+protocols, so refactors that must not change behaviour are checked against
+exact bytes rather than against a tolerance.
+
+After a change that is meant to alter what the command line prints, record
+the files again from the repository root with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import os
+from pathlib import Path
+
+import pytest
+
+from cvcluster import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+EDGES = "tests/golden/edges"
+SCENARIOS = ("bs_chain_n4", "chain_rows_n4", "epr_n2", "persistency_n4", "teleport_step_n3")
+R_LIST = "0,0.5,1,2"
+
+CASES = {}
+for _name in SCENARIOS:
+    _path = f"scenarios/{_name}.cvq"
+    CASES[f"run_{_name}_ledger"] = ["run", _path]
+    CASES[f"run_{_name}_covariance"] = [
+        "run", _path, "--engine", "covariance", "--r", "1", "--seed", "7",
+    ]
+CASES.update({
+    "sweep_chain": ["sweep", "--state", "chain:5", "--combo", "1*y3 - 1*x2 - 1*x4",
+                    "--combo", "1*x1", "--combo", "1*y1 + 1*y5", "--r", R_LIST],
+    "sweep_star": ["sweep", "--state", "star:3", "--combo", "1*y1 - 1*x2 - 1*x3 - 1*x4",
+                   "--combo", "1*y2 - 1*x1", "--r", R_LIST],
+    "sweep_ringstar": ["sweep", "--state", "ringstar:3", "--combo", "1*y1 - 1*x3 - 1*x5 - 1*x7",
+                       "--combo", "1*y2 - 1*x1 - 1*x3", "--r", R_LIST],
+    "sweep_bschain": ["sweep", "--state", "bschain:4", "--combo", "sqrt2*x1 + 1*x2",
+                      "--combo", "1*x3 + 1*x4", "--combo", "1*y1 - sqrt2*y2", "--r", R_LIST],
+    "sweep_ghz": ["sweep", "--state", "ghz:3", "--combo", "1*x1 + 1*x2 + 1*x3",
+                  "--combo", "1*y1 - 1*y2", "--r", R_LIST],
+    "graph_chain_disentangle": ["graph", f"{EDGES}/chain6.txt", "--protocol", "disentangle"],
+    "graph_chain_disconnect": ["graph", f"{EDGES}/chain6.txt", "--protocol", "disconnect",
+                               "--j", "3"],
+    "graph_chain_extract_pair": ["graph", f"{EDGES}/chain6.txt", "--protocol", "extract-pair",
+                                 "--j", "2", "--k", "5"],
+    "graph_chain_extract_pair_custom": ["graph", f"{EDGES}/chain6.txt", "--protocol",
+                                        "extract-pair", "--j", "4", "--k", "5",
+                                        "--outer-left", "2,1", "--outer-right", "6"],
+    "graph_chain_reduce_path": ["graph", f"{EDGES}/chain6.txt", "--protocol", "reduce-path",
+                                "--a", "2", "--b", "5"],
+    "graph_mesh_reduce_path": ["graph", f"{EDGES}/mesh7.txt", "--protocol", "reduce-path",
+                               "--a", "1", "--b", "4"],
+    "graph_star_ghz": ["graph", f"{EDGES}/star4.txt", "--protocol", "star-ghz"],
+    "graph_ringstar_odd": ["graph", f"{EDGES}/ringstar3.txt", "--protocol", "ring-star-ghz"],
+    "graph_ringstar_odd_position": ["graph", f"{EDGES}/ringstar3.txt", "--protocol",
+                                    "ring-star-ghz", "--flavor", "total-position"],
+    "graph_ringstar_even": ["graph", f"{EDGES}/ringstar4.txt", "--protocol", "ring-star-ghz"],
+})
+
+
+def run_case(argv) -> str:
+    """Exit code line plus stdout of one in-process command-line call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return f"exit: {code}\n{out.getvalue()}"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    expected = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+    assert run_case(CASES[case]) == expected
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    for case, argv in sorted(CASES.items()):
+        (GOLDEN / f"{case}.txt").write_text(run_case(argv), encoding="utf-8")
+    print(f"recorded {len(CASES)} cases in {GOLDEN}")
