@@ -17,6 +17,7 @@ coloring that is otherwise applied on a terminal.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -289,6 +290,26 @@ def _cmd_graph(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _finite_real(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite real, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvcluster",
@@ -303,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=scenario.LEDGER,
         help="exact symbolic engine (default) or numeric Gaussian engine",
     )
-    run_parser.add_argument("--r", type=float, default=None,
+    run_parser.add_argument("--r", type=_finite_real, default=None,
                             help="squeezing parameter (required for covariance)")
-    run_parser.add_argument("--seed", type=int, default=None,
+    run_parser.add_argument("--seed", type=_seed, default=None,
                             help="seed for simulated measurement outcomes")
 
     claims_parser = sub.add_parser("claims", help="run the built-in claims suite")

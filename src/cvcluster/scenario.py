@@ -38,7 +38,8 @@ from .errors import CvClusterError, InternalConsistencyError
 from .gates import MOMENTUM_SQUEEZED, POSITION_SQUEEZED, X, Y
 
 SQRT2 = math.sqrt(2.0)
-# Numeric and symbolic variances must agree to this when both engines run.
+# Numeric and symbolic variances must agree to this, relative to the
+# variance once it exceeds 1, when both engines run.
 BRIDGE_TOL = 1e-9
 
 
@@ -286,12 +287,15 @@ class _LineParser:
         except ValueError:
             self.fail(tok, expected)
 
-    def take_real(self, expected: str) -> tuple[float, _Tok]:
-        tok = self.take(expected)
+    def real(self, text: str, col: int, expected: str, found: str) -> float:
+        """The grammar's one float path: NaN and infinities are parse errors."""
         try:
-            return float(tok.text), tok
+            value = float(text)
         except ValueError:
-            self.fail(tok, expected)
+            raise ParseError(self.lineno, col, expected, found) from None
+        if not math.isfinite(value):
+            raise ParseError(self.lineno, col, "a finite real", found)
+        return value
 
     def take_keyword(self, word: str):
         tok = self.take(f"'{word}'")
@@ -310,10 +314,7 @@ def _parse_coeff(p: _LineParser, tok: _Tok, text: str, col: int) -> tuple[float,
         return SQRT2, "sqrt2"
     if text == "-sqrt2":
         return -SQRT2, "-sqrt2"
-    try:
-        return float(text), None
-    except ValueError:
-        raise ParseError(p.lineno, col, "coefficient", text)
+    return p.real(text, col, "coefficient", text), None
 
 
 def _parse_combo_term(p: _LineParser, tok: _Tok, sign: float) -> ComboTerm:
@@ -414,7 +415,7 @@ def parse(text: str, source: str = "<scenario>") -> Scenario:
             if tok is not None:
                 if not tok.text.startswith("g="):
                     p.fail(tok, "g=<real>")
-                g, _ = _parse_real_option(p, tok, "g=")
+                g = _parse_real_option(p, tok, "g=")
                 g_given = True
                 p.pos += 1
             p.done()
@@ -427,10 +428,7 @@ def parse(text: str, source: str = "<scenario>") -> Scenario:
                     RotateStmt(m, degrees=int(tok.text), line=lineno, col=head.col)
                 )
             elif tok.text.endswith("rad"):
-                try:
-                    theta = float(tok.text[:-3])
-                except ValueError:
-                    p.fail(tok, "-90, 90, 180 or <real>rad")
+                theta = p.real(tok.text[:-3], tok.col, "-90, 90, 180 or <real>rad", tok.text)
                 statements.append(
                     RotateStmt(m, radians=theta, line=lineno, col=head.col)
                 )
@@ -447,7 +445,7 @@ def parse(text: str, source: str = "<scenario>") -> Scenario:
             if tok is not None:
                 if not tok.text.startswith("t="):
                     p.fail(tok, "t=<real>")
-                t, _ = _parse_real_option(p, tok, "t=")
+                t = _parse_real_option(p, tok, "t=")
                 t_given = True
                 p.pos += 1
             p.done()
@@ -507,10 +505,9 @@ def parse(text: str, source: str = "<scenario>") -> Scenario:
             tok = p.take("r=<comma list>")
             if not tok.text.startswith("r="):
                 p.fail(tok, "r=<comma list>")
-            try:
-                rs = tuple(float(x) for x in tok.text[2:].split(","))
-            except ValueError:
-                p.fail(tok, "r=<comma list>")
+            rs = tuple(
+                p.real(x, tok.col, "r=<comma list>", tok.text) for x in tok.text[2:].split(",")
+            )
             p.done()
             statements.append(
                 PrintVarianceStmt(terms, rs, line=lineno, col=head.col)
@@ -523,11 +520,8 @@ def parse(text: str, source: str = "<scenario>") -> Scenario:
     return Scenario(tuple(statements))
 
 
-def _parse_real_option(p: _LineParser, tok: _Tok, prefix: str) -> tuple[float, _Tok]:
-    try:
-        return float(tok.text[len(prefix):]), tok
-    except ValueError:
-        p.fail(tok, f"{prefix}<real>")
+def _parse_real_option(p: _LineParser, tok: _Tok, prefix: str) -> float:
+    return p.real(tok.text[len(prefix):], tok.col, f"{prefix}<real>", tok.text)
 
 
 def _check_combo_modes(p: _LineParser, terms, n_modes: int):
@@ -667,7 +661,7 @@ class _Execution:
         )
         numeric = covariance.variance_of(tape_state, combo)
         symbolic = ledger.variance_formula(self.reg.combine(parts), r)
-        if abs(numeric - symbolic) > BRIDGE_TOL:
+        if abs(numeric - symbolic) > BRIDGE_TOL * max(1.0, abs(symbolic)):
             raise InternalConsistencyError(
                 f"engines disagree on a variance: {numeric!r} vs {symbolic!r}"
             )

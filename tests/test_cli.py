@@ -70,6 +70,32 @@ def test_run_runtime_error_position(tmp_path, capsys):
     assert f"{p}:3:1:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, col, found", [
+    ("kerr 1 2 g=nan\nassert nullifier 1*y1 - 1*x2\n", 10, "g=nan"),
+    ("rotate 1 infrad\n", 10, "infrad"),
+])
+def test_run_non_finite_parameter_is_a_positioned_parse_error(tmp_path, capsys, body, col, found):
+    p = tmp_path / "nonfinite.cvq"
+    p.write_text("register 2\nsqueeze 1 momentum\nsqueeze 2 momentum\n" + body)
+    assert cli.main(["run", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{p}:4:{col}: expected a finite real, found {found!r}\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--r", "nan"), ("--r", "inf"), ("--seed", "-1")])
+def test_run_bad_r_or_seed_is_a_usage_error(capsys, flag, value):
+    argv = ["run", script("epr_n2.cvq"), "--engine", "covariance", "--r", "1", "--seed", "7"]
+    argv[argv.index(flag) + 1] = value
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert f"error: argument {flag}: expected a" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # claims
 # ---------------------------------------------------------------------------

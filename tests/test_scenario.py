@@ -115,6 +115,13 @@ def test_parse_combo_standalone():
         ("register 2\nassert nullifier 1*z1\n", 2, 20, "basis"),
         ("register 2\nprint variance 1*x1\n", 2, 20, "'at'"),
         ("register 1\nsqueeze 1 momentum extra\n", 2, 20, "end of line"),
+        ("register 2\nkerr 1 2 g=nan\n", 2, 10, "a finite real"),
+        ("register 2\nbs 1 2 t=inf\n", 2, 8, "a finite real"),
+        ("register 1\nrotate 1 infrad\n", 2, 10, "a finite real"),
+        ("register 1\nrotate 1 -nanrad\n", 2, 10, "a finite real"),
+        ("register 2\nassert nullifier 1*y1 - nan*x2\n", 2, 25, "a finite real"),
+        ("register 2\nmeasure x 1 -> a\ndisplace y 2 += -inf*a\n", 3, 17, "a finite real"),
+        ("register 1\nprint variance 1*x1 at r=0,1e999\n", 2, 24, "a finite real"),
     ],
 )
 def test_parse_errors_carry_exact_positions(text, line, col, expected):
@@ -123,6 +130,13 @@ def test_parse_errors_carry_exact_positions(text, line, col, expected):
     assert (err.value.line, err.value.col) == (line, col)
     assert err.value.expected == expected
     assert err.value.render("probe.cvq").startswith(f"probe.cvq:{line}:{col}: expected")
+
+
+def test_nan_coupling_cannot_pass_as_a_nullifier():
+    """A NaN gate parameter is rejected before any assert can read it."""
+    with pytest.raises(ParseError):
+        parse("register 2\nsqueeze 1 momentum\nsqueeze 2 momentum\n"
+              "kerr 1 2 g=nan\nassert nullifier 1*y1 - 1*x2\n")
 
 
 def test_record_names_bind_once():
@@ -227,6 +241,20 @@ def test_print_rows_agree_across_engines():
         for (c1, r1, v1), (c2, r2, v2) in zip(sym.csv_rows, num.csv_rows):
             assert (c1, r1) == (c2, r2)
             assert v1 == pytest.approx(v2, abs=1e-9)
+
+
+def test_bridge_tolerance_scales_with_the_variance():
+    """Variances near 1e7 agree to rounding, which exceeds an absolute 1e-9."""
+    text = (
+        "register 3\n"
+        "squeeze 1 momentum\nsqueeze 2 position\nsqueeze 3 momentum\n"
+        "kerr 1 2 g=0.7\nbs 2 3 t=0.3\nrotate 1 0.4rad\nkerr 1 3\n"
+        "print variance 1*x1 + 1*y2 - 0.5*x3 at r=0,1,4,8\n"
+    )
+    for engine, r in (("ledger", None), ("covariance", 1.0)):
+        report = execute(parse(text), engine=engine, r=r, seed=7)
+        assert [row[1] for row in report.csv_rows] == [0, 1, 4, 8]
+        assert report.csv_rows[-1][2] == pytest.approx(9226597.801127846)
 
 
 def test_ledger_register_exposes_final_state():
