@@ -3,8 +3,9 @@
 The same script runs on the exact symbolic ledger (squeezing stays a
 parameter) and on the numeric covariance engine (measurements draw real
 outcomes and condition the state).  Reported variances must agree to
-1e-9 — the numeric run recomputes every one from the gate tape and checks
-it against the symbolic closed form as it goes.
+1e-9 (relative, once a variance exceeds 1) — the numeric run recomputes
+every one from the gate tape and checks it against the symbolic closed
+form as it goes.
 """
 
 from cvcluster import scenario

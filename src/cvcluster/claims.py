@@ -22,11 +22,9 @@ import numpy as np
 
 from . import covariance, graphs, ledger, protocols
 from .errors import InternalConsistencyError
-from .gates import X, Y
+from .gates import BRIDGE_TOL, COEFF_TOL, ENTANGLEMENT_MARGIN, X, Y
 
 BRIDGE_RS = (0.0, 0.25, 0.5, 1.0, 2.0)
-BRIDGE_TOL = 1e-9
-COEFF_TOL = 1e-12
 
 
 @dataclass
@@ -73,18 +71,9 @@ def _claim_chain_rows(battery: Battery) -> ClaimResult:
     started = time.perf_counter()
     worst = 0.0
     for n in (2, 5, 25, 100):
-        reg = protocols.build_graph_state(graphs.chain(n))
-        for m in range(1, n + 1):
-            x = reg.quad_expr(m, X)
-            expected_x = ledger.QuadExpr({(m, X, 1): 1.0})
-            y = reg.quad_expr(m, Y)
-            expected_y = ledger.QuadExpr({(m, Y, -1): 1.0})
-            for b in (m - 1, m + 1):
-                if 1 <= b <= n:
-                    expected_y.add_scaled(ledger.QuadExpr({(b, X, 1): 1.0}))
-            for diff in (x - expected_x, y - expected_y):
-                for t in diff.terms():
-                    worst = max(worst, abs(t.coeff))
+        g = graphs.chain(n)
+        reg = protocols.build_graph_state(g)
+        worst = max(worst, protocols.graph_row_deviation(reg, g))
         if n <= 25:
             battery.add(f"chain({n}) rows", reg,
                         [[(1.0, m, k)] for m in range(1, n + 1) for k in (X, Y)])
@@ -370,7 +359,7 @@ def _claim_finite_squeezing(battery: Battery) -> ClaimResult:
         for pair in ((1, 2), (1, 3), (2, 3)):
             nu = covariance.ppt_min_symplectic_eig(state, pair)
             if expect_entangled:
-                good = nu < 0.5 - 1e-12
+                good = nu < 0.5 - ENTANGLEMENT_MARGIN
                 verdict = "entangled"
             else:
                 good = abs(nu - 0.5) <= BRIDGE_TOL

@@ -57,9 +57,7 @@ def _cmd_run(args) -> int:
         report = scenario.run_file(args.script, engine=args.engine, r=args.r, seed=args.seed)
     except OSError as err:
         return _fail_usage(str(err))
-    except ParseError as err:
-        return _fail_usage(err.render(args.script))
-    except ScenarioRuntimeError as err:
+    except (ParseError, ScenarioRuntimeError) as err:
         return _fail_usage(err.render(args.script))
     sys.stdout.write(report.render())
     return EXIT_PASS if report.ok else EXIT_FAIL
@@ -290,24 +288,19 @@ def _cmd_graph(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _finite_real(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite real, got {text!r}")
-    return value
+def _checked(convert, valid, wanted: str):
+    """An argparse type: ``convert`` the text, then insist that ``valid`` holds."""
 
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+        return value
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,9 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=scenario.LEDGER,
         help="exact symbolic engine (default) or numeric Gaussian engine",
     )
-    run_parser.add_argument("--r", type=_finite_real, default=None,
-                            help="squeezing parameter (required for covariance)")
-    run_parser.add_argument("--seed", type=_seed, default=None,
+    run_parser.add_argument("--r", type=_checked(float, math.isfinite, "a finite real"),
+                            default=None, help="squeezing parameter (required for covariance)")
+    run_parser.add_argument("--seed", default=None,
+                            type=_checked(int, lambda v: v >= 0, "a non-negative integer"),
                             help="seed for simulated measurement outcomes")
 
     claims_parser = sub.add_parser("claims", help="run the built-in claims suite")

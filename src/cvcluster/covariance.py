@@ -22,12 +22,7 @@ from .errors import (
     SelfInteractionError,
     SingularMeasurementError,
 )
-from .gates import Beamsplit, Kerr, Rotate, Squeeze, X, Y
-
-# A homodyne on a quadrature with variance at or below this is rejected.
-SINGULAR_TOL = 1e-15
-# Allowed violation of the uncertainty relation V + i*Omega/2 >= 0.
-UNCERTAINTY_TOL = 1e-9
+from .gates import SINGULAR_TOL, UNCERTAINTY_TOL, X, Y
 
 
 @dataclass(frozen=True)
@@ -73,39 +68,6 @@ def vacuum_state(n: int) -> GaussianState:
 # ---------------------------------------------------------------------------
 
 
-def _gate_block(gate: gates.Gate, r: float | None) -> tuple[list[int], np.ndarray]:
-    """Affected quadrature indices plus the small symplectic block acting on them."""
-    if isinstance(gate, (Squeeze, Rotate)):
-        mode = gate.mode
-        small = gates.gate_matrix(type(gate)(1, *_tail(gate)), 1, r)
-        idx = [quad_index(mode, X), quad_index(mode, Y)]
-    elif isinstance(gate, (Kerr, Beamsplit)):
-        small = gates.gate_matrix(type(gate)(1, 2, *_tail(gate)), 2, r)
-        idx = [
-            quad_index(gate.l, X),
-            quad_index(gate.l, Y),
-            quad_index(gate.k, X),
-            quad_index(gate.k, Y),
-        ]
-    else:
-        raise TypeError(f"not a gate: {gate!r}")
-    if not gates.is_symplectic(small):
-        raise InternalConsistencyError(f"gate block for {gate!r} is not symplectic")
-    return idx, small
-
-
-def _tail(gate) -> tuple:
-    if isinstance(gate, Squeeze):
-        return (gate.direction,)
-    if isinstance(gate, Rotate):
-        return (gate.theta,)
-    if isinstance(gate, Kerr):
-        return (gate.g,)
-    if isinstance(gate, Beamsplit):
-        return (gate.t,)
-    return ()
-
-
 def apply_gate(state: GaussianState, gate: gates.Gate, r: float | None = None) -> GaussianState:
     """Apply one gate; ``r`` supplies the numeric squeezing for Squeeze gates.
 
@@ -113,22 +75,20 @@ def apply_gate(state: GaussianState, gate: gates.Gate, r: float | None = None) -
     before it touches the state.  Only the affected rows/columns are updated,
     so building large states stays linear in n per gate.
     """
-    for m in _gate_modes(gate):
+    modes = gates.modes(gate)
+    for m in modes:
         if not 1 <= m <= state.n:
             raise InvalidSizeError(f"gate touches mode {m} outside 1..{state.n}")
-    idx, block = _gate_block(gate, r)
+    block = gates.block(gate, r)
+    if not gates.is_symplectic(block):
+        raise InternalConsistencyError(f"gate block for {gate!r} is not symplectic")
+    idx = [quad_index(m, kind) for m in modes for kind in (X, Y)]
     mean = state.mean.copy()
     cov = state.cov.copy()
     mean[idx] = block @ mean[idx]
     cov[idx, :] = block @ cov[idx, :]
     cov[:, idx] = cov[:, idx] @ block.T
     return GaussianState(state.n, mean, cov)
-
-
-def _gate_modes(gate: gates.Gate) -> tuple[int, ...]:
-    if isinstance(gate, (Squeeze, Rotate)):
-        return (gate.mode,)
-    return (gate.l, gate.k)
 
 
 def apply_tape(state: GaussianState, tape, r: float | None = None) -> GaussianState:
@@ -206,8 +166,14 @@ def variance_of(state: GaussianState, combo) -> float:
     return float(w @ sub @ w)
 
 
-def mean_of(state: GaussianState, combo) -> float:
-    return float(sum(c * state.mean[quad_index(m, k)] for c, m, k in combo))
+def is_mode_product(state: GaussianState, tol: float) -> bool:
+    """True when every off-diagonal 2x2 mode block of the covariance is within ``tol`` of 0."""
+    cov = state.cov
+    for i in range(state.n):
+        for j in range(i + 1, state.n):
+            if np.max(np.abs(cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2])) > tol:
+                return False
+    return True
 
 
 def reduced_state(state: GaussianState, modes) -> GaussianState:

@@ -31,9 +31,46 @@ POSITION_SQUEEZED = "position"
 X = "x"
 Y = "y"
 
+# ---------------------------------------------------------------------------
+# Tolerances: the one table for both engines and everything built on them
+# ---------------------------------------------------------------------------
+
+# Ledger: coefficients at or below this are dropped after every rewrite.
+PRUNE_TOL = 1e-12
+# Ledger: a combination is a nullifier when all terms above this survive at k <= -1.
+NULLIFIER_TOL = 1e-9
+# Ledger: net commutator contributions at nonzero exponent-sum above this are a bug.
+COMMUTATOR_TOL = 1e-9
+# Gates: an angle this close (in quarter turns) to a multiple of pi/2 snaps to it.
+QUARTER_TURN_TOL = 1e-12
+# Gates: allowed max-abs deviation of S @ Omega @ S.T from Omega.
+SYMPLECTIC_TOL = 1e-12
+# Covariance: a homodyne on a quadrature with variance at or below this is rejected.
+SINGULAR_TOL = 1e-15
+# Covariance: allowed violation of the uncertainty relation V + i*Omega/2 >= 0.
+UNCERTAINTY_TOL = 1e-9
+# Covariance: off-diagonal 2x2 mode blocks within this of zero count as product.
+PRODUCT_TOL = 1e-9
+# Protocols: feed-forward residual above which a solve is infeasible; also the
+# singular-value cut for ranks and null spaces, and the smallest weight kept.
+SOLVER_TOL = 1e-9
+# Protocols: register rows may differ from the graph-state closed form by this.
+GRAPH_ROW_TOL = 1e-9
+# Bridge: numeric and symbolic variances of one combination agree to this.
+# Script runs scale it by the variance once that exceeds 1 (large squeezing
+# makes variances of 1e7 whose last bits differ); the claims suite compares
+# absolutely, at squeezing small enough for that to hold.
+BRIDGE_TOL = 1e-9
+# Claims: exact-coefficient checks on closed-form rows and surviving weights.
+COEFF_TOL = 1e-12
+# Claims: a traced pair is entangled when its PPT eigenvalue is this far below 1/2.
+ENTANGLEMENT_MARGIN = 1e-12
+
 
 @dataclass(frozen=True)
 class Squeeze:
+    MODE_FIELDS = ("mode",)
+
     mode: int
     direction: str = MOMENTUM_SQUEEZED
 
@@ -46,6 +83,8 @@ class Squeeze:
 class Kerr:
     """Quadrature coupler: Y_l += g X_k and Y_k += g X_l, X unchanged."""
 
+    MODE_FIELDS = ("l", "k")
+
     l: int
     k: int
     g: float = 1.0
@@ -57,12 +96,16 @@ class Kerr:
 
 @dataclass(frozen=True)
 class Rotate:
+    MODE_FIELDS = ("mode",)
+
     mode: int
     theta: float
 
 
 @dataclass(frozen=True)
 class Beamsplit:
+    MODE_FIELDS = ("l", "k")
+
     l: int
     k: int
     t: float = 0.5
@@ -76,8 +119,10 @@ class Beamsplit:
 
 Gate = Squeeze | Kerr | Rotate | Beamsplit
 
-# Tolerance for the symplectic-form check S @ Omega @ S.T == Omega.
-SYMPLECTIC_TOL = 1e-12
+
+def modes(gate: Gate) -> tuple[int, ...]:
+    """The modes a gate acts on, in the order its block's rows follow."""
+    return tuple(getattr(gate, f) for f in gate.MODE_FIELDS)
 
 
 def cos_sin(theta: float) -> tuple[float, float]:
@@ -89,7 +134,7 @@ def cos_sin(theta: float) -> tuple[float, float]:
     """
     quarter = theta / (math.pi / 2.0)
     nearest = round(quarter)
-    if abs(quarter - nearest) < 1e-12:
+    if abs(quarter - nearest) < QUARTER_TURN_TOL:
         c, s = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)][nearest % 4]
         return c, s
     return math.cos(theta), math.sin(theta)
@@ -101,42 +146,40 @@ def symplectic_form(n: int) -> np.ndarray:
     return np.kron(np.eye(n), omega)
 
 
-def gate_matrix(gate: Gate, n: int, r: float | None = None) -> np.ndarray:
-    """Build the 2n x 2n symplectic matrix for ``gate`` on an n-mode system.
+def block(gate: Gate, r: float | None = None) -> np.ndarray:
+    """The gate's symplectic block: 2x2 for one mode, 4x4 for two.
 
+    Rows and columns run over (X, Y) of each mode in :func:`modes` order.
     ``r`` is the numeric squeezing parameter; it is only needed for
     :class:`Squeeze` gates (the ledger keeps r symbolic, the covariance
     engine does not).
     """
-    s_mat = np.eye(2 * n)
     if isinstance(gate, Squeeze):
         if r is None:
             raise DomainError("numeric r is required to build a squeeze matrix")
-        ix, iy = 2 * (gate.mode - 1), 2 * (gate.mode - 1) + 1
+        s_mat = np.eye(2)
         if gate.direction == MOMENTUM_SQUEEZED:
-            s_mat[ix, ix] = math.exp(r)
-            s_mat[iy, iy] = math.exp(-r)
+            s_mat[0, 0] = math.exp(r)
+            s_mat[1, 1] = math.exp(-r)
         else:
-            s_mat[ix, ix] = math.exp(-r)
-            s_mat[iy, iy] = math.exp(r)
+            s_mat[0, 0] = math.exp(-r)
+            s_mat[1, 1] = math.exp(r)
     elif isinstance(gate, Kerr):
-        xl, yl = 2 * (gate.l - 1), 2 * (gate.l - 1) + 1
-        xk, yk = 2 * (gate.k - 1), 2 * (gate.k - 1) + 1
-        s_mat[yl, xk] = gate.g
-        s_mat[yk, xl] = gate.g
+        s_mat = np.eye(4)
+        s_mat[1, 2] = gate.g
+        s_mat[3, 0] = gate.g
     elif isinstance(gate, Rotate):
-        ix, iy = 2 * (gate.mode - 1), 2 * (gate.mode - 1) + 1
+        s_mat = np.eye(2)
         c, s = cos_sin(gate.theta)
-        s_mat[ix, ix] = c
-        s_mat[ix, iy] = s
-        s_mat[iy, ix] = -s
-        s_mat[iy, iy] = c
+        s_mat[0, 0] = c
+        s_mat[0, 1] = s
+        s_mat[1, 0] = -s
+        s_mat[1, 1] = c
     elif isinstance(gate, Beamsplit):
-        xl, yl = 2 * (gate.l - 1), 2 * (gate.l - 1) + 1
-        xk, yk = 2 * (gate.k - 1), 2 * (gate.k - 1) + 1
+        s_mat = np.eye(4)
         s = math.sqrt(gate.t)
         c = math.sqrt(1.0 - gate.t)
-        for a, b in ((xl, xk), (yl, yk)):
+        for a, b in ((0, 2), (1, 3)):
             s_mat[a, a] = s
             s_mat[a, b] = c
             s_mat[b, a] = c

@@ -31,14 +31,14 @@ from .errors import (
     SelfInteractionError,
     UnsupportedOperationError,
 )
-from .gates import MOMENTUM_SQUEEZED, POSITION_SQUEEZED, X, Y
-
-# Coefficients smaller than this are dropped after every rewrite.
-PRUNE_TOL = 1e-12
-# A combination is a nullifier when all terms above this survive at k <= -1.
-NULLIFIER_TOL = 1e-9
-# Net commutator contributions at nonzero exponent-sum above this are a bug.
-COMMUTATOR_TOL = 1e-9
+from .gates import (
+    COMMUTATOR_TOL,
+    MOMENTUM_SQUEEZED,
+    NULLIFIER_TOL,
+    PRUNE_TOL,
+    X,
+    Y,
+)
 
 ACTIVE = "active"
 CONSUMED = "consumed"
@@ -424,15 +424,6 @@ class Register:
             blocks.setdefault(find(m), []).append(m)
         return sorted(tuple(sorted(b)) for b in blocks.values())
 
-    def rows(self) -> str:
-        """Pretty multi-line dump of all active quadrature expressions."""
-        lines = []
-        for m in self.active_modes():
-            md = self._mode(m)
-            lines.append(f"X_{m} = {render_expr(md.x)}")
-            lines.append(f"Y_{m} = {render_expr(md.y)}")
-        return "\n".join(lines)
-
 
 def _mix(a: dict, ca: float, b: dict, cb: float) -> dict:
     out: dict[int, float] = {}
@@ -446,11 +437,6 @@ def _mix(a: dict, ca: float, b: dict, cb: float) -> dict:
             else:
                 out[k] = val
     return out
-
-
-def vacuum_register(n: int) -> Register:
-    """Fresh n-mode register of unsqueezed vacuum modes."""
-    return Register(n)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,15 @@ import numpy as np
 
 from . import covariance, graphs, ledger
 from .errors import ProtocolPreconditionError, SelfInteractionError
-from .gates import MOMENTUM_SQUEEZED, POSITION_SQUEEZED, X, Y
-
-# Residual above which a feed-forward linear solve is declared infeasible.
-SOLVER_TOL = 1e-9
+from .gates import (
+    GRAPH_ROW_TOL,
+    MOMENTUM_SQUEEZED,
+    POSITION_SQUEEZED,
+    PRODUCT_TOL,
+    SOLVER_TOL,
+    X,
+    Y,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -89,26 +94,12 @@ def build_graph_state(graph: graphs.Graph, engine: str = "ledger", r: float | No
     ``Y_a = e^{-r} y0_a + e^{+r} sum of neighbour x0``.
     """
     n = graph.n_vertices
-    edge_pairs = sorted((graph.mode_of(a), graph.mode_of(b)) for a, b in graph.edges)
-    if engine == "ledger":
-        reg = ledger.vacuum_register(n)
-        for m in range(1, n + 1):
-            reg.squeeze(m, MOMENTUM_SQUEEZED)
-        for l, k in edge_pairs:
-            reg.kerr_couple(l, k, 1.0)
-        return reg
-    if engine == "covariance":
-        if r is None:
-            raise ProtocolPreconditionError("covariance build needs numeric r")
-        state = covariance.vacuum_state(n)
-        from .gates import Kerr, Squeeze
-
-        for m in range(1, n + 1):
-            state = covariance.apply_gate(state, Squeeze(m, MOMENTUM_SQUEEZED), r)
-        for l, k in edge_pairs:
-            state = covariance.apply_gate(state, Kerr(l, k, 1.0), r)
-        return state
-    raise ProtocolPreconditionError(f"unknown engine {engine!r}")
+    reg = ledger.Register(n)
+    for m in range(1, n + 1):
+        reg.squeeze(m, MOMENTUM_SQUEEZED)
+    for l, k in sorted((graph.mode_of(a), graph.mode_of(b)) for a, b in graph.edges):
+        reg.kerr_couple(l, k, 1.0)
+    return _on_engine(reg, engine, r)
 
 
 def build_bs_chain(n: int, engine: str = "ledger", r: float | None = None):
@@ -125,21 +116,14 @@ def build_bs_chain(n: int, engine: str = "ledger", r: float | None = None):
     """
     if n < 2:
         raise ProtocolPreconditionError("beamsplitter chain needs n >= 2")
-    if engine == "ledger":
-        reg = ledger.vacuum_register(n)
-        reg.squeeze(1, MOMENTUM_SQUEEZED)
-        for m in range(2, n + 1):
-            reg.squeeze(m, POSITION_SQUEEZED)
-        for i in range(1, n):
-            reg.beamsplit(i, i + 1, 0.5)
-            reg.rotate(i + 1, -math.pi / 2.0)
-        return reg
-    if engine == "covariance":
-        if r is None:
-            raise ProtocolPreconditionError("covariance build needs numeric r")
-        tape = build_bs_chain(n, "ledger").history
-        return covariance.apply_tape(covariance.vacuum_state(n), tape, r)
-    raise ProtocolPreconditionError(f"unknown engine {engine!r}")
+    reg = ledger.Register(n)
+    reg.squeeze(1, MOMENTUM_SQUEEZED)
+    for m in range(2, n + 1):
+        reg.squeeze(m, POSITION_SQUEEZED)
+    for i in range(1, n):
+        reg.beamsplit(i, i + 1, 0.5)
+        reg.rotate(i + 1, -math.pi / 2.0)
+    return _on_engine(reg, engine, r)
 
 
 def build_ghz_optics(n: int, engine: str = "ledger", r: float | None = None):
@@ -154,19 +138,23 @@ def build_ghz_optics(n: int, engine: str = "ledger", r: float | None = None):
     """
     if n < 2:
         raise ProtocolPreconditionError("GHZ optics needs n >= 2")
+    reg = ledger.Register(n)
+    reg.squeeze(1, POSITION_SQUEEZED)
+    for m in range(2, n + 1):
+        reg.squeeze(m, MOMENTUM_SQUEEZED)
+    for i in range(1, n):
+        reg.beamsplit(i, i + 1, 1.0 / (n - i + 1))
+    return _on_engine(reg, engine, r)
+
+
+def _on_engine(reg: ledger.Register, engine: str, r: float | None):
+    """The built register itself, or its gate tape replayed from vacuum at ``r``."""
     if engine == "ledger":
-        reg = ledger.vacuum_register(n)
-        reg.squeeze(1, POSITION_SQUEEZED)
-        for m in range(2, n + 1):
-            reg.squeeze(m, MOMENTUM_SQUEEZED)
-        for i in range(1, n):
-            reg.beamsplit(i, i + 1, 1.0 / (n - i + 1))
         return reg
     if engine == "covariance":
         if r is None:
             raise ProtocolPreconditionError("covariance build needs numeric r")
-        tape = build_ghz_optics(n, "ledger").history
-        return covariance.apply_tape(covariance.vacuum_state(n), tape, r)
+        return covariance.apply_tape(covariance.vacuum_state(reg.n), reg.history, r)
     raise ProtocolPreconditionError(f"unknown engine {engine!r}")
 
 
@@ -183,21 +171,29 @@ def _require_graph_rows(reg: ledger.Register, graph: graphs.Graph, protocol: str
         m = graph.mode_of(v)
         if reg.status(m) != ledger.ACTIVE:
             raise ProtocolPreconditionError(f"{protocol}: mode {m} already consumed")
-        x = reg.quad_expr(m, X)
+    if graph_row_deviation(reg, graph) > GRAPH_ROW_TOL:
+        raise ProtocolPreconditionError(
+            f"{protocol}: register rows do not match the graph state of the given graph"
+        )
+
+
+def graph_row_deviation(reg: ledger.Register, graph: graphs.Graph) -> float:
+    """Largest coefficient gap between ``reg``'s rows and the graph-state closed form.
+
+    The closed form is ``X_a = e^{+r} x0_a`` and ``Y_a = e^{-r} y0_a`` plus
+    ``e^{+r}`` times the neighbours' ``x0``; every vertex mode must be active.
+    """
+    worst = 0.0
+    for v in graph.vertices:
+        m = graph.mode_of(v)
         expected_x = ledger.QuadExpr({(m, X, 1): 1.0})
-        y = reg.quad_expr(m, Y)
         expected_y = ledger.QuadExpr({(m, Y, -1): 1.0})
         for b in graph.neighborhood(v):
             expected_y.add_scaled(ledger.QuadExpr({(graph.mode_of(b), X, 1): 1.0}))
-        if not _expr_close(x, expected_x) or not _expr_close(y, expected_y):
-            raise ProtocolPreconditionError(
-                f"{protocol}: register rows do not match the graph state of the given graph"
-            )
-
-
-def _expr_close(a: ledger.QuadExpr, b: ledger.QuadExpr, tol: float = 1e-9) -> bool:
-    diff = a - b
-    return all(abs(t.coeff) <= tol for t in diff.terms())
+        for diff in (reg.quad_expr(m, X) - expected_x, reg.quad_expr(m, Y) - expected_y):
+            for t in diff.terms():
+                worst = max(worst, abs(t.coeff))
+    return worst
 
 
 def _require_chain(graph: graphs.Graph, protocol: str) -> int:
@@ -207,6 +203,28 @@ def _require_chain(graph: graphs.Graph, protocol: str) -> int:
     if set(graph.edges) != want:
         raise ProtocolPreconditionError(f"{protocol}: graph is not a chain")
     return n
+
+
+# ---------------------------------------------------------------------------
+# Recording protocol steps
+# ---------------------------------------------------------------------------
+
+
+def _measure(reg: ledger.Register, report: ProtocolReport, mode: int, kind: str):
+    rec = reg.measure(mode, kind)
+    report.measurements.append((mode, kind))
+    return rec
+
+
+def _displace(reg: ledger.Register, report: ProtocolReport, mode: int, kind: str, coeff: float, rec):
+    reg.displace_with(mode, kind, coeff, rec)
+    report.displacements.append((mode, kind, coeff, rec.index))
+
+
+def _certify(reg: ledger.Register, report: ProtocolReport, parts):
+    """Record a target combination as a nullifier candidate and its final-frame weights."""
+    report.nullifiers.append(reg.combine(parts))
+    report.combos.append(reg.frame_combo(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -226,32 +244,18 @@ def solve_feedforward(reg: ledger.Register, targets, records=None):
     """
     if records is None:
         records = list(reg.records)
-    coords = set()
     bases = []
     for parts, allowance in targets:
         base = reg.combine(parts)
         if allowance is not None:
             base.add_scaled(allowance, -1.0)
         bases.append(base)
-        coords.update((t.mode, t.kind, t.exponent) for t in base.terms() if t.exponent >= 0)
-    for rec in records:
-        coords.update(
-            (t.mode, t.kind, t.exponent) for t in rec.observable.terms() if t.exponent >= 0
-        )
-    coords = sorted(coords)
-    pos = {c: i for i, c in enumerate(coords)}
-    a_mat = np.zeros((len(coords), len(records)))
-    for j, rec in enumerate(records):
-        for t in rec.observable.terms():
-            if t.exponent >= 0:
-                a_mat[pos[(t.mode, t.kind, t.exponent)], j] = t.coeff
+    growing = _growing_part([rec.observable for rec in records] + bases)
+    a_mat = growing[:, : len(records)]
     rank = int(np.linalg.matrix_rank(a_mat, tol=SOLVER_TOL)) if records else 0
     coeff_dicts = []
-    for base in bases:
-        b = np.zeros(len(coords))
-        for t in base.terms():
-            if t.exponent >= 0:
-                b[pos[(t.mode, t.kind, t.exponent)]] = t.coeff
+    for i in range(len(bases)):
+        b = growing[:, len(records) + i]
         if not records:
             if np.max(np.abs(b), initial=0.0) > SOLVER_TOL:
                 return Infeasible(0, 0)
@@ -264,6 +268,25 @@ def solve_feedforward(reg: ledger.Register, targets, records=None):
             {records[j].index: float(c) for j, c in enumerate(alpha) if abs(c) > SOLVER_TOL}
         )
     return FeedforwardSolution(coeff_dicts, (len(records), rank))
+
+
+def _growing_part(exprs) -> np.ndarray:
+    """Coordinate x expression matrix of the growing (exponent >= 0) coefficients.
+
+    Rows are the sorted (mode, kind, exponent) coordinates with exponent >= 0
+    that any expression uses, with one all-zero row when none does; column j
+    holds expression j's coefficients.
+    """
+    coords = sorted(
+        {(t.mode, t.kind, t.exponent) for e in exprs for t in e.terms() if t.exponent >= 0}
+    )
+    pos = {c: idx for idx, c in enumerate(coords)}
+    mat = np.zeros((max(len(coords), 1), len(exprs)))
+    for col, e in enumerate(exprs):
+        for t in e.terms():
+            if t.exponent >= 0:
+                mat[pos[(t.mode, t.kind, t.exponent)], col] = t.coeff
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +306,14 @@ def disentangle_even(reg: ledger.Register, graph: graphs.Graph) -> ProtocolRepor
     report = ProtocolReport("disentangle_even", False)
     recs = {}
     for j in range(2, n + 1, 2):
-        recs[j] = reg.measure(j, X)
-        report.measurements.append((j, X))
+        recs[j] = _measure(reg, report, j, X)
     for j, rec in recs.items():
         for nb in (j - 1, j + 1):
             if 1 <= nb <= n and nb not in recs:
-                reg.displace_with(nb, Y, -1.0, rec)
-                report.displacements.append((nb, Y, -1.0, rec.index))
+                _displace(reg, report, nb, Y, -1.0, rec)
     report.partition = reg.product_partition()
     for m in reg.active_modes():
-        expr = reg.quad_expr(m, Y)
-        report.nullifiers.append(expr)
-        report.combos.append(reg.frame_combo([(1.0, m, Y)]))
+        _certify(reg, report, [(1.0, m, Y)])
     report.success = all(len(block) == 1 for block in report.partition) and all(
         ledger.is_nullifier(e) for e in report.nullifiers
     )
@@ -309,20 +328,14 @@ def disconnect(reg: ledger.Register, graph: graphs.Graph, j: int) -> ProtocolRep
         raise ProtocolPreconditionError("disconnect needs an interior position")
     _require_graph_rows(reg, graph, "disconnect")
     report = ProtocolReport("disconnect", False)
-    rec = reg.measure(j, X)
-    report.measurements.append((j, X))
+    rec = _measure(reg, report, j, X)
     for nb in (j - 1, j + 1):
-        reg.displace_with(nb, Y, -1.0, rec)
-        report.displacements.append((nb, Y, -1.0, rec.index))
+        _displace(reg, report, nb, Y, -1.0, rec)
     report.partition = reg.product_partition()
     # Graph-law nullifiers of the two sub-chains certify the cut.
     for m in reg.active_modes():
         nbrs = [b for b in (m - 1, m + 1) if 1 <= b <= n and b != j]
-        parts = [(1.0, m, Y)] + [(-1.0, b, X) for b in nbrs]
-        expr = reg.combine(parts)
-        expr_full = reg.frame_combo(parts)
-        report.nullifiers.append(expr)
-        report.combos.append(expr_full)
+        _certify(reg, report, [(1.0, m, Y)] + [(-1.0, b, X) for b in nbrs])
     report.success = len(report.partition) == 2 and all(
         ledger.is_nullifier(e) for e in report.nullifiers
     )
@@ -366,24 +379,6 @@ def extract_pair(reg: ledger.Register, graph: graphs.Graph, j: int, k: int, oute
     _require_graph_rows(reg, graph, "extract_pair")
     report = ProtocolReport("extract_pair", False)
 
-    def outer_side(helpers, end, inner_neighbor):
-        """Measure helper positions, then solve to clean the chain end."""
-        recs = []
-        for h in helpers:
-            kind = Y if (abs(end - h) % 2 == 0) else X
-            recs.append(reg.measure(h, kind))
-            report.measurements.append((h, kind))
-        allowance = (
-            ledger.QuadExpr({(inner_neighbor, X, 1): 1.0}) if inner_neighbor else None
-        )
-        sol = solve_feedforward(reg, [([(1.0, end, Y)], allowance)], recs)
-        if isinstance(sol, Infeasible):
-            return sol
-        for idx, c in sol.coeffs[0].items():
-            reg.displace_with(end, Y, c, reg.records[idx])
-            report.displacements.append((end, Y, c, idx))
-        return sol
-
     if isinstance(outer, NextNeighbor):
         left = [j - 1] if j > 1 else []
         right = [k + 1] if k < n else []
@@ -396,53 +391,35 @@ def extract_pair(reg: ledger.Register, graph: graphs.Graph, j: int, k: int, oute
         raise ProtocolPreconditionError(f"unknown outer strategy {outer!r}")
 
     inner = list(range(j + 1, k))
-    if left:
-        sol = outer_side(left, j, inner[0] if inner else k)
+    sides = (("left", left, j, inner[0] if inner else k),
+             ("right", right, k, inner[-1] if inner else j))
+    for side, helpers, end, inner_neighbor in sides:
+        if not helpers:
+            continue
+        # Measure the helpers, then solve to clean the chain end while
+        # keeping its bond to the inner neighbour.
+        recs = [_measure(reg, report, h, Y if abs(end - h) % 2 == 0 else X) for h in helpers]
+        allowance = ledger.QuadExpr({(inner_neighbor, X, 1): 1.0})
+        sol = solve_feedforward(reg, [([(1.0, end, Y)], allowance)], recs)
         if isinstance(sol, Infeasible):
             report.rank_info = (sol.equations, sol.rank)
-            report.details = "outer-left feed-forward infeasible"
+            report.details = f"outer-{side} feed-forward infeasible"
             return report
-    if right:
-        sol = outer_side(right, k, inner[-1] if inner else j)
-        if isinstance(sol, Infeasible):
-            report.rank_info = (sol.equations, sol.rank)
-            report.details = "outer-right feed-forward infeasible"
-            return report
+        for idx, c in sol.coeffs[0].items():
+            _displace(reg, report, end, Y, c, reg.records[idx])
 
     # Teleport the inner positions away one by one: measure Y, fold the
     # record into X_j, then quarter-turn j so the rows stay in chain form.
     for p in inner:
-        rec = reg.measure(p, Y)
-        report.measurements.append((p, Y))
-        reg.displace_with(j, X, -1.0, rec)
-        report.displacements.append((j, X, -1.0, rec.index))
+        _displace(reg, report, j, X, -1.0, _measure(reg, report, p, Y))
         reg.rotate(j, math.pi / 2.0)
 
     for a, b in ((j, k), (k, j)):
-        parts = [(1.0, a, Y), (-1.0, b, X)]
-        report.nullifiers.append(reg.combine(parts))
-        report.combos.append(reg.frame_combo(parts))
+        _certify(reg, report, [(1.0, a, Y), (-1.0, b, X)])
     report.success = all(ledger.is_nullifier(e) for e in report.nullifiers)
     report.flavor = "two-chain EPR (X_j + X_k and Y_j - Y_k after a -90 turn on k)"
     report.details = f"pair ({j}, {k}) of a {n}-chain, {len(inner)} inner teleport steps"
     return report
-
-
-def teleport_shorten(reg: ledger.Register, order: list[int]) -> list[int]:
-    """One chain-shortening step on a virtual chain given by ``order``.
-
-    Measures Y of the second position, folds the record into X of the first
-    with coefficient -1, then rotates the first by +90 degrees.  Returns the
-    new virtual chain order (second position removed); the surviving rows
-    satisfy exactly the chain nullifier set of the shorter chain.
-    """
-    if len(order) < 3:
-        raise ProtocolPreconditionError("shortening needs a chain of length >= 3")
-    head, second, rest = order[0], order[1], order[2:]
-    rec = reg.measure(second, Y)
-    reg.displace_with(head, X, -1.0, rec)
-    reg.rotate(head, math.pi / 2.0)
-    return [head] + rest
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +449,7 @@ def reduce_graph_to_path(reg: ledger.Register, graph: graphs.Graph, a: int, b: i
     )
     recs = []
     for v in boundary:
-        m = graph.mode_of(v)
-        recs.append(reg.measure(m, X))
-        report.measurements.append((m, X))
+        recs.append(_measure(reg, report, graph.mode_of(v), X))
     targets = []
     for i, p in enumerate(path):
         parts = [(1.0, graph.mode_of(p), Y)]
@@ -491,11 +466,9 @@ def reduce_graph_to_path(reg: ledger.Register, graph: graphs.Graph, a: int, b: i
     for (parts, _), coeffs in zip(targets, sol.coeffs):
         mode = parts[0][1]
         for idx, c in coeffs.items():
-            reg.displace_with(mode, Y, c, reg.records[idx])
-            report.displacements.append((mode, Y, c, idx))
+            _displace(reg, report, mode, Y, c, reg.records[idx])
     for parts, _ in targets:
-        report.nullifiers.append(reg.combine(parts))
-        report.combos.append(reg.frame_combo(parts))
+        _certify(reg, report, parts)
     report.success = all(ledger.is_nullifier(e) for e in report.nullifiers)
     report.details = f"path {path} ({len(boundary)} boundary measurements)"
     return report
@@ -520,18 +493,14 @@ def star_to_ghz(reg: ledger.Register, graph: graphs.Graph) -> ProtocolReport:
     _require_graph_rows(reg, graph, "star_to_ghz")
     report = ProtocolReport("star_to_ghz", False, flavor="total-position")
     cm = graph.mode_of(center)
-    rec = reg.measure(cm, Y)
-    report.measurements.append((cm, Y))
-    first = graph.mode_of(leaves[0])
-    reg.displace_with(first, X, -1.0, rec)
-    report.displacements.append((first, X, -1.0, rec.index))
+    rec = _measure(reg, report, cm, Y)
+    _displace(reg, report, graph.mode_of(leaves[0]), X, -1.0, rec)
     modes = [graph.mode_of(v) for v in leaves]
     target_sets = [[(1.0, m, X) for m in modes]]
     for m1, m2 in zip(modes, modes[1:]):
         target_sets.append([(1.0, m1, Y), (-1.0, m2, Y)])
     for parts in target_sets:
-        report.nullifiers.append(reg.combine(parts))
-        report.combos.append(reg.frame_combo(parts))
+        _certify(reg, report, parts)
     report.success = all(ledger.is_nullifier(e) for e in report.nullifiers)
     report.details = f"hub vertex {center}, {len(leaves)} leaves"
     return report
@@ -572,11 +541,7 @@ def ring_star_to_ghz(
         raise ProtocolPreconditionError("GHZ projection needs at least two survivors")
     _require_graph_rows(reg, graph, "ring_star_to_ghz")
     report = ProtocolReport("ring_star_to_ghz", False, flavor=flavor)
-    recs = [reg.measure(graph.mode_of(hub), Y)]
-    report.measurements.append((graph.mode_of(hub), Y))
-    for v in sorted(measured):
-        recs.append(reg.measure(graph.mode_of(v), Y))
-        report.measurements.append((graph.mode_of(v), Y))
+    recs = [_measure(reg, report, graph.mode_of(v), Y) for v in [hub] + sorted(measured)]
     modes = [graph.mode_of(v) for v in remaining]
     if flavor == "total-momentum":
         sum_kind, diff_kind = Y, X
@@ -602,11 +567,9 @@ def ring_star_to_ghz(
     for t_idx, ((parts, _), coeffs) in enumerate(zip(targets, sol.coeffs)):
         weight, mode, kind = parts[0] if t_idx == 0 else parts[-1]
         for idx, c in coeffs.items():
-            reg.displace_with(mode, kind, c / weight, reg.records[idx])
-            report.displacements.append((mode, kind, c / weight, idx))
+            _displace(reg, report, mode, kind, c / weight, reg.records[idx])
     for parts, _ in targets:
-        report.nullifiers.append(reg.combine(parts))
-        report.combos.append(reg.frame_combo(parts))
+        _certify(reg, report, parts)
     report.success = all(ledger.is_nullifier(e) for e in report.nullifiers)
     report.details = (
         f"alternating-spoke ring (reconstructed topology): ring {len(ring_order)}, "
@@ -678,19 +641,7 @@ def nullifier_basis(reg: ledger.Register) -> list[WeightedNullifier]:
     """
     layout = [(m, kind) for m in reg.active_modes() for kind in (X, Y)]
     exprs = [reg.quad_expr(m, kind) for m, kind in layout]
-    coords = sorted(
-        {
-            (t.mode, t.kind, t.exponent)
-            for e in exprs
-            for t in e.terms()
-            if t.exponent >= 0
-        }
-    )
-    a_mat = np.zeros((len(exprs), max(len(coords), 1)))
-    for i, e in enumerate(exprs):
-        for j, c in enumerate(coords):
-            a_mat[i, j] = e.coeff(*c)
-    u, s, _ = np.linalg.svd(a_mat, full_matrices=True)
+    u, s, _ = np.linalg.svd(_growing_part(exprs).T, full_matrices=True)
     rank = int(np.sum(s > SOLVER_TOL))
     out = []
     for col in range(rank, len(exprs)):
@@ -712,7 +663,7 @@ def nullifier_basis(reg: ledger.Register) -> list[WeightedNullifier]:
 
 
 def conditional_cov_block_diagonal(
-    n: int, pattern, r: float, tol: float = 1e-9
+    n: int, pattern, r: float, tol: float = PRODUCT_TOL
 ) -> bool:
     """Covariance-engine oracle: does measuring ``pattern`` fully separate a chain?
 
@@ -727,13 +678,7 @@ def conditional_cov_block_diagonal(
         cur = remaining.index(pos) + 1
         state = covariance.homodyne(state, cur, kind, outcome=0.0).state
         remaining.remove(pos)
-    cov = state.cov
-    for i in range(state.n):
-        for j in range(i + 1, state.n):
-            block = cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-            if np.max(np.abs(block)) > tol:
-                return False
-    return True
+    return covariance.is_mode_product(state, tol)
 
 
 def minimal_disentangling_measurements(n: int, rs=(1.0, 0.7)) -> int:
@@ -799,27 +744,14 @@ def chain_pair_after_discard(n: int, d: int) -> ProtocolReport:
     report = ProtocolReport("chain_pair_after_discard", False)
     p1, p2 = pos(1), pos(2)  # the protected pair (in real positions)
 
-    def measure(p, kind):
-        rec = reg.measure(pos(p), kind)
-        report.measurements.append((pos(p), kind))
-        return rec
-
     if dd > 3:
-        rec = measure(3, X)
-        reg.displace_with(p2, Y, -1.0, rec)
-        report.displacements.append((p2, Y, -1.0, rec.index))
+        _displace(reg, report, p2, Y, -1.0, _measure(reg, report, pos(3), X))
     else:  # the loss is the pair's second neighbour: recapture via its far side
-        rec4 = measure(4, Y)
-        reg.displace_with(p2, Y, -1.0, rec4)
-        report.displacements.append((p2, Y, -1.0, rec4.index))
+        _displace(reg, report, p2, Y, -1.0, _measure(reg, report, pos(4), Y))
         if n >= 5:
-            rec5 = measure(5, X)
-            reg.displace_with(p2, Y, 1.0, rec5)
-            report.displacements.append((p2, Y, 1.0, rec5.index))
+            _displace(reg, report, p2, Y, 1.0, _measure(reg, report, pos(5), X))
     for a, b in ((p1, p2), (p2, p1)):
-        parts = [(1.0, a, Y), (-1.0, b, X)]
-        report.nullifiers.append(reg.combine(parts))
-        report.combos.append(reg.frame_combo(parts))
+        _certify(reg, report, [(1.0, a, Y), (-1.0, b, X)])
     # The witness must not lean on the lost party's operators, and the
     # recovered plane must be genuinely conjugate, not two one-mode squeezes.
     untouched = all(d not in e.support() for e in report.nullifiers)
@@ -878,21 +810,7 @@ def pair_epr_projection(reg: ledger.Register, pair) -> bool:
         reg.quad_expr(j, X),
         reg.quad_expr(j, Y),
     ] + [r.observable for r in reg.records]
-    coords = sorted(
-        {
-            (t.mode, t.kind, t.exponent)
-            for e in gens
-            for t in e.terms()
-            if t.exponent >= 0
-        }
-    )
-    pos = {c: idx for idx, c in enumerate(coords)}
-    a_mat = np.zeros((max(len(coords), 1), len(gens)))
-    for col, e in enumerate(gens):
-        for t in e.terms():
-            if t.exponent >= 0:
-                a_mat[pos[(t.mode, t.kind, t.exponent)], col] = t.coeff
-    _, s, vh = np.linalg.svd(a_mat, full_matrices=True)
+    _, s, vh = np.linalg.svd(_growing_part(gens), full_matrices=True)
     rank = int(np.sum(s > SOLVER_TOL))
     null_basis = vh[rank:, :]
     if null_basis.size == 0:

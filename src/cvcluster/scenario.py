@@ -27,6 +27,7 @@ into ordinary script runs.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from dataclasses import dataclass, field
@@ -35,12 +36,9 @@ import numpy as np
 
 from . import covariance, ledger
 from .errors import CvClusterError, InternalConsistencyError
-from .gates import MOMENTUM_SQUEEZED, POSITION_SQUEEZED, X, Y
+from .gates import BRIDGE_TOL, MOMENTUM_SQUEEZED, POSITION_SQUEEZED, PRODUCT_TOL, X, Y
 
 SQRT2 = math.sqrt(2.0)
-# Numeric and symbolic variances must agree to this, relative to the
-# variance once it exceeds 1, when both engines run.
-BRIDGE_TOL = 1e-9
 
 
 class ParseError(CvClusterError):
@@ -361,6 +359,10 @@ def parse_combo(text: str) -> tuple[ComboTerm, ...]:
     return terms
 
 
+# Two-mode gate statements: statement class, option prefix, default value.
+_TWO_MODE = {"kerr": (KerrStmt, "g=", 1.0), "bs": (BeamsplitStmt, "t=", 0.5)}
+
+
 def parse(text: str, source: str = "<scenario>") -> Scenario:
     """Parse a script; raises :class:`ParseError` at the first problem.
 
@@ -405,21 +407,22 @@ def parse(text: str, source: str = "<scenario>") -> Scenario:
                 p.fail(d, "'momentum' or 'position'")
             p.done()
             statements.append(SqueezeStmt(m, d.text, line=lineno, col=head.col))
-        elif head.text == "kerr":
+        elif head.text in _TWO_MODE:
+            stmt_cls, prefix, value = _TWO_MODE[head.text]
             l = mode_tok()
             k = mode_tok()
             if l == k:
                 p.fail(p.toks[p.pos - 1], "a mode distinct from the first")
-            g, g_given = 1.0, False
+            given = False
             tok = p.peek()
             if tok is not None:
-                if not tok.text.startswith("g="):
-                    p.fail(tok, "g=<real>")
-                g = _parse_real_option(p, tok, "g=")
-                g_given = True
+                if not tok.text.startswith(prefix):
+                    p.fail(tok, f"{prefix}<real>")
+                value = p.real(tok.text[len(prefix):], tok.col, f"{prefix}<real>", tok.text)
+                given = True
                 p.pos += 1
             p.done()
-            statements.append(KerrStmt(l, k, g, g_given, line=lineno, col=head.col))
+            statements.append(stmt_cls(l, k, value, given, line=lineno, col=head.col))
         elif head.text == "rotate":
             m = mode_tok()
             tok = p.take("-90, 90, 180 or <real>rad")
@@ -435,21 +438,6 @@ def parse(text: str, source: str = "<scenario>") -> Scenario:
             else:
                 p.fail(tok, "-90, 90, 180 or <real>rad")
             p.done()
-        elif head.text == "bs":
-            l = mode_tok()
-            k = mode_tok()
-            if l == k:
-                p.fail(p.toks[p.pos - 1], "a mode distinct from the first")
-            t, t_given = 0.5, False
-            tok = p.peek()
-            if tok is not None:
-                if not tok.text.startswith("t="):
-                    p.fail(tok, "t=<real>")
-                t = _parse_real_option(p, tok, "t=")
-                t_given = True
-                p.pos += 1
-            p.done()
-            statements.append(BeamsplitStmt(l, k, t, t_given, line=lineno, col=head.col))
         elif head.text == "measure":
             basis = p.take_basis()
             m = mode_tok()
@@ -520,21 +508,12 @@ def parse(text: str, source: str = "<scenario>") -> Scenario:
     return Scenario(tuple(statements))
 
 
-def _parse_real_option(p: _LineParser, tok: _Tok, prefix: str) -> float:
-    return p.real(tok.text[len(prefix):], tok.col, f"{prefix}<real>", tok.text)
-
-
 def _check_combo_modes(p: _LineParser, terms, n_modes: int):
     for t in terms:
         if not 1 <= t.mode <= n_modes:
             raise ParseError(
                 p.lineno, p.toks[0].col, f"mode index in 1..{n_modes}", str(t.mode)
             )
-
-
-def pretty(text: str, source: str = "<scenario>") -> str:
-    """Canonical form; ``pretty`` after ``pretty`` is the identity."""
-    return parse(text, source).render()
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +629,9 @@ class _Execution:
         getattr(self.reg, fn_name)(*args)
         if self.engine == COVARIANCE:
             gate = self.reg.history[-1]
-            mapped = _remap_gate(gate, self.index_map)
+            mapped = dataclasses.replace(
+                gate, **{f: self.index_map[getattr(gate, f)] for f in gate.MODE_FIELDS}
+            )
             self.state = covariance.apply_gate(self.state, mapped, self.r)
 
     def _replay_variance(self, parts, r: float) -> float:
@@ -736,12 +717,7 @@ class _Execution:
         partition = self.reg.product_partition()
         ok = all(len(block) == 1 for block in partition)
         if self.engine == COVARIANCE and ok:
-            cov = self.state.cov
-            for i in range(self.state.n):
-                for j in range(i + 1, self.state.n):
-                    block = cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-                    if np.max(np.abs(block)) > BRIDGE_TOL:
-                        ok = False
+            ok = covariance.is_mode_product(self.state, PRODUCT_TOL)
         self._record_assert(stmt, "assert product", ok)
 
     def _do_PrintVarianceStmt(self, stmt):
@@ -762,20 +738,6 @@ class _Execution:
         )
         if not ok:
             self.report.failures.append((stmt.line, text))
-
-
-def _remap_gate(gate, index_map):
-    from . import gates as G
-
-    if isinstance(gate, G.Squeeze):
-        return G.Squeeze(index_map[gate.mode], gate.direction)
-    if isinstance(gate, G.Kerr):
-        return G.Kerr(index_map[gate.l], index_map[gate.k], gate.g)
-    if isinstance(gate, G.Rotate):
-        return G.Rotate(index_map[gate.mode], gate.theta)
-    if isinstance(gate, G.Beamsplit):
-        return G.Beamsplit(index_map[gate.l], index_map[gate.k], gate.t)
-    raise InternalConsistencyError(f"unknown gate {gate!r}")
 
 
 def run_file(path, engine: str = LEDGER, r: float | None = None, seed: int | None = None) -> RunReport:

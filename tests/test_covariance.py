@@ -31,7 +31,7 @@ from cvcluster.gates import (
     X,
     Y,
 )
-from cvcluster.ledger import vacuum_register
+from cvcluster.ledger import Register
 
 
 def test_vacuum_is_half_identity():
@@ -215,7 +215,7 @@ def test_bridge_on_random_circuits():
     rng = np.random.default_rng(2024)
     for _ in range(15):
         n = int(rng.integers(2, 6))
-        reg = vacuum_register(n)
+        reg = Register(n)
         for _ in range(12):
             op = rng.integers(4)
             m = int(rng.integers(1, n + 1))

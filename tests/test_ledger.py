@@ -16,7 +16,7 @@ from cvcluster.errors import (
     UnsupportedOperationError,
 )
 from cvcluster.gates import MOMENTUM_SQUEEZED, POSITION_SQUEEZED, X, Y
-from cvcluster.ledger import QuadExpr, Register, vacuum_register
+from cvcluster.ledger import QuadExpr, Register
 
 
 def term_dict(expr):
@@ -29,7 +29,7 @@ def term_dict(expr):
 
 
 def test_vacuum_rows_are_identity():
-    reg = vacuum_register(3)
+    reg = Register(3)
     for m in (1, 2, 3):
         assert term_dict(reg.quad_expr(m, X)) == {(m, X, 0): 1.0}
         assert term_dict(reg.quad_expr(m, Y)) == {(m, Y, 0): 1.0}
@@ -39,26 +39,26 @@ def test_register_size_validation():
     with pytest.raises(InvalidSizeError):
         Register(0)
     with pytest.raises(InvalidSizeError):
-        vacuum_register(-2)
+        Register(-2)
 
 
 def test_momentum_squeeze_shifts_exponents():
     """Momentum squeezing stretches X by e^{+r} and shrinks Y by e^{-r}."""
-    reg = vacuum_register(1)
+    reg = Register(1)
     reg.squeeze(1, MOMENTUM_SQUEEZED)
     assert term_dict(reg.quad_expr(1, X)) == {(1, X, 1): 1.0}
     assert term_dict(reg.quad_expr(1, Y)) == {(1, Y, -1): 1.0}
 
 
 def test_position_squeeze_is_the_mirror_image():
-    reg = vacuum_register(1)
+    reg = Register(1)
     reg.squeeze(1, POSITION_SQUEEZED)
     assert term_dict(reg.quad_expr(1, X)) == {(1, X, -1): 1.0}
     assert term_dict(reg.quad_expr(1, Y)) == {(1, Y, 1): 1.0}
 
 
 def test_squeeze_rejects_unknown_flavor():
-    reg = vacuum_register(1)
+    reg = Register(1)
     with pytest.raises(DomainError):
         reg.squeeze(1, "sideways")
 
@@ -69,14 +69,14 @@ def test_squeeze_rejects_unknown_flavor():
 
 
 def test_quarter_turn_is_exact():
-    reg = vacuum_register(1)
+    reg = Register(1)
     reg.rotate(1, -math.pi / 2.0)
     assert term_dict(reg.quad_expr(1, X)) == {(1, Y, 0): -1.0}
     assert term_dict(reg.quad_expr(1, Y)) == {(1, X, 0): 1.0}
 
 
 def test_paper_minus_90_matches_radian_form():
-    a = vacuum_register(2)
+    a = Register(2)
     a.squeeze(1, MOMENTUM_SQUEEZED)
     a.kerr_couple(1, 2, 1.0)
     b = a.copy()
@@ -87,7 +87,7 @@ def test_paper_minus_90_matches_radian_form():
 
 
 def test_half_turn_flips_both_signs():
-    reg = vacuum_register(1)
+    reg = Register(1)
     reg.rotate(1, math.pi)
     assert term_dict(reg.quad_expr(1, X)) == {(1, X, 0): -1.0}
     assert term_dict(reg.quad_expr(1, Y)) == {(1, Y, 0): -1.0}
@@ -95,7 +95,7 @@ def test_half_turn_flips_both_signs():
 
 def test_generic_rotation_mixes_with_cos_sin():
     theta = 0.37
-    reg = vacuum_register(1)
+    reg = Register(1)
     reg.rotate(1, theta)
     d = term_dict(reg.quad_expr(1, X))
     assert d[(1, X, 0)] == pytest.approx(math.cos(theta), abs=1e-15)
@@ -106,7 +106,7 @@ def test_generic_rotation_mixes_with_cos_sin():
 
 
 def test_four_quarter_turns_restore_the_frame():
-    reg = vacuum_register(1)
+    reg = Register(1)
     for _ in range(4):
         reg.rotate(1, math.pi / 2.0)
     assert term_dict(reg.quad_expr(1, X)) == {(1, X, 0): 1.0}
@@ -119,7 +119,7 @@ def test_four_quarter_turns_restore_the_frame():
 
 
 def test_balanced_beamsplitter_coefficients():
-    reg = vacuum_register(2)
+    reg = Register(2)
     reg.beamsplit(1, 2, 0.5)
     s = math.sqrt(0.5)
     assert term_dict(reg.quad_expr(1, X)) == {(1, X, 0): pytest.approx(s), (2, X, 0): pytest.approx(s)}
@@ -127,7 +127,7 @@ def test_balanced_beamsplitter_coefficients():
 
 
 def test_beamsplit_transmittance_domain():
-    reg = vacuum_register(2)
+    reg = Register(2)
     with pytest.raises(DomainError):
         reg.beamsplit(1, 2, -0.1)
     with pytest.raises(DomainError):
@@ -135,7 +135,7 @@ def test_beamsplit_transmittance_domain():
 
 
 def test_gates_reject_self_interaction():
-    reg = vacuum_register(2)
+    reg = Register(2)
     with pytest.raises(SelfInteractionError):
         reg.beamsplit(1, 1, 0.5)
     with pytest.raises(SelfInteractionError):
@@ -144,7 +144,7 @@ def test_gates_reject_self_interaction():
 
 def test_kerr_couple_adds_cross_positions():
     """The coupling adds each partner's position into the other's momentum."""
-    reg = vacuum_register(2)
+    reg = Register(2)
     reg.kerr_couple(1, 2, 1.0)
     assert term_dict(reg.quad_expr(1, Y)) == {(1, Y, 0): 1.0, (2, X, 0): 1.0}
     assert term_dict(reg.quad_expr(2, Y)) == {(2, Y, 0): 1.0, (1, X, 0): 1.0}
@@ -152,13 +152,13 @@ def test_kerr_couple_adds_cross_positions():
 
 
 def test_kerr_gain_scales_the_coupling():
-    reg = vacuum_register(2)
+    reg = Register(2)
     reg.kerr_couple(1, 2, 0.25)
     assert term_dict(reg.quad_expr(1, Y))[(2, X, 0)] == 0.25
 
 
 def test_mode_bounds_checked():
-    reg = vacuum_register(2)
+    reg = Register(2)
     with pytest.raises(InvalidSizeError):
         reg.rotate(3, 0.1)
     with pytest.raises(InvalidSizeError):
@@ -171,7 +171,7 @@ def test_mode_bounds_checked():
 
 
 def test_measure_consumes_the_mode():
-    reg = vacuum_register(2)
+    reg = Register(2)
     rec = reg.measure(1, X)
     assert rec.mode == 1 and rec.kind == X and rec.index == 0
     assert reg.status(1) == ledger.CONSUMED
@@ -183,7 +183,7 @@ def test_measure_consumes_the_mode():
 
 
 def test_displace_with_applies_record_combination():
-    reg = vacuum_register(3)
+    reg = Register(3)
     reg.squeeze(2, MOMENTUM_SQUEEZED)
     rec = reg.measure(2, Y)
     reg.displace_with(1, X, -1.0, rec)
@@ -193,15 +193,15 @@ def test_displace_with_applies_record_combination():
 
 
 def test_displace_rejects_foreign_records():
-    reg_a = vacuum_register(2)
-    reg_b = vacuum_register(2)
+    reg_a = Register(2)
+    reg_b = Register(2)
     rec = reg_a.measure(1, X)
     with pytest.raises(RecordOwnershipError):
         reg_b.displace_with(2, X, 1.0, rec)
 
 
 def test_displace_onto_consumed_mode_rejected():
-    reg = vacuum_register(2)
+    reg = Register(2)
     rec = reg.measure(1, X)
     with pytest.raises(ConsumedModeError):
         reg.displace_with(1, Y, 1.0, rec)
@@ -209,7 +209,7 @@ def test_displace_onto_consumed_mode_rejected():
 
 def test_squeeze_after_feedforward_unsupported():
     """Squeezing no longer factors once a row carries record content."""
-    reg = vacuum_register(2)
+    reg = Register(2)
     rec = reg.measure(2, Y)
     reg.displace_with(1, X, 0.5, rec)
     with pytest.raises(UnsupportedOperationError):
@@ -217,7 +217,7 @@ def test_squeeze_after_feedforward_unsupported():
 
 
 def test_records_enumerate_in_order():
-    reg = vacuum_register(3)
+    reg = Register(3)
     r0 = reg.measure(2, X)
     r1 = reg.measure(3, Y)
     assert [r.index for r in reg.records] == [0, 1]
@@ -243,7 +243,7 @@ def test_tiny_coefficients_are_pruned():
 
 
 def test_combine_weighs_rows():
-    reg = vacuum_register(2)
+    reg = Register(2)
     reg.squeeze(1, MOMENTUM_SQUEEZED)
     expr = reg.combine([(2.0, 1, X), (-1.0, 2, Y)])
     assert term_dict(expr) == {(1, X, 1): 2.0, (2, Y, 0): -1.0}
@@ -263,7 +263,7 @@ def test_is_nullifier_requires_pure_decay():
 
 
 def test_canonical_commutators():
-    reg = vacuum_register(2)
+    reg = Register(2)
     assert ledger.commutator(reg.quad_expr(1, X), reg.quad_expr(1, Y)) == 1.0
     assert ledger.commutator(reg.quad_expr(1, Y), reg.quad_expr(1, X)) == -1.0
     assert ledger.commutator(reg.quad_expr(1, X), reg.quad_expr(2, Y)) == 0.0
@@ -273,7 +273,7 @@ def test_commutators_survive_random_gate_soup():
     """Any gate sequence must keep the canonical algebra intact."""
     rng = np.random.default_rng(4)
     for _ in range(20):
-        reg = vacuum_register(4)
+        reg = Register(4)
         for _ in range(15):
             op = rng.integers(4)
             m = int(rng.integers(1, 5))

@@ -257,11 +257,13 @@ def test_extract_pair_validates_positions():
         protocols.extract_pair(reg, g, 0, 4)
 
 
-def test_teleport_shorten_removes_the_second_position():
+def test_teleport_step_removes_the_second_position():
     """Measuring the next position teleports the head's correlations past it."""
-    reg = protocols.build_graph_state(graphs.chain(3))
-    order = protocols.teleport_shorten(reg, [1, 2, 3])
-    assert order == [1, 3]
+    g = graphs.chain(3)
+    reg = protocols.build_graph_state(g)
+    rep = protocols.extract_pair(reg, g, 1, 3)
+    assert rep.measurements == [(2, Y)]
+    assert reg.active_modes() == [1, 3]
     assert two_chain_relations_hold(reg, 1, 3)
 
 
@@ -369,7 +371,7 @@ def test_ghz_cannot_rescue_a_conjugate_pair():
 
 def test_epr_projection_rejects_product_planes():
     """Two single-mode squeezing conditions are not an EPR plane."""
-    reg = ledger.vacuum_register(2)
+    reg = ledger.Register(2)
     reg.squeeze(1, "momentum")
     reg.squeeze(2, "momentum")
     assert protocols.pair_epr_projection(reg, (1, 2)) is False
