@@ -31,14 +31,7 @@ from .errors import (
     SelfInteractionError,
     UnsupportedOperationError,
 )
-from .gates import (
-    COMMUTATOR_TOL,
-    MOMENTUM_SQUEEZED,
-    NULLIFIER_TOL,
-    PRUNE_TOL,
-    X,
-    Y,
-)
+from .gates import COMMUTATOR_TOL, MOMENTUM_SQUEEZED, NULLIFIER_TOL, PRUNE_TOL, X, Y
 
 ACTIVE = "active"
 CONSUMED = "consumed"

@@ -216,7 +216,8 @@ def _measure(reg: ledger.Register, report: ProtocolReport, mode: int, kind: str)
     return rec
 
 
-def _displace(reg: ledger.Register, report: ProtocolReport, mode: int, kind: str, coeff: float, rec):
+def _displace(reg: ledger.Register, report: ProtocolReport, mode: int, kind: str,
+              coeff: float, rec):
     reg.displace_with(mode, kind, coeff, rec)
     report.displacements.append((mode, kind, coeff, rec.index))
 
@@ -254,8 +255,7 @@ def solve_feedforward(reg: ledger.Register, targets, records=None):
     a_mat = growing[:, : len(records)]
     rank = int(np.linalg.matrix_rank(a_mat, tol=SOLVER_TOL)) if records else 0
     coeff_dicts = []
-    for i in range(len(bases)):
-        b = growing[:, len(records) + i]
+    for b in growing[:, len(records):].T:
         if not records:
             if np.max(np.abs(b), initial=0.0) > SOLVER_TOL:
                 return Infeasible(0, 0)
@@ -447,9 +447,7 @@ def reduce_graph_to_path(reg: ledger.Register, graph: graphs.Graph, a: int, b: i
     boundary = sorted(
         {v for p in path for v in graph.neighborhood(p) if v not in on_path}
     )
-    recs = []
-    for v in boundary:
-        recs.append(_measure(reg, report, graph.mode_of(v), X))
+    recs = [_measure(reg, report, graph.mode_of(v), X) for v in boundary]
     targets = []
     for i, p in enumerate(path):
         parts = [(1.0, graph.mode_of(p), Y)]
