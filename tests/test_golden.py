@@ -34,6 +34,12 @@ for _name in SCENARIOS:
     CASES[f"run_{_name}_covariance"] = [
         "run", _path, "--engine", "covariance", "--r", "1", "--seed", "7",
     ]
+# Gates, displacements and a second measurement on modes numbered above one
+# that was already measured.
+CASES["run_renumber_n5_covariance"] = [
+    "run", "tests/golden/scripts/renumber_n5.cvq", "--engine", "covariance", "--r", "1",
+    "--seed", "7",
+]
 CASES.update({
     "sweep_chain": ["sweep", "--state", "chain:5", "--combo", "1*y3 - 1*x2 - 1*x4",
                     "--combo", "1*x1", "--combo", "1*y1 + 1*y5", "--r", R_LIST],
