@@ -125,12 +125,7 @@ def _build_state(spec: str) -> ledger.Register:
 
 
 def _parse_r_list(text: str) -> list[float]:
-    if not text.strip():
-        return []
-    try:
-        return [float(piece) for piece in text.split(",")]
-    except ValueError:
-        raise ValueError(f"--r wants comma-separated reals, got {text!r}") from None
+    return [float(piece) for piece in text.split(",")] if text.strip() else []
 
 
 def _cmd_sweep(args) -> int:
@@ -142,13 +137,12 @@ def _cmd_sweep(args) -> int:
             reg = scenario.ledger_register(scn, source=args.script)
         else:
             reg = _build_state(args.state)
-        rs = _parse_r_list(args.r)
         rows = []
         for raw in args.combo:
             terms = scenario.parse_combo(raw)
             rendered = scenario.render_combo(terms)
             expr = reg.combine(scenario.combo_parts(terms))
-            for rv in rs:
+            for rv in args.r:
                 rows.append((rendered, rv, ledger.variance_formula(expr, rv)))
     except OSError as err:
         return _fail_usage(str(err))
@@ -338,6 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--combo", action="append", required=True,
                               metavar="TERMS", help="combination, e.g. '1*y1 - 1*x2'")
     sweep_parser.add_argument("--r", default="", metavar="LIST",
+                              type=_checked(_parse_r_list, lambda rs: all(map(math.isfinite, rs)),
+                                            "comma-separated finite reals"),
                               help="comma-separated squeezing values "
                                    "(empty: header-only CSV)")
     sweep_parser.add_argument("--output", "-o", default=None, help="write CSV here")

@@ -11,18 +11,20 @@ covariance path must not share the symbolic bookkeeping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gates
 from .errors import (
+    DomainError,
     InternalConsistencyError,
     InvalidSizeError,
     SelfInteractionError,
     SingularMeasurementError,
 )
-from .gates import SINGULAR_TOL, UNCERTAINTY_TOL, X, Y
+from .gates import PRODUCT_TOL, SINGULAR_TOL, UNCERTAINTY_TOL, X, Y
 
 
 @dataclass(frozen=True)
@@ -33,23 +35,15 @@ class GaussianState:
     mean: np.ndarray
     cov: np.ndarray
 
-    def copy(self) -> "GaussianState":
-        return GaussianState(self.n, self.mean.copy(), self.cov.copy())
-
 
 @dataclass(frozen=True)
 class HomodyneResult:
-    """Outcome of measuring one quadrature and dropping the measured mode.
-
-    ``index_map`` maps surviving old mode numbers to their new 1-based
-    positions in the shrunken state.
-    """
+    """Outcome of measuring one quadrature; the measured mode is back in vacuum."""
 
     state: GaussianState
     outcome: float
     prior_mean: float
     prior_var: float
-    index_map: dict[int, int]
 
 
 def quad_index(mode: int, kind: str) -> int:
@@ -108,41 +102,39 @@ def homodyne(
     mode: int,
     kind: str,
     outcome: float | None = None,
-    seed: int | None = None,
+    rng: np.random.Generator | None = None,
 ) -> HomodyneResult:
-    """Measure one quadrature; condition and drop the measured mode.
+    """Measure one quadrature; condition the other modes, reset the measured one.
 
-    The conditional covariance of the survivors is the Schur complement of
+    The conditional covariance of the other modes is the Schur complement of
     the measured variance, ``A - b b^T / v``, and the conditional mean shifts
-    by ``b (outcome - prior_mean) / v``.  When no outcome is supplied one is
-    drawn from the prior marginal using ``numpy.random.default_rng(seed)``.
+    by ``b (outcome - prior_mean) / v``.  The measured mode is left in vacuum
+    (covariance ``I/2``, no cross terms, zero mean), so ``n`` and every mode
+    number stay as they were.  When no outcome is supplied one is drawn from
+    the prior marginal with ``rng``, which is then required.
     """
     if not 1 <= mode <= state.n:
         raise InvalidSizeError(f"mode {mode} outside 1..{state.n}")
-    if state.n == 1:
-        raise InvalidSizeError("homodyne would leave an empty state")
     q = quad_index(mode, kind)
     v = float(state.cov[q, q])
+    if not math.isfinite(v):
+        raise DomainError(f"quadrature ({mode}, {kind}) has variance {v!r}; squeezing too large")
     if v <= SINGULAR_TOL:
         raise SingularMeasurementError(
             f"quadrature ({mode}, {kind}) has variance {v:.3g}; nothing to measure"
         )
     prior_mean = float(state.mean[q])
     if outcome is None:
-        rng = np.random.default_rng(seed)
-        outcome = float(rng.normal(prior_mean, np.sqrt(v)))
-    keep = [i for i in range(2 * state.n) if i not in (q ^ 1, q)]
-    # note: q ^ 1 flips the last bit, i.e. the conjugate quadrature index
+        outcome = float(rng.normal(prior_mean, math.sqrt(v)))
+    keep = np.ones(2 * state.n, dtype=bool)
+    keep[[q, q ^ 1]] = False  # q ^ 1 is the conjugate quadrature of the same mode
+    kept = np.ix_(keep, keep)
     b = state.cov[keep, q]
-    cov = state.cov[np.ix_(keep, keep)] - np.outer(b, b) / v
-    mean = state.mean[keep] + b * (outcome - prior_mean) / v
-    index_map = {}
-    new = 1
-    for old in range(1, state.n + 1):
-        if old != mode:
-            index_map[old] = new
-            new += 1
-    return HomodyneResult(GaussianState(state.n - 1, mean, cov), outcome, prior_mean, v, index_map)
+    cov = 0.5 * np.eye(2 * state.n)
+    cov[kept] = state.cov[kept] - np.outer(b, b) / v
+    mean = np.zeros(2 * state.n)
+    mean[keep] = state.mean[keep] + b * (outcome - prior_mean) / v
+    return HomodyneResult(GaussianState(state.n, mean, cov), outcome, prior_mean, v)
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +158,12 @@ def variance_of(state: GaussianState, combo) -> float:
     return float(w @ sub @ w)
 
 
-def is_mode_product(state: GaussianState, tol: float) -> bool:
-    """True when every off-diagonal 2x2 mode block of the covariance is within ``tol`` of 0."""
+def is_mode_product(state: GaussianState) -> bool:
+    """True when every off-diagonal 2x2 mode block of the covariance is within PRODUCT_TOL of 0."""
     cov = state.cov
     for i in range(state.n):
         for j in range(i + 1, state.n):
-            if np.max(np.abs(cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2])) > tol:
+            if np.max(np.abs(cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2])) > PRODUCT_TOL:
                 return False
     return True
 
@@ -224,5 +216,5 @@ def uncertainty_defect(state: GaussianState) -> float:
     return float(np.min(np.linalg.eigvalsh(h)))
 
 
-def is_physical(state: GaussianState, tol: float = UNCERTAINTY_TOL) -> bool:
-    return uncertainty_defect(state) >= -tol
+def is_physical(state: GaussianState) -> bool:
+    return uncertainty_defect(state) >= -UNCERTAINTY_TOL

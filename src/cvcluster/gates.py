@@ -140,6 +140,18 @@ def cos_sin(theta: float) -> tuple[float, float]:
     return math.cos(theta), math.sin(theta)
 
 
+def finite_exp(x: float) -> float:
+    """``e^x`` for a squeezing factor; past float range (``x`` near 710) or NaN
+    it is a :class:`DomainError`, never an ``OverflowError`` or an ``inf``."""
+    try:
+        value = math.exp(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"squeezing factor e^({x!r}) is not a finite float")
+    return value
+
+
 def symplectic_form(n: int) -> np.ndarray:
     """Return the 2n x 2n symplectic form for (X_1, Y_1, ..., X_n, Y_n) order."""
     omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -159,11 +171,11 @@ def block(gate: Gate, r: float | None = None) -> np.ndarray:
             raise DomainError("numeric r is required to build a squeeze matrix")
         s_mat = np.eye(2)
         if gate.direction == MOMENTUM_SQUEEZED:
-            s_mat[0, 0] = math.exp(r)
-            s_mat[1, 1] = math.exp(-r)
+            s_mat[0, 0] = finite_exp(r)
+            s_mat[1, 1] = finite_exp(-r)
         else:
-            s_mat[0, 0] = math.exp(-r)
-            s_mat[1, 1] = math.exp(r)
+            s_mat[0, 0] = finite_exp(-r)
+            s_mat[1, 1] = finite_exp(r)
     elif isinstance(gate, Kerr):
         s_mat = np.eye(4)
         s_mat[1, 2] = gate.g
@@ -189,10 +201,10 @@ def block(gate: Gate, r: float | None = None) -> np.ndarray:
     return s_mat
 
 
-def is_symplectic(s_mat: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
-    """Check S @ Omega @ S.T == Omega to ``tol`` (max-abs deviation)."""
+def is_symplectic(s_mat: np.ndarray) -> bool:
+    """Check S @ Omega @ S.T == Omega to ``SYMPLECTIC_TOL`` (max-abs deviation)."""
     n2 = s_mat.shape[0]
     if s_mat.shape != (n2, n2) or n2 % 2:
         return False
     omega = symplectic_form(n2 // 2)
-    return bool(np.max(np.abs(s_mat @ omega @ s_mat.T - omega)) <= tol)
+    return bool(np.max(np.abs(s_mat @ omega @ s_mat.T - omega)) <= SYMPLECTIC_TOL)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from . import gates
 from .errors import (
     ConsumedModeError,
+    DomainError,
     InternalConsistencyError,
     InvalidSizeError,
     RecordOwnershipError,
@@ -76,9 +77,6 @@ class QuadExpr:
             Term(m, kd, k, c)
             for (m, kd, k), c in sorted(self._t.items())
         ]
-
-    def coeff(self, mode: int, kind: str, exponent: int) -> float:
-        return self._t.get((mode, kind, exponent), 0.0)
 
     def support(self) -> set[int]:
         """Initial-mode indices appearing with a surviving coefficient."""
@@ -368,20 +366,22 @@ class Register:
 
         Returns (coeff, mode, kind) weights where consumed modes stand for
         their measured quadrature.  This is the bridge the covariance engine
-        uses: displaced expressions become plain weight vectors.
+        uses: displaced expressions become plain weight vectors.  A record
+        of a mode that was itself displaced before it was measured carries
+        those earlier records too, so records are resolved recursively.
         """
         acc: dict[tuple[int, str], float] = {}
 
-        def bump(key, c):
-            acc[key] = acc.get(key, 0.0) + c
+        def fold(mode, kind, c):
+            acc[(mode, kind)] = acc.get((mode, kind), 0.0) + c
+            md = self._modes[mode - 1]
+            for idx, w in (md.recx if kind == X else md.recy).items():
+                rec = self.records[idx]
+                fold(rec.mode, rec.kind, c * w)
 
         for coeff, mode, kind in parts:
-            md = self._mode(mode)
-            bump((mode, kind), coeff)
-            book = md.recx if kind == X else md.recy
-            for idx, c in book.items():
-                rec = self.records[idx]
-                bump((rec.mode, rec.kind), coeff * c)
+            self._mode(mode)  # only active modes may be combined
+            fold(mode, kind, coeff)
         return [(c, m, kd) for (m, kd), c in sorted(acc.items()) if abs(c) > PRUNE_TOL]
 
     def product_partition(self) -> list[tuple[int, ...]]:
@@ -437,13 +437,13 @@ def _mix(a: dict, ca: float, b: dict, cb: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def is_nullifier(expr: QuadExpr, tol: float = NULLIFIER_TOL) -> bool:
-    """True when every term with |coeff| > tol carries exponent <= -1.
+def is_nullifier(expr: QuadExpr) -> bool:
+    """True when every term with |coeff| > NULLIFIER_TOL carries exponent <= -1.
 
     Such a combination has variance proportional to e^{-2r} (or faster) and
     vanishes in the large-squeezing limit.  The zero expression qualifies.
     """
-    return all(t.exponent <= -1 for t in expr.terms() if abs(t.coeff) > tol)
+    return all(t.exponent <= -1 for t in expr.terms() if abs(t.coeff) > NULLIFIER_TOL)
 
 
 def commutator(e1: QuadExpr, e2: QuadExpr) -> float:
@@ -485,5 +485,8 @@ def variance_formula(expr: QuadExpr, r: float) -> float:
     groups: dict[tuple[int, str], float] = {}
     for t in expr.terms():
         key = (t.mode, t.kind)
-        groups[key] = groups.get(key, 0.0) + t.coeff * math.exp(t.exponent * r)
-    return 0.5 * sum(a * a for a in groups.values())
+        groups[key] = groups.get(key, 0.0) + t.coeff * gates.finite_exp(t.exponent * r)
+    value = 0.5 * sum(a * a for a in groups.values())
+    if not math.isfinite(value):
+        raise DomainError(f"variance at r={r!r} is not a finite float")
+    return value

@@ -26,7 +26,6 @@ from .gates import (
     GRAPH_ROW_TOL,
     MOMENTUM_SQUEEZED,
     POSITION_SQUEEZED,
-    PRODUCT_TOL,
     SOLVER_TOL,
     X,
     Y,
@@ -660,9 +659,7 @@ def nullifier_basis(reg: ledger.Register) -> list[WeightedNullifier]:
 # ---------------------------------------------------------------------------
 
 
-def conditional_cov_block_diagonal(
-    n: int, pattern, r: float, tol: float = PRODUCT_TOL
-) -> bool:
+def conditional_cov_block_diagonal(n: int, pattern, r: float) -> bool:
     """Covariance-engine oracle: does measuring ``pattern`` fully separate a chain?
 
     ``pattern`` is a list of (position, kind).  The conditional covariance
@@ -671,21 +668,18 @@ def conditional_cov_block_diagonal(
     conditional covariance is block diagonal per mode.
     """
     state = build_graph_state(graphs.chain(n), "covariance", r)
-    remaining = list(range(1, n + 1))
-    for pos, kind in sorted(pattern, reverse=True):
-        cur = remaining.index(pos) + 1
-        state = covariance.homodyne(state, cur, kind, outcome=0.0).state
-        remaining.remove(pos)
-    return covariance.is_mode_product(state, tol)
+    for pos, kind in pattern:
+        state = covariance.homodyne(state, pos, kind, outcome=0.0).state
+    return covariance.is_mode_product(state)
 
 
-def minimal_disentangling_measurements(n: int, rs=(1.0, 0.7)) -> int:
+def minimal_disentangling_measurements(n: int) -> int:
     """Brute-force oracle: smallest {X,Y} pattern that fully separates chain(n).
 
     Exhausts all measured subsets in increasing size and both bases per
     measured position; a pattern counts as a success when the conditional
-    covariance factorizes at every probe squeezing value.  Exponential in n
-    — meant for n <= 6.
+    covariance factorizes at both probe squeezings, r = 1 and r = 0.7.
+    Exponential in n — meant for n <= 6.
     """
     from itertools import combinations, product
 
@@ -693,7 +687,7 @@ def minimal_disentangling_measurements(n: int, rs=(1.0, 0.7)) -> int:
         for subset in combinations(range(1, n + 1), size):
             for kinds in product((X, Y), repeat=size):
                 pattern = list(zip(subset, kinds))
-                if all(conditional_cov_block_diagonal(n, pattern, r) for r in rs):
+                if all(conditional_cov_block_diagonal(n, pattern, r) for r in (1.0, 0.7)):
                     return size
     return n
 

@@ -96,6 +96,24 @@ def test_run_bad_r_or_seed_is_a_usage_error(capsys, flag, value):
     assert f"error: argument {flag}: expected a" in captured.err
 
 
+@pytest.mark.parametrize("argv, where", [
+    (["run", script("epr_n2.cvq"), "--engine", "covariance", "--r", "1000"],
+     f"{script('epr_n2.cvq')}:5:1: "),
+    (["run", script("teleport_step_n3.cvq"), "--engine", "covariance", "--r", "400",
+      "--seed", "7"], f"{script('teleport_step_n3.cvq')}:10:1: "),
+    (["sweep", "--state", "chain:2", "--combo", "1*x1", "--r", "800"], ""),
+    (["sweep", "--state", "chain:2", "--combo", "1*x1", "--r", "400"], ""),
+], ids=["run-overflow", "run-nan-outcome", "sweep-overflow", "sweep-inf-variance"])
+def test_large_r_is_a_one_line_diagnostic(capsys, argv, where):
+    """Squeezing past float range is a diagnostic, never inf, nan or a traceback."""
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(where)
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # claims
 # ---------------------------------------------------------------------------
@@ -250,7 +268,11 @@ def test_graph_invalid_file_exits_two(tmp_path, capsys):
     assert "loop edge" in capsys.readouterr().err
 
 
-def test_usage_error_from_argparse():
+def test_usage_error_from_argparse(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["sweep", "--state", "chain:2"])  # --combo missing
     assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        cli.main(["sweep", "--state", "chain:2", "--combo", "1*x1", "--r", "nan,inf"])
+    assert err.value.code == 2
+    assert "error: argument --r: expected comma-separated finite reals" in capsys.readouterr().err

@@ -20,7 +20,7 @@ from cvcluster.covariance import (
     vacuum_state,
     variance_of,
 )
-from cvcluster.errors import InvalidSizeError, SelfInteractionError
+from cvcluster.errors import DomainError, InvalidSizeError, SelfInteractionError
 from cvcluster.gates import (
     MOMENTUM_SQUEEZED,
     POSITION_SQUEEZED,
@@ -105,11 +105,14 @@ def epr_state(r=1.0):
     return apply_gate(state, Kerr(1, 2, 1.0), r)
 
 
-def test_homodyne_shrinks_the_state():
+def test_homodyne_resets_the_measured_mode_to_vacuum():
     res = homodyne(epr_state(), 1, X, outcome=0.3)
-    assert res.state.n == 1
+    assert res.state.n == 2
     assert res.outcome == 0.3
-    assert res.index_map == {2: 1}
+    assert np.array_equal(res.state.cov[0:2, 0:2], 0.5 * np.eye(2))
+    assert not res.state.cov[0:2, 2:4].any()
+    assert not res.state.cov[2:4, 0:2].any()
+    assert not res.state.mean[0:2].any()
 
 
 def test_homodyne_conditions_the_partner():
@@ -117,7 +120,7 @@ def test_homodyne_conditions_the_partner():
     state = epr_state(1.0)
     prior = variance_of(state, [(1.0, 2, Y)])
     res = homodyne(state, 1, X, outcome=0.0)
-    post = variance_of(res.state, [(1.0, 1, Y)])  # partner is mode 1 after the drop
+    post = variance_of(res.state, [(1.0, 2, Y)])  # the partner keeps its number
     assert post < prior
     # Y_2 - X_1 is the pure-decay combination; conditioning on X_1 leaves
     # exactly its variance e^{-2r}/2
@@ -129,13 +132,13 @@ def test_homodyne_outcome_shifts_conditional_mean():
     res = homodyne(state, 1, X, outcome=2.0)
     # E[Y_2 | X_1 = v] = v * Cov(Y2,X1)/Var(X1)
     gain = state.cov[quad_index(2, Y), quad_index(1, X)] / state.cov[quad_index(1, X), quad_index(1, X)]
-    assert res.state.mean[1] == pytest.approx(2.0 * gain)
+    assert res.state.mean[quad_index(2, Y)] == pytest.approx(2.0 * gain)
 
 
 def test_homodyne_sampling_is_seeded():
-    a = homodyne(epr_state(), 1, X, seed=9)
-    b = homodyne(epr_state(), 1, X, seed=9)
-    c = homodyne(epr_state(), 1, X, seed=10)
+    a = homodyne(epr_state(), 1, X, rng=np.random.default_rng(9))
+    b = homodyne(epr_state(), 1, X, rng=np.random.default_rng(9))
+    c = homodyne(epr_state(), 1, X, rng=np.random.default_rng(10))
     assert a.outcome == b.outcome
     assert a.outcome != c.outcome
 
@@ -153,10 +156,11 @@ def test_homodyne_mode_validation():
         homodyne(state, 3, X, outcome=0.0)
 
 
-def test_index_map_after_interior_measurement():
-    state = vacuum_state(4)
-    res = homodyne(state, 2, X, outcome=0.0)
-    assert res.index_map == {1: 1, 3: 2, 4: 3}
+def test_non_finite_squeezing_and_variance_are_domain_errors():
+    with pytest.raises(DomainError):
+        apply_gate(vacuum_state(1), Squeeze(1, MOMENTUM_SQUEEZED), 1000.0)
+    with pytest.raises(DomainError):
+        homodyne(epr_state(400.0), 2, Y, outcome=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -328,3 +328,11 @@ def test_variance_groups_same_quadrature_before_squaring():
 def test_vacuum_variance_is_half():
     expr = QuadExpr({(1, X, 0): 1.0})
     assert ledger.variance_formula(expr, 1.3) == 0.5
+
+
+def test_variance_past_float_range_is_a_domain_error():
+    """e^{800} overflows a float and e^{400} squared does; neither may return inf."""
+    expr = QuadExpr({(1, X, 1): 1.0})
+    for r in (400.0, 800.0):
+        with pytest.raises(DomainError):
+            ledger.variance_formula(expr, r)

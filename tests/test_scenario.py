@@ -4,6 +4,7 @@ import glob
 import math
 import os
 
+import numpy as np
 import pytest
 
 from cvcluster import scenario
@@ -243,6 +244,71 @@ def test_print_rows_agree_across_engines():
             assert v1 == pytest.approx(v2, abs=1e-9)
 
 
+def random_script(rng) -> str:
+    """A script whose gates, displacements and asserts follow measurements.
+
+    Gates and combinations only touch modes that are still live, and the
+    first statement after the coupling is a measurement, so later statements
+    name modes numbered above measured ones: the covariance engine's state
+    must keep its numbering through homodyne.
+    """
+    n = int(rng.integers(3, 6))
+    lines = [f"register {n}"]
+    lines += [f"squeeze {m} {rng.choice(['momentum', 'position'])}" for m in range(1, n + 1)]
+    lines += [f"kerr {m} {m + 1}" for m in range(1, n)]
+    live, names = list(range(1, n + 1)), []
+
+    def pick(count):
+        return [int(m) for m in rng.choice(live, size=count, replace=False)]
+
+    for step in range(10):
+        op = 0 if step == 0 else int(rng.integers(6))
+        if op == 0 and len(live) > 2:
+            mode = live.pop(int(rng.integers(len(live))))
+            names.append(f"m{step}")
+            lines.append(f"measure {rng.choice(['x', 'y'])} {mode} -> m{step}")
+        elif op == 1 and names:
+            coeff = rng.choice(["1", "-1", "sqrt2", repr(float(rng.uniform(-2, 2)))])
+            lines.append(f"displace {rng.choice(['x', 'y'])} {pick(1)[0]} += "
+                         f"{coeff}*{rng.choice(names)}")
+        elif op == 2:
+            angle = rng.choice(["90", "-90", "180", f"{float(rng.uniform(-3, 3))!r}rad"])
+            lines.append(f"rotate {pick(1)[0]} {angle}")
+        elif op == 3:
+            l, k = pick(2)
+            lines.append(f"bs {l} {k} t={float(rng.uniform(0.1, 0.9))!r}")
+        else:
+            l, k = pick(2)
+            lines.append(f"kerr {l} {k} g={float(rng.uniform(0.2, 1.5))!r}")
+
+    def combo():
+        modes = pick(min(3, len(live)))
+        return " + ".join(
+            f"{float(rng.uniform(-2, 2))!r}*{rng.choice(['x', 'y'])}{m}" for m in modes
+        )
+
+    lines.append(f"assert nullifier {combo()}")
+    lines.append("assert product")
+    lines.append(f"print variance {combo()} at r=0,0.5,1.5")
+    return "\n".join(lines) + "\n"
+
+
+def test_random_scripts_agree_across_engines_and_round_trip():
+    """Seeded random scripts with gates after measurements, on both engines."""
+    rng = np.random.default_rng(20260)
+    for case in range(40):
+        scn = parse(random_script(rng))
+        assert parse(scn.render()) == scn
+        sym = execute(scn, engine="ledger")
+        num = execute(scn, engine="covariance", r=1.0, seed=case)
+        assert num.asserts_total == sym.asserts_total == 2
+        assert num.failures == sym.failures
+        assert [e for e in num.events if " .. " in e] == [e for e in sym.events if " .. " in e]
+        assert [row[:2] for row in num.csv_rows] == [row[:2] for row in sym.csv_rows]
+        for (_, _, v_num), (_, _, v_sym) in zip(num.csv_rows, sym.csv_rows):
+            assert v_num == pytest.approx(v_sym, rel=1e-9, abs=1e-9)
+
+
 def test_bridge_tolerance_scales_with_the_variance():
     """Variances near 1e7 agree to rounding, which exceeds an absolute 1e-9."""
     text = (
@@ -255,6 +321,18 @@ def test_bridge_tolerance_scales_with_the_variance():
         report = execute(parse(text), engine=engine, r=r, seed=7)
         assert [row[1] for row in report.csv_rows] == [0, 1, 4, 8]
         assert report.csv_rows[-1][2] == pytest.approx(9226597.801127846)
+
+
+def test_nan_variance_fails_the_bridge():
+    """At r=400 the covariance matrix overflows; its NaN must not pass as agreement."""
+    text = (
+        "register 2\nsqueeze 1 momentum\nsqueeze 2 momentum\nkerr 1 2\n"
+        "print variance 1*y1 - 1*x2 at r=400\n"
+    )
+    with pytest.raises(ScenarioRuntimeError) as err:
+        execute(parse(text))
+    assert (err.value.line, err.value.col) == (5, 1)
+    assert "engines disagree" in str(err.value)
 
 
 def test_ledger_register_exposes_final_state():
