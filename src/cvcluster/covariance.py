@@ -19,7 +19,6 @@ import numpy as np
 from . import gates
 from .errors import (
     DomainError,
-    InternalConsistencyError,
     InvalidSizeError,
     SelfInteractionError,
     SingularMeasurementError,
@@ -65,23 +64,29 @@ def vacuum_state(n: int) -> GaussianState:
 def apply_gate(state: GaussianState, gate: gates.Gate, r: float | None = None) -> GaussianState:
     """Apply one gate; ``r`` supplies the numeric squeezing for Squeeze gates.
 
-    The gate's symplectic block is validated (S Omega S^T = Omega to 1e-12)
-    before it touches the state.  Only the affected rows/columns are updated,
-    so building large states stays linear in n per gate.
+    The gate's symplectic block comes from :func:`gates.block`, which checks
+    it (S Omega S^T = Omega to 1e-12) the first time it is built.  Only the
+    affected rows/columns are updated, so building large states stays linear
+    in n per gate.  A state that overflows float range is a
+    :class:`DomainError`, never an ``inf`` or NaN entry.
     """
     modes = gates.modes(gate)
     for m in modes:
         if not 1 <= m <= state.n:
             raise InvalidSizeError(f"gate touches mode {m} outside 1..{state.n}")
     block = gates.block(gate, r)
-    if not gates.is_symplectic(block):
-        raise InternalConsistencyError(f"gate block for {gate!r} is not symplectic")
     idx = [quad_index(m, kind) for m in modes for kind in (X, Y)]
     mean = state.mean.copy()
     cov = state.cov.copy()
-    mean[idx] = block @ mean[idx]
-    cov[idx, :] = block @ cov[idx, :]
-    cov[:, idx] = cov[:, idx] @ block.T
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            mean[idx] = block @ mean[idx]
+            cov[idx, :] = block @ cov[idx, :]
+            cov[:, idx] = cov[:, idx] @ block.T
+    except FloatingPointError:
+        raise DomainError(
+            f"{gate!r} at r={r!r} leaves float range; squeezing too large"
+        ) from None
     return GaussianState(state.n, mean, cov)
 
 

@@ -15,12 +15,13 @@ Mode indices are 1-based everywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SelfInteractionError
+from .errors import DomainError, InternalConsistencyError, SelfInteractionError
 
 # Squeezing directions.  "momentum" squeezes Y (X -> e^{+r} X, Y -> e^{-r} Y);
 # "position" squeezes X (X -> e^{-r} X, Y -> e^{+r} Y).
@@ -158,14 +159,25 @@ def symplectic_form(n: int) -> np.ndarray:
     return np.kron(np.eye(n), omega)
 
 
+# Distinct blocks kept by :func:`block`: a 4x4 block is about 0.5 kB, so the
+# cache stays under about 2 MB; a script or claims round uses about 1.5k.
+BLOCK_CACHE_SIZE = 4096
+
+
 def block(gate: Gate, r: float | None = None) -> np.ndarray:
     """The gate's symplectic block: 2x2 for one mode, 4x4 for two.
 
     Rows and columns run over (X, Y) of each mode in :func:`modes` order.
     ``r`` is the numeric squeezing parameter; it is only needed for
     :class:`Squeeze` gates (the ledger keeps r symbolic, the covariance
-    engine does not).
+    engine does not).  Each distinct block is built and checked to be
+    symplectic once; the returned array is shared and read-only.
     """
+    return _checked_block(gate, r if isinstance(gate, Squeeze) else None)
+
+
+@functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
+def _checked_block(gate: Gate, r: float | None) -> np.ndarray:
     if isinstance(gate, Squeeze):
         if r is None:
             raise DomainError("numeric r is required to build a squeeze matrix")
@@ -198,6 +210,9 @@ def block(gate: Gate, r: float | None = None) -> np.ndarray:
             s_mat[b, b] = -s
     else:
         raise TypeError(f"not a gate: {gate!r}")
+    if not is_symplectic(s_mat):
+        raise InternalConsistencyError(f"gate block for {gate!r} is not symplectic")
+    s_mat.flags.writeable = False
     return s_mat
 
 

@@ -100,7 +100,7 @@ def test_run_bad_r_or_seed_is_a_usage_error(capsys, flag, value):
     (["run", script("epr_n2.cvq"), "--engine", "covariance", "--r", "1000"],
      f"{script('epr_n2.cvq')}:5:1: "),
     (["run", script("teleport_step_n3.cvq"), "--engine", "covariance", "--r", "400",
-      "--seed", "7"], f"{script('teleport_step_n3.cvq')}:10:1: "),
+      "--seed", "7"], f"{script('teleport_step_n3.cvq')}:5:1: "),
     (["sweep", "--state", "chain:2", "--combo", "1*x1", "--r", "800"], ""),
     (["sweep", "--state", "chain:2", "--combo", "1*x1", "--r", "400"], ""),
 ], ids=["run-overflow", "run-nan-outcome", "sweep-overflow", "sweep-inf-variance"])

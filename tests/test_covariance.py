@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cvcluster import covariance, ledger
+from cvcluster import covariance, gates, ledger
 from cvcluster.covariance import (
     GaussianState,
     apply_gate,
@@ -20,7 +20,12 @@ from cvcluster.covariance import (
     vacuum_state,
     variance_of,
 )
-from cvcluster.errors import DomainError, InvalidSizeError, SelfInteractionError
+from cvcluster.errors import (
+    DomainError,
+    InternalConsistencyError,
+    InvalidSizeError,
+    SelfInteractionError,
+)
 from cvcluster.gates import (
     MOMENTUM_SQUEEZED,
     POSITION_SQUEEZED,
@@ -66,6 +71,25 @@ def test_gate_bounds_checked():
         apply_gate(vacuum_state(2), Rotate(3, 0.1))
     with pytest.raises(SelfInteractionError):
         Beamsplit(1, 1, 0.5)
+
+
+def test_gate_blocks_are_shared_and_read_only():
+    squeeze = Squeeze(1, MOMENTUM_SQUEEZED)
+    assert gates.block(squeeze, 0.3) is gates.block(squeeze, 0.3)
+    assert gates.block(squeeze, 0.3).flags.writeable is False
+    assert not np.array_equal(gates.block(squeeze, 0.3), gates.block(squeeze, 0.4))
+    for gate in (Kerr(1, 2, 0.8), Rotate(1, 0.4), Beamsplit(1, 2, 0.3)):
+        shared = gates.block(gate)
+        assert shared.flags.writeable is False
+        assert gates.block(gate, 0.3) is shared
+        assert gates.block(gate, 1.7) is shared
+
+
+def test_gate_blocks_are_still_checked_once_built(monkeypatch):
+    """The symplectic check lives in gates and runs when a block is first built."""
+    monkeypatch.setattr(gates, "is_symplectic", lambda s_mat: False)
+    with pytest.raises(InternalConsistencyError):
+        apply_gate(vacuum_state(2), Kerr(2, 1, 0.6180339887))
 
 
 def test_kerr_correlates_momenta():
@@ -160,7 +184,11 @@ def test_non_finite_squeezing_and_variance_are_domain_errors():
     with pytest.raises(DomainError):
         apply_gate(vacuum_state(1), Squeeze(1, MOMENTUM_SQUEEZED), 1000.0)
     with pytest.raises(DomainError):
-        homodyne(epr_state(400.0), 2, Y, outcome=0.0)
+        apply_gate(vacuum_state(2), Squeeze(1, MOMENTUM_SQUEEZED), 400.0)
+    cov = 0.5 * np.eye(4)
+    cov[3, 3] = math.inf
+    with pytest.raises(DomainError):
+        homodyne(GaussianState(2, np.zeros(4), cov), 2, Y, outcome=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +270,12 @@ def test_bridge_on_random_circuits():
             assert variance_of(state, parts) == pytest.approx(
                 ledger.variance_formula(expr, r), abs=1e-9
             )
+            assert is_physical(state)
+            folded = vacuum_state(n)
+            for gate in reg.history:
+                folded = apply_gate(folded, gate, r)
+            assert np.array_equal(state.mean, folded.mean)
+            assert np.array_equal(state.cov, folded.cov)
 
 
 def test_bridge_catches_mean_displacement_free_variance():
