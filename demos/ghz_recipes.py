@@ -14,17 +14,13 @@ from cvcluster import covariance, graphs, protocols
 
 
 def star_route(leaves):
-    g = graphs.star(leaves)
-    reg = protocols.build_graph_state(g)
-    rep = protocols.star_to_ghz(reg, g)
+    rep = protocols.star_to_ghz(graphs.star(leaves))
     print(f"star with {leaves} leaves: success={rep.success}, "
           f"{len(rep.nullifiers)} GHZ-type nullifiers")
 
 
 def ring_route(m):
-    g = graphs.ring_star(2 * m)
-    reg = protocols.build_graph_state(g)
-    rep = protocols.ring_star_to_ghz(reg, g)
+    rep = protocols.ring_star_to_ghz(graphs.ring_star(2 * m))
     if rep.success:
         print(f"ring of {2 * m}, {m} measured: success "
               f"({len(rep.nullifiers)} nullifiers on the survivors)")

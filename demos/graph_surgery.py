@@ -13,18 +13,14 @@ from cvcluster import graphs, protocols
 
 
 def cut_chain():
-    g = graphs.chain(6)
-    reg = protocols.build_graph_state(g)
-    rep = protocols.disconnect(reg, g, 3)
+    rep = protocols.disconnect(graphs.chain(6), 3)
     blocks = " | ".join("{" + ",".join(map(str, b)) + "}" for b in rep.partition)
     print(f"cut chain(6) at 3: success={rep.success}, pieces {blocks}")
 
 
 def fully_separate():
     for n in (5, 6, 7):
-        g = graphs.chain(n)
-        reg = protocols.build_graph_state(g)
-        rep = protocols.disentangle_even(reg, g)
+        rep = protocols.disentangle_even(graphs.chain(n))
         print(f"chain({n}): {len(rep.measurements)} position measurements "
               f"leave {len(rep.partition)} singletons (success={rep.success})")
     print("floor(n/2) is also minimal — exhaustive search over smaller")
@@ -33,9 +29,7 @@ def fully_separate():
 
 
 def shrink_grid():
-    g = graphs.grid(3, 3)
-    reg = protocols.build_graph_state(g)
-    rep = protocols.reduce_graph_to_path(reg, g, 1, 9)
+    rep = protocols.reduce_graph_to_path(graphs.grid(3, 3), 1, 9)
     print(f"\n3x3 grid, corner to corner: success={rep.success}")
     print(f"  {rep.details}")
 
@@ -43,8 +37,7 @@ def shrink_grid():
 def shrink_random():
     rng = np.random.default_rng(11)
     g = graphs.random_connected_graph(12, 0.25, rng)
-    reg = protocols.build_graph_state(g)
-    rep = protocols.reduce_graph_to_path(reg, g, 1, 12)
+    rep = protocols.reduce_graph_to_path(g, 1, 12)
     print(f"random connected graph on 12 vertices: success={rep.success}")
     print(f"  {rep.details}")
 

@@ -13,11 +13,10 @@ from cvcluster import graphs, protocols
 
 def concentrate(n, j, k, outer=None):
     g = graphs.chain(n)
-    reg = protocols.build_graph_state(g)
     if outer is None:
-        rep = protocols.extract_pair(reg, g, j, k)
+        rep = protocols.extract_pair(g, j, k)
     else:
-        rep = protocols.extract_pair(reg, g, j, k, outer)
+        rep = protocols.extract_pair(g, j, k, outer)
     kinds = " ".join(f"{kind}{mode}" for mode, kind in rep.measurements)
     print(f"chain {n}, pair ({j},{k}): success={rep.success}  measured: {kinds}")
     return rep

@@ -57,9 +57,9 @@ class Battery:
         pairs = [(reg.frame_combo(p), reg.combine(p)) for p in parts_list]
         self.entries.append(BatteryEntry(label, reg, pairs))
 
-    def add_report(self, label: str, reg: ledger.Register, report):
+    def add_report(self, label: str, report):
         pairs = list(zip(report.combos, report.nullifiers))
-        self.entries.append(BatteryEntry(label, reg, pairs))
+        self.entries.append(BatteryEntry(label, report.register, pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +147,11 @@ def _claim_graph_law(battery: Battery) -> ClaimResult:
 def _claim_persistency(battery: Battery) -> ClaimResult:
     details, ok = [], True
     for n in range(2, 41):
-        g = graphs.chain(n)
-        reg = protocols.build_graph_state(g)
-        rep = protocols.disentangle_even(reg, g)
+        rep = protocols.disentangle_even(graphs.chain(n))
         good = rep.success and len(rep.measurements) == n // 2
         ok &= good
         if n in (6, 40):
-            battery.add_report(f"disentangled chain({n})", reg, rep)
+            battery.add_report(f"disentangled chain({n})", rep)
         if not good:
             details.append(f"N={n}: {rep.details}")
     minima = {n: protocols.minimal_disentangling_measurements(n) for n in range(2, 7)}
@@ -178,28 +176,25 @@ def _claim_pair_extraction(battery: Battery) -> ClaimResult:
         g = graphs.chain(n)
         for j in range(1, n + 1):
             for k in range(j + 1, n + 1):
-                reg = protocols.build_graph_state(g)
-                rep = protocols.extract_pair(reg, g, j, k)
+                rep = protocols.extract_pair(g, j, k)
                 runs += 1
                 if not rep.success:
                     failed += 1
                     details.append(f"N={n} pair ({j},{k}): {rep.details}")
                 elif n == 8 or (n == 20 and (j, k) in ((1, 2), (1, 20), (19, 20), (7, 14))):
-                    battery.add_report(f"pair ({j},{k}) of chain({n})", reg, rep)
+                    battery.add_report(f"pair ({j},{k}) of chain({n})", rep)
     custom_cases = [
         (7, 4, 5, protocols.CustomOuter(left=(2, 1), right=(7,))),
         (9, 6, 7, protocols.CustomOuter(left=(4, 2, 1), right=(9,))),
     ]
     for n, j, k, outer in custom_cases:
-        g = graphs.chain(n)
-        reg = protocols.build_graph_state(g)
-        rep = protocols.extract_pair(reg, g, j, k, outer)
+        rep = protocols.extract_pair(graphs.chain(n), j, k, outer)
         runs += 1
         if not rep.success:
             failed += 1
             details.append(f"custom outer N={n} ({j},{k}) failed")
         else:
-            battery.add_report(f"custom outer ({j},{k}) of chain({n})", reg, rep)
+            battery.add_report(f"custom outer ({j},{k}) of chain({n})", rep)
     return ClaimResult(
         "pair-extraction",
         "every chain pair concentrates to an EPR pair (N<=20, all pairs, "
@@ -218,14 +213,13 @@ def _claim_path_reduction(battery: Battery) -> ClaimResult:
         n = int(rng.integers(4, 21))
         g = graphs.random_connected_graph(n, float(rng.uniform(0.1, 0.4)), rng)
         a, b = (int(v) for v in rng.choice(g.vertices, size=2, replace=False))
-        reg = protocols.build_graph_state(g)
-        rep = protocols.reduce_graph_to_path(reg, g, a, b)
+        rep = protocols.reduce_graph_to_path(g, a, b)
         runs += 1
         if not rep.success:
             failed += 1
             details.append(f"graph #{i} (|V|={n}) {a}->{b}: {rep.details}")
         else:
-            battery.add_report(f"path {a}->{b} in graph #{i}", reg, rep)
+            battery.add_report(f"path {a}->{b} in graph #{i}", rep)
     return ClaimResult(
         "path-reduction",
         "50 random connected graphs reduce to exact chain form along a "
@@ -240,14 +234,12 @@ def _claim_path_reduction(battery: Battery) -> ClaimResult:
 def _claim_ghz_star(battery: Battery) -> ClaimResult:
     failed, details = 0, []
     for m in range(2, 13):
-        g = graphs.star(m)
-        reg = protocols.build_graph_state(g)
-        rep = protocols.star_to_ghz(reg, g)
+        rep = protocols.star_to_ghz(graphs.star(m))
         if not (rep.success and len(rep.nullifiers) == m):
             failed += 1
             details.append(f"m={m}: {rep.details}")
         if m in (2, 5, 12):
-            battery.add_report(f"GHZ from star({m})", reg, rep)
+            battery.add_report(f"GHZ from star({m})", rep)
     return ClaimResult(
         "ghz-star",
         "hub momentum measurement projects star(m) onto a GHZ-type state "
@@ -262,14 +254,12 @@ def _claim_ghz_star(battery: Battery) -> ClaimResult:
 def _claim_parity(battery: Battery) -> ClaimResult:
     ok, details = True, []
     for m in range(3, 13):
-        g = graphs.ring_star(2 * m)
-        reg = protocols.build_graph_state(g)
-        rep = protocols.ring_star_to_ghz(reg, g)
+        rep = protocols.ring_star_to_ghz(graphs.ring_star(2 * m))
         want = m % 2 == 1
         line = f"family {m} (ring {2 * m}): "
         if rep.success:
             line += "success"
-            battery.add_report(f"ring-star family {m}", reg, rep)
+            battery.add_report(f"ring-star family {m}", rep)
         else:
             deficiency = rep.rank_info[0] - rep.rank_info[1]
             line += f"infeasible, rank deficiency {deficiency}"

@@ -24,13 +24,12 @@ import sys
 from . import claims as claims_suite
 from . import graphs, ledger, protocols, scenario
 from .errors import CvClusterError
+from .gates import MAX_MODES
 from .scenario import ParseError, ScenarioRuntimeError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-STATE_BUILDERS = ("chain", "star", "ringstar", "bschain", "ghz")
 
 
 def _fail_usage(message: str) -> int:
@@ -102,26 +101,32 @@ def _cmd_claims(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Named sweep states: name -> (builder of the size, modes that size makes).
+STATE_BUILDERS = {
+    "chain": (lambda n: protocols.build_graph_state(graphs.chain(n)), lambda n: n),
+    "star": (lambda n: protocols.build_graph_state(graphs.star(n)), lambda n: n + 1),
+    # size is the family index m: ring of 2m vertices, hub on the evens
+    "ringstar": (lambda m: protocols.build_graph_state(graphs.ring_star(2 * m)),
+                 lambda m: 2 * m + 1),
+    "bschain": (protocols.build_bs_chain, lambda n: n),
+    "ghz": (protocols.build_ghz_optics, lambda n: n),
+}
+
+
 def _build_state(spec: str) -> ledger.Register:
     name, _, size_text = spec.partition(":")
     try:
         size = int(size_text)
     except ValueError:
         raise ValueError(f"state spec must be name:size, got {spec!r}") from None
-    if name == "chain":
-        return protocols.build_graph_state(graphs.chain(size))
-    if name == "star":
-        return protocols.build_graph_state(graphs.star(size))
-    if name == "ringstar":
-        # size is the family index m: ring of 2m vertices, hub on the evens
-        return protocols.build_graph_state(graphs.ring_star(2 * size))
-    if name == "bschain":
-        return protocols.build_bs_chain(size)
-    if name == "ghz":
-        return protocols.build_ghz_optics(size)
-    raise ValueError(
-        f"unknown state {name!r}; choose from {', '.join(STATE_BUILDERS)}"
-    )
+    if name not in STATE_BUILDERS:
+        raise ValueError(
+            f"unknown state {name!r}; choose from {', '.join(STATE_BUILDERS)}"
+        )
+    build, modes = STATE_BUILDERS[name]
+    if modes(size) > MAX_MODES:
+        raise ValueError(f"state {spec!r} has {modes(size)} modes; at most {MAX_MODES} allowed")
+    return build(size)
 
 
 def _parse_r_list(text: str) -> list[float]:
@@ -152,9 +157,7 @@ def _cmd_sweep(args) -> int:
     except (CvClusterError, ValueError) as err:
         return _fail_usage(str(err))
     rows.sort(key=lambda row: (row[0], row[1]))
-    csv = "combo,r,variance\n" + "".join(
-        f"{combo},{scenario.fmt_num(rv)},{value:.12g}\n" for combo, rv, value in rows
-    )
+    csv = scenario.variance_csv(rows)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -242,17 +245,16 @@ def _cmd_graph(args) -> int:
 
     try:
         graph = graphs.load_edge_list(args.edges)
-        reg = protocols.build_graph_state(graph)
         if args.protocol == "reduce-path":
             need("a", "b")
-            report = protocols.reduce_graph_to_path(reg, graph, args.a, args.b)
+            report = protocols.reduce_graph_to_path(graph, args.a, args.b)
         elif args.protocol == "star-ghz":
-            report = protocols.star_to_ghz(reg, graph)
+            report = protocols.star_to_ghz(graph)
         elif args.protocol == "ring-star-ghz":
             measured = None
             if args.measured is not None:
                 measured = _parse_int_list(args.measured, "--measured")
-            report = protocols.ring_star_to_ghz(reg, graph, measured=measured, flavor=args.flavor)
+            report = protocols.ring_star_to_ghz(graph, measured=measured, flavor=args.flavor)
         elif args.protocol == "extract-pair":
             need("j", "k")
             outer = protocols.NextNeighbor()
@@ -263,12 +265,12 @@ def _cmd_graph(args) -> int:
                     right=tuple(_parse_int_list(args.outer_right, "--outer-right"))
                     if args.outer_right is not None else (),
                 )
-            report = protocols.extract_pair(reg, graph, args.j, args.k, outer)
+            report = protocols.extract_pair(graph, args.j, args.k, outer)
         elif args.protocol == "disconnect":
             need("j")
-            report = protocols.disconnect(reg, graph, args.j)
+            report = protocols.disconnect(graph, args.j)
         else:  # disentangle
-            report = protocols.disentangle_even(reg, graph)
+            report = protocols.disentangle_even(graph)
     except OSError as err:
         return _fail_usage(str(err))
     except (CvClusterError, ValueError) as err:

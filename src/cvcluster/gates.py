@@ -55,8 +55,6 @@ PRODUCT_TOL = 1e-9
 # Protocols: feed-forward residual above which a solve is infeasible; also the
 # singular-value cut for ranks and null spaces, and the smallest weight kept.
 SOLVER_TOL = 1e-9
-# Protocols: register rows may differ from the graph-state closed form by this.
-GRAPH_ROW_TOL = 1e-9
 # Bridge: numeric and symbolic variances of one combination agree to this.
 # Script runs scale it by the variance once that exceeds 1 (large squeezing
 # makes variances of 1e7 whose last bits differ); the claims suite compares
@@ -66,6 +64,10 @@ BRIDGE_TOL = 1e-9
 COEFF_TOL = 1e-12
 # Claims: a traced pair is entangled when its PPT eigenvalue is this far below 1/2.
 ENTANGLEMENT_MARGIN = 1e-12
+# Inputs: the most modes a script, edge list or named state may ask for.  The
+# covariance engine holds a dense (2n)x(2n) float64 matrix, 134 MB at this n,
+# and copies it on every gate.
+MAX_MODES = 2048
 
 
 @dataclass(frozen=True)

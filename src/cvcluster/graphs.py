@@ -22,6 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InvalidGraphError, InvalidSizeError
+from .gates import MAX_MODES
 
 
 def _norm_edge(a: int, b: int) -> tuple[int, int]:
@@ -229,6 +230,8 @@ def parse_edge_list(text: str, source: str = "<string>") -> Graph:
                 raise InvalidGraphError(f"{source}:{lineno}: vertex count must be an integer") from None
             if n < 1:
                 raise InvalidGraphError(f"{source}:{lineno}: vertex count must be positive")
+            if n > MAX_MODES:
+                raise InvalidGraphError(f"{source}:{lineno}: vertex count must be at most {MAX_MODES}")
             continue
         if len(parts) != 2:
             raise InvalidGraphError(f"{source}:{lineno}: expected edge 'a b'")

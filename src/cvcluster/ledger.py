@@ -85,9 +85,6 @@ class QuadExpr:
     def is_zero(self) -> bool:
         return not self._t
 
-    def __len__(self) -> int:
-        return len(self._t)
-
     def as_dict(self) -> dict:
         return dict(self._t)
 
@@ -122,21 +119,6 @@ class QuadExpr:
         out = self.copy()
         out.scale(c)
         return out
-
-    def __add__(self, other: "QuadExpr") -> "QuadExpr":
-        out = self.copy()
-        out.add_scaled(other)
-        return out
-
-    def __sub__(self, other: "QuadExpr") -> "QuadExpr":
-        out = self.copy()
-        out.add_scaled(other, -1.0)
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuadExpr):
-            return NotImplemented
-        return (self - other).is_zero()
 
     def __repr__(self):
         return f"QuadExpr({render_expr(self)})"

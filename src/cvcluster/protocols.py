@@ -2,10 +2,11 @@
 
 Builders turn a :class:`~cvcluster.graphs.Graph` into either a symbolic
 :class:`~cvcluster.ledger.Register` or a numeric
-:class:`~cvcluster.covariance.GaussianState`.  Protocols then consume parts
-of the register by homodyne-style quadrature measurements and repair the
-survivors with displacements proportional to the measured results, reporting
-which target combinations ended up as nullifiers.
+:class:`~cvcluster.covariance.GaussianState`.  Protocols take a graph, build
+its graph state themselves, consume parts of it by homodyne-style quadrature
+measurements and repair the survivors with displacements proportional to the
+measured results.  The :class:`ProtocolReport` says which target combinations
+ended up as nullifiers and carries the final register as ``register``.
 
 Vertex labels and register modes are linked by sorted order: the i-th
 smallest vertex is mode i.  For chains built by ``graphs.chain`` the two
@@ -23,9 +24,9 @@ import numpy as np
 from . import covariance, graphs, ledger
 from .errors import ProtocolPreconditionError, SelfInteractionError
 from .gates import (
-    GRAPH_ROW_TOL,
     MOMENTUM_SQUEEZED,
     POSITION_SQUEEZED,
+    PRUNE_TOL,
     SOLVER_TOL,
     X,
     Y,
@@ -41,13 +42,15 @@ from .gates import (
 class ProtocolReport:
     """What a protocol did and whether its targets became nullifiers.
 
-    ``combos`` lists the verified target combinations as final-frame
-    ``(coeff, mode, kind)`` weights (consumed modes stand for their measured
-    quadrature), ready for replay on the covariance engine.
+    ``register`` is the graph state the protocol built, as measurement and
+    feed-forward left it.  ``combos`` lists the verified target combinations
+    as final-frame ``(coeff, mode, kind)`` weights (consumed modes stand for
+    their measured quadrature), ready for replay on the covariance engine.
     """
 
     protocol: str
     success: bool
+    register: ledger.Register
     measurements: list = field(default_factory=list)  # (mode, kind)
     displacements: list = field(default_factory=list)  # (mode, kind, coeff, record_index)
     nullifiers: list = field(default_factory=list)  # QuadExpr
@@ -158,22 +161,8 @@ def _on_engine(reg: ledger.Register, engine: str, r: float | None):
 
 
 # ---------------------------------------------------------------------------
-# Preconditions
+# Graph checks
 # ---------------------------------------------------------------------------
-
-
-def _require_graph_rows(reg: ledger.Register, graph: graphs.Graph, protocol: str):
-    """Insist that ``reg`` holds the untouched graph state of ``graph``."""
-    if reg.n != graph.n_vertices:
-        raise ProtocolPreconditionError(f"{protocol}: register size != graph size")
-    for v in graph.vertices:
-        m = graph.mode_of(v)
-        if reg.status(m) != ledger.ACTIVE:
-            raise ProtocolPreconditionError(f"{protocol}: mode {m} already consumed")
-    if graph_row_deviation(reg, graph) > GRAPH_ROW_TOL:
-        raise ProtocolPreconditionError(
-            f"{protocol}: register rows do not match the graph state of the given graph"
-        )
 
 
 def graph_row_deviation(reg: ledger.Register, graph: graphs.Graph) -> float:
@@ -181,17 +170,19 @@ def graph_row_deviation(reg: ledger.Register, graph: graphs.Graph) -> float:
 
     The closed form is ``X_a = e^{+r} x0_a`` and ``Y_a = e^{-r} y0_a`` plus
     ``e^{+r}`` times the neighbours' ``x0``; every vertex mode must be active.
+    A gap at or below ``PRUNE_TOL`` counts as none, as the ledger prunes it.
     """
     worst = 0.0
     for v in graph.vertices:
         m = graph.mode_of(v)
-        expected_x = ledger.QuadExpr({(m, X, 1): 1.0})
-        expected_y = ledger.QuadExpr({(m, Y, -1): 1.0})
-        for b in graph.neighborhood(v):
-            expected_y.add_scaled(ledger.QuadExpr({(graph.mode_of(b), X, 1): 1.0}))
-        for diff in (reg.quad_expr(m, X) - expected_x, reg.quad_expr(m, Y) - expected_y):
-            for t in diff.terms():
-                worst = max(worst, abs(t.coeff))
+        closed_y = {(graph.mode_of(b), X, 1): 1.0 for b in graph.neighborhood(v)}
+        closed_y[(m, Y, -1)] = 1.0
+        for kind, closed in ((X, {(m, X, 1): 1.0}), (Y, closed_y)):
+            row = reg.quad_expr(m, kind).as_dict()
+            for key in row.keys() | closed.keys():
+                gap = abs(row.get(key, 0.0) - closed.get(key, 0.0))
+                if gap > PRUNE_TOL:
+                    worst = max(worst, gap)
     return worst
 
 
@@ -293,7 +284,7 @@ def _growing_part(exprs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def disentangle_even(reg: ledger.Register, graph: graphs.Graph) -> ProtocolReport:
+def disentangle_even(graph: graphs.Graph) -> ProtocolReport:
     """Fully separate a chain with floor(n/2) position measurements.
 
     Measures X of every even position and subtracts each record from the
@@ -301,8 +292,8 @@ def disentangle_even(reg: ledger.Register, graph: graphs.Graph) -> ProtocolRepor
     squeezed line and the partition becomes all singletons.
     """
     n = _require_chain(graph, "disentangle_even")
-    _require_graph_rows(reg, graph, "disentangle_even")
-    report = ProtocolReport("disentangle_even", False)
+    reg = build_graph_state(graph)
+    report = ProtocolReport("disentangle_even", False, reg)
     recs = {}
     for j in range(2, n + 1, 2):
         recs[j] = _measure(reg, report, j, X)
@@ -320,13 +311,13 @@ def disentangle_even(reg: ledger.Register, graph: graphs.Graph) -> ProtocolRepor
     return report
 
 
-def disconnect(reg: ledger.Register, graph: graphs.Graph, j: int) -> ProtocolReport:
+def disconnect(graph: graphs.Graph, j: int) -> ProtocolReport:
     """Split a chain into two independent chains by measuring X at position j."""
     n = _require_chain(graph, "disconnect")
     if not 1 < j < n:
         raise ProtocolPreconditionError("disconnect needs an interior position")
-    _require_graph_rows(reg, graph, "disconnect")
-    report = ProtocolReport("disconnect", False)
+    reg = build_graph_state(graph)
+    report = ProtocolReport("disconnect", False, reg)
     rec = _measure(reg, report, j, X)
     for nb in (j - 1, j + 1):
         _displace(reg, report, nb, Y, -1.0, rec)
@@ -361,7 +352,7 @@ class CustomOuter:
     right: tuple = ()
 
 
-def extract_pair(reg: ledger.Register, graph: graphs.Graph, j: int, k: int, outer=NextNeighbor()) -> ProtocolReport:
+def extract_pair(graph: graphs.Graph, j: int, k: int, outer=NextNeighbor()) -> ProtocolReport:
     """Concentrate a chain onto positions (j, k) as an EPR pair.
 
     Outer measurements detach the pair's far sides, then each inner
@@ -375,9 +366,6 @@ def extract_pair(reg: ledger.Register, graph: graphs.Graph, j: int, k: int, oute
     j, k = min(j, k), max(j, k)
     if not (1 <= j and k <= n):
         raise ProtocolPreconditionError("pair positions outside the chain")
-    _require_graph_rows(reg, graph, "extract_pair")
-    report = ProtocolReport("extract_pair", False)
-
     if isinstance(outer, NextNeighbor):
         left = [j - 1] if j > 1 else []
         right = [k + 1] if k < n else []
@@ -388,6 +376,8 @@ def extract_pair(reg: ledger.Register, graph: graphs.Graph, j: int, k: int, oute
                 raise ProtocolPreconditionError(f"outer helper {h} overlaps the pair segment")
     else:
         raise ProtocolPreconditionError(f"unknown outer strategy {outer!r}")
+    reg = build_graph_state(graph)
+    report = ProtocolReport("extract_pair", False, reg)
 
     inner = list(range(j + 1, k))
     sides = (("left", left, j, inner[0] if inner else k),
@@ -426,7 +416,7 @@ def extract_pair(reg: ledger.Register, graph: graphs.Graph, j: int, k: int, oute
 # ---------------------------------------------------------------------------
 
 
-def reduce_graph_to_path(reg: ledger.Register, graph: graphs.Graph, a: int, b: int) -> ProtocolReport:
+def reduce_graph_to_path(graph: graphs.Graph, a: int, b: int) -> ProtocolReport:
     """Carve the lexicographically smallest shortest a-b path out of a graph.
 
     X-measures every off-path neighbour of the path and lets the solver pick
@@ -436,8 +426,8 @@ def reduce_graph_to_path(reg: ledger.Register, graph: graphs.Graph, a: int, b: i
     """
     if a == b:
         raise SelfInteractionError("path endpoints must differ")
-    _require_graph_rows(reg, graph, "reduce_graph_to_path")
-    report = ProtocolReport("reduce_graph_to_path", False)
+    reg = build_graph_state(graph)
+    report = ProtocolReport("reduce_graph_to_path", False, reg)
     path = graph.shortest_path(a, b)
     if path is None:
         report.details = "endpoints are not connected"
@@ -476,7 +466,7 @@ def reduce_graph_to_path(reg: ledger.Register, graph: graphs.Graph, a: int, b: i
 # ---------------------------------------------------------------------------
 
 
-def star_to_ghz(reg: ledger.Register, graph: graphs.Graph) -> ProtocolReport:
+def star_to_ghz(graph: graphs.Graph) -> ProtocolReport:
     """Project the leaves of a star onto a GHZ-type state.
 
     Measures Y of the hub and folds the record into X of one leaf; the
@@ -487,8 +477,8 @@ def star_to_ghz(reg: ledger.Register, graph: graphs.Graph) -> ProtocolReport:
     leaves = sorted(v for v in graph.vertices if v != center)
     if len(leaves) < 2:
         raise ProtocolPreconditionError("GHZ projection needs at least two leaves")
-    _require_graph_rows(reg, graph, "star_to_ghz")
-    report = ProtocolReport("star_to_ghz", False, flavor="total-position")
+    reg = build_graph_state(graph)
+    report = ProtocolReport("star_to_ghz", False, reg, flavor="total-position")
     cm = graph.mode_of(center)
     rec = _measure(reg, report, cm, Y)
     _displace(reg, report, graph.mode_of(leaves[0]), X, -1.0, rec)
@@ -512,7 +502,6 @@ def _find_center(graph: graphs.Graph) -> int:
 
 
 def ring_star_to_ghz(
-    reg: ledger.Register,
     graph: graphs.Graph,
     measured=None,
     flavor: str = "total-momentum",
@@ -536,8 +525,8 @@ def ring_star_to_ghz(
     remaining = [v for v in ring_order if v not in set(measured)]
     if len(remaining) < 2:
         raise ProtocolPreconditionError("GHZ projection needs at least two survivors")
-    _require_graph_rows(reg, graph, "ring_star_to_ghz")
-    report = ProtocolReport("ring_star_to_ghz", False, flavor=flavor)
+    reg = build_graph_state(graph)
+    report = ProtocolReport("ring_star_to_ghz", False, reg, flavor=flavor)
     recs = [_measure(reg, report, graph.mode_of(v), Y) for v in [hub] + sorted(measured)]
     modes = [graph.mode_of(v) for v in remaining]
     if flavor == "total-momentum":
@@ -733,7 +722,7 @@ def chain_pair_after_discard(n: int, d: int) -> ProtocolReport:
     pos = (lambda p: n + 1 - p) if mirrored else (lambda p: p)
     dd = pos(d)  # in working coordinates the loss sits at position >= 3
     reg = build_graph_state(graphs.chain(n))
-    report = ProtocolReport("chain_pair_after_discard", False)
+    report = ProtocolReport("chain_pair_after_discard", False, reg)
     p1, p2 = pos(1), pos(2)  # the protected pair (in real positions)
 
     if dd > 3:
@@ -768,9 +757,7 @@ def ghz_admits_conjugate_pair(m: int, d: int) -> bool:
     """
     from itertools import combinations, product
 
-    g = graphs.star(m)
-    base = build_graph_state(g)
-    star_to_ghz(base, g)
+    base = star_to_ghz(graphs.star(m)).register
     leaves = list(range(2, m + 2))  # modes of leaves 1..m
     lost = leaves[d - 1]
     rest = [x for x in leaves if x != lost]

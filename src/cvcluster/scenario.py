@@ -35,7 +35,7 @@ import numpy as np
 
 from . import covariance, ledger
 from .errors import CvClusterError, InternalConsistencyError
-from .gates import BRIDGE_TOL, MOMENTUM_SQUEEZED, POSITION_SQUEEZED, X, Y
+from .gates import BRIDGE_TOL, MAX_MODES, MOMENTUM_SQUEEZED, POSITION_SQUEEZED, X, Y
 
 SQRT2 = math.sqrt(2.0)
 
@@ -81,6 +81,11 @@ def fmt_num(v: float) -> str:
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
     return repr(v)
+
+
+def variance_csv(rows) -> str:
+    """``combo,r,variance`` text, one line per (combo text, r, variance) row."""
+    return "combo,r,variance\n" + "".join(f"{c},{fmt_num(r)},{v:.12g}\n" for c, r, v in rows)
 
 
 def fmt_coeff(coeff: float, literal: str | None) -> str:
@@ -314,7 +319,7 @@ def _parse_coeff(p: _LineParser, text: str, col: int) -> tuple[float, str | None
     return p.real(text, col, "coefficient", text), None
 
 
-def _parse_combo_term(p: _LineParser, tok: _Tok, sign: float) -> ComboTerm:
+def _parse_combo_term(p: _LineParser, tok: _Tok, sign: float, n_modes: int | None) -> ComboTerm:
     if "*" not in tok.text:
         p.fail(tok, "coefficient*quadrature term")
     coeff_text, quad_text = tok.text.split("*", 1)
@@ -326,14 +331,20 @@ def _parse_combo_term(p: _LineParser, tok: _Tok, sign: float) -> ComboTerm:
         mode = int(quad_text[1:])
     except ValueError:
         raise ParseError(p.lineno, quad_col + 1, "mode index", quad_text[1:])
+    if n_modes is not None and not 1 <= mode <= n_modes:
+        raise ParseError(p.lineno, quad_col + 1, f"mode index in 1..{n_modes}", str(mode))
     if sign < 0:
         coeff = -coeff
         literal = {None: None, "sqrt2": "-sqrt2", "-sqrt2": "sqrt2"}[literal]
     return ComboTerm(coeff, mode, quad_text[0], literal)
 
 
-def _parse_combo(p: _LineParser, stop_word: str | None = None) -> tuple[ComboTerm, ...]:
-    terms = [_parse_combo_term(p, p.take("combo term"), 1.0)]
+def _parse_combo(
+    p: _LineParser, n_modes: int | None, stop_word: str | None = None
+) -> tuple[ComboTerm, ...]:
+    """Terms up to ``stop_word`` or the end of the line; modes must lie in
+    1..``n_modes`` unless it is None."""
+    terms = [_parse_combo_term(p, p.take("combo term"), 1.0, n_modes)]
     while True:
         tok = p.peek()
         if tok is None or (stop_word is not None and tok.text == stop_word):
@@ -342,7 +353,7 @@ def _parse_combo(p: _LineParser, stop_word: str | None = None) -> tuple[ComboTer
         if sep.text not in ("+", "-"):
             p.fail(sep, "'+' or '-'")
         sign = 1.0 if sep.text == "+" else -1.0
-        terms.append(_parse_combo_term(p, p.take("combo term"), sign))
+        terms.append(_parse_combo_term(p, p.take("combo term"), sign, n_modes))
     return tuple(terms)
 
 
@@ -353,7 +364,7 @@ def parse_combo(text: str) -> tuple[ComboTerm, ...]:
     Mode indices are not range-checked here (no register to check against).
     """
     p = _LineParser(1, _tokenize(text), len(text))
-    terms = _parse_combo(p)
+    terms = _parse_combo(p, None)
     p.done()
     return terms
 
@@ -392,6 +403,8 @@ def parse(text: str, source: str = "<scenario>") -> Scenario:
             n, tok = p.take_int("mode count")
             if n < 1:
                 p.fail(tok, "positive mode count")
+            if n > MAX_MODES:
+                p.fail(tok, f"mode count at most {MAX_MODES}")
             p.done()
             n_modes = n
             statements.append(RegisterStmt(n, line=lineno, col=head.col))
@@ -473,8 +486,7 @@ def parse(text: str, source: str = "<scenario>") -> Scenario:
         elif head.text == "assert":
             what = p.take("'nullifier' or 'product'")
             if what.text == "nullifier":
-                terms = _parse_combo(p)
-                _check_combo_modes(p, terms, n_modes)
+                terms = _parse_combo(p, n_modes)
                 p.done()
                 statements.append(
                     AssertNullifierStmt(terms, line=lineno, col=head.col)
@@ -486,8 +498,7 @@ def parse(text: str, source: str = "<scenario>") -> Scenario:
                 p.fail(what, "'nullifier' or 'product'")
         elif head.text == "print":
             p.take_keyword("variance")
-            terms = _parse_combo(p, stop_word="at")
-            _check_combo_modes(p, terms, n_modes)
+            terms = _parse_combo(p, n_modes, stop_word="at")
             p.take_keyword("at")
             tok = p.take("r=<comma list>")
             if not tok.text.startswith("r="):
@@ -505,14 +516,6 @@ def parse(text: str, source: str = "<scenario>") -> Scenario:
     if n_modes is None:
         raise ParseError(1, 1, "'register' statement", "")
     return Scenario(tuple(statements))
-
-
-def _check_combo_modes(p: _LineParser, terms, n_modes: int):
-    for t in terms:
-        if not 1 <= t.mode <= n_modes:
-            raise ParseError(
-                p.lineno, p.toks[0].col, f"mode index in 1..{n_modes}", str(t.mode)
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +540,7 @@ class RunReport:
         return not self.failures
 
     def csv(self) -> str:
-        lines = ["combo,r,variance"]
-        lines += [f"{c},{fmt_num(r)},{v:.12g}" for c, r, v in self.csv_rows]
-        return "\n".join(lines) + "\n"
+        return variance_csv(self.csv_rows)
 
     def render(self) -> str:
         passed = self.asserts_total - len(self.failures)

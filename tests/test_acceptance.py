@@ -106,8 +106,7 @@ def test_criterion_03_graph_nullifier_law():
 
 def test_criterion_04_persistency():
     for n in range(2, 41):
-        g = graphs.chain(n)
-        rep = protocols.disentangle_even(protocols.build_graph_state(g), g)
+        rep = protocols.disentangle_even(graphs.chain(n))
         assert rep.success and len(rep.measurements) == n // 2, n
     minima = [protocols.minimal_disentangling_measurements(n) for n in range(2, 7)]
     verdict(4, minima == [1, 1, 2, 2, 3],
@@ -120,8 +119,7 @@ def test_criterion_05_pair_extraction():
         g = graphs.chain(n)
         for j in range(1, n + 1):
             for k in range(j + 1, n + 1):
-                reg = protocols.build_graph_state(g)
-                rep = protocols.extract_pair(reg, g, j, k)
+                rep = protocols.extract_pair(g, j, k)
                 assert rep.success, (n, j, k)
                 runs += 1
     customs = 0
@@ -129,8 +127,7 @@ def test_criterion_05_pair_extraction():
         (7, 4, 5, protocols.CustomOuter(left=(2, 1), right=(7,))),
         (9, 6, 7, protocols.CustomOuter(left=(4, 2, 1), right=(9,))),
     ):
-        g = graphs.chain(n)
-        rep = protocols.extract_pair(protocols.build_graph_state(g), g, j, k, outer)
+        rep = protocols.extract_pair(graphs.chain(n), j, k, outer)
         assert rep.success, (n, j, k)
         customs += 1
     verdict(5, customs == 2,
@@ -143,7 +140,7 @@ def test_criterion_06_path_reduction():
         n = int(rng.integers(4, 21))
         g = graphs.random_connected_graph(n, float(rng.uniform(0.1, 0.4)), rng)
         a, b = (int(v) for v in rng.choice(g.vertices, size=2, replace=False))
-        rep = protocols.reduce_graph_to_path(protocols.build_graph_state(g), g, a, b)
+        rep = protocols.reduce_graph_to_path(g, a, b)
         assert rep.success, (i, n, a, b, rep.details)
         assert len(rep.nullifiers) >= 2
     verdict(6, True, "50 random connected graphs reduce to chain form")
@@ -151,13 +148,11 @@ def test_criterion_06_path_reduction():
 
 def test_criterion_07_ghz_and_parity():
     for m in range(2, 13):
-        g = graphs.star(m)
-        rep = protocols.star_to_ghz(protocols.build_graph_state(g), g)
+        rep = protocols.star_to_ghz(graphs.star(m))
         assert rep.success and len(rep.nullifiers) == m, m
     outcomes = []
     for m in range(3, 13):
-        g = graphs.ring_star(2 * m)
-        rep = protocols.ring_star_to_ghz(protocols.build_graph_state(g), g)
+        rep = protocols.ring_star_to_ghz(graphs.ring_star(2 * m))
         if m % 2:
             assert rep.success, m
         else:

@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from cvcluster import cli
+from cvcluster import cli, ledger
+from cvcluster.gates import MAX_MODES
 
 SCRIPT_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -266,6 +267,47 @@ def test_graph_invalid_file_exits_two(tmp_path, capsys):
     p.write_text("vertices 3\n2 2\n")
     assert cli.main(["graph", str(p), "--protocol", "star-ghz"]) == 2
     assert "loop edge" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# size limit
+# ---------------------------------------------------------------------------
+
+TOO_MANY_MODES = f"{MAX_MODES + 1} modes; at most {MAX_MODES} allowed"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "big.cvq", "--engine", "covariance", "--r", "1"],
+         f"big.cvq:1:10: expected mode count at most {MAX_MODES}"),
+        (["sweep", "--script", "big.cvq", "--combo", "1*x1", "--r", "1"],
+         f"big.cvq:1:10: expected mode count at most {MAX_MODES}"),
+        (["graph", "big.txt", "--protocol", "disentangle"],
+         f"big.txt:1: vertex count must be at most {MAX_MODES}"),
+        (["sweep", "--state", f"chain:{MAX_MODES + 1}", "--combo", "1*x1"], TOO_MANY_MODES),
+        (["sweep", "--state", f"bschain:{MAX_MODES + 1}", "--combo", "1*x1"], TOO_MANY_MODES),
+        (["sweep", "--state", f"ghz:{MAX_MODES + 1}", "--combo", "1*x1"], TOO_MANY_MODES),
+        # a star of L leaves has L + 1 modes, ring-star family m has 2m + 1
+        (["sweep", "--state", f"star:{MAX_MODES}", "--combo", "1*x1"], TOO_MANY_MODES),
+        (["sweep", "--state", f"ringstar:{MAX_MODES // 2}", "--combo", "1*x1"], TOO_MANY_MODES),
+    ],
+    ids=["run", "sweep-script", "graph", "chain", "bschain", "ghz", "star", "ringstar"],
+)
+def test_oversized_input_is_refused_before_allocation(tmp_path, monkeypatch, capsys, argv, message):
+    (tmp_path / "big.cvq").write_text(f"register {MAX_MODES + 1}\nsqueeze 1 momentum\n")
+    (tmp_path / "big.txt").write_text(f"vertices {MAX_MODES + 1}\n1 2\n")
+    monkeypatch.chdir(tmp_path)
+
+    def refuse(self, n):
+        raise AssertionError(f"allocated a register of {n} modes")
+
+    monkeypatch.setattr(ledger.Register, "__init__", refuse)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_usage_error_from_argparse(capsys):

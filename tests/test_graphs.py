@@ -5,6 +5,7 @@ import pytest
 
 from cvcluster import graphs
 from cvcluster.errors import InvalidGraphError, InvalidSizeError
+from cvcluster.gates import MAX_MODES
 
 
 def test_chain_shape():
@@ -133,6 +134,7 @@ def test_parse_edge_list_accepts_comments_and_blanks():
         ("1 2\n", "expected 'vertices N' header"),
         ("vertices x\n", "vertex count must be an integer"),
         ("vertices 0\n", "vertex count must be positive"),
+        (f"vertices {MAX_MODES + 1}\n1 2\n", f"vertex count must be at most {MAX_MODES}"),
         ("vertices 3\n1 2 3\n", "expected edge 'a b'"),
         ("vertices 3\n1 b\n", "edge endpoints must be integers"),
         ("vertices 3\n1 4\n", "outside 1..3"),

@@ -1,0 +1,72 @@
+"""Property tests over random simple graphs: a closed-form graph-state oracle
+and the edge-list round trip.
+
+The oracle is the Gaussian graphical calculus (Menicucci, Flammia & van Loock,
+PRA 83, 042335 (2011)): the graph state of adjacency matrix A at squeezing r
+is the pure state Z = V + iU = A + i e^{-2r} I, whose covariance in
+(X..., Y...) order is 1/2 [[U^-1, U^-1 V], [V U^-1, U + V U^-1 V]].  It shares
+no code with either engine.
+
+Runs are derandomized and keep no example database, so the suite stays
+deterministic.
+"""
+
+import tempfile
+
+import numpy as np
+from hypothesis import configuration, given, settings
+from hypothesis import strategies as st
+
+from cvcluster import graphs, protocols
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+# Hypothesis caches the constants it finds in local source files under its
+# home directory while pytest collects, database or not.  Keep that cache out
+# of the working tree, in a directory removed when the run ends.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+@st.composite
+def simple_graphs(draw, max_vertices=12):
+    """A simple graph on vertices 1..n with any subset of the possible edges."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    keep = draw(st.binary(min_size=len(pairs), max_size=len(pairs)))  # one byte per pair
+    edges = [e for e, byte in zip(pairs, keep) if byte & 1]
+    return graphs.from_edges(edges, vertices=range(1, n + 1))
+
+
+def z_oracle_covariance(g: graphs.Graph, r: float) -> np.ndarray:
+    """Graph-state covariance from Z = A + i e^{-2r} I, in (X_1, Y_1, ...) order."""
+    n = g.n_vertices
+    v = np.zeros((n, n))
+    for a, b in g.edges:
+        v[g.mode_of(a) - 1, g.mode_of(b) - 1] = v[g.mode_of(b) - 1, g.mode_of(a) - 1] = 1.0
+    u = np.exp(-2.0 * r) * np.eye(n)
+    u_inv = np.linalg.inv(u)
+    blocks = 0.5 * np.block([[u_inv, u_inv @ v], [v @ u_inv, u + v @ u_inv @ v]])
+    interleaved = [i for m in range(n) for i in (m, n + m)]
+    return blocks[np.ix_(interleaved, interleaved)]
+
+
+@PROPERTY_SETTINGS
+@given(g=simple_graphs(), r=st.floats(0.0, 2.0))
+def test_graph_state_matches_the_z_oracle(g, r):
+    want = z_oracle_covariance(g, r)
+    got = protocols.build_graph_state(g, "covariance", r).cov
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert protocols.graph_row_deviation(protocols.build_graph_state(g), g) == 0
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), g=simple_graphs())
+def test_edge_list_round_trip(data, g):
+    """Any simple graph on 1..n, written in any edge order and orientation,
+    parses back equal."""
+    edges = data.draw(st.permutations(sorted(g.edges)))
+    flips = data.draw(st.binary(min_size=len(edges), max_size=len(edges)))
+    lines = [f"vertices {g.n_vertices}"]
+    lines += [f"{b} {a}" if flip & 1 else f"{a} {b}" for (a, b), flip in zip(edges, flips)]
+    assert graphs.parse_edge_list("\n".join(lines) + "\n") == g

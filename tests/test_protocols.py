@@ -159,9 +159,7 @@ def test_solver_with_no_records_and_clean_target():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
 def test_disentangle_even_gives_singletons(n):
-    g = graphs.chain(n)
-    reg = protocols.build_graph_state(g)
-    rep = protocols.disentangle_even(reg, g)
+    rep = protocols.disentangle_even(graphs.chain(n))
     assert rep.success
     assert len(rep.measurements) == n // 2
     assert all(len(block) == 1 for block in rep.partition)
@@ -180,25 +178,19 @@ def test_minimal_pattern_is_floor_n_over_2():
 
 
 def test_disconnect_splits_in_two():
-    g = graphs.chain(6)
-    reg = protocols.build_graph_state(g)
-    rep = protocols.disconnect(reg, g, 4)
+    rep = protocols.disconnect(graphs.chain(6), 4)
     assert rep.success
     assert rep.partition == [(1, 2, 3), (5, 6)]
 
 
 def test_disconnect_requires_interior_position():
-    g = graphs.chain(4)
-    reg = protocols.build_graph_state(g)
     with pytest.raises(ProtocolPreconditionError):
-        protocols.disconnect(reg, g, 1)
+        protocols.disconnect(graphs.chain(4), 1)
 
 
 def test_chain_protocols_reject_other_graphs():
-    g = graphs.star(3)
-    reg = protocols.build_graph_state(g)
     with pytest.raises(ProtocolPreconditionError):
-        protocols.disentangle_even(reg, g)
+        protocols.disentangle_even(graphs.star(3))
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +205,14 @@ def two_chain_relations_hold(reg, j, k):
 
 @pytest.mark.parametrize("n,j,k", [(4, 2, 3), (6, 2, 5), (9, 1, 9), (9, 4, 5)])
 def test_extract_pair_next_neighbor(n, j, k):
-    g = graphs.chain(n)
-    reg = protocols.build_graph_state(g)
-    rep = protocols.extract_pair(reg, g, j, k)
+    rep = protocols.extract_pair(graphs.chain(n), j, k)
     assert rep.success
-    assert two_chain_relations_hold(reg, j, k)
-    assert protocols.pair_epr_projection(reg, (j, k))
+    assert two_chain_relations_hold(rep.register, j, k)
+    assert protocols.pair_epr_projection(rep.register, (j, k))
 
 
 def test_extract_pair_inner_teleports_count():
-    g = graphs.chain(8)
-    reg = protocols.build_graph_state(g)
-    rep = protocols.extract_pair(reg, g, 2, 7)
+    rep = protocols.extract_pair(graphs.chain(8), 2, 7)
     assert rep.success
     assert "4 inner teleport steps" in rep.details
 
@@ -234,37 +222,30 @@ def test_extract_pair_custom_outer_patterns():
         (7, 4, 5, protocols.CustomOuter(left=(2, 1), right=(7,))),
         (9, 6, 7, protocols.CustomOuter(left=(4, 2, 1), right=(9,))),
     ):
-        g = graphs.chain(n)
-        reg = protocols.build_graph_state(g)
-        rep = protocols.extract_pair(reg, g, j, k, outer)
+        rep = protocols.extract_pair(graphs.chain(n), j, k, outer)
         assert rep.success
-        assert two_chain_relations_hold(reg, j, k)
+        assert two_chain_relations_hold(rep.register, j, k)
 
 
 def test_extract_pair_incomplete_outer_fails_honestly():
-    g = graphs.chain(6)
-    reg = protocols.build_graph_state(g)
-    rep = protocols.extract_pair(reg, g, 4, 5, protocols.CustomOuter(left=(2, 1)))
+    rep = protocols.extract_pair(graphs.chain(6), 4, 5, protocols.CustomOuter(left=(2, 1)))
     assert not rep.success
 
 
 def test_extract_pair_validates_positions():
     g = graphs.chain(5)
-    reg = protocols.build_graph_state(g)
     with pytest.raises(SelfInteractionError):
-        protocols.extract_pair(reg, g, 3, 3)
+        protocols.extract_pair(g, 3, 3)
     with pytest.raises(ProtocolPreconditionError):
-        protocols.extract_pair(reg, g, 0, 4)
+        protocols.extract_pair(g, 0, 4)
 
 
 def test_teleport_step_removes_the_second_position():
     """Measuring the next position teleports the head's correlations past it."""
-    g = graphs.chain(3)
-    reg = protocols.build_graph_state(g)
-    rep = protocols.extract_pair(reg, g, 1, 3)
+    rep = protocols.extract_pair(graphs.chain(3), 1, 3)
     assert rep.measurements == [(2, Y)]
-    assert reg.active_modes() == [1, 3]
-    assert two_chain_relations_hold(reg, 1, 3)
+    assert rep.register.active_modes() == [1, 3]
+    assert two_chain_relations_hold(rep.register, 1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +254,13 @@ def test_teleport_step_removes_the_second_position():
 
 
 def test_reduce_grid_to_corner_path():
-    g = graphs.grid(3, 3)
-    reg = protocols.build_graph_state(g)
-    rep = protocols.reduce_graph_to_path(reg, g, 1, 9)
+    rep = protocols.reduce_graph_to_path(graphs.grid(3, 3), 1, 9)
     assert rep.success
     assert len(rep.nullifiers) == 5
 
 
 def test_reduce_ring_to_path():
-    g = graphs.ring(7)
-    reg = protocols.build_graph_state(g)
-    rep = protocols.reduce_graph_to_path(reg, g, 1, 4)
+    rep = protocols.reduce_graph_to_path(graphs.ring(7), 1, 4)
     assert rep.success
 
 
@@ -293,8 +270,7 @@ def test_reduce_random_graphs(seed=99):
         n = int(rng.integers(5, 16))
         g = graphs.random_connected_graph(n, 0.3, rng)
         a, b = (int(v) for v in rng.choice(g.vertices, size=2, replace=False))
-        reg = protocols.build_graph_state(g)
-        rep = protocols.reduce_graph_to_path(reg, g, a, b)
+        rep = protocols.reduce_graph_to_path(g, a, b)
         assert rep.success, rep.details
 
 
@@ -304,9 +280,7 @@ def test_reduce_random_graphs(seed=99):
 
 
 def test_star_to_ghz_flavors():
-    g = graphs.star(5)
-    reg = protocols.build_graph_state(g)
-    rep = protocols.star_to_ghz(reg, g)
+    rep = protocols.star_to_ghz(graphs.star(5))
     assert rep.success
     assert rep.flavor == "total-position"
     assert len(rep.nullifiers) == 5
@@ -314,9 +288,7 @@ def test_star_to_ghz_flavors():
 
 def test_ring_star_parity_rule():
     for m in (3, 4, 5, 6):
-        g = graphs.ring_star(2 * m)
-        reg = protocols.build_graph_state(g)
-        rep = protocols.ring_star_to_ghz(reg, g)
+        rep = protocols.ring_star_to_ghz(graphs.ring_star(2 * m))
         if m % 2:
             assert rep.success
             assert len(rep.nullifiers) == m
@@ -327,9 +299,7 @@ def test_ring_star_parity_rule():
 
 
 def test_ring_star_explicit_measured_set():
-    g = graphs.ring_star(10)
-    reg = protocols.build_graph_state(g)
-    rep = protocols.ring_star_to_ghz(reg, g, measured=[2, 4, 6, 8, 10])
+    rep = protocols.ring_star_to_ghz(graphs.ring_star(10), measured=[2, 4, 6, 8, 10])
     assert rep.success
 
 
@@ -338,9 +308,7 @@ def test_alternating_attachment_is_the_only_working_five_spoke():
     alternating patterns admit the GHZ projection."""
     winners = []
     for spokes in itertools.combinations(range(1, 11), 5):
-        g = graphs.ring_star(10, spokes=spokes)
-        reg = protocols.build_graph_state(g)
-        if protocols.ring_star_to_ghz(reg, g).success:
+        if protocols.ring_star_to_ghz(graphs.ring_star(10, spokes=spokes)).success:
             winners.append(spokes)
     assert winners == [(1, 3, 5, 7, 9), (2, 4, 6, 8, 10)]
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cvcluster import scenario
+from cvcluster.gates import MAX_MODES
 from cvcluster.scenario import (
     ParseError,
     ScenarioRuntimeError,
@@ -108,6 +109,7 @@ def test_parse_combo_standalone():
         ("squeeze 1 momentum\n", 1, 1, "'register' as the first statement"),
         ("register 2\nregister 3\n", 2, 1, "no second register statement"),
         ("register 0\n", 1, 10, "positive mode count"),
+        (f"register {MAX_MODES + 1}\n", 1, 10, f"mode count at most {MAX_MODES}"),
         ("register 2\nsqueeze 3 momentum\n", 2, 9, "mode index in 1..2"),
         ("register 2\nsqueeze 1 sideways\n", 2, 11, "'momentum' or 'position'"),
         ("register 2\nkerr 1 1\n", 2, 8, "a mode distinct from the first"),
@@ -123,6 +125,8 @@ def test_parse_combo_standalone():
         ("register 2\nassert nullifier 1*y1 - nan*x2\n", 2, 25, "a finite real"),
         ("register 2\nmeasure x 1 -> a\ndisplace y 2 += -inf*a\n", 3, 17, "a finite real"),
         ("register 1\nprint variance 1*x1 at r=0,1e999\n", 2, 24, "a finite real"),
+        ("register 3\nassert nullifier 1*y1 - 1*x9\n", 2, 28, "mode index in 1..3"),
+        ("register 2\nprint variance 1*x3 at r=1\n", 2, 19, "mode index in 1..2"),
     ],
 )
 def test_parse_errors_carry_exact_positions(text, line, col, expected):
