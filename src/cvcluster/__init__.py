@@ -11,16 +11,16 @@ On top: graph topologies (:mod:`cvcluster.graphs`), entanglement protocols
 (:mod:`cvcluster.protocols`), a line-oriented scenario DSL
 (:mod:`cvcluster.scenario`), a compiled-in claims suite
 (:mod:`cvcluster.claims`) and a command line front end
-(:mod:`cvcluster.cli`).
+(:mod:`cvcluster.cli`, imported on its own so ``python -m cvcluster.cli``
+runs it cleanly).
 """
 
-from . import claims, cli, covariance, gates, graphs, ledger, protocols, scenario
+from . import claims, covariance, gates, graphs, ledger, protocols, scenario
 from .errors import CvClusterError
 
 __all__ = [
     "CvClusterError",
     "claims",
-    "cli",
     "covariance",
     "gates",
     "graphs",

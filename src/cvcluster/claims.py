@@ -322,7 +322,7 @@ def _claim_bs_chain(battery: Battery) -> ClaimResult:
 
 
 def _claim_cross_engine(battery: Battery) -> ClaimResult:
-    checks, worst = 0, 0.0
+    checks, worst, agree = 0, 0.0, True
     for entry in battery.entries:
         n = entry.reg.n
         for r in BRIDGE_RS:
@@ -331,12 +331,13 @@ def _claim_cross_engine(battery: Battery) -> ClaimResult:
                 numeric = covariance.variance_of(state, combo)
                 symbolic = ledger.variance_formula(expr, r)
                 worst = max(worst, abs(numeric - symbolic))
+                agree &= covariance.bridge_agrees(state, combo, numeric, symbolic)
                 checks += 1
     return ClaimResult(
         "cross-engine",
         "covariance-matrix variances equal the ledger closed form for every "
         "battery combination at r in {0, 0.25, 0.5, 1, 2}",
-        worst <= BRIDGE_TOL and checks > 0,
+        agree and checks > 0,
         f"{checks} comparisons, max gap {worst:.3g}",
         f"{BRIDGE_TOL:g}",
     )
@@ -392,6 +393,8 @@ def _claim_hygiene(battery: Battery) -> ClaimResult:
         )
         if not covariance.is_physical(state):
             physical_fails += 1
+    # Absolute on purpose: commutators are numbers of order 1 that do not
+    # depend on r, unlike the variances the cross-engine claim compares.
     return ClaimResult(
         "hygiene",
         "canonical commutators survive every battery gate sequence and the "

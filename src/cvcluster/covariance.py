@@ -23,7 +23,7 @@ from .errors import (
     SelfInteractionError,
     SingularMeasurementError,
 )
-from .gates import PRODUCT_TOL, SINGULAR_TOL, UNCERTAINTY_TOL, X, Y
+from .gates import BRIDGE_TOL, PRODUCT_TOL, SINGULAR_TOL, UNCERTAINTY_TOL, X, Y
 
 
 @dataclass(frozen=True)
@@ -147,20 +147,41 @@ def homodyne(
 # ---------------------------------------------------------------------------
 
 
+def _combo_block(state: GaussianState, combo) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of a combination, repeats accumulated, and its covariance sub-block."""
+    weights: dict[int, float] = {}
+    for coeff, mode, kind in combo:
+        qi = quad_index(mode, kind)
+        weights[qi] = weights.get(qi, 0.0) + coeff
+    idx = sorted(weights)
+    return np.array([weights[i] for i in idx]), state.cov[np.ix_(idx, idx)]
+
+
 def variance_of(state: GaussianState, combo) -> float:
     """Variance of a weighted quadrature combination.
 
     ``combo`` is an iterable of ``(coeff, mode, kind)``.  Repeated
     quadratures are accumulated before evaluation.
     """
-    weights: dict[int, float] = {}
-    for coeff, mode, kind in combo:
-        qi = quad_index(mode, kind)
-        weights[qi] = weights.get(qi, 0.0) + coeff
-    idx = sorted(weights)
-    w = np.array([weights[i] for i in idx])
-    sub = state.cov[np.ix_(idx, idx)]
+    w, sub = _combo_block(state, combo)
     return float(w @ sub @ w)
+
+
+def bridge_agrees(state: GaussianState, combo, numeric: float, symbolic: float) -> bool:
+    """The one bridge rule: do ``variance_of(state, combo)`` and the ledger's
+    closed form agree?
+
+    The numeric side sums the terms ``w_i V_ij w_j``, so its rounding grows
+    with their size, not with the variance: at large squeezing the terms reach
+    1e8 while the variance is 1e-9.  The gap is allowed
+    ``BRIDGE_TOL * max(1, sum |w_i| |V_ij| |w_j|)``, computed only when it
+    exceeds ``BRIDGE_TOL``.  A NaN on either side fails.
+    """
+    gap = abs(numeric - symbolic)
+    if gap <= BRIDGE_TOL:
+        return True
+    w, sub = _combo_block(state, combo)
+    return gap <= BRIDGE_TOL * max(1.0, float(np.abs(w) @ np.abs(sub) @ np.abs(w)))
 
 
 def is_mode_product(state: GaussianState) -> bool:

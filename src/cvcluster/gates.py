@@ -55,10 +55,10 @@ PRODUCT_TOL = 1e-9
 # Protocols: feed-forward residual above which a solve is infeasible; also the
 # singular-value cut for ranks and null spaces, and the smallest weight kept.
 SOLVER_TOL = 1e-9
-# Bridge: numeric and symbolic variances of one combination agree to this.
-# Script runs scale it by the variance once that exceeds 1 (large squeezing
-# makes variances of 1e7 whose last bits differ); the claims suite compares
-# absolutely, at squeezing small enough for that to hold.
+# Bridge: numeric and symbolic variances of one combination agree to this,
+# scaled by the size of the terms the numeric side sums once that exceeds 1
+# (covariance.bridge_agrees, the one rule for script runs and claims).  The
+# hygiene claim compares commutators, which do not grow with r, absolutely.
 BRIDGE_TOL = 1e-9
 # Claims: exact-coefficient checks on closed-form rows and surviving weights.
 COEFF_TOL = 1e-12

@@ -51,20 +51,14 @@ class Term:
 class QuadExpr:
     """A pruned sum of :class:`Term`, keyed by (mode, kind, exponent).
 
-    The class is a thin mutable wrapper over a dict; ledger operations edit
-    expressions in place, everything handed to callers is a copy.
+    The class is a thin mutable wrapper over a dict; the register keeps its
+    rows as plain dicts and hands callers a fresh :class:`QuadExpr` each time.
     """
 
     __slots__ = ("_t",)
 
     def __init__(self, terms: dict | None = None):
         self._t = dict(terms) if terms else {}
-
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def unit(cls, mode: int, kind: str, exponent: int = 0, coeff: float = 1.0):
-        return cls({(mode, kind, exponent): coeff})
 
     def copy(self) -> "QuadExpr":
         return QuadExpr(self._t)
@@ -91,37 +85,27 @@ class QuadExpr:
     # -- algebra (in place) ----------------------------------------------
 
     def add_scaled(self, other: "QuadExpr", c: float = 1.0) -> None:
-        t = self._t
-        for key, oc in other._t.items():
-            val = t.get(key, 0.0) + c * oc
-            if abs(val) <= PRUNE_TOL:
-                t.pop(key, None)
-            else:
-                t[key] = val
-
-    def scale(self, c: float) -> None:
-        if c == 0.0:
-            self._t.clear()
-            return
-        for key in list(self._t):
-            val = self._t[key] * c
-            if abs(val) <= PRUNE_TOL:
-                del self._t[key]
-            else:
-                self._t[key] = val
-
-    def shift_exponents(self, dk: int) -> None:
-        self._t = {(m, kd, k + dk): c for (m, kd, k), c in self._t.items()}
-
-    # -- algebra (fresh objects, mostly for tests and reports) ------------
-
-    def scaled(self, c: float) -> "QuadExpr":
-        out = self.copy()
-        out.scale(c)
-        return out
+        _accumulate(self._t, c, other._t)
 
     def __repr__(self):
         return f"QuadExpr({render_expr(self)})"
+
+
+def _accumulate(dst: dict, c: float, src: dict) -> dict:
+    """``dst += c * src`` in place: the one linear step of rows and books.
+
+    ``src`` is read in insertion order and each sum is pruned as it is made,
+    so an entry at or below ``PRUNE_TOL`` is dropped; a zero ``c`` changes
+    nothing.  Returns ``dst``.
+    """
+    if c != 0.0:
+        for key, v in src.items():
+            val = dst.get(key, 0.0) + c * v
+            if abs(val) <= PRUNE_TOL:
+                dst.pop(key, None)
+            else:
+                dst[key] = val
+    return dst
 
 
 def render_expr(expr: QuadExpr) -> str:
@@ -166,17 +150,27 @@ class MeasurementRecord:
 
 
 class _Mode:
-    __slots__ = ("x", "y", "status", "record_index", "recx", "recy")
+    __slots__ = ("row", "book", "status", "record_index")
 
     def __init__(self, index: int):
-        self.x = QuadExpr.unit(index, X)
-        self.y = QuadExpr.unit(index, Y)
+        # Per quadrature kind: the row, a pruned dict (mode, kind, exponent) ->
+        # coeff over the initial operators, and its feed-forward book, how much
+        # of each measurement record has been folded into that row (record
+        # index -> coeff).  Gates apply the same linear map to both.
+        self.row = {kd: {(index, kd, 0): 1.0} for kd in (X, Y)}
+        self.book = {X: {}, Y: {}}
         self.status = ACTIVE
         self.record_index = None
-        # Feed-forward bookkeeping: how much of each measurement record has
-        # been folded into this mode's x/y expression (record index -> coeff).
-        self.recx: dict[int, float] = {}
-        self.recy: dict[int, float] = {}
+
+
+def _mix_quads(a: _Mode, ka: str, b: _Mode, kb: str, m: tuple) -> None:
+    """Quadrature ``ka`` of ``a`` becomes ``m00 a + m01 b`` and ``kb`` of ``b``
+    becomes ``m10 a + m11 b``, rows and books alike."""
+    (p, q), (u, v) = m
+    for ta, tb in ((a.row, b.row), (a.book, b.book)):
+        da, db = ta[ka], tb[kb]
+        ta[ka] = _accumulate(_accumulate({}, p, da), q, db)
+        tb[kb] = _accumulate(_accumulate({}, u, da), v, db)
 
 
 class Register:
@@ -214,8 +208,7 @@ class Register:
 
     def quad_expr(self, mode: int, kind: str) -> QuadExpr:
         """Copy of the current expression for one quadrature of an active mode."""
-        md = self._mode(mode)
-        return (md.x if kind == X else md.y).copy()
+        return QuadExpr(self._mode(mode).row[kind])
 
     def copy(self) -> "Register":
         out = Register.__new__(Register)
@@ -223,9 +216,9 @@ class Register:
         out._modes = []
         for md in self._modes:
             c = _Mode.__new__(_Mode)
-            c.x, c.y = md.x.copy(), md.y.copy()
+            c.row = {kd: dict(d) for kd, d in md.row.items()}
+            c.book = {kd: dict(d) for kd, d in md.book.items()}
             c.status, c.record_index = md.status, md.record_index
-            c.recx, c.recy = dict(md.recx), dict(md.recy)
             out._modes.append(c)
         # Records are frozen; rebinding ownership keeps displace_with usable.
         out.records = [
@@ -241,14 +234,14 @@ class Register:
         """Scale one mode by e^{+-r}: momentum -> (X*e^{+r}, Y*e^{-r})."""
         gate = gates.Squeeze(mode, direction)
         md = self._mode(mode)
-        if md.recx or md.recy:
+        if md.book[X] or md.book[Y]:
             raise UnsupportedOperationError(
                 "squeezing a mode that already carries feed-forward content "
                 "would attach the symbolic r to classical records"
             )
         dx = +1 if direction == MOMENTUM_SQUEEZED else -1
-        md.x.shift_exponents(dx)
-        md.y.shift_exponents(-dx)
+        for kind, dk in ((X, dx), (Y, -dx)):
+            md.row[kind] = {(m, kd, k + dk): c for (m, kd, k), c in md.row[kind].items()}
         self.history.append(gate)
         return self
 
@@ -256,15 +249,9 @@ class Register:
         """Couple two modes: Y_l += g X_k, Y_k += g X_l (X untouched)."""
         gate = gates.Kerr(l, k, g)
         ml, mk = self._mode(l), self._mode(k)
-        # Simultaneous update: X expressions are not modified by this gate,
-        # so reading them after updating Y_l would still be a snapshot read;
-        # copies make that explicit.
-        xl, xk = ml.x.copy(), mk.x.copy()
-        ml.y.add_scaled(xk, g)
-        mk.y.add_scaled(xl, g)
         for dst, src in ((ml, mk), (mk, ml)):
-            for idx, c in src.recx.items():
-                dst.recy[idx] = dst.recy.get(idx, 0.0) + g * c
+            _accumulate(dst.row[Y], g, src.row[X])
+            _accumulate(dst.book[Y], g, src.book[X])
         self.history.append(gate)
         return self
 
@@ -273,14 +260,7 @@ class Register:
         gate = gates.Rotate(mode, theta)
         md = self._mode(mode)
         c, s = gates.cos_sin(theta)
-        ox, oy = md.x, md.y
-        nx, ny = ox.scaled(c), ox.scaled(-s)
-        nx.add_scaled(oy, s)
-        ny.add_scaled(oy, c)
-        md.x, md.y = nx, ny
-        orx, ory = md.recx, md.recy
-        md.recx = _mix(orx, c, ory, s)
-        md.recy = _mix(orx, -s, ory, c)
+        _mix_quads(md, X, md, Y, ((c, s), (-s, c)))
         self.history.append(gate)
         return self
 
@@ -293,16 +273,8 @@ class Register:
         gate = gates.Beamsplit(l, k, t)
         ml, mk = self._mode(l), self._mode(k)
         s, c = math.sqrt(t), math.sqrt(1.0 - t)
-        for attr, rattr in ((("x"), ("recx")), (("y"), ("recy"))):
-            el, ek = getattr(ml, attr), getattr(mk, attr)
-            nl, nk = el.scaled(s), el.scaled(c)
-            nl.add_scaled(ek, c)
-            nk.add_scaled(ek, -s)
-            setattr(ml, attr, nl)
-            setattr(mk, attr, nk)
-            rl, rk = getattr(ml, rattr), getattr(mk, rattr)
-            setattr(ml, rattr, _mix(rl, s, rk, c))
-            setattr(mk, rattr, _mix(rl, c, rk, -s))
+        for kind in (X, Y):
+            _mix_quads(ml, kind, mk, kind, ((s, c), (c, -s)))
         self.history.append(gate)
         return self
 
@@ -315,8 +287,7 @@ class Register:
         the measured observable survives as classical data.
         """
         md = self._mode(mode)
-        expr = (md.x if kind == X else md.y).copy()
-        rec = MeasurementRecord(len(self.records), mode, kind, expr, self)
+        rec = MeasurementRecord(len(self.records), mode, kind, QuadExpr(md.row[kind]), self)
         self.records.append(rec)
         md.status = CONSUMED
         md.record_index = rec.index
@@ -327,10 +298,8 @@ class Register:
         if record.owner is not self:
             raise RecordOwnershipError("record belongs to a different register")
         md = self._mode(mode)
-        target = md.x if kind == X else md.y
-        target.add_scaled(record.observable, coeff)
-        book = md.recx if kind == X else md.recy
-        book[record.index] = book.get(record.index, 0.0) + coeff
+        _accumulate(md.row[kind], coeff, record.observable._t)
+        _accumulate(md.book[kind], coeff, {record.index: 1.0})
         return self
 
     # -- linear views ------------------------------------------------------
@@ -339,8 +308,7 @@ class Register:
         """Weighted sum of current quadratures of active modes."""
         out = QuadExpr()
         for coeff, mode, kind in parts:
-            md = self._mode(mode)
-            out.add_scaled(md.x if kind == X else md.y, coeff)
+            _accumulate(out._t, coeff, self._mode(mode).row[kind])
         return out
 
     def frame_combo(self, parts: list[tuple[float, int, str]]) -> list[tuple[float, int, str]]:
@@ -357,7 +325,7 @@ class Register:
         def fold(mode, kind, c):
             acc[(mode, kind)] = acc.get((mode, kind), 0.0) + c
             md = self._modes[mode - 1]
-            for idx, w in (md.recx if kind == X else md.recy).items():
+            for idx, w in md.book[kind].items():
                 rec = self.records[idx]
                 fold(rec.mode, rec.kind, c * w)
 
@@ -386,8 +354,8 @@ class Register:
 
         owner_of_support: dict[int, int] = {}
         for m in active:
-            md = self._mode(m)
-            for s in md.x.support() | md.y.support():
+            row = self._mode(m).row
+            for s in {key[0] for kind in (X, Y) for key in row[kind]}:
                 if s in owner_of_support:
                     ra, rb = find(owner_of_support[s]), find(m)
                     if ra != rb:
@@ -398,20 +366,6 @@ class Register:
         for m in active:
             blocks.setdefault(find(m), []).append(m)
         return sorted(tuple(sorted(b)) for b in blocks.values())
-
-
-def _mix(a: dict, ca: float, b: dict, cb: float) -> dict:
-    out: dict[int, float] = {}
-    for src, c in ((a, ca), (b, cb)):
-        if c == 0.0:
-            continue
-        for k, v in src.items():
-            val = out.get(k, 0.0) + c * v
-            if abs(val) <= PRUNE_TOL:
-                out.pop(k, None)
-            else:
-                out[k] = val
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +391,13 @@ def commutator(e1: QuadExpr, e2: QuadExpr) -> float:
     corrupted and raises :class:`InternalConsistencyError`.
     """
     by_sum: dict[int, float] = {}
-    d1, d2 = e1.as_dict(), e2.as_dict()
-    for (m1, k1, ex1), c1 in d1.items():
-        other = Y if k1 == X else X
+    # e2's terms grouped by (mode, kind), insertion order kept in each group.
+    partners: dict[tuple[int, str], list[tuple[int, float]]] = {}
+    for (m2, k2, ex2), c2 in e2._t.items():
+        partners.setdefault((m2, k2), []).append((ex2, c2))
+    for (m1, k1, ex1), c1 in e1._t.items():
         sign = 1.0 if k1 == X else -1.0
-        for ex2 in _exponents_of(d2, m1, other):
-            c2 = d2[(m1, other, ex2)]
+        for ex2, c2 in partners.get((m1, Y if k1 == X else X), ()):
             s = ex1 + ex2
             by_sum[s] = by_sum.get(s, 0.0) + sign * c1 * c2
     for s, val in by_sum.items():
@@ -452,10 +407,6 @@ def commutator(e1: QuadExpr, e2: QuadExpr) -> float:
                 "not canonically conjugate"
             )
     return by_sum.get(0, 0.0)
-
-
-def _exponents_of(d: dict, mode: int, kind: str) -> list[int]:
-    return [ex for (m, kd, ex) in d if m == mode and kd == kind]
 
 
 def variance_formula(expr: QuadExpr, r: float) -> float:

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import covariance, ledger
 from .errors import CvClusterError, InternalConsistencyError
-from .gates import BRIDGE_TOL, MAX_MODES, MOMENTUM_SQUEEZED, POSITION_SQUEEZED, X, Y
+from .gates import MAX_MODES, MOMENTUM_SQUEEZED, POSITION_SQUEEZED, X, Y
 
 SQRT2 = math.sqrt(2.0)
 
@@ -635,8 +635,7 @@ class _Execution:
         )
         numeric = covariance.variance_of(tape_state, combo)
         symbolic = ledger.variance_formula(self.reg.combine(parts), r)
-        # Written so that a NaN from an overflowed covariance matrix fails it.
-        if not abs(numeric - symbolic) <= BRIDGE_TOL * max(1.0, abs(symbolic)):
+        if not covariance.bridge_agrees(tape_state, combo, numeric, symbolic):
             raise InternalConsistencyError(
                 f"engines disagree on a variance: {numeric!r} vs {symbolic!r}"
             )

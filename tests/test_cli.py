@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, output contracts."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -308,6 +310,20 @@ def test_oversized_input_is_refused_before_allocation(tmp_path, monkeypatch, cap
     assert captured.out == ""
     assert message in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_python_dash_m_diagnostic_is_one_line(tmp_path):
+    """``python -m cvcluster.cli`` prints the diagnostic and nothing else."""
+    (tmp_path / "big.cvq").write_text(f"register {MAX_MODES + 1}\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvcluster.cli", "run", "big.cvq"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"big.cvq:1:10: expected mode count at most {MAX_MODES}, found '{MAX_MODES + 1}'\n"
 
 
 def test_usage_error_from_argparse(capsys):

@@ -216,6 +216,17 @@ def test_squeeze_after_feedforward_unsupported():
         reg.squeeze(1, MOMENTUM_SQUEEZED)
 
 
+def test_squeeze_after_a_cancelled_feedforward_is_allowed():
+    """A feed-forward that cancels exactly leaves no record content behind."""
+    reg = Register(2)
+    rec = reg.measure(1, X)
+    reg.displace_with(2, Y, 1.0, rec)
+    reg.displace_with(2, Y, -1.0, rec)
+    reg.squeeze(2, MOMENTUM_SQUEEZED)
+    assert term_dict(reg.quad_expr(2, Y)) == {(2, Y, -1): 1.0}
+    assert reg.frame_combo([(1.0, 2, Y)]) == [(1.0, 2, Y)]
+
+
 def test_records_enumerate_in_order():
     reg = Register(3)
     r0 = reg.measure(2, X)

@@ -1,5 +1,6 @@
-"""Property tests over random simple graphs: a closed-form graph-state oracle
-and the edge-list round trip.
+"""Property tests: a closed-form graph-state oracle and the edge-list round
+trip over random simple graphs, and canonical commutators on random ledger
+tapes with feed-forward.
 
 The oracle is the Gaussian graphical calculus (Menicucci, Flammia & van Loock,
 PRA 83, 042335 (2011)): the graph state of adjacency matrix A at squeezing r
@@ -17,7 +18,9 @@ import numpy as np
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
-from cvcluster import graphs, protocols
+from cvcluster import graphs, ledger, protocols
+from cvcluster.errors import UnsupportedOperationError
+from cvcluster.gates import MOMENTUM_SQUEEZED, POSITION_SQUEEZED, X, Y
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -70,3 +73,71 @@ def test_edge_list_round_trip(data, g):
     lines = [f"vertices {g.n_vertices}"]
     lines += [f"{b} {a}" if flip & 1 else f"{a} {b}" for (a, b), flip in zip(edges, flips)]
     assert graphs.parse_edge_list("\n".join(lines) + "\n") == g
+
+
+# A tape step names modes by position among the active ones (taken modulo
+# their number), so every drawn step applies to the register as it stands.
+_PICK = st.integers(0, 5)
+_KIND = st.sampled_from([X, Y])
+# (gate, mode, other mode, parameter in [-1.5, 1.5])
+GATE_STEPS = st.tuples(st.sampled_from(["squeeze", "kerr", "rotate", "beamsplit"]), _PICK, _PICK,
+                       st.floats(-1.5, 1.5))
+# (measured mode and kind, displaced mode and kind, coefficient, record)
+FEEDFORWARD_STEPS = st.tuples(_PICK, _KIND, _PICK, _KIND, st.floats(-2.0, 2.0), _PICK)
+
+
+def apply_gate_step(reg, step):
+    """Apply one drawn gate; a squeeze of a mode that carries feed-forward
+    content is refused by the ledger and skipped."""
+    name, a, b, x = step
+    active = reg.active_modes()
+    m, other = active[a % len(active)], active[(a + 1 + b % (len(active) - 1)) % len(active)]
+    if name == "squeeze":
+        try:
+            reg.squeeze(m, MOMENTUM_SQUEEZED if x >= 0 else POSITION_SQUEEZED)
+        except UnsupportedOperationError:
+            pass
+    elif name == "kerr":
+        reg.kerr_couple(m, other, x)
+    elif name == "rotate":
+        reg.rotate(m, 2.0 * x)
+    else:
+        reg.beamsplit(m, other, abs(x) / 1.5)
+
+
+def apply_feedforward_step(reg, step):
+    """Measure a mode while more than two are active, then displace an active
+    mode by any record so far."""
+    a, kind, b, target_kind, coeff, pick = step
+    active = reg.active_modes()
+    if len(active) > 2:
+        reg.measure(active[a % len(active)], kind)
+        active = reg.active_modes()
+    if reg.records:
+        target = active[b % len(active)]
+        reg.displace_with(target, target_kind, coeff, reg.records[pick % len(reg.records)])
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(2, 6),
+    before=st.lists(GATE_STEPS, max_size=6),
+    feedforward=st.lists(FEEDFORWARD_STEPS, min_size=1, max_size=4),
+    after=st.lists(GATE_STEPS, min_size=1, max_size=6),
+)
+def test_random_tapes_keep_canonical_commutators(n, before, feedforward, after):
+    """[X_a, Y_b] = delta_ab and [X_a, X_b] = [Y_a, Y_b] = 0 over every ordered
+    pair of active rows, through measurements, displacements by earlier
+    records and the gates that follow them."""
+    reg = ledger.Register(n)
+    for step in before:
+        apply_gate_step(reg, step)
+    for step in feedforward:
+        apply_feedforward_step(reg, step)
+    for step in after:
+        apply_gate_step(reg, step)
+    rows = {(m, kd): reg.quad_expr(m, kd) for m in reg.active_modes() for kd in (X, Y)}
+    for (a, ka), ea in rows.items():
+        for (b, kb), eb in rows.items():
+            want = {(X, Y): 1.0, (Y, X): -1.0}.get((ka, kb), 0.0) if a == b else 0.0
+            assert abs(ledger.commutator(ea, eb) - want) <= 1e-9, ((a, ka), (b, kb))

@@ -7,8 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from cvcluster import scenario
-from cvcluster.gates import MAX_MODES
+from cvcluster import claims, graphs, ledger, protocols, scenario
+from cvcluster.gates import MAX_MODES, X, Y
 from cvcluster.scenario import (
     ParseError,
     ScenarioRuntimeError,
@@ -325,6 +325,34 @@ def test_bridge_tolerance_scales_with_the_variance():
         report = execute(parse(text), engine=engine, r=r, seed=7)
         assert [row[1] for row in report.csv_rows] == [0, 1, 4, 8]
         assert report.csv_rows[-1][2] == pytest.approx(9226597.801127846)
+
+
+@pytest.mark.parametrize(
+    "name, engine",
+    [("basic_at_r10", "ledger"), ("epr_n2.cvq", "covariance"), ("persistency_n4.cvq", "covariance")],
+)
+def test_large_squeezing_is_not_a_false_disagreement(name, engine):
+    """At r=10 the replayed covariance sums terms near 2.4e8 for a variance
+    near 1e-9; their rounding is not an engine disagreement."""
+    if name == "basic_at_r10":
+        report = execute(parse(BASIC.replace("at r=0,1", "at r=10")), engine=engine)
+        assert report.csv_rows == [("1*y1 - 1*x2", 10.0, pytest.approx(0.5 * math.exp(-20.0)))]
+    else:
+        report = run_file(os.path.join(SCRIPT_DIR, name), engine=engine, r=10.0, seed=7)
+    assert report.failures == []
+
+
+def test_bridge_still_catches_a_variance_off_by_1e_7(monkeypatch):
+    """The scaled allowance stays far below 1e-7 at r=1, in scripts and claims."""
+    exact = ledger.variance_formula
+    battery = claims.Battery()
+    reg = protocols.build_graph_state(graphs.chain(3))
+    battery.add("chain(3)", reg, [[(1.0, 1, Y), (-1.0, 2, X)]])
+    assert claims._claim_cross_engine(battery).passed
+    monkeypatch.setattr(ledger, "variance_formula", lambda expr, r: exact(expr, r) + 1e-7 * (r == 1.0))
+    with pytest.raises(ScenarioRuntimeError, match="engines disagree"):
+        execute(parse(BASIC.replace("at r=0,1", "at r=1")), engine="covariance", r=1.0, seed=7)
+    assert not claims._claim_cross_engine(battery).passed
 
 
 def test_overflowing_replay_is_a_squeezing_diagnostic():
