@@ -17,6 +17,7 @@ coloring that is otherwise applied on a terminal.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -299,6 +300,7 @@ def _checked(convert, valid, wanted: str):
     return parse
 
 
+@functools.cache  # one parser per process, built on first use
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvcluster",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidGraphError, InvalidSizeError
 from .gates import MAX_MODES
@@ -31,7 +32,8 @@ def _norm_edge(a: int, b: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable undirected simple graph."""
+    """Immutable undirected simple graph.  Its neighbour table and mode index
+    are built once, on first use, and are not part of equality, hash or repr."""
 
     vertices: tuple[int, ...]
     edges: frozenset  # of (a, b) tuples with a < b
@@ -40,16 +42,23 @@ class Graph:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def neighborhood(self, a: int) -> tuple[int, ...]:
-        if a not in self.vertices:
-            raise InvalidGraphError(f"vertex {a} not in graph")
-        out = []
+    @cached_property
+    def _neighbors(self) -> dict[int, tuple[int, ...]]:
+        out = {v: [] for v in self.vertices}
         for u, v in self.edges:
-            if u == a:
-                out.append(v)
-            elif v == a:
-                out.append(u)
-        return tuple(sorted(out))
+            out[u].append(v)
+            out[v].append(u)
+        return {v: tuple(sorted(vs)) for v, vs in out.items()}
+
+    @cached_property
+    def _modes(self) -> dict[int, int]:
+        return {v: m for m, v in enumerate(self.vertices, start=1)}
+
+    def neighborhood(self, a: int) -> tuple[int, ...]:
+        try:
+            return self._neighbors[a]
+        except KeyError:
+            raise InvalidGraphError(f"vertex {a} not in graph") from None
 
     def degree(self, a: int) -> int:
         return len(self.neighborhood(a))
@@ -57,8 +66,8 @@ class Graph:
     def mode_of(self, v: int) -> int:
         """1-based register mode index of a vertex (sorted-label order)."""
         try:
-            return self.vertices.index(v) + 1
-        except ValueError:
+            return self._modes[v]
+        except KeyError:
             raise InvalidGraphError(f"vertex {v} not in graph") from None
 
     def vertex_of(self, mode: int) -> int:

@@ -5,7 +5,7 @@ scripts diff cleanly and diagnostics are a (line, column) pair:
 
     register N
     squeeze <m> momentum|position
-    kerr <l> <k> [g=<real>]
+    kerr <l> <k> [g=<real>]      (g = 0 or |g| > 1e-12, the ledger's prune floor)
     rotate <m> -90|90|180|<real>rad
     bs <l> <k> [t=<real>]
     measure x|y <m> -> <name>
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import covariance, ledger
 from .errors import CvClusterError, InternalConsistencyError
-from .gates import MAX_MODES, MOMENTUM_SQUEEZED, POSITION_SQUEEZED, X, Y
+from .gates import MAX_MODES, MOMENTUM_SQUEEZED, POSITION_SQUEEZED, PRUNE_TOL, X, Y
 
 SQRT2 = math.sqrt(2.0)
 
@@ -431,6 +431,8 @@ def parse(text: str, source: str = "<scenario>") -> Scenario:
                 if not tok.text.startswith(prefix):
                     p.fail(tok, f"{prefix}<real>")
                 value = p.real(tok.text[len(prefix):], tok.col, f"{prefix}<real>", tok.text)
+                if head.text == "kerr" and 0 < abs(value) <= PRUNE_TOL:  # the ledger would prune it
+                    p.fail(tok, f"g=0 or |g| > {PRUNE_TOL:g}")
                 given = True
                 p.pos += 1
             p.done()

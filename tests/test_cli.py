@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, output contracts."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -84,6 +86,27 @@ def test_run_non_finite_parameter_is_a_positioned_parse_error(tmp_path, capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{p}:4:{col}: expected a finite real, found {found!r}\n"
+
+
+@pytest.mark.parametrize("engine", ["ledger", "covariance"])
+@pytest.mark.parametrize("g", ["1e-13", "-1e-12", "5e-300"])
+def test_run_kerr_below_the_prune_floor_is_a_positioned_parse_error(tmp_path, capsys, engine, g):
+    """A coupling the ledger would prune cannot let ``assert product`` pass."""
+    p = tmp_path / "tiny.cvq"
+    p.write_text("register 2\nsqueeze 1 momentum\nsqueeze 2 momentum\n"
+                 f"kerr 1 2 g={g}\nassert product\n")
+    assert cli.main(["run", str(p), "--engine", engine, "--r", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{p}:4:10: expected g=0 or |g| > 1e-12, found 'g={g}'\n"
+
+
+def test_run_zero_kerr_coupling_stays_legal(tmp_path, capsys):
+    p = tmp_path / "zero.cvq"
+    p.write_text("register 2\nsqueeze 1 momentum\nsqueeze 2 momentum\n"
+                 "kerr 1 2 g=0\nkerr 1 2 g=-0.0\nassert product\n")
+    assert cli.main(["run", str(p)]) == 0
+    assert "status: pass (1/1 asserts)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag, value", [("--r", "nan"), ("--r", "inf"), ("--seed", "-1")])
@@ -334,3 +357,37 @@ def test_usage_error_from_argparse(capsys):
         cli.main(["sweep", "--state", "chain:2", "--combo", "1*x1", "--r", "nan,inf"])
     assert err.value.code == 2
     assert "error: argument --r: expected comma-separated finite reals" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# parser
+# ---------------------------------------------------------------------------
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    for name, command in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name,
+                            lambda args, command=command: seen.append(args) or command(args))
+    path = write_edges(tmp_path, "g.txt", 5, [(1, 2), (2, 3), (1, 4), (4, 5), (5, 3), (2, 5)])
+    assert cli.main(["graph", path, "--protocol", "reduce-path", "--a", "1", "--b", "3"]) == 0
+    chain = write_edges(tmp_path, "chain.txt", 5, [(i, i + 1) for i in range(1, 5)])
+    assert cli.main(["graph", chain, "--protocol", "disentangle"]) == 0
+    assert cli.main(["run", script("epr_n2.cvq"), "--engine", "covariance", "--r", "1"]) == 0
+    assert cli.main(["run", script("epr_n2.cvq")]) == 0
+    assert [(a.a, a.b) for a in seen[:2]] == [(1, 3), (None, None)]
+    assert [(a.engine, a.r, a.seed) for a in seen[2:]] == [("covariance", 1.0, None), ("ledger", None, None)]
+    capsys.readouterr()
+    # Usage errors go to whatever stderr is current, not the one the parser was built under.
+    earlier = io.StringIO()
+    with contextlib.redirect_stderr(earlier), pytest.raises(SystemExit):
+        cli.main(["graph", path])
+    with pytest.raises(SystemExit) as err:
+        cli.main(["run", script("epr_n2.cvq"), "--seed", "-1"])
+    assert err.value.code == 2
+    assert "the following arguments are required: --protocol" in earlier.getvalue()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: cvcluster run")
+    assert "error: argument --seed: expected a non-negative integer" in captured.err

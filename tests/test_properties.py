@@ -1,6 +1,6 @@
-"""Property tests: a closed-form graph-state oracle and the edge-list round
-trip over random simple graphs, and canonical commutators on random ledger
-tapes with feed-forward.
+"""Property tests: a closed-form graph-state oracle, the edge-list round trip
+and the graph lookup tables over random simple graphs, and canonical
+commutators on random ledger tapes with feed-forward.
 
 The oracle is the Gaussian graphical calculus (Menicucci, Flammia & van Loock,
 PRA 83, 042335 (2011)): the graph state of adjacency matrix A at squeezing r
@@ -15,11 +15,12 @@ deterministic.
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
 from cvcluster import graphs, ledger, protocols
-from cvcluster.errors import UnsupportedOperationError
+from cvcluster.errors import InvalidGraphError, UnsupportedOperationError
 from cvcluster.gates import MOMENTUM_SQUEEZED, POSITION_SQUEEZED, X, Y
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -73,6 +74,50 @@ def test_edge_list_round_trip(data, g):
     lines = [f"vertices {g.n_vertices}"]
     lines += [f"{b} {a}" if flip & 1 else f"{a} {b}" for (a, b), flip in zip(edges, flips)]
     assert graphs.parse_edge_list("\n".join(lines) + "\n") == g
+
+
+@st.composite
+def labelled_graphs(draw, max_vertices=12):
+    """A simple graph on arbitrary distinct integer labels, and its edges in
+    two independently drawn orders and orientations."""
+    labels = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=max_vertices,
+                           unique=True))
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    keep = draw(st.binary(min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, byte in zip(pairs, keep) if byte & 1]
+    orders = []
+    for _ in range(2):
+        order = draw(st.permutations(edges))
+        flips = draw(st.binary(min_size=len(order), max_size=len(order)))
+        orders.append([(b, a) if flip & 1 else (a, b) for (a, b), flip in zip(order, flips)])
+    return labels, orders
+
+
+@PROPERTY_SETTINGS
+@given(drawn=labelled_graphs())
+def test_graph_tables_match_an_edge_scan(drawn):
+    """Neighbour table and mode index agree with a scan of the edges, reject
+    unknown vertices, and leave equality, hash and repr alone."""
+    labels, (first, second) = drawn
+    g = graphs.from_edges(first, vertices=labels)
+    for v in labels:
+        scan = tuple(sorted([b for a, b in g.edges if a == v] + [a for a, b in g.edges if b == v]))
+        assert g.neighborhood(v) == scan
+        assert g.degree(v) == len(scan)
+    for m in range(1, len(labels) + 1):
+        assert g.mode_of(g.vertex_of(m)) == m
+    unknown = max(labels) + 1
+    for query in (g.neighborhood, g.degree, g.mode_of):
+        with pytest.raises(InvalidGraphError, match=f"^vertex {unknown} not in graph$"):
+            query(unknown)
+    h = graphs.from_edges(second, vertices=reversed(labels))
+    h.neighborhood(labels[0])  # build both graphs' tables before comparing
+    h.mode_of(labels[-1])
+    assert g == h and hash(g) == hash(h)
+    # A frozenset's repr follows its insertion history, so repr is compared
+    # with an unqueried graph built from the same edge order.
+    assert repr(g) == repr(graphs.from_edges(first, vertices=labels))
+    assert repr(h) == repr(graphs.from_edges(second, vertices=reversed(labels)))
 
 
 # A tape step names modes by position among the active ones (taken modulo
