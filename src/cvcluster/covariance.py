@@ -64,18 +64,19 @@ def vacuum_state(n: int) -> GaussianState:
 def apply_gate(state: GaussianState, gate: gates.Gate, r: float | None = None) -> GaussianState:
     """Apply one gate; ``r`` supplies the numeric squeezing for Squeeze gates.
 
-    The gate's symplectic block comes from :func:`gates.block`, which checks
-    it (S Omega S^T = Omega to 1e-12) the first time it is built.  Only the
-    affected rows/columns are updated, so building large states stays linear
-    in n per gate.  A state that overflows float range is a
+    The gate's block and where it sits come from :func:`gates.placement`,
+    which checks the block (S Omega S^T = Omega to 1e-12) when it is built.
+    Only those rows/columns are updated.  A mode outside the state is reported
+    before any error in the block; a state that overflows float range is a
     :class:`DomainError`, never an ``inf`` or NaN entry.
     """
-    modes = gates.modes(gate)
-    for m in modes:
-        if not 1 <= m <= state.n:
-            raise InvalidSizeError(f"gate touches mode {m} outside 1..{state.n}")
-    block = gates.block(gate, r)
-    idx = [quad_index(m, kind) for m in modes for kind in (X, Y)]
+    try:
+        block, idx, (low, high) = gates.placement(gate, r)
+    except DomainError:
+        _check_modes(state, gate)
+        raise
+    if low < 1 or high > state.n:
+        _check_modes(state, gate)
     mean = state.mean.copy()
     cov = state.cov.copy()
     try:
@@ -88,6 +89,13 @@ def apply_gate(state: GaussianState, gate: gates.Gate, r: float | None = None) -
             f"{gate!r} at r={r!r} leaves float range; squeezing too large"
         ) from None
     return GaussianState(state.n, mean, cov)
+
+
+def _check_modes(state: GaussianState, gate: gates.Gate) -> None:
+    """Raise for the first of the gate's modes outside the state, if any."""
+    for m in gates.modes(gate):
+        if not 1 <= m <= state.n:
+            raise InvalidSizeError(f"gate touches mode {m} outside 1..{state.n}")
 
 
 def apply_tape(state: GaussianState, tape, r: float | None = None) -> GaussianState:

@@ -95,6 +95,8 @@ class Kerr:
     def __post_init__(self):
         if self.l == self.k:
             raise SelfInteractionError(f"kerr coupling mode {self.l} with itself")
+        if not math.isfinite(self.g):
+            raise DomainError(f"coupling must be finite, got {self.g}")
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,10 @@ class Rotate:
 
     mode: int
     theta: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise DomainError(f"rotation angle must be finite, got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -161,46 +167,45 @@ def symplectic_form(n: int) -> np.ndarray:
     return np.kron(np.eye(n), omega)
 
 
-# Distinct blocks kept by :func:`block`: a 4x4 block is about 0.5 kB, so the
-# cache stays under about 2 MB; a script or claims round uses about 1.5k.
+# Distinct gates kept by :func:`placement`: an entry (gate, block and placement)
+# takes about 0.9 kB, so the cache stays under about 4 MB; a round uses about 1.5k.
 BLOCK_CACHE_SIZE = 4096
 
 
 def block(gate: Gate, r: float | None = None) -> np.ndarray:
-    """The gate's symplectic block: 2x2 for one mode, 4x4 for two.
+    """The gate's symplectic block, shared and read-only (see :func:`placement`)."""
+    return placement(gate, r)[0]
 
-    Rows and columns run over (X, Y) of each mode in :func:`modes` order.
-    ``r`` is the numeric squeezing parameter; it is only needed for
-    :class:`Squeeze` gates (the ledger keeps r symbolic, the covariance
-    engine does not).  Each distinct block is built and checked to be
-    symplectic once; the returned array is shared and read-only.
+
+def placement(gate: Gate, r: float | None = None):
+    """``(block, index, (low, high))``: the gate's block and where it sits.
+
+    The block is 2x2 for one mode, 4x4 for two; rows and columns run over
+    (X, Y) of each mode in :func:`modes` order.  ``index`` picks those
+    quadratures out of (X_1, Y_1, ..., X_n, Y_n): a slice for one mode, a
+    read-only ``intp`` array for two.  ``low`` and ``high`` are the smallest
+    and largest mode.  ``r`` is the numeric squeezing parameter; it is only
+    needed for :class:`Squeeze` gates (the ledger keeps r symbolic, the
+    covariance engine does not).  Each distinct gate is placed and its block
+    checked to be symplectic once; the result is cached and shared.
     """
     return _checked_block(gate, r if isinstance(gate, Squeeze) else None)
 
 
 @functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
-def _checked_block(gate: Gate, r: float | None) -> np.ndarray:
+def _checked_block(gate: Gate, r: float | None):
     if isinstance(gate, Squeeze):
         if r is None:
             raise DomainError("numeric r is required to build a squeeze matrix")
-        s_mat = np.eye(2)
-        if gate.direction == MOMENTUM_SQUEEZED:
-            s_mat[0, 0] = finite_exp(r)
-            s_mat[1, 1] = finite_exp(-r)
-        else:
-            s_mat[0, 0] = finite_exp(-r)
-            s_mat[1, 1] = finite_exp(r)
+        x, y = (r, -r) if gate.direction == MOMENTUM_SQUEEZED else (-r, r)
+        s_mat = np.diag([finite_exp(x), finite_exp(y)])
     elif isinstance(gate, Kerr):
         s_mat = np.eye(4)
         s_mat[1, 2] = gate.g
         s_mat[3, 0] = gate.g
     elif isinstance(gate, Rotate):
-        s_mat = np.eye(2)
         c, s = cos_sin(gate.theta)
-        s_mat[0, 0] = c
-        s_mat[0, 1] = s
-        s_mat[1, 0] = -s
-        s_mat[1, 1] = c
+        s_mat = np.array([[c, s], [-s, c]])
     elif isinstance(gate, Beamsplit):
         s_mat = np.eye(4)
         s = math.sqrt(gate.t)
@@ -215,7 +220,12 @@ def _checked_block(gate: Gate, r: float | None) -> np.ndarray:
     if not is_symplectic(s_mat):
         raise InternalConsistencyError(f"gate block for {gate!r} is not symplectic")
     s_mat.flags.writeable = False
-    return s_mat
+    ms = modes(gate)
+    index = slice(2 * ms[0] - 2, 2 * ms[0])
+    if len(ms) == 2:
+        index = np.array([q for m in ms for q in (2 * m - 2, 2 * m - 1)], dtype=np.intp)
+        index.flags.writeable = False
+    return s_mat, index, (min(ms), max(ms))
 
 
 def is_symplectic(s_mat: np.ndarray) -> bool:

@@ -7,7 +7,7 @@ scripts diff cleanly and diagnostics are a (line, column) pair:
     squeeze <m> momentum|position
     kerr <l> <k> [g=<real>]      (g = 0 or |g| > 1e-12, the ledger's prune floor)
     rotate <m> -90|90|180|<real>rad
-    bs <l> <k> [t=<real>]
+    bs <l> <k> [t=<real>]        (t = 0 or t > 1e-24, so sqrt(t) clears the prune floor)
     measure x|y <m> -> <name>
     displace y|x <m> += <coeff>*<name>
     assert nullifier <coeff>*x<m>|y<m> [+|- ...]
@@ -433,6 +433,8 @@ def parse(text: str, source: str = "<scenario>") -> Scenario:
                 value = p.real(tok.text[len(prefix):], tok.col, f"{prefix}<real>", tok.text)
                 if head.text == "kerr" and 0 < abs(value) <= PRUNE_TOL:  # the ledger would prune it
                     p.fail(tok, f"g=0 or |g| > {PRUNE_TOL:g}")
+                if head.text == "bs" and 0 < value <= PRUNE_TOL**2:  # ... or sqrt(t)
+                    p.fail(tok, f"t=0 or t > {PRUNE_TOL**2:g}")
                 given = True
                 p.pos += 1
             p.done()

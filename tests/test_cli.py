@@ -109,6 +109,31 @@ def test_run_zero_kerr_coupling_stays_legal(tmp_path, capsys):
     assert "status: pass (1/1 asserts)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("engine", ["ledger", "covariance"])
+@pytest.mark.parametrize("t", ["1e-25", "1e-24", "5e-300"])
+def test_run_beamsplitter_below_the_prune_floor_is_a_positioned_parse_error(tmp_path, capsys,
+                                                                            engine, t):
+    """A transmittance whose sqrt(t) cross terms the ledger would prune cannot
+    let ``assert product`` pass."""
+    p = tmp_path / "tiny.cvq"
+    p.write_text("register 2\nsqueeze 1 momentum\nsqueeze 2 position\n"
+                 f"bs 1 2 t={t}\nassert product\n")
+    assert cli.main(["run", str(p), "--engine", engine, "--r", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{p}:4:8: expected t=0 or t > 1e-24, found 't={t}'\n"
+
+
+@pytest.mark.parametrize("engine", ["ledger", "covariance"])
+def test_run_beamsplitter_just_above_the_prune_floor_is_seen(tmp_path, capsys, engine):
+    """``t=0`` stays legal, and the smallest accepted t already breaks ``assert product``."""
+    p = tmp_path / "bs.cvq"
+    p.write_text("register 2\nsqueeze 1 momentum\nsqueeze 2 position\n"
+                 "bs 1 2 t=0\nassert product\nbs 1 2 t=1.1e-24\nassert product\n")
+    assert cli.main(["run", str(p), "--engine", engine, "--r", "1"]) == 1
+    assert "status: fail (1/2 asserts)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flag, value", [("--r", "nan"), ("--r", "inf"), ("--seed", "-1")])
 def test_run_bad_r_or_seed_is_a_usage_error(capsys, flag, value):
     argv = ["run", script("epr_n2.cvq"), "--engine", "covariance", "--r", "1", "--seed", "7"]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cvcluster import covariance, gates, ledger
+from cvcluster import covariance, gates, graphs, ledger, protocols
 from cvcluster.covariance import (
     GaussianState,
     apply_gate,
@@ -115,6 +115,110 @@ def test_symplectic_transforms_leave_purity():
     # symplectic congruence keeps det(V) = (1/2)^{2n} for a pure state
     assert np.linalg.det(state.cov) == pytest.approx(0.5 ** 6, rel=1e-9)
     assert is_physical(state)
+
+
+@pytest.mark.parametrize("make", [lambda x: Rotate(1, x), lambda x: Kerr(1, 2, x)],
+                         ids=["rotate", "kerr"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_angle_or_coupling_is_a_domain_error(make, value):
+    """A gate is a cache key, and a NaN gate never equals itself."""
+    with pytest.raises(DomainError):
+        apply_gate(vacuum_state(2), make(value))
+
+
+# ---------------------------------------------------------------------------
+# placement: the cached rows keep the bits of the per-gate rule
+# ---------------------------------------------------------------------------
+
+
+def per_gate_rule(state, tape, r):
+    """The update before placements were cached: a full copy, a list fancy
+    index and the three updates, gate by gate."""
+    for gate in tape:
+        block = gates.block(gate, r)
+        idx = [quad_index(m, kind) for m in gates.modes(gate) for kind in (X, Y)]
+        mean = state.mean.copy()
+        cov = state.cov.copy()
+        mean[idx] = block @ mean[idx]
+        cov[idx, :] = block @ cov[idx, :]
+        cov[:, idx] = cov[:, idx] @ block.T
+        state = GaussianState(state.n, mean, cov)
+    return state
+
+
+def random_gate(rng, n):
+    """Any gate kind; two-mode gates come in either mode order."""
+    l, k = (int(m) for m in rng.choice(np.arange(1, n + 1), size=2, replace=False))
+    kind = rng.integers(5)
+    if kind == 0:
+        return Squeeze(l, MOMENTUM_SQUEEZED if rng.random() < 0.5 else POSITION_SQUEEZED)
+    if kind == 1:
+        return Rotate(l, float(rng.uniform(-4.0, 4.0)))
+    if kind == 2:
+        return Rotate(l, math.pi / 2 * int(rng.integers(-4, 5)))
+    if kind == 3:
+        return Kerr(l, k, float(rng.uniform(-2.0, 2.0)))
+    return Beamsplit(l, k, float(rng.uniform(0.0, 1.0)))
+
+
+def assert_same_bits(start, tape, r):
+    got = apply_tape(start, tape, r)
+    want = per_gate_rule(start, tape, r)
+    assert np.array_equal(got.mean, want.mean)
+    assert np.array_equal(got.cov, want.cov)
+
+
+def test_apply_tape_keeps_the_bits_of_the_per_gate_rule():
+    rng = np.random.default_rng(9)
+    for _ in range(60):
+        n = int(rng.integers(2, 12))
+        tape = [random_gate(rng, n) for _ in range(40)]
+        start = GaussianState(n, rng.normal(size=2 * n), 0.5 * np.eye(2 * n))
+        for r in (0.0, 0.25, 1.0, 2.0):
+            assert_same_bits(start, tape, r)
+    tape = protocols.build_graph_state(graphs.grid(10, 12)).history
+    for r in (0.0, 0.25, 1.0, 2.0):
+        assert_same_bits(vacuum_state(120), tape, r)
+
+
+def test_blocks_are_their_closed_forms_bit_for_bit():
+    r = 0.7
+    assert np.array_equal(gates.block(Squeeze(1, MOMENTUM_SQUEEZED), r),
+                          [[math.exp(r), 0.0], [0.0, math.exp(-r)]])
+    assert np.array_equal(gates.block(Squeeze(1, POSITION_SQUEEZED), r),
+                          [[math.exp(-r), 0.0], [0.0, math.exp(r)]])
+    for theta in (0.4, -2.9, math.pi / 2, -math.pi):
+        c, s = gates.cos_sin(theta)
+        assert np.array_equal(gates.block(Rotate(1, theta)), [[c, s], [-s, c]])
+
+
+def test_gate_placement_is_cached_with_the_block():
+    block, index, span = gates.placement(Squeeze(3, POSITION_SQUEEZED), 0.7)
+    assert block is gates.block(Squeeze(3, POSITION_SQUEEZED), 0.7)
+    assert (index, span) == (slice(4, 6), (3, 3))
+    block, index, span = gates.placement(Kerr(7, 3, 0.5))
+    assert block is gates.block(Kerr(7, 3, 0.5), 1.3)
+    assert index.tolist() == [12, 13, 4, 5]  # MODE_FIELDS order, not sorted
+    assert index.dtype == np.intp and span == (3, 7)
+    assert gates.placement(Kerr(7, 3, 0.5), 1.3)[1] is index
+    assert index.flags.writeable is False
+    with pytest.raises(ValueError):
+        index[0] = 0
+    assert gates.placement(Beamsplit(2, 5, 0.3))[1].tolist() == [2, 3, 8, 9]
+
+
+def test_a_mode_outside_the_state_is_reported_first():
+    """Before any error in building the block, and naming the first bad mode."""
+    with pytest.raises(InvalidSizeError, match=r"mode 5 outside 1\.\.3"):
+        apply_gate(vacuum_state(3), Kerr(5, 0, 1.0))
+    with pytest.raises(InvalidSizeError, match=r"mode 0 outside 1\.\.3"):
+        apply_gate(vacuum_state(3), Kerr(0, 5, 1.0))
+    with pytest.raises(InvalidSizeError, match=r"mode 5 outside 1\.\.2"):
+        apply_gate(vacuum_state(2), Squeeze(5, MOMENTUM_SQUEEZED))  # no r
+    with pytest.raises(InvalidSizeError, match=r"mode 5 outside 1\.\.2"):
+        apply_gate(vacuum_state(2), Squeeze(5, MOMENTUM_SQUEEZED), 1000.0)
+    with pytest.raises(DomainError):
+        apply_gate(vacuum_state(2), Squeeze(2, MOMENTUM_SQUEEZED))
 
 
 # ---------------------------------------------------------------------------

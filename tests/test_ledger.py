@@ -134,6 +134,18 @@ def test_beamsplit_transmittance_domain():
         reg.beamsplit(1, 2, 1.5)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_angle_or_coupling_is_a_domain_error(value):
+    """Neither a bare ValueError nor a NaN stored in the rows."""
+    reg = Register(2)
+    with pytest.raises(DomainError):
+        reg.rotate(1, value)
+    with pytest.raises(DomainError):
+        reg.kerr_couple(1, 2, value)
+    assert reg.history == []
+    assert term_dict(reg.quad_expr(1, Y)) == {(1, Y, 0): 1.0}
+
+
 def test_gates_reject_self_interaction():
     reg = Register(2)
     with pytest.raises(SelfInteractionError):

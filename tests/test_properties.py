@@ -1,12 +1,14 @@
-"""Property tests: a closed-form graph-state oracle, the edge-list round trip
-and the graph lookup tables over random simple graphs, and canonical
-commutators on random ledger tapes with feed-forward.
+"""Property tests: a closed-form graph-state oracle, before and after an
+X-measurement, the edge-list round trip and the graph lookup tables over
+random simple graphs, and canonical commutators on random ledger tapes with
+feed-forward.
 
 The oracle is the Gaussian graphical calculus (Menicucci, Flammia & van Loock,
 PRA 83, 042335 (2011)): the graph state of adjacency matrix A at squeezing r
 is the pure state Z = V + iU = A + i e^{-2r} I, whose covariance in
-(X..., Y...) order is 1/2 [[U^-1, U^-1 V], [V U^-1, U + V U^-1 V]].  It shares
-no code with either engine.
+(X..., Y...) order is 1/2 [[U^-1, U^-1 V], [V U^-1, U + V U^-1 V]].  Measuring
+X of a vertex deletes it from Z (Gu et al., PRA 79, 062318 (2009)).  The
+oracle shares no code with either engine.
 
 Runs are derandomized and keep no example database, so the suite stays
 deterministic.
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
-from cvcluster import graphs, ledger, protocols
+from cvcluster import covariance, graphs, ledger, protocols
 from cvcluster.errors import InvalidGraphError, UnsupportedOperationError
 from cvcluster.gates import MOMENTUM_SQUEEZED, POSITION_SQUEEZED, X, Y
 
@@ -33,9 +35,9 @@ configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @st.composite
-def simple_graphs(draw, max_vertices=12):
+def simple_graphs(draw, min_vertices=1, max_vertices=12):
     """A simple graph on vertices 1..n with any subset of the possible edges."""
-    n = draw(st.integers(1, max_vertices))
+    n = draw(st.integers(min_vertices, max_vertices))
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     keep = draw(st.binary(min_size=len(pairs), max_size=len(pairs)))  # one byte per pair
     edges = [e for e, byte in zip(pairs, keep) if byte & 1]
@@ -62,6 +64,27 @@ def test_graph_state_matches_the_z_oracle(g, r):
     got = protocols.build_graph_state(g, "covariance", r).cov
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert protocols.graph_row_deviation(protocols.build_graph_state(g), g) == 0
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), g=simple_graphs(min_vertices=2), r=st.floats(0.0, 2.0))
+def test_x_measurement_deletes_the_vertex_in_the_z_oracle(data, g, r):
+    """Homodyning X of vertex v leaves the other modes in the graph state of g
+    with v deleted, whatever the outcome, and puts mode v back in vacuum."""
+    v = data.draw(st.sampled_from(g.vertices))
+    state = protocols.build_graph_state(g, "covariance", r)
+    cov = covariance.homodyne(state, g.mode_of(v), X, outcome=0.0).state.cov
+    rest = graphs.from_edges([e for e in g.edges if v not in e],
+                             vertices=[u for u in g.vertices if u != v])
+    want = z_oracle_covariance(rest, r)
+    q = 2 * (g.mode_of(v) - 1)
+    others = [i for i in range(2 * g.n_vertices) if i not in (q, q + 1)]
+    got = cov[np.ix_(others, others)]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    vacuum_rows = np.zeros((2, 2 * g.n_vertices))
+    vacuum_rows[:, q:q + 2] = 0.5 * np.eye(2)
+    assert np.array_equal(cov[q:q + 2, :], vacuum_rows)
+    assert np.array_equal(cov[:, q:q + 2], vacuum_rows.T)
 
 
 @PROPERTY_SETTINGS

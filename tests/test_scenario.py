@@ -120,6 +120,7 @@ def test_parse_combo_standalone():
         ("register 1\nsqueeze 1 momentum extra\n", 2, 20, "end of line"),
         ("register 2\nkerr 1 2 g=nan\n", 2, 10, "a finite real"),
         ("register 2\nkerr 1 2 g=1e-13\n", 2, 10, "g=0 or |g| > 1e-12"),
+        ("register 2\nbs 1 2 t=1e-25\n", 2, 8, "t=0 or t > 1e-24"),
         ("register 2\nbs 1 2 t=inf\n", 2, 8, "a finite real"),
         ("register 1\nrotate 1 infrad\n", 2, 10, "a finite real"),
         ("register 1\nrotate 1 -nanrad\n", 2, 10, "a finite real"),
