@@ -139,13 +139,14 @@ def cos_sin(theta: float) -> tuple[float, float]:
 
     Quarter turns are the workhorse rotation in every protocol here; snapping
     them to exact +-1/0 keeps ledger coefficients integral instead of leaving
-    1e-17 debris that would survive pruning.
+    1e-17 debris that would survive pruning.  Only angles whose quarter-turn
+    count the float grid resolves to ``QUARTER_TURN_TOL`` snap (|theta| below
+    about 1.3e4); past that every count looks whole, so ``math`` decides.
     """
     quarter = theta / (math.pi / 2.0)
     nearest = round(quarter)
-    if abs(quarter - nearest) < QUARTER_TURN_TOL:
-        c, s = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)][nearest % 4]
-        return c, s
+    if math.ulp(quarter) <= QUARTER_TURN_TOL and abs(quarter - nearest) < QUARTER_TURN_TOL:
+        return [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)][nearest % 4]
     return math.cos(theta), math.sin(theta)
 
 
@@ -172,11 +173,6 @@ def symplectic_form(n: int) -> np.ndarray:
 BLOCK_CACHE_SIZE = 4096
 
 
-def block(gate: Gate, r: float | None = None) -> np.ndarray:
-    """The gate's symplectic block, shared and read-only (see :func:`placement`)."""
-    return placement(gate, r)[0]
-
-
 def placement(gate: Gate, r: float | None = None):
     """``(block, index, (low, high))``: the gate's block and where it sits.
 
@@ -187,7 +183,8 @@ def placement(gate: Gate, r: float | None = None):
     and largest mode.  ``r`` is the numeric squeezing parameter; it is only
     needed for :class:`Squeeze` gates (the ledger keeps r symbolic, the
     covariance engine does not).  Each distinct gate is placed and its block
-    checked to be symplectic once; the result is cached and shared.
+    checked to be symplectic once; the result is cached, and the block and
+    index are the same read-only objects on every call.
     """
     return _checked_block(gate, r if isinstance(gate, Squeeze) else None)
 

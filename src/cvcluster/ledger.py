@@ -29,7 +29,6 @@ from .errors import (
     InternalConsistencyError,
     InvalidSizeError,
     RecordOwnershipError,
-    SelfInteractionError,
     UnsupportedOperationError,
 )
 from .gates import COMMUTATOR_TOL, MOMENTUM_SQUEEZED, NULLIFIER_TOL, PRUNE_TOL, X, Y
@@ -230,53 +229,57 @@ class Register:
 
     # -- gates ------------------------------------------------------------
 
-    def squeeze(self, mode: int, direction: str = MOMENTUM_SQUEEZED) -> "Register":
-        """Scale one mode by e^{+-r}: momentum -> (X*e^{+r}, Y*e^{-r})."""
-        gate = gates.Squeeze(mode, direction)
-        md = self._mode(mode)
-        if md.book[X] or md.book[Y]:
-            raise UnsupportedOperationError(
-                "squeezing a mode that already carries feed-forward content "
-                "would attach the symbolic r to classical records"
-            )
-        dx = +1 if direction == MOMENTUM_SQUEEZED else -1
-        for kind, dk in ((X, dx), (Y, -dx)):
-            md.row[kind] = {(m, kd, k + dk): c for (m, kd, k), c in md.row[kind].items()}
+    def apply(self, gate: gates.Gate) -> "Register":
+        """Rewrite rows and books for one gate and append it to ``history``.
+
+        ``Squeeze`` scales one mode by e^{+-r} (momentum: X*e^{+r}, Y*e^{-r});
+        ``Kerr`` adds g X of each partner to the other's Y; ``Rotate`` and
+        ``Beamsplit`` mix quadratures as :mod:`gates` describes.
+        """
+        if isinstance(gate, gates.Squeeze):
+            md = self._mode(gate.mode)
+            if md.book[X] or md.book[Y]:
+                raise UnsupportedOperationError(
+                    "squeezing a mode that already carries feed-forward content "
+                    "would attach the symbolic r to classical records"
+                )
+            dx = +1 if gate.direction == MOMENTUM_SQUEEZED else -1
+            for kind, dk in ((X, dx), (Y, -dx)):
+                md.row[kind] = {(m, kd, k + dk): c for (m, kd, k), c in md.row[kind].items()}
+        elif isinstance(gate, gates.Kerr):
+            ml, mk = self._mode(gate.l), self._mode(gate.k)
+            for dst, src in ((ml, mk), (mk, ml)):
+                _accumulate(dst.row[Y], gate.g, src.row[X])
+                _accumulate(dst.book[Y], gate.g, src.book[X])
+        elif isinstance(gate, gates.Rotate):
+            md = self._mode(gate.mode)
+            c, s = gates.cos_sin(gate.theta)
+            _mix_quads(md, X, md, Y, ((c, s), (-s, c)))
+        elif isinstance(gate, gates.Beamsplit):
+            ml, mk = self._mode(gate.l), self._mode(gate.k)
+            s, c = math.sqrt(gate.t), math.sqrt(1.0 - gate.t)
+            for kind in (X, Y):
+                _mix_quads(ml, kind, mk, kind, ((s, c), (c, -s)))
+        else:
+            raise TypeError(f"not a gate: {gate!r}")
         self.history.append(gate)
         return self
+
+    def squeeze(self, mode: int, direction: str = MOMENTUM_SQUEEZED) -> "Register":
+        return self.apply(gates.Squeeze(mode, direction))
 
     def kerr_couple(self, l: int, k: int, g: float = 1.0) -> "Register":
-        """Couple two modes: Y_l += g X_k, Y_k += g X_l (X untouched)."""
-        gate = gates.Kerr(l, k, g)
-        ml, mk = self._mode(l), self._mode(k)
-        for dst, src in ((ml, mk), (mk, ml)):
-            _accumulate(dst.row[Y], g, src.row[X])
-            _accumulate(dst.book[Y], g, src.book[X])
-        self.history.append(gate)
-        return self
+        return self.apply(gates.Kerr(l, k, g))
 
     def rotate(self, mode: int, theta: float) -> "Register":
-        """Phase-space rotation X' = cos X + sin Y, Y' = -sin X + cos Y."""
-        gate = gates.Rotate(mode, theta)
-        md = self._mode(mode)
-        c, s = gates.cos_sin(theta)
-        _mix_quads(md, X, md, Y, ((c, s), (-s, c)))
-        self.history.append(gate)
-        return self
+        return self.apply(gates.Rotate(mode, theta))
 
     def paper_minus_90(self, mode: int) -> "Register":
         """The -90 degree local turn used in all correlation sets: (X,Y) -> (-Y, X)."""
         return self.rotate(mode, -math.pi / 2.0)
 
     def beamsplit(self, l: int, k: int, t: float = 0.5) -> "Register":
-        """Mix two modes: X_l' = s X_l + c X_k, X_k' = c X_l - s X_k (same for Y)."""
-        gate = gates.Beamsplit(l, k, t)
-        ml, mk = self._mode(l), self._mode(k)
-        s, c = math.sqrt(t), math.sqrt(1.0 - t)
-        for kind in (X, Y):
-            _mix_quads(ml, kind, mk, kind, ((s, c), (c, -s)))
-        self.history.append(gate)
-        return self
+        return self.apply(gates.Beamsplit(l, k, t))
 
     # -- measurement and feed-forward -------------------------------------
 

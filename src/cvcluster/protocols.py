@@ -30,6 +30,10 @@ from .gates import (
     SOLVER_TOL,
     X,
     Y,
+    Beamsplit,
+    Kerr,
+    Rotate,
+    Squeeze,
 )
 
 
@@ -96,12 +100,10 @@ def build_graph_state(graph: graphs.Graph, engine: str = "ledger", r: float | No
     ``Y_a = e^{-r} y0_a + e^{+r} sum of neighbour x0``.
     """
     n = graph.n_vertices
-    reg = ledger.Register(n)
-    for m in range(1, n + 1):
-        reg.squeeze(m, MOMENTUM_SQUEEZED)
-    for l, k in sorted((graph.mode_of(a), graph.mode_of(b)) for a, b in graph.edges):
-        reg.kerr_couple(l, k, 1.0)
-    return _on_engine(reg, engine, r)
+    tape = [Squeeze(m, MOMENTUM_SQUEEZED) for m in range(1, n + 1)]
+    tape += [Kerr(l, k, 1.0)
+             for l, k in sorted((graph.mode_of(a), graph.mode_of(b)) for a, b in graph.edges)]
+    return _on_engine(n, tape, engine, r)
 
 
 def build_bs_chain(n: int, engine: str = "ledger", r: float | None = None):
@@ -118,14 +120,11 @@ def build_bs_chain(n: int, engine: str = "ledger", r: float | None = None):
     """
     if n < 2:
         raise ProtocolPreconditionError("beamsplitter chain needs n >= 2")
-    reg = ledger.Register(n)
-    reg.squeeze(1, MOMENTUM_SQUEEZED)
-    for m in range(2, n + 1):
-        reg.squeeze(m, POSITION_SQUEEZED)
+    tape = [Squeeze(1, MOMENTUM_SQUEEZED)]
+    tape += [Squeeze(m, POSITION_SQUEEZED) for m in range(2, n + 1)]
     for i in range(1, n):
-        reg.beamsplit(i, i + 1, 0.5)
-        reg.rotate(i + 1, -math.pi / 2.0)
-    return _on_engine(reg, engine, r)
+        tape += [Beamsplit(i, i + 1, 0.5), Rotate(i + 1, -math.pi / 2.0)]
+    return _on_engine(n, tape, engine, r)
 
 
 def build_ghz_optics(n: int, engine: str = "ledger", r: float | None = None):
@@ -140,23 +139,24 @@ def build_ghz_optics(n: int, engine: str = "ledger", r: float | None = None):
     """
     if n < 2:
         raise ProtocolPreconditionError("GHZ optics needs n >= 2")
-    reg = ledger.Register(n)
-    reg.squeeze(1, POSITION_SQUEEZED)
-    for m in range(2, n + 1):
-        reg.squeeze(m, MOMENTUM_SQUEEZED)
-    for i in range(1, n):
-        reg.beamsplit(i, i + 1, 1.0 / (n - i + 1))
-    return _on_engine(reg, engine, r)
+    tape = [Squeeze(1, POSITION_SQUEEZED)]
+    tape += [Squeeze(m, MOMENTUM_SQUEEZED) for m in range(2, n + 1)]
+    tape += [Beamsplit(i, i + 1, 1.0 / (n - i + 1)) for i in range(1, n)]
+    return _on_engine(n, tape, engine, r)
 
 
-def _on_engine(reg: ledger.Register, engine: str, r: float | None):
-    """The built register itself, or its gate tape replayed from vacuum at ``r``."""
+def _on_engine(n: int, tape, engine: str, r: float | None):
+    """The gate tape applied to a fresh ``Register(n)``, or replayed from
+    vacuum at ``r`` on the covariance engine (no ledger algebra runs)."""
     if engine == "ledger":
+        reg = ledger.Register(n)
+        for gate in tape:
+            reg.apply(gate)
         return reg
     if engine == "covariance":
         if r is None:
             raise ProtocolPreconditionError("covariance build needs numeric r")
-        return covariance.apply_tape(covariance.vacuum_state(reg.n), reg.history, r)
+        return covariance.apply_tape(covariance.vacuum_state(n), tape, r)
     raise ProtocolPreconditionError(f"unknown engine {engine!r}")
 
 

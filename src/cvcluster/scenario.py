@@ -18,6 +18,11 @@ Coefficients accept ``sqrt2`` and ``-sqrt2`` so beamsplitter-chain
 assertions are exact by construction.  ``rotate <m> -90`` is the local
 quarter turn (X, Y) -> (-Y, X) used throughout the correlation sets.
 
+The four gate lines parse to one :class:`GateStmt` (keyword, modes, value,
+option text).  Executing it builds the :mod:`gates` value, so an invalid one
+such as ``bs 1 2 t=1.5`` fails at run time at its line, and hands that same
+value to ``Register.apply`` and, on the covariance engine, ``apply_gate``.
+
 Execution binds to either engine.  The ledger engine is fully symbolic.
 The covariance engine needs a numeric ``r``: it samples measurement
 outcomes (seeded), conditions the live state, and verifies every variance
@@ -33,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import covariance, ledger
+from . import covariance, gates, ledger
 from .errors import CvClusterError, InternalConsistencyError
 from .gates import MAX_MODES, MOMENTUM_SQUEEZED, POSITION_SQUEEZED, PRUNE_TOL, X, Y
 
@@ -131,54 +136,24 @@ class RegisterStmt(Statement):
         return f"register {self.n}"
 
 
-@dataclass(frozen=True)
-class SqueezeStmt(Statement):
-    mode: int
-    direction: str
-
-    def render(self):
-        return f"squeeze {self.mode} {self.direction}"
+# Gate statement keyword -> the gate it builds from its modes and value.
+_GATES = {"squeeze": gates.Squeeze, "kerr": gates.Kerr, "rotate": gates.Rotate,
+          "bs": gates.Beamsplit}
 
 
 @dataclass(frozen=True)
-class KerrStmt(Statement):
-    l: int
-    k: int
-    g: float = 1.0
-    g_given: bool = False
+class GateStmt(Statement):
+    """A ``squeeze``/``kerr``/``rotate``/``bs`` line; ``value`` is the gate's
+    last field (direction, g, angle in radians or t) and ``option`` the text
+    rendered after the modes ("" when an optional value was left out)."""
+
+    keyword: str
+    modes: tuple[int, ...]
+    value: object
+    option: str
 
     def render(self):
-        tail = f" g={fmt_num(self.g)}" if self.g_given else ""
-        return f"kerr {self.l} {self.k}{tail}"
-
-
-@dataclass(frozen=True)
-class RotateStmt(Statement):
-    mode: int
-    degrees: int | None = None  # one of -90, 90, 180
-    radians: float | None = None
-
-    def angle(self) -> float:
-        if self.degrees is not None:
-            return math.radians(self.degrees)
-        return self.radians
-
-    def render(self):
-        if self.degrees is not None:
-            return f"rotate {self.mode} {self.degrees}"
-        return f"rotate {self.mode} {repr(self.radians)}rad"
-
-
-@dataclass(frozen=True)
-class BeamsplitStmt(Statement):
-    l: int
-    k: int
-    t: float = 0.5
-    t_given: bool = False
-
-    def render(self):
-        tail = f" t={fmt_num(self.t)}" if self.t_given else ""
-        return f"bs {self.l} {self.k}{tail}"
+        return " ".join([self.keyword, *map(str, self.modes), self.option]).rstrip()
 
 
 @dataclass(frozen=True)
@@ -369,8 +344,8 @@ def parse_combo(text: str) -> tuple[ComboTerm, ...]:
     return terms
 
 
-# Two-mode gate statements: statement class, option prefix, default value.
-_TWO_MODE = {"kerr": (KerrStmt, "g=", 1.0), "bs": (BeamsplitStmt, "t=", 0.5)}
+# Two-mode gate statements: option prefix, default value.
+_TWO_MODE = {"kerr": ("g=", 1.0), "bs": ("t=", 0.5)}
 
 
 def parse(text: str, source: str = "<scenario>") -> Scenario:
@@ -418,14 +393,14 @@ def parse(text: str, source: str = "<scenario>") -> Scenario:
             if d.text not in (MOMENTUM_SQUEEZED, POSITION_SQUEEZED):
                 p.fail(d, "'momentum' or 'position'")
             p.done()
-            statements.append(SqueezeStmt(m, d.text, line=lineno, col=head.col))
+            statements.append(GateStmt("squeeze", (m,), d.text, d.text, line=lineno, col=head.col))
         elif head.text in _TWO_MODE:
-            stmt_cls, prefix, value = _TWO_MODE[head.text]
+            prefix, value = _TWO_MODE[head.text]
             l = mode_tok()
             k = mode_tok()
             if l == k:
                 p.fail(p.toks[p.pos - 1], "a mode distinct from the first")
-            given = False
+            option = ""
             tok = p.peek()
             if tok is not None:
                 if not tok.text.startswith(prefix):
@@ -435,25 +410,22 @@ def parse(text: str, source: str = "<scenario>") -> Scenario:
                     p.fail(tok, f"g=0 or |g| > {PRUNE_TOL:g}")
                 if head.text == "bs" and 0 < value <= PRUNE_TOL**2:  # ... or sqrt(t)
                     p.fail(tok, f"t=0 or t > {PRUNE_TOL**2:g}")
-                given = True
+                option = f"{prefix}{fmt_num(value)}"
                 p.pos += 1
             p.done()
-            statements.append(stmt_cls(l, k, value, given, line=lineno, col=head.col))
+            statements.append(GateStmt(head.text, (l, k), value, option, line=lineno, col=head.col))
         elif head.text == "rotate":
             m = mode_tok()
             tok = p.take("-90, 90, 180 or <real>rad")
             if tok.text in ("-90", "90", "180"):
-                statements.append(
-                    RotateStmt(m, degrees=int(tok.text), line=lineno, col=head.col)
-                )
+                theta, option = math.radians(int(tok.text)), tok.text
             elif tok.text.endswith("rad"):
                 theta = p.real(tok.text[:-3], tok.col, "-90, 90, 180 or <real>rad", tok.text)
-                statements.append(
-                    RotateStmt(m, radians=theta, line=lineno, col=head.col)
-                )
+                option = f"{theta!r}rad"
             else:
                 p.fail(tok, "-90, 90, 180 or <real>rad")
             p.done()
+            statements.append(GateStmt("rotate", (m,), theta, option, line=lineno, col=head.col))
         elif head.text == "measure":
             basis = p.take_basis()
             m = mode_tok()
@@ -626,11 +598,6 @@ class _Execution:
 
     # -- engine plumbing ---------------------------------------------------
 
-    def _gate(self, fn_name: str, *args):
-        getattr(self.reg, fn_name)(*args)
-        if self.engine == COVARIANCE:
-            self.state = covariance.apply_gate(self.state, self.reg.history[-1], self.r)
-
     def _replay_variance(self, parts, r: float) -> float:
         """Variance of a (possibly displaced) combo, two independent ways."""
         combo = self.reg.frame_combo(parts)
@@ -654,20 +621,11 @@ class _Execution:
     def _do_RegisterStmt(self, stmt):
         pass  # the register was allocated up front
 
-    def _do_SqueezeStmt(self, stmt):
-        self._gate("squeeze", stmt.mode, stmt.direction)
-
-    def _do_KerrStmt(self, stmt):
-        self._gate("kerr_couple", stmt.l, stmt.k, stmt.g)
-
-    def _do_RotateStmt(self, stmt):
-        if stmt.degrees == -90:
-            self._gate("paper_minus_90", stmt.mode)
-        else:
-            self._gate("rotate", stmt.mode, stmt.angle())
-
-    def _do_BeamsplitStmt(self, stmt):
-        self._gate("beamsplit", stmt.l, stmt.k, stmt.t)
+    def _do_GateStmt(self, stmt):
+        gate = _GATES[stmt.keyword](*stmt.modes, stmt.value)
+        self.reg.apply(gate)
+        if self.engine == COVARIANCE:
+            self.state = covariance.apply_gate(self.state, gate, self.r)
 
     def _do_MeasureStmt(self, stmt):
         rec = self.reg.measure(stmt.mode, stmt.kind)

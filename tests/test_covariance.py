@@ -75,14 +75,14 @@ def test_gate_bounds_checked():
 
 def test_gate_blocks_are_shared_and_read_only():
     squeeze = Squeeze(1, MOMENTUM_SQUEEZED)
-    assert gates.block(squeeze, 0.3) is gates.block(squeeze, 0.3)
-    assert gates.block(squeeze, 0.3).flags.writeable is False
-    assert not np.array_equal(gates.block(squeeze, 0.3), gates.block(squeeze, 0.4))
+    assert gates.placement(squeeze, 0.3)[0] is gates.placement(squeeze, 0.3)[0]
+    assert gates.placement(squeeze, 0.3)[0].flags.writeable is False
+    assert not np.array_equal(gates.placement(squeeze, 0.3)[0], gates.placement(squeeze, 0.4)[0])
     for gate in (Kerr(1, 2, 0.8), Rotate(1, 0.4), Beamsplit(1, 2, 0.3)):
-        shared = gates.block(gate)
+        shared = gates.placement(gate)[0]
         assert shared.flags.writeable is False
-        assert gates.block(gate, 0.3) is shared
-        assert gates.block(gate, 1.7) is shared
+        assert gates.placement(gate, 0.3)[0] is shared
+        assert gates.placement(gate, 1.7)[0] is shared
 
 
 def test_gate_blocks_are_still_checked_once_built(monkeypatch):
@@ -135,7 +135,7 @@ def per_gate_rule(state, tape, r):
     """The update before placements were cached: a full copy, a list fancy
     index and the three updates, gate by gate."""
     for gate in tape:
-        block = gates.block(gate, r)
+        block = gates.placement(gate, r)[0]
         idx = [quad_index(m, kind) for m in gates.modes(gate) for kind in (X, Y)]
         mean = state.mean.copy()
         cov = state.cov.copy()
@@ -183,21 +183,21 @@ def test_apply_tape_keeps_the_bits_of_the_per_gate_rule():
 
 def test_blocks_are_their_closed_forms_bit_for_bit():
     r = 0.7
-    assert np.array_equal(gates.block(Squeeze(1, MOMENTUM_SQUEEZED), r),
+    assert np.array_equal(gates.placement(Squeeze(1, MOMENTUM_SQUEEZED), r)[0],
                           [[math.exp(r), 0.0], [0.0, math.exp(-r)]])
-    assert np.array_equal(gates.block(Squeeze(1, POSITION_SQUEEZED), r),
+    assert np.array_equal(gates.placement(Squeeze(1, POSITION_SQUEEZED), r)[0],
                           [[math.exp(-r), 0.0], [0.0, math.exp(r)]])
     for theta in (0.4, -2.9, math.pi / 2, -math.pi):
         c, s = gates.cos_sin(theta)
-        assert np.array_equal(gates.block(Rotate(1, theta)), [[c, s], [-s, c]])
+        assert np.array_equal(gates.placement(Rotate(1, theta))[0], [[c, s], [-s, c]])
 
 
 def test_gate_placement_is_cached_with_the_block():
     block, index, span = gates.placement(Squeeze(3, POSITION_SQUEEZED), 0.7)
-    assert block is gates.block(Squeeze(3, POSITION_SQUEEZED), 0.7)
+    assert block is gates.placement(Squeeze(3, POSITION_SQUEEZED), 0.7)[0]
     assert (index, span) == (slice(4, 6), (3, 3))
     block, index, span = gates.placement(Kerr(7, 3, 0.5))
-    assert block is gates.block(Kerr(7, 3, 0.5), 1.3)
+    assert block is gates.placement(Kerr(7, 3, 0.5), 1.3)[0]
     assert index.tolist() == [12, 13, 4, 5]  # MODE_FIELDS order, not sorted
     assert index.dtype == np.intp and span == (3, 7)
     assert gates.placement(Kerr(7, 3, 0.5), 1.3)[1] is index

@@ -4,7 +4,9 @@ Every case runs ``cli.main`` in process from the repository root and compares
 its exit code and stdout with ``tests/golden/<case>.txt``.  The files pin the
 scenario corpus on both engines, the built-in sweep states and the graph
 protocols, so refactors that must not change behaviour are checked against
-exact bytes rather than against a tolerance.
+exact bytes rather than against a tolerance.  Each ``demos/<name>.py`` is
+pinned the same way: its ``main()`` runs in process and its stdout is
+compared with ``tests/golden/demo_<name>.txt``.
 
 After a change that is meant to alter what the command line prints, record
 the files again from the repository root with::
@@ -13,6 +15,7 @@ the files again from the repository root with::
 """
 
 import contextlib
+import importlib.util
 import io
 import os
 from pathlib import Path
@@ -24,6 +27,7 @@ from cvcluster import cli
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 EDGES = "tests/golden/edges"
+DEMOS = sorted(p.stem for p in (ROOT / "demos").glob("*.py"))
 SCENARIOS = ("bs_chain_n4", "chain_rows_n4", "epr_n2", "persistency_n4", "teleport_step_n3")
 R_LIST = "0,0.5,1,2"
 
@@ -79,6 +83,17 @@ def run_case(argv) -> str:
     return f"exit: {code}\n{out.getvalue()}"
 
 
+def run_demo(name) -> str:
+    """Stdout of one demo's ``main()``, run in process."""
+    spec = importlib.util.spec_from_file_location(f"demo_{name}", ROOT / "demos" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        module.main()
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case, monkeypatch):
     monkeypatch.chdir(ROOT)
@@ -86,8 +101,16 @@ def test_cli_output_matches_golden(case, monkeypatch):
     assert run_case(CASES[case]) == expected
 
 
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_output_matches_golden(name):
+    expected = (GOLDEN / f"demo_{name}.txt").read_text(encoding="utf-8")
+    assert run_demo(name) == expected
+
+
 if __name__ == "__main__":
     os.chdir(ROOT)
     for case, argv in sorted(CASES.items()):
         (GOLDEN / f"{case}.txt").write_text(run_case(argv), encoding="utf-8")
-    print(f"recorded {len(CASES)} cases in {GOLDEN}")
+    for name in DEMOS:
+        (GOLDEN / f"demo_{name}.txt").write_text(run_demo(name), encoding="utf-8")
+    print(f"recorded {len(CASES)} cases and {len(DEMOS)} demos in {GOLDEN}")

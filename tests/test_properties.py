@@ -1,7 +1,7 @@
-"""Property tests: a closed-form graph-state oracle, before and after an
-X-measurement, the edge-list round trip and the graph lookup tables over
-random simple graphs, and canonical commutators on random ledger tapes with
-feed-forward.
+"""Property tests: a closed-form graph-state oracle, weighted or not, before
+and after an X-measurement, the edge-list round trip and the graph lookup
+tables over random simple graphs, and canonical commutators on random ledger
+tapes with feed-forward.
 
 The oracle is the Gaussian graphical calculus (Menicucci, Flammia & van Loock,
 PRA 83, 042335 (2011)): the graph state of adjacency matrix A at squeezing r
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from cvcluster import covariance, graphs, ledger, protocols
 from cvcluster.errors import InvalidGraphError, UnsupportedOperationError
-from cvcluster.gates import MOMENTUM_SQUEEZED, POSITION_SQUEEZED, X, Y
+from cvcluster.gates import MOMENTUM_SQUEEZED, POSITION_SQUEEZED, Kerr, Squeeze, X, Y
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -44,12 +44,17 @@ def simple_graphs(draw, min_vertices=1, max_vertices=12):
     return graphs.from_edges(edges, vertices=range(1, n + 1))
 
 
-def z_oracle_covariance(g: graphs.Graph, r: float) -> np.ndarray:
-    """Graph-state covariance from Z = A + i e^{-2r} I, in (X_1, Y_1, ...) order."""
+def z_oracle_covariance(g: graphs.Graph, r: float, weights=None) -> np.ndarray:
+    """Graph-state covariance from Z = A + i e^{-2r} I, in (X_1, Y_1, ...) order.
+
+    A holds ``weights[(a, b)]`` for each edge (a, b) of g, or 1 when no
+    weights are given.
+    """
     n = g.n_vertices
     v = np.zeros((n, n))
     for a, b in g.edges:
-        v[g.mode_of(a) - 1, g.mode_of(b) - 1] = v[g.mode_of(b) - 1, g.mode_of(a) - 1] = 1.0
+        w = 1.0 if weights is None else weights[(a, b)]
+        v[g.mode_of(a) - 1, g.mode_of(b) - 1] = v[g.mode_of(b) - 1, g.mode_of(a) - 1] = w
     u = np.exp(-2.0 * r) * np.eye(n)
     u_inv = np.linalg.inv(u)
     blocks = 0.5 * np.block([[u_inv, u_inv @ v], [v @ u_inv, u + v @ u_inv @ v]])
@@ -64,6 +69,41 @@ def test_graph_state_matches_the_z_oracle(g, r):
     got = protocols.build_graph_state(g, "covariance", r).cov
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert protocols.graph_row_deviation(protocols.build_graph_state(g), g) == 0
+
+
+@st.composite
+def weighted_graph_tapes(draw):
+    """A simple graph, a weight in +-[0.1, 2] per edge, and its tape: momentum
+    squeezes, then one weighted Kerr per edge in a drawn order and orientation."""
+    g = draw(simple_graphs())
+    weights = {}
+    tape = [Squeeze(m, MOMENTUM_SQUEEZED) for m in range(1, g.n_vertices + 1)]
+    for a, b in draw(st.permutations(sorted(g.edges))):
+        weights[(a, b)] = w = draw(st.floats(0.1, 2.0)) * draw(st.sampled_from((1.0, -1.0)))
+        l, k = g.mode_of(a), g.mode_of(b)
+        tape.append(Kerr(k, l, w) if draw(st.booleans()) else Kerr(l, k, w))
+    return g, weights, tape
+
+
+@PROPERTY_SETTINGS
+@given(drawn=weighted_graph_tapes(), r=st.floats(0.0, 2.0))
+def test_weighted_graph_state_matches_the_z_oracle(drawn, r):
+    """Kerr weights w_ab are the entries of A on the covariance engine, and on
+    the ledger every vertex law Y_a - sum_b w_ab X_b is a nullifier of
+    variance 0.5 e^{-2r}."""
+    g, weights, tape = drawn
+    want = z_oracle_covariance(g, r, weights)
+    got = covariance.apply_tape(covariance.vacuum_state(g.n_vertices), tape, r).cov
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    reg = ledger.Register(g.n_vertices)
+    for gate in tape:
+        reg.apply(gate)
+    for a in g.vertices:
+        parts = [(1.0, g.mode_of(a), Y)]
+        parts += [(-weights[tuple(sorted((a, b)))], g.mode_of(b), X) for b in g.neighborhood(a)]
+        law = reg.combine(parts)
+        assert ledger.is_nullifier(law)
+        assert ledger.variance_formula(law, r) == pytest.approx(0.5 * np.exp(-2.0 * r), rel=1e-14)
 
 
 @PROPERTY_SETTINGS

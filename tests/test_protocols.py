@@ -69,6 +69,17 @@ def test_covariance_builder_needs_r():
         protocols.build_graph_state(graphs.chain(2), "matrixproduct")
 
 
+def test_covariance_builds_run_no_ledger_algebra(monkeypatch):
+    """Builders hand their gate tape straight to the covariance engine."""
+    def refuse(self, gate):
+        raise AssertionError(f"ledger applied {gate!r} during a covariance build")
+
+    monkeypatch.setattr(ledger.Register, "apply", refuse)
+    assert protocols.build_graph_state(graphs.grid(3, 4), "covariance", 0.5).n == 12
+    assert protocols.build_bs_chain(4, "covariance", 0.5).n == 4
+    assert protocols.build_ghz_optics(3, "covariance", 0.5).n == 3
+
+
 def test_bs_chain_quarter_turned_weights():
     """The four-mode cascade carries the sqrt(2)-weighted correlation set."""
     s2 = math.sqrt(2.0)

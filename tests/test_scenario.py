@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from cvcluster import claims, graphs, ledger, protocols, scenario
+from cvcluster import claims, covariance, gates, graphs, ledger, protocols, scenario
 from cvcluster.gates import MAX_MODES, X, Y
 from cvcluster.scenario import (
     ParseError,
@@ -181,6 +181,25 @@ def test_ledger_execution_passes_asserts():
     assert report.ok
     assert report.asserts_total == 1
     assert any("pass" in e for e in report.events)
+
+
+def test_huge_rotation_angles_turn_on_both_engines():
+    """Quarter turns snap to exact values only where the float grid resolves
+    them; a 1e17 rad turn is a real rotation, not the identity."""
+    for theta in (1e17, 1e300):
+        assert gates.cos_sin(theta) == (math.cos(theta), math.sin(theta))
+    quarters = {math.pi / 2: (0.0, 1.0), -math.pi / 2: (0.0, -1.0), math.pi: (-1.0, 0.0),
+                3 * math.pi / 2: (0.0, -1.0)}
+    for theta, want in quarters.items():
+        assert gates.cos_sin(theta) == want
+    c, s = math.cos(1e17), math.sin(1e17)
+    shifted = covariance.GaussianState(1, np.array([1.0, 0.0]), 0.5 * np.eye(2))
+    assert covariance.apply_gate(shifted, gates.Rotate(1, 1e17)).mean.tolist() == [c, -s]
+    text = "register 1\nsqueeze 1 momentum\nrotate 1 1e17rad\nprint variance 1*x1 at r=1\n"
+    want = 0.5 * (c * c * math.exp(2.0) + s * s * math.exp(-2.0))
+    for engine in ("ledger", "covariance"):
+        report = execute(parse(text), engine=engine, r=1.0, seed=1)
+        assert report.csv_rows[0][2] == pytest.approx(want, rel=1e-12)
 
 
 def test_csv_rows_match_closed_form():
