@@ -325,8 +325,7 @@ def _claim_cross_engine(battery: Battery) -> ClaimResult:
     checks, worst, agree = 0, 0.0, True
     for entry in battery.entries:
         n = entry.reg.n
-        for r in BRIDGE_RS:
-            state = covariance.apply_tape(covariance.vacuum_state(n), entry.reg.history, r)
+        for r, state in zip(BRIDGE_RS, covariance.replay(n, entry.reg.history, BRIDGE_RS)):
             for combo, expr in entry.pairs:
                 numeric = covariance.variance_of(state, combo)
                 symbolic = ledger.variance_formula(expr, r)

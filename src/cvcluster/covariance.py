@@ -3,6 +3,9 @@
 States are Gaussian, stored as a mean vector and covariance matrix in
 ``(X_1, Y_1, ..., X_n, Y_n)`` order with vacuum variance 1/2 per quadrature
 (``[X, Y] = i``).  All operations are pure: they return new states.
+:func:`apply_tape` replays a gate tape at one squeezing r; :func:`replay` runs
+a tape from vacuum at several r at once (print rows, the cross-engine claim),
+applying each gate once to a stack of the states.
 
 This engine is deliberately independent of :mod:`cvcluster.ledger`: the two
 are cross-checked against each other by the test- and claims-suites, so the
@@ -12,6 +15,7 @@ covariance path must not share the symbolic bookkeeping.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,10 +77,10 @@ def apply_gate(state: GaussianState, gate: gates.Gate, r: float | None = None) -
     try:
         block, idx, (low, high) = gates.placement(gate, r)
     except DomainError:
-        _check_modes(state, gate)
+        _check_modes(state.n, gate)
         raise
     if low < 1 or high > state.n:
-        _check_modes(state, gate)
+        _check_modes(state.n, gate)
     mean = state.mean.copy()
     cov = state.cov.copy()
     try:
@@ -91,11 +95,11 @@ def apply_gate(state: GaussianState, gate: gates.Gate, r: float | None = None) -
     return GaussianState(state.n, mean, cov)
 
 
-def _check_modes(state: GaussianState, gate: gates.Gate) -> None:
-    """Raise for the first of the gate's modes outside the state, if any."""
+def _check_modes(n: int, gate: gates.Gate) -> None:
+    """Raise for the first of the gate's modes outside 1..n, if any."""
     for m in gates.modes(gate):
-        if not 1 <= m <= state.n:
-            raise InvalidSizeError(f"gate touches mode {m} outside 1..{state.n}")
+        if not 1 <= m <= n:
+            raise InvalidSizeError(f"gate touches mode {m} outside 1..{n}")
 
 
 def apply_tape(state: GaussianState, tape, r: float | None = None) -> GaussianState:
@@ -103,6 +107,48 @@ def apply_tape(state: GaussianState, tape, r: float | None = None) -> GaussianSt
     for gate in tape:
         state = apply_gate(state, gate, r)
     return state
+
+
+def replay(n: int, tape, rs) -> Iterator[GaussianState]:
+    """The vacuum of ``n`` modes after ``tape``, once per value in ``rs``, in order.
+
+    Each state is bit for bit ``apply_tape(vacuum_state(n), tape, r)``, but
+    each gate is applied once, in place, to a stack of the states: only a
+    Squeeze block depends on r, so it gets one block per r and every other
+    gate broadcasts its shared block.  A stack holds at most as many floats
+    as one covariance matrix at ``gates.MAX_MODES``; longer r lists are
+    replayed lazily, chunk by chunk.  Errors are :func:`apply_gate`'s, except
+    that an overflow names the chunk's r values.
+    """
+    rs = list(rs)
+    vacuum = vacuum_state(n)
+    chunk = max(1, (2 * gates.MAX_MODES) ** 2 // (2 * n) ** 2)
+    for start in range(0, len(rs), chunk):
+        part = rs[start:start + chunk]
+        mean = np.zeros((len(part), 2 * n))
+        cov = np.repeat(vacuum.cov[None], len(part), axis=0)
+        for gate in tape:
+            squeeze = isinstance(gate, gates.Squeeze)
+            try:
+                placed = [gates.placement(gate, r) for r in (part if squeeze else part[:1])]
+            except DomainError:
+                _check_modes(n, gate)
+                raise
+            block, idx, (low, high) = placed[0]
+            if low < 1 or high > n:
+                _check_modes(n, gate)
+            if squeeze:
+                block = np.stack([p[0] for p in placed])
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    mean[:, idx] = (block @ mean[:, idx, None])[..., 0]
+                    cov[:, idx, :] = block @ cov[:, idx, :]
+                    cov[:, :, idx] = cov[:, :, idx] @ np.swapaxes(block, -1, -2)
+            except FloatingPointError:
+                raise DomainError(
+                    f"{gate!r} at r in {part!r} leaves float range; squeezing too large"
+                ) from None
+        yield from (GaussianState(n, m, c) for m, c in zip(mean, cov))
 
 
 # ---------------------------------------------------------------------------

@@ -656,7 +656,11 @@ def conditional_cov_block_diagonal(n: int, pattern, r: float) -> bool:
     means, so the chain is completely disentangled for every outcome iff the
     conditional covariance is block diagonal per mode.
     """
-    state = build_graph_state(graphs.chain(n), "covariance", r)
+    return _separates(build_graph_state(graphs.chain(n), "covariance", r), pattern)
+
+
+def _separates(state: covariance.GaussianState, pattern) -> bool:
+    """Is ``state`` a mode product after homodyning ``pattern`` at outcome 0?"""
     for pos, kind in pattern:
         state = covariance.homodyne(state, pos, kind, outcome=0.0).state
     return covariance.is_mode_product(state)
@@ -672,11 +676,12 @@ def minimal_disentangling_measurements(n: int) -> int:
     """
     from itertools import combinations, product
 
+    probes = [build_graph_state(graphs.chain(n), "covariance", r) for r in (1.0, 0.7)]
     for size in range(0, n):
         for subset in combinations(range(1, n + 1), size):
             for kinds in product((X, Y), repeat=size):
                 pattern = list(zip(subset, kinds))
-                if all(conditional_cov_block_diagonal(n, pattern, r) for r in (1.0, 0.7)):
+                if all(_separates(state, pattern) for state in probes):
                     return size
     return n
 

@@ -598,12 +598,14 @@ class _Execution:
 
     # -- engine plumbing ---------------------------------------------------
 
-    def _replay_variance(self, parts, r: float) -> float:
-        """Variance of a (possibly displaced) combo, two independent ways."""
+    def _replay_variance(self, parts, r: float, tape_state=None) -> float:
+        """Variance of a (possibly displaced) combo, two independent ways; the
+        tape is replayed from vacuum at ``r`` unless ``tape_state`` is that."""
         combo = self.reg.frame_combo(parts)
-        tape_state = covariance.apply_tape(
-            covariance.vacuum_state(self.reg.n), self.reg.history, r
-        )
+        if tape_state is None:
+            tape_state = covariance.apply_tape(
+                covariance.vacuum_state(self.reg.n), self.reg.history, r
+            )
         numeric = covariance.variance_of(tape_state, combo)
         symbolic = ledger.variance_formula(self.reg.combine(parts), r)
         if not covariance.bridge_agrees(tape_state, combo, numeric, symbolic):
@@ -667,10 +669,13 @@ class _Execution:
     def _do_PrintVarianceStmt(self, stmt):
         combo_text = render_combo(stmt.terms)
         parts = combo_parts(stmt.terms)
-        for rv in stmt.rs:
-            self.report.csv_rows.append(
-                (combo_text, rv, self._replay_variance(parts, rv))
-            )
+        states = covariance.replay(self.reg.n, self.reg.history, stmt.rs)
+        try:
+            values = [self._replay_variance(parts, rv, st) for rv, st in zip(stmt.rs, states)]
+        except CvClusterError:
+            # Report what a row-by-row replay reports: the first failing row.
+            values = [self._replay_variance(parts, rv) for rv in stmt.rs]
+        self.report.csv_rows += [(combo_text, rv, v) for rv, v in zip(stmt.rs, values)]
         self.report.events.append(
             f"line {stmt.line}: print variance {combo_text} ({len(stmt.rs)} rows)"
         )

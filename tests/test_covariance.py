@@ -16,6 +16,7 @@ from cvcluster.covariance import (
     ppt_min_symplectic_eig,
     quad_index,
     reduced_state,
+    replay,
     uncertainty_defect,
     vacuum_state,
     variance_of,
@@ -219,6 +220,69 @@ def test_a_mode_outside_the_state_is_reported_first():
         apply_gate(vacuum_state(2), Squeeze(5, MOMENTUM_SQUEEZED), 1000.0)
     with pytest.raises(DomainError):
         apply_gate(vacuum_state(2), Squeeze(2, MOMENTUM_SQUEEZED))
+
+
+# ---------------------------------------------------------------------------
+# replay: one tape at many r, bit for bit the per-r fold
+# ---------------------------------------------------------------------------
+
+
+def assert_replay_is_the_fold(n, tape, rs):
+    states = list(replay(n, tape, rs))
+    assert len(states) == len(rs)
+    for state, r in zip(states, rs):
+        want = apply_tape(vacuum_state(n), tape, r)
+        assert state.n == n
+        assert np.array_equal(state.mean, want.mean)
+        assert np.array_equal(state.cov, want.cov)
+        assert np.array_equal(np.signbit(state.mean), np.signbit(want.mean))
+
+
+def test_replay_keeps_the_bits_of_the_per_r_fold():
+    """Every gate kind, both squeeze directions, quarter turns and two-mode
+    gates in either order; r lists with repeats and out of order."""
+    rng = np.random.default_rng(11)
+    r_lists = [(0.0, 0.25, 0.5, 1.0, 2.0), (2.0, 0.0, 2.0), (1.0,), (0.5, 0.5), (2.0, 1.0, 0.0, 0.7)]
+    for trial in range(80):
+        n = int(rng.integers(2, 31))
+        tape = [random_gate(rng, n) for _ in range(int(rng.integers(1, 40)))]
+        assert_replay_is_the_fold(n, tape, r_lists[trial % len(r_lists)])
+    tape = protocols.build_graph_state(graphs.grid(6, 8)).history
+    assert_replay_is_the_fold(48, tape, (0.0, 0.25, 0.5, 1.0, 2.0))
+
+
+def test_replay_of_an_empty_tape_is_the_vacuum():
+    for state in replay(3, [], (0.0, 1.0)):
+        assert np.array_equal(state.mean, vacuum_state(3).mean)
+        assert np.array_equal(state.cov, vacuum_state(3).cov)
+    assert list(replay(3, [Squeeze(1)], ())) == []
+
+
+def test_replay_reports_a_mode_outside_the_state_first():
+    with pytest.raises(InvalidSizeError, match=r"mode 5 outside 1\.\.2"):
+        list(replay(2, [Squeeze(5, MOMENTUM_SQUEEZED)], (0.0, 1000.0)))
+    with pytest.raises(InvalidSizeError, match=r"mode 5 outside 1\.\.2"):
+        list(replay(2, [Squeeze(5, MOMENTUM_SQUEEZED)], (None,)))
+    with pytest.raises(InvalidSizeError, match=r"mode 0 outside 1\.\.3"):
+        list(replay(3, [Kerr(0, 5, 1.0)], (1.0,)))
+    with pytest.raises(DomainError, match="numeric r is required"):
+        list(replay(2, [Squeeze(2, MOMENTUM_SQUEEZED)], (1.0, None)))
+    with pytest.raises(DomainError, match="leaves float range"):
+        list(replay(2, [Squeeze(1), Squeeze(1)], (0.0, 400.0)))
+
+
+def test_replay_stacks_no_more_than_one_matrix_at_the_mode_cap(monkeypatch):
+    """With the cap at 3 modes a stack holds at most 36 floats: 2 states of
+    2 modes, 1 of 3.  The chunked states are still the fold's."""
+    monkeypatch.setattr(gates, "MAX_MODES", 3)
+    rng = np.random.default_rng(3)
+    rs = (0.0, 2.0, 0.5, 2.0, 1.0)
+    for n, most in ((1, 5), (2, 2), (3, 1), (5, 1)):
+        tape = [random_gate(rng, max(n, 2)) for _ in range(12)] if n > 1 else [
+            Squeeze(1, POSITION_SQUEEZED), Rotate(1, 0.3), Squeeze(1)]
+        states = list(replay(n, tape, rs))
+        assert max(state.cov.base.shape[0] for state in states) == most
+        assert_replay_is_the_fold(n, tape, rs)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ scenario corpus on both engines, the built-in sweep states and the graph
 protocols, so refactors that must not change behaviour are checked against
 exact bytes rather than against a tolerance.  Each ``demos/<name>.py`` is
 pinned the same way: its ``main()`` runs in process and its stdout is
-compared with ``tests/golden/demo_<name>.txt``.
+compared with ``tests/golden/demo_<name>.txt``.  The claims report is pinned
+in ``tests/golden/claims.txt`` with its two wall-clock fields replaced by
+``<t>``.
 
 After a change that is meant to alter what the command line prints, record
 the files again from the repository root with::
@@ -18,6 +20,7 @@ import contextlib
 import importlib.util
 import io
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,11 @@ EDGES = "tests/golden/edges"
 DEMOS = sorted(p.stem for p in (ROOT / "demos").glob("*.py"))
 SCENARIOS = ("bs_chain_n4", "chain_rows_n4", "epr_n2", "persistency_n4", "teleport_step_n3")
 R_LIST = "0,0.5,1,2"
+# The claims report's two clocks: the chain-rows timing and the total.
+CLAIMS_CLOCKS = (
+    (re.compile(r"(max coefficient deviation \S+ in )\d+\.\d+s"), r"\1<t>s"),
+    (re.compile(r"(?m)^(\d+/\d+ claims passed in )\d+\.\d+s$"), r"\1<t>s"),
+)
 
 CASES = {}
 for _name in SCENARIOS:
@@ -83,6 +91,14 @@ def run_case(argv) -> str:
     return f"exit: {code}\n{out.getvalue()}"
 
 
+def run_claims_report() -> str:
+    """``run_case(["claims"])`` with its wall-clock fields normalised."""
+    report = run_case(["claims"])
+    for pattern, repl in CLAIMS_CLOCKS:
+        report = pattern.sub(repl, report)
+    return report
+
+
 def run_demo(name) -> str:
     """Stdout of one demo's ``main()``, run in process."""
     spec = importlib.util.spec_from_file_location(f"demo_{name}", ROOT / "demos" / f"{name}.py")
@@ -107,10 +123,16 @@ def test_demo_output_matches_golden(name):
     assert run_demo(name) == expected
 
 
+def test_claims_report_matches_golden():
+    expected = (GOLDEN / "claims.txt").read_text(encoding="utf-8")
+    assert run_claims_report() == expected
+
+
 if __name__ == "__main__":
     os.chdir(ROOT)
     for case, argv in sorted(CASES.items()):
         (GOLDEN / f"{case}.txt").write_text(run_case(argv), encoding="utf-8")
     for name in DEMOS:
         (GOLDEN / f"demo_{name}.txt").write_text(run_demo(name), encoding="utf-8")
-    print(f"recorded {len(CASES)} cases and {len(DEMOS)} demos in {GOLDEN}")
+    (GOLDEN / "claims.txt").write_text(run_claims_report(), encoding="utf-8")
+    print(f"recorded {len(CASES)} cases, {len(DEMOS)} demos and the claims report in {GOLDEN}")

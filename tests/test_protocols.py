@@ -356,3 +356,12 @@ def test_epr_projection_rejects_product_planes():
     assert protocols.pair_epr_projection(reg, (1, 2)) is False
     reg.kerr_couple(1, 2, 1.0)
     assert protocols.pair_epr_projection(reg, (1, 2)) is True
+
+
+def test_persistency_oracle_builds_each_probe_once(monkeypatch):
+    built = []
+    build = protocols.build_graph_state
+    monkeypatch.setattr(protocols, "build_graph_state",
+                        lambda graph, *args: built.append(args) or build(graph, *args))
+    assert protocols.minimal_disentangling_measurements(4) == 2
+    assert built == [("covariance", 1.0), ("covariance", 0.7)]

@@ -390,6 +390,39 @@ def test_overflowing_replay_is_a_squeezing_diagnostic():
     assert "squeezing too large" in str(err.value)
 
 
+@pytest.mark.parametrize("engine", ["ledger", "covariance"])
+@pytest.mark.parametrize("text, message", [
+    ("register 2\nsqueeze 1 momentum\nkerr 1 2\nprint variance 1*y1 - 1*x2 at r=0,1,400\n",
+     "Squeeze(mode=1, direction='momentum') at r=400.0 leaves float range; squeezing too large"),
+    ("register 2\nsqueeze 1 momentum\nkerr 1 2\nprint variance 1*y1 - 1*x2 at r=400,500\n",
+     "Squeeze(mode=1, direction='momentum') at r=400.0 leaves float range; squeezing too large"),
+    # Row r=355 fails on the ledger side (e^710) while its covariance replay
+    # still fits in float range; r=400 fails in the replay.
+    ("register 2\nsqueeze 1 momentum\nprint variance 1*x1 at r=0,355,400\n",
+     "variance at r=355.0 is not a finite float"),
+    ("register 2\nsqueeze 1 momentum\nprint variance 1*x1 at r=400,355\n",
+     "Squeeze(mode=1, direction='momentum') at r=400.0 leaves float range; squeezing too large"),
+])
+def test_a_failing_print_reports_its_first_failing_row(engine, text, message):
+    """The rows are replayed together, but the diagnostic is the one a
+    row-by-row replay gives: the first failing row as written."""
+    with pytest.raises(ScenarioRuntimeError) as err:
+        execute(parse(text), engine=engine, r=1.0, seed=7)
+    assert (err.value.line, err.value.col) == (text.count("\n"), 1)
+    assert str(err.value) == message
+
+
+def test_a_print_replays_its_tape_once_for_all_rows(monkeypatch):
+    """The bridge check of every row reads one stacked replay (the ledger
+    engine runs no other covariance replay here)."""
+    text = BASIC.replace("at r=0,1", "at r=0,0.5,1,2")
+    want = execute(parse(text)).csv_rows
+    calls = []
+    monkeypatch.setattr(covariance, "apply_tape", lambda *args: calls.append(args))
+    assert execute(parse(text)).csv_rows == want
+    assert len(want) == 4 and calls == []
+
+
 def test_ledger_register_exposes_final_state():
     reg = ledger_register(parse(BASIC))
     assert reg.n == 2
