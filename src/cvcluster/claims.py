@@ -325,12 +325,13 @@ def _claim_cross_engine(battery: Battery) -> ClaimResult:
     checks, worst, agree = 0, 0.0, True
     for entry in battery.entries:
         n = entry.reg.n
+        weights = [covariance.combo_weights(combo) for combo, _ in entry.pairs]
         for r, state in zip(BRIDGE_RS, covariance.replay(n, entry.reg.history, BRIDGE_RS)):
-            for combo, expr in entry.pairs:
-                numeric = covariance.variance_of(state, combo)
+            for (combo, expr), cw in zip(entry.pairs, weights):
+                numeric = covariance.variance_of(state, combo, cw)
                 symbolic = ledger.variance_formula(expr, r)
                 worst = max(worst, abs(numeric - symbolic))
-                agree &= covariance.bridge_agrees(state, combo, numeric, symbolic)
+                agree &= covariance.bridge_agrees(state, combo, numeric, symbolic, cw)
                 checks += 1
     return ClaimResult(
         "cross-engine",
@@ -379,13 +380,14 @@ def _claim_hygiene(battery: Battery) -> ClaimResult:
         reg = entry.reg
         active = reg.active_modes()
         rows = {(m, k): reg.quad_expr(m, k) for m in active for k in (X, Y)}
+        tables = {key: ledger.commutator_table(row) for key, row in rows.items()}
         for i, m in enumerate(active):
-            worst = max(worst, abs(ledger.commutator(rows[(m, X)], rows[(m, Y)]) - 1.0))
+            worst = max(worst, abs(ledger.commutator_with(rows[(m, X)], tables[(m, Y)]) - 1.0))
             pair_checks += 1
             for mm in active[i + 1:]:
-                worst = max(worst, abs(ledger.commutator(rows[(m, X)], rows[(mm, X)])))
-                worst = max(worst, abs(ledger.commutator(rows[(m, X)], rows[(mm, Y)])))
-                worst = max(worst, abs(ledger.commutator(rows[(m, Y)], rows[(mm, Y)])))
+                worst = max(worst, abs(ledger.commutator_with(rows[(m, X)], tables[(mm, X)])))
+                worst = max(worst, abs(ledger.commutator_with(rows[(m, X)], tables[(mm, Y)])))
+                worst = max(worst, abs(ledger.commutator_with(rows[(m, Y)], tables[(mm, Y)])))
                 pair_checks += 3
         state = covariance.apply_tape(
             covariance.vacuum_state(reg.n), reg.history, 0.7

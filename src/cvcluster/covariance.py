@@ -201,27 +201,31 @@ def homodyne(
 # ---------------------------------------------------------------------------
 
 
-def _combo_block(state: GaussianState, combo) -> tuple[np.ndarray, np.ndarray]:
-    """Weights of a combination, repeats accumulated, and its covariance sub-block."""
+def combo_weights(combo) -> tuple[np.ndarray, tuple]:
+    """Weights of a combination, repeats accumulated, and the ``np.ix_`` index
+    of its covariance sub-block: computed once for a combination that is
+    evaluated on many states."""
     weights: dict[int, float] = {}
     for coeff, mode, kind in combo:
         qi = quad_index(mode, kind)
         weights[qi] = weights.get(qi, 0.0) + coeff
     idx = sorted(weights)
-    return np.array([weights[i] for i in idx]), state.cov[np.ix_(idx, idx)]
+    return np.array([weights[i] for i in idx]), np.ix_(idx, idx)
 
 
-def variance_of(state: GaussianState, combo) -> float:
+def variance_of(state: GaussianState, combo, weights=None) -> float:
     """Variance of a weighted quadrature combination.
 
     ``combo`` is an iterable of ``(coeff, mode, kind)``.  Repeated
-    quadratures are accumulated before evaluation.
+    quadratures are accumulated before evaluation.  ``weights``, if given,
+    is ``combo_weights(combo)``.
     """
-    w, sub = _combo_block(state, combo)
-    return float(w @ sub @ w)
+    w, ix = combo_weights(combo) if weights is None else weights
+    return float(w @ state.cov[ix] @ w)
 
 
-def bridge_agrees(state: GaussianState, combo, numeric: float, symbolic: float) -> bool:
+def bridge_agrees(state: GaussianState, combo, numeric: float, symbolic: float,
+                  weights=None) -> bool:
     """The one bridge rule: do ``variance_of(state, combo)`` and the ledger's
     closed form agree?
 
@@ -229,13 +233,14 @@ def bridge_agrees(state: GaussianState, combo, numeric: float, symbolic: float) 
     with their size, not with the variance: at large squeezing the terms reach
     1e8 while the variance is 1e-9.  The gap is allowed
     ``BRIDGE_TOL * max(1, sum |w_i| |V_ij| |w_j|)``, computed only when it
-    exceeds ``BRIDGE_TOL``.  A NaN on either side fails.
+    exceeds ``BRIDGE_TOL``.  A NaN on either side fails.  ``weights`` is as
+    in :func:`variance_of`.
     """
     gap = abs(numeric - symbolic)
     if gap <= BRIDGE_TOL:
         return True
-    w, sub = _combo_block(state, combo)
-    return gap <= BRIDGE_TOL * max(1.0, float(np.abs(w) @ np.abs(sub) @ np.abs(w)))
+    w, ix = combo_weights(combo) if weights is None else weights
+    return gap <= BRIDGE_TOL * max(1.0, float(np.abs(w) @ np.abs(state.cov[ix]) @ np.abs(w)))
 
 
 def is_mode_product(state: GaussianState) -> bool:

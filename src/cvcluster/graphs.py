@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from .errors import InvalidGraphError, InvalidSizeError
 from .gates import MAX_MODES
@@ -198,20 +199,23 @@ def grid(rows: int, cols: int) -> Graph:
     return from_edges(edges)
 
 
+def _random_pairs(n: int, p: float, rng) -> list[tuple[int, int]]:
+    """Pairs a < b of 1..n in lexicographic order whose uniform draw is below p,
+    one ``rng.random(k)`` call for all k pairs (the scalar draws' stream)."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    return [e for e, u in zip(pairs, rng.random(len(pairs))) if u < p]
+
+
 def random_graph(n: int, p: float, rng) -> Graph:
     """Erdos-Renyi style simple graph on 1..n (``rng``: numpy Generator)."""
-    edges = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if rng.random() < p]
-    return from_edges(edges, vertices=range(1, n + 1))
+    return from_edges(_random_pairs(n, p, rng), vertices=range(1, n + 1))
 
 
 def random_connected_graph(n: int, p: float, rng) -> Graph:
     """Random graph made connected by threading a random spanning path first."""
     order = [int(v) for v in rng.permutation(range(1, n + 1))]
     edges = {_norm_edge(order[i], order[i + 1]) for i in range(n - 1)}
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            if rng.random() < p:
-                edges.add((a, b))
+    edges.update(_random_pairs(n, p, rng))
     return from_edges(sorted(edges), vertices=range(1, n + 1))
 
 

@@ -382,7 +382,7 @@ def is_nullifier(expr: QuadExpr) -> bool:
     Such a combination has variance proportional to e^{-2r} (or faster) and
     vanishes in the large-squeezing limit.  The zero expression qualifies.
     """
-    return all(t.exponent <= -1 for t in expr.terms() if abs(t.coeff) > NULLIFIER_TOL)
+    return all(k <= -1 for (_, _, k), c in expr._t.items() if abs(c) > NULLIFIER_TOL)
 
 
 def commutator(e1: QuadExpr, e2: QuadExpr) -> float:
@@ -393,14 +393,24 @@ def commutator(e1: QuadExpr, e2: QuadExpr) -> float:
     must cancel.  A surviving unbalanced group means the register algebra was
     corrupted and raises :class:`InternalConsistencyError`.
     """
-    by_sum: dict[int, float] = {}
-    # e2's terms grouped by (mode, kind), insertion order kept in each group.
-    partners: dict[tuple[int, str], list[tuple[int, float]]] = {}
+    return commutator_with(e1, commutator_table(e2))
+
+
+def commutator_table(e2: QuadExpr) -> dict[tuple[int, str], list[tuple[int, float]]]:
+    """``e2``'s (exponent, coeff) pairs by (mode, kind), insertion order kept:
+    built once for an expression that meets many left operands."""
+    table: dict[tuple[int, str], list[tuple[int, float]]] = {}
     for (m2, k2, ex2), c2 in e2._t.items():
-        partners.setdefault((m2, k2), []).append((ex2, c2))
+        table.setdefault((m2, k2), []).append((ex2, c2))
+    return table
+
+
+def commutator_with(e1: QuadExpr, table: dict) -> float:
+    """:func:`commutator` of ``e1`` with the expression ``table`` was built from."""
+    by_sum: dict[int, float] = {}
     for (m1, k1, ex1), c1 in e1._t.items():
         sign = 1.0 if k1 == X else -1.0
-        for ex2, c2 in partners.get((m1, Y if k1 == X else X), ()):
+        for ex2, c2 in table.get((m1, Y if k1 == X else X), ()):
             s = ex1 + ex2
             by_sum[s] = by_sum.get(s, 0.0) + sign * c1 * c2
     for s, val in by_sum.items():
@@ -419,9 +429,8 @@ def variance_formula(expr: QuadExpr, r: float) -> float:
     result is ``sum over (mode, kind) of (sum_k coeff * e^{k r})^2 * 0.5``.
     """
     groups: dict[tuple[int, str], float] = {}
-    for t in expr.terms():
-        key = (t.mode, t.kind)
-        groups[key] = groups.get(key, 0.0) + t.coeff * gates.finite_exp(t.exponent * r)
+    for (mode, kind, k), c in sorted(expr._t.items()):  # terms() order: same sums, same bits
+        groups[mode, kind] = groups.get((mode, kind), 0.0) + c * gates.finite_exp(k * r)
     value = 0.5 * sum(a * a for a in groups.values())
     if not math.isfinite(value):
         raise DomainError(f"variance at r={r!r} is not a finite float")

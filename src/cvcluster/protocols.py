@@ -17,6 +17,7 @@ indices there.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,17 +94,29 @@ class FeedforwardSolution:
 # ---------------------------------------------------------------------------
 
 
+# Ledger graph states per Graph, kept while the graph lives: None once its
+# first build was handed out, then a build that later requests copy.
+_BUILDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def build_graph_state(graph: graphs.Graph, engine: str = "ledger", r: float | None = None):
     """Momentum-squeeze every vertex mode, then couple every edge with g=1.
 
     Ledger rows come out as ``X_a = e^{+r} x0_a`` and
-    ``Y_a = e^{-r} y0_a + e^{+r} sum of neighbour x0``.
+    ``Y_a = e^{-r} y0_a + e^{+r} sum of neighbour x0``.  A graph's first
+    ledger build is returned as is; the second is also kept, as a copy, and
+    every later request gets an independent ``Register.copy()`` of it.
     """
+    if engine == "ledger" and _BUILDS.get(graph) is not None:
+        return _BUILDS[graph].copy()
     n = graph.n_vertices
     tape = [Squeeze(m, MOMENTUM_SQUEEZED) for m in range(1, n + 1)]
     tape += [Kerr(l, k, 1.0)
              for l, k in sorted((graph.mode_of(a), graph.mode_of(b)) for a, b in graph.edges)]
-    return _on_engine(n, tape, engine, r)
+    built = _on_engine(n, tape, engine, r)
+    if engine == "ledger":
+        _BUILDS[graph] = built.copy() if graph in _BUILDS else None
+    return built
 
 
 def build_bs_chain(n: int, engine: str = "ledger", r: float | None = None):
@@ -231,7 +244,9 @@ def solve_feedforward(reg: ledger.Register, targets, records=None):
     optional :class:`~cvcluster.ledger.QuadExpr` of non-negative-exponent
     terms permitted to remain (used to keep one bond alive while severing
     the rest).  Returns a :class:`FeedforwardSolution` with one coefficient
-    dict per target, or :class:`Infeasible` with the equation/rank count.
+    dict per target, or :class:`Infeasible` with the equation/rank count.  The
+    rank is read off the singular values ``lstsq`` returns, counted above
+    ``SOLVER_TOL`` as ``matrix_rank`` would; with no target it is 0.
     """
     if records is None:
         records = list(reg.records)
@@ -243,15 +258,15 @@ def solve_feedforward(reg: ledger.Register, targets, records=None):
         bases.append(base)
     growing = _growing_part([rec.observable for rec in records] + bases)
     a_mat = growing[:, : len(records)]
-    rank = int(np.linalg.matrix_rank(a_mat, tol=SOLVER_TOL)) if records else 0
-    coeff_dicts = []
+    rank, coeff_dicts = 0, []
     for b in growing[:, len(records):].T:
         if not records:
             if np.max(np.abs(b), initial=0.0) > SOLVER_TOL:
                 return Infeasible(0, 0)
             coeff_dicts.append({})
             continue
-        alpha, *_ = np.linalg.lstsq(a_mat, -b, rcond=None)
+        alpha, _, _, singular = np.linalg.lstsq(a_mat, -b, rcond=None)
+        rank = int(np.count_nonzero(singular > SOLVER_TOL))
         if np.max(np.abs(a_mat @ alpha + b)) > SOLVER_TOL:
             return Infeasible(len(records), rank)
         coeff_dicts.append(
@@ -267,15 +282,14 @@ def _growing_part(exprs) -> np.ndarray:
     that any expression uses, with one all-zero row when none does; column j
     holds expression j's coefficients.
     """
-    coords = sorted(
-        {(t.mode, t.kind, t.exponent) for e in exprs for t in e.terms() if t.exponent >= 0}
-    )
+    columns = [e.as_dict() for e in exprs]
+    coords = sorted({key for col in columns for key in col if key[2] >= 0})
     pos = {c: idx for idx, c in enumerate(coords)}
     mat = np.zeros((max(len(coords), 1), len(exprs)))
-    for col, e in enumerate(exprs):
-        for t in e.terms():
-            if t.exponent >= 0:
-                mat[pos[(t.mode, t.kind, t.exponent)], col] = t.coeff
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            if key[2] >= 0:
+                mat[pos[key], j] = c
     return mat
 
 

@@ -374,6 +374,23 @@ def test_python_dash_m_diagnostic_is_one_line(tmp_path):
     assert proc.stderr == f"big.cvq:1:10: expected mode count at most {MAX_MODES}, found '{MAX_MODES + 1}'\n"
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["claims", "--only", "rotated-sets"], 0),
+    (["run", "missing.cvq"], 2),
+])
+def test_python_dash_m_cvcluster_runs_the_cli(tmp_path, argv, code):
+    """``python -m cvcluster`` is the ``cvcluster`` command, exit codes included."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvcluster", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert "1/1 claims passed" in proc.stdout
+
+
 def test_usage_error_from_argparse(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["sweep", "--state", "chain:2"])  # --combo missing

@@ -446,6 +446,23 @@ def test_bridge_on_random_circuits():
             assert np.array_equal(state.cov, folded.cov)
 
 
+def test_combo_weights_computed_once_give_the_same_bits():
+    """A combination's weights, shared across states, change no variance and
+    no bridge verdict, including one the size-scaled allowance decides."""
+    combo = [(1.0, 2, Y), (-1.0, 1, X), (0.5, 3, X), (0.5, 3, X)]  # x3 repeated
+    weights = covariance.combo_weights(combo)
+    tape = protocols.build_graph_state(graphs.chain(3)).history
+    for r, state in zip((0.0, 1.0, 10.0), replay(3, tape, (0.0, 1.0, 10.0))):
+        numeric = variance_of(state, combo)
+        assert variance_of(state, combo, weights) == numeric
+        verdicts = []
+        for symbolic in (numeric + 1e-3, numeric + 1e3):
+            verdict = covariance.bridge_agrees(state, combo, numeric, symbolic)
+            assert covariance.bridge_agrees(state, combo, numeric, symbolic, weights) == verdict
+            verdicts.append(verdict)
+        assert verdicts == ([True, False] if r == 10.0 else [False, False])
+
+
 def test_bridge_catches_mean_displacement_free_variance():
     """Displaced means must not affect variances."""
     state = epr_state(0.9)

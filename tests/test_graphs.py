@@ -109,6 +109,32 @@ def test_random_graph_density_extremes():
     assert len(full.edges) == 15
 
 
+def _scalar_draw_edges(n, p, rng, connected):
+    """Edge sets from one scalar ``rng.random()`` per pair, in pair order."""
+    edges = set()
+    if connected:
+        order = [int(v) for v in rng.permutation(range(1, n + 1))]
+        edges = {tuple(sorted(order[i:i + 2])) for i in range(n - 1)}
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            if rng.random() < p:
+                edges.add((a, b))
+    return frozenset(edges)
+
+
+@pytest.mark.parametrize("connected", [False, True])
+def test_random_graphs_draw_the_stream_of_per_pair_scalar_draws(connected):
+    build = graphs.random_connected_graph if connected else graphs.random_graph
+    for seed in range(25):
+        n = 1 + seed % 13 if not connected else 2 + seed % 12
+        p = (0.05, 0.3, 0.5, 1.0)[seed % 4]
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        g = build(n, p, rng)
+        assert g.edges == _scalar_draw_edges(n, p, reference, connected)
+        assert g.vertices == tuple(range(1, n + 1))
+        assert rng.random() == reference.random()  # both streams end in the same place
+
+
 # ---------------------------------------------------------------------------
 # edge-list files
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from cvcluster.errors import (
     SelfInteractionError,
     UnsupportedOperationError,
 )
-from cvcluster.gates import MOMENTUM_SQUEEZED, POSITION_SQUEEZED, X, Y
+from cvcluster.gates import MOMENTUM_SQUEEZED, NULLIFIER_TOL, POSITION_SQUEEZED, X, Y
 from cvcluster.ledger import QuadExpr, Register
 
 
@@ -283,6 +283,30 @@ def test_is_nullifier_requires_pure_decay():
     assert ledger.is_nullifier(QuadExpr({(1, Y, -1): 1.0, (2, X, 1): 1e-12}))
 
 
+def test_is_nullifier_keeps_the_verdicts_of_the_term_rule():
+    """The dict-reading rule agrees with the sorted ``Term`` rule, coefficients
+    exactly at ``NULLIFIER_TOL`` (ignored) and just above it (counted) included."""
+
+    def term_rule(expr):
+        return all(t.exponent <= -1 for t in expr.terms() if abs(t.coeff) > NULLIFIER_TOL)
+
+    rng = np.random.default_rng(12)
+    sizes = (NULLIFIER_TOL, -NULLIFIER_TOL, np.nextafter(NULLIFIER_TOL, 1.0),
+             -np.nextafter(NULLIFIER_TOL, 1.0), 1e-12, 0.3, -2.0)
+    verdicts = set()
+    for _ in range(500):
+        terms = {}
+        for _ in range(int(rng.integers(0, 6))):
+            key = (int(rng.integers(1, 4)), (X, Y)[int(rng.integers(2))], int(rng.integers(-3, 3)))
+            terms[key] = float(sizes[int(rng.integers(len(sizes)))])
+        expr = QuadExpr(terms)
+        verdicts.add(ledger.is_nullifier(expr))
+        assert ledger.is_nullifier(expr) == term_rule(expr), terms
+    assert verdicts == {True, False}
+    assert ledger.is_nullifier(QuadExpr({(1, Y, -1): 1.0, (2, X, 0): NULLIFIER_TOL}))
+    assert not ledger.is_nullifier(QuadExpr({(2, X, 0): np.nextafter(NULLIFIER_TOL, 1.0)}))
+
+
 # ---------------------------------------------------------------------------
 # commutators
 # ---------------------------------------------------------------------------
@@ -325,6 +349,55 @@ def test_commutator_flags_unbalanced_exponents():
     e2 = QuadExpr({(1, Y, 0): 1.0})
     with pytest.raises(InternalConsistencyError):
         ledger.commutator(e1, e2)
+
+
+def _reference_commutator(e1, e2):
+    """The commutator as one loop: every term pair, grouped by exponent sum."""
+    by_sum = {}
+    partners = {}
+    for (m2, k2, ex2), c2 in e2.as_dict().items():
+        partners.setdefault((m2, k2), []).append((ex2, c2))
+    for (m1, k1, ex1), c1 in e1.as_dict().items():
+        sign = 1.0 if k1 == X else -1.0
+        for ex2, c2 in partners.get((m1, Y if k1 == X else X), ()):
+            by_sum[ex1 + ex2] = by_sum.get(ex1 + ex2, 0.0) + sign * c1 * c2
+    return by_sum
+
+
+def test_table_commutator_is_the_commutator_on_random_tapes():
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        n = int(rng.integers(2, 6))
+        reg = Register(n)
+        for _ in range(20):
+            m, k = (int(v) for v in rng.choice(np.arange(1, n + 1), size=2, replace=False))
+            op = int(rng.integers(4))
+            if op == 0:
+                reg.squeeze(m, (MOMENTUM_SQUEEZED, POSITION_SQUEEZED)[int(rng.integers(2))])
+            elif op == 1:
+                reg.rotate(m, float(rng.uniform(-3, 3)))
+            elif op == 2:
+                reg.beamsplit(m, k, float(rng.uniform(0.05, 0.95)))
+            else:
+                reg.kerr_couple(m, k, float(rng.uniform(0.2, 2.0)))
+        rows = [reg.quad_expr(m, kd) for m in range(1, n + 1) for kd in (X, Y)]
+        for e2 in rows:
+            table = ledger.commutator_table(e2)
+            for e1 in rows:
+                got = ledger.commutator_with(e1, table)
+                assert got == ledger.commutator(e1, e2)
+                assert got == _reference_commutator(e1, e2).get(0, 0.0)
+
+
+def test_table_commutator_flags_unbalanced_exponents():
+    e1 = QuadExpr({(1, X, 1): 1.0, (2, Y, 0): 1.0})
+    table = ledger.commutator_table(QuadExpr({(1, Y, 0): 1.0, (2, X, 0): 1.0}))
+    with pytest.raises(InternalConsistencyError, match=r"e\^\+1r content 1"):
+        ledger.commutator_with(e1, table)
+    with pytest.raises(InternalConsistencyError, match=r"e\^-2r content -3"):
+        ledger.commutator_with(QuadExpr({(2, Y, -2): 3.0}), table)
+    # Balanced content cancels: e^{+r} x0_1 against e^{-r} y0_1 is a pure number.
+    assert ledger.commutator_with(e1, ledger.commutator_table(QuadExpr({(1, Y, -1): 2.0}))) == 2.0
 
 
 # ---------------------------------------------------------------------------

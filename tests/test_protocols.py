@@ -1,14 +1,16 @@
 """Builders, the feed-forward solver, and the measurement protocols."""
 
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from cvcluster import covariance, graphs, ledger, protocols
 from cvcluster.errors import ProtocolPreconditionError, SelfInteractionError
-from cvcluster.gates import X, Y
+from cvcluster.gates import MOMENTUM_SQUEEZED, SOLVER_TOL, Kerr, Squeeze, X, Y
 from cvcluster.ledger import QuadExpr
 
 
@@ -121,6 +123,83 @@ def test_ghz_optics_unweighted_set():
             assert ledger.is_nullifier(reg.combine([(1.0, a, Y), (-1.0, b, Y)]))
 
 
+def _fresh_graph_state(g):
+    """The graph state applied gate by gate to a new register, no reuse."""
+    reg = ledger.Register(g.n_vertices)
+    for m in range(1, g.n_vertices + 1):
+        reg.apply(Squeeze(m, MOMENTUM_SQUEEZED))
+    for l, k in sorted((g.mode_of(a), g.mode_of(b)) for a, b in g.edges):
+        reg.apply(Kerr(l, k, 1.0))
+    return reg
+
+
+def _snapshot(reg):
+    """Rows, books, mode status, records and history of a register."""
+    modes = [(md.row, md.book, md.status, md.record_index) for md in reg._modes]
+    records = [(r.index, r.mode, r.kind, r.observable.as_dict(), r.owner is reg)
+               for r in reg.records]
+    return modes, records, list(reg.history)
+
+
+def test_repeated_builds_of_a_graph_are_independent_fresh_states():
+    g = graphs.ring_star(6)
+    want = _snapshot(_fresh_graph_state(g))
+    handed_out = []
+    for _ in range(4):
+        reg = protocols.build_graph_state(g)
+        assert all(reg is not other for other in handed_out)
+        assert _snapshot(reg) == want
+        rec = reg.measure(2, X)
+        reg.displace_with(3, Y, -1.0, rec)
+        reg.rotate(1, 0.4)
+        reg.measure(1, Y)
+        handed_out.append(reg)
+    # The mutations stayed with the registers they were made on.
+    assert all(len(reg.records) == 2 and len(reg.history) == len(want[2]) + 1
+               for reg in handed_out)
+
+
+def test_a_dropped_graph_takes_its_stored_build_with_it():
+    g = graphs.chain(7)
+    protocols.build_graph_state(g)
+    protocols.build_graph_state(g)
+    graph_ref = weakref.ref(g)
+    build_ref = weakref.ref(protocols._BUILDS[g])
+    del g
+    gc.collect()
+    assert graph_ref() is None
+    assert build_ref() is None
+
+
+class _NoReuse(dict):
+    """A build store that never remembers a graph."""
+
+    def __contains__(self, graph):
+        return False
+
+    def __setitem__(self, graph, build):
+        pass
+
+
+def _pair_reports(n):
+    g = graphs.chain(n)
+    return [protocols.extract_pair(g, j, k)
+            for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+
+
+def _report_facts(rep):
+    return (rep.success, rep.measurements, rep.displacements, rep.combos,
+            [e.as_dict() for e in rep.nullifiers], rep.rank_info, rep.details)
+
+
+def test_pair_extraction_reports_do_not_depend_on_build_reuse(monkeypatch):
+    reused = [_report_facts(rep) for n in range(2, 12) for rep in _pair_reports(n)]
+    monkeypatch.setattr(protocols, "_BUILDS", _NoReuse())
+    fresh = [_report_facts(rep) for n in range(2, 12) for rep in _pair_reports(n)]
+    assert len(reused) == 220
+    assert reused == fresh
+
+
 # ---------------------------------------------------------------------------
 # feed-forward solver
 # ---------------------------------------------------------------------------
@@ -161,6 +240,34 @@ def test_solver_with_no_records_and_clean_target():
     )
     assert isinstance(sol, protocols.FeedforwardSolution)
     assert sol.coeffs == [{}]
+
+
+def test_solver_rank_is_matrix_rank(monkeypatch):
+    """The rank read off lstsq's singular values is ``matrix_rank`` at
+    ``SOLVER_TOL`` on ring-star families (odd ones solvable, even ones
+    deficient by one) and on path reductions of random graphs."""
+    solved = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda a, b, rcond: solved.append(a) or lstsq(a, b, rcond=rcond))
+
+    def check(rep):
+        equations, rank = rep.rank_info
+        # With no records there is nothing to factor and the rank is 0.
+        assert rank == (np.linalg.matrix_rank(solved[-1], tol=SOLVER_TOL) if equations else 0)
+        solved.clear()
+        return equations - rank
+
+    deficiencies = [check(protocols.ring_star_to_ghz(graphs.ring_star(2 * m)))
+                    for m in range(3, 15)]
+    assert deficiencies == [0, 1] * 6
+    rng, checked = np.random.default_rng(777), 0
+    for _ in range(50):
+        n = int(rng.integers(4, 21))
+        g = graphs.random_connected_graph(n, float(rng.uniform(0.1, 0.4)), rng)
+        a, b = (int(v) for v in rng.choice(g.vertices, size=2, replace=False))
+        checked += check(protocols.reduce_graph_to_path(g, a, b)) == 0
+    assert checked == 50
 
 
 # ---------------------------------------------------------------------------
