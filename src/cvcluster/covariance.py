@@ -2,10 +2,11 @@
 
 States are Gaussian, stored as a mean vector and covariance matrix in
 ``(X_1, Y_1, ..., X_n, Y_n)`` order with vacuum variance 1/2 per quadrature
-(``[X, Y] = i``).  All operations are pure: they return new states.
-:func:`apply_tape` replays a gate tape at one squeezing r; :func:`replay` runs
-a tape from vacuum at several r at once (print rows, the cross-engine claim),
-applying each gate once to a stack of the states.
+(``[X, Y] = i``).  Every operation but one is pure and returns a new state;
+:func:`apply_gate` updates the state it is given in place.  :func:`apply_tape`
+copies its input once and replays a gate tape on the copy at one squeezing r;
+:func:`replay` runs a tape from vacuum at several r at once (print rows, the
+cross-engine claim), applying each gate once to a stack of the states.
 
 This engine is deliberately independent of :mod:`cvcluster.ledger`: the two
 are cross-checked against each other by the test- and claims-suites, so the
@@ -66,13 +67,16 @@ def vacuum_state(n: int) -> GaussianState:
 
 
 def apply_gate(state: GaussianState, gate: gates.Gate, r: float | None = None) -> GaussianState:
-    """Apply one gate; ``r`` supplies the numeric squeezing for Squeeze gates.
+    """Apply one gate to ``state`` in place and return it; ``r`` supplies the
+    numeric squeezing for Squeeze gates.
 
     The gate's block and where it sits come from :func:`gates.placement`,
     which checks the block (S Omega S^T = Omega to 1e-12) when it is built.
-    Only those rows/columns are updated.  A mode outside the state is reported
-    before any error in the block; a state that overflows float range is a
-    :class:`DomainError`, never an ``inf`` or NaN entry.
+    Only those rows/columns of ``state.mean`` and ``state.cov`` are updated.
+    A mode outside the state is reported before any error in the block, and
+    either leaves the state untouched; a state that overflows float range is
+    a :class:`DomainError`, never an ``inf`` or NaN entry, but may leave the
+    state partly updated.  Use :func:`apply_tape` to keep the input.
     """
     try:
         block, idx, (low, high) = gates.placement(gate, r)
@@ -81,8 +85,7 @@ def apply_gate(state: GaussianState, gate: gates.Gate, r: float | None = None) -
         raise
     if low < 1 or high > state.n:
         _check_modes(state.n, gate)
-    mean = state.mean.copy()
-    cov = state.cov.copy()
+    mean, cov = state.mean, state.cov
     try:
         with np.errstate(over="raise", invalid="raise"):
             mean[idx] = block @ mean[idx]
@@ -92,7 +95,7 @@ def apply_gate(state: GaussianState, gate: gates.Gate, r: float | None = None) -
         raise DomainError(
             f"{gate!r} at r={r!r} leaves float range; squeezing too large"
         ) from None
-    return GaussianState(state.n, mean, cov)
+    return state
 
 
 def _check_modes(n: int, gate: gates.Gate) -> None:
@@ -103,9 +106,13 @@ def _check_modes(n: int, gate: gates.Gate) -> None:
 
 
 def apply_tape(state: GaussianState, tape, r: float | None = None) -> GaussianState:
-    """Apply a sequence of gates (e.g. a ledger register's ``history``)."""
+    """A new state: ``state`` after a sequence of gates (e.g. a ledger
+    register's ``history``).  The input is copied once and each gate applied
+    to the copy by :func:`apply_gate`, so ``state`` is left as it was, also
+    when a gate fails."""
+    state = GaussianState(state.n, state.mean.copy(), state.cov.copy())
     for gate in tape:
-        state = apply_gate(state, gate, r)
+        apply_gate(state, gate, r)
     return state
 
 
@@ -184,6 +191,8 @@ def homodyne(
         )
     prior_mean = float(state.mean[q])
     if outcome is None:
+        if rng is None:
+            raise DomainError("homodyne needs an outcome or an rng to draw one")
         outcome = float(rng.normal(prior_mean, math.sqrt(v)))
     keep = np.ones(2 * state.n, dtype=bool)
     keep[[q, q ^ 1]] = False  # q ^ 1 is the conjugate quadrature of the same mode

@@ -627,7 +627,7 @@ class _Execution:
         gate = _GATES[stmt.keyword](*stmt.modes, stmt.value)
         self.reg.apply(gate)
         if self.engine == COVARIANCE:
-            self.state = covariance.apply_gate(self.state, gate, self.r)
+            covariance.apply_gate(self.state, gate, self.r)
 
     def _do_MeasureStmt(self, stmt):
         rec = self.reg.measure(stmt.mode, stmt.kind)

@@ -222,6 +222,60 @@ def test_a_mode_outside_the_state_is_reported_first():
         apply_gate(vacuum_state(2), Squeeze(2, MOMENTUM_SQUEEZED))
 
 
+def test_apply_gate_updates_the_state_it_is_given():
+    state = vacuum_state(3)
+    mean, cov = state.mean, state.cov
+    assert apply_gate(state, Kerr(1, 3, 0.4)) is state
+    assert state.mean is mean and state.cov is cov
+    assert cov[quad_index(1, Y), quad_index(3, X)] == 0.5 * 0.4
+    before = cov.copy()
+    with pytest.raises(InvalidSizeError):
+        apply_gate(state, Beamsplit(2, 4, 0.5))
+    assert np.array_equal(state.cov, before)
+
+
+def assert_tape_leaves_its_input(start, tape, r, error=None):
+    mean, cov = start.mean.copy(), start.cov.copy()
+    if error is None:
+        assert apply_tape(start, tape, r) is not start
+    else:
+        with pytest.raises(error):
+            apply_tape(start, tape, r)
+    assert np.array_equal(start.mean, mean)
+    assert np.array_equal(start.cov, cov)
+
+
+def test_apply_tape_leaves_its_input_as_it_was():
+    """Also when a gate fails partway through, after the copy has changed."""
+    rng = np.random.default_rng(13)
+    start = GaussianState(3, rng.normal(size=6), 0.5 * np.eye(6))
+    tape = [Kerr(1, 2, 0.7), Rotate(2, 0.3), Beamsplit(2, 3, 0.4)]
+    assert_tape_leaves_its_input(start, tape, 1.0)
+    assert_tape_leaves_its_input(start, [], 1.0)
+    assert_tape_leaves_its_input(start, tape + [Squeeze(2, MOMENTUM_SQUEEZED)], 400.0,
+                                 DomainError)
+    assert_tape_leaves_its_input(start, tape + [Kerr(3, 4, 1.0)], 1.0, InvalidSizeError)
+
+
+def test_apply_tape_makes_one_apply_gate_call_per_gate(monkeypatch):
+    """A tape of L gates is L calls through the module's ``apply_gate``,
+    which is what per-gate call counts wrapped around it observe."""
+    tape = protocols.build_graph_state(graphs.grid(3, 4)).history
+    want = apply_tape(vacuum_state(12), tape, 0.5)
+    calls = []
+    real = covariance.apply_gate
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(covariance, "apply_gate", counting)
+    got = apply_tape(vacuum_state(12), tape, 0.5)
+    assert calls == list(tape)
+    assert np.array_equal(got.mean, want.mean)
+    assert np.array_equal(got.cov, want.cov)
+
+
 # ---------------------------------------------------------------------------
 # replay: one tape at many r, bit for bit the per-r fold
 # ---------------------------------------------------------------------------
@@ -346,6 +400,11 @@ def test_homodyne_mode_validation():
     state = epr_state()
     with pytest.raises(InvalidSizeError):
         homodyne(state, 3, X, outcome=0.0)
+
+
+def test_homodyne_without_an_outcome_needs_an_rng():
+    with pytest.raises(DomainError, match="outcome or an rng"):
+        homodyne(epr_state(), 1, X)
 
 
 def test_non_finite_squeezing_and_variance_are_domain_errors():
