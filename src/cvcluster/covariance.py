@@ -233,6 +233,12 @@ def variance_of(state: GaussianState, combo, weights=None) -> float:
     return float(w @ state.cov[ix] @ w)
 
 
+def bridge_allowance(state: GaussianState, combo, weights=None) -> float:
+    """``BRIDGE_TOL * max(1, sum |w_i| |V_ij| |w_j|)``, the gap :func:`bridge_agrees` allows."""
+    w, ix = combo_weights(combo) if weights is None else weights
+    return BRIDGE_TOL * max(1.0, float(np.abs(w) @ np.abs(state.cov[ix]) @ np.abs(w)))
+
+
 def bridge_agrees(state: GaussianState, combo, numeric: float, symbolic: float,
                   weights=None) -> bool:
     """The one bridge rule: do ``variance_of(state, combo)`` and the ledger's
@@ -241,15 +247,11 @@ def bridge_agrees(state: GaussianState, combo, numeric: float, symbolic: float,
     The numeric side sums the terms ``w_i V_ij w_j``, so its rounding grows
     with their size, not with the variance: at large squeezing the terms reach
     1e8 while the variance is 1e-9.  The gap is allowed
-    ``BRIDGE_TOL * max(1, sum |w_i| |V_ij| |w_j|)``, computed only when it
-    exceeds ``BRIDGE_TOL``.  A NaN on either side fails.  ``weights`` is as
-    in :func:`variance_of`.
+    :func:`bridge_allowance`, computed only when it exceeds ``BRIDGE_TOL``.
+    A NaN on either side fails.
     """
     gap = abs(numeric - symbolic)
-    if gap <= BRIDGE_TOL:
-        return True
-    w, ix = combo_weights(combo) if weights is None else weights
-    return gap <= BRIDGE_TOL * max(1.0, float(np.abs(w) @ np.abs(state.cov[ix]) @ np.abs(w)))
+    return gap <= BRIDGE_TOL or gap <= bridge_allowance(state, combo, weights)
 
 
 def is_mode_product(state: GaussianState) -> bool:

@@ -555,7 +555,9 @@ def execute(
     conditions a numeric Gaussian state: measurement outcomes are drawn
     from the prior marginal (deterministically under ``seed``), displacements
     move means, and every reported variance is recomputed from the gate tape
-    and checked against the ledger's closed form.
+    and checked against the ledger's closed form.  Prints at one tape point
+    with the same r list share one stacked replay; each ``assert nullifier``
+    replays its tape once.
     """
     return _run(scn, engine, r, seed, source).report
 
@@ -592,27 +594,32 @@ class _Execution:
         self.report = RunReport(source, engine, r, seed, len(scn.statements))
         self.state = None
         self.outcomes: dict[str, float] = {}
+        self.printed: dict[tuple, list] = {}  # the last print's states by (len(history), rs)
         if engine == COVARIANCE:
             self.state = covariance.vacuum_state(scn.n)
             self.rng = np.random.default_rng(seed)
 
     # -- engine plumbing ---------------------------------------------------
 
-    def _replay_variance(self, parts, r: float, tape_state=None) -> float:
-        """Variance of a (possibly displaced) combo, two independent ways; the
-        tape is replayed from vacuum at ``r`` unless ``tape_state`` is that."""
+    def _replay_variances(self, parts, expr, rs, states=None) -> list[float]:
+        """Variances of a (possibly displaced) combo, ledger expression ``expr``, at each
+        r, two independent ways; the tape is replayed unless ``states`` are its replays."""
         combo = self.reg.frame_combo(parts)
-        if tape_state is None:
-            tape_state = covariance.apply_tape(
-                covariance.vacuum_state(self.reg.n), self.reg.history, r
-            )
-        numeric = covariance.variance_of(tape_state, combo)
-        symbolic = ledger.variance_formula(self.reg.combine(parts), r)
-        if not covariance.bridge_agrees(tape_state, combo, numeric, symbolic):
-            raise InternalConsistencyError(
-                f"engines disagree on a variance: {numeric!r} vs {symbolic!r}"
-            )
-        return numeric if self.engine == COVARIANCE else symbolic
+        weights = covariance.combo_weights(combo)
+        if states is None:
+            vacuum = covariance.vacuum_state(self.reg.n)
+            states = (covariance.apply_tape(vacuum, self.reg.history, r) for r in rs)
+        values = []
+        for r, state in zip(rs, states):
+            numeric = covariance.variance_of(state, combo, weights)
+            symbolic = ledger.variance_formula(expr, r)
+            if not covariance.bridge_agrees(state, combo, numeric, symbolic, weights):
+                raise InternalConsistencyError(
+                    f"engines disagree on a variance at r={r!r}: covariance {numeric!r}, "
+                    f"ledger {symbolic!r}, allowance {covariance.bridge_allowance(state, combo, weights)!r}"
+                )
+            values.append(numeric if self.engine == COVARIANCE else symbolic)
+        return values
 
     # -- statements --------------------------------------------------------
 
@@ -656,7 +663,7 @@ class _Execution:
         if self.engine == COVARIANCE:
             # Nullifier status is symbolic; the numeric engine contributes a
             # consistency check of the same combination's variance at run r.
-            self._replay_variance(parts, self.r)
+            self._replay_variances(parts, expr, (self.r,))
         self._record_assert(stmt, f"assert nullifier {render_combo(stmt.terms)}", ok)
 
     def _do_AssertProductStmt(self, stmt):
@@ -669,12 +676,18 @@ class _Execution:
     def _do_PrintVarianceStmt(self, stmt):
         combo_text = render_combo(stmt.terms)
         parts = combo_parts(stmt.terms)
-        states = covariance.replay(self.reg.n, self.reg.history, stmt.rs)
+        expr = self.reg.combine(parts)
+        key = (len(self.reg.history), stmt.rs)  # only gates grow history
+        states, self.printed = self.printed.get(key), {}  # drop a stale stack before replaying
         try:
-            values = [self._replay_variance(parts, rv, st) for rv, st in zip(stmt.rs, states)]
+            if states is None:
+                states = covariance.replay(self.reg.n, self.reg.history, stmt.rs)
+            if len(stmt.rs) * (2 * self.reg.n) ** 2 <= (2 * gates.MAX_MODES) ** 2:
+                states = self.printed[key] = list(states)  # one chunk, already in memory
+            values = self._replay_variances(parts, expr, stmt.rs, states)
         except CvClusterError:
             # Report what a row-by-row replay reports: the first failing row.
-            values = [self._replay_variance(parts, rv) for rv in stmt.rs]
+            values = self._replay_variances(parts, expr, stmt.rs)
         self.report.csv_rows += [(combo_text, rv, v) for rv, v in zip(stmt.rs, values)]
         self.report.events.append(
             f"line {stmt.line}: print variance {combo_text} ({len(stmt.rs)} rows)"

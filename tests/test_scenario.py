@@ -3,11 +3,13 @@
 import glob
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from cvcluster import claims, covariance, gates, graphs, ledger, protocols, scenario
+from cvcluster.errors import DomainError
 from cvcluster.gates import MAX_MODES, X, Y
 from cvcluster.scenario import (
     ParseError,
@@ -421,6 +423,147 @@ def test_a_print_replays_its_tape_once_for_all_rows(monkeypatch):
     monkeypatch.setattr(covariance, "apply_tape", lambda *args: calls.append(args))
     assert execute(parse(text)).csv_rows == want
     assert len(want) == 4 and calls == []
+
+
+# A print's states are kept for the next print at the same tape point.
+TAPE = (
+    "register 3\n"
+    "squeeze 1 momentum\nsqueeze 2 momentum\nsqueeze 3 momentum\n"
+    "kerr 1 2\nkerr 2 3 g=0.7\nrotate 1 0.4rad\n"
+)
+PRINT_A = "print variance 1*y1 - 1*x2 at r=0,0.5,1,2\n"
+PRINT_B = "print variance 1*y2 - 1*x1 - 0.7*x3 at r=0,0.5,1,2\n"
+
+
+def count_replays(monkeypatch):
+    calls = []
+    replay = covariance.replay
+    monkeypatch.setattr(covariance, "replay",
+                        lambda n, tape, rs: calls.append(len(tape)) or replay(n, tape, rs))
+    return calls
+
+
+def run_by_statement(text, engine):
+    """Execute ``text`` one statement at a time; also return every print row
+    as its own ``apply_tape`` replay (or the ledger closed form) gives it."""
+    scn = parse(text)
+    exe = scenario._Execution(scn, engine, 1.0, 7, "<scenario>")
+    want = []
+    for stmt in scn.statements:
+        if isinstance(stmt, scenario.PrintVarianceStmt):
+            parts = scenario.combo_parts(stmt.terms)
+            for r in stmt.rs:
+                if engine == "covariance":
+                    state = covariance.apply_tape(
+                        covariance.vacuum_state(exe.reg.n), exe.reg.history, r)
+                    want.append(covariance.variance_of(state, exe.reg.frame_combo(parts)))
+                else:
+                    want.append(ledger.variance_formula(exe.reg.combine(parts), r))
+        exe.apply(stmt)
+    return exe, want
+
+
+@pytest.mark.parametrize("engine", ["ledger", "covariance"])
+def test_prints_at_one_tape_point_share_one_replay(monkeypatch, engine):
+    calls = count_replays(monkeypatch)
+    exe, want = run_by_statement(TAPE + PRINT_A + PRINT_B, engine)
+    assert calls == [6]
+    assert [v for _, _, v in exe.report.csv_rows] == want
+    assert [r for _, r, _ in exe.report.csv_rows] == [0, 0.5, 1, 2] * 2
+
+
+@pytest.mark.parametrize("engine", ["ledger", "covariance"])
+def test_a_gate_between_two_prints_replays_again(monkeypatch, engine):
+    calls = count_replays(monkeypatch)
+    exe, want = run_by_statement(TAPE + PRINT_A + "bs 1 3 t=0.3\n" + PRINT_A, engine)
+    assert calls == [6, 7]
+    assert [v for _, _, v in exe.report.csv_rows] == want
+    assert want[:4] != want[4:]
+
+
+@pytest.mark.parametrize("engine", ["ledger", "covariance"])
+def test_a_measure_or_displace_between_two_prints_replays_once(monkeypatch, engine):
+    wire = "print variance 1*y2 - 1*x1 at r=0,0.5,1,2\n"
+    text = (TAPE + PRINT_A + "measure x 3 -> m\n" + wire
+            + "displace y 2 += -0.7*m\n" + wire + PRINT_A)
+    calls = count_replays(monkeypatch)
+    exe, want = run_by_statement(text, engine)
+    assert calls == [6]
+    assert [v for _, _, v in exe.report.csv_rows] == want
+    assert want[4:8] != want[8:12]  # the displacement changed what the wire reads
+
+
+def test_an_r_list_over_one_chunk_keeps_no_states(monkeypatch):
+    text = (TAPE + PRINT_A + PRINT_A).replace("at r=0,0.5,1,2", "at r=0,0.25,0.5,1,2")
+    want = execute(parse(text), engine="covariance", r=1.0, seed=7).csv_rows
+    monkeypatch.setattr(gates, "MAX_MODES", 3)  # a chunk holds one 6x6 state
+    calls = count_replays(monkeypatch)
+    exe, per_row = run_by_statement(text, "covariance")
+    assert calls == [6, 6] and exe.printed == {}
+    assert exe.report.csv_rows == want
+    assert [v for _, _, v in want] == per_row
+
+
+def test_a_failing_print_keeps_nothing_and_reports_as_before(monkeypatch):
+    bad = "print variance 1*y1 - 1*x2 at r=0,1,400\n"
+    with pytest.raises(ScenarioRuntimeError) as alone:
+        execute(parse(TAPE + bad))
+    with pytest.raises(ScenarioRuntimeError) as err:
+        execute(parse(TAPE + bad + PRINT_A))
+    assert (err.value.line, err.value.col, str(err.value)) == (
+        alone.value.line, alone.value.col, str(alone.value))
+    # The failing print drops the states it found and keeps none of its own,
+    # so the next print at this tape point replays afresh.
+    calls = count_replays(monkeypatch)
+    scn = parse(TAPE + PRINT_A + bad + PRINT_A)
+    exe = scenario._Execution(scn, "ledger", None, None, "<scenario>")
+    for stmt in scn.statements[:-2]:
+        exe.apply(stmt)
+    with pytest.raises(DomainError, match=re.escape(str(alone.value))):
+        exe.apply(scn.statements[-2])
+    assert exe.printed == {}
+    exe.apply(scn.statements[-1])
+    assert calls == [6, 6, 6]
+    assert exe.report.csv_rows[:4] == exe.report.csv_rows[4:]
+
+
+def test_each_assert_nullifier_replays_its_tape_once(monkeypatch):
+    """On the covariance engine an assert is one ``apply_tape`` call; prints
+    use ``replay`` and make none."""
+    calls = []
+    apply_tape = covariance.apply_tape
+    monkeypatch.setattr(covariance, "apply_tape",
+                        lambda *args: calls.append(args) or apply_tape(*args))
+    for path in SCRIPTS:
+        with open(path, encoding="utf-8") as fh:
+            scn = parse(fh.read())
+        asserts = sum(isinstance(s, scenario.AssertNullifierStmt) for s in scn.statements)
+        del calls[:]
+        execute(scn, engine="covariance", r=1.0, seed=7)
+        assert len(calls) == asserts, path
+
+
+def test_an_engine_disagreement_names_r_both_sides_and_the_allowance():
+    """Rounding at g = 1e5 exceeds the allowance; the diagnostic says by how much."""
+    text = (
+        "register 2\nsqueeze 1 momentum\nsqueeze 2 momentum\nkerr 1 2 g=100000\n"
+        "rotate 1 0.3rad\nrotate 1 -0.3rad\nassert nullifier 1*y2 - 100000*x1\n"
+    )
+    with pytest.raises(ScenarioRuntimeError) as err:
+        execute(parse(text), engine="covariance", r=1.0, seed=7)
+    reg = ledger_register(parse(text))
+    parts = [(1.0, 2, Y), (-100000.0, 1, X)]
+    state = covariance.apply_tape(covariance.vacuum_state(2), reg.history, 1.0)
+    combo = reg.frame_combo(parts)
+    numeric = covariance.variance_of(state, combo)
+    symbolic = ledger.variance_formula(reg.combine(parts), 1.0)
+    allowance = covariance.bridge_allowance(state, combo)
+    assert abs(numeric - symbolic) > allowance
+    assert (err.value.line, err.value.col) == (7, 1)
+    assert str(err.value) == (
+        f"engines disagree on a variance at r=1.0: covariance {numeric!r}, "
+        f"ledger {symbolic!r}, allowance {allowance!r}"
+    )
 
 
 def test_ledger_register_exposes_final_state():
