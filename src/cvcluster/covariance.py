@@ -6,7 +6,7 @@ States are Gaussian, stored as a mean vector and covariance matrix in
 :func:`apply_gate` updates the state it is given in place.  :func:`apply_tape`
 copies its input once and replays a gate tape on the copy at one squeezing r;
 :func:`replay` runs a tape from vacuum at several r at once (print rows, the
-cross-engine claim), applying each gate once to a stack of the states.
+closing claims), applying each gate once to a stack of zero-mean states.
 
 This engine is deliberately independent of :mod:`cvcluster.ledger`: the two
 are cross-checked against each other by the test- and claims-suites, so the
@@ -120,42 +120,42 @@ def replay(n: int, tape, rs) -> Iterator[GaussianState]:
     """The vacuum of ``n`` modes after ``tape``, once per value in ``rs``, in order.
 
     Each state is bit for bit ``apply_tape(vacuum_state(n), tape, r)``, but
-    each gate is applied once, in place, to a stack of the states: only a
-    Squeeze block depends on r, so it gets one block per r and every other
-    gate broadcasts its shared block.  A stack holds at most as many floats
-    as one covariance matrix at ``gates.MAX_MODES``; longer r lists are
-    replayed lazily, chunk by chunk.  Errors are :func:`apply_gate`'s, except
-    that an overflow names the chunk's r values.
+    each gate is applied once, in place, to a stack of the covariances (a tape
+    holds no displacement, so every mean is zero).  Only a Squeeze block
+    depends on r: each direction gets one stack of blocks over r, and every
+    other gate broadcasts its shared block.  A stack holds at most as many
+    floats as one covariance matrix at ``gates.MAX_MODES``; longer r lists
+    are replayed lazily, chunk by chunk.  Errors are :func:`apply_gate`'s,
+    but an overflow names the chunk's r values.
     """
     rs = list(rs)
-    vacuum = vacuum_state(n)
+    vacuum = vacuum_state(n).cov
     chunk = max(1, (2 * gates.MAX_MODES) ** 2 // (2 * n) ** 2)
     for start in range(0, len(rs), chunk):
         part = rs[start:start + chunk]
-        mean = np.zeros((len(part), 2 * n))
-        cov = np.repeat(vacuum.cov[None], len(part), axis=0)
-        for gate in tape:
-            squeeze = isinstance(gate, gates.Squeeze)
-            try:
-                placed = [gates.placement(gate, r) for r in (part if squeeze else part[:1])]
-            except DomainError:
-                _check_modes(n, gate)
-                raise
-            block, idx, (low, high) = placed[0]
-            if low < 1 or high > n:
-                _check_modes(n, gate)
-            if squeeze:
-                block = np.stack([p[0] for p in placed])
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    mean[:, idx] = (block @ mean[:, idx, None])[..., 0]
+        cov = np.repeat(vacuum[None], len(part), axis=0)
+        stacks = {}  # squeeze direction -> (R, 2, 2) blocks, shared by every mode
+        with np.errstate(over="raise", invalid="raise"):
+            for gate in tape:
+                try:
+                    block, idx, (low, high) = gates.placement(gate, part[0])
+                    if isinstance(gate, gates.Squeeze):
+                        if gate.direction not in stacks:
+                            stacks[gate.direction] = np.stack([gates.placement(gate, r)[0] for r in part])
+                        block = stacks[gate.direction]
+                except DomainError:
+                    _check_modes(n, gate)
+                    raise
+                if low < 1 or high > n:
+                    _check_modes(n, gate)
+                try:
                     cov[:, idx, :] = block @ cov[:, idx, :]
-                    cov[:, :, idx] = cov[:, :, idx] @ np.swapaxes(block, -1, -2)
-            except FloatingPointError:
-                raise DomainError(
-                    f"{gate!r} at r in {part!r} leaves float range; squeezing too large"
-                ) from None
-        yield from (GaussianState(n, m, c) for m, c in zip(mean, cov))
+                    cov[:, :, idx] = cov[:, :, idx] @ block.swapaxes(-1, -2)
+                except FloatingPointError:
+                    raise DomainError(
+                        f"{gate!r} at r in {part!r} leaves float range; squeezing too large"
+                    ) from None
+        yield from (GaussianState(n, np.zeros(2 * n), c) for c in cov)
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +227,19 @@ def variance_of(state: GaussianState, combo, weights=None) -> float:
 
     ``combo`` is an iterable of ``(coeff, mode, kind)``.  Repeated
     quadratures are accumulated before evaluation.  ``weights``, if given,
-    is ``combo_weights(combo)``.
+    is ``combo_weights(combo)``.  A sum past float range is ``inf`` or NaN,
+    without a numpy warning; callers report it.
     """
     w, ix = combo_weights(combo) if weights is None else weights
-    return float(w @ state.cov[ix] @ w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(w @ state.cov[ix] @ w)
 
 
 def bridge_allowance(state: GaussianState, combo, weights=None) -> float:
     """``BRIDGE_TOL * max(1, sum |w_i| |V_ij| |w_j|)``, the gap :func:`bridge_agrees` allows."""
     w, ix = combo_weights(combo) if weights is None else weights
-    return BRIDGE_TOL * max(1.0, float(np.abs(w) @ np.abs(state.cov[ix]) @ np.abs(w)))
+    with np.errstate(over="ignore"):
+        return BRIDGE_TOL * max(1.0, float(np.abs(w) @ np.abs(state.cov[ix]) @ np.abs(w)))
 
 
 def bridge_agrees(state: GaussianState, combo, numeric: float, symbolic: float,

@@ -66,8 +66,8 @@ COEFF_TOL = 1e-12
 ENTANGLEMENT_MARGIN = 1e-12
 # Inputs: the most modes a script, edge list or named state may ask for.  The
 # covariance engine holds a dense (2n)x(2n) float64 matrix, 134 MB at this n,
-# and copies it on every gate; covariance.replay's stack of states over r holds
-# at most that many floats, chunking its r list.
+# and copies it once per tape; covariance.replay's stack of covariances over r
+# holds at most that many floats, chunking its r list.
 MAX_MODES = 2048
 
 

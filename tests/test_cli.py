@@ -165,6 +165,20 @@ def test_large_r_is_a_one_line_diagnostic(capsys, argv, where):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("engine", [[], ["--engine", "covariance", "--r", "1"]],
+                         ids=["ledger", "covariance"])
+def test_an_overflowing_variance_is_one_line_and_no_numpy_warning(tmp_path, capsys, engine):
+    """The replayed sum w V w overflows at r=355 before the ledger's e^710 does;
+    only the ledger's diagnostic is printed (pytest turns a warning into an error)."""
+    p = tmp_path / "overflow.cvq"
+    p.write_text("register 2\nsqueeze 1 momentum\nsqueeze 2 momentum\nkerr 1 2\n"
+                 "print variance 1*x1 + 1*x2 at r=355\n")
+    assert cli.main(["run", str(p), *engine]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{p}:5:1: variance at r=355.0 is not a finite float\n"
+
+
 # ---------------------------------------------------------------------------
 # claims
 # ---------------------------------------------------------------------------

@@ -325,6 +325,35 @@ def test_replay_reports_a_mode_outside_the_state_first():
         list(replay(2, [Squeeze(1), Squeeze(1)], (0.0, 400.0)))
 
 
+def test_replay_hands_numpy_error_state_back_to_its_caller():
+    """The overflow check is numpy's ``raise`` mode, entered once per chunk:
+    the caller's own settings hold between states, after the last one and
+    after an overflow at a later gate, which still names that gate and r."""
+    mine = {"divide": "print", "over": "ignore", "under": "warn", "invalid": "ignore"}
+    tape = [Kerr(1, 2), Squeeze(1), Rotate(2, 0.3), Squeeze(1)]
+    with np.errstate(**mine):
+        states = replay(2, tape, (0.0, 1.0, 2.0))
+        for _ in range(3):
+            next(states)
+            assert np.geterr() == mine
+        with pytest.raises(StopIteration):
+            next(states)
+        assert np.geterr() == mine
+        with pytest.raises(DomainError, match=r"^Squeeze\(mode=1, direction='momentum'\) "
+                           r"at r in \[0\.0, 300\.0\] leaves float range"):
+            next(replay(2, tape, (0.0, 300.0)))
+        assert np.geterr() == mine
+
+
+def test_variance_past_float_range_is_inf_without_a_warning():
+    """Callers turn a non-finite variance into a diagnostic; numpy must not
+    print an overflow warning first (pytest makes one an error)."""
+    big = GaussianState(2, np.zeros(4), np.full((4, 4), 1e308))
+    combo = [(1.0, 1, X), (1.0, 2, X)]
+    assert variance_of(big, combo) == math.inf
+    assert covariance.bridge_allowance(big, combo) == math.inf
+
+
 def test_replay_stacks_no_more_than_one_matrix_at_the_mode_cap(monkeypatch):
     """With the cap at 3 modes a stack holds at most 36 floats: 2 states of
     2 modes, 1 of 3.  The chunked states are still the fold's."""
