@@ -12,11 +12,7 @@ from cvcluster import graphs, protocols
 
 
 def concentrate(n, j, k, outer=None):
-    g = graphs.chain(n)
-    if outer is None:
-        rep = protocols.extract_pair(g, j, k)
-    else:
-        rep = protocols.extract_pair(g, j, k, outer)
+    rep = protocols.extract_pair(graphs.chain(n), j, k, outer)
     kinds = " ".join(f"{kind}{mode}" for mode, kind in rep.measurements)
     print(f"chain {n}, pair ({j},{k}): success={rep.success}  measured: {kinds}")
     return rep

@@ -258,7 +258,7 @@ def _cmd_graph(args) -> int:
             report = protocols.ring_star_to_ghz(graph, measured=measured, flavor=args.flavor)
         elif args.protocol == "extract-pair":
             need("j", "k")
-            outer = protocols.NextNeighbor()
+            outer = None
             if args.outer_left is not None or args.outer_right is not None:
                 outer = protocols.CustomOuter(
                     left=tuple(_parse_int_list(args.outer_left, "--outer-left"))

@@ -92,10 +92,15 @@ def apply_gate(state: GaussianState, gate: gates.Gate, r: float | None = None) -
             cov[idx, :] = block @ cov[idx, :]
             cov[:, idx] = cov[:, idx] @ block.T
     except FloatingPointError:
-        raise DomainError(
-            f"{gate!r} at r={r!r} leaves float range; squeezing too large"
-        ) from None
+        raise _overflow(gate, f"r={r!r}") from None
     return state
+
+
+def _overflow(gate: gates.Gate, at: str) -> DomainError:
+    """The error for a gate that takes the state past float range: a coupling
+    overflows through g squared, any other gate through the squeezing."""
+    cause = "coupling" if isinstance(gate, gates.Kerr) else "squeezing"
+    return DomainError(f"{gate!r} at {at} leaves float range; {cause} too large")
 
 
 def _check_modes(n: int, gate: gates.Gate) -> None:
@@ -152,9 +157,7 @@ def replay(n: int, tape, rs) -> Iterator[GaussianState]:
                     cov[:, idx, :] = block @ cov[:, idx, :]
                     cov[:, :, idx] = cov[:, :, idx] @ block.swapaxes(-1, -2)
                 except FloatingPointError:
-                    raise DomainError(
-                        f"{gate!r} at r in {part!r} leaves float range; squeezing too large"
-                    ) from None
+                    raise _overflow(gate, f"r in {part!r}") from None
         yield from (GaussianState(n, np.zeros(2 * n), c) for c in cov)
 
 

@@ -265,21 +265,9 @@ class Register:
         self.history.append(gate)
         return self
 
-    def squeeze(self, mode: int, direction: str = MOMENTUM_SQUEEZED) -> "Register":
-        return self.apply(gates.Squeeze(mode, direction))
-
-    def kerr_couple(self, l: int, k: int, g: float = 1.0) -> "Register":
-        return self.apply(gates.Kerr(l, k, g))
-
-    def rotate(self, mode: int, theta: float) -> "Register":
-        return self.apply(gates.Rotate(mode, theta))
-
     def paper_minus_90(self, mode: int) -> "Register":
         """The -90 degree local turn used in all correlation sets: (X,Y) -> (-Y, X)."""
-        return self.rotate(mode, -math.pi / 2.0)
-
-    def beamsplit(self, l: int, k: int, t: float = 0.5) -> "Register":
-        return self.apply(gates.Beamsplit(l, k, t))
+        return self.apply(gates.Rotate(mode, -math.pi / 2.0))
 
     # -- measurement and feed-forward -------------------------------------
 

@@ -2,11 +2,14 @@
 
 Builders turn a :class:`~cvcluster.graphs.Graph` into either a symbolic
 :class:`~cvcluster.ledger.Register` or a numeric
-:class:`~cvcluster.covariance.GaussianState`.  Protocols take a graph, build
-its graph state themselves, consume parts of it by homodyne-style quadrature
-measurements and repair the survivors with displacements proportional to the
-measured results.  The :class:`ProtocolReport` says which target combinations
-ended up as nullifiers and carries the final register as ``register``.
+:class:`~cvcluster.covariance.GaussianState`.  Every protocol follows one
+recipe: build its graph's state, consume some vertices by homodyne-style
+quadrature measurements, repair the survivors with displacements
+proportional to the records (fixed +-1 steps, or the coefficients
+:func:`solve_feedforward` finds, applied by ``_repair``), and certify its
+target combinations (``_finish``).  The :class:`ProtocolReport` says which
+targets ended up as nullifiers and carries the final register as
+``register``.
 
 Vertex labels and register modes are linked by sorted order: the i-th
 smallest vertex is mode i.  For chains built by ``graphs.chain`` the two
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
+from itertools import combinations, groupby, product
 
 import numpy as np
 
@@ -213,22 +217,39 @@ def _require_chain(graph: graphs.Graph, protocol: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _measure(reg: ledger.Register, report: ProtocolReport, mode: int, kind: str):
-    rec = reg.measure(mode, kind)
+def _measure(report: ProtocolReport, mode: int, kind: str):
+    rec = report.register.measure(mode, kind)
     report.measurements.append((mode, kind))
     return rec
 
 
-def _displace(reg: ledger.Register, report: ProtocolReport, mode: int, kind: str,
-              coeff: float, rec):
-    reg.displace_with(mode, kind, coeff, rec)
+def _displace(report: ProtocolReport, mode: int, kind: str, coeff: float, rec):
+    report.register.displace_with(mode, kind, coeff, rec)
     report.displacements.append((mode, kind, coeff, rec.index))
 
 
-def _certify(reg: ledger.Register, report: ProtocolReport, parts):
-    """Record a target combination as a nullifier candidate and its final-frame weights."""
-    report.nullifiers.append(reg.combine(parts))
-    report.combos.append(reg.frame_combo(parts))
+def _repair(report: ProtocolReport, targets, records, carriers):
+    """Solve ``targets`` over ``records``; each record coefficient ``c`` displaces
+    the target's carrier ``(weight, mode, kind)``, a quadrature no other target
+    reads, by ``c / weight``.  An :class:`Infeasible` result sets ``rank_info``."""
+    sol = solve_feedforward(report.register, targets, records)
+    if isinstance(sol, Infeasible):
+        report.rank_info = (sol.equations, sol.rank)
+        return sol
+    for (weight, mode, kind), coeffs in zip(carriers, sol.coeffs):
+        for idx, c in coeffs.items():
+            _displace(report, mode, kind, c / weight, report.register.records[idx])
+    return sol
+
+
+def _finish(report: ProtocolReport, targets, ok: bool = True) -> ProtocolReport:
+    """Certify each target combination; succeed when ``ok`` and all are nullifiers."""
+    reg = report.register
+    for parts in targets:
+        report.nullifiers.append(reg.combine(parts))
+        report.combos.append(reg.frame_combo(parts))
+    report.success = ok and all(ledger.is_nullifier(e) for e in report.nullifiers)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -306,22 +327,8 @@ def disentangle_even(graph: graphs.Graph) -> ProtocolReport:
     squeezed line and the partition becomes all singletons.
     """
     n = _require_chain(graph, "disentangle_even")
-    reg = build_graph_state(graph)
-    report = ProtocolReport("disentangle_even", False, reg)
-    recs = {}
-    for j in range(2, n + 1, 2):
-        recs[j] = _measure(reg, report, j, X)
-    for j, rec in recs.items():
-        for nb in (j - 1, j + 1):
-            if 1 <= nb <= n and nb not in recs:
-                _displace(reg, report, nb, Y, -1.0, rec)
-    report.partition = reg.product_partition()
-    for m in reg.active_modes():
-        _certify(reg, report, [(1.0, m, Y)])
-    report.success = all(len(block) == 1 for block in report.partition) and all(
-        ledger.is_nullifier(e) for e in report.nullifiers
-    )
-    report.details = f"{len(recs)} measurements on a {n}-chain"
+    report = _cut_chain(graph, range(2, n + 1, 2), "disentangle_even")
+    report.details = f"{len(report.measurements)} measurements on a {n}-chain"
     return report
 
 
@@ -330,49 +337,58 @@ def disconnect(graph: graphs.Graph, j: int) -> ProtocolReport:
     n = _require_chain(graph, "disconnect")
     if not 1 < j < n:
         raise ProtocolPreconditionError("disconnect needs an interior position")
-    reg = build_graph_state(graph)
-    report = ProtocolReport("disconnect", False, reg)
-    rec = _measure(reg, report, j, X)
-    for nb in (j - 1, j + 1):
-        _displace(reg, report, nb, Y, -1.0, rec)
-    report.partition = reg.product_partition()
-    # Graph-law nullifiers of the two sub-chains certify the cut.
-    for m in reg.active_modes():
-        nbrs = [b for b in (m - 1, m + 1) if 1 <= b <= n and b != j]
-        _certify(reg, report, [(1.0, m, Y)] + [(-1.0, b, X) for b in nbrs])
-    report.success = len(report.partition) == 2 and all(
-        ledger.is_nullifier(e) for e in report.nullifiers
-    )
+    report = _cut_chain(graph, [j], "disconnect")
     report.details = f"cut {n}-chain at position {j}: blocks {report.partition}"
     return report
 
 
-@dataclass(frozen=True)
-class NextNeighbor:
-    """Outer strategy: measure X of positions j-1 and k+1 (where present)."""
+def _cut_chain(graph: graphs.Graph, cuts, protocol: str) -> ProtocolReport:
+    """Measure X at each cut, subtract each record from the momenta of its
+    surviving chain neighbours, and certify the sub-chains between the cuts."""
+    n = graph.n_vertices
+    report = ProtocolReport(protocol, False, build_graph_state(graph))
+    recs = {c: _measure(report, c, X) for c in cuts}
+    for c, rec in recs.items():
+        for nb in (c - 1, c + 1):
+            if 1 <= nb <= n and nb not in recs:
+                _displace(report, nb, Y, -1.0, rec)
+    report.partition = report.register.product_partition()
+    sub_chains = [tuple(run) for cut, run in groupby(range(1, n + 1), recs.__contains__)
+                  if not cut]
+    laws = [law for block in sub_chains for law in _chain_laws(block)]
+    return _finish(report, laws, ok=report.partition == sub_chains)
+
+
+def _chain_laws(modes) -> list:
+    """Graph laws of the chain through ``modes``: each Y minus its neighbours' X."""
+    return [[(1.0, m, Y)] + [(-1.0, b, X) for b in modes[max(i - 1, 0):i] + modes[i + 1:i + 2]]
+            for i, m in enumerate(modes)]
 
 
 @dataclass(frozen=True)
 class CustomOuter:
-    """Outer strategy using helper positions away from the pair.
+    """Helper positions away from the pair, for :func:`extract_pair`.
 
-    Helpers at even distance from the protected end are measured in Y,
-    odd-distance helpers in X; the feed-forward solver then picks the
-    coefficients.  The canonical examples are left={j-2, j-3} and
-    left={j-2, j-4, j-5}.
+    Left helpers lie left of j and right helpers right of k.  Helpers at
+    even distance from the protected end are measured in Y, odd-distance
+    helpers in X; the feed-forward solver then picks the coefficients.  The
+    canonical examples are left={j-2, j-3} and left={j-2, j-4, j-5}.
     """
 
     left: tuple = ()
     right: tuple = ()
 
 
-def extract_pair(graph: graphs.Graph, j: int, k: int, outer=NextNeighbor()) -> ProtocolReport:
+def extract_pair(graph: graphs.Graph, j: int, k: int,
+                 outer: CustomOuter | None = None) -> ProtocolReport:
     """Concentrate a chain onto positions (j, k) as an EPR pair.
 
-    Outer measurements detach the pair's far sides, then each inner
-    position is removed by the measure/displace/rotate teleportation step.
-    Success means the final two modes satisfy the two-chain nullifiers
-    ``Y_j - X_k`` and ``Y_k - X_j`` (EPR up to a local quarter turn).
+    Outer measurements detach the pair's far sides: by default X of the
+    next neighbours j-1 and k+1 (where present), or the helpers ``outer``
+    names.  Then each inner position is removed by the
+    measure/displace/rotate teleportation step.  Success means the final two
+    modes satisfy the two-chain nullifiers ``Y_j - X_k`` and ``Y_k - X_j``
+    (EPR up to a local quarter turn).
     """
     n = _require_chain(graph, "extract_pair")
     if j == k:
@@ -380,18 +396,21 @@ def extract_pair(graph: graphs.Graph, j: int, k: int, outer=NextNeighbor()) -> P
     j, k = min(j, k), max(j, k)
     if not (1 <= j and k <= n):
         raise ProtocolPreconditionError("pair positions outside the chain")
-    if isinstance(outer, NextNeighbor):
+    if outer is None:
         left = [j - 1] if j > 1 else []
         right = [k + 1] if k < n else []
-    elif isinstance(outer, CustomOuter):
-        left, right = list(outer.left), list(outer.right)
-        for h in left + right:
-            if not 1 <= h <= n or j <= h <= k:
-                raise ProtocolPreconditionError(f"outer helper {h} overlaps the pair segment")
     else:
-        raise ProtocolPreconditionError(f"unknown outer strategy {outer!r}")
-    reg = build_graph_state(graph)
-    report = ProtocolReport("extract_pair", False, reg)
+        left, right = list(outer.left), list(outer.right)
+        for side, helpers, allowed in (("left", left, range(1, j)),
+                                       ("right", right, range(k + 1, n + 1))):
+            for i, h in enumerate(helpers):
+                if h not in allowed:
+                    raise ProtocolPreconditionError(
+                        f"outer-{side} helper {h} is not {side} of the pair ({j}, {k}) "
+                        f"on the {n}-chain")
+                if h in helpers[:i]:
+                    raise ProtocolPreconditionError(f"outer-{side} helper {h} is listed twice")
+    report = ProtocolReport("extract_pair", False, build_graph_state(graph))
 
     inner = list(range(j + 1, k))
     sides = (("left", left, j, inner[0] if inner else k),
@@ -401,25 +420,20 @@ def extract_pair(graph: graphs.Graph, j: int, k: int, outer=NextNeighbor()) -> P
             continue
         # Measure the helpers, then solve to clean the chain end while
         # keeping its bond to the inner neighbour.
-        recs = [_measure(reg, report, h, Y if abs(end - h) % 2 == 0 else X) for h in helpers]
+        recs = [_measure(report, h, Y if abs(end - h) % 2 == 0 else X) for h in helpers]
         allowance = ledger.QuadExpr({(inner_neighbor, X, 1): 1.0})
-        sol = solve_feedforward(reg, [([(1.0, end, Y)], allowance)], recs)
-        if isinstance(sol, Infeasible):
-            report.rank_info = (sol.equations, sol.rank)
+        target = [(1.0, end, Y)]
+        if isinstance(_repair(report, [(target, allowance)], recs, target), Infeasible):
             report.details = f"outer-{side} feed-forward infeasible"
             return report
-        for idx, c in sol.coeffs[0].items():
-            _displace(reg, report, end, Y, c, reg.records[idx])
 
     # Teleport the inner positions away one by one: measure Y, fold the
     # record into X_j, then quarter-turn j so the rows stay in chain form.
     for p in inner:
-        _displace(reg, report, j, X, -1.0, _measure(reg, report, p, Y))
-        reg.rotate(j, math.pi / 2.0)
+        _displace(report, j, X, -1.0, _measure(report, p, Y))
+        report.register.apply(Rotate(j, math.pi / 2.0))
 
-    for a, b in ((j, k), (k, j)):
-        _certify(reg, report, [(1.0, a, Y), (-1.0, b, X)])
-    report.success = all(ledger.is_nullifier(e) for e in report.nullifiers)
+    _finish(report, _chain_laws((j, k)))
     report.flavor = "two-chain EPR (X_j + X_k and Y_j - Y_k after a -90 turn on k)"
     report.details = f"pair ({j}, {k}) of a {n}-chain, {len(inner)} inner teleport steps"
     return report
@@ -440,8 +454,7 @@ def reduce_graph_to_path(graph: graphs.Graph, a: int, b: int) -> ProtocolReport:
     """
     if a == b:
         raise SelfInteractionError("path endpoints must differ")
-    reg = build_graph_state(graph)
-    report = ProtocolReport("reduce_graph_to_path", False, reg)
+    report = ProtocolReport("reduce_graph_to_path", False, build_graph_state(graph))
     path = graph.shortest_path(a, b)
     if path is None:
         report.details = "endpoints are not connected"
@@ -450,27 +463,15 @@ def reduce_graph_to_path(graph: graphs.Graph, a: int, b: int) -> ProtocolReport:
     boundary = sorted(
         {v for p in path for v in graph.neighborhood(p) if v not in on_path}
     )
-    recs = [_measure(reg, report, graph.mode_of(v), X) for v in boundary]
-    targets = []
-    for i, p in enumerate(path):
-        parts = [(1.0, graph.mode_of(p), Y)]
-        for q in (path[i - 1] if i else None, path[i + 1] if i + 1 < len(path) else None):
-            if q is not None:
-                parts.append((-1.0, graph.mode_of(q), X))
-        targets.append((parts, None))
-    sol = solve_feedforward(reg, targets, recs)
+    recs = [_measure(report, graph.mode_of(v), X) for v in boundary]
+    laws = _chain_laws([graph.mode_of(p) for p in path])
+    # Each vertex law's correction rides on its own Y.
+    sol = _repair(report, [(law, None) for law in laws], recs, [law[0] for law in laws])
     if isinstance(sol, Infeasible):
-        report.rank_info = (sol.equations, sol.rank)
         report.details = "path repair infeasible"
         return report
     report.rank_info = sol.rank_info
-    for (parts, _), coeffs in zip(targets, sol.coeffs):
-        mode = parts[0][1]
-        for idx, c in coeffs.items():
-            _displace(reg, report, mode, Y, c, reg.records[idx])
-    for parts, _ in targets:
-        _certify(reg, report, parts)
-    report.success = all(ledger.is_nullifier(e) for e in report.nullifiers)
+    _finish(report, laws)
     report.details = f"path {path} ({len(boundary)} boundary measurements)"
     return report
 
@@ -491,20 +492,19 @@ def star_to_ghz(graph: graphs.Graph) -> ProtocolReport:
     leaves = sorted(v for v in graph.vertices if v != center)
     if len(leaves) < 2:
         raise ProtocolPreconditionError("GHZ projection needs at least two leaves")
-    reg = build_graph_state(graph)
-    report = ProtocolReport("star_to_ghz", False, reg, flavor="total-position")
-    cm = graph.mode_of(center)
-    rec = _measure(reg, report, cm, Y)
-    _displace(reg, report, graph.mode_of(leaves[0]), X, -1.0, rec)
-    modes = [graph.mode_of(v) for v in leaves]
-    target_sets = [[(1.0, m, X) for m in modes]]
-    for m1, m2 in zip(modes, modes[1:]):
-        target_sets.append([(1.0, m1, Y), (-1.0, m2, Y)])
-    for parts in target_sets:
-        _certify(reg, report, parts)
-    report.success = all(ledger.is_nullifier(e) for e in report.nullifiers)
+    report = ProtocolReport("star_to_ghz", False, build_graph_state(graph),
+                            flavor="total-position")
+    rec = _measure(report, graph.mode_of(center), Y)
+    _displace(report, graph.mode_of(leaves[0]), X, -1.0, rec)
+    _finish(report, _ghz_laws([graph.mode_of(v) for v in leaves]))
     report.details = f"hub vertex {center}, {len(leaves)} leaves"
     return report
+
+
+def _ghz_laws(modes) -> list:
+    """Total position and consecutive momentum differences of ``modes``."""
+    return [[(1.0, m, X) for m in modes]] + [[(1.0, a, Y), (-1.0, b, Y)]
+                                             for a, b in zip(modes, modes[1:])]
 
 
 def _find_center(graph: graphs.Graph) -> int:
@@ -512,6 +512,8 @@ def _find_center(graph: graphs.Graph) -> int:
     centers = [v for v in graph.vertices if graph.degree(v) == n - 1]
     if len(centers) != 1:
         raise ProtocolPreconditionError("graph has no unique hub vertex")
+    if len(graph.edges) != n - 1:
+        raise ProtocolPreconditionError("star_to_ghz: graph is not a star")
     return centers[0]
 
 
@@ -539,9 +541,8 @@ def ring_star_to_ghz(
     remaining = [v for v in ring_order if v not in set(measured)]
     if len(remaining) < 2:
         raise ProtocolPreconditionError("GHZ projection needs at least two survivors")
-    reg = build_graph_state(graph)
-    report = ProtocolReport("ring_star_to_ghz", False, reg, flavor=flavor)
-    recs = [_measure(reg, report, graph.mode_of(v), Y) for v in [hub] + sorted(measured)]
+    report = ProtocolReport("ring_star_to_ghz", False, build_graph_state(graph), flavor=flavor)
+    recs = [_measure(report, graph.mode_of(v), Y) for v in [hub] + sorted(measured)]
     modes = [graph.mode_of(v) for v in remaining]
     if flavor == "total-momentum":
         sum_kind, diff_kind = Y, X
@@ -549,28 +550,20 @@ def ring_star_to_ghz(
         sum_kind, diff_kind = X, Y
     else:
         raise ProtocolPreconditionError(f"unknown flavor {flavor!r}")
-    targets = [([(1.0, m, sum_kind) for m in modes], None)]
-    for m in modes[1:]:
-        targets.append(([(1.0, modes[0], diff_kind), (-1.0, m, diff_kind)], None))
-    sol = solve_feedforward(reg, targets, recs)
-    if isinstance(sol, Infeasible):
-        report.rank_info = (sol.equations, sol.rank)
-        report.details = (
-            f"{len(measured)} measured ring vertices: system degenerate "
-            f"(deficiency {sol.deficiency})"
-        )
-        return report
-    report.rank_info = sol.rank_info
+    laws = [[(1.0, m, sum_kind) for m in modes]]
+    laws += [[(1.0, modes[0], diff_kind), (-1.0, m, diff_kind)] for m in modes[1:]]
     # Each target needs its own carrier quadrature (one no other target
     # reads), otherwise corrections would cross-contaminate: the sum rides
     # on the first survivor, each difference on its non-reference mode.
-    for t_idx, ((parts, _), coeffs) in enumerate(zip(targets, sol.coeffs)):
-        weight, mode, kind = parts[0] if t_idx == 0 else parts[-1]
-        for idx, c in coeffs.items():
-            _displace(reg, report, mode, kind, c / weight, reg.records[idx])
-    for parts, _ in targets:
-        _certify(reg, report, parts)
-    report.success = all(ledger.is_nullifier(e) for e in report.nullifiers)
+    carriers = [(1.0, modes[0], sum_kind)] + [(-1.0, m, diff_kind) for m in modes[1:]]
+    sol = _repair(report, [(law, None) for law in laws], recs, carriers)
+    if isinstance(sol, Infeasible):
+        why = (f"system degenerate (deficiency {sol.deficiency})" if sol.deficiency
+               else "no feed-forward solution exists")
+        report.details = f"{len(measured)} measured ring vertices: {why}"
+        return report
+    report.rank_info = sol.rank_info
+    _finish(report, laws)
     report.details = (
         f"alternating-spoke ring (reconstructed topology): ring {len(ring_order)}, "
         f"{len(measured)} measured ring vertices + hub"
@@ -688,8 +681,6 @@ def minimal_disentangling_measurements(n: int) -> int:
     covariance factorizes at both probe squeezings, r = 1 and r = 0.7.
     Exponential in n — meant for n <= 6.
     """
-    from itertools import combinations, product
-
     probes = [build_graph_state(graphs.chain(n), "covariance", r) for r in (1.0, 0.7)]
     for size in range(0, n):
         for subset in combinations(range(1, n + 1), size):
@@ -706,18 +697,13 @@ def admits_ghz_under_quarter_turns(n: int) -> bool:
     Checks all 4^n assignments of 0/90/180/270 degree local rotations for
     one making {sum of X, all consecutive Y differences} nullifiers.
     """
-    from itertools import product
-
     base = build_graph_state(graphs.chain(n))
     for turns in product(range(4), repeat=n):
         reg = base.copy()
         for m, t in zip(range(1, n + 1), turns):
             if t:
-                reg.rotate(m, t * math.pi / 2.0)
-        targets = [[(1.0, m, X) for m in range(1, n + 1)]]
-        for m in range(1, n):
-            targets.append([(1.0, m, Y), (-1.0, m + 1, Y)])
-        if all(ledger.is_nullifier(reg.combine(t)) for t in targets):
+                reg.apply(Rotate(m, t * math.pi / 2.0))
+        if all(ledger.is_nullifier(reg.combine(t)) for t in _ghz_laws(range(1, n + 1))):
             return True
     return False
 
@@ -740,26 +726,19 @@ def chain_pair_after_discard(n: int, d: int) -> ProtocolReport:
     mirrored = d < 3
     pos = (lambda p: n + 1 - p) if mirrored else (lambda p: p)
     dd = pos(d)  # in working coordinates the loss sits at position >= 3
-    reg = build_graph_state(graphs.chain(n))
-    report = ProtocolReport("chain_pair_after_discard", False, reg)
+    report = ProtocolReport("chain_pair_after_discard", False, build_graph_state(graphs.chain(n)))
     p1, p2 = pos(1), pos(2)  # the protected pair (in real positions)
 
     if dd > 3:
-        _displace(reg, report, p2, Y, -1.0, _measure(reg, report, pos(3), X))
+        _displace(report, p2, Y, -1.0, _measure(report, pos(3), X))
     else:  # the loss is the pair's second neighbour: recapture via its far side
-        _displace(reg, report, p2, Y, -1.0, _measure(reg, report, pos(4), Y))
+        _displace(report, p2, Y, -1.0, _measure(report, pos(4), Y))
         if n >= 5:
-            _displace(reg, report, p2, Y, 1.0, _measure(reg, report, pos(5), X))
-    for a, b in ((p1, p2), (p2, p1)):
-        _certify(reg, report, [(1.0, a, Y), (-1.0, b, X)])
-    # The witness must not lean on the lost party's operators, and the
-    # recovered plane must be genuinely conjugate, not two one-mode squeezes.
-    untouched = all(d not in e.support() for e in report.nullifiers)
-    report.success = (
-        untouched
-        and all(ledger.is_nullifier(e) for e in report.nullifiers)
-        and pair_epr_projection(reg, (p1, p2))
-    )
+            _displace(report, p2, Y, 1.0, _measure(report, pos(5), X))
+    # The recovered plane must be genuinely conjugate, not two one-mode
+    # squeezes, and the witness must not lean on the lost party's operators.
+    _finish(report, _chain_laws((p1, p2)), ok=pair_epr_projection(report.register, (p1, p2)))
+    report.success = report.success and all(d not in e.support() for e in report.nullifiers)
     report.details = f"pair ({p1}, {p2}) of a {n}-chain after losing {d}"
     return report
 
@@ -774,8 +753,6 @@ def ghz_admits_conjugate_pair(m: int, d: int) -> bool:
     conjugate (EPR-type) nullifier plane; for GHZ states the answer is No —
     the surviving correlations are single-quadrature only.
     """
-    from itertools import combinations, product
-
     base = star_to_ghz(graphs.star(m)).register
     leaves = list(range(2, m + 2))  # modes of leaves 1..m
     lost = leaves[d - 1]

@@ -318,6 +318,37 @@ def test_graph_extract_pair_requires_positions(tmp_path, capsys):
     assert cli.main(["graph", path, "--protocol", "extract-pair", "--j", "2", "--k", "3"]) == 0
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--outer-left", "7", "outer-left helper 7 is not left of the pair (4, 5)"),
+    ("--outer-left", "2,2", "outer-left helper 2 is listed twice"),
+    ("--outer-right", "5", "outer-right helper 5 is not right of the pair (4, 5)"),
+])
+def test_graph_extract_pair_rejects_misplaced_helpers(tmp_path, capsys, flag, value, message):
+    path = write_edges(tmp_path, "chain7.txt", 7, [(i, i + 1) for i in range(1, 7)])
+    args = ["graph", path, "--protocol", "extract-pair", "--j", "4", "--k", "5", flag, value]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_graph_failed_extraction_with_solvable_sides_prints_no_rank(tmp_path, capsys):
+    path = write_edges(tmp_path, "chain7.txt", 7, [(i, i + 1) for i in range(1, 7)])
+    args = ["graph", path, "--protocol", "extract-pair", "--j", "4", "--k", "5", "--outer-left", "3"]
+    assert cli.main(args) == 1
+    out = capsys.readouterr().out
+    assert "status: failed" in out
+    assert "rank:" not in out
+
+
+def test_graph_star_ghz_rejects_a_non_star(tmp_path, capsys):
+    path = write_edges(tmp_path, "hub.txt", 4, [(1, 2), (1, 3), (1, 4), (2, 3)])
+    assert cli.main(["graph", path, "--protocol", "star-ghz"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a star" in captured.err
+
+
 def test_graph_disentangle_and_disconnect(tmp_path, capsys):
     path = write_edges(tmp_path, "chain.txt", 5, [(i, i + 1) for i in range(1, 5)])
     assert cli.main(["graph", path, "--protocol", "disentangle"]) == 0

@@ -325,6 +325,18 @@ def test_replay_reports_a_mode_outside_the_state_first():
         list(replay(2, [Squeeze(1), Squeeze(1)], (0.0, 400.0)))
 
 
+def test_an_overflowing_coupling_names_the_coupling_on_both_paths():
+    tape = [Squeeze(1), Squeeze(2), Kerr(1, 2, 1e200)]
+    with pytest.raises(DomainError, match=r"^Kerr\(l=1, k=2, g=1e\+200\) at r in \[1\.0\] "
+                       r"leaves float range; coupling too large$"):
+        list(replay(2, tape, (1.0,)))
+    with pytest.raises(DomainError, match=r"^Kerr\(l=1, k=2, g=1e\+200\) at r=1\.0 "
+                       r"leaves float range; coupling too large$"):
+        apply_tape(vacuum_state(2), tape, 1.0)
+    with pytest.raises(DomainError, match=r"; squeezing too large$"):
+        apply_tape(vacuum_state(1), [Squeeze(1)] * 2, 400.0)
+
+
 def test_replay_hands_numpy_error_state_back_to_its_caller():
     """The overflow check is numpy's ``raise`` mode, entered once per chunk:
     the caller's own settings hold between states, after the last one and
@@ -509,13 +521,13 @@ def test_bridge_on_random_circuits():
             m = int(rng.integers(1, n + 1))
             k = int(rng.integers(1, n + 1))
             if op == 0:
-                reg.squeeze(m, MOMENTUM_SQUEEZED if rng.random() < 0.5 else POSITION_SQUEEZED)
+                reg.apply(Squeeze(m, MOMENTUM_SQUEEZED if rng.random() < 0.5 else POSITION_SQUEEZED))
             elif op == 1:
-                reg.rotate(m, float(rng.uniform(-3, 3)))
+                reg.apply(Rotate(m, float(rng.uniform(-3, 3))))
             elif op == 2 and m != k:
-                reg.beamsplit(m, k, float(rng.uniform(0.1, 0.9)))
+                reg.apply(Beamsplit(m, k, float(rng.uniform(0.1, 0.9))))
             elif op == 3 and m != k:
-                reg.kerr_couple(m, k, float(rng.uniform(0.2, 1.5)))
+                reg.apply(Kerr(m, k, float(rng.uniform(0.2, 1.5))))
         parts = [
             (float(rng.uniform(-2, 2)), m, X if rng.random() < 0.5 else Y)
             for m in range(1, n + 1)

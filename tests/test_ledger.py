@@ -15,7 +15,17 @@ from cvcluster.errors import (
     SelfInteractionError,
     UnsupportedOperationError,
 )
-from cvcluster.gates import MOMENTUM_SQUEEZED, NULLIFIER_TOL, POSITION_SQUEEZED, X, Y
+from cvcluster.gates import (
+    MOMENTUM_SQUEEZED,
+    NULLIFIER_TOL,
+    POSITION_SQUEEZED,
+    Beamsplit,
+    Kerr,
+    Rotate,
+    Squeeze,
+    X,
+    Y,
+)
 from cvcluster.ledger import QuadExpr, Register
 
 
@@ -45,14 +55,14 @@ def test_register_size_validation():
 def test_momentum_squeeze_shifts_exponents():
     """Momentum squeezing stretches X by e^{+r} and shrinks Y by e^{-r}."""
     reg = Register(1)
-    reg.squeeze(1, MOMENTUM_SQUEEZED)
+    reg.apply(Squeeze(1, MOMENTUM_SQUEEZED))
     assert term_dict(reg.quad_expr(1, X)) == {(1, X, 1): 1.0}
     assert term_dict(reg.quad_expr(1, Y)) == {(1, Y, -1): 1.0}
 
 
 def test_position_squeeze_is_the_mirror_image():
     reg = Register(1)
-    reg.squeeze(1, POSITION_SQUEEZED)
+    reg.apply(Squeeze(1, POSITION_SQUEEZED))
     assert term_dict(reg.quad_expr(1, X)) == {(1, X, -1): 1.0}
     assert term_dict(reg.quad_expr(1, Y)) == {(1, Y, 1): 1.0}
 
@@ -60,7 +70,7 @@ def test_position_squeeze_is_the_mirror_image():
 def test_squeeze_rejects_unknown_flavor():
     reg = Register(1)
     with pytest.raises(DomainError):
-        reg.squeeze(1, "sideways")
+        reg.apply(Squeeze(1, "sideways"))
 
 
 # ---------------------------------------------------------------------------
@@ -70,25 +80,25 @@ def test_squeeze_rejects_unknown_flavor():
 
 def test_quarter_turn_is_exact():
     reg = Register(1)
-    reg.rotate(1, -math.pi / 2.0)
+    reg.apply(Rotate(1, -math.pi / 2.0))
     assert term_dict(reg.quad_expr(1, X)) == {(1, Y, 0): -1.0}
     assert term_dict(reg.quad_expr(1, Y)) == {(1, X, 0): 1.0}
 
 
 def test_paper_minus_90_matches_radian_form():
     a = Register(2)
-    a.squeeze(1, MOMENTUM_SQUEEZED)
-    a.kerr_couple(1, 2, 1.0)
+    a.apply(Squeeze(1, MOMENTUM_SQUEEZED))
+    a.apply(Kerr(1, 2, 1.0))
     b = a.copy()
     a.paper_minus_90(2)
-    b.rotate(2, -1.5707963267948966)
+    b.apply(Rotate(2, -1.5707963267948966))
     for kind in (X, Y):
         assert term_dict(a.quad_expr(2, kind)) == term_dict(b.quad_expr(2, kind))
 
 
 def test_half_turn_flips_both_signs():
     reg = Register(1)
-    reg.rotate(1, math.pi)
+    reg.apply(Rotate(1, math.pi))
     assert term_dict(reg.quad_expr(1, X)) == {(1, X, 0): -1.0}
     assert term_dict(reg.quad_expr(1, Y)) == {(1, Y, 0): -1.0}
 
@@ -96,7 +106,7 @@ def test_half_turn_flips_both_signs():
 def test_generic_rotation_mixes_with_cos_sin():
     theta = 0.37
     reg = Register(1)
-    reg.rotate(1, theta)
+    reg.apply(Rotate(1, theta))
     d = term_dict(reg.quad_expr(1, X))
     assert d[(1, X, 0)] == pytest.approx(math.cos(theta), abs=1e-15)
     assert d[(1, Y, 0)] == pytest.approx(math.sin(theta), abs=1e-15)
@@ -108,7 +118,7 @@ def test_generic_rotation_mixes_with_cos_sin():
 def test_four_quarter_turns_restore_the_frame():
     reg = Register(1)
     for _ in range(4):
-        reg.rotate(1, math.pi / 2.0)
+        reg.apply(Rotate(1, math.pi / 2.0))
     assert term_dict(reg.quad_expr(1, X)) == {(1, X, 0): 1.0}
     assert term_dict(reg.quad_expr(1, Y)) == {(1, Y, 0): 1.0}
 
@@ -120,7 +130,7 @@ def test_four_quarter_turns_restore_the_frame():
 
 def test_balanced_beamsplitter_coefficients():
     reg = Register(2)
-    reg.beamsplit(1, 2, 0.5)
+    reg.apply(Beamsplit(1, 2, 0.5))
     s = math.sqrt(0.5)
     assert term_dict(reg.quad_expr(1, X)) == {(1, X, 0): pytest.approx(s), (2, X, 0): pytest.approx(s)}
     assert term_dict(reg.quad_expr(2, X)) == {(1, X, 0): pytest.approx(s), (2, X, 0): pytest.approx(-s)}
@@ -129,9 +139,9 @@ def test_balanced_beamsplitter_coefficients():
 def test_beamsplit_transmittance_domain():
     reg = Register(2)
     with pytest.raises(DomainError):
-        reg.beamsplit(1, 2, -0.1)
+        reg.apply(Beamsplit(1, 2, -0.1))
     with pytest.raises(DomainError):
-        reg.beamsplit(1, 2, 1.5)
+        reg.apply(Beamsplit(1, 2, 1.5))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -139,9 +149,9 @@ def test_non_finite_angle_or_coupling_is_a_domain_error(value):
     """Neither a bare ValueError nor a NaN stored in the rows."""
     reg = Register(2)
     with pytest.raises(DomainError):
-        reg.rotate(1, value)
+        reg.apply(Rotate(1, value))
     with pytest.raises(DomainError):
-        reg.kerr_couple(1, 2, value)
+        reg.apply(Kerr(1, 2, value))
     assert reg.history == []
     assert term_dict(reg.quad_expr(1, Y)) == {(1, Y, 0): 1.0}
 
@@ -149,15 +159,15 @@ def test_non_finite_angle_or_coupling_is_a_domain_error(value):
 def test_gates_reject_self_interaction():
     reg = Register(2)
     with pytest.raises(SelfInteractionError):
-        reg.beamsplit(1, 1, 0.5)
+        reg.apply(Beamsplit(1, 1, 0.5))
     with pytest.raises(SelfInteractionError):
-        reg.kerr_couple(2, 2, 1.0)
+        reg.apply(Kerr(2, 2, 1.0))
 
 
 def test_kerr_couple_adds_cross_positions():
     """The coupling adds each partner's position into the other's momentum."""
     reg = Register(2)
-    reg.kerr_couple(1, 2, 1.0)
+    reg.apply(Kerr(1, 2, 1.0))
     assert term_dict(reg.quad_expr(1, Y)) == {(1, Y, 0): 1.0, (2, X, 0): 1.0}
     assert term_dict(reg.quad_expr(2, Y)) == {(2, Y, 0): 1.0, (1, X, 0): 1.0}
     assert term_dict(reg.quad_expr(1, X)) == {(1, X, 0): 1.0}
@@ -165,16 +175,16 @@ def test_kerr_couple_adds_cross_positions():
 
 def test_kerr_gain_scales_the_coupling():
     reg = Register(2)
-    reg.kerr_couple(1, 2, 0.25)
+    reg.apply(Kerr(1, 2, 0.25))
     assert term_dict(reg.quad_expr(1, Y))[(2, X, 0)] == 0.25
 
 
 def test_mode_bounds_checked():
     reg = Register(2)
     with pytest.raises(InvalidSizeError):
-        reg.rotate(3, 0.1)
+        reg.apply(Rotate(3, 0.1))
     with pytest.raises(InvalidSizeError):
-        reg.squeeze(0, MOMENTUM_SQUEEZED)
+        reg.apply(Squeeze(0, MOMENTUM_SQUEEZED))
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +201,12 @@ def test_measure_consumes_the_mode():
     with pytest.raises(ConsumedModeError):
         reg.measure(1, Y)
     with pytest.raises(ConsumedModeError):
-        reg.rotate(1, 0.3)
+        reg.apply(Rotate(1, 0.3))
 
 
 def test_displace_with_applies_record_combination():
     reg = Register(3)
-    reg.squeeze(2, MOMENTUM_SQUEEZED)
+    reg.apply(Squeeze(2, MOMENTUM_SQUEEZED))
     rec = reg.measure(2, Y)
     reg.displace_with(1, X, -1.0, rec)
     d = term_dict(reg.quad_expr(1, X))
@@ -225,7 +235,7 @@ def test_squeeze_after_feedforward_unsupported():
     rec = reg.measure(2, Y)
     reg.displace_with(1, X, 0.5, rec)
     with pytest.raises(UnsupportedOperationError):
-        reg.squeeze(1, MOMENTUM_SQUEEZED)
+        reg.apply(Squeeze(1, MOMENTUM_SQUEEZED))
 
 
 def test_squeeze_after_a_cancelled_feedforward_is_allowed():
@@ -234,7 +244,7 @@ def test_squeeze_after_a_cancelled_feedforward_is_allowed():
     rec = reg.measure(1, X)
     reg.displace_with(2, Y, 1.0, rec)
     reg.displace_with(2, Y, -1.0, rec)
-    reg.squeeze(2, MOMENTUM_SQUEEZED)
+    reg.apply(Squeeze(2, MOMENTUM_SQUEEZED))
     assert term_dict(reg.quad_expr(2, Y)) == {(2, Y, -1): 1.0}
     assert reg.frame_combo([(1.0, 2, Y)]) == [(1.0, 2, Y)]
 
@@ -270,7 +280,7 @@ def test_tiny_coefficients_are_pruned():
 
 def test_combine_weighs_rows():
     reg = Register(2)
-    reg.squeeze(1, MOMENTUM_SQUEEZED)
+    reg.apply(Squeeze(1, MOMENTUM_SQUEEZED))
     expr = reg.combine([(2.0, 1, X), (-1.0, 2, Y)])
     assert term_dict(expr) == {(1, X, 1): 2.0, (2, Y, 0): -1.0}
 
@@ -329,13 +339,13 @@ def test_commutators_survive_random_gate_soup():
             m = int(rng.integers(1, 5))
             k = int(rng.integers(1, 5))
             if op == 0:
-                reg.squeeze(m, MOMENTUM_SQUEEZED if rng.random() < 0.5 else POSITION_SQUEEZED)
+                reg.apply(Squeeze(m, MOMENTUM_SQUEEZED if rng.random() < 0.5 else POSITION_SQUEEZED))
             elif op == 1:
-                reg.rotate(m, float(rng.uniform(-3, 3)))
+                reg.apply(Rotate(m, float(rng.uniform(-3, 3))))
             elif op == 2 and m != k:
-                reg.beamsplit(m, k, float(rng.uniform(0.05, 0.95)))
+                reg.apply(Beamsplit(m, k, float(rng.uniform(0.05, 0.95))))
             elif op == 3 and m != k:
-                reg.kerr_couple(m, k, float(rng.uniform(0.2, 2.0)))
+                reg.apply(Kerr(m, k, float(rng.uniform(0.2, 2.0))))
         for a in range(1, 5):
             assert ledger.commutator(reg.quad_expr(a, X), reg.quad_expr(a, Y)) == pytest.approx(1.0, abs=1e-9)
             for b in range(a + 1, 5):
@@ -373,13 +383,13 @@ def test_table_commutator_is_the_commutator_on_random_tapes():
             m, k = (int(v) for v in rng.choice(np.arange(1, n + 1), size=2, replace=False))
             op = int(rng.integers(4))
             if op == 0:
-                reg.squeeze(m, (MOMENTUM_SQUEEZED, POSITION_SQUEEZED)[int(rng.integers(2))])
+                reg.apply(Squeeze(m, (MOMENTUM_SQUEEZED, POSITION_SQUEEZED)[int(rng.integers(2))]))
             elif op == 1:
-                reg.rotate(m, float(rng.uniform(-3, 3)))
+                reg.apply(Rotate(m, float(rng.uniform(-3, 3))))
             elif op == 2:
-                reg.beamsplit(m, k, float(rng.uniform(0.05, 0.95)))
+                reg.apply(Beamsplit(m, k, float(rng.uniform(0.05, 0.95))))
             else:
-                reg.kerr_couple(m, k, float(rng.uniform(0.2, 2.0)))
+                reg.apply(Kerr(m, k, float(rng.uniform(0.2, 2.0))))
         rows = [reg.quad_expr(m, kd) for m in range(1, n + 1) for kd in (X, Y)]
         for e2 in rows:
             table = ledger.commutator_table(e2)

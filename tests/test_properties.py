@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from cvcluster import covariance, graphs, ledger, protocols
 from cvcluster.errors import InvalidGraphError, UnsupportedOperationError
-from cvcluster.gates import MOMENTUM_SQUEEZED, POSITION_SQUEEZED, Kerr, Squeeze, X, Y
+from cvcluster.gates import MOMENTUM_SQUEEZED, POSITION_SQUEEZED, Beamsplit, Kerr, Rotate, Squeeze, X, Y
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -202,15 +202,15 @@ def apply_gate_step(reg, step):
     m, other = active[a % len(active)], active[(a + 1 + b % (len(active) - 1)) % len(active)]
     if name == "squeeze":
         try:
-            reg.squeeze(m, MOMENTUM_SQUEEZED if x >= 0 else POSITION_SQUEEZED)
+            reg.apply(Squeeze(m, MOMENTUM_SQUEEZED if x >= 0 else POSITION_SQUEEZED))
         except UnsupportedOperationError:
             pass
     elif name == "kerr":
-        reg.kerr_couple(m, other, x)
+        reg.apply(Kerr(m, other, x))
     elif name == "rotate":
-        reg.rotate(m, 2.0 * x)
+        reg.apply(Rotate(m, 2.0 * x))
     else:
-        reg.beamsplit(m, other, abs(x) / 1.5)
+        reg.apply(Beamsplit(m, other, abs(x) / 1.5))
 
 
 def apply_feedforward_step(reg, step):

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import re
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from cvcluster import covariance, graphs, ledger, protocols
 from cvcluster.errors import ProtocolPreconditionError, SelfInteractionError
-from cvcluster.gates import MOMENTUM_SQUEEZED, SOLVER_TOL, Kerr, Squeeze, X, Y
+from cvcluster.gates import MOMENTUM_SQUEEZED, SOLVER_TOL, Kerr, Rotate, Squeeze, X, Y
 from cvcluster.ledger import QuadExpr
 
 
@@ -151,7 +152,7 @@ def test_repeated_builds_of_a_graph_are_independent_fresh_states():
         assert _snapshot(reg) == want
         rec = reg.measure(2, X)
         reg.displace_with(3, Y, -1.0, rec)
-        reg.rotate(1, 0.4)
+        reg.apply(Rotate(1, 0.4))
         reg.measure(1, Y)
         handed_out.append(reg)
     # The mutations stayed with the registers they were made on.
@@ -275,12 +276,21 @@ def test_solver_rank_is_matrix_rank(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
+def assert_certifies(rep, laws):
+    """The report certified exactly ``laws``, in order."""
+    reg = rep.register
+    assert [e.as_dict() for e in rep.nullifiers] == [reg.combine(p).as_dict() for p in laws]
+    assert rep.combos == [reg.frame_combo(p) for p in laws]
+
+
+@pytest.mark.parametrize("n", range(2, 21))
 def test_disentangle_even_gives_singletons(n):
     rep = protocols.disentangle_even(graphs.chain(n))
     assert rep.success
-    assert len(rep.measurements) == n // 2
-    assert all(len(block) == 1 for block in rep.partition)
+    assert rep.measurements == [(m, X) for m in range(2, n + 1, 2)]
+    odd = range(1, n + 1, 2)
+    assert rep.partition == [(m,) for m in odd]
+    assert_certifies(rep, [[(1.0, m, Y)] for m in odd])
 
 
 def test_disentangle_matches_covariance_oracle():
@@ -299,6 +309,26 @@ def test_disconnect_splits_in_two():
     rep = protocols.disconnect(graphs.chain(6), 4)
     assert rep.success
     assert rep.partition == [(1, 2, 3), (5, 6)]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_disconnect_certifies_the_two_sub_chains(n):
+    for j in range(2, n):
+        rep = protocols.disconnect(graphs.chain(n), j)
+        left, right = tuple(range(1, j)), tuple(range(j + 1, n + 1))
+        assert rep.success
+        assert rep.measurements == [(j, X)]
+        assert rep.partition == [left, right]
+        assert_certifies(rep, [[(1.0, m, Y)] + [(-1.0, b, X) for b in (m - 1, m + 1) if b in block]
+                               for block in (left, right) for m in block])
+
+
+def test_a_cut_fails_unless_the_survivors_split_into_the_sub_chains(monkeypatch):
+    """Certified laws alone do not make a cut: the partition must match too."""
+    monkeypatch.setattr(ledger.Register, "product_partition",
+                        lambda self: [tuple(self.active_modes())])
+    assert not protocols.disconnect(graphs.chain(6), 4).success
+    assert not protocols.disentangle_even(graphs.chain(5)).success
 
 
 def test_disconnect_requires_interior_position():
@@ -348,6 +378,20 @@ def test_extract_pair_custom_outer_patterns():
 def test_extract_pair_incomplete_outer_fails_honestly():
     rep = protocols.extract_pair(graphs.chain(6), 4, 5, protocols.CustomOuter(left=(2, 1)))
     assert not rep.success
+
+
+@pytest.mark.parametrize("outer, message", [
+    (protocols.CustomOuter(left=(7,)), "outer-left helper 7 is not left of the pair (4, 5)"),
+    (protocols.CustomOuter(left=(2, 4)), "outer-left helper 4 is not left of the pair (4, 5)"),
+    (protocols.CustomOuter(left=(0,)), "outer-left helper 0 is not left of the pair (4, 5)"),
+    (protocols.CustomOuter(right=(3,)), "outer-right helper 3 is not right of the pair (4, 5)"),
+    (protocols.CustomOuter(right=(8,)), "outer-right helper 8 is not right of the pair (4, 5)"),
+    (protocols.CustomOuter(left=(2, 2)), "outer-left helper 2 is listed twice"),
+    (protocols.CustomOuter(left=(2, 1), right=(7, 6, 7)), "outer-right helper 7 is listed twice"),
+])
+def test_extract_pair_rejects_misplaced_or_repeated_helpers(outer, message):
+    with pytest.raises(ProtocolPreconditionError, match=re.escape(message)):
+        protocols.extract_pair(graphs.chain(7), 4, 5, outer)
 
 
 def test_extract_pair_validates_positions():
@@ -404,6 +448,12 @@ def test_star_to_ghz_flavors():
     assert len(rep.nullifiers) == 5
 
 
+def test_star_to_ghz_rejects_a_hub_with_a_leaf_edge():
+    g = graphs.from_edges([(1, 2), (1, 3), (1, 4), (2, 3)])
+    with pytest.raises(ProtocolPreconditionError, match="not a star"):
+        protocols.star_to_ghz(g)
+
+
 def test_ring_star_parity_rule():
     for m in (3, 4, 5, 6):
         rep = protocols.ring_star_to_ghz(graphs.ring_star(2 * m))
@@ -449,6 +499,11 @@ def test_chain_survives_any_single_discard():
         assert all(d not in e.support() for e in rep.nullifiers)
 
 
+def test_a_discard_pair_needs_a_conjugate_plane(monkeypatch):
+    monkeypatch.setattr(protocols, "pair_epr_projection", lambda reg, pair: False)
+    assert not protocols.chain_pair_after_discard(6, 3).success
+
+
 def test_ghz_cannot_rescue_a_conjugate_pair():
     for m in (3, 4):
         for d in range(1, m + 1):
@@ -458,10 +513,10 @@ def test_ghz_cannot_rescue_a_conjugate_pair():
 def test_epr_projection_rejects_product_planes():
     """Two single-mode squeezing conditions are not an EPR plane."""
     reg = ledger.Register(2)
-    reg.squeeze(1, "momentum")
-    reg.squeeze(2, "momentum")
+    reg.apply(Squeeze(1, "momentum"))
+    reg.apply(Squeeze(2, "momentum"))
     assert protocols.pair_epr_projection(reg, (1, 2)) is False
-    reg.kerr_couple(1, 2, 1.0)
+    reg.apply(Kerr(1, 2, 1.0))
     assert protocols.pair_epr_projection(reg, (1, 2)) is True
 
 

@@ -414,6 +414,19 @@ def test_a_failing_print_reports_its_first_failing_row(engine, text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("engine, line", [("ledger", 5), ("covariance", 4)])
+def test_an_overflowing_coupling_is_blamed_on_the_coupling(engine, line):
+    """g = 1e200 overflows through g squared at r = 1: the covariance engine
+    fails at the kerr itself, the ledger engine at the print's replay."""
+    text = ("register 2\nsqueeze 1 momentum\nsqueeze 2 momentum\nkerr 1 2 g=1e200\n"
+            "print variance 1*y1 at r=1\n")
+    with pytest.raises(ScenarioRuntimeError) as err:
+        execute(parse(text), engine=engine, r=1.0, seed=7)
+    assert (err.value.line, err.value.col) == (line, 1)
+    assert str(err.value) == ("Kerr(l=1, k=2, g=1e+200) at r=1.0 leaves float range; "
+                              "coupling too large")
+
+
 def test_a_print_replays_its_tape_once_for_all_rows(monkeypatch):
     """The bridge check of every row reads one stacked replay (the ledger
     engine runs no other covariance replay here)."""
