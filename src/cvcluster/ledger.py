@@ -20,6 +20,7 @@ flat vector is involved.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 from . import gates
@@ -133,14 +134,20 @@ class MeasurementRecord:
     """Frozen observable captured by measuring one quadrature.
 
     ``observable`` is the exact expression that was measured; it stays valid
-    forever because consumed modes receive no further gates.
+    forever because consumed modes receive no further gates.  ``owner`` is the
+    recording register, held weakly (None once it is gone), so a register with
+    records is freed by reference counting, not by the cyclic GC.
     """
 
     index: int
     mode: int
     kind: str
     observable: QuadExpr
-    owner: object = field(repr=False, compare=False, default=None)
+    owner_ref: weakref.ref = field(repr=False, compare=False, default=None)
+
+    @property
+    def owner(self):
+        return None if self.owner_ref is None else self.owner_ref()
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +228,7 @@ class Register:
             out._modes.append(c)
         # Records are frozen; rebinding ownership keeps displace_with usable.
         out.records = [
-            MeasurementRecord(r.index, r.mode, r.kind, r.observable, out)
+            MeasurementRecord(r.index, r.mode, r.kind, r.observable, weakref.ref(out))
             for r in self.records
         ]
         out.history = list(self.history)
@@ -278,7 +285,7 @@ class Register:
         the measured observable survives as classical data.
         """
         md = self._mode(mode)
-        rec = MeasurementRecord(len(self.records), mode, kind, QuadExpr(md.row[kind]), self)
+        rec = MeasurementRecord(len(self.records), mode, kind, QuadExpr(md.row[kind]), weakref.ref(self))
         self.records.append(rec)
         md.status = CONSUMED
         md.record_index = rec.index
@@ -309,20 +316,18 @@ class Register:
         their measured quadrature.  This is the bridge the covariance engine
         uses: displaced expressions become plain weight vectors.  A record
         of a mode that was itself displaced before it was measured carries
-        those earlier records too, so records are resolved recursively.
+        those earlier records too, resolved depth first from an explicit stack.
         """
-        acc: dict[tuple[int, str], float] = {}
-
-        def fold(mode, kind, c):
-            acc[(mode, kind)] = acc.get((mode, kind), 0.0) + c
-            md = self._modes[mode - 1]
-            for idx, w in md.book[kind].items():
-                rec = self.records[idx]
-                fold(rec.mode, rec.kind, c * w)
-
-        for coeff, mode, kind in parts:
+        for _, mode, _ in parts:
             self._mode(mode)  # only active modes may be combined
-            fold(mode, kind, coeff)
+        acc: dict[tuple[int, str], float] = {}
+        records, modes, stack = self.records, self._modes, list(reversed(parts))
+        while stack:
+            c, mode, kind = stack.pop()
+            acc[(mode, kind)] = acc.get((mode, kind), 0.0) + c
+            for i, w in reversed(modes[mode - 1].book[kind].items()):
+                rec = records[i]
+                stack.append((c * w, rec.mode, rec.kind))
         return [(c, m, kd) for (m, kd), c in sorted(acc.items()) if abs(c) > PRUNE_TOL]
 
     def product_partition(self) -> list[tuple[int, ...]]:

@@ -5,11 +5,12 @@ Builders turn a :class:`~cvcluster.graphs.Graph` into either a symbolic
 :class:`~cvcluster.covariance.GaussianState`.  Every protocol follows one
 recipe: build its graph's state, consume some vertices by homodyne-style
 quadrature measurements, repair the survivors with displacements
-proportional to the records (fixed +-1 steps, or the coefficients
-:func:`solve_feedforward` finds, applied by ``_repair``), and certify its
-target combinations (``_finish``).  The :class:`ProtocolReport` says which
-targets ended up as nullifiers and carries the final register as
-``register``.
+proportional to the records, and certify its target combinations
+(``_finish``).  Fixed +-1 steps serve cuts, teleports, the star GHZ and
+:func:`extract_pair`'s default outers; :class:`CustomOuter` helpers, path
+reduction and the ring-star GHZ take :func:`solve_feedforward`'s
+coefficients (``_repair``).  The :class:`ProtocolReport` says which targets
+ended up as nullifiers and carries the final register as ``register``.
 
 Vertex labels and register modes are linked by sorted order: the i-th
 smallest vertex is mode i.  For chains built by ``graphs.chain`` the two
@@ -384,11 +385,12 @@ def extract_pair(graph: graphs.Graph, j: int, k: int,
     """Concentrate a chain onto positions (j, k) as an EPR pair.
 
     Outer measurements detach the pair's far sides: by default X of the
-    next neighbours j-1 and k+1 (where present), or the helpers ``outer``
-    names.  Then each inner position is removed by the
-    measure/displace/rotate teleportation step.  Success means the final two
-    modes satisfy the two-chain nullifiers ``Y_j - X_k`` and ``Y_k - X_j``
-    (EPR up to a local quarter turn).
+    next neighbours j-1 and k+1 (where present), each record a fixed -1
+    displacement of the end's Y, or the helpers ``outer`` names, whose
+    coefficients come from :func:`solve_feedforward`.  Then each inner
+    position is removed by the measure/displace/rotate teleportation step.
+    Success means the final two modes satisfy the two-chain nullifiers
+    ``Y_j - X_k`` and ``Y_k - X_j`` (EPR up to a local quarter turn).
     """
     n = _require_chain(graph, "extract_pair")
     if j == k:
@@ -418,9 +420,12 @@ def extract_pair(graph: graphs.Graph, j: int, k: int,
     for side, helpers, end, inner_neighbor in sides:
         if not helpers:
             continue
-        # Measure the helpers, then solve to clean the chain end while
-        # keeping its bond to the inner neighbour.
+        # Measure the helpers, then clean the chain end while keeping its bond
+        # to the inner neighbour (a next neighbour's X record takes the -1 step).
         recs = [_measure(report, h, Y if abs(end - h) % 2 == 0 else X) for h in helpers]
+        if outer is None:
+            _displace(report, end, Y, -1.0, recs[0])
+            continue
         allowance = ledger.QuadExpr({(inner_neighbor, X, 1): 1.0})
         target = [(1.0, end, Y)]
         if isinstance(_repair(report, [(target, allowance)], recs, target), Infeasible):

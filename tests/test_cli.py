@@ -179,6 +179,43 @@ def test_an_overflowing_variance_is_one_line_and_no_numpy_warning(tmp_path, caps
     assert captured.err == f"{p}:5:1: variance at r=355.0 is not a finite float\n"
 
 
+def _record_chain_script(n):
+    """Each mode's Y record feeds the next mode's Y: a chain of n - 1 records."""
+    lines = [f"register {n}"]
+    for m in range(1, n):
+        lines += [f"measure y {m} -> m{m}", f"displace y {m + 1} += 1*m{m}"]
+    return "\n".join(lines + [f"print variance 1*y{n} at r=1"]) + "\n"
+
+
+def test_a_deep_record_chain_resolves_on_the_ledger(tmp_path, capsys):
+    """Through 1199 chained records y1200 carries all 1200 vacuum momenta:
+    variance 1200 * 1/2, with no recursion on the way."""
+    p = tmp_path / "deep.cvq"
+    p.write_text(_record_chain_script(1200))
+    assert cli.main(["run", str(p)]) == 0
+    assert "1*y1200,1,600\n" in capsys.readouterr().out
+
+
+def test_a_record_chain_deeper_than_the_stack_resolves_on_covariance(tmp_path, capsys):
+    """The covariance engine resolves the chain the same way.  At 1200 modes its
+    1199 homodynes on a 2400 x 2400 matrix take over a minute on a 2-CPU host,
+    so a 200-mode chain runs under a recursion limit that a recursive
+    resolution of its records would exceed."""
+    p = tmp_path / "deep.cvq"
+    p.write_text(_record_chain_script(200))
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        code = cli.main(["run", str(p), "--engine", "covariance", "--r", "1", "--seed", "7"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    assert "1*y200,1,100\n" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # claims
 # ---------------------------------------------------------------------------

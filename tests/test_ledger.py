@@ -215,11 +215,26 @@ def test_displace_with_applies_record_combination():
 
 
 def test_displace_rejects_foreign_records():
-    reg_a = Register(2)
+    reg_a = Register(3)
     reg_b = Register(2)
     rec = reg_a.measure(1, X)
     with pytest.raises(RecordOwnershipError):
         reg_b.displace_with(2, X, 1.0, rec)
+    # A record outlives its register without keeping it alive.
+    dropped = Register(2)
+    orphan = dropped.measure(1, X)
+    del dropped
+    assert orphan.owner is None
+    with pytest.raises(RecordOwnershipError):
+        reg_b.displace_with(2, X, 1.0, orphan)
+    # A copy owns its own records; the original's are foreign to it.
+    reg_a.measure(2, Y)
+    copy = reg_a.copy()
+    assert all(r.owner is copy for r in copy.records)
+    assert all(r.owner is reg_a for r in reg_a.records)
+    with pytest.raises(RecordOwnershipError):
+        copy.displace_with(3, X, 1.0, rec)
+    copy.displace_with(3, X, 1.0, copy.records[0])
 
 
 def test_displace_onto_consumed_mode_rejected():

@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cvcluster import covariance, graphs, ledger, protocols
+from cvcluster import covariance, graphs, ledger, protocols, scenario
 from cvcluster.errors import ProtocolPreconditionError, SelfInteractionError
 from cvcluster.gates import MOMENTUM_SQUEEZED, SOLVER_TOL, Kerr, Rotate, Squeeze, X, Y
 from cvcluster.ledger import QuadExpr
@@ -170,6 +170,48 @@ def test_a_dropped_graph_takes_its_stored_build_with_it():
     gc.collect()
     assert graph_ref() is None
     assert build_ref() is None
+
+
+FED_FORWARD_SCRIPT = """register 3
+squeeze 1 momentum
+squeeze 2 momentum
+squeeze 3 momentum
+kerr 1 2 g=1
+kerr 2 3 g=1
+measure x 2 -> a
+displace y 1 += -1*a
+displace y 3 += -1*a
+print variance 1*y1 at r=0,1
+"""
+
+
+def test_protocols_registers_and_scripts_leave_no_cyclic_garbage():
+    """Registers with records, protocols and fed-forward script runs are all
+    freed by reference counting: the cyclic collector finds nothing."""
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        protocols.extract_pair(graphs.chain(9), 3, 6)
+        protocols.reduce_graph_to_path(graphs.grid(3, 3), 1, 9)
+        reg = protocols.build_graph_state(graphs.chain(5))
+        rec = reg.measure(3, X)
+        reg.displace_with(2, Y, -1.0, rec)
+        reg.copy().frame_combo([(1.0, 2, Y)])
+        scn = scenario.parse(FED_FORWARD_SCRIPT)
+        rows = [scenario.execute(scn).csv(),
+                scenario.execute(scn, scenario.COVARIANCE, r=1.0, seed=7).csv()]
+        del reg, rec, scn
+        found = gc.collect()
+        garbage = sorted({type(obj).__name__ for obj in gc.garbage})
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert all("1*y1,1," in csv for csv in rows)
+    assert found == 0, garbage
 
 
 class _NoReuse(dict):
@@ -357,6 +399,26 @@ def test_extract_pair_next_neighbor(n, j, k):
     assert rep.success
     assert two_chain_relations_hold(rep.register, j, k)
     assert protocols.pair_epr_projection(rep.register, (j, k))
+
+
+def test_next_neighbour_outers_take_the_step_the_solver_finds(monkeypatch):
+    """The default outers' fixed -1 steps are bit for bit what the solver picks
+    for the same helpers named explicitly, and they never call the solver."""
+    calls, solve = [], protocols.solve_feedforward
+    monkeypatch.setattr(protocols, "solve_feedforward",
+                        lambda *args: calls.append(args) or solve(*args))
+    cases = [(n, j, k) for n in range(2, 13) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+    cases += [(20, 1, 2), (20, 1, 20), (20, 19, 20), (20, 7, 14)]
+    for n, j, k in cases:
+        g = graphs.chain(n)
+        fixed = protocols.extract_pair(g, j, k)
+        assert not calls
+        solved = protocols.extract_pair(g, j, k, protocols.CustomOuter(
+            left=(j - 1,) if j > 1 else (), right=(k + 1,) if k < n else ()))
+        assert len(calls) == (j > 1) + (k < n)
+        calls.clear()
+        assert fixed.success
+        assert _report_facts(fixed) == _report_facts(solved), (n, j, k)
 
 
 def test_extract_pair_inner_teleports_count():
