@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import covariance, graphs, ledger, protocols
-from .errors import InternalConsistencyError
 from .gates import BRIDGE_TOL, COEFF_TOL, ENTANGLEMENT_MARGIN, X, Y
 
 BRIDGE_RS = (0.0, 0.25, 0.5, 1.0, 2.0)
@@ -31,12 +30,12 @@ HYGIENE_R = 0.7
 
 @dataclass
 class ClaimResult:
-    claim_id: str
     statement: str
     passed: bool
     value: str
     tolerance: str
     details: list[str] = field(default_factory=list)
+    claim_id: str = ""  # the claim function's name, set by run_claims
     elapsed: float = 0.0  # the claim's own wall time, set by run_claims
 
     @property
@@ -83,7 +82,6 @@ def _claim_chain_rows(battery: Battery) -> ClaimResult:
                         [[(1.0, m, k)] for m in range(1, n + 1) for k in (X, Y)])
     elapsed = time.perf_counter() - started
     return ClaimResult(
-        "chain-rows",
         "chain register rows match the closed form for N up to 100",
         worst <= COEFF_TOL and elapsed < 1.0,
         f"max coefficient deviation {worst:.3g} in {elapsed:.3f}s",
@@ -112,7 +110,6 @@ def _claim_rotated_sets(battery: Battery) -> ClaimResult:
                 failed.append(f"N={n}: {parts}")
         battery.add(f"rotated chain({n})", reg, combos)
     return ClaimResult(
-        "rotated-sets",
         "quarter-turned correlation sets vanish for chains of 2, 3 and 4",
         not failed,
         f"{checked} combinations, {len(failed)} failing",
@@ -140,7 +137,6 @@ def _claim_graph_law(battery: Battery) -> ClaimResult:
         if i % 10 == 0:  # sampled into the battery to honour the time budget
             battery.add(f"random graph #{i} (|V|={n})", reg, combos)
     return ClaimResult(
-        "graph-law",
         "vertex momentum minus neighbour positions vanishes on 200 random graphs",
         failed == 0,
         f"{checked} vertex laws on 200 graphs, {failed} failing",
@@ -164,7 +160,6 @@ def _claim_persistency(battery: Battery) -> ClaimResult:
             ok = False
             details.append(f"oracle minimum for N={n}: {got} != {n // 2}")
     return ClaimResult(
-        "persistency",
         "floor(N/2) position measurements fully separate chains (N<=40) and "
         "the brute-force oracle finds no smaller pattern (N<=6)",
         ok,
@@ -200,7 +195,6 @@ def _claim_pair_extraction(battery: Battery) -> ClaimResult:
         else:
             battery.add_report(f"custom outer ({j},{k}) of chain({n})", rep)
     return ClaimResult(
-        "pair-extraction",
         "every chain pair concentrates to an EPR pair (N<=20, all pairs, "
         "next-neighbour outers; two custom outer patterns included)",
         failed == 0,
@@ -225,7 +219,6 @@ def _claim_path_reduction(battery: Battery) -> ClaimResult:
         else:
             battery.add_report(f"path {a}->{b} in graph #{i}", rep)
     return ClaimResult(
-        "path-reduction",
         "50 random connected graphs reduce to exact chain form along a "
         "shortest path between random endpoints",
         failed == 0,
@@ -245,7 +238,6 @@ def _claim_ghz_star(battery: Battery) -> ClaimResult:
         if m in (2, 5, 12):
             battery.add_report(f"GHZ from star({m})", rep)
     return ClaimResult(
-        "ghz-star",
         "hub momentum measurement projects star(m) onto a GHZ-type state "
         "for m = 2..12",
         failed == 0,
@@ -274,7 +266,6 @@ def _claim_parity(battery: Battery) -> ClaimResult:
             line += "  (UNEXPECTED)"
         details.append(line)
     return ClaimResult(
-        "parity",
         "alternating-ring GHZ extraction succeeds exactly when the measured "
         "ring count is odd; even counts are rank-deficient by one",
         ok,
@@ -315,7 +306,6 @@ def _claim_bs_chain(battery: Battery) -> ClaimResult:
         if n in (2, 7, 10):
             battery.add(f"beamsplitter chain ({n})", reg, [list(w.combo) for w in basis])
     return ClaimResult(
-        "bs-chain",
         "the beamsplitter cascade reproduces the sqrt(2)-weighted "
         "correlations at N=4 and a full weighted nullifier basis for N<=10",
         ok,
@@ -340,7 +330,6 @@ def _claim_cross_engine(battery: Battery) -> ClaimResult:
                 agree &= covariance.bridge_agrees(state, combo, numeric, symbolic, cw)
                 checks += 1
     return ClaimResult(
-        "cross-engine",
         "covariance-matrix variances equal the ledger closed form for every "
         "battery combination at r in {0, 0.25, 0.5, 1, 2}",
         agree and checks > 0,
@@ -369,7 +358,6 @@ def _claim_finite_squeezing(battery: Battery) -> ClaimResult:
              [(1.0, 1, Y), (-1.0, 2, Y)], [(1.0, 2, Y), (-1.0, 3, Y)]]
     battery.add("GHZ optics (3)", reg, parts)
     return ClaimResult(
-        "finite-squeezing",
         "tracing one party of the three-party GHZ-type optics state leaves "
         "the pair entangled at r=0.3 and exactly at threshold at r=0",
         ok,
@@ -402,7 +390,6 @@ def _claim_hygiene(battery: Battery) -> ClaimResult:
     # Absolute on purpose: commutators are numbers of order 1 that do not
     # depend on r, unlike the variances the cross-engine claim compares.
     return ClaimResult(
-        "hygiene",
         "canonical commutators survive every battery gate sequence and the "
         "replayed covariance states respect the uncertainty bound",
         worst <= BRIDGE_TOL and physical_fails == 0,
@@ -464,14 +451,12 @@ def run_claims(only: str | None = None) -> ClaimsOutcome:
     if only is not None and only not in known:
         raise ValueError(f"unknown claim id {only!r}; known: {', '.join(known)}")
     for fn in _CLAIMS:
-        cid = _claim_id(fn)
         claim_started = time.perf_counter()
         result = fn(battery)
         result.elapsed = time.perf_counter() - claim_started
-        if result.claim_id != cid:
-            raise InternalConsistencyError(f"claim id mismatch: {cid} vs {result.claim_id}")
+        result.claim_id = _claim_id(fn)
         results.append(result)
-        if only is not None and cid == only:
+        if result.claim_id == only:
             break
     if only is not None:
         results = [r for r in results if r.claim_id == only]

@@ -46,8 +46,6 @@ class HomodyneResult:
 
     state: GaussianState
     outcome: float
-    prior_mean: float
-    prior_var: float
 
 
 def quad_index(mode: int, kind: str) -> int:
@@ -78,13 +76,7 @@ def apply_gate(state: GaussianState, gate: gates.Gate, r: float | None = None) -
     a :class:`DomainError`, never an ``inf`` or NaN entry, but may leave the
     state partly updated.  Use :func:`apply_tape` to keep the input.
     """
-    try:
-        block, idx, (low, high) = gates.placement(gate, r)
-    except DomainError:
-        _check_modes(state.n, gate)
-        raise
-    if low < 1 or high > state.n:
-        _check_modes(state.n, gate)
+    block, idx = _place(state.n, gate, r)
     mean, cov = state.mean, state.cov
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -101,6 +93,19 @@ def _overflow(gate: gates.Gate, at: str) -> DomainError:
     overflows through g squared, any other gate through the squeezing."""
     cause = "coupling" if isinstance(gate, gates.Kerr) else "squeezing"
     return DomainError(f"{gate!r} at {at} leaves float range; {cause} too large")
+
+
+def _place(n: int, gate: gates.Gate, r: float | None):
+    """The gate's block and index from :func:`gates.placement`, for a state of
+    ``n`` modes: a mode outside 1..n is reported before any error in the block."""
+    try:
+        block, idx, (low, high) = gates.placement(gate, r)
+    except DomainError:
+        _check_modes(n, gate)
+        raise
+    if low < 1 or high > n:
+        _check_modes(n, gate)
+    return block, idx
 
 
 def _check_modes(n: int, gate: gates.Gate) -> None:
@@ -142,17 +147,11 @@ def replay(n: int, tape, rs) -> Iterator[GaussianState]:
         stacks = {}  # squeeze direction -> (R, 2, 2) blocks, shared by every mode
         with np.errstate(over="raise", invalid="raise"):
             for gate in tape:
-                try:
-                    block, idx, (low, high) = gates.placement(gate, part[0])
-                    if isinstance(gate, gates.Squeeze):
-                        if gate.direction not in stacks:
-                            stacks[gate.direction] = np.stack([gates.placement(gate, r)[0] for r in part])
-                        block = stacks[gate.direction]
-                except DomainError:
-                    _check_modes(n, gate)
-                    raise
-                if low < 1 or high > n:
-                    _check_modes(n, gate)
+                block, idx = _place(n, gate, part[0])
+                if isinstance(gate, gates.Squeeze):
+                    if gate.direction not in stacks:
+                        stacks[gate.direction] = np.stack([gates.placement(gate, r)[0] for r in part])
+                    block = stacks[gate.direction]
                 try:
                     cov[:, idx, :] = block @ cov[:, idx, :]
                     cov[:, :, idx] = cov[:, :, idx] @ block.swapaxes(-1, -2)
@@ -177,7 +176,8 @@ def homodyne(
 
     The conditional covariance of the other modes is the Schur complement of
     the measured variance, ``A - b b^T / v``, and the conditional mean shifts
-    by ``b (outcome - prior_mean) / v``.  The measured mode is left in vacuum
+    by ``b (outcome - prior_mean) / v``: one update of the whole matrix and
+    mean, with ``b`` zero on the measured mode, which is then reset to vacuum
     (covariance ``I/2``, no cross terms, zero mean), so ``n`` and every mode
     number stay as they were.  When no outcome is supplied one is drawn from
     the prior marginal with ``rng``, which is then required.
@@ -197,15 +197,15 @@ def homodyne(
         if rng is None:
             raise DomainError("homodyne needs an outcome or an rng to draw one")
         outcome = float(rng.normal(prior_mean, math.sqrt(v)))
-    keep = np.ones(2 * state.n, dtype=bool)
-    keep[[q, q ^ 1]] = False  # q ^ 1 is the conjugate quadrature of the same mode
-    kept = np.ix_(keep, keep)
-    b = state.cov[keep, q]
-    cov = 0.5 * np.eye(2 * state.n)
-    cov[kept] = state.cov[kept] - np.outer(b, b) / v
-    mean = np.zeros(2 * state.n)
-    mean[keep] = state.mean[keep] + b * (outcome - prior_mean) / v
-    return HomodyneResult(GaussianState(state.n, mean, cov), outcome, prior_mean, v)
+    own = slice(2 * mode - 2, 2 * mode)  # both quadratures of the measured mode
+    b = state.cov[:, q].copy()
+    b[own] = 0.0
+    cov = state.cov - np.outer(b, b) / v
+    cov[own, :] = cov[:, own] = 0.0
+    cov[q, q] = cov[q ^ 1, q ^ 1] = 0.5  # q ^ 1 is the conjugate quadrature
+    mean = state.mean + b * (outcome - prior_mean) / v
+    mean[own] = 0.0
+    return HomodyneResult(GaussianState(state.n, mean, cov), outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +296,6 @@ def ppt_min_symplectic_eig(state: GaussianState, pair: tuple[int, int]) -> float
     two = reduced_state(state, [i, j])
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
     return float(symplectic_eigenvalues(flip @ two.cov @ flip)[0])
-
-
-def duan_sum(state: GaussianState, pair: tuple[int, int], gains: tuple[float, float] = (1.0, 1.0)) -> float:
-    """EPR-type variance sum Var(X_i + gx X_j) + Var(Y_i - gy Y_j).
-
-    For any separable state this is bounded below by 2 at unit gains
-    (vacuum units: 1/2 per quadrature); smaller values witness entanglement.
-    """
-    i, j = pair
-    gx, gy = gains
-    return variance_of(state, [(1.0, i, X), (gx, j, X)]) + variance_of(
-        state, [(1.0, i, Y), (-gy, j, Y)]
-    )
 
 
 def uncertainty_defect(state: GaussianState) -> float:

@@ -71,11 +71,6 @@ class Graph:
         except KeyError:
             raise InvalidGraphError(f"vertex {v} not in graph") from None
 
-    def vertex_of(self, mode: int) -> int:
-        if not 1 <= mode <= len(self.vertices):
-            raise InvalidGraphError(f"mode {mode} outside 1..{len(self.vertices)}")
-        return self.vertices[mode - 1]
-
     def shortest_path(self, a: int, b: int):
         """Lexicographically smallest shortest path from a to b, or None.
 
@@ -105,11 +100,6 @@ class Graph:
                     dist[v] = dist[u] + 1
                     queue.append(v)
         return dist
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        return len(self._bfs_dist(self.vertices[0])) == len(self.vertices)
 
 
 # ---------------------------------------------------------------------------

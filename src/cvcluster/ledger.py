@@ -20,8 +20,7 @@ flat vector is involved.
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from . import gates
 from .errors import (
@@ -33,9 +32,6 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .gates import COMMUTATOR_TOL, MOMENTUM_SQUEEZED, NULLIFIER_TOL, PRUNE_TOL, X, Y
-
-ACTIVE = "active"
-CONSUMED = "consumed"
 
 
 @dataclass(frozen=True)
@@ -59,9 +55,6 @@ class QuadExpr:
 
     def __init__(self, terms: dict | None = None):
         self._t = dict(terms) if terms else {}
-
-    def copy(self) -> "QuadExpr":
-        return QuadExpr(self._t)
 
     # -- views ------------------------------------------------------------
 
@@ -134,20 +127,15 @@ class MeasurementRecord:
     """Frozen observable captured by measuring one quadrature.
 
     ``observable`` is the exact expression that was measured; it stays valid
-    forever because consumed modes receive no further gates.  ``owner`` is the
-    recording register, held weakly (None once it is gone), so a register with
-    records is freed by reference counting, not by the cyclic GC.
+    forever because consumed modes receive no further gates.  A record is a
+    plain value: it belongs to the register ``reg`` whose
+    ``reg.records[index]`` it is, and holds no reference back to it.
     """
 
     index: int
     mode: int
     kind: str
     observable: QuadExpr
-    owner_ref: weakref.ref = field(repr=False, compare=False, default=None)
-
-    @property
-    def owner(self):
-        return None if self.owner_ref is None else self.owner_ref()
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +144,16 @@ class MeasurementRecord:
 
 
 class _Mode:
-    __slots__ = ("row", "book", "status", "record_index")
+    __slots__ = ("row", "book", "record_index")
 
     def __init__(self, index: int):
         # Per quadrature kind: the row, a pruned dict (mode, kind, exponent) ->
         # coeff over the initial operators, and its feed-forward book, how much
         # of each measurement record has been folded into that row (record
-        # index -> coeff).  Gates apply the same linear map to both.
+        # index -> coeff).  Gates apply the same linear map to both.  A mode
+        # is active until measured; then ``record_index`` names its record.
         self.row = {kd: {(index, kd, 0): 1.0} for kd in (X, Y)}
         self.book = {X: {}, Y: {}}
-        self.status = ACTIVE
         self.record_index = None
 
 
@@ -198,19 +186,16 @@ class Register:
 
     # -- bookkeeping helpers ----------------------------------------------
 
-    def _mode(self, m: int, *, allow_consumed: bool = False) -> _Mode:
+    def _mode(self, m: int) -> _Mode:
         if not 1 <= m <= self.n:
             raise InvalidSizeError(f"mode {m} outside register 1..{self.n}")
         md = self._modes[m - 1]
-        if md.status == CONSUMED and not allow_consumed:
+        if md.record_index is not None:
             raise ConsumedModeError(f"mode {m} was consumed by record {md.record_index}")
         return md
 
-    def status(self, mode: int) -> str:
-        return self._mode(mode, allow_consumed=True).status
-
     def active_modes(self) -> list[int]:
-        return [i + 1 for i, md in enumerate(self._modes) if md.status == ACTIVE]
+        return [i + 1 for i, md in enumerate(self._modes) if md.record_index is None]
 
     def quad_expr(self, mode: int, kind: str) -> QuadExpr:
         """Copy of the current expression for one quadrature of an active mode."""
@@ -224,13 +209,9 @@ class Register:
             c = _Mode.__new__(_Mode)
             c.row = {kd: dict(d) for kd, d in md.row.items()}
             c.book = {kd: dict(d) for kd, d in md.book.items()}
-            c.status, c.record_index = md.status, md.record_index
+            c.record_index = md.record_index
             out._modes.append(c)
-        # Records are frozen; rebinding ownership keeps displace_with usable.
-        out.records = [
-            MeasurementRecord(r.index, r.mode, r.kind, r.observable, weakref.ref(out))
-            for r in self.records
-        ]
+        out.records = [replace(r) for r in self.records]  # new values: the copy's own
         out.history = list(self.history)
         return out
 
@@ -285,15 +266,14 @@ class Register:
         the measured observable survives as classical data.
         """
         md = self._mode(mode)
-        rec = MeasurementRecord(len(self.records), mode, kind, QuadExpr(md.row[kind]), weakref.ref(self))
+        rec = MeasurementRecord(len(self.records), mode, kind, QuadExpr(md.row[kind]))
         self.records.append(rec)
-        md.status = CONSUMED
         md.record_index = rec.index
         return rec
 
     def displace_with(self, mode: int, kind: str, coeff: float, record: MeasurementRecord) -> "Register":
         """Feed forward: add ``coeff *`` (measured observable) to a quadrature."""
-        if record.owner is not self:
+        if not (record.index < len(self.records) and self.records[record.index] is record):
             raise RecordOwnershipError("record belongs to a different register")
         md = self._mode(mode)
         _accumulate(md.row[kind], coeff, record.observable._t)
@@ -316,18 +296,25 @@ class Register:
         their measured quadrature.  This is the bridge the covariance engine
         uses: displaced expressions become plain weight vectors.  A record
         of a mode that was itself displaced before it was measured carries
-        those earlier records too, resolved depth first from an explicit stack.
+        those earlier records too.  A book names only earlier records, so
+        each record is resolved once, from the latest down, with everything
+        due to it summed first, however many paths reach it.
         """
-        for _, mode, _ in parts:
-            self._mode(mode)  # only active modes may be combined
         acc: dict[tuple[int, str], float] = {}
-        records, modes, stack = self.records, self._modes, list(reversed(parts))
-        while stack:
-            c, mode, kind = stack.pop()
+        due: dict[int, float] = {}  # record index -> weight owed to it
+
+        def fold(c, book):
+            for i, w in book.items():
+                due[i] = due.get(i, 0.0) + c * w
+
+        for c, mode, kind in parts:
+            fold(c, self._mode(mode).book[kind])  # only active modes may be combined
             acc[(mode, kind)] = acc.get((mode, kind), 0.0) + c
-            for i, w in reversed(modes[mode - 1].book[kind].items()):
-                rec = records[i]
-                stack.append((c * w, rec.mode, rec.kind))
+        while due:  # a book never names a later record, so none comes back
+            i = max(due)
+            c, rec = due.pop(i), self.records[i]
+            acc[(rec.mode, rec.kind)] = c
+            fold(c, self._modes[rec.mode - 1].book[rec.kind])
         return [(c, m, kd) for (m, kd), c in sorted(acc.items()) if abs(c) > PRUNE_TOL]
 
     def product_partition(self) -> list[tuple[int, ...]]:

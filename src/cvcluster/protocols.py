@@ -258,8 +258,8 @@ def _finish(report: ProtocolReport, targets, ok: bool = True) -> ProtocolReport:
 # ---------------------------------------------------------------------------
 
 
-def solve_feedforward(reg: ledger.Register, targets, records=None):
-    """Choose record coefficients cancelling all e^{k>=0} content of targets.
+def solve_feedforward(reg: ledger.Register, targets, records):
+    """Choose coefficients of ``records`` cancelling all e^{k>=0} content of targets.
 
     Each target is ``(parts, allowance)`` where ``parts`` is a
     ``(coeff, mode, kind)`` list over active modes and ``allowance`` an
@@ -270,8 +270,6 @@ def solve_feedforward(reg: ledger.Register, targets, records=None):
     rank is read off the singular values ``lstsq`` returns, counted above
     ``SOLVER_TOL`` as ``matrix_rank`` would; with no target it is 0.
     """
-    if records is None:
-        records = list(reg.records)
     bases = []
     for parts, allowance in targets:
         base = reg.combine(parts)
@@ -598,25 +596,18 @@ def _ring_and_hub(graph: graphs.Graph) -> tuple[int, list[int]]:
 def _cycle_without(graph: graphs.Graph, hub: int) -> list[int] | None:
     """Cycle order of the graph minus ``hub``, or None if it is not a cycle."""
     ring = [v for v in graph.vertices if v != hub]
-    if len(ring) < 3:
-        return None
     nbrs = {v: [u for u in graph.neighborhood(v) if u != hub] for v in ring}
-    if any(len(ns) != 2 for ns in nbrs.values()):
+    if len(ring) < 3 or any(len(ns) != 2 for ns in nbrs.values()):
         return None
-    start = min(ring)
-    order = [start]
-    prev = None
+    # Every degree is 2: step from the smallest vertex to its smaller
+    # neighbour, then always to the neighbour that is not the previous vertex.
+    order, prev = [min(ring)], None
     while True:
-        step = [u for u in nbrs[order[-1]] if u != prev]
-        if not step:
-            return None
-        prev, nxt = order[-1], min(step)
-        if nxt == start:
-            break
+        a, b = nbrs[order[-1]]
+        prev, nxt = order[-1], (b if a == prev else a)
+        if nxt == order[0]:
+            return order if len(order) == len(ring) else None
         order.append(nxt)
-        if len(order) > len(ring):
-            return None
-    return order if len(order) == len(ring) else None
 
 
 # ---------------------------------------------------------------------------
@@ -660,19 +651,13 @@ def nullifier_basis(reg: ledger.Register) -> list[WeightedNullifier]:
 # ---------------------------------------------------------------------------
 
 
-def conditional_cov_block_diagonal(n: int, pattern, r: float) -> bool:
-    """Covariance-engine oracle: does measuring ``pattern`` fully separate a chain?
-
-    ``pattern`` is a list of (position, kind).  The conditional covariance
-    after homodyning is outcome independent, and displacements only move
-    means, so the chain is completely disentangled for every outcome iff the
-    conditional covariance is block diagonal per mode.
-    """
-    return _separates(build_graph_state(graphs.chain(n), "covariance", r), pattern)
-
-
 def _separates(state: covariance.GaussianState, pattern) -> bool:
-    """Is ``state`` a mode product after homodyning ``pattern`` at outcome 0?"""
+    """Is ``state`` a mode product after homodyning ``pattern`` at outcome 0?
+
+    ``pattern`` is a list of (position, kind).  The conditional covariance is
+    outcome independent and displacements only move means, so this holds for
+    every outcome iff it holds at 0.
+    """
     for pos, kind in pattern:
         state = covariance.homodyne(state, pos, kind, outcome=0.0).state
     return covariance.is_mode_product(state)

@@ -10,7 +10,6 @@ from cvcluster.covariance import (
     GaussianState,
     apply_gate,
     apply_tape,
-    duan_sum,
     homodyne,
     is_physical,
     ppt_min_symplectic_eig,
@@ -430,11 +429,38 @@ def test_homodyne_sampling_is_seeded():
     assert a.outcome != c.outcome
 
 
-def test_homodyne_prior_statistics_reported():
-    state = epr_state(0.6)
-    res = homodyne(state, 2, Y, outcome=0.0)
-    assert res.prior_mean == pytest.approx(0.0)
-    assert res.prior_var == pytest.approx(variance_of(state, [(1.0, 2, Y)]))
+def _masked_homodyne(state, mode, kind, outcome):
+    """Mean and covariance after homodyne by the masked formula: the Schur
+    complement on the kept quadratures, written into a fresh vacuum."""
+    q = quad_index(mode, kind)
+    v, prior_mean = float(state.cov[q, q]), float(state.mean[q])
+    keep = np.ones(2 * state.n, dtype=bool)
+    keep[[q, q ^ 1]] = False
+    kept = np.ix_(keep, keep)
+    b = state.cov[keep, q]
+    cov = 0.5 * np.eye(2 * state.n)
+    cov[kept] = state.cov[kept] - np.outer(b, b) / v
+    mean = np.zeros(2 * state.n)
+    mean[keep] = state.mean[keep] + b * (outcome - prior_mean) / v
+    return mean, cov
+
+
+def test_homodyne_is_bit_for_bit_the_masked_formula():
+    """One update of the whole matrix gives the masked formula's bits, on
+    rotated random graph states with non-zero means."""
+    rng = np.random.default_rng(1200)
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        g = graphs.random_graph(n, float(rng.uniform(0.2, 0.8)), rng)
+        state = protocols.build_graph_state(g, "covariance", float(rng.uniform(0.0, 1.5)))
+        turns = [Rotate(m, float(rng.uniform(0.0, 2.0 * math.pi))) for m in range(1, n + 1)]
+        state = apply_tape(GaussianState(n, rng.normal(size=2 * n), state.cov), turns)
+        mode, kind = int(rng.integers(1, n + 1)), (X, Y)[int(rng.integers(2))]
+        outcome = float(rng.normal(0.0, 2.0))
+        mean, cov = _masked_homodyne(state, mode, kind, outcome)
+        res = homodyne(state, mode, kind, outcome=outcome)
+        assert np.array_equal(res.state.cov, cov)
+        assert np.array_equal(res.state.mean, mean)
 
 
 def test_homodyne_mode_validation():
@@ -477,19 +503,6 @@ def test_coupled_pair_is_entangled_and_monotone():
 def test_ppt_rejects_identical_modes():
     with pytest.raises(SelfInteractionError):
         ppt_min_symplectic_eig(vacuum_state(2), (1, 1))
-
-
-def test_duan_sum_vacuum_floor():
-    assert duan_sum(vacuum_state(2), (1, 2)) == pytest.approx(2.0)
-
-
-def test_duan_sum_drops_below_floor_for_epr():
-    state = epr_state(1.0)
-    # the EPR-type correlations here pair X_i with the partner's Y
-    val = duan_sum(state, (1, 2), gains=(1.0, 1.0))
-    three_mode = ppt_min_symplectic_eig(state, (1, 2))
-    assert three_mode < 0.5  # entangled by PPT even if a fixed-gain sum is not tight
-    assert val > 0.0
 
 
 def test_reduced_state_picks_blocks():

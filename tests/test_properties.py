@@ -168,7 +168,7 @@ def test_graph_tables_match_an_edge_scan(drawn):
         assert g.neighborhood(v) == scan
         assert g.degree(v) == len(scan)
     for m in range(1, len(labels) + 1):
-        assert g.mode_of(g.vertex_of(m)) == m
+        assert g.mode_of(g.vertices[m - 1]) == m
     unknown = max(labels) + 1
     for query in (g.neighborhood, g.degree, g.mode_of):
         with pytest.raises(InvalidGraphError, match=f"^vertex {unknown} not in graph$"):

@@ -135,9 +135,9 @@ def _fresh_graph_state(g):
 
 
 def _snapshot(reg):
-    """Rows, books, mode status, records and history of a register."""
-    modes = [(md.row, md.book, md.status, md.record_index) for md in reg._modes]
-    records = [(r.index, r.mode, r.kind, r.observable.as_dict(), r.owner is reg)
+    """Rows, books, consuming records, records and history of a register."""
+    modes = [(md.row, md.book, md.record_index) for md in reg._modes]
+    records = [(r.index, r.mode, r.kind, r.observable.as_dict(), reg.records[r.index] is r)
                for r in reg.records]
     return modes, records, list(reg.history)
 
@@ -252,7 +252,7 @@ def test_solver_finds_the_neighbour_correction():
     g = graphs.chain(3)
     reg = protocols.build_graph_state(g)
     reg.measure(2, X)
-    sol = protocols.solve_feedforward(reg, [([(1.0, 1, Y)], None)])
+    sol = protocols.solve_feedforward(reg, [([(1.0, 1, Y)], None)], reg.records)
     assert isinstance(sol, protocols.FeedforwardSolution)
     (coeffs,) = sol.coeffs
     assert coeffs == {0: pytest.approx(-1.0)}
@@ -262,7 +262,7 @@ def test_solver_reports_infeasibility():
     g = graphs.chain(3)
     reg = protocols.build_graph_state(g)
     reg.measure(2, Y)  # wrong basis: the record cannot cancel an X bond
-    sol = protocols.solve_feedforward(reg, [([(1.0, 1, Y)], None)])
+    sol = protocols.solve_feedforward(reg, [([(1.0, 1, Y)], None)], reg.records)
     assert isinstance(sol, protocols.Infeasible)
     assert sol.deficiency == sol.equations - sol.rank
 
@@ -272,7 +272,7 @@ def test_solver_allowance_keeps_a_bond():
     reg = protocols.build_graph_state(g)
     reg.measure(1, X)
     keep = QuadExpr({(3, X, 1): 1.0})
-    sol = protocols.solve_feedforward(reg, [([(1.0, 2, Y)], keep)])
+    sol = protocols.solve_feedforward(reg, [([(1.0, 2, Y)], keep)], reg.records)
     assert isinstance(sol, protocols.FeedforwardSolution)
 
 
@@ -336,9 +336,14 @@ def test_disentangle_even_gives_singletons(n):
 
 
 def test_disentangle_matches_covariance_oracle():
-    pattern = [(2, X), (4, X)]
-    assert protocols.conditional_cov_block_diagonal(5, pattern, 1.0)
-    assert not protocols.conditional_cov_block_diagonal(5, [(2, X)], 1.0)
+    def separated(pattern):
+        state = protocols.build_graph_state(graphs.chain(5), "covariance", 1.0)
+        for pos, kind in pattern:
+            state = covariance.homodyne(state, pos, kind, outcome=0.0).state
+        return covariance.is_mode_product(state)
+
+    assert separated([(2, X), (4, X)])
+    assert not separated([(2, X)])
 
 
 def test_minimal_pattern_is_floor_n_over_2():

@@ -4,6 +4,7 @@ import glob
 import math
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -577,6 +578,27 @@ def test_an_engine_disagreement_names_r_both_sides_and_the_allowance():
         f"engines disagree on a variance at r=1.0: covariance {numeric!r}, "
         f"ledger {symbolic!r}, allowance {allowance!r}"
     )
+
+
+def _fan_in_script(n):
+    """A chain whose record of mode m is fed into the momenta of modes m+1 and
+    m+2, so each record reaches the last mode by Fibonacci-many paths."""
+    lines = [f"register {n}"] + [f"squeeze {m} momentum" for m in range(1, n + 1)]
+    lines += [f"kerr {m} {m + 1}" for m in range(1, n)]
+    for m in range(1, n):
+        lines.append(f"measure y {m} -> a{m}")
+        lines += [f"displace y {t} += -1*a{m}" for t in (m + 1, m + 2) if t <= n]
+    return "\n".join(lines + [f"print variance 1*y{n} at r=0,0.5"]) + "\n"
+
+
+def test_fanned_in_records_resolve_once_each():
+    """Resolving records one path at a time takes minutes at n = 40; folding
+    each record once takes milliseconds.  The print row's bridge checks the
+    resolved weights against the covariance engine."""
+    started = time.perf_counter()
+    report = execute(parse(_fan_in_script(40)))
+    assert time.perf_counter() - started < 5.0
+    assert [row[:2] for row in report.csv_rows] == [("1*y40", 0.0), ("1*y40", 0.5)]
 
 
 def test_ledger_register_exposes_final_state():
