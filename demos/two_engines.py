@@ -27,9 +27,9 @@ print variance 1*y1 - 1*x3 at r=0,0.5,1,2
 
 
 def main():
-    scn = scenario.parse(SCRIPT, source="<demo>")
+    scn = scenario.parse(SCRIPT)
     print("script round-trips byte-identically:",
-          scenario.parse(scn.render(), source="<demo>").render() == scn.render())
+          scenario.parse(scn.render()).render() == scn.render())
 
     print("\n=== symbolic run ===")
     report = scenario.execute(scn, engine="ledger", source="<demo>")

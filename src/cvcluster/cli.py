@@ -139,8 +139,8 @@ def _cmd_sweep(args) -> int:
         if args.script is not None:
             with open(args.script, "r", encoding="utf-8") as fh:
                 text = fh.read()
-            scn = scenario.parse(text, source=args.script)
-            reg = scenario.ledger_register(scn, source=args.script)
+            scn = scenario.parse(text)
+            reg = scenario.ledger_register(scn)
         else:
             reg = _build_state(args.state)
         rows = []

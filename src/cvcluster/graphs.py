@@ -128,9 +128,7 @@ def chain(n: int) -> Graph:
     """Path graph on vertices 1..n."""
     if n < 1:
         raise InvalidSizeError(f"chain needs n >= 1, got {n}")
-    if n == 1:
-        return Graph((1,), frozenset())
-    return from_edges([(i, i + 1) for i in range(1, n)])
+    return from_edges([(i, i + 1) for i in range(1, n)], vertices=range(1, n + 1))
 
 
 def star(leaves: int) -> Graph:
@@ -184,9 +182,7 @@ def grid(rows: int, cols: int) -> Graph:
                 edges.append((v, v + 1))
             if i + 1 < rows:
                 edges.append((v, v + cols))
-    if not edges:
-        return Graph((1,), frozenset())
-    return from_edges(edges)
+    return from_edges(edges, vertices=range(1, rows * cols + 1))
 
 
 def _random_pairs(n: int, p: float, rng) -> list[tuple[int, int]]:

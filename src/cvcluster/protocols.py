@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, groupby, product
 
@@ -61,7 +62,6 @@ class ProtocolReport:
     protocol: str
     success: bool
     register: ledger.Register
-    measurements: list = field(default_factory=list)  # (mode, kind)
     displacements: list = field(default_factory=list)  # (mode, kind, coeff, record_index)
     nullifiers: list = field(default_factory=list)  # QuadExpr
     combos: list = field(default_factory=list)  # [(coeff, mode, kind)]
@@ -69,6 +69,10 @@ class ProtocolReport:
     flavor: str | None = None
     partition: list | None = None
     details: str = ""
+
+    @property
+    def measurements(self) -> list:  # (mode, kind) of each register record, in order
+        return [(rec.mode, rec.kind) for rec in self.register.records]
 
 
 @dataclass(frozen=True)
@@ -218,26 +222,25 @@ def _require_chain(graph: graphs.Graph, protocol: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _measure(report: ProtocolReport, mode: int, kind: str):
-    rec = report.register.measure(mode, kind)
-    report.measurements.append((mode, kind))
-    return rec
-
-
 def _displace(report: ProtocolReport, mode: int, kind: str, coeff: float, rec):
     report.register.displace_with(mode, kind, coeff, rec)
     report.displacements.append((mode, kind, coeff, rec.index))
 
 
-def _repair(report: ProtocolReport, targets, records, carriers):
-    """Solve ``targets`` over ``records``; each record coefficient ``c`` displaces
-    the target's carrier ``(weight, mode, kind)``, a quadrature no other target
-    reads, by ``c / weight``.  An :class:`Infeasible` result sets ``rank_info``."""
+def _repair(report: ProtocolReport, targets, records):
+    """Solve ``targets`` over ``records``; each record coefficient ``c`` displaces the
+    target's carrier by ``c / weight``: its first term ``(weight, mode, kind)`` on a
+    quadrature no other target reads, so no correction leaks into another target, and
+    on a mode no earlier carrier took.  An :class:`Infeasible` result sets ``rank_info``."""
     sol = solve_feedforward(report.register, targets, records)
     if isinstance(sol, Infeasible):
         report.rank_info = (sol.equations, sol.rank)
         return sol
-    for (weight, mode, kind), coeffs in zip(carriers, sol.coeffs):
+    readers = Counter(q for parts, _ in targets for q in {(m, k) for _, m, k in parts})
+    taken = set()
+    for (parts, _), coeffs in zip(targets, sol.coeffs):
+        weight, mode, kind = next(t for t in parts if readers[t[1:]] == 1 and t[1] not in taken)
+        taken.add(mode)
         for idx, c in coeffs.items():
             _displace(report, mode, kind, c / weight, report.register.records[idx])
     return sol
@@ -280,11 +283,6 @@ def solve_feedforward(reg: ledger.Register, targets, records):
     a_mat = growing[:, : len(records)]
     rank, coeff_dicts = 0, []
     for b in growing[:, len(records):].T:
-        if not records:
-            if np.max(np.abs(b), initial=0.0) > SOLVER_TOL:
-                return Infeasible(0, 0)
-            coeff_dicts.append({})
-            continue
         alpha, _, _, singular = np.linalg.lstsq(a_mat, -b, rcond=None)
         rank = int(np.count_nonzero(singular > SOLVER_TOL))
         if np.max(np.abs(a_mat @ alpha + b)) > SOLVER_TOL:
@@ -346,7 +344,7 @@ def _cut_chain(graph: graphs.Graph, cuts, protocol: str) -> ProtocolReport:
     surviving chain neighbours, and certify the sub-chains between the cuts."""
     n = graph.n_vertices
     report = ProtocolReport(protocol, False, build_graph_state(graph))
-    recs = {c: _measure(report, c, X) for c in cuts}
+    recs = {c: report.register.measure(c, X) for c in cuts}
     for c, rec in recs.items():
         for nb in (c - 1, c + 1):
             if 1 <= nb <= n and nb not in recs:
@@ -420,20 +418,19 @@ def extract_pair(graph: graphs.Graph, j: int, k: int,
             continue
         # Measure the helpers, then clean the chain end while keeping its bond
         # to the inner neighbour (a next neighbour's X record takes the -1 step).
-        recs = [_measure(report, h, Y if abs(end - h) % 2 == 0 else X) for h in helpers]
+        recs = [report.register.measure(h, Y if abs(end - h) % 2 == 0 else X) for h in helpers]
         if outer is None:
             _displace(report, end, Y, -1.0, recs[0])
             continue
         allowance = ledger.QuadExpr({(inner_neighbor, X, 1): 1.0})
-        target = [(1.0, end, Y)]
-        if isinstance(_repair(report, [(target, allowance)], recs, target), Infeasible):
+        if isinstance(_repair(report, [([(1.0, end, Y)], allowance)], recs), Infeasible):
             report.details = f"outer-{side} feed-forward infeasible"
             return report
 
     # Teleport the inner positions away one by one: measure Y, fold the
     # record into X_j, then quarter-turn j so the rows stay in chain form.
     for p in inner:
-        _displace(report, j, X, -1.0, _measure(report, p, Y))
+        _displace(report, j, X, -1.0, report.register.measure(p, Y))
         report.register.apply(Rotate(j, math.pi / 2.0))
 
     _finish(report, _chain_laws((j, k)))
@@ -466,10 +463,10 @@ def reduce_graph_to_path(graph: graphs.Graph, a: int, b: int) -> ProtocolReport:
     boundary = sorted(
         {v for p in path for v in graph.neighborhood(p) if v not in on_path}
     )
-    recs = [_measure(report, graph.mode_of(v), X) for v in boundary]
+    recs = [report.register.measure(graph.mode_of(v), X) for v in boundary]
     laws = _chain_laws([graph.mode_of(p) for p in path])
     # Each vertex law's correction rides on its own Y.
-    sol = _repair(report, [(law, None) for law in laws], recs, [law[0] for law in laws])
+    sol = _repair(report, [(law, None) for law in laws], recs)
     if isinstance(sol, Infeasible):
         report.details = "path repair infeasible"
         return report
@@ -497,7 +494,7 @@ def star_to_ghz(graph: graphs.Graph) -> ProtocolReport:
         raise ProtocolPreconditionError("GHZ projection needs at least two leaves")
     report = ProtocolReport("star_to_ghz", False, build_graph_state(graph),
                             flavor="total-position")
-    rec = _measure(report, graph.mode_of(center), Y)
+    rec = report.register.measure(graph.mode_of(center), Y)
     _displace(report, graph.mode_of(leaves[0]), X, -1.0, rec)
     _finish(report, _ghz_laws([graph.mode_of(v) for v in leaves]))
     report.details = f"hub vertex {center}, {len(leaves)} leaves"
@@ -545,7 +542,7 @@ def ring_star_to_ghz(
     if len(remaining) < 2:
         raise ProtocolPreconditionError("GHZ projection needs at least two survivors")
     report = ProtocolReport("ring_star_to_ghz", False, build_graph_state(graph), flavor=flavor)
-    recs = [_measure(report, graph.mode_of(v), Y) for v in [hub] + sorted(measured)]
+    recs = [report.register.measure(graph.mode_of(v), Y) for v in [hub] + sorted(measured)]
     modes = [graph.mode_of(v) for v in remaining]
     if flavor == "total-momentum":
         sum_kind, diff_kind = Y, X
@@ -555,11 +552,8 @@ def ring_star_to_ghz(
         raise ProtocolPreconditionError(f"unknown flavor {flavor!r}")
     laws = [[(1.0, m, sum_kind) for m in modes]]
     laws += [[(1.0, modes[0], diff_kind), (-1.0, m, diff_kind)] for m in modes[1:]]
-    # Each target needs its own carrier quadrature (one no other target
-    # reads), otherwise corrections would cross-contaminate: the sum rides
-    # on the first survivor, each difference on its non-reference mode.
-    carriers = [(1.0, modes[0], sum_kind)] + [(-1.0, m, diff_kind) for m in modes[1:]]
-    sol = _repair(report, [(law, None) for law in laws], recs, carriers)
+    # The sum rides on the first survivor, each difference on its non-reference mode.
+    sol = _repair(report, [(law, None) for law in laws], recs)
     if isinstance(sol, Infeasible):
         why = (f"system degenerate (deficiency {sol.deficiency})" if sol.deficiency
                else "no feed-forward solution exists")
@@ -720,11 +714,11 @@ def chain_pair_after_discard(n: int, d: int) -> ProtocolReport:
     p1, p2 = pos(1), pos(2)  # the protected pair (in real positions)
 
     if dd > 3:
-        _displace(report, p2, Y, -1.0, _measure(report, pos(3), X))
+        _displace(report, p2, Y, -1.0, report.register.measure(pos(3), X))
     else:  # the loss is the pair's second neighbour: recapture via its far side
-        _displace(report, p2, Y, -1.0, _measure(report, pos(4), Y))
+        _displace(report, p2, Y, -1.0, report.register.measure(pos(4), Y))
         if n >= 5:
-            _displace(report, p2, Y, 1.0, _measure(report, pos(5), X))
+            _displace(report, p2, Y, 1.0, report.register.measure(pos(5), X))
     # The recovered plane must be genuinely conjugate, not two one-mode
     # squeezes, and the witness must not lean on the lost party's operators.
     _finish(report, _chain_laws((p1, p2)), ok=pair_epr_projection(report.register, (p1, p2)))
@@ -783,14 +777,8 @@ def pair_epr_projection(reg: ledger.Register, pair) -> bool:
     proj = null_basis[:, :4]  # weights on (X_i, Y_i, X_j, Y_j)
     if np.linalg.matrix_rank(proj, tol=SOLVER_TOL) != 2:
         return False
-    span = _row_space(proj)
     # A vector vanishing on one mode's coordinates exists iff the span
     # loses rank when restricted to the other mode's pair of columns.
-    own_i = np.linalg.matrix_rank(span[:, 2:], tol=SOLVER_TOL)
-    own_j = np.linalg.matrix_rank(span[:, :2], tol=SOLVER_TOL)
+    own_i = np.linalg.matrix_rank(proj[:, 2:], tol=SOLVER_TOL)
+    own_j = np.linalg.matrix_rank(proj[:, :2], tol=SOLVER_TOL)
     return bool(own_i == 2 and own_j == 2)
-
-
-def _row_space(mat: np.ndarray) -> np.ndarray:
-    _, s, vh = np.linalg.svd(mat, full_matrices=False)
-    return vh[: int(np.sum(s > SOLVER_TOL)), :]

@@ -348,7 +348,7 @@ def parse_combo(text: str) -> tuple[ComboTerm, ...]:
 _TWO_MODE = {"kerr": ("g=", 1.0), "bs": ("t=", 0.5)}
 
 
-def parse(text: str, source: str = "<scenario>") -> Scenario:
+def parse(text: str) -> Scenario:
     """Parse a script; raises :class:`ParseError` at the first problem.
 
     Also enforces the static invariants: exactly one ``register`` statement
@@ -380,20 +380,16 @@ def parse(text: str, source: str = "<scenario>") -> Scenario:
                 p.fail(tok, "positive mode count")
             if n > MAX_MODES:
                 p.fail(tok, f"mode count at most {MAX_MODES}")
-            p.done()
             n_modes = n
-            statements.append(RegisterStmt(n, line=lineno, col=head.col))
-            continue
-        if n_modes is None:
+            stmt = RegisterStmt, n
+        elif n_modes is None:
             p.fail(head, "'register' as the first statement")
-
-        if head.text == "squeeze":
+        elif head.text == "squeeze":
             m = mode_tok()
             d = p.take("'momentum' or 'position'")
             if d.text not in (MOMENTUM_SQUEEZED, POSITION_SQUEEZED):
                 p.fail(d, "'momentum' or 'position'")
-            p.done()
-            statements.append(GateStmt("squeeze", (m,), d.text, d.text, line=lineno, col=head.col))
+            stmt = GateStmt, "squeeze", (m,), d.text, d.text
         elif head.text in _TWO_MODE:
             prefix, value = _TWO_MODE[head.text]
             l = mode_tok()
@@ -412,8 +408,7 @@ def parse(text: str, source: str = "<scenario>") -> Scenario:
                     p.fail(tok, f"t=0 or t > {PRUNE_TOL**2:g}")
                 option = f"{prefix}{fmt_num(value)}"
                 p.pos += 1
-            p.done()
-            statements.append(GateStmt(head.text, (l, k), value, option, line=lineno, col=head.col))
+            stmt = GateStmt, head.text, (l, k), value, option
         elif head.text == "rotate":
             m = mode_tok()
             tok = p.take("-90, 90, 180 or <real>rad")
@@ -424,8 +419,7 @@ def parse(text: str, source: str = "<scenario>") -> Scenario:
                 option = f"{theta!r}rad"
             else:
                 p.fail(tok, "-90, 90, 180 or <real>rad")
-            p.done()
-            statements.append(GateStmt("rotate", (m,), theta, option, line=lineno, col=head.col))
+            stmt = GateStmt, "rotate", (m,), theta, option
         elif head.text == "measure":
             basis = p.take_basis()
             m = mode_tok()
@@ -436,10 +430,7 @@ def parse(text: str, source: str = "<scenario>") -> Scenario:
             if name.text in names:
                 p.fail(name, "a name not already bound")
             names.add(name.text)
-            p.done()
-            statements.append(
-                MeasureStmt(basis.text, m, name.text, line=lineno, col=head.col)
-            )
+            stmt = MeasureStmt, basis.text, m, name.text
         elif head.text == "displace":
             basis = p.take_basis()
             m = mode_tok()
@@ -453,23 +444,13 @@ def parse(text: str, source: str = "<scenario>") -> Scenario:
                 raise ParseError(
                     p.lineno, tok.col + len(coeff_text) + 1, "a bound record name", name_text
                 )
-            p.done()
-            statements.append(
-                DisplaceStmt(
-                    basis.text, m, coeff, name_text, literal, line=lineno, col=head.col
-                )
-            )
+            stmt = DisplaceStmt, basis.text, m, coeff, name_text, literal
         elif head.text == "assert":
             what = p.take("'nullifier' or 'product'")
             if what.text == "nullifier":
-                terms = _parse_combo(p, n_modes)
-                p.done()
-                statements.append(
-                    AssertNullifierStmt(terms, line=lineno, col=head.col)
-                )
+                stmt = AssertNullifierStmt, _parse_combo(p, n_modes)
             elif what.text == "product":
-                p.done()
-                statements.append(AssertProductStmt(line=lineno, col=head.col))
+                stmt = (AssertProductStmt,)
             else:
                 p.fail(what, "'nullifier' or 'product'")
         elif head.text == "print":
@@ -482,12 +463,12 @@ def parse(text: str, source: str = "<scenario>") -> Scenario:
             rs = tuple(
                 p.real(x, tok.col, "r=<comma list>", tok.text) for x in tok.text[2:].split(",")
             )
-            p.done()
-            statements.append(
-                PrintVarianceStmt(terms, rs, line=lineno, col=head.col)
-            )
+            stmt = PrintVarianceStmt, terms, rs
         else:
             p.fail(head, "statement keyword")
+        p.done()
+        cls, *fields = stmt
+        statements.append(cls(*fields, line=lineno, col=head.col))
 
     if n_modes is None:
         raise ParseError(1, 1, "'register' statement", "")
@@ -562,13 +543,13 @@ def execute(
     return _run(scn, engine, r, seed, source).report
 
 
-def ledger_register(scn: Scenario, source: str = "<scenario>") -> ledger.Register:
+def ledger_register(scn: Scenario) -> ledger.Register:
     """Execute on the exact engine and return the finished register.
 
     For callers that want to evaluate further combinations against the state
     a script builds (the command-line sweep does this).
     """
-    return _run(scn, LEDGER, None, None, source).reg
+    return _run(scn, LEDGER, None, None, "<scenario>").reg
 
 
 def _run(scn, engine, r, seed, source) -> "_Execution":
@@ -706,5 +687,5 @@ def run_file(path, engine: str = LEDGER, r: float | None = None, seed: int | Non
     """Parse and execute a ``.cvq`` file (UTF-8, LF or CRLF)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    scn = parse(text, source=str(path))
+    scn = parse(text)
     return execute(scn, engine=engine, r=r, seed=seed, source=str(path))

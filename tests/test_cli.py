@@ -378,6 +378,18 @@ def test_graph_failed_extraction_with_solvable_sides_prints_no_rank(tmp_path, ca
     assert "rank:" not in out
 
 
+@pytest.mark.parametrize("value, message", [
+    ("2,x", "--measured wants comma-separated integers, got '2,x'"),
+    ("7", "measured vertex 7 is not on the ring"),
+])
+def test_graph_ring_star_rejects_a_bad_measured_list(capsys, value, message):
+    path = os.path.join(os.path.dirname(__file__), "golden", "edges", "ringstar3.txt")
+    assert cli.main(["graph", path, "--protocol", "ring-star-ghz", "--measured", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_graph_star_ghz_rejects_a_non_star(tmp_path, capsys):
     path = write_edges(tmp_path, "hub.txt", 4, [(1, 2), (1, 3), (1, 4), (2, 3)])
     assert cli.main(["graph", path, "--protocol", "star-ghz"]) == 2

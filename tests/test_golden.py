@@ -63,6 +63,8 @@ CASES.update({
                       "--combo", "1*x3 + 1*x4", "--combo", "1*y1 - sqrt2*y2", "--r", R_LIST],
     "sweep_ghz": ["sweep", "--state", "ghz:3", "--combo", "1*x1 + 1*x2 + 1*x3",
                   "--combo", "1*y1 - 1*y2", "--r", R_LIST],
+    "sweep_script": ["sweep", "--script", "scenarios/teleport_step_n3.cvq", "--combo",
+                     "1*y1 - 1*x3", "--combo", "1*x1", "--r", R_LIST],
     "graph_chain_disentangle": ["graph", f"{EDGES}/chain6.txt", "--protocol", "disentangle"],
     "graph_chain_disconnect": ["graph", f"{EDGES}/chain6.txt", "--protocol", "disconnect",
                                "--j", "3"],
@@ -71,6 +73,9 @@ CASES.update({
     "graph_chain_extract_pair_custom": ["graph", f"{EDGES}/chain6.txt", "--protocol",
                                         "extract-pair", "--j", "4", "--k", "5",
                                         "--outer-left", "2,1", "--outer-right", "6"],
+    "graph_chain_extract_pair_infeasible": ["graph", f"{EDGES}/chain6.txt", "--protocol",
+                                            "extract-pair", "--j", "4", "--k", "5",
+                                            "--outer-left", "1"],
     "graph_chain_reduce_path": ["graph", f"{EDGES}/chain6.txt", "--protocol", "reduce-path",
                                 "--a", "2", "--b", "5"],
     "graph_mesh_reduce_path": ["graph", f"{EDGES}/mesh7.txt", "--protocol", "reduce-path",
@@ -79,6 +84,8 @@ CASES.update({
     "graph_ringstar_odd": ["graph", f"{EDGES}/ringstar3.txt", "--protocol", "ring-star-ghz"],
     "graph_ringstar_odd_position": ["graph", f"{EDGES}/ringstar3.txt", "--protocol",
                                     "ring-star-ghz", "--flavor", "total-position"],
+    "graph_ringstar_measured": ["graph", f"{EDGES}/ringstar3.txt", "--protocol",
+                                "ring-star-ghz", "--measured", "2,4"],
     "graph_ringstar_even": ["graph", f"{EDGES}/ringstar4.txt", "--protocol", "ring-star-ghz"],
 })
 

@@ -34,6 +34,11 @@ def test_chain_rows_closed_form():
     }
     # chain ends have one neighbour only
     assert term_dict(reg.quad_expr(1, Y)) == {(1, Y, -1): 1.0, (2, X, 1): 1.0}
+    # a small turn of one mode moves its rows off the closed form by sin(theta)
+    g = graphs.chain(3)
+    reg = protocols.build_graph_state(g)
+    reg.apply(Rotate(2, 0.1))
+    assert protocols.graph_row_deviation(reg, g) == pytest.approx(math.sin(0.1))
 
 
 def test_star_rows_follow_the_graph():
@@ -265,6 +270,9 @@ def test_solver_reports_infeasibility():
     sol = protocols.solve_feedforward(reg, [([(1.0, 1, Y)], None)], reg.records)
     assert isinstance(sol, protocols.Infeasible)
     assert sol.deficiency == sol.equations - sol.rank
+    # with no records at all, a target with growing content cannot be cleaned
+    reg = protocols.build_graph_state(graphs.chain(2))
+    assert protocols.solve_feedforward(reg, [([(1.0, 1, Y)], None)], []) == protocols.Infeasible(0, 0)
 
 
 def test_solver_allowance_keeps_a_bond():
@@ -281,8 +289,7 @@ def test_solver_with_no_records_and_clean_target():
     sol = protocols.solve_feedforward(
         reg, [([(1.0, 1, Y), (-1.0, 2, X)], None)], records=[]
     )
-    assert isinstance(sol, protocols.FeedforwardSolution)
-    assert sol.coeffs == [{}]
+    assert sol == protocols.FeedforwardSolution([{}], (0, 0))
 
 
 def test_solver_rank_is_matrix_rank(monkeypatch):

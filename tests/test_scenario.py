@@ -55,9 +55,9 @@ def test_parse_counts_statements():
 def test_round_trip_is_a_fixed_point(path):
     """render(parse(text)) is stable: rendering again changes nothing."""
     text = open(path, encoding="utf-8").read()
-    scn = parse(text, source=path)
+    scn = parse(text)
     rendered = scn.render()
-    again = parse(rendered, source=path).render()
+    again = parse(rendered).render()
     assert again == rendered
 
 
@@ -132,11 +132,26 @@ def test_parse_combo_standalone():
         ("register 1\nprint variance 1*x1 at r=0,1e999\n", 2, 24, "a finite real"),
         ("register 3\nassert nullifier 1*y1 - 1*x9\n", 2, 28, "mode index in 1..3"),
         ("register 2\nprint variance 1*x3 at r=1\n", 2, 19, "mode index in 1..2"),
+        ("# only a comment\n", 1, 1, "'register' statement"),
+        ("register 2\nfrobnicate 1\n", 2, 1, "statement keyword"),
+        ("register two\n", 1, 10, "mode count"),
+        ("register 2\nassert maybe\n", 2, 8, "'nullifier' or 'product'"),
+        ("register 2\nprint variance 1*x1 at s=1\n", 2, 24, "r=<comma list>"),
+        ("register 2\nmeasure x 1 -> a\ndisplace y 2 += a\n", 3, 17, "coefficient*name"),
+        ("register 2\nassert nullifier y1\n", 2, 18, "coefficient*quadrature term"),
+        ("register 2\nassert nullifier 1*y1 * 1*x2\n", 2, 23, "'+' or '-'"),
+        ("register 2\nassert nullifier 1*xq\n", 2, 21, "mode index"),
+        ("register 2\nkerr 1 2 q=1\n", 2, 10, "g=<real>"),
+        ("register 2\nmeasure x 1 => a\n", 2, 13, "'->'"),
+        ("register 2\nmeasure x 1 -> 1a\n", 2, 16, "record name"),
+        ("register 2\nprint varience 1*x1 at r=1\n", 2, 7, "'variance'"),
+        ("register 2\nsqueeze one momentum\n", 2, 9, "mode index"),
+        ("register 2\nassert nullifier abc*x1\n", 2, 18, "coefficient"),
     ],
 )
 def test_parse_errors_carry_exact_positions(text, line, col, expected):
     with pytest.raises(ParseError) as err:
-        parse(text, source="probe.cvq")
+        parse(text)
     assert (err.value.line, err.value.col) == (line, col)
     assert err.value.expected == expected
     assert err.value.render("probe.cvq").startswith(f"probe.cvq:{line}:{col}: expected")
