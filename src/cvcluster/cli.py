@@ -55,7 +55,7 @@ def _cmd_run(args) -> int:
         return _fail_usage("covariance engine requires --r")
     try:
         report = scenario.run_file(args.script, engine=args.engine, r=args.r, seed=args.seed)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         return _fail_usage(str(err))
     except (ParseError, ScenarioRuntimeError) as err:
         return _fail_usage(err.render(args.script))

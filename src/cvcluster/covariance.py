@@ -7,6 +7,8 @@ States are Gaussian, stored as a mean vector and covariance matrix in
 copies its input once and replays a gate tape on the copy at one squeezing r;
 :func:`replay` runs a tape from vacuum at several r at once (print rows, the
 closing claims), applying each gate once to a stack of zero-mean states.
+Squeezes and g = 1 couplings, the paper's gates, skip the block product: each
+entry they touch is one product or a two-term sum, rounded once, so bits hold.
 
 This engine is deliberately independent of :mod:`cvcluster.ledger`: the two
 are cross-checked against each other by the test- and claims-suites, so the
@@ -70,22 +72,45 @@ def apply_gate(state: GaussianState, gate: gates.Gate, r: float | None = None) -
 
     The gate's block and where it sits come from :func:`gates.placement`,
     which checks the block (S Omega S^T = Omega to 1e-12) when it is built.
-    Only those rows/columns of ``state.mean`` and ``state.cov`` are updated.
-    A mode outside the state is reported before any error in the block, and
-    either leaves the state untouched; a state that overflows float range is
-    a :class:`DomainError`, never an ``inf`` or NaN entry, but may leave the
-    state partly updated.  Use :func:`apply_tape` to keep the input.
+    Only those rows/columns of ``state.mean`` and ``state.cov`` are updated,
+    by :func:`_step`: squeezes and g = 1 couplings with no block product, and
+    the same bits.  A mode outside the state is reported before any error in
+    the block, and either leaves the state untouched; a state that overflows
+    float range is a :class:`DomainError`, never an ``inf`` or NaN entry, but
+    may leave the state partly updated.  Use :func:`apply_tape` to keep the input.
     """
     block, idx = _place(state.n, gate, r)
-    mean, cov = state.mean, state.cov
     try:
         with np.errstate(over="raise", invalid="raise"):
-            mean[idx] = block @ mean[idx]
-            cov[idx, :] = block @ cov[idx, :]
-            cov[:, idx] = cov[:, idx] @ block.T
+            _step(gate, block, idx, state.mean, state.cov)
     except FloatingPointError:
         raise _overflow(gate, f"r={r!r}") from None
     return state
+
+
+def _step(gate: gates.Gate, block, idx, mean, cov) -> None:
+    """Apply a placed gate in place, rows before columns, to one state or (``mean``
+    None) a stack of zero-mean covariances: a Squeeze scales by its block's
+    diagonal and a Kerr with g == 1 adds X_k to Y_l and X_l to Y_k, so each
+    entry is one product or a sum of two terms weighted 1, rounded once in any
+    order or FMA policy: the bits of the block product every other gate takes."""
+    cols = cov.T  # quadrature axis first, a stack's axis last
+    sides = [cols.swapaxes(0, 1), cols] + ([] if mean is None else [mean])
+    if isinstance(gate, gates.Squeeze):
+        q, (a, b) = idx.start, block.diagonal(0, -2, -1).T  # one factor per state
+        for side in sides:
+            side[q] *= a
+            side[q + 1] *= b
+    elif isinstance(gate, gates.Kerr) and gate.g == 1.0:
+        xl, yl, xk, yk = idx.tolist()
+        for side in sides:
+            side[yl] += side[xk]
+            side[yk] += side[xl]
+    else:
+        cov[..., idx, :] = block @ cov[..., idx, :]
+        cov[..., idx] = cov[..., idx] @ block.swapaxes(-1, -2)
+        if mean is not None:
+            mean[idx] = block @ mean[idx]
 
 
 def _overflow(gate: gates.Gate, at: str) -> DomainError:
@@ -130,13 +155,13 @@ def replay(n: int, tape, rs) -> Iterator[GaussianState]:
     """The vacuum of ``n`` modes after ``tape``, once per value in ``rs``, in order.
 
     Each state is bit for bit ``apply_tape(vacuum_state(n), tape, r)``, but
-    each gate is applied once, in place, to a stack of the covariances (a tape
-    holds no displacement, so every mean is zero).  Only a Squeeze block
-    depends on r: each direction gets one stack of blocks over r, and every
-    other gate broadcasts its shared block.  A stack holds at most as many
-    floats as one covariance matrix at ``gates.MAX_MODES``; longer r lists
-    are replayed lazily, chunk by chunk.  Errors are :func:`apply_gate`'s,
-    but an overflow names the chunk's r values.
+    each gate is applied once, in place, by :func:`_step` to a stack of the
+    covariances (a tape holds no displacement, so every mean is zero).  Only a
+    Squeeze block depends on r: each direction gets one stack of blocks over
+    r, and every other gate broadcasts its shared block.  A stack holds at
+    most as many floats as one covariance matrix at ``gates.MAX_MODES``;
+    longer r lists are replayed lazily, chunk by chunk.  Errors are
+    :func:`apply_gate`'s, but an overflow names the chunk's r values.
     """
     rs = list(rs)
     vacuum = vacuum_state(n).cov
@@ -153,8 +178,7 @@ def replay(n: int, tape, rs) -> Iterator[GaussianState]:
                         stacks[gate.direction] = np.stack([gates.placement(gate, r)[0] for r in part])
                     block = stacks[gate.direction]
                 try:
-                    cov[:, idx, :] = block @ cov[:, idx, :]
-                    cov[:, :, idx] = cov[:, :, idx] @ block.swapaxes(-1, -2)
+                    _step(gate, block, idx, None, cov)
                 except FloatingPointError:
                     raise _overflow(gate, f"r in {part!r}") from None
         yield from (GaussianState(n, np.zeros(2 * n), c) for c in cov)
@@ -261,13 +285,9 @@ def bridge_agrees(state: GaussianState, combo, numeric: float, symbolic: float,
 
 
 def is_mode_product(state: GaussianState) -> bool:
-    """True when every off-diagonal 2x2 mode block of the covariance is within PRODUCT_TOL of 0."""
-    cov = state.cov
-    for i in range(state.n):
-        for j in range(i + 1, state.n):
-            if np.max(np.abs(cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2])) > PRODUCT_TOL:
-                return False
-    return True
+    """True when no 2x2 mode block above the diagonal has an entry past PRODUCT_TOL (NaN is not)."""
+    largest = np.abs(state.cov).reshape(state.n, 2, state.n, 2).max(axis=(1, 3))
+    return not (np.triu(largest, 1) > PRODUCT_TOL).any()
 
 
 def reduced_state(state: GaussianState, modes) -> GaussianState:

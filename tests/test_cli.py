@@ -55,6 +55,17 @@ def test_run_missing_file_exits_two(capsys):
     assert "no_such_file.cvq" in capsys.readouterr().err
 
 
+def test_run_script_that_is_not_utf8_exits_two(tmp_path, capsys):
+    """Exit 1 is a failed assertion; undecodable bytes are a usage error, as in sweep and graph."""
+    bad = tmp_path / "latin.cvq"
+    bad.write_bytes(b"register 2\nsqueeze 1 momentum \xff\n")
+    assert cli.main(["run", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "can't decode byte 0xff" in captured.err and "Traceback" not in captured.err
+
+
 def test_run_failing_assert_exits_one(tmp_path, capsys):
     p = tmp_path / "fails.cvq"
     p.write_text("register 2\nsqueeze 1 momentum\nsqueeze 2 momentum\nassert nullifier 1*x1\n")

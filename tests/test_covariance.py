@@ -1,6 +1,7 @@
 """Numeric Gaussian engine: gates, homodyne conditioning, witnesses, bridge."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,8 +157,8 @@ def random_gate(rng, n):
         return Rotate(l, float(rng.uniform(-4.0, 4.0)))
     if kind == 2:
         return Rotate(l, math.pi / 2 * int(rng.integers(-4, 5)))
-    if kind == 3:
-        return Kerr(l, k, float(rng.uniform(-2.0, 2.0)))
+    if kind == 3:  # g = 1, the paper's coupling, updates in place
+        return Kerr(l, k, 1.0 if rng.random() < 0.5 else float(rng.uniform(-2.0, 2.0)))
     return Beamsplit(l, k, float(rng.uniform(0.0, 1.0)))
 
 
@@ -166,6 +167,8 @@ def assert_same_bits(start, tape, r):
     want = per_gate_rule(start, tape, r)
     assert np.array_equal(got.mean, want.mean)
     assert np.array_equal(got.cov, want.cov)
+    assert np.array_equal(np.signbit(got.mean), np.signbit(want.mean))
+    assert np.array_equal(np.signbit(got.cov), np.signbit(want.cov))
 
 
 def test_apply_tape_keeps_the_bits_of_the_per_gate_rule():
@@ -289,6 +292,7 @@ def assert_replay_is_the_fold(n, tape, rs):
         assert np.array_equal(state.mean, want.mean)
         assert np.array_equal(state.cov, want.cov)
         assert np.array_equal(np.signbit(state.mean), np.signbit(want.mean))
+        assert np.array_equal(np.signbit(state.cov), np.signbit(want.cov))
 
 
 def test_replay_keeps_the_bits_of_the_per_r_fold():
@@ -334,6 +338,22 @@ def test_an_overflowing_coupling_names_the_coupling_on_both_paths():
         apply_tape(vacuum_state(2), tape, 1.0)
     with pytest.raises(DomainError, match=r"; squeezing too large$"):
         apply_tape(vacuum_state(1), [Squeeze(1)] * 2, 400.0)
+
+
+def test_an_overflow_on_the_in_place_path_names_its_cause_on_both_paths():
+    """A squeeze and a unit coupling skip the block product, not the overflow
+    check: the last gate of each tape is the first to leave float range."""
+    for tape, r, cause in (([Squeeze(1)], 400.0, "squeezing"),
+                           ([Squeeze(1), Kerr(1, 2, 1.0), Kerr(1, 2, 1.0)], 354.7, "coupling")):
+        state = vacuum_state(2)
+        for gate in tape[:-1]:
+            apply_gate(state, gate, r)
+        with pytest.raises(DomainError, match=rf"^{re.escape(repr(tape[-1]))} at r={r} "
+                           rf"leaves float range; {cause} too large$"):
+            apply_gate(state, tape[-1], r)
+        with pytest.raises(DomainError, match=rf"^{re.escape(repr(tape[-1]))} at r in "
+                           rf"\[0\.0, {r}\] leaves float range; {cause} too large$"):
+            list(replay(2, tape, (0.0, r)))
 
 
 def test_replay_hands_numpy_error_state_back_to_its_caller():
@@ -510,6 +530,52 @@ def test_reduced_state_picks_blocks():
     red = reduced_state(state, [2])
     assert red.n == 1
     assert red.cov[0, 0] == pytest.approx(state.cov[2, 2])
+
+
+def looped_is_mode_product(state):
+    """The mode-pair loop that ``is_mode_product`` reduces to one array step."""
+    cov = state.cov
+    for i in range(state.n):
+        for j in range(i + 1, state.n):
+            if np.max(np.abs(cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2])) > gates.PRODUCT_TOL:
+                return False
+    return True
+
+
+def test_is_mode_product_is_the_mode_pair_loop():
+    """Random product states, each with one entry put in an off-diagonal block
+    (either side of the diagonal) just above, at or just below PRODUCT_TOL, or
+    NaN; and random circuits, which are rarely product."""
+    rng = np.random.default_rng(5)
+    tol = gates.PRODUCT_TOL
+    values = (np.nextafter(tol, 1.0), -np.nextafter(tol, 1.0), tol, 0.999 * tol,
+              np.nextafter(tol, 0.0), np.nan, 0.3)
+    seen = set()
+    for trial in range(60):
+        n = int(rng.integers(1, 9))
+        cov = np.zeros((2 * n, 2 * n))
+        for m in range(n):
+            a = rng.normal(size=(2, 2))
+            cov[2 * m : 2 * m + 2, 2 * m : 2 * m + 2] = a @ a.T
+        states = [GaussianState(n, np.zeros(2 * n), cov)]
+        if n > 1:
+            l, k = rng.choice(n, size=2, replace=False)
+            for value in values:
+                bent = cov.copy()
+                bent[2 * l + rng.integers(2), 2 * k + rng.integers(2)] = value
+                states.append(GaussianState(n, np.zeros(2 * n), bent))
+            tape = [random_gate(rng, n) for _ in range(int(rng.integers(1, 6)))]
+            states.append(apply_tape(vacuum_state(n), tape, float(rng.uniform(0.0, 2.0))))
+        for state in states:
+            verdict = covariance.is_mode_product(state)
+            assert verdict is looped_is_mode_product(state)
+            seen.add(verdict)
+    assert seen == {True, False}
+    above = 0.5 * np.eye(4)
+    above[0, 3] = np.nextafter(tol, 1.0)
+    assert not covariance.is_mode_product(GaussianState(2, np.zeros(4), above))
+    above[0, 3] = np.nextafter(tol, 0.0)
+    assert covariance.is_mode_product(GaussianState(2, np.zeros(4), above))
 
 
 def test_uncertainty_defect_and_physicality():
