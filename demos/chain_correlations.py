@@ -13,8 +13,8 @@ def show_rows(n):
     reg = protocols.build_graph_state(graphs.chain(n))
     print(f"-- chain of {n}: rows after squeezing + pairwise coupling --")
     for m in range(1, n + 1):
-        print(f"  X_{m} = {reg.quad_expr(m, X)}")
-        print(f"  Y_{m} = {reg.quad_expr(m, Y)}")
+        print(f"  X_{m} = {ledger.render_expr(reg.quad_expr(m, X))}")
+        print(f"  Y_{m} = {ledger.render_expr(reg.quad_expr(m, Y))}")
     return reg
 
 
@@ -28,7 +28,7 @@ def main():
             if 1 <= b <= 4:
                 parts.append((-1.0, b, X))
         expr = reg.combine(parts)
-        print(f"  mode {m}: {expr}   nullifier={ledger.is_nullifier(expr)}")
+        print(f"  mode {m}: {ledger.render_expr(expr)}   nullifier={ledger.is_nullifier(expr)}")
 
     print("\nQuarter turns on modes 2 and 4 turn those into plain sums/differences:")
     reg = protocols.build_graph_state(graphs.chain(4))
@@ -42,7 +42,7 @@ def main():
     ]
     for label, parts in combos:
         expr = reg.combine(parts)
-        print(f"  {label:10s} -> {expr}")
+        print(f"  {label:10s} -> {ledger.render_expr(expr)}")
 
     print("\nVariance of X1+X2+X3 versus squeezing (0.5*e^-2r per initial mode):")
     expr = reg.combine(combos[0][1])

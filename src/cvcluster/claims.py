@@ -47,8 +47,8 @@ class ClaimResult:
 class BatteryEntry:
     label: str
     reg: ledger.Register
-    # (final-frame combo, symbolic expression) pairs actually verified
-    pairs: list[tuple[list, ledger.QuadExpr]]
+    # (final-frame combo, symbolic expression dict) pairs actually verified
+    pairs: list[tuple[list, dict]]
     physical: bool | None = None  # does its replay at HYGIENE_R obey V + i Omega/2 >= 0?
 
 
@@ -290,9 +290,7 @@ def _claim_bs_chain(battery: Battery) -> ClaimResult:
     worst = 0.0
     for parts in weighted:
         expr = reg.combine(parts)
-        residual = max(
-            (abs(t.coeff) for t in expr.terms() if t.exponent >= 0), default=0.0
-        )
+        residual = max((abs(c) for (_, _, k), c in expr.items() if k >= 0), default=0.0)
         worst = max(worst, residual)
     ok &= worst <= COEFF_TOL
     details.append(f"N=4 rotated correlations: max surviving weight {worst:.3g}")

@@ -24,7 +24,7 @@ import sys
 
 from . import claims as claims_suite
 from . import graphs, ledger, protocols, scenario
-from .errors import CvClusterError
+from .errors import CvClusterError, InputEncodingError
 from .gates import MAX_MODES
 from .scenario import ParseError, ScenarioRuntimeError
 
@@ -55,7 +55,7 @@ def _cmd_run(args) -> int:
         return _fail_usage("covariance engine requires --r")
     try:
         report = scenario.run_file(args.script, engine=args.engine, r=args.r, seed=args.seed)
-    except (OSError, UnicodeDecodeError) as err:
+    except (OSError, InputEncodingError) as err:
         return _fail_usage(str(err))
     except (ParseError, ScenarioRuntimeError) as err:
         return _fail_usage(err.render(args.script))
@@ -137,10 +137,7 @@ def _parse_r_list(text: str) -> list[float]:
 def _cmd_sweep(args) -> int:
     try:
         if args.script is not None:
-            with open(args.script, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            scn = scenario.parse(text)
-            reg = scenario.ledger_register(scn)
+            reg = scenario.ledger_register(scenario.load(args.script))
         else:
             reg = _build_state(args.state)
         rows = []
@@ -150,12 +147,10 @@ def _cmd_sweep(args) -> int:
             expr = reg.combine(scenario.combo_parts(terms))
             for rv in args.r:
                 rows.append((rendered, rv, ledger.variance_formula(expr, rv)))
-    except OSError as err:
-        return _fail_usage(str(err))
     except ParseError as err:
         source = args.script if args.script is not None else "<combo>"
         return _fail_usage(err.render(source))
-    except (CvClusterError, ValueError) as err:
+    except (OSError, CvClusterError, ValueError) as err:
         return _fail_usage(str(err))
     rows.sort(key=lambda row: (row[0], row[1]))
     csv = scenario.variance_csv(rows)
@@ -272,9 +267,7 @@ def _cmd_graph(args) -> int:
             report = protocols.disconnect(graph, args.j)
         else:  # disentangle
             report = protocols.disentangle_even(graph)
-    except OSError as err:
-        return _fail_usage(str(err))
-    except (CvClusterError, ValueError) as err:
+    except (OSError, CvClusterError, ValueError) as err:
         return _fail_usage(str(err))
     sys.stdout.write(_render_protocol_report(report, graph))
     return EXIT_PASS if report.success else EXIT_FAIL

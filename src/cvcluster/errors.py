@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one input-file reader.
 
 Everything raised on purpose derives from :class:`CvClusterError` so callers
 can catch one base class.  Argument errors that a stock Python library would
@@ -48,3 +48,21 @@ class ProtocolPreconditionError(CvClusterError):
 
 class UnsupportedOperationError(CvClusterError):
     """An operation outside the engine's tracked algebra was requested."""
+
+
+class InputEncodingError(CvClusterError, ValueError):
+    """An input file is not UTF-8; the message is positioned ``path:line:col:``."""
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of an input file, newlines read as ``open`` reads them; a
+    bad byte raises :class:`InputEncodingError` at its line and 1-based column."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = data[: err.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        line, col = head.count("\n") + 1, len(head) - head.rfind("\n")
+        raise InputEncodingError(f"{path}:{line}:{col}: {err}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .errors import InvalidGraphError, InvalidSizeError
+from .errors import InvalidGraphError, InvalidSizeError, read_text
 from .gates import MAX_MODES
 
 
@@ -253,5 +253,4 @@ def parse_edge_list(text: str, source: str = "<string>") -> Graph:
 
 
 def load_edge_list(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read(), source=str(path))
+    return parse_edge_list(read_text(path), source=str(path))

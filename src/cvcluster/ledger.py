@@ -12,6 +12,10 @@ variance ``0.5 e^{-2r}`` and therefore vanishes for large squeezing" become
 exact bookkeeping facts: a combination is a *nullifier* when every surviving
 term carries exponent <= -1.
 
+An expression is a plain dict ``(mode, kind, exponent) -> coeff`` with no
+entry at or below ``PRUNE_TOL``.  Rows are such dicts; ``quad_expr``,
+``combine`` and each record's ``observable`` hand callers their own copy.
+
 Conventions: ``[X, Y] = i``; vacuum variance 1/2 per quadrature; mode
 indices are 1-based; quadrature order (X_1, Y_1, ..., X_n, Y_n) whenever a
 flat vector is involved.
@@ -34,56 +38,6 @@ from .errors import (
 from .gates import COMMUTATOR_TOL, MOMENTUM_SQUEEZED, NULLIFIER_TOL, PRUNE_TOL, X, Y
 
 
-@dataclass(frozen=True)
-class Term:
-    """One addend ``coeff * e^{exponent * r} * {x0|y0}_mode``."""
-
-    mode: int
-    kind: str
-    exponent: int
-    coeff: float
-
-
-class QuadExpr:
-    """A pruned sum of :class:`Term`, keyed by (mode, kind, exponent).
-
-    The class is a thin mutable wrapper over a dict; the register keeps its
-    rows as plain dicts and hands callers a fresh :class:`QuadExpr` each time.
-    """
-
-    __slots__ = ("_t",)
-
-    def __init__(self, terms: dict | None = None):
-        self._t = dict(terms) if terms else {}
-
-    # -- views ------------------------------------------------------------
-
-    def terms(self) -> list[Term]:
-        """Terms in canonical (mode, kind, exponent) order."""
-        return [
-            Term(m, kd, k, c)
-            for (m, kd, k), c in sorted(self._t.items())
-        ]
-
-    def support(self) -> set[int]:
-        """Initial-mode indices appearing with a surviving coefficient."""
-        return {m for (m, _, _), c in self._t.items() if abs(c) > PRUNE_TOL}
-
-    def is_zero(self) -> bool:
-        return not self._t
-
-    def as_dict(self) -> dict:
-        return dict(self._t)
-
-    # -- algebra (in place) ----------------------------------------------
-
-    def add_scaled(self, other: "QuadExpr", c: float = 1.0) -> None:
-        _accumulate(self._t, c, other._t)
-
-    def __repr__(self):
-        return f"QuadExpr({render_expr(self)})"
-
-
 def _accumulate(dst: dict, c: float, src: dict) -> dict:
     """``dst += c * src`` in place: the one linear step of rows and books.
 
@@ -101,18 +55,18 @@ def _accumulate(dst: dict, c: float, src: dict) -> dict:
     return dst
 
 
-def render_expr(expr: QuadExpr) -> str:
+def render_expr(expr: dict) -> str:
     """Human-readable canonical rendering, e.g. ``e^-r*y0_1 + e^+r*x0_2``."""
-    if expr.is_zero():
+    if not expr:
         return "0"
     chunks = []
-    for t in expr.terms():
-        mag = f"{abs(t.coeff):.10g}"
+    for (mode, kind, k), coeff in sorted(expr.items()):
+        mag = f"{abs(coeff):.10g}"
         body = "" if mag == "1" else f"{mag}*"
-        if t.exponent:
-            body += f"e^{t.exponent:+d}r*" if abs(t.exponent) > 1 else f"e^{'+' if t.exponent > 0 else '-'}r*"
-        body += f"{t.kind}0_{t.mode}"
-        chunks.append(("- " if t.coeff < 0 else "+ ") + body)
+        if k:
+            body += f"e^{k:+d}r*" if abs(k) > 1 else f"e^{'+' if k > 0 else '-'}r*"
+        body += f"{kind}0_{mode}"
+        chunks.append(("- " if coeff < 0 else "+ ") + body)
     first = chunks[0].replace("+ ", "", 1).replace("- ", "-", 1)
     return " ".join([first] + chunks[1:])
 
@@ -135,7 +89,7 @@ class MeasurementRecord:
     index: int
     mode: int
     kind: str
-    observable: QuadExpr
+    observable: dict
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +151,9 @@ class Register:
     def active_modes(self) -> list[int]:
         return [i + 1 for i, md in enumerate(self._modes) if md.record_index is None]
 
-    def quad_expr(self, mode: int, kind: str) -> QuadExpr:
+    def quad_expr(self, mode: int, kind: str) -> dict:
         """Copy of the current expression for one quadrature of an active mode."""
-        return QuadExpr(self._mode(mode).row[kind])
+        return dict(self._mode(mode).row[kind])
 
     def copy(self) -> "Register":
         out = Register.__new__(Register)
@@ -266,7 +220,7 @@ class Register:
         the measured observable survives as classical data.
         """
         md = self._mode(mode)
-        rec = MeasurementRecord(len(self.records), mode, kind, QuadExpr(md.row[kind]))
+        rec = MeasurementRecord(len(self.records), mode, kind, dict(md.row[kind]))
         self.records.append(rec)
         md.record_index = rec.index
         return rec
@@ -276,17 +230,17 @@ class Register:
         if not (record.index < len(self.records) and self.records[record.index] is record):
             raise RecordOwnershipError("record belongs to a different register")
         md = self._mode(mode)
-        _accumulate(md.row[kind], coeff, record.observable._t)
+        _accumulate(md.row[kind], coeff, record.observable)
         _accumulate(md.book[kind], coeff, {record.index: 1.0})
         return self
 
     # -- linear views ------------------------------------------------------
 
-    def combine(self, parts: list[tuple[float, int, str]]) -> QuadExpr:
-        """Weighted sum of current quadratures of active modes."""
-        out = QuadExpr()
+    def combine(self, parts: list[tuple[float, int, str]]) -> dict:
+        """Weighted sum of current quadratures of active modes, as a new dict."""
+        out = {}
         for coeff, mode, kind in parts:
-            _accumulate(out._t, coeff, self._mode(mode).row[kind])
+            _accumulate(out, coeff, self._mode(mode).row[kind])
         return out
 
     def frame_combo(self, parts: list[tuple[float, int, str]]) -> list[tuple[float, int, str]]:
@@ -356,16 +310,16 @@ class Register:
 # ---------------------------------------------------------------------------
 
 
-def is_nullifier(expr: QuadExpr) -> bool:
+def is_nullifier(expr: dict) -> bool:
     """True when every term with |coeff| > NULLIFIER_TOL carries exponent <= -1.
 
     Such a combination has variance proportional to e^{-2r} (or faster) and
     vanishes in the large-squeezing limit.  The zero expression qualifies.
     """
-    return all(k <= -1 for (_, _, k), c in expr._t.items() if abs(c) > NULLIFIER_TOL)
+    return all(k <= -1 for (_, _, k), c in expr.items() if abs(c) > NULLIFIER_TOL)
 
 
-def commutator(e1: QuadExpr, e2: QuadExpr) -> float:
+def commutator(e1: dict, e2: dict) -> float:
     """Commutator of two expressions in units of i (so [x0_m, y0_m] = 1).
 
     Cross products are grouped by the sum of their squeezing exponents; a
@@ -376,19 +330,19 @@ def commutator(e1: QuadExpr, e2: QuadExpr) -> float:
     return commutator_with(e1, commutator_table(e2))
 
 
-def commutator_table(e2: QuadExpr) -> dict[tuple[int, str], list[tuple[int, float]]]:
+def commutator_table(e2: dict) -> dict[tuple[int, str], list[tuple[int, float]]]:
     """``e2``'s (exponent, coeff) pairs by (mode, kind), insertion order kept:
     built once for an expression that meets many left operands."""
     table: dict[tuple[int, str], list[tuple[int, float]]] = {}
-    for (m2, k2, ex2), c2 in e2._t.items():
+    for (m2, k2, ex2), c2 in e2.items():
         table.setdefault((m2, k2), []).append((ex2, c2))
     return table
 
 
-def commutator_with(e1: QuadExpr, table: dict) -> float:
+def commutator_with(e1: dict, table: dict) -> float:
     """:func:`commutator` of ``e1`` with the expression ``table`` was built from."""
     by_sum: dict[int, float] = {}
-    for (m1, k1, ex1), c1 in e1._t.items():
+    for (m1, k1, ex1), c1 in e1.items():
         sign = 1.0 if k1 == X else -1.0
         for ex2, c2 in table.get((m1, Y if k1 == X else X), ()):
             s = ex1 + ex2
@@ -402,14 +356,14 @@ def commutator_with(e1: QuadExpr, table: dict) -> float:
     return by_sum.get(0, 0.0)
 
 
-def variance_formula(expr: QuadExpr, r: float) -> float:
+def variance_formula(expr: dict, r: float) -> float:
     """Vacuum variance of an expression at numeric squeezing ``r``.
 
     Distinct initial quadratures are independent with variance 1/2, so the
     result is ``sum over (mode, kind) of (sum_k coeff * e^{k r})^2 * 0.5``.
     """
     groups: dict[tuple[int, str], float] = {}
-    for (mode, kind, k), c in sorted(expr._t.items()):  # terms() order: same sums, same bits
+    for (mode, kind, k), c in sorted(expr.items()):  # canonical order: same sums, same bits
         groups[mode, kind] = groups.get((mode, kind), 0.0) + c * gates.finite_exp(k * r)
     value = 0.5 * sum(a * a for a in groups.values())
     if not math.isfinite(value):

@@ -63,7 +63,7 @@ class ProtocolReport:
     success: bool
     register: ledger.Register
     displacements: list = field(default_factory=list)  # (mode, kind, coeff, record_index)
-    nullifiers: list = field(default_factory=list)  # QuadExpr
+    nullifiers: list = field(default_factory=list)  # dict (mode, kind, exponent) -> coeff
     combos: list = field(default_factory=list)  # [(coeff, mode, kind)]
     rank_info: tuple | None = None
     flavor: str | None = None
@@ -200,7 +200,7 @@ def graph_row_deviation(reg: ledger.Register, graph: graphs.Graph) -> float:
         closed_y = {(graph.mode_of(b), X, 1): 1.0 for b in graph.neighborhood(v)}
         closed_y[(m, Y, -1)] = 1.0
         for kind, closed in ((X, {(m, X, 1): 1.0}), (Y, closed_y)):
-            row = reg.quad_expr(m, kind).as_dict()
+            row = reg.quad_expr(m, kind)
             for key in row.keys() | closed.keys():
                 gap = abs(row.get(key, 0.0) - closed.get(key, 0.0))
                 if gap > PRUNE_TOL:
@@ -231,14 +231,16 @@ def _repair(report: ProtocolReport, targets, records):
     """Solve ``targets`` over ``records``; each record coefficient ``c`` displaces the
     target's carrier by ``c / weight``: its first term ``(weight, mode, kind)`` on a
     quadrature no other target reads, so no correction leaks into another target, and
-    on a mode no earlier carrier took.  An :class:`Infeasible` result sets ``rank_info``."""
+    on a mode no earlier carrier took.  A bond to keep is written as a term of its
+    target, as :func:`solve_feedforward` says.  An :class:`Infeasible` result sets
+    ``rank_info``."""
     sol = solve_feedforward(report.register, targets, records)
     if isinstance(sol, Infeasible):
         report.rank_info = (sol.equations, sol.rank)
         return sol
-    readers = Counter(q for parts, _ in targets for q in {(m, k) for _, m, k in parts})
+    readers = Counter(q for parts in targets for q in {(m, k) for _, m, k in parts})
     taken = set()
-    for (parts, _), coeffs in zip(targets, sol.coeffs):
+    for parts, coeffs in zip(targets, sol.coeffs):
         weight, mode, kind = next(t for t in parts if readers[t[1:]] == 1 and t[1] not in taken)
         taken.add(mode)
         for idx, c in coeffs.items():
@@ -264,21 +266,15 @@ def _finish(report: ProtocolReport, targets, ok: bool = True) -> ProtocolReport:
 def solve_feedforward(reg: ledger.Register, targets, records):
     """Choose coefficients of ``records`` cancelling all e^{k>=0} content of targets.
 
-    Each target is ``(parts, allowance)`` where ``parts`` is a
-    ``(coeff, mode, kind)`` list over active modes and ``allowance`` an
-    optional :class:`~cvcluster.ledger.QuadExpr` of non-negative-exponent
-    terms permitted to remain (used to keep one bond alive while severing
-    the rest).  Returns a :class:`FeedforwardSolution` with one coefficient
-    dict per target, or :class:`Infeasible` with the equation/rank count.  The
-    rank is read off the singular values ``lstsq`` returns, counted above
-    ``SOLVER_TOL`` as ``matrix_rank`` would; with no target it is 0.
+    Each target is a ``(coeff, mode, kind)`` list over active modes.  A bond
+    to keep is a term of the target: ``Y_end - X_b`` keeps ``e^{+r} x0_b`` in
+    ``Y_end`` while ``X_b`` is still that alone.  Returns a
+    :class:`FeedforwardSolution` with one coefficient dict per target, or
+    :class:`Infeasible` with the equation/rank count.  The rank is read off
+    the singular values ``lstsq`` returns, counted above ``SOLVER_TOL`` as
+    ``matrix_rank`` would; with no target it is 0.
     """
-    bases = []
-    for parts, allowance in targets:
-        base = reg.combine(parts)
-        if allowance is not None:
-            base.add_scaled(allowance, -1.0)
-        bases.append(base)
+    bases = [reg.combine(parts) for parts in targets]
     growing = _growing_part([rec.observable for rec in records] + bases)
     a_mat = growing[:, : len(records)]
     rank, coeff_dicts = 0, []
@@ -300,11 +296,10 @@ def _growing_part(exprs) -> np.ndarray:
     that any expression uses, with one all-zero row when none does; column j
     holds expression j's coefficients.
     """
-    columns = [e.as_dict() for e in exprs]
-    coords = sorted({key for col in columns for key in col if key[2] >= 0})
+    coords = sorted({key for col in exprs for key in col if key[2] >= 0})
     pos = {c: idx for idx, c in enumerate(coords)}
     mat = np.zeros((max(len(coords), 1), len(exprs)))
-    for j, col in enumerate(columns):
+    for j, col in enumerate(exprs):
         for key, c in col.items():
             if key[2] >= 0:
                 mat[pos[key], j] = c
@@ -422,8 +417,8 @@ def extract_pair(graph: graphs.Graph, j: int, k: int,
         if outer is None:
             _displace(report, end, Y, -1.0, recs[0])
             continue
-        allowance = ledger.QuadExpr({(inner_neighbor, X, 1): 1.0})
-        if isinstance(_repair(report, [([(1.0, end, Y)], allowance)], recs), Infeasible):
+        keep_bond = [(1.0, end, Y), (-1.0, inner_neighbor, X)]
+        if isinstance(_repair(report, [keep_bond], recs), Infeasible):
             report.details = f"outer-{side} feed-forward infeasible"
             return report
 
@@ -466,7 +461,7 @@ def reduce_graph_to_path(graph: graphs.Graph, a: int, b: int) -> ProtocolReport:
     recs = [report.register.measure(graph.mode_of(v), X) for v in boundary]
     laws = _chain_laws([graph.mode_of(p) for p in path])
     # Each vertex law's correction rides on its own Y.
-    sol = _repair(report, [(law, None) for law in laws], recs)
+    sol = _repair(report, laws, recs)
     if isinstance(sol, Infeasible):
         report.details = "path repair infeasible"
         return report
@@ -553,7 +548,7 @@ def ring_star_to_ghz(
     laws = [[(1.0, m, sum_kind) for m in modes]]
     laws += [[(1.0, modes[0], diff_kind), (-1.0, m, diff_kind)] for m in modes[1:]]
     # The sum rides on the first survivor, each difference on its non-reference mode.
-    sol = _repair(report, [(law, None) for law in laws], recs)
+    sol = _repair(report, laws, recs)
     if isinstance(sol, Infeasible):
         why = (f"system degenerate (deficiency {sol.deficiency})" if sol.deficiency
                else "no feed-forward solution exists")
@@ -612,7 +607,7 @@ def _cycle_without(graph: graphs.Graph, hub: int) -> list[int] | None:
 @dataclass(frozen=True)
 class WeightedNullifier:
     combo: tuple  # ((coeff, mode, kind), ...)
-    expr: ledger.QuadExpr
+    expr: dict  # (mode, kind, exponent) -> coeff
 
 
 def nullifier_basis(reg: ledger.Register) -> list[WeightedNullifier]:
@@ -722,7 +717,7 @@ def chain_pair_after_discard(n: int, d: int) -> ProtocolReport:
     # The recovered plane must be genuinely conjugate, not two one-mode
     # squeezes, and the witness must not lean on the lost party's operators.
     _finish(report, _chain_laws((p1, p2)), ok=pair_epr_projection(report.register, (p1, p2)))
-    report.success = report.success and all(d not in e.support() for e in report.nullifiers)
+    report.success = report.success and all(key[0] != d for e in report.nullifiers for key in e)
     report.details = f"pair ({p1}, {p2}) of a {n}-chain after losing {d}"
     return report
 
@@ -763,12 +758,8 @@ def pair_epr_projection(reg: ledger.Register, pair) -> bool:
     and certifies nothing about entanglement).
     """
     i, j = pair
-    gens = [
-        reg.quad_expr(i, X),
-        reg.quad_expr(i, Y),
-        reg.quad_expr(j, X),
-        reg.quad_expr(j, Y),
-    ] + [r.observable for r in reg.records]
+    gens = [reg.quad_expr(m, kind) for m in (i, j) for kind in (X, Y)]
+    gens += [r.observable for r in reg.records]
     _, s, vh = np.linalg.svd(_growing_part(gens), full_matrices=True)
     rank = int(np.sum(s > SOLVER_TOL))
     null_basis = vh[rank:, :]

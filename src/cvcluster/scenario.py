@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import covariance, gates, ledger
-from .errors import CvClusterError, InternalConsistencyError
+from .errors import CvClusterError, InternalConsistencyError, read_text
 from .gates import MAX_MODES, MOMENTUM_SQUEEZED, POSITION_SQUEEZED, PRUNE_TOL, X, Y
 
 SQRT2 = math.sqrt(2.0)
@@ -683,9 +683,11 @@ class _Execution:
             self.report.failures.append((stmt.line, text))
 
 
+def load(path) -> Scenario:
+    """Read and parse a ``.cvq`` file (UTF-8, LF or CRLF)."""
+    return parse(read_text(path))
+
+
 def run_file(path, engine: str = LEDGER, r: float | None = None, seed: int | None = None) -> RunReport:
-    """Parse and execute a ``.cvq`` file (UTF-8, LF or CRLF)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    scn = parse(text)
-    return execute(scn, engine=engine, r=r, seed=seed, source=str(path))
+    """Load and execute a ``.cvq`` file."""
+    return execute(load(path), engine=engine, r=r, seed=seed, source=str(path))

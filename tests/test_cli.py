@@ -66,6 +66,50 @@ def test_run_script_that_is_not_utf8_exits_two(tmp_path, capsys):
     assert "can't decode byte 0xff" in captured.err and "Traceback" not in captured.err
 
 
+def _argv_reading(command, path):
+    """A ``run``, ``sweep --script`` or ``graph`` call whose one input file is ``path``."""
+    return {
+        "run": ["run", path],
+        "sweep": ["sweep", "--script", path, "--combo", "1*x1", "--r", "1"],
+        "graph": ["graph", path, "--protocol", "disentangle"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "graph"])
+@pytest.mark.parametrize("data, line_col, offset", [
+    (b"\xffregister 2\n", "1:1", 0),
+    # The column counts characters, so the two-byte e-acute before 0xff is one.
+    (b"register 2\r\nsqueeze 1 \xc3\xa9\xff momentum\r\n", "2:12", 24),
+    # A lone CR ends a line, as it does for the parser.
+    (b"register 2\rsqueeze 1 \xff\r", "2:11", 21),
+])
+def test_input_that_is_not_utf8_is_positioned(tmp_path, capsys, command, data, line_col, offset):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(data)
+    assert cli.main(_argv_reading(command, str(bad))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"{bad}:{line_col}: 'utf-8' codec can't decode byte 0xff "
+                            f"in position {offset}: invalid start byte\n")
+
+
+@pytest.mark.parametrize("command, text", [
+    ("run", "register 2\nsqueeze 1 momentum\nsqueeze 2 momentum\nkerr 1 2\n"
+            "assert nullifier 1*y1 - 1*x2\n"),
+    ("sweep", "register 2\nsqueeze 1 momentum\nkerr 1 2\n"),
+    ("graph", "vertices 4\n1 2\n2 3\n3 4\n"),
+])
+def test_crlf_and_cr_inputs_read_as_lf(tmp_path, capsys, monkeypatch, command, text):
+    monkeypatch.chdir(tmp_path)  # a relative name, so the run report prints the same path
+    outputs = []
+    for newline in ("\n", "\r\n", "\r"):
+        (tmp_path / "input.txt").write_bytes(text.replace("\n", newline).encode("utf-8"))
+        code = cli.main(_argv_reading(command, "input.txt"))
+        captured = capsys.readouterr()
+        outputs.append((code, captured.out, captured.err))
+    assert outputs[0][0] == 0 and outputs[0][1] and outputs == [outputs[0]] * 3
+
+
 def test_run_failing_assert_exits_one(tmp_path, capsys):
     p = tmp_path / "fails.cvq"
     p.write_text("register 2\nsqueeze 1 momentum\nsqueeze 2 momentum\nassert nullifier 1*x1\n")

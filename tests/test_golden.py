@@ -73,6 +73,11 @@ CASES.update({
     "graph_chain_extract_pair_custom": ["graph", f"{EDGES}/chain6.txt", "--protocol",
                                         "extract-pair", "--j", "4", "--k", "5",
                                         "--outer-left", "2,1", "--outer-right", "6"],
+    # Helpers around a pair with one inner position: the bond each end keeps
+    # runs to that inner neighbour, not to the other end of the pair.
+    "graph_chain_extract_pair_custom_inner": ["graph", f"{EDGES}/chain6.txt", "--protocol",
+                                              "extract-pair", "--j", "3", "--k", "5",
+                                              "--outer-left", "2,1", "--outer-right", "6"],
     "graph_chain_extract_pair_infeasible": ["graph", f"{EDGES}/chain6.txt", "--protocol",
                                             "extract-pair", "--j", "4", "--k", "5",
                                             "--outer-left", "1"],

@@ -27,11 +27,7 @@ from cvcluster.gates import (
     X,
     Y,
 )
-from cvcluster.ledger import QuadExpr, Register
-
-
-def term_dict(expr):
-    return {(t.mode, t.kind, t.exponent): t.coeff for t in expr.terms()}
+from cvcluster.ledger import Register
 
 
 # ---------------------------------------------------------------------------
@@ -42,8 +38,8 @@ def term_dict(expr):
 def test_vacuum_rows_are_identity():
     reg = Register(3)
     for m in (1, 2, 3):
-        assert term_dict(reg.quad_expr(m, X)) == {(m, X, 0): 1.0}
-        assert term_dict(reg.quad_expr(m, Y)) == {(m, Y, 0): 1.0}
+        assert reg.quad_expr(m, X) == {(m, X, 0): 1.0}
+        assert reg.quad_expr(m, Y) == {(m, Y, 0): 1.0}
 
 
 def test_register_size_validation():
@@ -57,15 +53,15 @@ def test_momentum_squeeze_shifts_exponents():
     """Momentum squeezing stretches X by e^{+r} and shrinks Y by e^{-r}."""
     reg = Register(1)
     reg.apply(Squeeze(1, MOMENTUM_SQUEEZED))
-    assert term_dict(reg.quad_expr(1, X)) == {(1, X, 1): 1.0}
-    assert term_dict(reg.quad_expr(1, Y)) == {(1, Y, -1): 1.0}
+    assert reg.quad_expr(1, X) == {(1, X, 1): 1.0}
+    assert reg.quad_expr(1, Y) == {(1, Y, -1): 1.0}
 
 
 def test_position_squeeze_is_the_mirror_image():
     reg = Register(1)
     reg.apply(Squeeze(1, POSITION_SQUEEZED))
-    assert term_dict(reg.quad_expr(1, X)) == {(1, X, -1): 1.0}
-    assert term_dict(reg.quad_expr(1, Y)) == {(1, Y, 1): 1.0}
+    assert reg.quad_expr(1, X) == {(1, X, -1): 1.0}
+    assert reg.quad_expr(1, Y) == {(1, Y, 1): 1.0}
 
 
 def test_squeeze_rejects_unknown_flavor():
@@ -82,8 +78,8 @@ def test_squeeze_rejects_unknown_flavor():
 def test_quarter_turn_is_exact():
     reg = Register(1)
     reg.apply(Rotate(1, -math.pi / 2.0))
-    assert term_dict(reg.quad_expr(1, X)) == {(1, Y, 0): -1.0}
-    assert term_dict(reg.quad_expr(1, Y)) == {(1, X, 0): 1.0}
+    assert reg.quad_expr(1, X) == {(1, Y, 0): -1.0}
+    assert reg.quad_expr(1, Y) == {(1, X, 0): 1.0}
 
 
 def test_paper_minus_90_matches_radian_form():
@@ -94,24 +90,24 @@ def test_paper_minus_90_matches_radian_form():
     a.paper_minus_90(2)
     b.apply(Rotate(2, -1.5707963267948966))
     for kind in (X, Y):
-        assert term_dict(a.quad_expr(2, kind)) == term_dict(b.quad_expr(2, kind))
+        assert a.quad_expr(2, kind) == b.quad_expr(2, kind)
 
 
 def test_half_turn_flips_both_signs():
     reg = Register(1)
     reg.apply(Rotate(1, math.pi))
-    assert term_dict(reg.quad_expr(1, X)) == {(1, X, 0): -1.0}
-    assert term_dict(reg.quad_expr(1, Y)) == {(1, Y, 0): -1.0}
+    assert reg.quad_expr(1, X) == {(1, X, 0): -1.0}
+    assert reg.quad_expr(1, Y) == {(1, Y, 0): -1.0}
 
 
 def test_generic_rotation_mixes_with_cos_sin():
     theta = 0.37
     reg = Register(1)
     reg.apply(Rotate(1, theta))
-    d = term_dict(reg.quad_expr(1, X))
+    d = reg.quad_expr(1, X)
     assert d[(1, X, 0)] == pytest.approx(math.cos(theta), abs=1e-15)
     assert d[(1, Y, 0)] == pytest.approx(math.sin(theta), abs=1e-15)
-    d = term_dict(reg.quad_expr(1, Y))
+    d = reg.quad_expr(1, Y)
     assert d[(1, X, 0)] == pytest.approx(-math.sin(theta), abs=1e-15)
     assert d[(1, Y, 0)] == pytest.approx(math.cos(theta), abs=1e-15)
 
@@ -120,8 +116,8 @@ def test_four_quarter_turns_restore_the_frame():
     reg = Register(1)
     for _ in range(4):
         reg.apply(Rotate(1, math.pi / 2.0))
-    assert term_dict(reg.quad_expr(1, X)) == {(1, X, 0): 1.0}
-    assert term_dict(reg.quad_expr(1, Y)) == {(1, Y, 0): 1.0}
+    assert reg.quad_expr(1, X) == {(1, X, 0): 1.0}
+    assert reg.quad_expr(1, Y) == {(1, Y, 0): 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +129,8 @@ def test_balanced_beamsplitter_coefficients():
     reg = Register(2)
     reg.apply(Beamsplit(1, 2, 0.5))
     s = math.sqrt(0.5)
-    assert term_dict(reg.quad_expr(1, X)) == {(1, X, 0): pytest.approx(s), (2, X, 0): pytest.approx(s)}
-    assert term_dict(reg.quad_expr(2, X)) == {(1, X, 0): pytest.approx(s), (2, X, 0): pytest.approx(-s)}
+    assert reg.quad_expr(1, X) == {(1, X, 0): pytest.approx(s), (2, X, 0): pytest.approx(s)}
+    assert reg.quad_expr(2, X) == {(1, X, 0): pytest.approx(s), (2, X, 0): pytest.approx(-s)}
 
 
 def test_beamsplit_transmittance_domain():
@@ -154,7 +150,7 @@ def test_non_finite_angle_or_coupling_is_a_domain_error(value):
     with pytest.raises(DomainError):
         reg.apply(Kerr(1, 2, value))
     assert reg.history == []
-    assert term_dict(reg.quad_expr(1, Y)) == {(1, Y, 0): 1.0}
+    assert reg.quad_expr(1, Y) == {(1, Y, 0): 1.0}
 
 
 def test_gates_reject_self_interaction():
@@ -169,15 +165,15 @@ def test_kerr_couple_adds_cross_positions():
     """The coupling adds each partner's position into the other's momentum."""
     reg = Register(2)
     reg.apply(Kerr(1, 2, 1.0))
-    assert term_dict(reg.quad_expr(1, Y)) == {(1, Y, 0): 1.0, (2, X, 0): 1.0}
-    assert term_dict(reg.quad_expr(2, Y)) == {(2, Y, 0): 1.0, (1, X, 0): 1.0}
-    assert term_dict(reg.quad_expr(1, X)) == {(1, X, 0): 1.0}
+    assert reg.quad_expr(1, Y) == {(1, Y, 0): 1.0, (2, X, 0): 1.0}
+    assert reg.quad_expr(2, Y) == {(2, Y, 0): 1.0, (1, X, 0): 1.0}
+    assert reg.quad_expr(1, X) == {(1, X, 0): 1.0}
 
 
 def test_kerr_gain_scales_the_coupling():
     reg = Register(2)
     reg.apply(Kerr(1, 2, 0.25))
-    assert term_dict(reg.quad_expr(1, Y))[(2, X, 0)] == 0.25
+    assert reg.quad_expr(1, Y)[(2, X, 0)] == 0.25
 
 
 def test_mode_bounds_checked():
@@ -211,7 +207,7 @@ def test_displace_with_applies_record_combination():
     reg.apply(Squeeze(2, MOMENTUM_SQUEEZED))
     rec = reg.measure(2, Y)
     reg.displace_with(1, X, -1.0, rec)
-    d = term_dict(reg.quad_expr(1, X))
+    d = reg.quad_expr(1, X)
     assert d[(1, X, 0)] == 1.0
     assert d[(2, Y, -1)] == -1.0
 
@@ -267,7 +263,7 @@ def test_squeeze_after_a_cancelled_feedforward_is_allowed():
     reg.displace_with(2, Y, 1.0, rec)
     reg.displace_with(2, Y, -1.0, rec)
     reg.apply(Squeeze(2, MOMENTUM_SQUEEZED))
-    assert term_dict(reg.quad_expr(2, Y)) == {(2, Y, -1): 1.0}
+    assert reg.quad_expr(2, Y) == {(2, Y, -1): 1.0}
     assert reg.frame_combo([(1.0, 2, Y)]) == [(1.0, 2, Y)]
 
 
@@ -279,48 +275,81 @@ def test_records_enumerate_in_order():
     assert reg.records[0] is r0 and reg.records[1] is r1
 
 
+def test_expressions_handed_out_are_copies():
+    """Mutating what quad_expr, combine or a record hands out leaves the register as
+    it was, and later gates and displacements leave an earlier observable as it was."""
+    reg = Register(3)
+    for m in (1, 2, 3):
+        reg.apply(Squeeze(m, MOMENTUM_SQUEEZED))
+    reg.apply(Kerr(1, 2, 1.0)).apply(Kerr(2, 3, 1.0))
+
+    def rows():  # a snapshot that shares nothing with what it reads
+        return {(m, kd): dict(reg.quad_expr(m, kd)) for m in reg.active_modes() for kd in (X, Y)}
+
+    before = rows()
+    for got in (reg.quad_expr(2, Y), reg.combine([(1.0, 2, Y)]),
+                reg.combine([(1.0, 2, Y), (-1.0, 1, X)])):
+        got[(9, X, 5)] = 1.0
+        got.pop((2, Y, -1))
+        assert rows() == before
+    rec = reg.measure(2, X)
+    observable = dict(rec.observable)
+    assert observable == before[(2, X)]
+    before = rows()
+    rec.observable[(9, Y, 3)] = 2.0
+    assert rows() == before
+    del rec.observable[(9, Y, 3)]
+    reg.displace_with(1, Y, -1.0, rec)
+    reg.apply(Kerr(1, 3, 0.5)).apply(Rotate(3, 0.3)).apply(Squeeze(3, POSITION_SQUEEZED))
+    reg.displace_with(3, X, 2.0, reg.measure(1, Y))
+    assert rec.observable == observable and list(rec.observable) == list(observable)
+
+
 # ---------------------------------------------------------------------------
 # expression algebra
 # ---------------------------------------------------------------------------
 
 
-def test_quadexpr_add_sub_cancel():
-    e1 = QuadExpr({(1, X, 0): 1.0, (2, Y, -1): 2.0})
-    e2 = QuadExpr({(1, X, 0): 1.0})
-    e1.add_scaled(e2, -1.0)
-    assert term_dict(e1) == {(2, Y, -1): 2.0}
-    doubled = QuadExpr(e2.as_dict())
-    doubled.add_scaled(e2)
-    assert term_dict(doubled) == {(1, X, 0): 2.0}
+def test_accumulate_adds_subtracts_and_cancels():
+    e1 = {(1, X, 0): 1.0, (2, Y, -1): 2.0}
+    e2 = {(1, X, 0): 1.0}
+    assert ledger._accumulate(e1, -1.0, e2) is e1
+    assert e1 == {(2, Y, -1): 2.0}
+    doubled = ledger._accumulate(dict(e2), 1.0, e2)
+    assert doubled == {(1, X, 0): 2.0}
+    assert ledger._accumulate(doubled, 0.0, {(3, Y, 0): 1.0}) == {(1, X, 0): 2.0}
 
 
 def test_tiny_coefficients_are_pruned():
-    e1 = QuadExpr({(1, X, 0): 1.0})
-    e1.add_scaled(QuadExpr({(1, X, 0): 1.0 + 1e-15}), -1.0)
-    assert term_dict(e1) == {}
+    e1 = {(1, X, 0): 1.0}
+    ledger._accumulate(e1, -1.0, {(1, X, 0): 1.0 + 1e-15})
+    assert e1 == {}
+    # The same cancellation through Register.combine: X_1 - (1 + 1e-15) X_1.
+    assert Register(1).combine([(1.0, 1, X), (-(1.0 + 1e-15), 1, X)]) == {}
 
 
 def test_combine_weighs_rows():
     reg = Register(2)
     reg.apply(Squeeze(1, MOMENTUM_SQUEEZED))
     expr = reg.combine([(2.0, 1, X), (-1.0, 2, Y)])
-    assert term_dict(expr) == {(1, X, 1): 2.0, (2, Y, 0): -1.0}
+    assert expr == {(1, X, 1): 2.0, (2, Y, 0): -1.0}
 
 
 def test_is_nullifier_requires_pure_decay():
-    assert ledger.is_nullifier(QuadExpr({(1, Y, -1): 1.0, (2, Y, -2): 0.5}))
-    assert ledger.is_nullifier(QuadExpr({}))
-    assert not ledger.is_nullifier(QuadExpr({(1, Y, -1): 1.0, (2, X, 0): 1e-6}))
+    assert ledger.is_nullifier({(1, Y, -1): 1.0, (2, Y, -2): 0.5})
+    assert ledger.is_nullifier({})
+    assert not ledger.is_nullifier({(1, Y, -1): 1.0, (2, X, 0): 1e-6})
     # below-tolerance residue is ignored
-    assert ledger.is_nullifier(QuadExpr({(1, Y, -1): 1.0, (2, X, 1): 1e-12}))
+    assert ledger.is_nullifier({(1, Y, -1): 1.0, (2, X, 1): 1e-12})
 
 
 def test_is_nullifier_keeps_the_verdicts_of_the_term_rule():
-    """The dict-reading rule agrees with the sorted ``Term`` rule, coefficients
-    exactly at ``NULLIFIER_TOL`` (ignored) and just above it (counted) included."""
+    """The dict-reading rule agrees with the rule read term by term in sorted order,
+    coefficients exactly at ``NULLIFIER_TOL`` (ignored) and just above it (counted)
+    included."""
 
     def term_rule(expr):
-        return all(t.exponent <= -1 for t in expr.terms() if abs(t.coeff) > NULLIFIER_TOL)
+        return all(k <= -1 for (_, _, k), c in sorted(expr.items()) if abs(c) > NULLIFIER_TOL)
 
     rng = np.random.default_rng(12)
     sizes = (NULLIFIER_TOL, -NULLIFIER_TOL, np.nextafter(NULLIFIER_TOL, 1.0),
@@ -331,12 +360,12 @@ def test_is_nullifier_keeps_the_verdicts_of_the_term_rule():
         for _ in range(int(rng.integers(0, 6))):
             key = (int(rng.integers(1, 4)), (X, Y)[int(rng.integers(2))], int(rng.integers(-3, 3)))
             terms[key] = float(sizes[int(rng.integers(len(sizes)))])
-        expr = QuadExpr(terms)
+        expr = terms
         verdicts.add(ledger.is_nullifier(expr))
         assert ledger.is_nullifier(expr) == term_rule(expr), terms
     assert verdicts == {True, False}
-    assert ledger.is_nullifier(QuadExpr({(1, Y, -1): 1.0, (2, X, 0): NULLIFIER_TOL}))
-    assert not ledger.is_nullifier(QuadExpr({(2, X, 0): np.nextafter(NULLIFIER_TOL, 1.0)}))
+    assert ledger.is_nullifier({(1, Y, -1): 1.0, (2, X, 0): NULLIFIER_TOL})
+    assert not ledger.is_nullifier({(2, X, 0): np.nextafter(NULLIFIER_TOL, 1.0)})
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +406,8 @@ def test_commutators_survive_random_gate_soup():
 
 
 def test_commutator_flags_unbalanced_exponents():
-    e1 = QuadExpr({(1, X, 1): 1.0})
-    e2 = QuadExpr({(1, Y, 0): 1.0})
+    e1 = {(1, X, 1): 1.0}
+    e2 = {(1, Y, 0): 1.0}
     with pytest.raises(InternalConsistencyError):
         ledger.commutator(e1, e2)
 
@@ -387,9 +416,9 @@ def _reference_commutator(e1, e2):
     """The commutator as one loop: every term pair, grouped by exponent sum."""
     by_sum = {}
     partners = {}
-    for (m2, k2, ex2), c2 in e2.as_dict().items():
+    for (m2, k2, ex2), c2 in e2.items():
         partners.setdefault((m2, k2), []).append((ex2, c2))
-    for (m1, k1, ex1), c1 in e1.as_dict().items():
+    for (m1, k1, ex1), c1 in e1.items():
         sign = 1.0 if k1 == X else -1.0
         for ex2, c2 in partners.get((m1, Y if k1 == X else X), ()):
             by_sum[ex1 + ex2] = by_sum.get(ex1 + ex2, 0.0) + sign * c1 * c2
@@ -422,14 +451,14 @@ def test_table_commutator_is_the_commutator_on_random_tapes():
 
 
 def test_table_commutator_flags_unbalanced_exponents():
-    e1 = QuadExpr({(1, X, 1): 1.0, (2, Y, 0): 1.0})
-    table = ledger.commutator_table(QuadExpr({(1, Y, 0): 1.0, (2, X, 0): 1.0}))
+    e1 = {(1, X, 1): 1.0, (2, Y, 0): 1.0}
+    table = ledger.commutator_table({(1, Y, 0): 1.0, (2, X, 0): 1.0})
     with pytest.raises(InternalConsistencyError, match=r"e\^\+1r content 1"):
         ledger.commutator_with(e1, table)
     with pytest.raises(InternalConsistencyError, match=r"e\^-2r content -3"):
-        ledger.commutator_with(QuadExpr({(2, Y, -2): 3.0}), table)
+        ledger.commutator_with({(2, Y, -2): 3.0}, table)
     # Balanced content cancels: e^{+r} x0_1 against e^{-r} y0_1 is a pure number.
-    assert ledger.commutator_with(e1, ledger.commutator_table(QuadExpr({(1, Y, -1): 2.0}))) == 2.0
+    assert ledger.commutator_with(e1, ledger.commutator_table({(1, Y, -1): 2.0})) == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -438,32 +467,32 @@ def test_table_commutator_flags_unbalanced_exponents():
 
 
 def test_variance_of_squeezed_quadrature():
-    expr = QuadExpr({(1, Y, -1): 1.0})
+    expr = {(1, Y, -1): 1.0}
     for r in (0.0, 0.5, 1.0, 2.0):
         assert ledger.variance_formula(expr, r) == pytest.approx(0.5 * math.exp(-2 * r))
 
 
 def test_variance_sums_independent_modes():
-    expr = QuadExpr({(1, Y, -1): 1.0, (2, Y, -1): -1.0})
+    expr = {(1, Y, -1): 1.0, (2, Y, -1): -1.0}
     assert ledger.variance_formula(expr, 1.0) == pytest.approx(math.exp(-2.0))
 
 
 def test_variance_groups_same_quadrature_before_squaring():
     """Two exponent branches of one initial quadrature add amplitudes, not variances."""
-    expr = QuadExpr({(1, X, 1): 1.0, (1, X, -1): -1.0})
+    expr = {(1, X, 1): 1.0, (1, X, -1): -1.0}
     r = 0.7
     amp = math.exp(r) - math.exp(-r)
     assert ledger.variance_formula(expr, r) == pytest.approx(0.5 * amp * amp)
 
 
 def test_vacuum_variance_is_half():
-    expr = QuadExpr({(1, X, 0): 1.0})
+    expr = {(1, X, 0): 1.0}
     assert ledger.variance_formula(expr, 1.3) == 0.5
 
 
 def test_variance_past_float_range_is_a_domain_error():
     """e^{800} overflows a float and e^{400} squared does; neither may return inf."""
-    expr = QuadExpr({(1, X, 1): 1.0})
+    expr = {(1, X, 1): 1.0}
     for r in (400.0, 800.0):
         with pytest.raises(DomainError):
             ledger.variance_formula(expr, r)

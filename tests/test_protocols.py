@@ -12,11 +12,6 @@ import pytest
 from cvcluster import covariance, graphs, ledger, protocols, scenario
 from cvcluster.errors import ProtocolPreconditionError, SelfInteractionError
 from cvcluster.gates import MOMENTUM_SQUEEZED, SOLVER_TOL, Kerr, Rotate, Squeeze, X, Y
-from cvcluster.ledger import QuadExpr
-
-
-def term_dict(expr):
-    return {(t.mode, t.kind, t.exponent): t.coeff for t in expr.terms()}
 
 
 # ---------------------------------------------------------------------------
@@ -26,14 +21,14 @@ def term_dict(expr):
 
 def test_chain_rows_closed_form():
     reg = protocols.build_graph_state(graphs.chain(4))
-    assert term_dict(reg.quad_expr(2, X)) == {(2, X, 1): 1.0}
-    assert term_dict(reg.quad_expr(2, Y)) == {
+    assert reg.quad_expr(2, X) == {(2, X, 1): 1.0}
+    assert reg.quad_expr(2, Y) == {
         (2, Y, -1): 1.0,
         (1, X, 1): 1.0,
         (3, X, 1): 1.0,
     }
     # chain ends have one neighbour only
-    assert term_dict(reg.quad_expr(1, Y)) == {(1, Y, -1): 1.0, (2, X, 1): 1.0}
+    assert reg.quad_expr(1, Y) == {(1, Y, -1): 1.0, (2, X, 1): 1.0}
     # a small turn of one mode moves its rows off the closed form by sin(theta)
     g = graphs.chain(3)
     reg = protocols.build_graph_state(g)
@@ -45,7 +40,7 @@ def test_star_rows_follow_the_graph():
     g = graphs.star(3)
     reg = protocols.build_graph_state(g)
     hub = g.mode_of(0)
-    d = term_dict(reg.quad_expr(hub, Y))
+    d = reg.quad_expr(hub, Y)
     assert d[(hub, Y, -1)] == 1.0
     for leaf in (1, 2, 3):
         assert d[(g.mode_of(leaf), X, 1)] == 1.0
@@ -101,7 +96,7 @@ def test_bs_chain_quarter_turned_weights():
         [(s2, 2, Y), (-1.0, 3, Y), (1.0, 4, Y)],
     ):
         expr = reg.combine(parts)
-        assert all(abs(t.coeff) <= 1e-12 for t in expr.terms() if t.exponent >= 0)
+        assert all(abs(c) <= 1e-12 for (_, _, k), c in expr.items() if k >= 0)
         assert ledger.is_nullifier(expr)
 
 
@@ -142,7 +137,7 @@ def _fresh_graph_state(g):
 def _snapshot(reg):
     """Rows, books, consuming records, records and history of a register."""
     modes = [(md.row, md.book, md.record_index) for md in reg._modes]
-    records = [(r.index, r.mode, r.kind, r.observable.as_dict(), reg.records[r.index] is r)
+    records = [(r.index, r.mode, r.kind, dict(r.observable), reg.records[r.index] is r)
                for r in reg.records]
     return modes, records, list(reg.history)
 
@@ -237,7 +232,7 @@ def _pair_reports(n):
 
 def _report_facts(rep):
     return (rep.success, rep.measurements, rep.displacements, rep.combos,
-            [e.as_dict() for e in rep.nullifiers], rep.rank_info, rep.details)
+            [dict(e) for e in rep.nullifiers], rep.rank_info, rep.details)
 
 
 def test_pair_extraction_reports_do_not_depend_on_build_reuse(monkeypatch):
@@ -257,7 +252,7 @@ def test_solver_finds_the_neighbour_correction():
     g = graphs.chain(3)
     reg = protocols.build_graph_state(g)
     reg.measure(2, X)
-    sol = protocols.solve_feedforward(reg, [([(1.0, 1, Y)], None)], reg.records)
+    sol = protocols.solve_feedforward(reg, [[(1.0, 1, Y)]], reg.records)
     assert isinstance(sol, protocols.FeedforwardSolution)
     (coeffs,) = sol.coeffs
     assert coeffs == {0: pytest.approx(-1.0)}
@@ -267,28 +262,29 @@ def test_solver_reports_infeasibility():
     g = graphs.chain(3)
     reg = protocols.build_graph_state(g)
     reg.measure(2, Y)  # wrong basis: the record cannot cancel an X bond
-    sol = protocols.solve_feedforward(reg, [([(1.0, 1, Y)], None)], reg.records)
+    sol = protocols.solve_feedforward(reg, [[(1.0, 1, Y)]], reg.records)
     assert isinstance(sol, protocols.Infeasible)
     assert sol.deficiency == sol.equations - sol.rank
     # with no records at all, a target with growing content cannot be cleaned
     reg = protocols.build_graph_state(graphs.chain(2))
-    assert protocols.solve_feedforward(reg, [([(1.0, 1, Y)], None)], []) == protocols.Infeasible(0, 0)
+    assert protocols.solve_feedforward(reg, [[(1.0, 1, Y)]], []) == protocols.Infeasible(0, 0)
 
 
 def test_solver_allowance_keeps_a_bond():
     g = graphs.chain(3)
     reg = protocols.build_graph_state(g)
     reg.measure(1, X)
-    keep = QuadExpr({(3, X, 1): 1.0})
-    sol = protocols.solve_feedforward(reg, [([(1.0, 2, Y)], keep)], reg.records)
+    # Y_2 - X_3 keeps the bond to 3: the X_1 record cancels the bond to 1 alone.
+    sol = protocols.solve_feedforward(reg, [[(1.0, 2, Y), (-1.0, 3, X)]], reg.records)
     assert isinstance(sol, protocols.FeedforwardSolution)
+    assert sol.coeffs == [{0: pytest.approx(-1.0)}]
+    assert isinstance(protocols.solve_feedforward(reg, [[(1.0, 2, Y)]], reg.records),
+                      protocols.Infeasible)
 
 
 def test_solver_with_no_records_and_clean_target():
     reg = protocols.build_graph_state(graphs.chain(2))
-    sol = protocols.solve_feedforward(
-        reg, [([(1.0, 1, Y), (-1.0, 2, X)], None)], records=[]
-    )
+    sol = protocols.solve_feedforward(reg, [[(1.0, 1, Y), (-1.0, 2, X)]], records=[])
     assert sol == protocols.FeedforwardSolution([{}], (0, 0))
 
 
@@ -328,7 +324,7 @@ def test_solver_rank_is_matrix_rank(monkeypatch):
 def assert_certifies(rep, laws):
     """The report certified exactly ``laws``, in order."""
     reg = rep.register
-    assert [e.as_dict() for e in rep.nullifiers] == [reg.combine(p).as_dict() for p in laws]
+    assert rep.nullifiers == [reg.combine(p) for p in laws]
     assert rep.combos == [reg.frame_combo(p) for p in laws]
 
 
@@ -570,7 +566,7 @@ def test_chain_survives_any_single_discard():
     for n, d in ((4, 1), (4, 4), (5, 3), (6, 3), (6, 6)):
         rep = protocols.chain_pair_after_discard(n, d)
         assert rep.success is True
-        assert all(d not in e.support() for e in rep.nullifiers)
+        assert all(key[0] != d for e in rep.nullifiers for key in e)
 
 
 def test_a_discard_pair_needs_a_conjugate_plane(monkeypatch):
