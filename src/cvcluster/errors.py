@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one input-file reader.
+"""Exception types shared across the package, the one input-file reader and its line rule.
 
 Everything raised on purpose derives from :class:`CvClusterError` so callers
 can catch one base class.  Argument errors that a stock Python library would
@@ -54,15 +54,20 @@ class InputEncodingError(CvClusterError, ValueError):
     """An input file is not UTF-8; the message is positioned ``path:line:col:``."""
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``: a line ends at ``\\r\\n``, ``\\r`` or ``\\n`` and nowhere
+    else, so a form feed, vertical tab, NEL or U+2028 inside a line is whitespace."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def read_text(path) -> str:
-    """The UTF-8 text of an input file, newlines read as ``open`` reads them; a
-    bad byte raises :class:`InputEncodingError` at its line and 1-based column."""
+    """The UTF-8 text of an input file without one leading byte order mark
+    (U+FEFF); a bad byte raises :class:`InputEncodingError` at its line and
+    1-based column, counted as :func:`split_lines` counts them, after the mark."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as err:
-        head = data[: err.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        line, col = head.count("\n") + 1, len(head) - head.rfind("\n")
-        raise InputEncodingError(f"{path}:{line}:{col}: {err}") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = split_lines(data[: err.start].decode("utf-8").removeprefix("\ufeff"))
+        raise InputEncodingError(f"{path}:{len(lines)}:{len(lines[-1]) + 1}: {err}") from None

@@ -13,7 +13,7 @@ The on-disk format is line oriented::
     2 3
 
 with a mandatory ``vertices N`` header and one ``a b`` edge per line, labels
-in 1..N, no loops, no duplicate edges.
+in 1..N, no loops, no duplicate edges.  Lines end at LF, CRLF or CR only.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .errors import InvalidGraphError, InvalidSizeError, read_text
+from .errors import InvalidGraphError, InvalidSizeError, read_text, split_lines
 from .gates import MAX_MODES
 
 
@@ -215,11 +215,10 @@ def parse_edge_list(text: str, source: str = "<string>") -> Graph:
     n = None
     edges = []
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, raw in enumerate(split_lines(text), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if n is None:
             if parts[0] != "vertices" or len(parts) != 2:
                 raise InvalidGraphError(f"{source}:{lineno}: expected 'vertices N' header")

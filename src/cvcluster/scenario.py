@@ -1,7 +1,10 @@
 """Line-oriented protocol scripts: parse, pretty-print, execute, report.
 
 The grammar is deliberately flat (one statement per line, ``#`` comments) so
-scripts diff cleanly and diagnostics are a (line, column) pair:
+scripts diff cleanly and diagnostics are a (line, column) pair.  A line ends
+at LF, CRLF or CR and nowhere else: a form feed, NEL or U+2028 inside a line
+is whitespace between tokens, like a tab or U+3000.  A file may start with a
+UTF-8 byte order mark, which :func:`load` drops.  The statements:
 
     register N
     squeeze <m> momentum|position
@@ -33,13 +36,12 @@ into ordinary script runs.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import covariance, gates, ledger
-from .errors import CvClusterError, InternalConsistencyError, read_text
+from .errors import CvClusterError, InternalConsistencyError, read_text, split_lines
 from .gates import MAX_MODES, MOMENTUM_SQUEEZED, POSITION_SQUEEZED, PRUNE_TOL, X, Y
 
 SQRT2 = math.sqrt(2.0)
@@ -49,19 +51,11 @@ class ParseError(CvClusterError):
     """Rejects a script at a precise position, e.g. ``probe.cvq:3:9: expected basis``."""
 
     def __init__(self, line: int, col: int, expected: str, found: str):
-        self.line = line
-        self.col = col
-        self.expected = expected
-        self.found = found
-        super().__init__(self.message)
-
-    @property
-    def message(self) -> str:
-        found = f", found {self.found!r}" if self.found else ""
-        return f"expected {self.expected}{found}"
+        self.line, self.col, self.expected, self.found = line, col, expected, found
+        super().__init__(f"expected {expected}" + (f", found {found!r}" if found else ""))
 
     def render(self, source: str) -> str:
-        return f"{source}:{self.line}:{self.col}: {self.message}"
+        return f"{source}:{self.line}:{self.col}: {self}"
 
 
 class ScenarioRuntimeError(CvClusterError):
@@ -93,12 +87,6 @@ def variance_csv(rows) -> str:
     return "combo,r,variance\n" + "".join(f"{c},{fmt_num(r)},{v:.12g}\n" for c, r, v in rows)
 
 
-def fmt_coeff(coeff: float, literal: str | None) -> str:
-    if literal is not None:
-        return literal
-    return fmt_num(coeff)
-
-
 @dataclass(frozen=True)
 class ComboTerm:
     coeff: float
@@ -111,9 +99,9 @@ def render_combo(terms: tuple[ComboTerm, ...]) -> str:
     chunks = []
     for i, t in enumerate(terms):
         if i == 0:
-            chunks.append(f"{fmt_coeff(t.coeff, t.literal)}*{t.kind}{t.mode}")
+            chunks.append(f"{t.literal or fmt_num(t.coeff)}*{t.kind}{t.mode}")
         else:
-            mag = fmt_coeff(abs(t.coeff), t.literal.lstrip("-") if t.literal else None)
+            mag = t.literal.lstrip("-") if t.literal else fmt_num(abs(t.coeff))
             chunks.append(f"{'-' if t.coeff < 0 else '+'} {mag}*{t.kind}{t.mode}")
     return " ".join(chunks)
 
@@ -175,7 +163,7 @@ class DisplaceStmt(Statement):
     literal: str | None = None
 
     def render(self):
-        return f"displace {self.kind} {self.mode} += {fmt_coeff(self.coeff, self.literal)}*{self.name}"
+        return f"displace {self.kind} {self.mode} += {self.literal or fmt_num(self.coeff)}*{self.name}"
 
 
 @dataclass(frozen=True)
@@ -219,117 +207,228 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    col: int
+class _Parser:
+    """One parse: the register size, the bound record names, and the current
+    line's whitespace-split tokens with the read position in them."""
 
+    __slots__ = ("n_modes", "names", "lineno", "body", "toks", "pos", "end_col", "cols")
 
-def _tokenize(line: str) -> list[_Tok]:
-    body = line.split("#", 1)[0]
-    return [_Tok(m.group(), m.start() + 1) for m in re.finditer(r"\S+", body)]
+    def __init__(self):
+        self.n_modes: int | None = None
+        self.names: set[str] = set()
 
+    def start(self, lineno: int, body: str, end_col: int) -> list[str]:
+        """Make ``body`` the current line; an error at its end points at ``end_col``."""
+        self.lineno, self.body, self.toks = lineno, body, body.split()
+        self.pos, self.end_col, self.cols = 0, end_col, None
+        return self.toks
 
-class _LineParser:
-    def __init__(self, lineno: int, toks: list[_Tok], line_len: int):
-        self.lineno = lineno
-        self.toks = toks
-        self.pos = 0
-        self.end_col = line_len + 1
+    def col(self, i: int) -> int:
+        """The 1-based column of token ``i``, for a diagnostic.  The columns are
+        found on the first call, each with ``str.find`` from the end of the
+        token before it."""
+        if self.cols is None:
+            self.cols, at = [], 0
+            for tok in self.toks:
+                at = self.body.find(tok, at)
+                self.cols.append(at + 1)
+                at += len(tok)
+        return self.cols[i]
 
-    def peek(self) -> _Tok | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self, expected: str) -> _Tok:
-        tok = self.peek()
-        if tok is None:
+    def take(self, expected: str) -> str:
+        pos = self.pos
+        if pos == len(self.toks):
             raise ParseError(self.lineno, self.end_col, expected, "")
-        self.pos += 1
-        return tok
+        self.pos = pos + 1
+        return self.toks[pos]
 
-    def fail(self, tok: _Tok, expected: str):
-        raise ParseError(self.lineno, tok.col, expected, tok.text)
+    def fail(self, expected: str, back: int = 1, offset: int = 0, found: str | None = None):
+        """Reject the token ``back`` places before the read position (the one
+        just taken by default), or its part ``found`` that starts ``offset``
+        characters into it."""
+        i = self.pos - back
+        found = self.toks[i] if found is None else found
+        raise ParseError(self.lineno, self.col(i) + offset, expected, found)
 
     def done(self):
-        tok = self.peek()
-        if tok is not None:
-            self.fail(tok, "end of line")
+        if self.pos < len(self.toks):
+            self.fail("end of line", back=0)
 
-    # -- typed takes ------------------------------------------------------
-
-    def take_int(self, expected: str) -> tuple[int, _Tok]:
-        tok = self.take(expected)
+    def integer(self, expected: str) -> int:
         try:
-            return int(tok.text), tok
+            return int(self.take(expected))
         except ValueError:
-            self.fail(tok, expected)
+            self.fail(expected)
 
-    def real(self, text: str, col: int, expected: str, found: str) -> float:
-        """The grammar's one float path: NaN and infinities are parse errors."""
+    def mode(self) -> int:
+        m = self.integer("mode index")
+        if not 1 <= m <= self.n_modes:
+            self.fail(f"mode index in 1..{self.n_modes}")
+        return m
+
+    def real(self, text: str, expected: str, found: str) -> float:
+        """The grammar's one float path, for a part of the token just taken
+        that starts where it does: NaN and infinities are parse errors."""
         try:
             value = float(text)
         except ValueError:
-            raise ParseError(self.lineno, col, expected, found) from None
+            self.fail(expected, found=found)
         if not math.isfinite(value):
-            raise ParseError(self.lineno, col, "a finite real", found)
+            self.fail("a finite real", found=found)
         return value
 
-    def take_keyword(self, word: str):
-        tok = self.take(f"'{word}'")
-        if tok.text != word:
-            self.fail(tok, f"'{word}'")
+    def keyword(self, word: str):
+        if self.take(f"'{word}'") != word:
+            self.fail(f"'{word}'")
 
-    def take_basis(self) -> _Tok:
+    def basis(self) -> str:
         tok = self.take("basis")
-        if tok.text not in (X, Y):
-            self.fail(tok, "basis")
+        if tok not in (X, Y):
+            self.fail("basis")
         return tok
 
+    def coeff(self, text: str) -> tuple[float, str | None]:
+        if text in _LITERALS:
+            return _LITERALS[text], text
+        return self.real(text, "coefficient", text), None
 
-def _parse_coeff(p: _LineParser, text: str, col: int) -> tuple[float, str | None]:
-    if text == "sqrt2":
-        return SQRT2, "sqrt2"
-    if text == "-sqrt2":
-        return -SQRT2, "-sqrt2"
-    return p.real(text, col, "coefficient", text), None
+    def term(self, sign: float) -> ComboTerm:
+        tok = self.take("combo term")
+        if "*" not in tok:
+            self.fail("coefficient*quadrature term")
+        coeff_text, quad = tok.split("*", 1)
+        coeff, literal = self.coeff(coeff_text)
+        at = len(coeff_text) + 1  # where the quadrature starts in the token
+        if not quad or quad[0] not in (X, Y):
+            self.fail("basis", offset=at, found=quad)
+        try:
+            mode = int(quad[1:])
+        except ValueError:
+            self.fail("mode index", offset=at + 1, found=quad[1:])
+        if self.n_modes is not None and not 1 <= mode <= self.n_modes:
+            self.fail(f"mode index in 1..{self.n_modes}", offset=at + 1, found=str(mode))
+        if sign < 0:
+            coeff = -coeff
+            literal = {None: None, "sqrt2": "-sqrt2", "-sqrt2": "sqrt2"}[literal]
+        return ComboTerm(coeff, mode, quad[0], literal)
+
+    def combo(self, stop_word: str | None = None) -> tuple[ComboTerm, ...]:
+        """Terms up to ``stop_word`` or the end of the line; modes must lie in
+        1..``n_modes`` unless it is None."""
+        terms = [self.term(1.0)]
+        while self.pos < len(self.toks) and self.toks[self.pos] != stop_word:
+            sep = self.take("'+' or '-'")
+            if sep not in ("+", "-"):
+                self.fail("'+' or '-'")
+            terms.append(self.term(1.0 if sep == "+" else -1.0))
+        return tuple(terms)
+
+    # -- statements: each returns its class and fields ----------------------
+
+    def _register(self):
+        if self.n_modes is not None:
+            self.fail("no second register statement")
+        n = self.integer("mode count")
+        if n < 1:
+            self.fail("positive mode count")
+        if n > MAX_MODES:
+            self.fail(f"mode count at most {MAX_MODES}")
+        self.n_modes = n
+        return RegisterStmt, n
+
+    def _squeeze(self):
+        m = self.mode()
+        d = self.take("'momentum' or 'position'")
+        if d not in (MOMENTUM_SQUEEZED, POSITION_SQUEEZED):
+            self.fail("'momentum' or 'position'")
+        return GateStmt, "squeeze", (m,), d, d
+
+    def _two_mode(self):
+        keyword = self.toks[0]
+        prefix, value = _TWO_MODE[keyword]
+        l = self.mode()
+        k = self.mode()
+        if l == k:
+            self.fail("a mode distinct from the first")
+        option = ""
+        if self.pos < len(self.toks):
+            tok = self.take(f"{prefix}<real>")
+            if not tok.startswith(prefix):
+                self.fail(f"{prefix}<real>")
+            value = self.real(tok[len(prefix):], f"{prefix}<real>", tok)
+            if keyword == "kerr" and 0 < abs(value) <= PRUNE_TOL:  # the ledger would prune it
+                self.fail(f"g=0 or |g| > {PRUNE_TOL:g}")
+            if keyword == "bs" and 0 < value <= PRUNE_TOL**2:  # ... or sqrt(t)
+                self.fail(f"t=0 or t > {PRUNE_TOL**2:g}")
+            option = f"{prefix}{fmt_num(value)}"
+        return GateStmt, keyword, (l, k), value, option
+
+    def _rotate(self):
+        m = self.mode()
+        tok = self.take("-90, 90, 180 or <real>rad")
+        if tok in ("-90", "90", "180"):
+            theta, option = math.radians(int(tok)), tok
+        elif tok.endswith("rad"):
+            theta = self.real(tok[:-3], "-90, 90, 180 or <real>rad", tok)
+            option = f"{theta!r}rad"
+        else:
+            self.fail("-90, 90, 180 or <real>rad")
+        return GateStmt, "rotate", (m,), theta, option
+
+    def _measure(self):
+        basis = self.basis()
+        m = self.mode()
+        self.keyword("->")
+        name = self.take("record name")
+        if not name.isidentifier():
+            self.fail("record name")
+        if name in self.names:
+            self.fail("a name not already bound")
+        self.names.add(name)
+        return MeasureStmt, basis, m, name
+
+    def _displace(self):
+        basis = self.basis()
+        m = self.mode()
+        self.keyword("+=")
+        tok = self.take("coefficient*name")
+        if "*" not in tok:
+            self.fail("coefficient*name")
+        coeff_text, name = tok.split("*", 1)
+        coeff, literal = self.coeff(coeff_text)
+        if name not in self.names:
+            self.fail("a bound record name", offset=len(coeff_text) + 1, found=name)
+        return DisplaceStmt, basis, m, coeff, name, literal
+
+    def _assert(self):
+        what = self.take("'nullifier' or 'product'")
+        if what == "nullifier":
+            return AssertNullifierStmt, self.combo()
+        if what != "product":
+            self.fail("'nullifier' or 'product'")
+        return (AssertProductStmt,)
+
+    def _print(self):
+        self.keyword("variance")
+        terms = self.combo(stop_word="at")
+        self.keyword("at")
+        tok = self.take("r=<comma list>")
+        if not tok.startswith("r="):
+            self.fail("r=<comma list>")
+        rs = tuple(self.real(x, "r=<comma list>", tok) for x in tok[2:].split(","))
+        return PrintVarianceStmt, terms, rs
 
 
-def _parse_combo_term(p: _LineParser, tok: _Tok, sign: float, n_modes: int | None) -> ComboTerm:
-    if "*" not in tok.text:
-        p.fail(tok, "coefficient*quadrature term")
-    coeff_text, quad_text = tok.text.split("*", 1)
-    coeff, literal = _parse_coeff(p, coeff_text, tok.col)
-    quad_col = tok.col + len(coeff_text) + 1
-    if not quad_text or quad_text[0] not in (X, Y):
-        raise ParseError(p.lineno, quad_col, "basis", quad_text)
-    try:
-        mode = int(quad_text[1:])
-    except ValueError:
-        raise ParseError(p.lineno, quad_col + 1, "mode index", quad_text[1:])
-    if n_modes is not None and not 1 <= mode <= n_modes:
-        raise ParseError(p.lineno, quad_col + 1, f"mode index in 1..{n_modes}", str(mode))
-    if sign < 0:
-        coeff = -coeff
-        literal = {None: None, "sqrt2": "-sqrt2", "-sqrt2": "sqrt2"}[literal]
-    return ComboTerm(coeff, mode, quad_text[0], literal)
-
-
-def _parse_combo(
-    p: _LineParser, n_modes: int | None, stop_word: str | None = None
-) -> tuple[ComboTerm, ...]:
-    """Terms up to ``stop_word`` or the end of the line; modes must lie in
-    1..``n_modes`` unless it is None."""
-    terms = [_parse_combo_term(p, p.take("combo term"), 1.0, n_modes)]
-    while True:
-        tok = p.peek()
-        if tok is None or (stop_word is not None and tok.text == stop_word):
-            break
-        sep = p.take("'+' or '-'")
-        if sep.text not in ("+", "-"):
-            p.fail(sep, "'+' or '-'")
-        sign = 1.0 if sep.text == "+" else -1.0
-        terms.append(_parse_combo_term(p, p.take("combo term"), sign, n_modes))
-    return tuple(terms)
+# Exact coefficients written as words.
+_LITERALS = {"sqrt2": SQRT2, "-sqrt2": -SQRT2}
+# Two-mode gate statements: option prefix, default value.
+_TWO_MODE = {"kerr": ("g=", 1.0), "bs": ("t=", 0.5)}
+# Statement keyword -> the parser method that reads the rest of its line.
+_STATEMENTS = {
+    "register": _Parser._register, "squeeze": _Parser._squeeze, "kerr": _Parser._two_mode,
+    "bs": _Parser._two_mode, "rotate": _Parser._rotate, "measure": _Parser._measure,
+    "displace": _Parser._displace, "assert": _Parser._assert, "print": _Parser._print,
+}
 
 
 def parse_combo(text: str) -> tuple[ComboTerm, ...]:
@@ -338,14 +437,11 @@ def parse_combo(text: str) -> tuple[ComboTerm, ...]:
     ``1*y1 - 1*x3`` and friends; positions in raised errors use line 1.
     Mode indices are not range-checked here (no register to check against).
     """
-    p = _LineParser(1, _tokenize(text), len(text))
-    terms = _parse_combo(p, None)
+    p = _Parser()
+    p.start(1, text.partition("#")[0], len(text) + 1)
+    terms = p.combo()
     p.done()
     return terms
-
-
-# Two-mode gate statements: option prefix, default value.
-_TWO_MODE = {"kerr": ("g=", 1.0), "bs": ("t=", 0.5)}
 
 
 def parse(text: str) -> Scenario:
@@ -356,121 +452,21 @@ def parse(text: str) -> Scenario:
     before use and never rebound.
     """
     statements: list[Statement] = []
-    n_modes: int | None = None
-    names: set[str] = set()
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokenize(raw)
+    p = _Parser()
+    for lineno, raw in enumerate(split_lines(text), start=1):
+        toks = p.start(lineno, raw.partition("#")[0], len(raw.rstrip()) + 1)
         if not toks:
             continue
-        p = _LineParser(lineno, toks, len(raw.rstrip()))
-        head = p.take("statement")
-
-        def mode_tok(expected="mode index") -> int:
-            m, tok = p.take_int(expected)
-            if n_modes is None or not 1 <= m <= n_modes:
-                p.fail(tok, f"mode index in 1..{n_modes}")
-            return m
-
-        if head.text == "register":
-            if n_modes is not None:
-                p.fail(head, "no second register statement")
-            n, tok = p.take_int("mode count")
-            if n < 1:
-                p.fail(tok, "positive mode count")
-            if n > MAX_MODES:
-                p.fail(tok, f"mode count at most {MAX_MODES}")
-            n_modes = n
-            stmt = RegisterStmt, n
-        elif n_modes is None:
-            p.fail(head, "'register' as the first statement")
-        elif head.text == "squeeze":
-            m = mode_tok()
-            d = p.take("'momentum' or 'position'")
-            if d.text not in (MOMENTUM_SQUEEZED, POSITION_SQUEEZED):
-                p.fail(d, "'momentum' or 'position'")
-            stmt = GateStmt, "squeeze", (m,), d.text, d.text
-        elif head.text in _TWO_MODE:
-            prefix, value = _TWO_MODE[head.text]
-            l = mode_tok()
-            k = mode_tok()
-            if l == k:
-                p.fail(p.toks[p.pos - 1], "a mode distinct from the first")
-            option = ""
-            tok = p.peek()
-            if tok is not None:
-                if not tok.text.startswith(prefix):
-                    p.fail(tok, f"{prefix}<real>")
-                value = p.real(tok.text[len(prefix):], tok.col, f"{prefix}<real>", tok.text)
-                if head.text == "kerr" and 0 < abs(value) <= PRUNE_TOL:  # the ledger would prune it
-                    p.fail(tok, f"g=0 or |g| > {PRUNE_TOL:g}")
-                if head.text == "bs" and 0 < value <= PRUNE_TOL**2:  # ... or sqrt(t)
-                    p.fail(tok, f"t=0 or t > {PRUNE_TOL**2:g}")
-                option = f"{prefix}{fmt_num(value)}"
-                p.pos += 1
-            stmt = GateStmt, head.text, (l, k), value, option
-        elif head.text == "rotate":
-            m = mode_tok()
-            tok = p.take("-90, 90, 180 or <real>rad")
-            if tok.text in ("-90", "90", "180"):
-                theta, option = math.radians(int(tok.text)), tok.text
-            elif tok.text.endswith("rad"):
-                theta = p.real(tok.text[:-3], tok.col, "-90, 90, 180 or <real>rad", tok.text)
-                option = f"{theta!r}rad"
-            else:
-                p.fail(tok, "-90, 90, 180 or <real>rad")
-            stmt = GateStmt, "rotate", (m,), theta, option
-        elif head.text == "measure":
-            basis = p.take_basis()
-            m = mode_tok()
-            p.take_keyword("->")
-            name = p.take("record name")
-            if not name.text.isidentifier():
-                p.fail(name, "record name")
-            if name.text in names:
-                p.fail(name, "a name not already bound")
-            names.add(name.text)
-            stmt = MeasureStmt, basis.text, m, name.text
-        elif head.text == "displace":
-            basis = p.take_basis()
-            m = mode_tok()
-            p.take_keyword("+=")
-            tok = p.take("coefficient*name")
-            if "*" not in tok.text:
-                p.fail(tok, "coefficient*name")
-            coeff_text, name_text = tok.text.split("*", 1)
-            coeff, literal = _parse_coeff(p, coeff_text, tok.col)
-            if name_text not in names:
-                raise ParseError(
-                    p.lineno, tok.col + len(coeff_text) + 1, "a bound record name", name_text
-                )
-            stmt = DisplaceStmt, basis.text, m, coeff, name_text, literal
-        elif head.text == "assert":
-            what = p.take("'nullifier' or 'product'")
-            if what.text == "nullifier":
-                stmt = AssertNullifierStmt, _parse_combo(p, n_modes)
-            elif what.text == "product":
-                stmt = (AssertProductStmt,)
-            else:
-                p.fail(what, "'nullifier' or 'product'")
-        elif head.text == "print":
-            p.take_keyword("variance")
-            terms = _parse_combo(p, n_modes, stop_word="at")
-            p.take_keyword("at")
-            tok = p.take("r=<comma list>")
-            if not tok.text.startswith("r="):
-                p.fail(tok, "r=<comma list>")
-            rs = tuple(
-                p.real(x, tok.col, "r=<comma list>", tok.text) for x in tok.text[2:].split(",")
-            )
-            stmt = PrintVarianceStmt, terms, rs
-        else:
-            p.fail(head, "statement keyword")
+        head, p.pos = toks[0], 1
+        if p.n_modes is None and head != "register":
+            p.fail("'register' as the first statement")
+        if head not in _STATEMENTS:
+            p.fail("statement keyword")
+        cls, *fields = _STATEMENTS[head](p)
         p.done()
-        cls, *fields = stmt
-        statements.append(cls(*fields, line=lineno, col=head.col))
+        statements.append(cls(*fields, line=lineno, col=raw.find(head) + 1))
 
-    if n_modes is None:
+    if p.n_modes is None:
         raise ParseError(1, 1, "'register' statement", "")
     return Scenario(tuple(statements))
 
@@ -605,8 +601,7 @@ class _Execution:
     # -- statements --------------------------------------------------------
 
     def apply(self, stmt: Statement):
-        name = type(stmt).__name__
-        getattr(self, f"_do_{name}")(stmt)
+        getattr(self, f"_do_{type(stmt).__name__}")(stmt)
 
     def _do_RegisterStmt(self, stmt):
         pass  # the register was allocated up front
@@ -684,7 +679,7 @@ class _Execution:
 
 
 def load(path) -> Scenario:
-    """Read and parse a ``.cvq`` file (UTF-8, LF or CRLF)."""
+    """Read and parse a ``.cvq`` file (UTF-8, a leading byte order mark dropped)."""
     return parse(read_text(path))
 
 

@@ -82,6 +82,10 @@ def _argv_reading(command, path):
     (b"register 2\r\nsqueeze 1 \xc3\xa9\xff momentum\r\n", "2:12", 24),
     # A lone CR ends a line, as it does for the parser.
     (b"register 2\rsqueeze 1 \xff\r", "2:11", 21),
+    # A leading byte order mark takes no column; the byte offset still counts it.
+    (b"\xef\xbb\xbfregister 2 \xff\n", "1:12", 14),
+    # A form feed does not end a line.
+    (b"register 2\x0c\nsqueeze 1\x0c\xff\n", "2:11", 22),
 ])
 def test_input_that_is_not_utf8_is_positioned(tmp_path, capsys, command, data, line_col, offset):
     bad = tmp_path / "bad.txt"
@@ -108,6 +112,50 @@ def test_crlf_and_cr_inputs_read_as_lf(tmp_path, capsys, monkeypatch, command, t
         captured = capsys.readouterr()
         outputs.append((code, captured.out, captured.err))
     assert outputs[0][0] == 0 and outputs[0][1] and outputs == [outputs[0]] * 3
+
+
+@pytest.mark.parametrize("command, text", [
+    ("run", "register 2\nsqueeze 1 momentum\nsqueeze 2 momentum\nkerr 1 2\n"
+            "assert nullifier 1*y1 - 1*x2\n"),
+    ("sweep", "register 2\nsqueeze 1 momentum\nkerr 1 2\n"),
+    ("graph", "vertices 4\n1 2\n2 3\n3 4\n"),
+])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys, monkeypatch, command, text):
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        (tmp_path / "input.txt").write_bytes(bom + text.encode("utf-8"))
+        code = cli.main(_argv_reading(command, "input.txt"))
+        captured = capsys.readouterr()
+        outputs.append((code, captured.out, captured.err))
+    assert outputs[0][0] == 0 and outputs[0][1] and outputs[1] == outputs[0]
+
+
+# Characters that str.splitlines() also breaks lines at; in an input file
+# only LF, CRLF and CR end a line, and these are whitespace.
+OTHER_BREAKS = ["\x0c", "\x0b", "\x1c", "\x1d", "\x1e", "\x85", " ", " "]
+
+
+@pytest.mark.parametrize("char", OTHER_BREAKS)
+def test_run_counts_lines_at_lf_cr_and_crlf_only(tmp_path, capsys, char):
+    p = tmp_path / "breaks.cvq"
+    p.write_text(f"register 2\n{char}\nsqueeze 1 momentum\nkerr 1 x\n", encoding="utf-8")
+    assert cli.main(["run", str(p)]) == 2
+    assert capsys.readouterr().err == f"{p}:4:8: expected mode index, found 'x'\n"
+    p.write_text(f"register 2\nsqueeze 1{char}momentum\nkerr 1 x\n", encoding="utf-8")
+    assert cli.main(["run", str(p)]) == 2
+    assert capsys.readouterr().err == f"{p}:3:8: expected mode index, found 'x'\n"
+
+
+@pytest.mark.parametrize("char", OTHER_BREAKS)
+def test_graph_counts_lines_at_lf_cr_and_crlf_only(tmp_path, capsys, char):
+    p = tmp_path / "breaks.txt"
+    p.write_text(f"vertices 3\n1 2{char}2 3\n1 1\n", encoding="utf-8")
+    assert cli.main(["graph", str(p), "--protocol", "disentangle"]) == 2
+    assert capsys.readouterr().err == f"{p}:2: expected edge 'a b'\n"
+    p.write_text(f"vertices 3\n{char}\n1 1\n", encoding="utf-8")
+    assert cli.main(["graph", str(p), "--protocol", "disentangle"]) == 2
+    assert capsys.readouterr().err == f"{p}:3: loop edge 1-1\n"
 
 
 def test_run_failing_assert_exits_one(tmp_path, capsys):
