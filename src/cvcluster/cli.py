@@ -8,10 +8,13 @@ Four subcommands::
     cvcluster graph <edges.txt> --protocol NAME [protocol args]
 
 Exit codes are a stable contract: 0 when everything passed, 1 when an
-assertion, claim or protocol target failed, 2 for usage, I/O and parse
-errors.  All output is deterministic given the inputs and seed; the only
-environment influence is ``NO_COLOR``, which disables the PASS/FAIL
-coloring that is otherwise applied on a terminal.
+assertion, claim or protocol target failed, 2 for usage, I/O and input
+errors, which :func:`main` prints as one line on stderr.  An input error
+reads ``source:line:col: reason`` (edge lists: ``source:line: reason``),
+where the source is the input file or ``<combo>``.  All output is
+deterministic given the inputs and seed; the only environment influence is
+``NO_COLOR``, which disables the PASS/FAIL coloring that is otherwise
+applied on a terminal.
 """
 
 from __future__ import annotations
@@ -24,18 +27,12 @@ import sys
 
 from . import claims as claims_suite
 from . import graphs, ledger, protocols, scenario
-from .errors import CvClusterError, InputEncodingError
+from .errors import CvClusterError, InternalConsistencyError
 from .gates import MAX_MODES
-from .scenario import ParseError, ScenarioRuntimeError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-def _fail_usage(message: str) -> int:
-    print(message, file=sys.stderr)
-    return EXIT_USAGE
 
 
 def _paint(status: str) -> str:
@@ -52,13 +49,8 @@ def _paint(status: str) -> str:
 
 def _cmd_run(args) -> int:
     if args.engine == scenario.COVARIANCE and args.r is None:
-        return _fail_usage("covariance engine requires --r")
-    try:
-        report = scenario.run_file(args.script, engine=args.engine, r=args.r, seed=args.seed)
-    except (OSError, InputEncodingError) as err:
-        return _fail_usage(str(err))
-    except (ParseError, ScenarioRuntimeError) as err:
-        return _fail_usage(err.render(args.script))
+        raise ValueError("covariance engine requires --r")
+    report = scenario.run_file(args.script, engine=args.engine, r=args.r, seed=args.seed)
     sys.stdout.write(report.render())
     return EXIT_PASS if report.ok else EXIT_FAIL
 
@@ -69,10 +61,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_claims(args) -> int:
-    try:
-        outcome = claims_suite.run_claims(only=args.only)
-    except ValueError as err:
-        return _fail_usage(str(err))
+    outcome = claims_suite.run_claims(only=args.only)
     rows = [
         (res.claim_id, res.status, res.value, res.tolerance, res.statement)
         for res in outcome.results
@@ -135,31 +124,22 @@ def _parse_r_list(text: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        if args.script is not None:
-            reg = scenario.ledger_register(scenario.load(args.script))
-        else:
-            reg = _build_state(args.state)
-        rows = []
-        for raw in args.combo:
-            terms = scenario.parse_combo(raw)
-            rendered = scenario.render_combo(terms)
-            expr = reg.combine(scenario.combo_parts(terms))
-            for rv in args.r:
-                rows.append((rendered, rv, ledger.variance_formula(expr, rv)))
-    except ParseError as err:
-        source = args.script if args.script is not None else "<combo>"
-        return _fail_usage(err.render(source))
-    except (OSError, CvClusterError, ValueError) as err:
-        return _fail_usage(str(err))
+    if args.script is not None:
+        reg = scenario.execute(scenario.load(args.script), source=args.script).register
+    else:
+        reg = _build_state(args.state)
+    rows = []
+    for raw in args.combo:
+        terms = scenario.parse_combo(raw, reg.n)
+        rendered = scenario.render_combo(terms)
+        expr = reg.combine(scenario.combo_parts(terms))
+        for rv in args.r:
+            rows.append((rendered, rv, ledger.variance_formula(expr, rv)))
     rows.sort(key=lambda row: (row[0], row[1]))
     csv = scenario.variance_csv(rows)
     if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(csv)
-        except OSError as err:
-            return _fail_usage(str(err))
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(csv)
     else:
         sys.stdout.write(csv)
     return EXIT_PASS
@@ -239,36 +219,33 @@ def _cmd_graph(args) -> int:
                 f"protocol {args.protocol} requires {' and '.join(missing)}"
             )
 
-    try:
-        graph = graphs.load_edge_list(args.edges)
-        if args.protocol == "reduce-path":
-            need("a", "b")
-            report = protocols.reduce_graph_to_path(graph, args.a, args.b)
-        elif args.protocol == "star-ghz":
-            report = protocols.star_to_ghz(graph)
-        elif args.protocol == "ring-star-ghz":
-            measured = None
-            if args.measured is not None:
-                measured = _parse_int_list(args.measured, "--measured")
-            report = protocols.ring_star_to_ghz(graph, measured=measured, flavor=args.flavor)
-        elif args.protocol == "extract-pair":
-            need("j", "k")
-            outer = None
-            if args.outer_left is not None or args.outer_right is not None:
-                outer = protocols.CustomOuter(
-                    left=tuple(_parse_int_list(args.outer_left, "--outer-left"))
-                    if args.outer_left is not None else (),
-                    right=tuple(_parse_int_list(args.outer_right, "--outer-right"))
-                    if args.outer_right is not None else (),
-                )
-            report = protocols.extract_pair(graph, args.j, args.k, outer)
-        elif args.protocol == "disconnect":
-            need("j")
-            report = protocols.disconnect(graph, args.j)
-        else:  # disentangle
-            report = protocols.disentangle_even(graph)
-    except (OSError, CvClusterError, ValueError) as err:
-        return _fail_usage(str(err))
+    graph = graphs.load_edge_list(args.edges)
+    if args.protocol == "reduce-path":
+        need("a", "b")
+        report = protocols.reduce_graph_to_path(graph, args.a, args.b)
+    elif args.protocol == "star-ghz":
+        report = protocols.star_to_ghz(graph)
+    elif args.protocol == "ring-star-ghz":
+        measured = None
+        if args.measured is not None:
+            measured = _parse_int_list(args.measured, "--measured")
+        report = protocols.ring_star_to_ghz(graph, measured=measured, flavor=args.flavor)
+    elif args.protocol == "extract-pair":
+        need("j", "k")
+        outer = None
+        if args.outer_left is not None or args.outer_right is not None:
+            outer = protocols.CustomOuter(
+                left=tuple(_parse_int_list(args.outer_left, "--outer-left"))
+                if args.outer_left is not None else (),
+                right=tuple(_parse_int_list(args.outer_right, "--outer-right"))
+                if args.outer_right is not None else (),
+            )
+        report = protocols.extract_pair(graph, args.j, args.k, outer)
+    elif args.protocol == "disconnect":
+        need("j")
+        report = protocols.disconnect(graph, args.j)
+    else:  # disentangle
+        report = protocols.disentangle_even(graph)
     sys.stdout.write(_render_protocol_report(report, graph))
     return EXIT_PASS if report.success else EXIT_FAIL
 
@@ -367,7 +344,13 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.subcommand](args)
+    try:
+        return _COMMANDS[args.subcommand](args)
+    except InternalConsistencyError:
+        raise  # a broken engine invariant is a program defect, not a usage error
+    except (OSError, CvClusterError, ValueError) as err:
+        print(err, file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

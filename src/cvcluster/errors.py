@@ -2,7 +2,10 @@
 
 Everything raised on purpose derives from :class:`CvClusterError` so callers
 can catch one base class.  Argument errors that a stock Python library would
-signal with ``ValueError`` subclass both.
+signal with ``ValueError`` subclass both.  A rejected input raises an
+:class:`InputError`, which reads ``source:line:col: reason``: the source is
+the file, ``<combo>`` or ``<scenario>``, named where the text is read (an
+edge list's :class:`InvalidGraphError` reads ``source:line: reason``).
 """
 
 
@@ -50,8 +53,16 @@ class UnsupportedOperationError(CvClusterError):
     """An operation outside the engine's tracked algebra was requested."""
 
 
-class InputEncodingError(CvClusterError, ValueError):
-    """An input file is not UTF-8; the message is positioned ``path:line:col:``."""
+class InputError(CvClusterError):
+    """Input rejected at a 1-based line and column of its ``source``."""
+
+    def __init__(self, source: str, line: int, col: int, reason: str):
+        self.source, self.line, self.col, self.reason = source, line, col, reason
+        super().__init__(f"{source}:{line}:{col}: {reason}")
+
+
+class InputEncodingError(InputError, ValueError):
+    """An input file is not UTF-8."""
 
 
 def split_lines(text: str) -> list[str]:
@@ -70,4 +81,4 @@ def read_text(path) -> str:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as err:
         lines = split_lines(data[: err.start].decode("utf-8").removeprefix("\ufeff"))
-        raise InputEncodingError(f"{path}:{len(lines)}:{len(lines[-1]) + 1}: {err}") from None
+        raise InputEncodingError(str(path), len(lines), len(lines[-1]) + 1, str(err)) from None

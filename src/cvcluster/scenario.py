@@ -1,9 +1,12 @@
 """Line-oriented protocol scripts: parse, pretty-print, execute, report.
 
 The grammar is deliberately flat (one statement per line, ``#`` comments) so
-scripts diff cleanly and diagnostics are a (line, column) pair.  A line ends
-at LF, CRLF or CR and nowhere else: a form feed, NEL or U+2028 inside a line
-is whitespace between tokens, like a tab or U+3000.  A file may start with a
+scripts diff cleanly.  A rejected script raises an :class:`InputError` that
+reads ``source:line:col: reason``; the source is the file for :func:`load`,
+``<scenario>`` (or the ``source`` argument) for :func:`parse` and
+:func:`execute`, and ``<combo>`` for :func:`parse_combo`.  A line ends at
+LF, CRLF or CR and nowhere else: a form feed, NEL or U+2028 inside a line is
+whitespace between tokens, like a tab or U+3000.  A file may start with a
 UTF-8 byte order mark, which :func:`load` drops.  The statements:
 
     register N
@@ -41,33 +44,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import covariance, gates, ledger
-from .errors import CvClusterError, InternalConsistencyError, read_text, split_lines
+from .errors import CvClusterError, InputError, InternalConsistencyError, read_text, split_lines
 from .gates import MAX_MODES, MOMENTUM_SQUEEZED, POSITION_SQUEEZED, PRUNE_TOL, X, Y
 
 SQRT2 = math.sqrt(2.0)
 
 
-class ParseError(CvClusterError):
+class ParseError(InputError):
     """Rejects a script at a precise position, e.g. ``probe.cvq:3:9: expected basis``."""
 
-    def __init__(self, line: int, col: int, expected: str, found: str):
-        self.line, self.col, self.expected, self.found = line, col, expected, found
-        super().__init__(f"expected {expected}" + (f", found {found!r}" if found else ""))
-
-    def render(self, source: str) -> str:
-        return f"{source}:{self.line}:{self.col}: {self}"
+    def __init__(self, source: str, line: int, col: int, expected: str, found: str):
+        self.expected, self.found = expected, found
+        super().__init__(source, line, col,
+                         f"expected {expected}" + (f", found {found!r}" if found else ""))
 
 
-class ScenarioRuntimeError(CvClusterError):
-    """A statement failed while executing; carries its source position."""
-
-    def __init__(self, line: int, col: int, message: str):
-        self.line = line
-        self.col = col
-        super().__init__(message)
-
-    def render(self, source: str) -> str:
-        return f"{source}:{self.line}:{self.col}: {self}"
+class ScenarioRuntimeError(InputError):
+    """A statement failed while executing, at the statement's position."""
 
 
 # ---------------------------------------------------------------------------
@@ -208,19 +201,19 @@ class Scenario:
 
 
 class _Parser:
-    """One parse: the register size, the bound record names, and the current
-    line's whitespace-split tokens with the read position in them."""
+    """One parse of ``source``: the register size, the bound record names, and
+    the current line's whitespace-split tokens with the read position in them."""
 
-    __slots__ = ("n_modes", "names", "lineno", "body", "toks", "pos", "end_col", "cols")
+    __slots__ = ("source", "n_modes", "names", "lineno", "body", "toks", "pos", "cols")
 
-    def __init__(self):
-        self.n_modes: int | None = None
+    def __init__(self, source: str, n_modes: int | None = None):
+        self.source, self.n_modes = source, n_modes
         self.names: set[str] = set()
 
-    def start(self, lineno: int, body: str, end_col: int) -> list[str]:
-        """Make ``body`` the current line; an error at its end points at ``end_col``."""
-        self.lineno, self.body, self.toks = lineno, body, body.split()
-        self.pos, self.end_col, self.cols = 0, end_col, None
+    def start(self, lineno: int, raw: str) -> list[str]:
+        """Make ``raw`` without its comment the current line."""
+        self.lineno, self.body = lineno, raw.partition("#")[0]
+        self.toks, self.pos, self.cols = self.body.split(), 0, None
         return self.toks
 
     def col(self, i: int) -> int:
@@ -237,8 +230,8 @@ class _Parser:
 
     def take(self, expected: str) -> str:
         pos = self.pos
-        if pos == len(self.toks):
-            raise ParseError(self.lineno, self.end_col, expected, "")
+        if pos == len(self.toks):  # point just past the last token
+            raise ParseError(self.source, self.lineno, len(self.body.rstrip()) + 1, expected, "")
         self.pos = pos + 1
         return self.toks[pos]
 
@@ -248,7 +241,7 @@ class _Parser:
         characters into it."""
         i = self.pos - back
         found = self.toks[i] if found is None else found
-        raise ParseError(self.lineno, self.col(i) + offset, expected, found)
+        raise ParseError(self.source, self.lineno, self.col(i) + offset, expected, found)
 
     def done(self):
         if self.pos < len(self.toks):
@@ -305,7 +298,7 @@ class _Parser:
             mode = int(quad[1:])
         except ValueError:
             self.fail("mode index", offset=at + 1, found=quad[1:])
-        if self.n_modes is not None and not 1 <= mode <= self.n_modes:
+        if not 1 <= mode <= self.n_modes:
             self.fail(f"mode index in 1..{self.n_modes}", offset=at + 1, found=str(mode))
         if sign < 0:
             coeff = -coeff
@@ -313,8 +306,7 @@ class _Parser:
         return ComboTerm(coeff, mode, quad[0], literal)
 
     def combo(self, stop_word: str | None = None) -> tuple[ComboTerm, ...]:
-        """Terms up to ``stop_word`` or the end of the line; modes must lie in
-        1..``n_modes`` unless it is None."""
+        """Terms up to ``stop_word`` or the end of the line, modes in 1..``n_modes``."""
         terms = [self.term(1.0)]
         while self.pos < len(self.toks) and self.toks[self.pos] != stop_word:
             sep = self.take("'+' or '-'")
@@ -431,20 +423,20 @@ _STATEMENTS = {
 }
 
 
-def parse_combo(text: str) -> tuple[ComboTerm, ...]:
+def parse_combo(text: str, n_modes: int) -> tuple[ComboTerm, ...]:
     """Parse a standalone combination with the statement-level syntax.
 
-    ``1*y1 - 1*x3`` and friends; positions in raised errors use line 1.
-    Mode indices are not range-checked here (no register to check against).
+    ``1*y1 - 1*x3`` and friends; errors are positioned ``<combo>:1:col``.
+    Mode indices must lie in 1..``n_modes``.
     """
-    p = _Parser()
-    p.start(1, text.partition("#")[0], len(text) + 1)
+    p = _Parser("<combo>", n_modes)
+    p.start(1, text)
     terms = p.combo()
     p.done()
     return terms
 
 
-def parse(text: str) -> Scenario:
+def parse(text: str, source: str = "<scenario>") -> Scenario:
     """Parse a script; raises :class:`ParseError` at the first problem.
 
     Also enforces the static invariants: exactly one ``register`` statement
@@ -452,9 +444,9 @@ def parse(text: str) -> Scenario:
     before use and never rebound.
     """
     statements: list[Statement] = []
-    p = _Parser()
+    p = _Parser(source)
     for lineno, raw in enumerate(split_lines(text), start=1):
-        toks = p.start(lineno, raw.partition("#")[0], len(raw.rstrip()) + 1)
+        toks = p.start(lineno, raw)
         if not toks:
             continue
         head, p.pos = toks[0], 1
@@ -467,7 +459,7 @@ def parse(text: str) -> Scenario:
         statements.append(cls(*fields, line=lineno, col=raw.find(head) + 1))
 
     if p.n_modes is None:
-        raise ParseError(1, 1, "'register' statement", "")
+        raise ParseError(source, 1, 1, "'register' statement", "")
     return Scenario(tuple(statements))
 
 
@@ -483,6 +475,7 @@ class RunReport:
     r: float | None
     seed: int | None
     statements: int
+    register: ledger.Register
     events: list[str] = field(default_factory=list)
     failures: list[tuple[int, str]] = field(default_factory=list)
     csv_rows: list[tuple[str, float, float]] = field(default_factory=list)
@@ -534,32 +527,20 @@ def execute(
     move means, and every reported variance is recomputed from the gate tape
     and checked against the ledger's closed form.  Prints at one tape point
     with the same r list share one stacked replay; each ``assert nullifier``
-    replays its tape once.
+    replays its tape once.  The report's ``register`` is the finished ledger
+    state, for evaluating further combinations (the command-line sweep does).
     """
-    return _run(scn, engine, r, seed, source).report
-
-
-def ledger_register(scn: Scenario) -> ledger.Register:
-    """Execute on the exact engine and return the finished register.
-
-    For callers that want to evaluate further combinations against the state
-    a script builds (the command-line sweep does this).
-    """
-    return _run(scn, LEDGER, None, None, "<scenario>").reg
-
-
-def _run(scn, engine, r, seed, source) -> "_Execution":
     if engine not in (LEDGER, COVARIANCE):
-        raise ScenarioRuntimeError(1, 1, f"unknown engine {engine!r}")
+        raise ScenarioRuntimeError(source, 1, 1, f"unknown engine {engine!r}")
     if engine == COVARIANCE and r is None:
-        raise ScenarioRuntimeError(1, 1, "covariance engine requires numeric r")
+        raise ScenarioRuntimeError(source, 1, 1, "covariance engine requires numeric r")
     exe = _Execution(scn, engine, r, seed, source)
     for stmt in scn.statements:
         try:
             exe.apply(stmt)
         except CvClusterError as err:
-            raise ScenarioRuntimeError(stmt.line, stmt.col, str(err)) from err
-    return exe
+            raise ScenarioRuntimeError(source, stmt.line, stmt.col, str(err)) from err
+    return exe.report
 
 
 class _Execution:
@@ -568,7 +549,7 @@ class _Execution:
         self.r = r
         self.reg = ledger.Register(scn.n)
         self.names: dict[str, ledger.MeasurementRecord] = {}
-        self.report = RunReport(source, engine, r, seed, len(scn.statements))
+        self.report = RunReport(source, engine, r, seed, len(scn.statements), self.reg)
         self.state = None
         self.outcomes: dict[str, float] = {}
         self.printed: dict[tuple, list] = {}  # the last print's states by (len(history), rs)
@@ -680,7 +661,7 @@ class _Execution:
 
 def load(path) -> Scenario:
     """Read and parse a ``.cvq`` file (UTF-8, a leading byte order mark dropped)."""
-    return parse(read_text(path))
+    return parse(read_text(path), str(path))
 
 
 def run_file(path, engine: str = LEDGER, r: float | None = None, seed: int | None = None) -> RunReport:

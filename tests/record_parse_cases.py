@@ -10,7 +10,8 @@ single-token mutations of valid lines for every statement keyword: a
 missing, extra or swapped token, a token or part of a token replaced by an
 edge value, and other whitespace between tokens.  Each case records every
 statement's ``repr`` (which carries its ``line`` and ``col``) or the
-``ParseError`` rendered against the source name ``case``.
+``ParseError`` raised for the source name ``case`` (a combination's is
+``<combo>``, and its modes are checked against ``COMBO_MODES``).
 ``tests/test_parse_cases.py`` checks the parser against the file byte for
 byte; record again only when a change is meant to alter what the parser
 returns or reports.
@@ -48,6 +49,7 @@ BASES = {
     "print": ["print variance 1*y1 - 1*x2 at r=0,1", "print variance 0.5*x3 at r=0.5"],
 }
 COMBOS = ["1*y1 - 1*x3", "sqrt2*x1 + 0.5*y2", "-sqrt2*x10"]
+COMBO_MODES = 10  # the mode count every combination is checked against
 
 # Edge values for a whole token or a part of one ('٣' is ARABIC-INDIC DIGIT THREE).
 VALUES = ["0", "-1", str(N + 1), "1.5", "nan", "1e400", "sqrt2", "-sqrt2",
@@ -137,10 +139,10 @@ def cases():
 def record_case(text: str, whole) -> list[str]:
     try:
         if whole is None:
-            return [repr(term) for term in parse_combo(text)]
-        statements = parse(text).statements
+            return [repr(term) for term in parse_combo(text, COMBO_MODES)]
+        statements = parse(text, "case").statements
     except ParseError as err:
-        return [f"error: {err.render('case')}"]
+        return [f"error: {err}"]
     last = text.rstrip("\n").count("\n") + 1
     return [repr(s) for s in statements if whole or s.line == last]
 

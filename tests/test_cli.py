@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from cvcluster import cli, ledger
+from cvcluster.errors import InternalConsistencyError
 from cvcluster.gates import MAX_MODES
 
 SCRIPT_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -394,6 +395,74 @@ def test_sweep_from_script_state(capsys):
 def test_sweep_invalid_combo_exits_two(capsys):
     assert cli.main(["sweep", "--state", "chain:2", "--combo", "1*z9", "--r", "1"]) == 2
     assert cli.main(["sweep", "--state", "chain:2", "--combo", "1*x7", "--r", "1"]) == 2
+
+
+@pytest.mark.parametrize("source", [["--state", "chain:3"], ["--script", script("epr_n2.cvq")]],
+                         ids=["state", "script"])
+def test_sweep_combo_parse_error_is_positioned_in_the_combo(capsys, source):
+    """A bad ``--combo`` is blamed on ``<combo>``, not on the script's line 1 (a comment)."""
+    assert cli.main(["sweep", *source, "--combo", "1*q1", "--r", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "<combo>:1:3: expected basis, found 'q1'\n"
+
+
+@pytest.mark.parametrize("source, n", [(["--state", "chain:3"], 3),
+                                       (["--script", script("epr_n2.cvq")], 2)],
+                         ids=["state", "script"])
+def test_sweep_combo_mode_outside_the_state_is_a_parse_error(capsys, source, n):
+    assert cli.main(["sweep", *source, "--combo", "1*y1 - 1*x9", "--r", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"<combo>:1:11: expected mode index in 1..{n}, found '9'\n"
+    assert cli.main(["sweep", *source, "--combo", "1*x9", "--r", "1"]) == 2
+    assert capsys.readouterr().err == f"<combo>:1:4: expected mode index in 1..{n}, found '9'\n"
+
+
+def test_sweep_script_runtime_error_is_positioned_as_in_run(tmp_path, capsys):
+    bad = tmp_path / "bad.cvq"
+    bad.write_text("register 2\nsqueeze 1 momentum\nbs 1 2 t=1.5\n")
+    message = f"{bad}:3:1: transmittance must lie in [0, 1], got 1.5\n"
+    assert cli.main(["run", str(bad)]) == 2
+    assert capsys.readouterr().err == message
+    assert cli.main(["sweep", "--script", str(bad), "--combo", "1*x1", "--r", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
+def test_an_end_of_line_error_points_just_past_the_last_token(tmp_path, capsys):
+    """Neither a trailing comment nor trailing whitespace moves the column."""
+    p = tmp_path / "short.cvq"
+    p.write_text("register 2\nsqueeze 1   # pick a direction\n")
+    assert cli.main(["run", str(p)]) == 2
+    assert capsys.readouterr().err == f"{p}:2:10: expected 'momentum' or 'position'\n"
+    assert cli.main(["sweep", "--state", "chain:3", "--combo", "1*x1 +   ", "--r", "1"]) == 2
+    assert capsys.readouterr().err == "<combo>:1:7: expected combo term\n"
+
+
+def test_sweep_unwritable_output_exits_two(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "table.csv"
+    argv = ["sweep", "--state", "chain:2", "--combo", "1*x1", "--r", "1", "-o", str(out_path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(out_path) in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["claims"], (cli.claims_suite, "run_claims")),
+    (["sweep", "--state", "chain:2", "--combo", "1*x1", "--r", "1"], (ledger.Register, "combine")),
+], ids=["claims", "sweep"])
+def test_a_broken_engine_invariant_is_not_a_usage_error(monkeypatch, capsys, argv, target):
+    """Exit 2 means usage, I/O or input; a program defect keeps its traceback."""
+    def broken(*args, **kwargs):
+        raise InternalConsistencyError("unbalanced commutator terms")
+
+    monkeypatch.setattr(*target, broken)
+    with pytest.raises(InternalConsistencyError, match="unbalanced"):
+        cli.main(argv)
+    assert capsys.readouterr().err == ""
 
 
 def test_sweep_bad_state_spec_exits_two(capsys):

@@ -4,11 +4,13 @@ Every case runs ``cli.main`` in process from the repository root and compares
 its exit code and stdout with ``tests/golden/<case>.txt``.  The files pin the
 scenario corpus on both engines, the built-in sweep states and the graph
 protocols, so refactors that must not change behaviour are checked against
-exact bytes rather than against a tolerance.  Each ``demos/<name>.py`` is
-pinned the same way: its ``main()`` runs in process and its stdout is
-compared with ``tests/golden/demo_<name>.txt``.  The claims report is pinned
-in ``tests/golden/claims.txt`` with its two wall-clock fields replaced by
-``<t>``.
+exact bytes rather than against a tolerance.  The ``*_error`` cases pin
+the one-line diagnostic of a rejected input under ``tests/golden/bad``: a
+case whose stderr is not empty has it appended after its stdout.  Each
+``demos/<name>.py`` is pinned the same way: its ``main()`` runs in process
+and its stdout is compared with ``tests/golden/demo_<name>.txt``.  The
+claims report is pinned in ``tests/golden/claims.txt`` with its two
+wall-clock fields replaced by ``<t>``.
 
 After a change that is meant to alter what the command line prints, record
 the files again from the repository root with::
@@ -30,6 +32,7 @@ from cvcluster import cli
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 EDGES = "tests/golden/edges"
+BAD = "tests/golden/bad"
 DEMOS = sorted(p.stem for p in (ROOT / "demos").glob("*.py"))
 SCENARIOS = ("bs_chain_n4", "chain_rows_n4", "epr_n2", "persistency_n4", "teleport_step_n3")
 R_LIST = "0,0.5,1,2"
@@ -92,15 +95,26 @@ CASES.update({
     "graph_ringstar_measured": ["graph", f"{EDGES}/ringstar3.txt", "--protocol",
                                 "ring-star-ghz", "--measured", "2,4"],
     "graph_ringstar_even": ["graph", f"{EDGES}/ringstar4.txt", "--protocol", "ring-star-ghz"],
+    # Rejected inputs: exit 2 and one positioned line on stderr.
+    "run_parse_error": ["run", f"{BAD}/parse_error.cvq"],
+    "run_runtime_error": ["run", f"{BAD}/runtime_error.cvq"],
+    "run_encoding_error": ["run", f"{BAD}/not_utf8.cvq"],
+    "graph_edge_error": ["graph", f"{BAD}/loop_edge.txt", "--protocol", "disentangle"],
+    "claims_unknown_id_error": ["claims", "--only", "nope"],
+    "sweep_combo_error": ["sweep", "--state", "chain:3", "--combo", "1*q1", "--r", "1"],
 })
 
 
 def run_case(argv) -> str:
-    """Exit code line plus stdout of one in-process command-line call."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    """Exit code line plus stdout of one in-process command-line call, then
+    its stderr under a ``stderr:`` line when there is any."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
-    return f"exit: {code}\n{out.getvalue()}"
+    report = f"exit: {code}\n{out.getvalue()}"
+    if err.getvalue():
+        report += f"stderr:\n{err.getvalue()}"
+    return report
 
 
 def run_claims_report() -> str:

@@ -16,7 +16,6 @@ from cvcluster.scenario import (
     ParseError,
     ScenarioRuntimeError,
     execute,
-    ledger_register,
     parse,
     parse_combo,
     render_combo,
@@ -85,8 +84,8 @@ def test_rotation_forms_render_faithfully():
 def test_quarter_turn_rad_form_equals_degree_form():
     deg = parse("register 1\nrotate 1 -90\n")
     rad = parse("register 1\nrotate 1 -1.5707963267948966rad\n")
-    reg_a = ledger_register(deg)
-    reg_b = ledger_register(rad)
+    reg_a = execute(deg).register
+    reg_b = execute(rad).register
     for kind in ("x", "y"):
         a = reg_a.quad_expr(1, kind)
         b = reg_b.quad_expr(1, kind)
@@ -94,7 +93,7 @@ def test_quarter_turn_rad_form_equals_degree_form():
 
 
 def test_parse_combo_standalone():
-    terms = parse_combo("1*y1 - 2*x3 + sqrt2*y2")
+    terms = parse_combo("1*y1 - 2*x3 + sqrt2*y2", 3)
     assert [t.mode for t in terms] == [1, 3, 2]
     assert terms[1].coeff == -2.0
     assert render_combo(terms) == "1*y1 - 2*x3 + sqrt2*y2"
@@ -154,7 +153,10 @@ def test_parse_errors_carry_exact_positions(text, line, col, expected):
         parse(text)
     assert (err.value.line, err.value.col) == (line, col)
     assert err.value.expected == expected
-    assert err.value.render("probe.cvq").startswith(f"probe.cvq:{line}:{col}: expected")
+    assert str(err.value).startswith(f"<scenario>:{line}:{col}: expected")
+    with pytest.raises(ParseError) as err:
+        parse(text, "probe.cvq")
+    assert str(err.value).startswith(f"probe.cvq:{line}:{col}: expected")
 
 
 def test_nan_coupling_cannot_pass_as_a_nullifier():
@@ -404,8 +406,8 @@ def test_overflowing_replay_is_a_squeezing_diagnostic():
     with pytest.raises(ScenarioRuntimeError) as err:
         execute(parse(text))
     assert (err.value.line, err.value.col) == (5, 1)
-    assert "Squeeze(mode=1" in str(err.value)
-    assert "squeezing too large" in str(err.value)
+    assert "Squeeze(mode=1" in err.value.reason
+    assert "squeezing too large" in err.value.reason
 
 
 @pytest.mark.parametrize("engine", ["ledger", "covariance"])
@@ -427,7 +429,7 @@ def test_a_failing_print_reports_its_first_failing_row(engine, text, message):
     with pytest.raises(ScenarioRuntimeError) as err:
         execute(parse(text), engine=engine, r=1.0, seed=7)
     assert (err.value.line, err.value.col) == (text.count("\n"), 1)
-    assert str(err.value) == message
+    assert err.value.reason == message
 
 
 @pytest.mark.parametrize("engine, line", [("ledger", 5), ("covariance", 4)])
@@ -439,8 +441,8 @@ def test_an_overflowing_coupling_is_blamed_on_the_coupling(engine, line):
     with pytest.raises(ScenarioRuntimeError) as err:
         execute(parse(text), engine=engine, r=1.0, seed=7)
     assert (err.value.line, err.value.col) == (line, 1)
-    assert str(err.value) == ("Kerr(l=1, k=2, g=1e+200) at r=1.0 leaves float range; "
-                              "coupling too large")
+    assert err.value.reason == ("Kerr(l=1, k=2, g=1e+200) at r=1.0 leaves float range; "
+                                "coupling too large")
 
 
 def test_a_print_replays_its_tape_once_for_all_rows(monkeypatch):
@@ -539,8 +541,8 @@ def test_a_failing_print_keeps_nothing_and_reports_as_before(monkeypatch):
         execute(parse(TAPE + bad))
     with pytest.raises(ScenarioRuntimeError) as err:
         execute(parse(TAPE + bad + PRINT_A))
-    assert (err.value.line, err.value.col, str(err.value)) == (
-        alone.value.line, alone.value.col, str(alone.value))
+    assert (err.value.line, err.value.col, err.value.reason) == (
+        alone.value.line, alone.value.col, alone.value.reason)
     # The failing print drops the states it found and keeps none of its own,
     # so the next print at this tape point replays afresh.
     calls = count_replays(monkeypatch)
@@ -548,7 +550,7 @@ def test_a_failing_print_keeps_nothing_and_reports_as_before(monkeypatch):
     exe = scenario._Execution(scn, "ledger", None, None, "<scenario>")
     for stmt in scn.statements[:-2]:
         exe.apply(stmt)
-    with pytest.raises(DomainError, match=re.escape(str(alone.value))):
+    with pytest.raises(DomainError, match=re.escape(alone.value.reason)):
         exe.apply(scn.statements[-2])
     assert exe.printed == {}
     exe.apply(scn.statements[-1])
@@ -580,7 +582,7 @@ def test_an_engine_disagreement_names_r_both_sides_and_the_allowance():
     )
     with pytest.raises(ScenarioRuntimeError) as err:
         execute(parse(text), engine="covariance", r=1.0, seed=7)
-    reg = ledger_register(parse(text))
+    reg = execute(parse(text)).register
     parts = [(1.0, 2, Y), (-100000.0, 1, X)]
     state = covariance.apply_tape(covariance.vacuum_state(2), reg.history, 1.0)
     combo = reg.frame_combo(parts)
@@ -589,7 +591,7 @@ def test_an_engine_disagreement_names_r_both_sides_and_the_allowance():
     allowance = covariance.bridge_allowance(state, combo)
     assert abs(numeric - symbolic) > allowance
     assert (err.value.line, err.value.col) == (7, 1)
-    assert str(err.value) == (
+    assert err.value.reason == (
         f"engines disagree on a variance at r=1.0: covariance {numeric!r}, "
         f"ledger {symbolic!r}, allowance {allowance!r}"
     )
@@ -616,8 +618,8 @@ def test_fanned_in_records_resolve_once_each():
     assert [row[:2] for row in report.csv_rows] == [("1*y40", 0.0), ("1*y40", 0.5)]
 
 
-def test_ledger_register_exposes_final_state():
-    reg = ledger_register(parse(BASIC))
+def test_execute_report_exposes_final_register():
+    reg = execute(parse(BASIC)).register
     assert reg.n == 2
     assert reg.active_modes() == [1, 2]
 
