@@ -7,8 +7,11 @@ States are Gaussian, stored as a mean vector and covariance matrix in
 copies its input once and replays a gate tape on the copy at one squeezing r;
 :func:`replay` runs a tape from vacuum at several r at once (print rows, the
 closing claims), applying each gate once to a stack of zero-mean states.
-Squeezes and g = 1 couplings, the paper's gates, skip the block product: each
-entry they touch is one product or a two-term sum, rounded once, so bits hold.
+Squeezes and g = 1 couplings, the paper's gates, skip the block product: they
+update row and column views in place, each written once (no gather, scatter or
+write-back), and each entry is one product or a two-term sum, rounded once, so
+bits hold.  :func:`apply_gate` enters ``np.errstate`` per call, so an overflow
+names its gate and a tape stays one call per gate, as call counts expect.
 
 This engine is deliberately independent of :mod:`cvcluster.ledger`: the two
 are cross-checked against each other by the test- and claims-suites, so the
@@ -91,21 +94,28 @@ def apply_gate(state: GaussianState, gate: gates.Gate, r: float | None = None) -
 def _step(gate: gates.Gate, block, idx, mean, cov) -> None:
     """Apply a placed gate in place, rows before columns, to one state or (``mean``
     None) a stack of zero-mean covariances: a Squeeze scales by its block's
-    diagonal and a Kerr with g == 1 adds X_k to Y_l and X_l to Y_k, so each
-    entry is one product or a sum of two terms weighted 1, rounded once in any
-    order or FMA policy: the bits of the block product every other gate takes."""
-    cols = cov.T  # quadrature axis first, a stack's axis last
-    sides = [cols.swapaxes(0, 1), cols] + ([] if mean is None else [mean])
+    diagonal and a Kerr with g == 1 adds X_k to Y_l and X_l to Y_k, each on a
+    row or column view written once (``v *= a``, not ``side[q] *= a``, which
+    copies the row back onto itself), so each entry is one product or a sum of
+    two terms weighted 1, rounded once in any order or FMA policy: the bits of
+    the block product every other gate takes."""
+    rows, cols = cov.T.swapaxes(0, 1), cov.T  # quadrature axis first, a stack's axis last
     if isinstance(gate, gates.Squeeze):
-        q, (a, b) = idx.start, block.diagonal(0, -2, -1).T  # one factor per state
-        for side in sides:
-            side[q] *= a
-            side[q + 1] *= b
+        q, a, b = idx.start, block[..., 0, 0], block[..., 1, 1]  # one factor per state
+        for side in (rows, cols):
+            v, w = side[q], side[q + 1]
+            v *= a
+            w *= b
+        if mean is not None:  # mean[q] is a copied scalar, not a view
+            mean[q], mean[q + 1] = mean[q] * a, mean[q + 1] * b
     elif isinstance(gate, gates.Kerr) and gate.g == 1.0:
-        xl, yl, xk, yk = idx.tolist()
-        for side in sides:
-            side[yl] += side[xk]
-            side[yk] += side[xl]
+        xl, xk = 2 * gate.l - 2, 2 * gate.k - 2  # Y of a mode is its X index + 1
+        for side in (rows, cols):
+            v, w = side[xl + 1], side[xk + 1]
+            v += side[xk]
+            w += side[xl]
+        if mean is not None:
+            mean[xl + 1], mean[xk + 1] = mean[xl + 1] + mean[xk], mean[xk + 1] + mean[xl]
     else:
         cov[..., idx, :] = block @ cov[..., idx, :]
         cov[..., idx] = cov[..., idx] @ block.swapaxes(-1, -2)

@@ -4,7 +4,7 @@ Each test re-derives its property from the library at the stated tolerance
 and emits ``criterion NN: PASS/FAIL`` on the real stdout (capture is
 suspended for that one line, so the readout survives ``pytest -v`` runs
 and piped logs).  Criteria 9, 11 and 12 concern the claims suite itself,
-which a module fixture runs once.
+which the session fixture ``claims_outcome`` runs once.
 """
 
 import math
@@ -43,8 +43,8 @@ def verdict(num, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def suite():
-    return claims.run_claims()
+def suite(claims_outcome):
+    return claims_outcome
 
 
 def claim(suite, cid):

@@ -162,13 +162,15 @@ def random_gate(rng, n):
     return Beamsplit(l, k, float(rng.uniform(0.0, 1.0)))
 
 
+def assert_bits_equal(got, want):
+    """Equal values and equal sign bits (``-0.0`` is not ``0.0``) in every entry."""
+    for a, b in ((got.mean, want.mean), (got.cov, want.cov)):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def assert_same_bits(start, tape, r):
-    got = apply_tape(start, tape, r)
-    want = per_gate_rule(start, tape, r)
-    assert np.array_equal(got.mean, want.mean)
-    assert np.array_equal(got.cov, want.cov)
-    assert np.array_equal(np.signbit(got.mean), np.signbit(want.mean))
-    assert np.array_equal(np.signbit(got.cov), np.signbit(want.cov))
+    assert_bits_equal(apply_tape(start, tape, r), per_gate_rule(start, tape, r))
 
 
 def test_apply_tape_keeps_the_bits_of_the_per_gate_rule():
@@ -182,6 +184,49 @@ def test_apply_tape_keeps_the_bits_of_the_per_gate_rule():
     tape = protocols.build_graph_state(graphs.grid(10, 12)).history
     for r in (0.0, 0.25, 1.0, 2.0):
         assert_same_bits(vacuum_state(120), tape, r)
+
+
+def test_layout_of_the_covariance_keeps_the_bits():
+    """A Fortran-ordered covariance and a transposed view, through apply_tape
+    and through apply_gate on the very arrays of the state."""
+    rng = np.random.default_rng(17)
+    n = 7
+    tape = [random_gate(rng, n) for _ in range(80)]
+    m = rng.normal(size=(2 * n, 2 * n))
+    for cov in (np.asfortranarray(m @ m.T + 0.5 * np.eye(2 * n)), (m @ m.T).T):
+        start = GaussianState(n, rng.normal(size=2 * n), cov)
+        assert not cov.flags.c_contiguous
+        want = per_gate_rule(start, tape, 0.7)
+        assert_same_bits(start, tape, 0.7)
+        for gate in tape:
+            apply_gate(start, gate, 0.7)
+        assert start.cov is cov
+        assert_bits_equal(start, want)
+
+
+def test_replay_of_one_r_is_the_per_gate_rule():
+    """A stack of one state: every factor and view has a length-1 last axis."""
+    rng = np.random.default_rng(19)
+    n = 6
+    tape = [Squeeze(1, MOMENTUM_SQUEEZED), Kerr(1, 2, 1.0), Kerr(3, 2, 1.0), Rotate(2, 0.4),
+            Rotate(4, math.pi / 2), Beamsplit(5, 3, 0.3), Kerr(6, 4, -0.7),
+            Squeeze(4, POSITION_SQUEEZED)] + [random_gate(rng, n) for _ in range(40)]
+    assert {type(g) for g in tape} == {Squeeze, Kerr, Rotate, Beamsplit}
+    (got,) = replay(n, tape, [0.9])
+    assert_bits_equal(got, per_gate_rule(vacuum_state(n), tape, 0.9))
+
+
+def test_squeezes_and_unit_couplings_move_a_nonzero_mean():
+    """``mean[q]`` of a 1-D mean is a copied scalar, not a view: an update
+    made on it in place would be lost, leaving the mean where it started."""
+    rng = np.random.default_rng(23)
+    n = 5
+    tape = [Squeeze(m, MOMENTUM_SQUEEZED if m % 2 else POSITION_SQUEEZED) for m in range(1, n + 1)]
+    tape += [Kerr(l, k, 1.0) for l, k in ((1, 2), (2, 3), (5, 3), (4, 1))]
+    start = GaussianState(n, rng.normal(size=2 * n), 0.5 * np.eye(2 * n))
+    got = apply_tape(start, tape, 0.8)
+    assert_bits_equal(got, per_gate_rule(start, tape, 0.8))
+    assert (got.mean != start.mean).all()
 
 
 def test_blocks_are_their_closed_forms_bit_for_bit():

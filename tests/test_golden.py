@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from cvcluster import cli
+from cvcluster import claims, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -149,7 +149,13 @@ def test_demo_output_matches_golden(name):
     assert run_demo(name) == expected
 
 
-def test_claims_report_matches_golden():
+def test_claims_report_matches_golden(claims_outcome, monkeypatch):
+    """Through ``cli.main(["claims"])``, printing the session's one suite run."""
+    def shared_run(only=None):
+        assert only is None
+        return claims_outcome
+
+    monkeypatch.setattr(claims, "run_claims", shared_run)
     expected = (GOLDEN / "claims.txt").read_text(encoding="utf-8")
     assert run_claims_report() == expected
 
