@@ -5,8 +5,10 @@ Heisenberg-picture rows, and shows which combinations decay as e^{-r}
 (and how fast, numerically) versus which blow up.
 """
 
+import math
+
 from cvcluster import graphs, ledger, protocols
-from cvcluster.gates import X, Y
+from cvcluster.gates import X, Y, Rotate
 
 
 def show_rows(n):
@@ -32,8 +34,8 @@ def main():
 
     print("\nQuarter turns on modes 2 and 4 turn those into plain sums/differences:")
     reg = protocols.build_graph_state(graphs.chain(4))
-    reg.paper_minus_90(2)
-    reg.paper_minus_90(4)
+    reg.apply(Rotate(2, -math.pi / 2))
+    reg.apply(Rotate(4, -math.pi / 2))
     combos = [
         ("X1+X2+X3", [(1, 1, X), (1, 2, X), (1, 3, X)]),
         ("X3+X4", [(1, 3, X), (1, 4, X)]),

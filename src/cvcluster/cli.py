@@ -150,16 +150,11 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_weight(value: float) -> str:
-    # report display only: trims solver float noise, never fed back in
-    text = f"{value:.10g}"
-    return text[:-2] if text.endswith(".0") else text
-
-
 def _combo_text(parts) -> str:
     bits = []
     for i, (coeff, mode, kind) in enumerate(parts):
-        term = f"{_fmt_weight(abs(float(coeff)))}*{kind}{mode}"
+        # display only, never fed back in: 10 digits hide solver float noise
+        term = f"{abs(float(coeff)):.10g}*{kind}{mode}"
         if i == 0:
             bits.append(term if coeff >= 0 else f"-{term}")
         else:

@@ -259,30 +259,27 @@ def combo_weights(combo) -> tuple[np.ndarray, tuple]:
     return np.array([weights[i] for i in idx]), np.ix_(idx, idx)
 
 
-def variance_of(state: GaussianState, combo, weights=None) -> float:
-    """Variance of a weighted quadrature combination.
+def variance_of(state: GaussianState, weights) -> float:
+    """Variance of the combination whose ``combo_weights`` are ``weights``.
 
-    ``combo`` is an iterable of ``(coeff, mode, kind)``.  Repeated
-    quadratures are accumulated before evaluation.  ``weights``, if given,
-    is ``combo_weights(combo)``.  A sum past float range is ``inf`` or NaN,
-    without a numpy warning; callers report it.
+    A sum past float range is ``inf`` or NaN, without a numpy warning;
+    callers report it.
     """
-    w, ix = combo_weights(combo) if weights is None else weights
+    w, ix = weights
     with np.errstate(over="ignore", invalid="ignore"):
         return float(w @ state.cov[ix] @ w)
 
 
-def bridge_allowance(state: GaussianState, combo, weights=None) -> float:
+def bridge_allowance(state: GaussianState, weights) -> float:
     """``BRIDGE_TOL * max(1, sum |w_i| |V_ij| |w_j|)``, the gap :func:`bridge_agrees` allows."""
-    w, ix = combo_weights(combo) if weights is None else weights
+    w, ix = weights
     with np.errstate(over="ignore"):
         return BRIDGE_TOL * max(1.0, float(np.abs(w) @ np.abs(state.cov[ix]) @ np.abs(w)))
 
 
-def bridge_agrees(state: GaussianState, combo, numeric: float, symbolic: float,
-                  weights=None) -> bool:
-    """The one bridge rule: do ``variance_of(state, combo)`` and the ledger's
-    closed form agree?
+def bridge_agrees(state: GaussianState, weights, numeric: float, symbolic: float) -> bool:
+    """The one bridge rule: do ``variance_of(state, weights)`` and the ledger's
+    closed form agree?  ``weights`` is ``combo_weights(combo)``.
 
     The numeric side sums the terms ``w_i V_ij w_j``, so its rounding grows
     with their size, not with the variance: at large squeezing the terms reach
@@ -291,7 +288,7 @@ def bridge_agrees(state: GaussianState, combo, numeric: float, symbolic: float,
     A NaN on either side fails.
     """
     gap = abs(numeric - symbolic)
-    return gap <= BRIDGE_TOL or gap <= bridge_allowance(state, combo, weights)
+    return gap <= BRIDGE_TOL or gap <= bridge_allowance(state, weights)
 
 
 def is_mode_product(state: GaussianState) -> bool:

@@ -172,7 +172,7 @@ class Register:
     # -- gates ------------------------------------------------------------
 
     def apply(self, gate: gates.Gate) -> "Register":
-        """Rewrite rows and books for one gate and append it to ``history``.
+        """The one gate entry: rewrite rows and books, append ``gate`` to ``history``.
 
         ``Squeeze`` scales one mode by e^{+-r} (momentum: X*e^{+r}, Y*e^{-r});
         ``Kerr`` adds g X of each partner to the other's Y; ``Rotate`` and
@@ -206,10 +206,6 @@ class Register:
             raise TypeError(f"not a gate: {gate!r}")
         self.history.append(gate)
         return self
-
-    def paper_minus_90(self, mode: int) -> "Register":
-        """The -90 degree local turn used in all correlation sets: (X,Y) -> (-Y, X)."""
-        return self.apply(gates.Rotate(mode, -math.pi / 2.0))
 
     # -- measurement and feed-forward -------------------------------------
 

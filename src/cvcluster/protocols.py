@@ -604,34 +604,27 @@ def _cycle_without(graph: graphs.Graph, hub: int) -> list[int] | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightedNullifier:
-    combo: tuple  # ((coeff, mode, kind), ...)
-    expr: dict  # (mode, kind, exponent) -> coeff
-
-
-def nullifier_basis(reg: ledger.Register) -> list[WeightedNullifier]:
-    """Basis of all weighted quadrature combinations that are nullifiers.
-
-    Solves for the left null space of the active rows restricted to
-    non-negative squeezing exponents; for a fully squeezed pure register
-    the basis has one element per active mode.
-    """
-    layout = [(m, kind) for m in reg.active_modes() for kind in (X, Y)]
-    exprs = [reg.quad_expr(m, kind) for m, kind in layout]
+def _null_space(exprs) -> np.ndarray:
+    """Rows spanning the weights ``w`` whose ``sum_j w_j exprs[j]`` has no growing
+    (exponent >= 0) content, with the rank counted above ``SOLVER_TOL``."""
     u, s, _ = np.linalg.svd(_growing_part(exprs).T, full_matrices=True)
     rank = int(np.sum(s > SOLVER_TOL))
+    return u[:, rank:].T
+
+
+def nullifier_basis(reg: ledger.Register) -> list[tuple]:
+    """Basis of all weighted quadrature combinations that are nullifiers.
+
+    One ``((coeff, mode, kind), ...)`` combo per :func:`_null_space` row of the
+    active quadratures, scaled by its largest-magnitude weight, without weights
+    at or below ``SOLVER_TOL``: one per active mode of a fully squeezed pure state.
+    """
+    layout = [(m, kind) for m in reg.active_modes() for kind in (X, Y)]
     out = []
-    for col in range(rank, len(exprs)):
-        weights = u[:, col]
-        scale = weights[np.argmax(np.abs(weights))]
-        weights = weights / scale
-        combo = tuple(
-            (float(w), m, kind)
-            for w, (m, kind) in zip(weights, layout)
-            if abs(w) > SOLVER_TOL
-        )
-        out.append(WeightedNullifier(combo, reg.combine(combo)))
+    for weights in _null_space([reg.quad_expr(m, kind) for m, kind in layout]):
+        weights = weights / weights[np.argmax(np.abs(weights))]
+        out.append(tuple((float(w), m, kind) for w, (m, kind) in zip(weights, layout)
+                         if abs(w) > SOLVER_TOL))
     return out
 
 
@@ -750,19 +743,17 @@ def ghz_admits_conjugate_pair(m: int, d: int) -> bool:
 def pair_epr_projection(reg: ledger.Register, pair) -> bool:
     """Is the pair-supported nullifier span an entangling (EPR-type) plane?
 
-    Collects every combination of the pair's quadratures and all classical
-    records with no surviving e^{k>=0} content, projects onto the pair's
-    four weight coordinates, and checks the resulting plane: it must be
-    two-dimensional and must not contain a vector supported on one mode
-    alone (such a plane splits into two single-mode squeezing conditions
-    and certifies nothing about entanglement).
+    Spans (:func:`_null_space`) every combination of the pair's quadratures
+    and all classical records with no surviving e^{k>=0} content, projects
+    onto the pair's four weight coordinates, and checks the plane by rank
+    alone: it must be two-dimensional and must not contain a vector
+    supported on one mode alone (such a plane splits into two single-mode
+    squeezing conditions and certifies nothing about entanglement).
     """
     i, j = pair
     gens = [reg.quad_expr(m, kind) for m in (i, j) for kind in (X, Y)]
     gens += [r.observable for r in reg.records]
-    _, s, vh = np.linalg.svd(_growing_part(gens), full_matrices=True)
-    rank = int(np.sum(s > SOLVER_TOL))
-    null_basis = vh[rank:, :]
+    null_basis = _null_space(gens)
     if null_basis.size == 0:
         return False
     proj = null_basis[:, :4]  # weights on (X_i, Y_i, X_j, Y_j)

@@ -548,10 +548,9 @@ class _Execution:
         self.engine = engine
         self.r = r
         self.reg = ledger.Register(scn.n)
-        self.names: dict[str, ledger.MeasurementRecord] = {}
+        self.records: dict[str, tuple] = {}  # name -> (record, outcome or None)
         self.report = RunReport(source, engine, r, seed, len(scn.statements), self.reg)
         self.state = None
-        self.outcomes: dict[str, float] = {}
         self.printed: dict[tuple, list] = {}  # the last print's states by (len(history), rs)
         if engine == COVARIANCE:
             self.state = covariance.vacuum_state(scn.n)
@@ -562,19 +561,18 @@ class _Execution:
     def _replay_variances(self, parts, expr, rs, states=None) -> list[float]:
         """Variances of a (possibly displaced) combo, ledger expression ``expr``, at each
         r, two independent ways; the tape is replayed unless ``states`` are its replays."""
-        combo = self.reg.frame_combo(parts)
-        weights = covariance.combo_weights(combo)
+        weights = covariance.combo_weights(self.reg.frame_combo(parts))
         if states is None:
             vacuum = covariance.vacuum_state(self.reg.n)
             states = (covariance.apply_tape(vacuum, self.reg.history, r) for r in rs)
         values = []
         for r, state in zip(rs, states):
-            numeric = covariance.variance_of(state, combo, weights)
+            numeric = covariance.variance_of(state, weights)
             symbolic = ledger.variance_formula(expr, r)
-            if not covariance.bridge_agrees(state, combo, numeric, symbolic, weights):
+            if not covariance.bridge_agrees(state, weights, numeric, symbolic):
                 raise InternalConsistencyError(
                     f"engines disagree on a variance at r={r!r}: covariance {numeric!r}, "
-                    f"ledger {symbolic!r}, allowance {covariance.bridge_allowance(state, combo, weights)!r}"
+                    f"ledger {symbolic!r}, allowance {covariance.bridge_allowance(state, weights)!r}"
                 )
             values.append(numeric if self.engine == COVARIANCE else symbolic)
         return values
@@ -594,24 +592,22 @@ class _Execution:
             covariance.apply_gate(self.state, gate, self.r)
 
     def _do_MeasureStmt(self, stmt):
-        rec = self.reg.measure(stmt.mode, stmt.kind)
-        self.names[stmt.name] = rec
-        note = ""
+        rec, outcome, note = self.reg.measure(stmt.mode, stmt.kind), None, ""
         if self.engine == COVARIANCE:
             res = covariance.homodyne(self.state, stmt.mode, stmt.kind, rng=self.rng)
-            self.state = res.state
-            self.outcomes[stmt.name] = res.outcome
-            note = f" = {res.outcome:.12g}"
+            self.state, outcome = res.state, res.outcome
+            note = f" = {outcome:.12g}"
+        self.records[stmt.name] = (rec, outcome)
         self.report.events.append(
             f"line {stmt.line}: measure {stmt.kind} {stmt.mode} -> {stmt.name}{note}"
         )
 
     def _do_DisplaceStmt(self, stmt):
-        rec = self.names[stmt.name]
+        rec, outcome = self.records[stmt.name]
         self.reg.displace_with(stmt.mode, stmt.kind, stmt.coeff, rec)
         if self.engine == COVARIANCE:
             q = covariance.quad_index(stmt.mode, stmt.kind)
-            self.state.mean[q] += stmt.coeff * self.outcomes[stmt.name]
+            self.state.mean[q] += stmt.coeff * outcome
 
     def _do_AssertNullifierStmt(self, stmt):
         parts = combo_parts(stmt.terms)

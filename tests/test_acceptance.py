@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from cvcluster import claims, covariance, graphs, ledger, protocols
-from cvcluster.gates import X, Y
+from cvcluster.gates import Rotate, X, Y
 
 COEFF_TOL = 1e-12
 BRIDGE_TOL = 1e-9
@@ -82,7 +82,7 @@ def test_criterion_02_rotated_correlation_sets():
     for n, (turned, combos) in sets.items():
         reg = protocols.build_graph_state(graphs.chain(n))
         for m in turned:
-            reg.paper_minus_90(m)
+            reg.apply(Rotate(m, -math.pi / 2))
         for parts in combos:
             assert ledger.is_nullifier(reg.combine(parts)), (n, parts)
             checked += 1
@@ -167,8 +167,8 @@ def test_criterion_07_ghz_and_parity():
 def test_criterion_08_weighted_beamsplitter_correlations():
     s2 = math.sqrt(2.0)
     reg = protocols.build_bs_chain(4)
-    reg.paper_minus_90(2)
-    reg.paper_minus_90(4)
+    reg.apply(Rotate(2, -math.pi / 2))
+    reg.apply(Rotate(4, -math.pi / 2))
     worst = 0.0
     for parts in (
         [(s2, 1, X), (1.0, 2, X), (s2, 3, X)],
@@ -182,8 +182,9 @@ def test_criterion_08_weighted_beamsplitter_correlations():
             max((abs(c) for (_, _, k), c in expr.items() if k >= 0), default=0.0),
         )
     for n in range(2, 11):
-        basis = protocols.nullifier_basis(protocols.build_bs_chain(n))
-        assert len(basis) == n and all(ledger.is_nullifier(w.expr) for w in basis), n
+        reg = protocols.build_bs_chain(n)
+        basis = protocols.nullifier_basis(reg)
+        assert len(basis) == n and all(ledger.is_nullifier(reg.combine(c)) for c in basis), n
     verdict(8, worst <= COEFF_TOL,
             f"four sqrt(2)-weighted correlations survive to {worst:.2g}; bases complete N<=10")
 

@@ -97,7 +97,7 @@ def test_kerr_correlates_momenta():
     """After the coupling, each momentum carries the partner's position noise."""
     state = apply_gate(vacuum_state(2), Kerr(1, 2, 1.0))
     assert state.cov[quad_index(1, Y), quad_index(2, X)] == pytest.approx(0.5)
-    assert variance_of(state, [(1.0, 1, Y)]) == pytest.approx(1.0)
+    assert variance_of(state, covariance.combo_weights([(1.0, 1, Y)])) == pytest.approx(1.0)
 
 
 def test_symplectic_transforms_leave_purity():
@@ -425,9 +425,9 @@ def test_variance_past_float_range_is_inf_without_a_warning():
     """Callers turn a non-finite variance into a diagnostic; numpy must not
     print an overflow warning first (pytest makes one an error)."""
     big = GaussianState(2, np.zeros(4), np.full((4, 4), 1e308))
-    combo = [(1.0, 1, X), (1.0, 2, X)]
-    assert variance_of(big, combo) == math.inf
-    assert covariance.bridge_allowance(big, combo) == math.inf
+    weights = covariance.combo_weights([(1.0, 1, X), (1.0, 2, X)])
+    assert variance_of(big, weights) == math.inf
+    assert covariance.bridge_allowance(big, weights) == math.inf
 
 
 def test_replay_stacks_no_more_than_one_matrix_at_the_mode_cap(monkeypatch):
@@ -469,9 +469,10 @@ def test_homodyne_resets_the_measured_mode_to_vacuum():
 def test_homodyne_conditions_the_partner():
     """Measuring X_1 on the coupled pair sharpens the partner's conditional Y."""
     state = epr_state(1.0)
-    prior = variance_of(state, [(1.0, 2, Y)])
+    y2 = covariance.combo_weights([(1.0, 2, Y)])
+    prior = variance_of(state, y2)
     res = homodyne(state, 1, X, outcome=0.0)
-    post = variance_of(res.state, [(1.0, 2, Y)])  # the partner keeps its number
+    post = variance_of(res.state, y2)  # the partner keeps its number
     assert post < prior
     # Y_2 - X_1 is the pure-decay combination; conditioning on X_1 leaves
     # exactly its variance e^{-2r}/2
@@ -659,7 +660,7 @@ def test_bridge_on_random_circuits():
         expr = reg.combine(parts)
         for r in (0.0, 0.4, 1.1):
             state = apply_tape(vacuum_state(n), reg.history, r)
-            assert variance_of(state, parts) == pytest.approx(
+            assert variance_of(state, covariance.combo_weights(parts)) == pytest.approx(
                 ledger.variance_formula(expr, r), abs=1e-9
             )
             assert is_physical(state)
@@ -671,19 +672,17 @@ def test_bridge_on_random_circuits():
 
 
 def test_combo_weights_computed_once_give_the_same_bits():
-    """A combination's weights, shared across states, change no variance and
-    no bridge verdict, including one the size-scaled allowance decides."""
+    """A combination's weights, computed once with repeats accumulated and
+    shared across states, give each state's bridge verdict, including one the
+    size-scaled allowance decides."""
     combo = [(1.0, 2, Y), (-1.0, 1, X), (0.5, 3, X), (0.5, 3, X)]  # x3 repeated
     weights = covariance.combo_weights(combo)
+    assert variance_of(vacuum_state(3), weights) == 1.5  # 0.5 * (1 + 1 + (0.5 + 0.5)**2)
     tape = protocols.build_graph_state(graphs.chain(3)).history
     for r, state in zip((0.0, 1.0, 10.0), replay(3, tape, (0.0, 1.0, 10.0))):
-        numeric = variance_of(state, combo)
-        assert variance_of(state, combo, weights) == numeric
-        verdicts = []
-        for symbolic in (numeric + 1e-3, numeric + 1e3):
-            verdict = covariance.bridge_agrees(state, combo, numeric, symbolic)
-            assert covariance.bridge_agrees(state, combo, numeric, symbolic, weights) == verdict
-            verdicts.append(verdict)
+        numeric = variance_of(state, weights)
+        verdicts = [covariance.bridge_agrees(state, weights, numeric, symbolic)
+                    for symbolic in (numeric + 1e-3, numeric + 1e3)]
         assert verdicts == ([True, False] if r == 10.0 else [False, False])
 
 
@@ -691,6 +690,5 @@ def test_bridge_catches_mean_displacement_free_variance():
     """Displaced means must not affect variances."""
     state = epr_state(0.9)
     shifted = GaussianState(2, state.mean + 3.0, state.cov)
-    assert variance_of(shifted, [(1.0, 1, X), (1.0, 2, X)]) == pytest.approx(
-        variance_of(state, [(1.0, 1, X), (1.0, 2, X)])
-    )
+    weights = covariance.combo_weights([(1.0, 1, X), (1.0, 2, X)])
+    assert variance_of(shifted, weights) == pytest.approx(variance_of(state, weights))

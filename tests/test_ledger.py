@@ -82,17 +82,6 @@ def test_quarter_turn_is_exact():
     assert reg.quad_expr(1, Y) == {(1, X, 0): 1.0}
 
 
-def test_paper_minus_90_matches_radian_form():
-    a = Register(2)
-    a.apply(Squeeze(1, MOMENTUM_SQUEEZED))
-    a.apply(Kerr(1, 2, 1.0))
-    b = a.copy()
-    a.paper_minus_90(2)
-    b.apply(Rotate(2, -1.5707963267948966))
-    for kind in (X, Y):
-        assert a.quad_expr(2, kind) == b.quad_expr(2, kind)
-
-
 def test_half_turn_flips_both_signs():
     reg = Register(1)
     reg.apply(Rotate(1, math.pi))

@@ -60,7 +60,7 @@ def test_covariance_builder_matches_ledger():
     for r in (0.3, 1.0):
         state = protocols.build_graph_state(g, "covariance", r)
         parts = [(1.0, 2, Y), (-1.0, 1, X), (-1.0, 3, X)]
-        assert covariance.variance_of(state, parts) == pytest.approx(
+        assert covariance.variance_of(state, covariance.combo_weights(parts)) == pytest.approx(
             ledger.variance_formula(reg.combine(parts), r), abs=1e-12
         )
 
@@ -87,8 +87,8 @@ def test_bs_chain_quarter_turned_weights():
     """The four-mode cascade carries the sqrt(2)-weighted correlation set."""
     s2 = math.sqrt(2.0)
     reg = protocols.build_bs_chain(4)
-    reg.paper_minus_90(2)
-    reg.paper_minus_90(4)
+    reg.apply(Rotate(2, -math.pi / 2))
+    reg.apply(Rotate(4, -math.pi / 2))
     for parts in (
         [(s2, 1, X), (1.0, 2, X), (s2, 3, X)],
         [(1.0, 3, X), (1.0, 4, X)],
@@ -102,18 +102,19 @@ def test_bs_chain_quarter_turned_weights():
 
 def test_bs_chain_two_modes_is_epr():
     reg = protocols.build_bs_chain(2)
-    reg.paper_minus_90(2)
+    reg.apply(Rotate(2, -math.pi / 2))
     assert ledger.is_nullifier(reg.combine([(1.0, 1, X), (1.0, 2, X)]))
     assert ledger.is_nullifier(reg.combine([(1.0, 1, Y), (-1.0, 2, Y)]))
 
 
 def test_nullifier_basis_spans_n_dimensions():
     for n in (2, 3, 6, 10):
-        basis = protocols.nullifier_basis(protocols.build_bs_chain(n))
+        reg = protocols.build_bs_chain(n)
+        basis = protocols.nullifier_basis(reg)
         assert len(basis) == n
-        for w in basis:
-            assert ledger.is_nullifier(w.expr)
-            assert max(abs(c) for c, _, _ in w.combo) == pytest.approx(1.0)
+        for combo in basis:
+            assert ledger.is_nullifier(reg.combine(combo))
+            assert max(abs(c) for c, _, _ in combo) == pytest.approx(1.0)
 
 
 def test_ghz_optics_unweighted_set():

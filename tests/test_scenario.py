@@ -487,7 +487,8 @@ def run_by_statement(text, engine):
                 if engine == "covariance":
                     state = covariance.apply_tape(
                         covariance.vacuum_state(exe.reg.n), exe.reg.history, r)
-                    want.append(covariance.variance_of(state, exe.reg.frame_combo(parts)))
+                    weights = covariance.combo_weights(exe.reg.frame_combo(parts))
+                    want.append(covariance.variance_of(state, weights))
                 else:
                     want.append(ledger.variance_formula(exe.reg.combine(parts), r))
         exe.apply(stmt)
@@ -585,10 +586,10 @@ def test_an_engine_disagreement_names_r_both_sides_and_the_allowance():
     reg = execute(parse(text)).register
     parts = [(1.0, 2, Y), (-100000.0, 1, X)]
     state = covariance.apply_tape(covariance.vacuum_state(2), reg.history, 1.0)
-    combo = reg.frame_combo(parts)
-    numeric = covariance.variance_of(state, combo)
+    weights = covariance.combo_weights(reg.frame_combo(parts))
+    numeric = covariance.variance_of(state, weights)
     symbolic = ledger.variance_formula(reg.combine(parts), 1.0)
-    allowance = covariance.bridge_allowance(state, combo)
+    allowance = covariance.bridge_allowance(state, weights)
     assert abs(numeric - symbolic) > allowance
     assert (err.value.line, err.value.col) == (7, 1)
     assert err.value.reason == (
