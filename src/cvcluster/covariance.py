@@ -4,14 +4,13 @@ States are Gaussian, stored as a mean vector and covariance matrix in
 ``(X_1, Y_1, ..., X_n, Y_n)`` order with vacuum variance 1/2 per quadrature
 (``[X, Y] = i``).  Every operation but one is pure and returns a new state;
 :func:`apply_gate` updates the state it is given in place.  :func:`apply_tape`
-copies its input once and replays a gate tape on the copy at one squeezing r;
-:func:`replay` runs a tape from vacuum at several r at once (print rows, the
-closing claims), applying each gate once to a stack of zero-mean states.
-Squeezes and g = 1 couplings, the paper's gates, skip the block product: they
-update row and column views in place, each written once (no gather, scatter or
-write-back), and each entry is one product or a two-term sum, rounded once, so
-bits hold.  :func:`apply_gate` enters ``np.errstate`` per call, so an overflow
-names its gate and a tape stays one call per gate, as call counts expect.
+copies its input once and replays a gate tape on the copy at one squeezing r,
+under one ``np.errstate`` overflow guard (a bare :func:`apply_gate` call
+guards itself); :func:`replay` runs a tape from vacuum at several r at once
+(print rows, the closing claims), applying each gate once to a stack of
+zero-mean states.  Squeezes and g = 1 couplings, the paper's gates, skip the
+block product: they update row and column views in place, each written once,
+and each entry is one product or a two-term sum, rounded once, so bits hold.
 
 This engine is deliberately independent of :mod:`cvcluster.ledger`: the two
 are cross-checked against each other by the test- and claims-suites, so the
@@ -20,6 +19,7 @@ covariance path must not share the symbolic bookkeeping.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -34,6 +34,8 @@ from .errors import (
     SingularMeasurementError,
 )
 from .gates import BRIDGE_TOL, PRODUCT_TOL, SINGULAR_TOL, UNCERTAINTY_TOL, X, Y
+
+_GUARDED = contextvars.ContextVar("_GUARDED", default=False)  # True inside apply_tape's one guard
 
 
 @dataclass(frozen=True)
@@ -74,18 +76,21 @@ def apply_gate(state: GaussianState, gate: gates.Gate, r: float | None = None) -
     numeric squeezing for Squeeze gates.
 
     The gate's block and where it sits come from :func:`gates.placement`,
-    which checks the block (S Omega S^T = Omega to 1e-12) when it is built.
-    Only those rows/columns of ``state.mean`` and ``state.cov`` are updated,
-    by :func:`_step`: squeezes and g = 1 couplings with no block product, and
-    the same bits.  A mode outside the state is reported before any error in
-    the block, and either leaves the state untouched; a state that overflows
-    float range is a :class:`DomainError`, never an ``inf`` or NaN entry, but
-    may leave the state partly updated.  Use :func:`apply_tape` to keep the input.
+    which checks the block (S Omega S^T = Omega to 1e-12) when it is built;
+    :func:`_step` updates only those rows and columns, with the same bits.  A
+    mode outside the state is reported before any error in the block, and
+    either leaves the state untouched.  Overflow is a :class:`DomainError`
+    naming the gate, never an ``inf`` or NaN, but may leave the state partly
+    updated (:func:`apply_tape` keeps its input).  A bare call enters
+    ``np.errstate`` itself; inside :func:`apply_tape` the tape's guard serves.
     """
     block, idx = _place(state.n, gate, r)
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        if _GUARDED.get():
             _step(gate, block, idx, state.mean, state.cov)
+        else:
+            with np.errstate(over="raise", invalid="raise"):
+                _step(gate, block, idx, state.mean, state.cov)
     except FloatingPointError:
         raise _overflow(gate, f"r={r!r}") from None
     return state
@@ -152,12 +157,17 @@ def _check_modes(n: int, gate: gates.Gate) -> None:
 
 def apply_tape(state: GaussianState, tape, r: float | None = None) -> GaussianState:
     """A new state: ``state`` after a sequence of gates (e.g. a ledger
-    register's ``history``).  The input is copied once and each gate applied
-    to the copy by :func:`apply_gate`, so ``state`` is left as it was, also
-    when a gate fails."""
+    register's ``history``).  ``state`` is copied once, so it is left as it
+    was, also when a gate fails; each gate is one :func:`apply_gate` call, all
+    under one ``np.errstate`` guard that ``_GUARDED`` tells them not to repeat."""
     state = GaussianState(state.n, state.mean.copy(), state.cov.copy())
-    for gate in tape:
-        apply_gate(state, gate, r)
+    token = _GUARDED.set(True)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for gate in tape:
+                apply_gate(state, gate, r)
+    finally:
+        _GUARDED.reset(token)
     return state
 
 

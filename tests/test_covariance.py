@@ -323,6 +323,26 @@ def test_apply_tape_makes_one_apply_gate_call_per_gate(monkeypatch):
     assert np.array_equal(got.cov, want.cov)
 
 
+def test_apply_tape_enters_the_raise_guard_once(monkeypatch):
+    """A tape of L gates enters numpy's raise-mode guard once, not L times;
+    a bare ``apply_gate`` call still enters its own."""
+    tape = protocols.build_graph_state(graphs.grid(3, 4)).history
+    assert len(tape) > 1
+    entered = []
+    real = np.errstate
+
+    def counting(**kwargs):
+        if "raise" in kwargs.values():
+            entered.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", counting)
+    apply_tape(vacuum_state(12), tape, 0.5)
+    assert entered == [{"over": "raise", "invalid": "raise"}]
+    apply_gate(vacuum_state(12), tape[0], 0.5)
+    assert len(entered) == 2
+
+
 # ---------------------------------------------------------------------------
 # replay: one tape at many r, bit for bit the per-r fold
 # ---------------------------------------------------------------------------
@@ -418,6 +438,26 @@ def test_replay_hands_numpy_error_state_back_to_its_caller():
         with pytest.raises(DomainError, match=r"^Squeeze\(mode=1, direction='momentum'\) "
                            r"at r in \[0\.0, 300\.0\] leaves float range"):
             next(replay(2, tape, (0.0, 300.0)))
+        assert np.geterr() == mine
+
+
+def test_apply_tape_hands_numpy_error_state_back_to_its_caller():
+    """The caller's own settings hold after a tape that succeeds and after one
+    that overflows at a later gate, which still names that gate and r; a bare
+    ``apply_gate`` afterwards guards itself again, so an overflow is still an
+    error under the caller's ``over="ignore"``, not an ``inf``."""
+    mine = {"divide": "print", "over": "ignore", "under": "warn", "invalid": "ignore"}
+    tape = [Kerr(1, 2), Squeeze(1), Rotate(2, 0.3), Squeeze(1)]
+    with np.errstate(**mine):
+        apply_tape(vacuum_state(2), tape, 1.0)
+        assert np.geterr() == mine
+        with pytest.raises(DomainError, match=r"^Squeeze\(mode=1, direction='momentum'\) "
+                           r"at r=300\.0 leaves float range; squeezing too large$"):
+            apply_tape(vacuum_state(2), tape, 300.0)
+        assert np.geterr() == mine
+        state = apply_gate(vacuum_state(1), Squeeze(1), 300.0)
+        with pytest.raises(DomainError, match=r"at r=300\.0 leaves float range"):
+            apply_gate(state, Squeeze(1), 300.0)
         assert np.geterr() == mine
 
 
@@ -628,6 +668,21 @@ def test_uncertainty_defect_and_physicality():
     assert uncertainty_defect(vacuum_state(2)) == pytest.approx(0.0, abs=1e-12)
     bad = GaussianState(1, np.zeros(2), 0.1 * np.eye(2))
     assert not is_physical(bad)
+
+
+def test_a_slightly_sub_vacuum_product_is_unphysical():
+    """Var X * Var Y = 0.5 * 0.4995 < 1/4: the smallest eigenvalue of
+    V + i Omega / 2 is (0.9995 - sqrt(0.9995^2 + 1e-3)) / 2, about -2.5e-4."""
+    state = GaussianState(1, np.zeros(2), np.diag([0.5, 0.4995]))
+    assert uncertainty_defect(state) == pytest.approx(-2.5e-4, rel=1e-3)
+    assert not is_physical(state)
+
+
+def test_a_weak_coupling_is_not_a_product():
+    """Kerr(1, 2, g) on vacuum at r = 0 gives Cov(X_2, Y_1) = g / 2: 5e-4 at g = 1e-3."""
+    state = apply_tape(vacuum_state(2), [Kerr(1, 2, 1e-3)], 0.0)
+    assert state.cov[quad_index(1, Y), quad_index(2, X)] == pytest.approx(5e-4, rel=1e-12)
+    assert not covariance.is_mode_product(state)
 
 
 # ---------------------------------------------------------------------------

@@ -401,6 +401,13 @@ def test_commutator_flags_unbalanced_exponents():
         ledger.commutator(e1, e2)
 
 
+def test_commutator_flags_a_small_unbalanced_term():
+    """[1e-3 e^{r} x0_1, y0_1] = 1e-3 e^{r}: r-dependent, so no pair of
+    physical quadratures has it, however small its coefficient."""
+    with pytest.raises(InternalConsistencyError, match=r"e\^\+1r content 0\.001"):
+        ledger.commutator({(1, X, 1): 1e-3}, {(1, Y, 0): 1.0})
+
+
 def _reference_commutator(e1, e2):
     """The commutator as one loop: every term pair, grouped by exponent sum."""
     by_sum = {}

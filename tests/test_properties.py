@@ -1,7 +1,8 @@
 """Property tests: a closed-form graph-state oracle, weighted or not, before
 and after an X-measurement, the edge-list round trip and the graph lookup
-tables over random simple graphs, and canonical commutators on random ledger
-tapes with feed-forward.
+tables over random simple graphs, canonical commutators on random ledger
+tapes with feed-forward, and the covariance tape replay against its per-gate
+rule, overflow included.
 
 The oracle is the Gaussian graphical calculus (Menicucci, Flammia & van Loock,
 PRA 83, 042335 (2011)): the graph state of adjacency matrix A at squeezing r
@@ -22,7 +23,7 @@ from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
 from cvcluster import covariance, graphs, ledger, protocols
-from cvcluster.errors import InvalidGraphError, UnsupportedOperationError
+from cvcluster.errors import DomainError, InvalidGraphError, UnsupportedOperationError
 from cvcluster.gates import MOMENTUM_SQUEEZED, POSITION_SQUEEZED, Beamsplit, Kerr, Rotate, Squeeze, X, Y
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -249,3 +250,55 @@ def test_random_tapes_keep_canonical_commutators(n, before, feedforward, after):
         for (b, kb), eb in rows.items():
             want = {(X, Y): 1.0, (Y, X): -1.0}.get((ka, kb), 0.0) if a == b else 0.0
             assert abs(ledger.commutator(ea, eb) - want) <= 1e-9, ((a, ka), (b, kb))
+
+
+@st.composite
+def overflowing_tapes(draw):
+    """A state size, a tape of any of the four gate kinds and an r in [0, 400]:
+    squeezes past about r = 355 and couplings past about 1e154 leave float range."""
+    n = draw(st.integers(2, 5))
+    modes = st.integers(1, n)
+    gates_drawn = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["squeeze", "kerr", "rotate", "beamsplit"]))
+        l, k = draw(modes), draw(modes)
+        k = k if k != l else l % n + 1
+        if kind == "squeeze":
+            gates_drawn.append(Squeeze(l, draw(st.sampled_from([MOMENTUM_SQUEEZED, POSITION_SQUEEZED]))))
+        elif kind == "kerr":
+            g = draw(st.one_of(st.just(1.0), st.floats(-2.0, 2.0), st.floats(-1e160, 1e160),
+                               st.sampled_from([1e150, -1e155, 1e160])))
+            gates_drawn.append(Kerr(l, k, g))
+        elif kind == "rotate":
+            gates_drawn.append(Rotate(l, draw(st.floats(-4.0, 4.0))))
+        else:
+            gates_drawn.append(Beamsplit(l, k, draw(st.floats(0.0, 1.0))))
+    r = draw(st.one_of(st.floats(0.0, 2.0), st.floats(0.0, 400.0), st.floats(340.0, 400.0)))
+    return n, gates_drawn, r
+
+
+@settings(PROPERTY_SETTINGS, max_examples=80)
+@given(drawn=overflowing_tapes())
+def test_apply_tape_is_the_per_gate_rule_overflow_included(drawn):
+    """``apply_tape`` under its one guard and bare ``apply_gate`` calls, each
+    under its own, give the same bits and sign bits, or the same DomainError
+    naming the same gate."""
+    n, tape, r = drawn
+    bare, failed = covariance.vacuum_state(n), None
+    for gate in tape:
+        try:
+            covariance.apply_gate(bare, gate, r)
+        except DomainError as error:
+            failed = (gate, str(error))
+            break
+    if failed is None:
+        got = covariance.apply_tape(covariance.vacuum_state(n), tape, r)
+        for a, b in ((got.mean, bare.mean), (got.cov, bare.cov)):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+    else:
+        gate, message = failed
+        assert message.startswith(f"{gate!r} at r={r!r} leaves float range")
+        with pytest.raises(DomainError) as raised:
+            covariance.apply_tape(covariance.vacuum_state(n), tape, r)
+        assert str(raised.value) == message
