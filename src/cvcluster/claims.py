@@ -4,11 +4,13 @@ Each claim rebuilds its states from the engines (nothing is read from disk,
 so the suite cannot drift from the library), checks one factual statement
 at an explicit tolerance, and reports a measured value.  Registers and the
 exact quadrature combinations each claim verified are collected into a
-shared battery; two closing claims then (a) replay every battery tape once
-on the covariance engine, comparing each combination's variance against the
-ledger's closed form at five squeezing values, and (b) re-verify canonical
-commutators on every battery register and the uncertainty bound of (a)'s
-replay at a sixth value, ``HYGIENE_R``.
+shared battery.  Two closing claims read it: (a) ``cross-engine`` replays
+once on the covariance engine the tape of every entry added before it (all
+but ``GHZ optics (3)``, which ``finite-squeezing`` adds after it), comparing
+each combination's variance against the ledger's closed form at five
+squeezing values, and (b) ``hygiene`` re-verifies canonical commutators on
+every battery register, and the uncertainty bound of every entry's replay at
+a sixth value, ``HYGIENE_R``.
 
 Run via ``cvcluster claims`` or :func:`run_claims`.
 """
@@ -127,9 +129,7 @@ def _claim_graph_law(battery: Battery) -> ClaimResult:
         reg = protocols.build_graph_state(g)
         combos = []
         for v in g.vertices:
-            parts = [(1.0, g.mode_of(v), Y)] + [
-                (-1.0, g.mode_of(b), X) for b in g.neighborhood(v)
-            ]
+            parts = [(1.0, v, Y)] + [(-1.0, b, X) for b in g.neighborhood(v)]
             combos.append(parts)
             checked += 1
             if not ledger.is_nullifier(reg.combine(parts)):

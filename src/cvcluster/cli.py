@@ -95,7 +95,7 @@ def _cmd_claims(args) -> int:
 STATE_BUILDERS = {
     "chain": (lambda n: protocols.build_graph_state(graphs.chain(n)), lambda n: n),
     "star": (lambda n: protocols.build_graph_state(graphs.star(n)), lambda n: n + 1),
-    # size is the family index m: ring of 2m vertices, hub on the evens
+    # size is the family index m: hub 1 on 3, 5, ..., 2m+1 of the ring 2..2m+1
     "ringstar": (lambda m: protocols.build_graph_state(graphs.ring_star(2 * m)),
                  lambda m: 2 * m + 1),
     "bschain": (protocols.build_bs_chain, lambda n: n),

@@ -1,9 +1,9 @@
 """Plain undirected graphs: topologies, BFS paths, and an edge-list file format.
 
-Vertices are integer labels (any values; generators below use 1..n for
-chains/rings and 0 for a hub).  When a graph is turned into a register the
-i-th smallest vertex becomes mode i (1-based) — see
-:func:`cvcluster.protocols.build_graph_state`.
+A graph on n vertices numbers them 1..n, and vertex v is register mode v
+when the graph is turned into a register (see
+:func:`cvcluster.protocols.build_graph_state`).  Every generator below keeps
+to that numbering; ``star`` and ``ring_star`` put their hub at 1.
 
 The on-disk format is line oriented::
 
@@ -33,15 +33,16 @@ def _norm_edge(a: int, b: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable undirected simple graph.  Its neighbour table and mode index
-    are built once, on first use, and are not part of equality, hash or repr."""
+    """Immutable undirected simple graph on vertices 1..n_vertices.  Its vertex
+    tuple and neighbour table are built once, on first use, and are not part
+    of equality, hash or repr."""
 
-    vertices: tuple[int, ...]
-    edges: frozenset  # of (a, b) tuples with a < b
+    n_vertices: int
+    edges: frozenset  # of (a, b) tuples with 1 <= a < b <= n_vertices
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
+    @cached_property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(range(1, self.n_vertices + 1))
 
     @cached_property
     def _neighbors(self) -> dict[int, tuple[int, ...]]:
@@ -51,10 +52,6 @@ class Graph:
             out[v].append(u)
         return {v: tuple(sorted(vs)) for v, vs in out.items()}
 
-    @cached_property
-    def _modes(self) -> dict[int, int]:
-        return {v: m for m, v in enumerate(self.vertices, start=1)}
-
     def neighborhood(self, a: int) -> tuple[int, ...]:
         try:
             return self._neighbors[a]
@@ -63,13 +60,6 @@ class Graph:
 
     def degree(self, a: int) -> int:
         return len(self.neighborhood(a))
-
-    def mode_of(self, v: int) -> int:
-        """1-based register mode index of a vertex (sorted-label order)."""
-        try:
-            return self._modes[v]
-        except KeyError:
-            raise InvalidGraphError(f"vertex {v} not in graph") from None
 
     def shortest_path(self, a: int, b: int):
         """Lexicographically smallest shortest path from a to b, or None.
@@ -107,67 +97,60 @@ class Graph:
 # ---------------------------------------------------------------------------
 
 
-def from_edges(edges, vertices=None) -> Graph:
-    """Build a graph from an edge iterable, rejecting loops and duplicates."""
-    seen = set()
-    verts = set(vertices) if vertices is not None else set()
-    for a, b in edges:
-        if a == b:
-            raise InvalidGraphError(f"loop edge {a}-{b}")
-        e = _norm_edge(a, b)
-        if e in seen:
-            raise InvalidGraphError(f"duplicate edge {a}-{b}")
-        seen.add(e)
-        verts.update(e)
-    if not verts:
+def _add_edge(seen: set, n: int, a: int, b: int, where: str = "") -> None:
+    """Add edge a-b to ``seen``, rejecting endpoints outside 1..n, loops and
+    duplicates; ``where`` prefixes the message."""
+    if not (1 <= a <= n and 1 <= b <= n):
+        raise InvalidGraphError(f"{where}edge {a}-{b} outside 1..{n}")
+    if a == b:
+        raise InvalidGraphError(f"{where}loop edge {a}-{b}")
+    e = _norm_edge(a, b)
+    if e in seen:
+        raise InvalidGraphError(f"{where}duplicate edge {a}-{b}")
+    seen.add(e)
+
+
+def from_edges(n: int, edges) -> Graph:
+    """Graph on vertices 1..n from an edge iterable (see :func:`_add_edge`)."""
+    if n < 1:
         raise InvalidSizeError("graph needs at least one vertex")
-    return Graph(tuple(sorted(verts)), frozenset(seen))
+    seen = set()
+    for a, b in edges:
+        _add_edge(seen, n, a, b)
+    return Graph(n, frozenset(seen))
 
 
 def chain(n: int) -> Graph:
     """Path graph on vertices 1..n."""
     if n < 1:
         raise InvalidSizeError(f"chain needs n >= 1, got {n}")
-    return from_edges([(i, i + 1) for i in range(1, n)], vertices=range(1, n + 1))
+    return from_edges(n, [(i, i + 1) for i in range(1, n)])
 
 
 def star(leaves: int) -> Graph:
-    """Hub-and-leaves graph: center 0 adjacent to leaves 1..m."""
+    """Hub-and-leaves graph: hub 1 adjacent to leaves 2..m+1."""
     if leaves < 1:
         raise InvalidSizeError(f"star needs at least one leaf, got {leaves}")
-    return from_edges([(0, j) for j in range(1, leaves + 1)])
+    return from_edges(leaves + 1, [(1, j) for j in range(2, leaves + 2)])
 
 
 def ring(n: int) -> Graph:
+    """Cycle 1, 2, ..., n, 1."""
     if n < 3:
-        raise InvalidSizeError(f"ring needs n >= 3, got {n}")
-    return from_edges([(i, i + 1) for i in range(1, n)] + [(1, n)])
+        raise InvalidSizeError(f"ring needs at least 3 vertices, got {n}")
+    return from_edges(n, [(i, i + 1) for i in range(1, n)] + [(1, n)])
 
 
-def ring_star(ring_size: int, spokes=None) -> Graph:
-    """Ring 1..ring_size plus hub 0 attached to ``spokes``.
+def ring_star(ring_size: int) -> Graph:
+    """Ring 2..ring_size+1 with hub 1 joined to 3, 5, ..., ring_size+1.
 
-    Default spokes are the even-numbered ring vertices (the alternating
-    attachment pattern, the one whose feed-forward recipe stays solvable); that
-    default needs an even ring.  Pass an explicit vertex iterable for other
-    attachment patterns.
+    That alternating pattern keeps the feed-forward recipe solvable and needs
+    an even ring; other spoke patterns go through :func:`from_edges`.
     """
-    if ring_size < 3:
-        raise InvalidSizeError(f"ring needs at least 3 vertices, got {ring_size}")
-    if spokes is None:
-        if ring_size % 2:
-            raise InvalidGraphError(
-                "alternating spokes need an even ring size; pass spokes explicitly"
-            )
-        spokes = range(2, ring_size + 1, 2)
-    spokes = sorted(set(spokes))
-    if not spokes:
-        raise InvalidGraphError("hub needs at least one spoke")
-    for s in spokes:
-        if not 1 <= s <= ring_size:
-            raise InvalidGraphError(f"spoke {s} outside ring 1..{ring_size}")
-    base = [(i, i + 1) for i in range(1, ring_size)] + [(1, ring_size)]
-    return from_edges(base + [(0, s) for s in spokes])
+    shifted = [(a + 1, b + 1) for a, b in ring(ring_size).edges]
+    if ring_size % 2:
+        raise InvalidGraphError("alternating spokes need an even ring size")
+    return from_edges(ring_size + 1, shifted + [(1, s) for s in range(3, ring_size + 2, 2)])
 
 
 def grid(rows: int, cols: int) -> Graph:
@@ -182,7 +165,7 @@ def grid(rows: int, cols: int) -> Graph:
                 edges.append((v, v + 1))
             if i + 1 < rows:
                 edges.append((v, v + cols))
-    return from_edges(edges, vertices=range(1, rows * cols + 1))
+    return from_edges(rows * cols, edges)
 
 
 def _random_pairs(n: int, p: float, rng) -> list[tuple[int, int]]:
@@ -194,7 +177,7 @@ def _random_pairs(n: int, p: float, rng) -> list[tuple[int, int]]:
 
 def random_graph(n: int, p: float, rng) -> Graph:
     """Erdos-Renyi style simple graph on 1..n (``rng``: numpy Generator)."""
-    return from_edges(_random_pairs(n, p, rng), vertices=range(1, n + 1))
+    return from_edges(n, _random_pairs(n, p, rng))
 
 
 def random_connected_graph(n: int, p: float, rng) -> Graph:
@@ -202,7 +185,7 @@ def random_connected_graph(n: int, p: float, rng) -> Graph:
     order = [int(v) for v in rng.permutation(range(1, n + 1))]
     edges = {_norm_edge(order[i], order[i + 1]) for i in range(n - 1)}
     edges.update(_random_pairs(n, p, rng))
-    return from_edges(sorted(edges), vertices=range(1, n + 1))
+    return from_edges(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +196,6 @@ def random_connected_graph(n: int, p: float, rng) -> Graph:
 def parse_edge_list(text: str, source: str = "<string>") -> Graph:
     """Parse the ``vertices N`` + ``a b`` line format; see module docstring."""
     n = None
-    edges = []
     seen = set()
     for lineno, raw in enumerate(split_lines(text), start=1):
         parts = raw.split("#", 1)[0].split()
@@ -237,18 +219,10 @@ def parse_edge_list(text: str, source: str = "<string>") -> Graph:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
             raise InvalidGraphError(f"{source}:{lineno}: edge endpoints must be integers") from None
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise InvalidGraphError(f"{source}:{lineno}: edge {a}-{b} outside 1..{n}")
-        if a == b:
-            raise InvalidGraphError(f"{source}:{lineno}: loop edge {a}-{b}")
-        e = _norm_edge(a, b)
-        if e in seen:
-            raise InvalidGraphError(f"{source}:{lineno}: duplicate edge {a}-{b}")
-        seen.add(e)
-        edges.append(e)
+        _add_edge(seen, n, a, b, f"{source}:{lineno}: ")
     if n is None:
         raise InvalidGraphError(f"{source}: missing 'vertices N' header")
-    return Graph(tuple(range(1, n + 1)), frozenset(edges))
+    return Graph(n, frozenset(seen))
 
 
 def load_edge_list(path) -> Graph:

@@ -12,10 +12,7 @@ reduction and the ring-star GHZ take :func:`solve_feedforward`'s
 coefficients (``_repair``).  The :class:`ProtocolReport` says which targets
 ended up as nullifiers and carries the final register as ``register``.
 
-Vertex labels and register modes are linked by sorted order: the i-th
-smallest vertex is mode i.  For chains built by ``graphs.chain`` the two
-coincide, so protocol arguments that name chain positions are plain mode
-indices there.
+Graph vertex v is register mode v, so every vertex a protocol names is a mode.
 """
 
 from __future__ import annotations
@@ -120,8 +117,7 @@ def build_graph_state(graph: graphs.Graph, engine: str = "ledger", r: float | No
         return _BUILDS[graph].copy()
     n = graph.n_vertices
     tape = [Squeeze(m, MOMENTUM_SQUEEZED) for m in range(1, n + 1)]
-    tape += [Kerr(l, k, 1.0)
-             for l, k in sorted((graph.mode_of(a), graph.mode_of(b)) for a, b in graph.edges)]
+    tape += [Kerr(l, k, 1.0) for l, k in sorted(graph.edges)]
     built = _on_engine(n, tape, engine, r)
     if engine == "ledger":
         _BUILDS[graph] = built.copy() if graph in _BUILDS else None
@@ -195,9 +191,8 @@ def graph_row_deviation(reg: ledger.Register, graph: graphs.Graph) -> float:
     A gap at or below ``PRUNE_TOL`` counts as none, as the ledger prunes it.
     """
     worst = 0.0
-    for v in graph.vertices:
-        m = graph.mode_of(v)
-        closed_y = {(graph.mode_of(b), X, 1): 1.0 for b in graph.neighborhood(v)}
+    for m in graph.vertices:
+        closed_y = {(b, X, 1): 1.0 for b in graph.neighborhood(m)}
         closed_y[(m, Y, -1)] = 1.0
         for kind, closed in ((X, {(m, X, 1): 1.0}), (Y, closed_y)):
             row = reg.quad_expr(m, kind)
@@ -209,10 +204,9 @@ def graph_row_deviation(reg: ledger.Register, graph: graphs.Graph) -> float:
 
 
 def _require_chain(graph: graphs.Graph, protocol: str) -> int:
-    """Check the graph is a path in sorted-vertex order; return its length."""
+    """Check the graph is the path 1, 2, ..., n; return its length n."""
     n = graph.n_vertices
-    want = {tuple(sorted((graph.vertices[i], graph.vertices[i + 1]))) for i in range(n - 1)}
-    if set(graph.edges) != want:
+    if graph.edges != {(i, i + 1) for i in range(1, n)}:
         raise ProtocolPreconditionError(f"{protocol}: graph is not a chain")
     return n
 
@@ -458,8 +452,8 @@ def reduce_graph_to_path(graph: graphs.Graph, a: int, b: int) -> ProtocolReport:
     boundary = sorted(
         {v for p in path for v in graph.neighborhood(p) if v not in on_path}
     )
-    recs = [report.register.measure(graph.mode_of(v), X) for v in boundary]
-    laws = _chain_laws([graph.mode_of(p) for p in path])
+    recs = [report.register.measure(v, X) for v in boundary]
+    laws = _chain_laws(path)
     # Each vertex law's correction rides on its own Y.
     sol = _repair(report, laws, recs)
     if isinstance(sol, Infeasible):
@@ -489,9 +483,9 @@ def star_to_ghz(graph: graphs.Graph) -> ProtocolReport:
         raise ProtocolPreconditionError("GHZ projection needs at least two leaves")
     report = ProtocolReport("star_to_ghz", False, build_graph_state(graph),
                             flavor="total-position")
-    rec = report.register.measure(graph.mode_of(center), Y)
-    _displace(report, graph.mode_of(leaves[0]), X, -1.0, rec)
-    _finish(report, _ghz_laws([graph.mode_of(v) for v in leaves]))
+    rec = report.register.measure(center, Y)
+    _displace(report, leaves[0], X, -1.0, rec)
+    _finish(report, _ghz_laws(leaves))
     report.details = f"hub vertex {center}, {len(leaves)} leaves"
     return report
 
@@ -537,16 +531,15 @@ def ring_star_to_ghz(
     if len(remaining) < 2:
         raise ProtocolPreconditionError("GHZ projection needs at least two survivors")
     report = ProtocolReport("ring_star_to_ghz", False, build_graph_state(graph), flavor=flavor)
-    recs = [report.register.measure(graph.mode_of(v), Y) for v in [hub] + sorted(measured)]
-    modes = [graph.mode_of(v) for v in remaining]
+    recs = [report.register.measure(v, Y) for v in [hub] + measured]
     if flavor == "total-momentum":
         sum_kind, diff_kind = Y, X
     elif flavor == "total-position":
         sum_kind, diff_kind = X, Y
     else:
         raise ProtocolPreconditionError(f"unknown flavor {flavor!r}")
-    laws = [[(1.0, m, sum_kind) for m in modes]]
-    laws += [[(1.0, modes[0], diff_kind), (-1.0, m, diff_kind)] for m in modes[1:]]
+    laws = [[(1.0, m, sum_kind) for m in remaining]]
+    laws += [[(1.0, remaining[0], diff_kind), (-1.0, m, diff_kind)] for m in remaining[1:]]
     # The sum rides on the first survivor, each difference on its non-reference mode.
     sol = _repair(report, laws, recs)
     if isinstance(sol, Infeasible):
@@ -726,7 +719,7 @@ def ghz_admits_conjugate_pair(m: int, d: int) -> bool:
     the surviving correlations are single-quadrature only.
     """
     base = star_to_ghz(graphs.star(m)).register
-    leaves = list(range(2, m + 2))  # modes of leaves 1..m
+    leaves = list(range(2, m + 2))  # the leaves of star(m)
     lost = leaves[d - 1]
     rest = [x for x in leaves if x != lost]
     for pair in combinations(rest, 2):

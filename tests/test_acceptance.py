@@ -97,9 +97,7 @@ def test_criterion_03_graph_nullifier_law():
         g = graphs.random_graph(n, float(rng.uniform(0.05, 0.5)), rng)
         reg = protocols.build_graph_state(g)
         for v in g.vertices:
-            parts = [(1.0, g.mode_of(v), Y)] + [
-                (-1.0, g.mode_of(b), X) for b in g.neighborhood(v)
-            ]
+            parts = [(1.0, v, Y)] + [(-1.0, b, X) for b in g.neighborhood(v)]
             assert ledger.is_nullifier(reg.combine(parts)), (n, v)
             total += 1
     verdict(3, True, f"law holds at all {total} vertices of 200 random graphs")

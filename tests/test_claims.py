@@ -5,12 +5,13 @@ the covariance replays, which claim is running, and the battery each claim
 saw.  The three-mode GHZ optics state enters the battery after the
 cross-engine claim, so only the hygiene claim can replay it; a one-entry
 battery with an ``is_physical`` that rejects that state checks that hygiene
-still judges it.
+still judges it, and its combinations are bridged here instead.  The
+finite-squeezing claim must fail on a state with no entanglement.
 """
 
 import numpy as np
 
-from cvcluster import claims, covariance
+from cvcluster import claims, covariance, ledger, protocols
 
 
 def result(outcome, cid):
@@ -61,6 +62,41 @@ def test_hygiene_still_checks_an_entry_added_after_cross_engine(claims_run, monk
     assert not hygiene.passed
     assert hygiene.value.endswith("; 1 states replayed, 1 unphysical")
     assert alone.entries[0].physical is False
+
+
+def test_the_entry_cross_engine_never_sees_bridges_at_every_squeezing(claims_run):
+    """The cross-engine claim's comparison, made for the one entry it misses."""
+    battery, before = claims_run[2]["cross-engine"]
+    (late,) = battery.entries[before:]
+    assert late.label == "GHZ optics (3)" and len(late.pairs) == 3
+    states = covariance.replay(late.reg.n, late.reg.history, claims.BRIDGE_RS)
+    checks = 0
+    for r, state in zip(claims.BRIDGE_RS, states):
+        for combo, expr in late.pairs:
+            weights = covariance.combo_weights(combo)
+            numeric = covariance.variance_of(state, weights)
+            symbolic = ledger.variance_formula(expr, r)
+            assert covariance.bridge_agrees(state, weights, numeric, symbolic), (r, combo)
+            checks += 1
+    assert checks == 3 * len(claims.BRIDGE_RS)
+
+
+def test_finite_squeezing_fails_when_the_entangled_state_is_vacuum(monkeypatch):
+    """The vacuum is a product state: every traced pair reads nu = 0.5
+    exactly, on the PPT threshold, so the r = 0.3 half of the claim (nu below
+    0.5) must fail on it."""
+    vacuum = covariance.vacuum_state(3)
+    assert all(covariance.ppt_min_symplectic_eig(vacuum, pair) == 0.5
+               for pair in ((1, 2), (1, 3), (2, 3)))
+    build = protocols.build_ghz_optics
+
+    def vacuum_at_r_03(n, engine="ledger", r=None):
+        return vacuum if (engine, r) == ("covariance", 0.3) else build(n, engine, r)
+
+    monkeypatch.setattr(protocols, "build_ghz_optics", vacuum_at_r_03)
+    result = claims._claim_finite_squeezing(claims.Battery())
+    assert not result.passed
+    assert sum("(entangled EXPECTED)" in line for line in result.details) == 3
 
 
 def test_run_claims_times_each_claim(claims_run):

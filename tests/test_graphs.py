@@ -1,4 +1,4 @@
-"""Graph topologies, labeling, traversal, and the edge-list file format."""
+"""Graph topologies, numbering, traversal, and the edge-list file format."""
 
 import numpy as np
 import pytest
@@ -22,8 +22,8 @@ def test_chain_shape():
 def test_star_hub_and_leaves():
     g = graphs.star(4)
     assert g.n_vertices == 5
-    assert g.neighborhood(0) == (1, 2, 3, 4)
-    assert all(g.degree(v) == 1 for v in (1, 2, 3, 4))
+    assert g.neighborhood(1) == (2, 3, 4, 5)
+    assert all(g.degree(v) == 1 for v in (2, 3, 4, 5))
 
 
 def test_ring_closes():
@@ -34,25 +34,18 @@ def test_ring_closes():
         graphs.ring(2)
 
 
-def test_ring_star_default_alternation():
+def test_ring_star_alternation():
     g = graphs.ring_star(8)
-    assert g.neighborhood(0) == (2, 4, 6, 8)
-    assert g.degree(2) == 3  # two ring bonds plus the spoke
-    assert g.degree(1) == 2
+    assert g.neighborhood(1) == (3, 5, 7, 9)
+    assert g.neighborhood(2) == (3, 9)  # the ring 2..9 closes
+    assert g.degree(3) == 3  # two ring bonds plus the spoke
 
 
-def test_ring_star_odd_ring_needs_explicit_spokes():
-    with pytest.raises(InvalidGraphError):
+def test_ring_star_needs_an_even_ring():
+    with pytest.raises(InvalidGraphError, match="even ring"):
         graphs.ring_star(7)
-    g = graphs.ring_star(7, spokes=(1, 3, 5))
-    assert g.neighborhood(0) == (1, 3, 5)
-
-
-def test_ring_star_spoke_validation():
-    with pytest.raises(InvalidGraphError):
-        graphs.ring_star(6, spokes=())
-    with pytest.raises(InvalidGraphError):
-        graphs.ring_star(6, spokes=(7,))
+    with pytest.raises(InvalidSizeError, match="^ring needs at least 3 vertices, got 2$"):
+        graphs.ring_star(2)
 
 
 def test_grid_adjacency():
@@ -63,19 +56,28 @@ def test_grid_adjacency():
     assert len(g.edges) == 12
 
 
-def test_mode_labels_follow_sorted_vertices():
-    """Vertex labels map onto 1-based register modes in sorted order."""
-    g = graphs.star(2)  # vertices 0, 1, 2
-    assert g.mode_of(0) == 1
-    assert g.mode_of(2) == 3
-    assert g.vertices[0] == 0
-    with pytest.raises(InvalidGraphError):
-        g.mode_of(9)
-
-
 def test_from_edges_rejects_loops():
     with pytest.raises(InvalidGraphError):
-        graphs.from_edges([(1, 1)])
+        graphs.from_edges(2, [(1, 1)])
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (3, [(0, 1)], "edge 0-1 outside 1..3"),
+        (3, [(2, 4)], "edge 2-4 outside 1..3"),
+        (3, [(1, 2), (2, 1)], "duplicate edge 2-1"),
+    ],
+)
+def test_from_edges_rejects_endpoints_outside_and_duplicates(n, edges, message):
+    with pytest.raises(InvalidGraphError, match=f"^{message}$"):
+        graphs.from_edges(n, edges)
+
+
+def test_from_edges_needs_a_vertex():
+    with pytest.raises(InvalidSizeError):
+        graphs.from_edges(0, [])
+    assert graphs.from_edges(1, []).vertices == (1,)
 
 
 def test_shortest_path_and_connectivity():
@@ -84,7 +86,7 @@ def test_shortest_path_and_connectivity():
     assert len(path) == 5
     assert path[0] == 1 and path[-1] == 9
     assert all(g.shortest_path(g.vertices[0], v) is not None for v in g.vertices)
-    disconnected = graphs.from_edges([(1, 2), (3, 4)])
+    disconnected = graphs.from_edges(4, [(1, 2), (3, 4)])
     assert not all(disconnected.shortest_path(disconnected.vertices[0], v) is not None
                    for v in disconnected.vertices)
     assert disconnected.shortest_path(1, 4) is None

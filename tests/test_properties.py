@@ -1,8 +1,8 @@
 """Property tests: a closed-form graph-state oracle, weighted or not, before
 and after an X-measurement, the edge-list round trip and the graph lookup
-tables over random simple graphs, canonical commutators on random ledger
-tapes with feed-forward, and the covariance tape replay against its per-gate
-rule, overflow included.
+tables over random simple graphs, vertex v on mode v for every graph
+generator, canonical commutators on random ledger tapes with feed-forward,
+and the covariance tape replay against its per-gate rule, overflow included.
 
 The oracle is the Gaussian graphical calculus (Menicucci, Flammia & van Loock,
 PRA 83, 042335 (2011)): the graph state of adjacency matrix A at squeezing r
@@ -42,7 +42,7 @@ def simple_graphs(draw, min_vertices=1, max_vertices=12):
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     keep = draw(st.binary(min_size=len(pairs), max_size=len(pairs)))  # one byte per pair
     edges = [e for e, byte in zip(pairs, keep) if byte & 1]
-    return graphs.from_edges(edges, vertices=range(1, n + 1))
+    return graphs.from_edges(n, edges)
 
 
 def z_oracle_covariance(g: graphs.Graph, r: float, weights=None) -> np.ndarray:
@@ -55,7 +55,7 @@ def z_oracle_covariance(g: graphs.Graph, r: float, weights=None) -> np.ndarray:
     v = np.zeros((n, n))
     for a, b in g.edges:
         w = 1.0 if weights is None else weights[(a, b)]
-        v[g.mode_of(a) - 1, g.mode_of(b) - 1] = v[g.mode_of(b) - 1, g.mode_of(a) - 1] = w
+        v[a - 1, b - 1] = v[b - 1, a - 1] = w
     u = np.exp(-2.0 * r) * np.eye(n)
     u_inv = np.linalg.inv(u)
     blocks = 0.5 * np.block([[u_inv, u_inv @ v], [v @ u_inv, u + v @ u_inv @ v]])
@@ -81,8 +81,7 @@ def weighted_graph_tapes(draw):
     tape = [Squeeze(m, MOMENTUM_SQUEEZED) for m in range(1, g.n_vertices + 1)]
     for a, b in draw(st.permutations(sorted(g.edges))):
         weights[(a, b)] = w = draw(st.floats(0.1, 2.0)) * draw(st.sampled_from((1.0, -1.0)))
-        l, k = g.mode_of(a), g.mode_of(b)
-        tape.append(Kerr(k, l, w) if draw(st.booleans()) else Kerr(l, k, w))
+        tape.append(Kerr(b, a, w) if draw(st.booleans()) else Kerr(a, b, w))
     return g, weights, tape
 
 
@@ -100,8 +99,8 @@ def test_weighted_graph_state_matches_the_z_oracle(drawn, r):
     for gate in tape:
         reg.apply(gate)
     for a in g.vertices:
-        parts = [(1.0, g.mode_of(a), Y)]
-        parts += [(-weights[tuple(sorted((a, b)))], g.mode_of(b), X) for b in g.neighborhood(a)]
+        parts = [(1.0, a, Y)]
+        parts += [(-weights[tuple(sorted((a, b)))], b, X) for b in g.neighborhood(a)]
         law = reg.combine(parts)
         assert ledger.is_nullifier(law)
         assert ledger.variance_formula(law, r) == pytest.approx(0.5 * np.exp(-2.0 * r), rel=1e-14)
@@ -111,14 +110,15 @@ def test_weighted_graph_state_matches_the_z_oracle(drawn, r):
 @given(data=st.data(), g=simple_graphs(min_vertices=2), r=st.floats(0.0, 2.0))
 def test_x_measurement_deletes_the_vertex_in_the_z_oracle(data, g, r):
     """Homodyning X of vertex v leaves the other modes in the graph state of g
-    with v deleted, whatever the outcome, and puts mode v back in vacuum."""
+    with v deleted (vertices above v move down one), whatever the outcome,
+    and puts mode v back in vacuum."""
     v = data.draw(st.sampled_from(g.vertices))
     state = protocols.build_graph_state(g, "covariance", r)
-    cov = covariance.homodyne(state, g.mode_of(v), X, outcome=0.0).state.cov
-    rest = graphs.from_edges([e for e in g.edges if v not in e],
-                             vertices=[u for u in g.vertices if u != v])
+    cov = covariance.homodyne(state, v, X, outcome=0.0).state.cov
+    rest = graphs.from_edges(g.n_vertices - 1, [(a - (a > v), b - (b > v))
+                                                for a, b in g.edges if v not in (a, b)])
     want = z_oracle_covariance(rest, r)
-    q = 2 * (g.mode_of(v) - 1)
+    q = 2 * (v - 1)
     others = [i for i in range(2 * g.n_vertices) if i not in (q, q + 1)]
     got = cov[np.ix_(others, others)]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -141,47 +141,73 @@ def test_edge_list_round_trip(data, g):
 
 
 @st.composite
-def labelled_graphs(draw, max_vertices=12):
-    """A simple graph on arbitrary distinct integer labels, and its edges in
-    two independently drawn orders and orientations."""
-    labels = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=max_vertices,
-                           unique=True))
-    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
-    keep = draw(st.binary(min_size=len(pairs), max_size=len(pairs)))
-    edges = [e for e, byte in zip(pairs, keep) if byte & 1]
+def edge_orders(draw, max_vertices=12):
+    """A vertex count n and the edges of a simple graph on 1..n in two
+    independently drawn orders and orientations."""
+    n = draw(st.integers(1, max_vertices))
+    edges = sorted(draw(simple_graphs(min_vertices=n, max_vertices=n)).edges)
     orders = []
     for _ in range(2):
         order = draw(st.permutations(edges))
         flips = draw(st.binary(min_size=len(order), max_size=len(order)))
         orders.append([(b, a) if flip & 1 else (a, b) for (a, b), flip in zip(order, flips)])
-    return labels, orders
+    return n, orders
 
 
 @PROPERTY_SETTINGS
-@given(drawn=labelled_graphs())
+@given(drawn=edge_orders())
 def test_graph_tables_match_an_edge_scan(drawn):
-    """Neighbour table and mode index agree with a scan of the edges, reject
-    unknown vertices, and leave equality, hash and repr alone."""
-    labels, (first, second) = drawn
-    g = graphs.from_edges(first, vertices=labels)
-    for v in labels:
+    """The neighbour table agrees with a scan of the edges, rejects vertices
+    outside 1..n, and leaves equality, hash and repr alone."""
+    n, (first, second) = drawn
+    g = graphs.from_edges(n, first)
+    for v in range(1, n + 1):
         scan = tuple(sorted([b for a, b in g.edges if a == v] + [a for a, b in g.edges if b == v]))
         assert g.neighborhood(v) == scan
         assert g.degree(v) == len(scan)
-    for m in range(1, len(labels) + 1):
-        assert g.mode_of(g.vertices[m - 1]) == m
-    unknown = max(labels) + 1
-    for query in (g.neighborhood, g.degree, g.mode_of):
-        with pytest.raises(InvalidGraphError, match=f"^vertex {unknown} not in graph$"):
-            query(unknown)
-    h = graphs.from_edges(second, vertices=reversed(labels))
-    h.neighborhood(labels[0])  # build both graphs' tables before comparing
-    h.mode_of(labels[-1])
+    for unknown in (0, n + 1):
+        for query in (g.neighborhood, g.degree):
+            with pytest.raises(InvalidGraphError, match=f"^vertex {unknown} not in graph$"):
+                query(unknown)
+    h = graphs.from_edges(n, second)
+    h.neighborhood(1)  # build both graphs' tables before comparing
     assert g == h and hash(g) == hash(h)
     # A frozenset's repr follows its insertion history, so repr is compared
     # with an unqueried graph built from the same edge order.
-    assert repr(g) == repr(graphs.from_edges(first, vertices=labels))
-    assert repr(h) == repr(graphs.from_edges(second, vertices=reversed(labels)))
+    assert repr(g) == repr(graphs.from_edges(n, first))
+    assert repr(h) == repr(graphs.from_edges(n, second))
+
+
+_SEEDED_RNG = st.integers(0, 2**32 - 1).map(np.random.default_rng)
+# Each generator's name and a strategy for its arguments.
+GENERATORS = {
+    "chain": st.tuples(st.integers(1, 12)),
+    "star": st.tuples(st.integers(1, 11)),
+    "ring": st.tuples(st.integers(3, 12)),
+    "ring_star": st.tuples(st.integers(2, 6).map(lambda m: 2 * m)),
+    "grid": st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    "random_graph": st.tuples(st.integers(1, 12), st.floats(0.0, 1.0), _SEEDED_RNG),
+    "random_connected_graph": st.tuples(st.integers(1, 12), st.floats(0.0, 1.0), _SEEDED_RNG),
+}
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), name=st.sampled_from(sorted(GENERATORS)))
+def test_every_generator_puts_vertex_v_on_mode_v(data, name):
+    """Vertices are 1..n; the graph state squeezes modes 1..n and then couples
+    exactly the sorted edges; star and ring_star put their hub on mode 1, its
+    momentum row reading the spokes' positions: the leaves 2..m+1 of star(m),
+    and 3, 5, ..., 2m+1 of ring_star(2m)."""
+    g = getattr(graphs, name)(*data.draw(GENERATORS[name]))
+    n = g.n_vertices
+    assert g.vertices == tuple(range(1, n + 1))
+    reg = protocols.build_graph_state(g)
+    assert reg.history == ([Squeeze(m, MOMENTUM_SQUEEZED) for m in range(1, n + 1)]
+                           + [Kerr(a, b, 1.0) for a, b in sorted(g.edges)])
+    if name in ("star", "ring_star"):
+        spokes = tuple(range(2, n + 1) if name == "star" else range(3, n + 1, 2))
+        assert g.neighborhood(1) == spokes
+        assert reg.quad_expr(1, Y) == {(1, Y, -1): 1.0, **{(s, X, 1): 1.0 for s in spokes}}
 
 
 # A tape step names modes by position among the active ones (taken modulo

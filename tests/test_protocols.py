@@ -39,18 +39,17 @@ def test_chain_rows_closed_form():
 def test_star_rows_follow_the_graph():
     g = graphs.star(3)
     reg = protocols.build_graph_state(g)
-    hub = g.mode_of(0)
-    d = reg.quad_expr(hub, Y)
-    assert d[(hub, Y, -1)] == 1.0
-    for leaf in (1, 2, 3):
-        assert d[(g.mode_of(leaf), X, 1)] == 1.0
+    d = reg.quad_expr(1, Y)
+    assert d[(1, Y, -1)] == 1.0
+    for leaf in (2, 3, 4):
+        assert d[(leaf, X, 1)] == 1.0
 
 
 def test_graph_law_holds_on_a_grid():
     g = graphs.grid(2, 3)
     reg = protocols.build_graph_state(g)
     for v in g.vertices:
-        parts = [(1.0, g.mode_of(v), Y)] + [(-1.0, g.mode_of(b), X) for b in g.neighborhood(v)]
+        parts = [(1.0, v, Y)] + [(-1.0, b, X) for b in g.neighborhood(v)]
         assert ledger.is_nullifier(reg.combine(parts))
 
 
@@ -130,7 +129,7 @@ def _fresh_graph_state(g):
     reg = ledger.Register(g.n_vertices)
     for m in range(1, g.n_vertices + 1):
         reg.apply(Squeeze(m, MOMENTUM_SQUEEZED))
-    for l, k in sorted((g.mode_of(a), g.mode_of(b)) for a, b in g.edges):
+    for l, k in sorted(g.edges):
         reg.apply(Kerr(l, k, 1.0))
     return reg
 
@@ -269,6 +268,16 @@ def test_solver_reports_infeasibility():
     # with no records at all, a target with growing content cannot be cleaned
     reg = protocols.build_graph_state(graphs.chain(2))
     assert protocols.solve_feedforward(reg, [[(1.0, 1, Y)]], []) == protocols.Infeasible(0, 0)
+
+
+def test_solver_rejects_a_small_uncancellable_residue():
+    """Y_1 + 1e-5 X_3 on chain(3) after measuring X_2: the X_2 record cancels
+    the bond e^{+r} x0_2, but no record holds x0_3, so the 1e-5 e^{+r} x0_3
+    left over makes the system infeasible, however small the weight."""
+    reg = protocols.build_graph_state(graphs.chain(3))
+    reg.measure(2, X)
+    sol = protocols.solve_feedforward(reg, [[(1.0, 1, Y), (1e-5, 3, X)]], reg.records)
+    assert sol == protocols.Infeasible(1, 1)
 
 
 def test_solver_allowance_keeps_a_bond():
@@ -520,7 +529,7 @@ def test_star_to_ghz_flavors():
 
 
 def test_star_to_ghz_rejects_a_hub_with_a_leaf_edge():
-    g = graphs.from_edges([(1, 2), (1, 3), (1, 4), (2, 3)])
+    g = graphs.from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 3)])
     with pytest.raises(ProtocolPreconditionError, match="not a star"):
         protocols.star_to_ghz(g)
 
@@ -538,18 +547,20 @@ def test_ring_star_parity_rule():
 
 
 def test_ring_star_explicit_measured_set():
-    rep = protocols.ring_star_to_ghz(graphs.ring_star(10), measured=[2, 4, 6, 8, 10])
+    rep = protocols.ring_star_to_ghz(graphs.ring_star(10), measured=[3, 5, 7, 9, 11])
     assert rep.success
 
 
 def test_alternating_attachment_is_the_only_working_five_spoke():
     """Of all 252 ways to hub five spokes on a ten-ring, only the two
-    alternating patterns admit the GHZ projection."""
+    alternating patterns admit the GHZ projection (hub 1, ring 2..11)."""
+    ring = [(a + 1, b + 1) for a, b in graphs.ring(10).edges]
     winners = []
-    for spokes in itertools.combinations(range(1, 11), 5):
-        if protocols.ring_star_to_ghz(graphs.ring_star(10, spokes=spokes)).success:
+    for spokes in itertools.combinations(range(2, 12), 5):
+        g = graphs.from_edges(11, ring + [(1, s) for s in spokes])
+        if protocols.ring_star_to_ghz(g).success:
             winners.append(spokes)
-    assert winners == [(1, 3, 5, 7, 9), (2, 4, 6, 8, 10)]
+    assert winners == [(2, 4, 6, 8, 10), (3, 5, 7, 9, 11)]
 
 
 def test_quarter_turns_reach_ghz_only_up_to_three():
