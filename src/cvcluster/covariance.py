@@ -258,15 +258,16 @@ def homodyne(
 
 
 def combo_weights(combo) -> tuple[np.ndarray, tuple]:
-    """Weights of a combination, repeats accumulated, and the ``np.ix_`` index
-    of its covariance sub-block: computed once for a combination that is
+    """Weights of a combination, repeats accumulated, and the ``np.ix_``-shaped
+    index of its covariance sub-block: computed once for a combination that is
     evaluated on many states."""
     weights: dict[int, float] = {}
     for coeff, mode, kind in combo:
         qi = quad_index(mode, kind)
         weights[qi] = weights.get(qi, 0.0) + coeff
     idx = sorted(weights)
-    return np.array([weights[i] for i in idx]), np.ix_(idx, idx)
+    ix = np.array(idx, dtype=np.intp)
+    return np.array([weights[i] for i in idx]), (ix[:, None], ix[None, :])
 
 
 def variance_of(state: GaussianState, weights) -> float:

@@ -43,9 +43,15 @@ def _accumulate(dst: dict, c: float, src: dict) -> dict:
 
     ``src`` is read in insertion order and each sum is pruned as it is made,
     so an entry at or below ``PRUNE_TOL`` is dropped; a zero ``c`` changes
-    nothing.  Returns ``dst``.
+    nothing.  Returns ``dst``.  Into an empty ``dst`` each sum is
+    ``0.0 + c*v``, which is ``c*v`` bit for bit (only -0.0 turns to +0.0, and
+    zero is pruned), so that case is a scaled copy: same values, same order.
     """
-    if c != 0.0:
+    if c != 0.0 and not dst:
+        for key, v in src.items():
+            if not abs(val := c * v) <= PRUNE_TOL:  # NaN kept, as by the sum
+                dst[key] = val
+    elif c != 0.0:
         for key, v in src.items():
             val = dst.get(key, 0.0) + c * v
             if abs(val) <= PRUNE_TOL:
@@ -192,7 +198,8 @@ class Register:
             ml, mk = self._mode(gate.l), self._mode(gate.k)
             for dst, src in ((ml, mk), (mk, ml)):
                 _accumulate(dst.row[Y], gate.g, src.row[X])
-                _accumulate(dst.book[Y], gate.g, src.book[X])
+                if src.book[X]:
+                    _accumulate(dst.book[Y], gate.g, src.book[X])
         elif isinstance(gate, gates.Rotate):
             md = self._mode(gate.mode)
             c, s = gates.cos_sin(gate.theta)

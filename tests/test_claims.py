@@ -6,12 +6,15 @@ saw.  The three-mode GHZ optics state enters the battery after the
 cross-engine claim, so only the hygiene claim can replay it; a one-entry
 battery with an ``is_physical`` that rejects that state checks that hygiene
 still judges it, and its combinations are bridged here instead.  The
-finite-squeezing claim must fail on a state with no entanglement.
+finite-squeezing claim must fail on a state with no entanglement.  Hygiene
+computes only the commutators of rows that share a conjugate operator; an
+all-pairs loop gives its count and worst defect, and a planted defect fails it.
 """
 
 import numpy as np
 
 from cvcluster import claims, covariance, ledger, protocols
+from cvcluster.gates import BRIDGE_TOL, MOMENTUM_SQUEEZED, Beamsplit, Kerr, Rotate, Squeeze, X, Y
 
 
 def result(outcome, cid):
@@ -19,7 +22,7 @@ def result(outcome, cid):
 
 
 def test_the_closing_claims_replay_each_battery_entry_once(claims_run):
-    outcome, calls, batteries = claims_run
+    outcome, calls, batteries, _ = claims_run
     battery, before = batteries["cross-engine"]
     late = len(battery.entries) - before
     assert before == 124 and late == 1
@@ -32,7 +35,7 @@ def test_the_closing_claims_replay_each_battery_entry_once(claims_run):
 
 
 def test_each_entry_keeps_the_verdict_of_its_own_fold(claims_run):
-    outcome, calls, batteries = claims_run
+    outcome, calls, batteries, _ = claims_run
     battery, before = batteries["cross-engine"]
     assert claims.HYGIENE_R == 0.7
     assert len(battery.entries) == 125
@@ -106,3 +109,66 @@ def test_run_claims_times_each_claim(claims_run):
     assert sum(res.elapsed for res in outcome.results) <= outcome.elapsed
     only = claims.run_claims("rotated-sets").results
     assert [res.claim_id for res in only] == ["rotated-sets"] and only[0].elapsed > 0.0
+
+
+def all_pairs_defect(reg):
+    """Every ordered pair hygiene counts, each commutator computed."""
+    active = reg.active_modes()
+    rows = {(m, k): reg.quad_expr(m, k) for m in active for k in (X, Y)}
+    tables = {key: ledger.commutator_table(row) for key, row in rows.items()}
+    checks, worst = 0, 0.0
+    for i, a in enumerate(active):
+        worst = max(worst, abs(ledger.commutator_with(rows[(a, X)], tables[(a, Y)]) - 1.0))
+        checks += 1
+        for b in active[i + 1:]:
+            for ka, kb in ((X, X), (X, Y), (Y, Y)):
+                worst = max(worst, abs(ledger.commutator_with(rows[(a, ka)], tables[(b, kb)])))
+                checks += 1
+    return checks, worst
+
+
+def test_hygiene_counts_and_worst_match_an_all_pairs_loop(claims_run):
+    outcome, _, batteries, commutators = claims_run
+    battery, _ = batteries["hygiene"]
+    checks, worst = 0, 0.0
+    for entry in battery.entries:
+        expected = all_pairs_defect(entry.reg)
+        assert claims._commutator_defect(entry.reg) == expected, entry.label
+        checks, worst = checks + expected[0], max(worst, expected[1])
+    assert result(outcome, "hygiene").value.startswith(
+        f"{checks} commutators (max defect {worst:.3g}); ")
+    assert checks == 38634
+    assert set(commutators) == {"hygiene"} and commutators["hygiene"] <= 5000
+
+
+def test_hygiene_index_matches_all_pairs_on_rows_holding_both_quadratures():
+    """Generic rotations and beamsplitters put x0_m and y0_m in one row, and
+    a measured mode leaves the active set."""
+    rng = np.random.default_rng(28)
+    for _ in range(10):
+        reg = ledger.Register(4)
+        for m in range(1, 5):
+            reg.apply(Squeeze(m, MOMENTUM_SQUEEZED)).apply(Rotate(m, float(rng.uniform(-3, 3))))
+        reg.apply(Beamsplit(1, 2, float(rng.uniform(0.1, 0.9)))).apply(Kerr(2, 3, 0.7))
+        reg.displace_with(4, Y, 0.5, reg.measure(1, X))
+        assert claims._commutator_defect(reg) == all_pairs_defect(reg)
+        assert all_pairs_defect(reg)[0] == 12
+
+
+def test_hygiene_fails_on_a_row_given_another_modes_conjugate(claims_run):
+    """X_1 of chain(5) gains 1e-3 y0_3 at the exponent that cancels X_3's
+    e^{+r} x0_3, so [X_1, X_3] = -1e-3: a pure number, not a ledger error."""
+    battery, _ = claims_run[2]["hygiene"]
+    entry = next(e for e in battery.entries if e.label == "chain(5) rows")
+    reg = entry.reg.copy()
+    ((_, _, k),) = [key for key in reg.quad_expr(3, X) if key[:2] == (3, X)]
+    reg._modes[0].row[X][(3, Y, -k)] = 1e-3
+    assert ledger.commutator(reg.quad_expr(1, X), reg.quad_expr(3, X)) == -1e-3
+    assert claims._commutator_defect(reg) == all_pairs_defect(reg) == (35, 1e-3)
+    alone = claims.Battery()
+    alone.entries.append(claims.BatteryEntry(entry.label, reg, entry.pairs))
+    hygiene = claims._claim_hygiene(alone)
+    assert not hygiene.passed and hygiene.tolerance == f"{BRIDGE_TOL:g}"
+    assert hygiene.value == "35 commutators (max defect 0.001); 1 states replayed, 0 unphysical"
+    reg._modes[1].row[Y] = {}  # X_2 and Y_2 now share no operator: [X_2, Y_2] reads 0
+    assert claims._commutator_defect(reg) == all_pairs_defect(reg) == (35, 1.0)

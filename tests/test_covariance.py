@@ -100,6 +100,14 @@ def test_kerr_correlates_momenta():
     assert variance_of(state, covariance.combo_weights([(1.0, 1, Y)])) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 40, 150])
+def test_symplectic_form_is_the_kron_form_bit_for_bit(n):
+    kron = np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    omega = gates.symplectic_form(n)
+    assert omega.dtype == kron.dtype and omega.shape == kron.shape
+    assert np.array_equal(omega, kron) and np.array_equal(np.signbit(omega), np.signbit(kron))
+
+
 def test_symplectic_transforms_leave_purity():
     rng = np.random.default_rng(5)
     state = vacuum_state(3)
@@ -739,6 +747,19 @@ def test_combo_weights_computed_once_give_the_same_bits():
         verdicts = [covariance.bridge_agrees(state, weights, numeric, symbolic)
                     for symbolic in (numeric + 1e-3, numeric + 1e3)]
         assert verdicts == ([True, False] if r == 10.0 else [False, False])
+
+
+@pytest.mark.parametrize("combo", [[], [(1.0, 2, Y)], [(0.5, 3, X), (1.0, 1, Y), (-2.0, 3, X), (1.0, 2, Y)]])
+def test_combo_weights_index_is_the_ix_index(combo):
+    """Same shapes and dtype as ``np.ix_`` over the sorted quadratures, and
+    the same gathered block."""
+    w, ix = covariance.combo_weights(combo)
+    idx = sorted({covariance.quad_index(m, k) for _, m, k in combo})
+    expected = np.ix_(idx, idx)
+    assert [(a.shape, a.dtype) for a in ix] == [(a.shape, a.dtype) for a in expected]
+    assert all(np.array_equal(a, b) for a, b in zip(ix, expected)) and w.shape == (len(idx),)
+    cov = np.arange(36.0).reshape(6, 6)
+    assert np.array_equal(cov[ix], cov[expected])
 
 
 def test_bridge_catches_mean_displacement_free_variance():

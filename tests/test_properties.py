@@ -2,7 +2,8 @@
 and after an X-measurement, the edge-list round trip and the graph lookup
 tables over random simple graphs, vertex v on mode v for every graph
 generator, canonical commutators on random ledger tapes with feed-forward,
-and the covariance tape replay against its per-gate rule, overflow included.
+the covariance tape replay against its per-gate rule, overflow included, and
+the ledger's accumulate step, Kerr books included, against its general loop.
 
 The oracle is the Gaussian graphical calculus (Menicucci, Flammia & van Loock,
 PRA 83, 042335 (2011)): the graph state of adjacency matrix A at squeezing r
@@ -24,7 +25,17 @@ from hypothesis import strategies as st
 
 from cvcluster import covariance, graphs, ledger, protocols
 from cvcluster.errors import DomainError, InvalidGraphError, UnsupportedOperationError
-from cvcluster.gates import MOMENTUM_SQUEEZED, POSITION_SQUEEZED, Beamsplit, Kerr, Rotate, Squeeze, X, Y
+from cvcluster.gates import (
+    MOMENTUM_SQUEEZED,
+    POSITION_SQUEEZED,
+    PRUNE_TOL,
+    Beamsplit,
+    Kerr,
+    Rotate,
+    Squeeze,
+    X,
+    Y,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -328,3 +339,67 @@ def test_apply_tape_is_the_per_gate_rule_overflow_included(drawn):
         with pytest.raises(DomainError) as raised:
             covariance.apply_tape(covariance.vacuum_state(n), tape, r)
         assert str(raised.value) == message
+
+
+def accumulate_reference(dst, c, src):
+    """``dst += c * src`` by the general loop alone: every sum made with
+    ``dst.get`` and pruned as it is made, whether ``dst`` is empty or not."""
+    if c != 0.0:
+        for key, v in src.items():
+            val = dst.get(key, 0.0) + c * v
+            if abs(val) <= PRUNE_TOL:
+                dst.pop(key, None)
+            else:
+                dst[key] = val
+    return dst
+
+
+_TERM_KEYS = st.tuples(st.integers(1, 4), st.sampled_from([X, Y]), st.integers(-2, 2))
+# Coefficients on both sides of PRUNE_TOL, as sums and scaled copies meet them.
+_COEFFS = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(PRUNE_TOL / 10, PRUNE_TOL * 10),
+    st.sampled_from([PRUNE_TOL, -PRUNE_TOL, 1.0, -1.0]),
+)
+_SCALES = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 1e-300, -1e-300]), st.floats(-1e6, 1e6))
+
+
+@PROPERTY_SETTINGS
+@given(
+    dst=st.one_of(st.just({}), st.dictionaries(_TERM_KEYS, _COEFFS, min_size=1, max_size=8)),
+    c=_SCALES,
+    src=st.dictionaries(_TERM_KEYS, _COEFFS, max_size=8),
+)
+def test_accumulate_is_the_general_loop_value_for_value_and_in_order(dst, c, src):
+    """The scaled copy into an empty dict keeps what the general loop makes,
+    underflow to zero (c = 1e-300) and pruning included."""
+    want = accumulate_reference(dict(dst), c, src)
+    got = dict(dst)
+    assert ledger._accumulate(got, c, src) is got
+    assert list(got.items()) == list(want.items())
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(data=st.data(), g=st.floats(-3.0, 3.0))
+def test_kerr_with_feed_forward_books_is_the_general_step(data, g):
+    """A Kerr between modes whose books hold records, or not, leaves every row
+    and book as the general accumulate step does, in the same key order."""
+    reg = ledger.Register(5)
+    for gate in protocols.build_graph_state(graphs.chain(5)).history:
+        reg.apply(gate)
+    for measured in (1, 5):
+        rec = reg.measure(measured, X)
+        for mode, kind in data.draw(st.lists(st.tuples(st.integers(2, 4), st.sampled_from([X, Y])), max_size=4)):
+            reg.displace_with(mode, kind, data.draw(st.floats(-2.0, 2.0)), rec)
+    l, k = data.draw(st.permutations([2, 3, 4]))[:2]
+    want = reg.copy()
+    ml, mk = want._modes[l - 1], want._modes[k - 1]
+    for dst, src in ((ml, mk), (mk, ml)):
+        accumulate_reference(dst.row[Y], g, src.row[X])
+        accumulate_reference(dst.book[Y], g, src.book[X])
+    reg.apply(Kerr(l, k, g))
+    for got_mode, want_mode in zip(reg._modes, want._modes):
+        for table in ("row", "book"):
+            for kind in (X, Y):
+                got_d, want_d = getattr(got_mode, table)[kind], getattr(want_mode, table)[kind]
+                assert list(got_d.items()) == list(want_d.items())
