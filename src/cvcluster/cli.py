@@ -12,9 +12,9 @@ assertion, claim or protocol target failed, 2 for usage, I/O and input
 errors, which :func:`main` prints as one line on stderr.  An input error
 reads ``source:line:col: reason`` (edge lists: ``source:line: reason``),
 where the source is the input file or ``<combo>``.  All output is
-deterministic given the inputs and seed; the only environment influence is
-``NO_COLOR``, which disables the PASS/FAIL coloring that is otherwise
-applied on a terminal.
+deterministic given the inputs and seed, apart from the wall-clock times in
+the claims report, and no environment variable changes it: a terminal gets
+the bytes a pipe gets.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 
 from . import claims as claims_suite
@@ -33,13 +32,6 @@ from .gates import MAX_MODES
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-def _paint(status: str) -> str:
-    if not sys.stdout.isatty() or os.environ.get("NO_COLOR"):
-        return status
-    code = "32" if status == "PASS" else "31"
-    return f"\x1b[{code}m{status}\x1b[0m"
 
 
 # ---------------------------------------------------------------------------
@@ -73,11 +65,8 @@ def _cmd_claims(args) -> int:
     fmt = "  ".join(f"{{{i}:<{w}}}" for i, w in enumerate(widths)) + "  {4}"
     print(fmt.format(*headers))
     print(fmt.format(*("-" * w for w in widths), "-" * len(headers[4])))
-    for res in outcome.results:
-        line = fmt.format(res.claim_id, res.status, res.value, res.tolerance, res.statement)
-        if sys.stdout.isatty():
-            line = line.replace(res.status, _paint(res.status), 1)
-        print(line)
+    for res, row in zip(outcome.results, rows):
+        print(fmt.format(*row))
         if args.only:
             for detail in res.details:
                 print(f"    {detail}")

@@ -322,17 +322,6 @@ def is_nullifier(expr: dict) -> bool:
     return all(k <= -1 for (_, _, k), c in expr.items() if abs(c) > NULLIFIER_TOL)
 
 
-def commutator(e1: dict, e2: dict) -> float:
-    """Commutator of two expressions in units of i (so [x0_m, y0_m] = 1).
-
-    Cross products are grouped by the sum of their squeezing exponents; a
-    physical commutator is a pure number, so every nonzero exponent-sum group
-    must cancel.  A surviving unbalanced group means the register algebra was
-    corrupted and raises :class:`InternalConsistencyError`.
-    """
-    return commutator_with(e1, commutator_table(e2))
-
-
 def commutator_table(e2: dict) -> dict[tuple[int, str], list[tuple[int, float]]]:
     """``e2``'s (exponent, coeff) pairs by (mode, kind), insertion order kept:
     built once for an expression that meets many left operands."""
@@ -343,7 +332,14 @@ def commutator_table(e2: dict) -> dict[tuple[int, str], list[tuple[int, float]]]
 
 
 def commutator_with(e1: dict, table: dict) -> float:
-    """:func:`commutator` of ``e1`` with the expression ``table`` was built from."""
+    """Commutator of ``e1`` with the expression ``table`` was built from, in
+    units of i (so [x0_m, y0_m] = 1).
+
+    Cross products are grouped by the sum of their squeezing exponents; a
+    physical commutator is a pure number, so every nonzero exponent-sum group
+    must cancel.  A surviving unbalanced group means the register algebra was
+    corrupted and raises :class:`InternalConsistencyError`.
+    """
     by_sum: dict[int, float] = {}
     for (m1, k1, ex1), c1 in e1.items():
         sign = 1.0 if k1 == X else -1.0

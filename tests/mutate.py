@@ -1,0 +1,219 @@
+"""Run named one-site mutants of the package through Tier-1 and say which survive.
+
+Usage (from the repository root)::
+
+    python3 tests/mutate.py            # every mutant
+    python3 tests/mutate.py NAME ...   # the named ones
+
+Each mutant is a file, an old text that occurs in it exactly once, and a new
+text.  The script copies the repository (without ``.git`` and caches) to a
+temporary directory once, checks there that Tier-1 passes unmutated, then for
+each mutant writes the edited file into the copy, runs Tier-1 with ``-x``
+against the copy's ``src`` and puts the file back.  It prints one row per
+mutant: killed, with the first failing test, or survived.  The working tree
+is only read.  A mutant survives when no test notices it; each survivor
+wants a test whose right answer comes from physics or a closed form, or a
+reason why the mutant is equivalent.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 120  # Tier-1 takes about 15 s; a mutant that makes a loop endless is killed
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+
+
+GATES = "src/cvcluster/gates.py"
+LEDGER = "src/cvcluster/ledger.py"
+COV = "src/cvcluster/covariance.py"
+PROTOCOLS = "src/cvcluster/protocols.py"
+SCENARIO = "src/cvcluster/scenario.py"
+
+MUTANTS = [
+    # Gate rules, ledger engine.
+    Mutant("ledger-squeeze-direction", LEDGER,
+           "dx = +1 if gate.direction == MOMENTUM_SQUEEZED else -1",
+           "dx = -1 if gate.direction == MOMENTUM_SQUEEZED else +1"),
+    Mutant("ledger-kerr-sign", LEDGER,
+           "_accumulate(dst.row[Y], gate.g, src.row[X])",
+           "_accumulate(dst.row[Y], -gate.g, src.row[X])"),
+    Mutant("ledger-kerr-gain", LEDGER,
+           "_accumulate(dst.row[Y], gate.g, src.row[X])",
+           "_accumulate(dst.row[Y], 1.0, src.row[X])"),
+    Mutant("ledger-kerr-book-sign", LEDGER,
+           "_accumulate(dst.book[Y], gate.g, src.book[X])",
+           "_accumulate(dst.book[Y], -gate.g, src.book[X])"),
+    Mutant("ledger-rotation-sign", LEDGER,
+           "_mix_quads(md, X, md, Y, ((c, s), (-s, c)))",
+           "_mix_quads(md, X, md, Y, ((c, -s), (s, c)))"),
+    Mutant("ledger-beamsplitter-s-c-swap", LEDGER,
+           "s, c = math.sqrt(gate.t), math.sqrt(1.0 - gate.t)",
+           "c, s = math.sqrt(gate.t), math.sqrt(1.0 - gate.t)"),
+    # Gate rules, covariance engine: the placed blocks and the in-place steps.
+    Mutant("cov-squeeze-direction", GATES,
+           "x, y = (r, -r) if gate.direction == MOMENTUM_SQUEEZED else (-r, r)",
+           "x, y = (-r, r) if gate.direction == MOMENTUM_SQUEEZED else (r, -r)"),
+    Mutant("cov-squeeze-step-factors", COV,
+           "q, a, b = idx.start, block[..., 0, 0], block[..., 1, 1]",
+           "q, a, b = idx.start, block[..., 1, 1], block[..., 0, 0]"),
+    Mutant("cov-kerr-sign", GATES,
+           "s_mat[1, 2] = gate.g\n        s_mat[3, 0] = gate.g",
+           "s_mat[1, 2] = -gate.g\n        s_mat[3, 0] = -gate.g"),
+    Mutant("cov-kerr-gain", COV,
+           "elif isinstance(gate, gates.Kerr) and gate.g == 1.0:",
+           "elif isinstance(gate, gates.Kerr) and gate.g != 0.0:"),
+    Mutant("cov-kerr-step-sign", COV,
+           "            v += side[xk]\n            w += side[xl]",
+           "            v -= side[xk]\n            w -= side[xl]"),
+    Mutant("cov-kerr-step-mean", COV,
+           "mean[xl + 1] + mean[xk], mean[xk + 1] + mean[xl]",
+           "mean[xl + 1] - mean[xk], mean[xk + 1] - mean[xl]"),
+    Mutant("cov-rotation-sign", GATES,
+           "s_mat = np.array([[c, s], [-s, c]])",
+           "s_mat = np.array([[c, -s], [s, c]])"),
+    Mutant("cov-beamsplitter-s-c-swap", GATES,
+           "s = math.sqrt(gate.t)\n        c = math.sqrt(1.0 - gate.t)",
+           "c = math.sqrt(gate.t)\n        s = math.sqrt(1.0 - gate.t)"),
+    # Homodyne on the covariance engine.
+    Mutant("homodyne-schur-sign", COV,
+           "cov = state.cov - np.outer(b, b) / v",
+           "cov = state.cov + np.outer(b, b) / v"),
+    Mutant("homodyne-schur-scale", COV,
+           "cov = state.cov - np.outer(b, b) / v",
+           "cov = state.cov - np.outer(b, b) / (2 * v)"),
+    Mutant("homodyne-mean-shift-sign", COV,
+           "mean = state.mean + b * (outcome - prior_mean) / v",
+           "mean = state.mean - b * (outcome - prior_mean) / v"),
+    Mutant("homodyne-mean-shift-prior", COV,
+           "mean = state.mean + b * (outcome - prior_mean) / v",
+           "mean = state.mean + b * outcome / v"),
+    Mutant("homodyne-reset-variance", COV,
+           "cov[q, q] = cov[q ^ 1, q ^ 1] = 0.5",
+           "cov[q, q] = 0.5"),
+    Mutant("homodyne-reset-cross-terms", COV,
+           "cov[own, :] = cov[:, own] = 0.0",
+           "cov[own, :] = 0.0"),
+    Mutant("homodyne-reset-mean", COV,
+           "    mean[own] = 0.0\n",
+           ""),
+    # Feed-forward.
+    Mutant("repair-c-times-weight", PROTOCOLS,
+           "_displace(report, mode, kind, c / weight, report.register.records[idx])",
+           "_displace(report, mode, kind, c * weight, report.register.records[idx])"),
+    Mutant("frame-combo-drops-earlier-records", LEDGER,
+           "            fold(c, self._modes[rec.mode - 1].book[rec.kind])\n",
+           ""),
+    Mutant("frame-combo-earliest-first", LEDGER,
+           "i = max(due)",
+           "i = min(due)"),
+    Mutant("frame-combo-fold-sign", LEDGER,
+           "due[i] = due.get(i, 0.0) + c * w",
+           "due[i] = due.get(i, 0.0) - c * w"),
+    # Every entry of the gates.py tolerance table, loosened.
+    Mutant("PRUNE_TOL-1e-6", GATES, "PRUNE_TOL = 1e-12", "PRUNE_TOL = 1e-6"),
+    Mutant("NULLIFIER_TOL-1e-3", GATES, "NULLIFIER_TOL = 1e-9", "NULLIFIER_TOL = 1e-3"),
+    Mutant("COMMUTATOR_TOL-1e-2", GATES, "COMMUTATOR_TOL = 1e-9", "COMMUTATOR_TOL = 1e-2"),
+    Mutant("QUARTER_TURN_TOL-1e-6", GATES, "QUARTER_TURN_TOL = 1e-12", "QUARTER_TURN_TOL = 1e-6"),
+    Mutant("SYMPLECTIC_TOL-1e-3", GATES, "SYMPLECTIC_TOL = 1e-12", "SYMPLECTIC_TOL = 1e-3"),
+    Mutant("SINGULAR_TOL-1e-20", GATES, "SINGULAR_TOL = 1e-15", "SINGULAR_TOL = 1e-20"),
+    Mutant("UNCERTAINTY_TOL-1e-1", GATES, "UNCERTAINTY_TOL = 1e-9", "UNCERTAINTY_TOL = 1e-1"),
+    Mutant("PRODUCT_TOL-1e-2", GATES, "PRODUCT_TOL = 1e-9", "PRODUCT_TOL = 1e-2"),
+    Mutant("SOLVER_TOL-1e-4", GATES, "SOLVER_TOL = 1e-9", "SOLVER_TOL = 1e-4"),
+    Mutant("BRIDGE_TOL-1e-3", GATES, "BRIDGE_TOL = 1e-9", "BRIDGE_TOL = 1e-3"),
+    Mutant("COEFF_TOL-1e-3", GATES, "COEFF_TOL = 1e-12", "COEFF_TOL = 1e-3"),
+    Mutant("ENTANGLEMENT_MARGIN--1e-3", GATES,
+           "ENTANGLEMENT_MARGIN = 1e-12", "ENTANGLEMENT_MARGIN = -1e-3"),
+    # The bridge allowance.
+    Mutant("bridge-allowance-by-variance", COV,
+           "float(np.abs(w) @ np.abs(state.cov[ix]) @ np.abs(w))",
+           "float(w @ state.cov[ix] @ w)"),
+    Mutant("bridge-absolute-only", COV,
+           "return gap <= BRIDGE_TOL or gap <= bridge_allowance(state, weights)",
+           "return gap <= BRIDGE_TOL"),
+    # The parser's column rule.
+    Mutant("parser-column-from-line-start", SCENARIO,
+           "at = self.body.find(tok, at)",
+           "at = self.body.find(tok)"),
+    Mutant("parser-end-column-counts-whitespace", SCENARIO,
+           "len(self.body.rstrip()) + 1",
+           "len(self.body) + 1"),
+]
+
+
+def tier1(copy: Path) -> tuple[bool, str]:
+    """Run Tier-1 with ``-x`` in ``copy`` against its own ``src``: (passed, first failing test)."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
+            "--continue-on-collection-errors"]
+    try:
+        proc = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:  # the child is killed; the run counts as noticed
+        return False, f"(timed out after {TIMEOUT_S} s)"
+    if proc.returncode == 0:
+        return True, ""
+    first = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.M)
+    return False, first.group(1) if first else f"(pytest exit {proc.returncode})"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    assert len(by_name) == len(MUTANTS), "mutant names must be unique"
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        parser.error(f"unknown mutant(s): {', '.join(unknown)}")
+    chosen = [by_name[n] for n in args.names] or MUTANTS
+    for m in chosen:  # refuse a stale mutant before any run
+        count = (ROOT / m.path).read_text(encoding="utf-8").count(m.old)
+        if count != 1:
+            sys.exit(f"mutant {m.name}: old text occurs {count} times in {m.path}")
+
+    with tempfile.TemporaryDirectory(prefix="cvcluster-mutants-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info"))
+        ok, first = tier1(copy)
+        if not ok:
+            sys.exit(f"Tier-1 fails without a mutant ({first}); nothing to judge")
+        width = max(len(m.name) for m in chosen)
+        print(f"{'mutant':<{width}}  {'verdict':<8}  {'s':>5}  first failing test")
+        survivors = 0
+        for m in chosen:
+            target = copy / m.path
+            original = target.read_text(encoding="utf-8")
+            target.write_text(original.replace(m.old, m.new, 1), encoding="utf-8")
+            started = time.perf_counter()
+            try:
+                passed, first = tier1(copy)
+            finally:
+                target.write_text(original, encoding="utf-8")
+            survivors += passed
+            verdict = "survived" if passed else "killed"
+            print(f"{m.name:<{width}}  {verdict:<8}  {time.perf_counter() - started:5.1f}  {first}",
+                  flush=True)
+        print(f"{len(chosen) - survivors} of {len(chosen)} killed, {survivors} survived")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

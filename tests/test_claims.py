@@ -163,7 +163,7 @@ def test_hygiene_fails_on_a_row_given_another_modes_conjugate(claims_run):
     reg = entry.reg.copy()
     ((_, _, k),) = [key for key in reg.quad_expr(3, X) if key[:2] == (3, X)]
     reg._modes[0].row[X][(3, Y, -k)] = 1e-3
-    assert ledger.commutator(reg.quad_expr(1, X), reg.quad_expr(3, X)) == -1e-3
+    assert ledger.commutator_with(reg.quad_expr(1, X), ledger.commutator_table(reg.quad_expr(3, X))) == -1e-3
     assert claims._commutator_defect(reg) == all_pairs_defect(reg) == (35, 1e-3)
     alone = claims.Battery()
     alone.entries.append(claims.BatteryEntry(entry.label, reg, entry.pairs))

@@ -3,12 +3,13 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from cvcluster import cli, ledger
+from cvcluster import claims, cli, ledger, protocols
 from cvcluster.errors import InternalConsistencyError
 from cvcluster.gates import MAX_MODES
 
@@ -320,6 +321,28 @@ def test_a_record_chain_deeper_than_the_stack_resolves_on_covariance(tmp_path, c
     assert "1*y200,1,100\n" in capsys.readouterr().out
 
 
+def test_run_measuring_a_quadrature_squeezed_to_nothing_is_positioned(tmp_path, capsys):
+    """At r = 20 the momentum-squeezed vacuum has Y variance e^{-40}/2 = 2.12e-18,
+    below the homodyne's floor: nothing is left to measure, which is the one
+    place SingularMeasurementError is raised."""
+    p = tmp_path / "singular.cvq"
+    p.write_text("register 1\nsqueeze 1 momentum\nmeasure y 1 -> a\n")
+    assert cli.main(["run", str(p), "--engine", "covariance", "--r", "20", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{p}:3:1: quadrature (1, y) has variance 2.12e-18; nothing to measure\n"
+
+
+def test_run_r_that_is_not_a_number_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["run", script("epr_n2.cvq"), "--engine", "covariance", "--r", "abc"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "cvcluster run: error: argument --r: expected a finite real, got 'abc'\n")
+
+
 # ---------------------------------------------------------------------------
 # claims
 # ---------------------------------------------------------------------------
@@ -337,6 +360,59 @@ def test_claims_single_claim_with_details(capsys):
 def test_claims_unknown_id_exits_two(capsys):
     assert cli.main(["claims", "--only", "nope"]) == 2
     assert "unknown claim id" in capsys.readouterr().err
+
+
+def test_claims_only_prints_the_claims_detail_rows(monkeypatch, capsys):
+    """The claims before parity only add to the battery, which parity does not
+    read; they are left out to keep the test fast."""
+    monkeypatch.setattr(claims, "_CLAIMS", (claims._claim_parity,))
+    assert cli.main(["claims", "--only", "parity"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].split()[:2] == ["parity", "PASS"]
+    assert lines[3:13] == [
+        f"    family {m} (ring {2 * m}): "
+        + ("success" if m % 2 else "infeasible, rank deficiency 1")
+        for m in range(3, 13)
+    ]
+    assert re.fullmatch(r"1/1 claims passed in \d+\.\d\ds", lines[13]) and len(lines) == 14
+
+
+def test_a_failing_claim_exits_one_and_lists_what_failed(monkeypatch, capsys):
+    """Pair extraction made to fail on the two-mode chain; as above, only the
+    reported claim runs."""
+    extract_pair = protocols.extract_pair
+
+    def failing_on_two_modes(graph, j, k, outer=None):
+        report = extract_pair(graph, j, k, outer)
+        if graph.n_vertices == 2:
+            report.success, report.details = False, "forced failure"
+        return report
+
+    monkeypatch.setattr(protocols, "extract_pair", failing_on_two_modes)
+    monkeypatch.setattr(claims, "_CLAIMS", (claims._claim_pair_extraction,))
+    assert cli.main(["claims", "--only", "pair-extraction"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].split()[:5] == ["pair-extraction", "FAIL", "1332", "extractions,", "1"]
+    assert lines[3] == "    N=2 pair (1,2): forced failure"
+    assert re.fullmatch(r"0/1 claims passed in \d+\.\d\ds", lines[4]) and len(lines) == 5
+
+
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+def test_claims_prints_the_same_bytes_to_a_terminal(monkeypatch):
+    """No escape codes on a terminal, whatever the environment holds: the
+    report's bytes, its closing wall-clock time aside, are a pipe's."""
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    reports = []
+    for stream in (_Terminal(), io.StringIO()):
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert cli.main(["claims", "--only", "rotated-sets"]) == 0
+        reports.append(re.sub(r"in \d+\.\d\ds\n$", "in <t>s\n", stream.getvalue()))
+    assert "\x1b[" not in reports[0]
+    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +644,45 @@ def test_graph_star_ghz_rejects_a_non_star(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not a star" in captured.err
+
+
+def test_graph_reduce_path_between_components_fails(tmp_path, capsys):
+    path = write_edges(tmp_path, "split.txt", 4, [(1, 2), (3, 4)])
+    assert cli.main(["graph", path, "--protocol", "reduce-path", "--a", "1", "--b", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "protocol: reduce_graph_to_path\n"
+        "graph: 4 vertices, 2 edges\n"
+        "status: failed\n"
+        "details: endpoints are not connected\n"
+    )
+    assert captured.err == ""
+
+
+GOLDEN_EDGES = os.path.join(os.path.dirname(__file__), "golden", "edges")
+
+
+@pytest.mark.parametrize("edges, args, message", [
+    ("vertices 4\n1 2\n3 4\n", ["--protocol", "star-ghz"], "graph has no unique hub vertex"),
+    ("vertices 4\n1 2\n3 4\n", ["--protocol", "ring-star-ghz"], "graph is not a hub-spoked ring"),
+    ("vertices 1\n", ["--protocol", "star-ghz"], "GHZ projection needs at least two leaves"),
+    ("ringstar3.txt", ["--protocol", "ring-star-ghz", "--measured", "2,3,4,5,6"],
+     "GHZ projection needs at least two survivors"),
+    ("chain6.txt", ["--protocol", "reduce-path", "--a", "2", "--b", "2"],
+     "path endpoints must differ"),
+    ("chain6.txt", ["--protocol", "reduce-path", "--a", "0", "--b", "2"],
+     "path endpoints must be vertices"),
+])
+def test_graph_protocol_refusals_are_one_line(tmp_path, capsys, edges, args, message):
+    """``edges`` names a golden edge list, or is one written out here."""
+    path = os.path.join(GOLDEN_EDGES, edges)
+    if edges.startswith("vertices"):
+        path = tmp_path / "graph.txt"
+        path.write_text(edges)
+    assert cli.main(["graph", str(path), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
 
 
 def test_graph_disentangle_and_disconnect(tmp_path, capsys):

@@ -93,6 +93,13 @@ def test_gate_blocks_are_still_checked_once_built(monkeypatch):
         apply_gate(vacuum_state(2), Kerr(2, 1, 0.6180339887))
 
 
+def test_a_block_that_scales_the_commutator_is_not_symplectic():
+    """S = diag(1 + 1e-6, 1) turns [X, Y] = i into (1 + 1e-6) i: S Omega S^T is
+    Omega off by 1e-6, which no squeeze, rotation or coupling gives."""
+    assert gates.is_symplectic(np.diag([math.exp(0.3), math.exp(-0.3)]))
+    assert not gates.is_symplectic(np.diag([1.0 + 1e-6, 1.0]))
+
+
 def test_kerr_correlates_momenta():
     """After the coupling, each momentum carries the partner's position noise."""
     state = apply_gate(vacuum_state(2), Kerr(1, 2, 1.0))

@@ -286,7 +286,7 @@ def test_random_tapes_keep_canonical_commutators(n, before, feedforward, after):
     for (a, ka), ea in rows.items():
         for (b, kb), eb in rows.items():
             want = {(X, Y): 1.0, (Y, X): -1.0}.get((ka, kb), 0.0) if a == b else 0.0
-            assert abs(ledger.commutator(ea, eb) - want) <= 1e-9, ((a, ka), (b, kb))
+            assert abs(ledger.commutator_with(ea, ledger.commutator_table(eb)) - want) <= 1e-9, ((a, ka), (b, kb))
 
 
 @st.composite

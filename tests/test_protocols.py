@@ -292,6 +292,19 @@ def test_solver_allowance_keeps_a_bond():
                       protocols.Infeasible)
 
 
+@pytest.mark.parametrize("weight", [1.0, 2.0, -0.5])
+def test_repair_displaces_a_scaled_target_by_its_law_not_its_scale(weight):
+    """On chain(3) after measuring X_2, Y_1 = e^{-r} y0_1 + X_2 needs -1 times
+    the record, whatever weight the target gives Y_1: the solver's record
+    coefficient is -weight, and the carrier is displaced by it over weight.
+    (Every protocol's carriers weigh +-1, where a product would do the same.)"""
+    report = protocols.ProtocolReport("repair", False, protocols.build_graph_state(graphs.chain(3)))
+    rec = report.register.measure(2, X)
+    protocols._repair(report, [[(weight, 1, Y)]], [rec])
+    assert report.displacements == [(1, Y, pytest.approx(-1.0), 0)]
+    assert report.register.quad_expr(1, Y) == {(1, Y, -1): 1.0}
+
+
 def test_solver_with_no_records_and_clean_target():
     reg = protocols.build_graph_state(graphs.chain(2))
     sol = protocols.solve_feedforward(reg, [[(1.0, 1, Y), (-1.0, 2, X)]], records=[])
