@@ -8,9 +8,9 @@ shared battery.  Two closing claims read it: (a) ``cross-engine`` replays
 once on the covariance engine the tape of every entry added before it (all
 but ``GHZ optics (3)``, which ``finite-squeezing`` adds after it), comparing
 each combination's variance against the ledger's closed form at five
-squeezing values, and (b) ``hygiene`` re-verifies canonical commutators on
-every battery register, and the uncertainty bound of every entry's replay at
-a sixth value, ``HYGIENE_R``.
+squeezing values, and (b) ``hygiene`` checks every battery register's
+canonical commutators as one matrix identity in powers of ``e^r``, and the
+uncertainty bound of every entry's replay at a sixth value, ``HYGIENE_R``.
 
 Run via ``cvcluster claims`` or :func:`run_claims`.
 """
@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import covariance, graphs, ledger, protocols
-from .gates import BRIDGE_TOL, COEFF_TOL, ENTANGLEMENT_MARGIN, X, Y, Rotate
+from . import covariance, errors, graphs, ledger, protocols
+from .gates import BRIDGE_TOL, COEFF_TOL, COMMUTATOR_TOL, ENTANGLEMENT_MARGIN, X, Y, Rotate, symplectic_form
 
 BRIDGE_RS = (0.0, 0.25, 0.5, 1.0, 2.0)
 HYGIENE_R = 0.7
@@ -365,35 +365,48 @@ def _claim_finite_squeezing(battery: Battery) -> ClaimResult:
     )
 
 
+def _commutator_matrix(reg: ledger.Register) -> np.ndarray:
+    """Commutators of the active rows (X_a, Y_a, ...) in units of i, from ``S Ω Sᵀ = Ω``
+    in powers of ``e^r``: ``Σ_{k+l=s} M_k Ω M_lᵀ = Ω·[s = 0]``, where ``M_k`` holds the
+    rows' ``e^{kr}`` coefficients over the initial quadratures they use, in flat order.
+    Returns the s = 0 sum; one above ``COMMUTATOR_TOL`` at s != 0 raises."""
+    rows = [reg.quad_expr(m, kind) for m in reg.active_modes() for kind in (X, Y)]
+    col = {quad: j for j, quad in enumerate(sorted({key[:2] for row in rows for key in row}))}
+    exps = {k: e for e, k in enumerate(sorted({key[2] for row in rows for key in row}))}
+    mats = np.zeros((len(exps), len(rows), len(col)))
+    for i, row in enumerate(rows):
+        for (m, kind, k), c in row.items():
+            mats[exps[k], i, col[m, kind]] = c
+    # M Ω moves column x0_m to y0_m, the next column, and -y0_m to x0_m.
+    xs = np.array([j for (m, kind), j in col.items() if kind == X and (m, Y) in col], dtype=int)
+    m_omega = np.zeros_like(mats)
+    m_omega[..., xs + 1], m_omega[..., xs] = mats[..., xs], -mats[..., xs + 1]
+    sums = {}  # by s = k + l, ascending; each summed in sorted (k, l) order
+    for k, a in exps.items():
+        for l, b in exps.items():
+            sums[k + l] = sums.get(k + l, 0.0) + m_omega[a] @ mats[b].T
+    for s, total in sums.items():
+        if s != 0 and abs(worst := total.flat[np.abs(total).argmax()]) > COMMUTATOR_TOL:
+            raise errors.InternalConsistencyError(
+                f"commutator has e^{s:+d}r content {worst:.3g}; rows are not canonically conjugate")
+    return sums.get(0, np.zeros((len(rows), len(rows))))
+
+
 def _commutator_defect(reg: ledger.Register) -> tuple[int, float]:
     """``(pairs, worst |[., .] - delta|)`` over the active rows' (X_a, Y_a) and,
-    for a < b, (X_a, X_b), (X_a, Y_b), (Y_a, Y_b); only pairs found sharing an
-    initial quadrature (mode, kind) and its conjugate are computed."""
-    active = reg.active_modes()
-    rows = {(m, k): reg.quad_expr(m, k) for m in active for k in (X, Y)}
-    tables = {key: ledger.commutator_table(row) for key, row in rows.items()}
-    holders: dict[tuple[int, str], list] = {}
-    for key, table in tables.items():
-        for quad in table:
-            holders.setdefault(quad, []).append(key)
-    pairs = dict.fromkeys(((m, X), (m, Y)) for m in active)  # run even unshared: |0 - 1|
-    for (m, kind), keys in holders.items():
-        if kind == X:
-            pairs.update(dict.fromkeys(
-                (p, q) if p < q else (q, p) for p in keys for q in holders.get((m, Y), ()) if p != q))
-    worst = 0.0
-    for p, q in pairs:
-        if p[1] == X or q[1] == Y:  # (Y_a, X_b) is not one of the pairs
-            worst = max(worst, abs(ledger.commutator_with(rows[p], tables[q]) - (p[0] == q[0])))
-    return len(active) * (3 * len(active) - 1) // 2, worst
+    for a < b, (X_a, X_b), (X_a, Y_b), (Y_a, Y_b): the upper triangle of
+    :func:`_commutator_matrix`'s gap to Ω without (Y_a, X_b)."""
+    c0 = _commutator_matrix(reg)
+    n = len(c0) // 2
+    gap = np.abs(np.triu(c0 - symplectic_form(n), 1))
+    gap[1::2, 0::2] = 0.0  # (Y_a, X_b) is not one of the pairs
+    return n * (3 * n - 1) // 2, float(gap.max(initial=0.0))
 
 
 def _claim_hygiene(battery: Battery) -> ClaimResult:
     pair_checks, worst = 0, 0.0
     physical_fails = 0
     for entry in battery.entries:
-        # commutator_with sums only over conjugate operators both rows hold: a
-        # pair sharing none is exactly 0.0 and cannot raise, so it counts unrun.
         checks, defect = _commutator_defect(entry.reg)
         pair_checks, worst = pair_checks + checks, max(worst, defect)
         if entry.physical is None:  # added after the cross-engine claim

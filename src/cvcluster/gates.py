@@ -40,7 +40,7 @@ Y = "y"
 PRUNE_TOL = 1e-12
 # Ledger: a combination is a nullifier when all terms above this survive at k <= -1.
 NULLIFIER_TOL = 1e-9
-# Ledger: net commutator contributions at nonzero exponent-sum above this are a bug.
+# Claims (hygiene): net commutator contributions at nonzero exponent-sum above this are a bug.
 COMMUTATOR_TOL = 1e-9
 # Gates: an angle this close (in quarter turns) to a multiple of pi/2 snaps to it.
 QUARTER_TURN_TOL = 1e-12

@@ -30,12 +30,11 @@ from . import gates
 from .errors import (
     ConsumedModeError,
     DomainError,
-    InternalConsistencyError,
     InvalidSizeError,
     RecordOwnershipError,
     UnsupportedOperationError,
 )
-from .gates import COMMUTATOR_TOL, MOMENTUM_SQUEEZED, NULLIFIER_TOL, PRUNE_TOL, X, Y
+from .gates import MOMENTUM_SQUEEZED, NULLIFIER_TOL, PRUNE_TOL, X, Y
 
 
 def _accumulate(dst: dict, c: float, src: dict) -> dict:
@@ -314,45 +313,13 @@ class Register:
 
 
 def is_nullifier(expr: dict) -> bool:
-    """True when every term with |coeff| > NULLIFIER_TOL carries exponent <= -1.
+    """True when every term with |coeff| > NULLIFIER_TOL is finite at exponent <= -1.
 
     Such a combination has variance proportional to e^{-2r} (or faster) and
-    vanishes in the large-squeezing limit.  The zero expression qualifies.
+    vanishes in the large-squeezing limit.  The zero expression qualifies; a
+    NaN or infinite term, as an overflowed row holds, fails.
     """
-    return all(k <= -1 for (_, _, k), c in expr.items() if abs(c) > NULLIFIER_TOL)
-
-
-def commutator_table(e2: dict) -> dict[tuple[int, str], list[tuple[int, float]]]:
-    """``e2``'s (exponent, coeff) pairs by (mode, kind), insertion order kept:
-    built once for an expression that meets many left operands."""
-    table: dict[tuple[int, str], list[tuple[int, float]]] = {}
-    for (m2, k2, ex2), c2 in e2.items():
-        table.setdefault((m2, k2), []).append((ex2, c2))
-    return table
-
-
-def commutator_with(e1: dict, table: dict) -> float:
-    """Commutator of ``e1`` with the expression ``table`` was built from, in
-    units of i (so [x0_m, y0_m] = 1).
-
-    Cross products are grouped by the sum of their squeezing exponents; a
-    physical commutator is a pure number, so every nonzero exponent-sum group
-    must cancel.  A surviving unbalanced group means the register algebra was
-    corrupted and raises :class:`InternalConsistencyError`.
-    """
-    by_sum: dict[int, float] = {}
-    for (m1, k1, ex1), c1 in e1.items():
-        sign = 1.0 if k1 == X else -1.0
-        for ex2, c2 in table.get((m1, Y if k1 == X else X), ()):
-            s = ex1 + ex2
-            by_sum[s] = by_sum.get(s, 0.0) + sign * c1 * c2
-    for s, val in by_sum.items():
-        if s != 0 and abs(val) > COMMUTATOR_TOL:
-            raise InternalConsistencyError(
-                f"commutator has e^{s:+d}r content {val:.3g}; expressions are "
-                "not canonically conjugate"
-            )
-    return by_sum.get(0, 0.0)
+    return all(k < 0 and math.isfinite(c) for (_, _, k), c in expr.items() if not abs(c) <= NULLIFIER_TOL)
 
 
 def variance_formula(expr: dict, r: float) -> float:

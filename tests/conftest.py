@@ -4,22 +4,21 @@ import functools
 
 import pytest
 
-from cvcluster import claims, covariance, ledger
+from cvcluster import claims, covariance
 
 
 @pytest.fixture(scope="session")
 def claims_run():
     """One run of the whole claims suite, made before any test patches the
-    package, as ``(outcome, calls, batteries, commutators)``.
+    package, as ``(outcome, calls, batteries)``.
 
     Pass-through wrappers record it: ``calls`` lists ``(running claim,
     "replay" or "apply_tape", len(rs) or None)`` for each covariance replay,
     and ``batteries`` maps a claim id to the battery and its entry count when
-    that claim started.  ``commutators`` maps a claim id to the number of
-    ``ledger.commutator_with`` calls it made.  Acceptance criterion 12 runs
-    ``cvcluster claims`` in a subprocess instead.
+    that claim started.  Acceptance criterion 12 runs ``cvcluster claims`` in
+    a subprocess instead.
     """
-    calls, running, batteries, commutators = [], [None], {}, {}
+    calls, running, batteries = [], [None], {}
 
     def claim(fn):
         @functools.wraps(fn)
@@ -30,7 +29,6 @@ def claims_run():
         return wrapped
 
     replay, apply_tape = covariance.replay, covariance.apply_tape
-    commutator_with = ledger.commutator_with
 
     def counted_replay(n, tape, rs):
         calls.append((running[0], "replay", len(rs)))
@@ -40,17 +38,12 @@ def claims_run():
         calls.append((running[0], "apply_tape", None))
         return apply_tape(state, tape, r)
 
-    def counted_commutator_with(e1, table):
-        commutators[running[0]] = commutators.get(running[0], 0) + 1
-        return commutator_with(e1, table)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(claims, "_CLAIMS", tuple(claim(fn) for fn in claims._CLAIMS))
         mp.setattr(covariance, "replay", counted_replay)
         mp.setattr(covariance, "apply_tape", counted_apply_tape)
-        mp.setattr(ledger, "commutator_with", counted_commutator_with)
         outcome = claims.run_claims()
-    return outcome, calls, batteries, commutators
+    return outcome, calls, batteries
 
 
 @pytest.fixture(scope="session")

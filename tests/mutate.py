@@ -45,6 +45,7 @@ LEDGER = "src/cvcluster/ledger.py"
 COV = "src/cvcluster/covariance.py"
 PROTOCOLS = "src/cvcluster/protocols.py"
 SCENARIO = "src/cvcluster/scenario.py"
+CLAIMS = "src/cvcluster/claims.py"
 
 MUTANTS = [
     # Gate rules, ledger engine.
@@ -126,6 +127,19 @@ MUTANTS = [
     Mutant("frame-combo-fold-sign", LEDGER,
            "due[i] = due.get(i, 0.0) + c * w",
            "due[i] = due.get(i, 0.0) - c * w"),
+    # Hygiene's commutator identity, and the nullifier rule's non-finite terms.
+    Mutant("commutator-omega-column-sign", CLAIMS,
+           "mats[..., xs], -mats[..., xs + 1]",
+           "mats[..., xs], mats[..., xs + 1]"),
+    Mutant("commutator-skips-unbalanced-sums", CLAIMS,
+           "if s != 0 and abs(",
+           "if s is None and abs("),
+    Mutant("commutator-counts-y-a-x-b", CLAIMS,
+           "    gap[1::2, 0::2] = 0.0  # (Y_a, X_b) is not one of the pairs\n",
+           ""),
+    Mutant("nullifier-skips-non-finite", LEDGER,
+           "if not abs(c) <= NULLIFIER_TOL",
+           "if abs(c) > NULLIFIER_TOL"),
     # Every entry of the gates.py tolerance table, loosened.
     Mutant("PRUNE_TOL-1e-6", GATES, "PRUNE_TOL = 1e-12", "PRUNE_TOL = 1e-6"),
     Mutant("NULLIFIER_TOL-1e-3", GATES, "NULLIFIER_TOL = 1e-9", "NULLIFIER_TOL = 1e-3"),

@@ -7,14 +7,26 @@ cross-engine claim, so only the hygiene claim can replay it; a one-entry
 battery with an ``is_physical`` that rejects that state checks that hygiene
 still judges it, and its combinations are bridged here instead.  The
 finite-squeezing claim must fail on a state with no entanglement.  Hygiene
-computes only the commutators of rows that share a conjugate operator; an
-all-pairs loop gives its count and worst defect, and a planted defect fails it.
+reads the commutators off one matrix identity: a pairwise loop gives its count
+and worst defect, every ordered pair of the battery is canonical, and a planted
+defect fails it.
 """
 
 import numpy as np
 
+from commutators import reference_commutator
 from cvcluster import claims, covariance, ledger, protocols
-from cvcluster.gates import BRIDGE_TOL, MOMENTUM_SQUEEZED, Beamsplit, Kerr, Rotate, Squeeze, X, Y
+from cvcluster.gates import (
+    BRIDGE_TOL,
+    MOMENTUM_SQUEEZED,
+    Beamsplit,
+    Kerr,
+    Rotate,
+    Squeeze,
+    X,
+    Y,
+    symplectic_form,
+)
 
 
 def result(outcome, cid):
@@ -22,7 +34,7 @@ def result(outcome, cid):
 
 
 def test_the_closing_claims_replay_each_battery_entry_once(claims_run):
-    outcome, calls, batteries, _ = claims_run
+    outcome, calls, batteries = claims_run
     battery, before = batteries["cross-engine"]
     late = len(battery.entries) - before
     assert before == 124 and late == 1
@@ -35,7 +47,7 @@ def test_the_closing_claims_replay_each_battery_entry_once(claims_run):
 
 
 def test_each_entry_keeps_the_verdict_of_its_own_fold(claims_run):
-    outcome, calls, batteries, _ = claims_run
+    outcome, calls, batteries = claims_run
     battery, before = batteries["cross-engine"]
     assert claims.HYGIENE_R == 0.7
     assert len(battery.entries) == 125
@@ -112,23 +124,27 @@ def test_run_claims_times_each_claim(claims_run):
 
 
 def all_pairs_defect(reg):
-    """Every ordered pair hygiene counts, each commutator computed."""
+    """Every ordered pair hygiene counts, each commutator computed term pair
+    by term pair."""
     active = reg.active_modes()
     rows = {(m, k): reg.quad_expr(m, k) for m in active for k in (X, Y)}
-    tables = {key: ledger.commutator_table(row) for key, row in rows.items()}
+
+    def commutator(p, q):
+        return reference_commutator(rows[p], rows[q]).get(0, 0.0)
+
     checks, worst = 0, 0.0
     for i, a in enumerate(active):
-        worst = max(worst, abs(ledger.commutator_with(rows[(a, X)], tables[(a, Y)]) - 1.0))
+        worst = max(worst, abs(commutator((a, X), (a, Y)) - 1.0))
         checks += 1
         for b in active[i + 1:]:
             for ka, kb in ((X, X), (X, Y), (Y, Y)):
-                worst = max(worst, abs(ledger.commutator_with(rows[(a, ka)], tables[(b, kb)])))
+                worst = max(worst, abs(commutator((a, ka), (b, kb))))
                 checks += 1
     return checks, worst
 
 
 def test_hygiene_counts_and_worst_match_an_all_pairs_loop(claims_run):
-    outcome, _, batteries, commutators = claims_run
+    outcome, _, batteries = claims_run
     battery, _ = batteries["hygiene"]
     checks, worst = 0, 0.0
     for entry in battery.entries:
@@ -138,12 +154,13 @@ def test_hygiene_counts_and_worst_match_an_all_pairs_loop(claims_run):
     assert result(outcome, "hygiene").value.startswith(
         f"{checks} commutators (max defect {worst:.3g}); ")
     assert checks == 38634
-    assert set(commutators) == {"hygiene"} and commutators["hygiene"] <= 5000
 
 
-def test_hygiene_index_matches_all_pairs_on_rows_holding_both_quadratures():
+def test_hygiene_matches_all_pairs_on_rows_holding_both_quadratures():
     """Generic rotations and beamsplitters put x0_m and y0_m in one row, and
-    a measured mode leaves the active set."""
+    a measured mode leaves the active set.  The identity and the loop sum the
+    same products in different orders, so the worst defect may differ in its
+    last bits; these rows' terms are of order 1, so by a few ulps of 1."""
     rng = np.random.default_rng(28)
     for _ in range(10):
         reg = ledger.Register(4)
@@ -151,8 +168,38 @@ def test_hygiene_index_matches_all_pairs_on_rows_holding_both_quadratures():
             reg.apply(Squeeze(m, MOMENTUM_SQUEEZED)).apply(Rotate(m, float(rng.uniform(-3, 3))))
         reg.apply(Beamsplit(1, 2, float(rng.uniform(0.1, 0.9)))).apply(Kerr(2, 3, 0.7))
         reg.displace_with(4, Y, 0.5, reg.measure(1, X))
-        assert claims._commutator_defect(reg) == all_pairs_defect(reg)
-        assert all_pairs_defect(reg)[0] == 12
+        (checks, worst), (want_checks, want_worst) = claims._commutator_defect(reg), all_pairs_defect(reg)
+        assert checks == want_checks == 12
+        assert abs(worst - want_worst) <= 4 * np.finfo(float).eps
+
+
+def test_every_ordered_battery_pair_is_canonical(claims_run):
+    """The printed line counts (X_a, Y_b) but not (Y_a, X_b) for a < b; the
+    identity's s = 0 sum covers both, and every diagonal."""
+    battery, _ = claims_run[2]["hygiene"]
+    worst = 0.0
+    for entry in battery.entries:
+        c0 = claims._commutator_matrix(entry.reg)
+        assert c0.shape == (2 * len(entry.reg.active_modes()),) * 2, entry.label
+        worst = max(worst, np.abs(c0 - symplectic_form(len(c0) // 2)).max())
+    assert worst <= 1e-14
+
+
+def test_hygiene_of_a_register_with_no_active_mode_is_empty():
+    reg = ledger.Register(1)
+    reg.measure(1, X)
+    assert claims._commutator_matrix(reg).shape == (0, 0)
+    assert claims._commutator_defect(reg) == (0, 0.0)
+
+
+def test_hygiene_leaves_out_y_a_against_x_b():
+    """Y_1 = y0_1 + 1e-3 y0_2 gives [Y_1, X_2] = -1e-3 while the five pairs
+    the line counts stay canonical: the identity sees it, the count does not."""
+    reg = ledger.Register(2)
+    reg._modes[0].row[Y][(2, Y, 0)] = 1e-3
+    c0 = claims._commutator_matrix(reg)
+    assert c0[1, 2] == -1e-3 and c0[2, 1] == 1e-3
+    assert claims._commutator_defect(reg) == all_pairs_defect(reg) == (5, 0.0)
 
 
 def test_hygiene_fails_on_a_row_given_another_modes_conjugate(claims_run):
@@ -163,7 +210,8 @@ def test_hygiene_fails_on_a_row_given_another_modes_conjugate(claims_run):
     reg = entry.reg.copy()
     ((_, _, k),) = [key for key in reg.quad_expr(3, X) if key[:2] == (3, X)]
     reg._modes[0].row[X][(3, Y, -k)] = 1e-3
-    assert ledger.commutator_with(reg.quad_expr(1, X), ledger.commutator_table(reg.quad_expr(3, X))) == -1e-3
+    assert reference_commutator(reg.quad_expr(1, X), reg.quad_expr(3, X)).get(0, 0.0) == -1e-3
+    assert claims._commutator_matrix(reg)[0, 4] == -1e-3
     assert claims._commutator_defect(reg) == all_pairs_defect(reg) == (35, 1e-3)
     alone = claims.Battery()
     alone.entries.append(claims.BatteryEntry(entry.label, reg, entry.pairs))

@@ -284,6 +284,20 @@ def test_an_overflowing_variance_is_one_line_and_no_numpy_warning(tmp_path, caps
     assert captured.err == f"{p}:5:1: variance at r=355.0 is not a finite float\n"
 
 
+def test_an_overflowed_row_is_no_nullifier(tmp_path, capsys):
+    """Two 1e300 couplings overflow Y3 to inf on the ledger, so 1*y3 - 2*y3 = -Y3
+    holds NaN terms: it is not a nullifier.  The covariance engine stops at the
+    first coupling."""
+    p = tmp_path / "overflow.cvq"
+    p.write_text("register 3\nsqueeze 1 momentum\nsqueeze 2 momentum\nsqueeze 3 momentum\n"
+                 "kerr 1 2 g=1e300\nrotate 1 90\nkerr 1 3 g=1e300\nassert nullifier 1*y3 - 2*y3\n")
+    assert cli.main(["run", str(p)]) == 1
+    assert "line 8: assert nullifier 1*y3 - 2*y3 .. FAIL\n" in capsys.readouterr().out
+    assert cli.main(["run", str(p), "--engine", "covariance", "--r", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"{p}:5:1: Kerr(l=1, k=2, g=1e+300) at r=1.0 leaves float range; coupling too large\n")
+
+
 def _record_chain_script(n):
     """Each mode's Y record feeds the next mode's Y: a chain of n - 1 records."""
     lines = [f"register {n}"]

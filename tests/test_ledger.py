@@ -6,7 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from cvcluster import ledger
+from commutators import reference_commutator, term_size
+from cvcluster import claims, ledger
 from cvcluster.errors import (
     ConsumedModeError,
     DomainError,
@@ -26,6 +27,7 @@ from cvcluster.gates import (
     Squeeze,
     X,
     Y,
+    symplectic_form,
 )
 from cvcluster.ledger import Register
 
@@ -353,6 +355,16 @@ def test_is_nullifier_requires_pure_decay():
     assert ledger.is_nullifier({(1, Y, -1): 1.0, (2, X, 1): 1e-12})
 
 
+def test_a_non_finite_term_is_no_nullifier():
+    """A NaN compares False with any tolerance and an inf is not a decaying
+    coefficient: an overflowed row fails, wherever the term sits."""
+    nan, inf = float("nan"), float("inf")
+    assert not ledger.is_nullifier({(1, Y, -1): 1.0, (2, X, 0): nan})
+    assert not ledger.is_nullifier({(1, Y, -1): nan})
+    assert not ledger.is_nullifier({(1, Y, -1): inf})
+    assert not ledger.is_nullifier({(1, Y, -1): -inf})
+
+
 def test_is_nullifier_keeps_the_verdicts_of_the_term_rule():
     """The dict-reading rule agrees with the rule read term by term in sorted order,
     coefficients exactly at ``NULLIFIER_TOL`` (ignored) and just above it (counted)
@@ -383,19 +395,27 @@ def test_the_zero_expression_renders_as_zero():
 
 
 # ---------------------------------------------------------------------------
-# commutators
+# commutators: the identity sum_{k+l=s} M_k Omega M_l^T = Omega [s = 0]
 # ---------------------------------------------------------------------------
 
 
+def planted(rows):
+    """A register whose rows ``(mode, kind) -> expression`` are set by hand."""
+    reg = Register(max(m for m, _ in rows))
+    for (m, kind), expr in rows.items():
+        reg._modes[m - 1].row[kind] = dict(expr)
+    return reg
+
+
 def test_canonical_commutators():
-    reg = Register(2)
-    assert ledger.commutator_with(reg.quad_expr(1, X), ledger.commutator_table(reg.quad_expr(1, Y))) == 1.0
-    assert ledger.commutator_with(reg.quad_expr(1, Y), ledger.commutator_table(reg.quad_expr(1, X))) == -1.0
-    assert ledger.commutator_with(reg.quad_expr(1, X), ledger.commutator_table(reg.quad_expr(2, Y))) == 0.0
+    c0 = claims._commutator_matrix(Register(2))
+    assert np.array_equal(c0, symplectic_form(2))
+    assert (c0[0, 1], c0[1, 0], c0[0, 3]) == (1.0, -1.0, 0.0)  # [X_1, Y_1], [Y_1, X_1], [X_1, Y_2]
 
 
 def test_commutators_survive_random_gate_soup():
-    """Any gate sequence must keep the canonical algebra intact."""
+    """Any gate sequence must keep the canonical algebra intact, over every
+    ordered pair of rows."""
     rng = np.random.default_rng(4)
     for _ in range(20):
         reg = Register(4)
@@ -411,42 +431,29 @@ def test_commutators_survive_random_gate_soup():
                 reg.apply(Beamsplit(m, k, float(rng.uniform(0.05, 0.95))))
             elif op == 3 and m != k:
                 reg.apply(Kerr(m, k, float(rng.uniform(0.2, 2.0))))
-        for a in range(1, 5):
-            assert ledger.commutator_with(reg.quad_expr(a, X), ledger.commutator_table(reg.quad_expr(a, Y))) == pytest.approx(1.0, abs=1e-9)
-            for b in range(a + 1, 5):
-                assert ledger.commutator_with(reg.quad_expr(a, X), ledger.commutator_table(reg.quad_expr(b, X))) == pytest.approx(0.0, abs=1e-9)
-                assert ledger.commutator_with(reg.quad_expr(a, Y), ledger.commutator_table(reg.quad_expr(b, Y))) == pytest.approx(0.0, abs=1e-9)
-                assert ledger.commutator_with(reg.quad_expr(a, X), ledger.commutator_table(reg.quad_expr(b, Y))) == pytest.approx(0.0, abs=1e-9)
+        assert np.abs(claims._commutator_matrix(reg) - symplectic_form(4)).max() <= 1e-9
 
 
 def test_commutator_flags_unbalanced_exponents():
-    e1 = {(1, X, 1): 1.0}
-    e2 = {(1, Y, 0): 1.0}
+    reg = planted({(1, X): {(1, X, 1): 1.0}, (1, Y): {(1, Y, 0): 1.0}})
     with pytest.raises(InternalConsistencyError):
-        ledger.commutator_with(e1, ledger.commutator_table(e2))
+        claims._commutator_matrix(reg)
 
 
 def test_commutator_flags_a_small_unbalanced_term():
-    """[1e-3 e^{r} x0_1, y0_1] = 1e-3 e^{r}: r-dependent, so no pair of
-    physical quadratures has it, however small its coefficient."""
+    """X_1 = x0_1 + 1e-3 e^{r} x0_1 gives [X_1, Y_1] = 1 + 1e-3 e^{r}:
+    r-dependent, so no pair of physical quadratures has it, however small its
+    coefficient."""
+    reg = planted({(1, X): {(1, X, 0): 1.0, (1, X, 1): 1e-3}, (1, Y): {(1, Y, 0): 1.0}})
     with pytest.raises(InternalConsistencyError, match=r"e\^\+1r content 0\.001"):
-        ledger.commutator_with({(1, X, 1): 1e-3}, ledger.commutator_table({(1, Y, 0): 1.0}))
+        claims._commutator_matrix(reg)
 
 
-def _reference_commutator(e1, e2):
-    """The commutator as one loop: every term pair, grouped by exponent sum."""
-    by_sum = {}
-    partners = {}
-    for (m2, k2, ex2), c2 in e2.items():
-        partners.setdefault((m2, k2), []).append((ex2, c2))
-    for (m1, k1, ex1), c1 in e1.items():
-        sign = 1.0 if k1 == X else -1.0
-        for ex2, c2 in partners.get((m1, Y if k1 == X else X), ()):
-            by_sum[ex1 + ex2] = by_sum.get(ex1 + ex2, 0.0) + sign * c1 * c2
-    return by_sum
-
-
-def test_table_commutator_is_the_commutator_on_random_tapes():
+def test_commutator_matrix_is_the_pairwise_loop_on_random_tapes():
+    """Entry (i, j) is [row i, row j] summed term pair by term pair.  The two
+    sum the same products in different orders, so they may differ in the last
+    bits: by at most a few ulps of the summed terms' size (1.7 measured)."""
+    eps = np.finfo(float).eps
     rng = np.random.default_rng(41)
     for _ in range(30):
         n = int(rng.integers(2, 6))
@@ -463,22 +470,25 @@ def test_table_commutator_is_the_commutator_on_random_tapes():
             else:
                 reg.apply(Kerr(m, k, float(rng.uniform(0.2, 2.0))))
         rows = [reg.quad_expr(m, kd) for m in range(1, n + 1) for kd in (X, Y)]
-        for e2 in rows:
-            table = ledger.commutator_table(e2)
-            for e1 in rows:
-                got = ledger.commutator_with(e1, table)
-                assert got == _reference_commutator(e1, e2).get(0, 0.0)
+        c0 = claims._commutator_matrix(reg)
+        for i, e1 in enumerate(rows):
+            for j, e2 in enumerate(rows):
+                assert abs(c0[i, j] - reference_commutator(e1, e2).get(0, 0.0)) <= 4 * eps * term_size(e1, e2)
 
 
-def test_table_commutator_flags_unbalanced_exponents():
-    e1 = {(1, X, 1): 1.0, (2, Y, 0): 1.0}
-    table = ledger.commutator_table({(1, Y, 0): 1.0, (2, X, 0): 1.0})
+def test_commutator_flags_unbalanced_exponents_among_balanced_rows():
+    """The first exponent sum that does not cancel is named with its signed
+    content; balanced content cancels: e^{+r} x0_1 against e^{-r} y0_1 is a
+    pure number."""
+    rows = {(1, X): {(1, X, 1): 1.0, (2, Y, 0): 1.0}, (1, Y): {(1, Y, 0): 1.0, (2, X, 0): 1.0}}
     with pytest.raises(InternalConsistencyError, match=r"e\^\+1r content 1"):
-        ledger.commutator_with(e1, table)
+        claims._commutator_matrix(planted(rows))
+    rows[1, X] = {(2, Y, -2): 3.0}
+    rows[1, Y] = {(1, Y, 0): 1.0, (2, X, 0): 1.0}
     with pytest.raises(InternalConsistencyError, match=r"e\^-2r content -3"):
-        ledger.commutator_with({(2, Y, -2): 3.0}, table)
-    # Balanced content cancels: e^{+r} x0_1 against e^{-r} y0_1 is a pure number.
-    assert ledger.commutator_with(e1, ledger.commutator_table({(1, Y, -1): 2.0})) == 2.0
+        claims._commutator_matrix(planted(rows))
+    balanced = planted({(1, X): {(1, X, 1): 1.0}, (1, Y): {(1, Y, -1): 2.0}})
+    assert claims._commutator_matrix(balanced)[0, 1] == 2.0
 
 
 # ---------------------------------------------------------------------------
