@@ -386,7 +386,7 @@ def _commutator_matrix(reg: ledger.Register) -> np.ndarray:
         for l, b in exps.items():
             sums[k + l] = sums.get(k + l, 0.0) + m_omega[a] @ mats[b].T
     for s, total in sums.items():
-        if s != 0 and abs(worst := total.flat[np.abs(total).argmax()]) > COMMUTATOR_TOL:
+        if s != 0 and not abs(worst := total.flat[np.abs(total).argmax()]) <= COMMUTATOR_TOL:
             raise errors.InternalConsistencyError(
                 f"commutator has e^{s:+d}r content {worst:.3g}; rows are not canonically conjugate")
     return sums.get(0, np.zeros((len(rows), len(rows))))
@@ -408,7 +408,7 @@ def _claim_hygiene(battery: Battery) -> ClaimResult:
     physical_fails = 0
     for entry in battery.entries:
         checks, defect = _commutator_defect(entry.reg)
-        pair_checks, worst = pair_checks + checks, max(worst, defect)
+        pair_checks, worst = pair_checks + checks, float(np.maximum(worst, defect))  # NaN kept
         if entry.physical is None:  # added after the cross-engine claim
             (state,) = covariance.replay(entry.reg.n, entry.reg.history, (HYGIENE_R,))
             entry.physical = covariance.is_physical(state)

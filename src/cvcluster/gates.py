@@ -128,6 +128,7 @@ class Beamsplit:
 
 
 Gate = Squeeze | Kerr | Rotate | Beamsplit
+QUARTER_TURNS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))  # cos_sin of 0..3 turns
 
 
 def modes(gate: Gate) -> tuple[int, ...]:
@@ -147,7 +148,7 @@ def cos_sin(theta: float) -> tuple[float, float]:
     quarter = theta / (math.pi / 2.0)
     nearest = round(quarter)
     if math.ulp(quarter) <= QUARTER_TURN_TOL and abs(quarter - nearest) < QUARTER_TURN_TOL:
-        return [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)][nearest % 4]
+        return QUARTER_TURNS[nearest % 4]
     return math.cos(theta), math.sin(theta)
 
 

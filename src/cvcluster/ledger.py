@@ -1,11 +1,11 @@
 """Symbolic Heisenberg-picture ledger for squeezed-vacuum mode networks.
 
-Every quadrature of every mode is stored as an exact linear combination of
-the *initial* vacuum operators ``x0_m`` / ``y0_m``.  A term carries an integer
-squeezing exponent ``k`` standing for a factor ``e^{k r}`` with a single
-symbolic squeezing parameter ``r`` shared by the whole register, plus a real
-coefficient.  Gates rewrite these combinations exactly; nothing is sampled
-and no numeric ``r`` is needed until a variance is requested.
+Every quadrature of every mode is an exact linear combination of the
+*initial* vacuum operators ``x0_m`` / ``y0_m``: a term carries an integer
+exponent ``k`` for a factor ``e^{k r}`` of the register's one symbolic
+squeezing ``r``, plus a real coefficient.  Gates rewrite these combinations
+exactly, but a quarter turn only counts on its mode, a frame settled on read.
+Nothing is sampled and no numeric ``r`` is needed until a variance is asked.
 
 The payoff is that statements such as "this combination of quadratures has
 variance ``0.5 e^{-2r}`` and therefore vanishes for large squeezing" become
@@ -23,6 +23,7 @@ flat vector is involved.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 
@@ -34,7 +35,7 @@ from .errors import (
     RecordOwnershipError,
     UnsupportedOperationError,
 )
-from .gates import MOMENTUM_SQUEEZED, NULLIFIER_TOL, PRUNE_TOL, X, Y
+from .gates import MOMENTUM_SQUEEZED, NULLIFIER_TOL, PRUNE_TOL, QUARTER_TURNS, X, Y
 
 
 def _accumulate(dst: dict, c: float, src: dict) -> dict:
@@ -102,8 +103,13 @@ class MeasurementRecord:
 # ---------------------------------------------------------------------------
 
 
+# Quarter turns owed (each X' = Y, Y' = -X) -> per kind, the stored kind and sign it reads.
+_FRAME = ({X: (X, 1.0), Y: (Y, 1.0)}, {X: (Y, 1.0), Y: (X, -1.0)},
+          {X: (X, -1.0), Y: (Y, -1.0)}, {X: (Y, -1.0), Y: (X, 1.0)})
+
+
 class _Mode:
-    __slots__ = ("row", "book", "record_index")
+    __slots__ = ("row", "book", "record_index", "turns")
 
     def __init__(self, index: int):
         # Per quadrature kind: the row, a pruned dict (mode, kind, exponent) ->
@@ -111,9 +117,17 @@ class _Mode:
         # of each measurement record has been folded into that row (record
         # index -> coeff).  Gates apply the same linear map to both.  A mode
         # is active until measured; then ``record_index`` names its record.
+        # A quarter turn only counts in ``turns``, a frame settled on read.
         self.row = {kd: {(index, kd, 0): 1.0} for kd in (X, Y)}
         self.book = {X: {}, Y: {}}
         self.record_index = None
+        self.turns = 0
+
+    def settle(self) -> None:
+        """Write the owed turns through; their exact +-1 and 0 factors keep bits and key order."""
+        frame, self.turns = _FRAME[self.turns], 0
+        for table in (self.row, self.book):
+            table[X], table[Y] = [_accumulate({}, sign, table[src]) for src, sign in frame.values()]
 
 
 def _mix_quads(a: _Mode, ka: str, b: _Mode, kb: str, m: tuple) -> None:
@@ -145,12 +159,14 @@ class Register:
 
     # -- bookkeeping helpers ----------------------------------------------
 
-    def _mode(self, m: int) -> _Mode:
+    def _mode(self, m: int, settle: bool = True) -> _Mode:
         if not 1 <= m <= self.n:
             raise InvalidSizeError(f"mode {m} outside register 1..{self.n}")
         md = self._modes[m - 1]
         if md.record_index is not None:
             raise ConsumedModeError(f"mode {m} was consumed by record {md.record_index}")
+        if md.turns and settle:
+            md.settle()
         return md
 
     def active_modes(self) -> list[int]:
@@ -168,7 +184,7 @@ class Register:
             c = _Mode.__new__(_Mode)
             c.row = {kd: dict(d) for kd, d in md.row.items()}
             c.book = {kd: dict(d) for kd, d in md.book.items()}
-            c.record_index = md.record_index
+            c.record_index, c.turns = md.record_index, md.turns
             out._modes.append(c)
         out.records = [replace(r) for r in self.records]  # new values: the copy's own
         out.history = list(self.history)
@@ -200,9 +216,12 @@ class Register:
                 if src.book[X]:
                     _accumulate(dst.book[Y], gate.g, src.book[X])
         elif isinstance(gate, gates.Rotate):
-            md = self._mode(gate.mode)
             c, s = gates.cos_sin(gate.theta)
-            _mix_quads(md, X, md, Y, ((c, s), (-s, c)))
+            md = self._mode(gate.mode, settle=(c, s) not in QUARTER_TURNS)
+            if (c, s) in QUARTER_TURNS:
+                md.turns = (md.turns + QUARTER_TURNS.index((c, s))) % 4
+            else:
+                _mix_quads(md, X, md, Y, ((c, s), (-s, c)))
         elif isinstance(gate, gates.Beamsplit):
             ml, mk = self._mode(gate.l), self._mode(gate.k)
             s, c = math.sqrt(gate.t), math.sqrt(1.0 - gate.t)
@@ -231,7 +250,9 @@ class Register:
         """Feed forward: add ``coeff *`` (measured observable) to a quadrature."""
         if not (record.index < len(self.records) and self.records[record.index] is record):
             raise RecordOwnershipError("record belongs to a different register")
-        md = self._mode(mode)
+        md = self._mode(mode, settle=False)  # written through the frame
+        kind, sign = _FRAME[md.turns][kind]
+        coeff *= sign
         _accumulate(md.row[kind], coeff, record.observable)
         _accumulate(md.book[kind], coeff, {record.index: 1.0})
         return self
@@ -258,16 +279,19 @@ class Register:
         """
         acc: dict[tuple[int, str], float] = {}
         due: dict[int, float] = {}  # record index -> weight owed to it
+        latest: list[int] = []  # heap of -index for each index in due
 
         def fold(c, book):
             for i, w in book.items():
+                if i not in due:
+                    heapq.heappush(latest, -i)
                 due[i] = due.get(i, 0.0) + c * w
 
         for c, mode, kind in parts:
             fold(c, self._mode(mode).book[kind])  # only active modes may be combined
             acc[(mode, kind)] = acc.get((mode, kind), 0.0) + c
-        while due:  # a book never names a later record, so none comes back
-            i = max(due)
+        while latest:  # a book never names a later record, so none comes back
+            i = -heapq.heappop(latest)
             c, rec = due.pop(i), self.records[i]
             acc[(rec.mode, rec.kind)] = c
             fold(c, self._modes[rec.mode - 1].book[rec.kind])

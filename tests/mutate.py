@@ -64,6 +64,12 @@ MUTANTS = [
     Mutant("ledger-rotation-sign", LEDGER,
            "_mix_quads(md, X, md, Y, ((c, s), (-s, c)))",
            "_mix_quads(md, X, md, Y, ((c, -s), (s, c)))"),
+    Mutant("ledger-frame-table-sign", LEDGER,
+           "{X: (Y, -1.0), Y: (X, 1.0)}",
+           "{X: (Y, 1.0), Y: (X, 1.0)}"),
+    Mutant("ledger-displace-drops-frame-sign", LEDGER,
+           "        coeff *= sign\n",
+           ""),
     Mutant("ledger-beamsplitter-s-c-swap", LEDGER,
            "s, c = math.sqrt(gate.t), math.sqrt(1.0 - gate.t)",
            "c, s = math.sqrt(gate.t), math.sqrt(1.0 - gate.t)"),
@@ -122,18 +128,25 @@ MUTANTS = [
            "            fold(c, self._modes[rec.mode - 1].book[rec.kind])\n",
            ""),
     Mutant("frame-combo-earliest-first", LEDGER,
-           "i = max(due)",
-           "i = min(due)"),
+           "i = -heapq.heappop(latest)",
+           "i = -latest.pop(latest.index(max(latest)))"),
     Mutant("frame-combo-fold-sign", LEDGER,
            "due[i] = due.get(i, 0.0) + c * w",
            "due[i] = due.get(i, 0.0) - c * w"),
-    # Hygiene's commutator identity, and the nullifier rule's non-finite terms.
+    # Hygiene's commutator identity, NaN included, and the nullifier rule's
+    # non-finite terms.
     Mutant("commutator-omega-column-sign", CLAIMS,
            "mats[..., xs], -mats[..., xs + 1]",
            "mats[..., xs], mats[..., xs + 1]"),
     Mutant("commutator-skips-unbalanced-sums", CLAIMS,
-           "if s != 0 and abs(",
-           "if s is None and abs("),
+           "if s != 0 and not abs(",
+           "if s is None and not abs("),
+    Mutant("commutator-unbalanced-nan-passes", CLAIMS,
+           "not abs(worst := total.flat[np.abs(total).argmax()]) <= COMMUTATOR_TOL",
+           "abs(worst := total.flat[np.abs(total).argmax()]) > COMMUTATOR_TOL"),
+    Mutant("hygiene-fold-drops-nan", CLAIMS,
+           "float(np.maximum(worst, defect))",
+           "max(worst, defect)"),
     Mutant("commutator-counts-y-a-x-b", CLAIMS,
            "    gap[1::2, 0::2] = 0.0  # (Y_a, X_b) is not one of the pairs\n",
            ""),

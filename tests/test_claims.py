@@ -9,13 +9,17 @@ still judges it, and its combinations are bridged here instead.  The
 finite-squeezing claim must fail on a state with no entanglement.  Hygiene
 reads the commutators off one matrix identity: a pairwise loop gives its count
 and worst defect, every ordered pair of the battery is canonical, and a planted
-defect fails it.
+defect fails it, a planted NaN too.
 """
 
+import math
+
 import numpy as np
+import pytest
 
 from commutators import reference_commutator
-from cvcluster import claims, covariance, ledger, protocols
+from cvcluster import claims, covariance, graphs, ledger, protocols
+from cvcluster.errors import InternalConsistencyError
 from cvcluster.gates import (
     BRIDGE_TOL,
     MOMENTUM_SQUEEZED,
@@ -220,3 +224,26 @@ def test_hygiene_fails_on_a_row_given_another_modes_conjugate(claims_run):
     assert hygiene.value == "35 commutators (max defect 0.001); 1 states replayed, 0 unphysical"
     reg._modes[1].row[Y] = {}  # X_2 and Y_2 now share no operator: [X_2, Y_2] reads 0
     assert claims._commutator_defect(reg) == all_pairs_defect(reg) == (35, 1.0)
+
+
+def test_a_nan_commutator_fails_hygiene():
+    """An unsqueezed register holds only s = 0 content, so a NaN in X_1 reaches
+    the fold of the defects, which must keep it: max(0.0, nan) is 0.0."""
+    reg = ledger.Register(2)
+    reg._modes[0].row[X][(1, X, 0)] = math.nan
+    assert math.isnan(claims._commutator_defect(reg)[1])
+    alone = claims.Battery()
+    alone.entries.append(claims.BatteryEntry("planted NaN", reg, []))
+    hygiene = claims._claim_hygiene(alone)
+    assert not hygiene.passed
+    assert hygiene.value == "5 commutators (max defect nan); 1 states replayed, 0 unphysical"
+
+
+def test_a_nan_at_a_growing_exponent_is_an_unbalanced_commutator():
+    """chain(3)'s X_1 is e^{+r} x0_1; a NaN there fills the s = 2 sum, whose
+    test must not read NaN as small."""
+    reg = protocols.build_graph_state(graphs.chain(3))
+    assert reg.quad_expr(1, X) == {(1, X, 1): 1.0}
+    reg._modes[0].row[X][(1, X, 1)] = math.nan
+    with pytest.raises(InternalConsistencyError, match=r"e\^\+2r content nan"):
+        claims._commutator_matrix(reg)

@@ -2,8 +2,9 @@
 and after an X-measurement, the edge-list round trip and the graph lookup
 tables over random simple graphs, vertex v on mode v for every graph
 generator, canonical commutators on random ledger tapes with feed-forward,
-the covariance tape replay against its per-gate rule, overflow included, and
-the ledger's accumulate step, Kerr books included, against its general loop.
+the covariance tape replay against its per-gate rule, overflow included,
+the ledger's accumulate step, Kerr books included, against its general loop,
+and its lazy quarter-turn frame against turns settled one at a time.
 
 The oracle is the Gaussian graphical calculus (Menicucci, Flammia & van Loock,
 PRA 83, 042335 (2011)): the graph state of adjacency matrix A at squeezing r
@@ -16,6 +17,8 @@ Runs are derandomized and keep no example database, so the suite stays
 deterministic.
 """
 
+import math
+import pickle
 import tempfile
 
 import numpy as np
@@ -402,3 +405,79 @@ def test_kerr_with_feed_forward_books_is_the_general_step(data, g):
             for kind in (X, Y):
                 got_d, want_d = getattr(got_mode, table)[kind], getattr(want_mode, table)[kind]
                 assert list(got_d.items()) == list(want_d.items())
+
+
+# ---------------------------------------------------------------------------
+# quarter turns: a lazy per-mode frame against turns settled one at a time
+# ---------------------------------------------------------------------------
+
+# (step, mode, other mode or turn count, parameter in [-1.5, 1.5], kind); turns
+# and displacements come thrice as often, so displacements meet turned modes.
+FRAME_STEPS = st.tuples(
+    st.sampled_from(["turn"] * 3 + ["displace"] * 3 + ["rotate", "kerr", "beamsplit", "squeeze", "measure"]),
+    _PICK, _PICK, st.floats(-1.5, 1.5), _KIND)
+
+
+def settle_all(reg):
+    """Read every active mode: a read writes its pending quarter turns through."""
+    for m in reg.active_modes():
+        reg.quad_expr(m, X)
+
+
+def run_frame_steps(n, steps, split, eager):
+    """Apply the drawn steps, continuing on a ``copy()`` from step ``split``;
+    pickle every quadrature, frame combination and record observable of the
+    original and the copy.  ``eager`` turns a quarter-turn count q into q mod 4
+    single +90 turns and reads every mode after each step, so no frame ever
+    holds more than one turn."""
+    reg = ledger.Register(n)
+    regs, fed = [reg], False
+    for i, (name, a, b, x, kind) in enumerate(steps):
+        if i == split:
+            reg = reg.copy()
+            regs.append(reg)
+        active = reg.active_modes()
+        m = active[a % len(active)]
+        others = [o for o in active if o != m]
+        other = others[b % len(others)] if others else None
+        if name == "turn":
+            q = b % 5 - 1  # -90, 0, 90, 180 or 270 degrees
+            for theta in [math.pi / 2.0] * (q % 4) if eager else [q * math.pi / 2.0]:
+                reg.apply(Rotate(m, theta))
+                if eager:
+                    settle_all(reg)
+        elif name == "rotate":
+            reg.apply(Rotate(m, x))
+        elif name == "kerr" and other:
+            reg.apply(Kerr(m, other, x))
+        elif name == "beamsplit" and other:
+            reg.apply(Beamsplit(m, other, abs(x) / 1.5))
+        elif name == "squeeze" and not fed:
+            reg.apply(Squeeze(m, MOMENTUM_SQUEEZED if x >= 0 else POSITION_SQUEEZED))
+        elif name == "measure" and other:
+            reg.measure(m, kind)
+        elif name == "displace" and (reg.records or other):
+            if not reg.records:  # the first displacement measures another mode
+                reg.measure(other, kind)
+            reg.displace_with(m, kind, x, reg.records[b % len(reg.records)])
+            fed = True
+        if eager:
+            settle_all(reg)
+    seen = []
+    for r in regs:
+        quads = [(m, kd) for m in r.active_modes() for kd in (X, Y)]
+        seen.append(([r.quad_expr(m, kd) for m, kd in quads],
+                     [r.frame_combo([(1.0, m, kd)]) for m, kd in quads],
+                     r.frame_combo([(0.5, m, kd) for m, kd in quads]),
+                     [rec.observable for rec in r.records]))
+    return pickle.dumps(seen)
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 4), steps=st.lists(FRAME_STEPS, max_size=24), split=st.integers(0, 24))
+def test_quarter_turn_frames_settle_as_single_turns(n, steps, split):
+    """Quarter turns counted on a mode, displaced through and settled only when
+    the mode is read, leave the same bits and key orders as single turns
+    settled at once, with generic rotations, Kerr, beamsplitters, squeezes,
+    measurements and a copy in between."""
+    assert run_frame_steps(n, steps, split, eager=False) == run_frame_steps(n, steps, split, eager=True)

@@ -222,6 +222,37 @@ def test_huge_rotation_angles_turn_on_both_engines():
         assert report.csv_rows[0][2] == pytest.approx(want, rel=1e-12)
 
 
+TURNED_TELEPORT = """\
+register 3
+squeeze 1 momentum
+squeeze 2 momentum
+squeeze 3 momentum
+kerr 1 2
+kerr 2 3
+measure y 2 -> t
+rotate 1 90
+rotate 1 90
+displace x 1 += 1*t
+rotate 1 90
+assert nullifier 1*y1 + 1*x3
+assert nullifier 1*x1 + 1*y3
+print variance 1*y1 + 1*x3 at r=0,1
+"""
+
+
+@pytest.mark.parametrize("engine", ["ledger", "covariance"])
+def test_a_displacement_between_quarter_turns_keeps_its_sign(engine):
+    """After a half turn mode 1 reads (-X_1, -Y_1), so the record t = Y_2 =
+    e^{-r} y0_2 + X_1 + X_3 makes its X read e^{-r} y0_2 + X_3; a further turn
+    leaves Y = -(e^{-r} y0_2 + X_3) and X = -Y_1 = -(e^{-r} y0_1 + X_2).  The
+    covariance engine bridges each assert and print, so both engines check
+    the signs."""
+    report = execute(parse(TURNED_TELEPORT), engine=engine, r=1.0, seed=7)
+    assert report.ok and report.asserts_total == 2
+    assert report.csv_rows[0][2] == pytest.approx(0.5)
+    assert report.csv_rows[1][2] == pytest.approx(0.5 * math.exp(-2.0))
+
+
 def test_csv_rows_match_closed_form():
     report = execute(parse(BASIC), engine="ledger")
     assert report.csv_rows[0] == ("1*y1 - 1*x2", 0.0, pytest.approx(0.5))
