@@ -78,7 +78,7 @@ def _claim_chain_rows(battery: Battery) -> ClaimResult:
     for n in (2, 5, 25, 100):
         g = graphs.chain(n)
         reg = protocols.build_graph_state(g)
-        worst = max(worst, protocols.graph_row_deviation(reg, g))
+        worst = float(np.maximum(worst, protocols.graph_row_deviation(reg, g)))  # NaN kept
         if n <= 25:
             battery.add(f"chain({n}) rows", reg,
                         [[(1.0, m, k)] for m in range(1, n + 1) for k in (X, Y)])
@@ -287,11 +287,8 @@ def _claim_bs_chain(battery: Battery) -> ClaimResult:
         [(1, 1, Y), (-s2, 2, Y)],
         [(s2, 2, Y), (-1, 3, Y), (1, 4, Y)],
     ]
-    worst = 0.0
-    for parts in weighted:
-        expr = reg.combine(parts)
-        residual = max((abs(c) for (_, _, k), c in expr.items() if k >= 0), default=0.0)
-        worst = max(worst, residual)
+    worst = float(np.max([abs(c) for parts in weighted  # NaN kept
+                          for (_, _, k), c in reg.combine(parts).items() if k >= 0], initial=0.0))
     ok &= worst <= COEFF_TOL
     details.append(f"N=4 rotated correlations: max surviving weight {worst:.3g}")
     battery.add("rotated beamsplitter chain (4)", reg, weighted)
@@ -324,7 +321,7 @@ def _claim_cross_engine(battery: Battery) -> ClaimResult:
             for (_, expr), cw in zip(entry.pairs, weights):
                 numeric = covariance.variance_of(state, cw)
                 symbolic = ledger.variance_formula(expr, r)
-                worst = max(worst, abs(numeric - symbolic))
+                worst = float(np.maximum(worst, abs(numeric - symbolic)))  # NaN kept
                 agree &= covariance.bridge_agrees(state, cw, numeric, symbolic)
                 checks += 1
     return ClaimResult(

@@ -9,12 +9,14 @@ Four subcommands::
 
 Exit codes are a stable contract: 0 when everything passed, 1 when an
 assertion, claim or protocol target failed, 2 for usage, I/O and input
-errors, which :func:`main` prints as one line on stderr.  An input error
-reads ``source:line:col: reason`` (edge lists: ``source:line: reason``),
-where the source is the input file or ``<combo>``.  All output is
-deterministic given the inputs and seed, apart from the wall-clock times in
-the claims report, and no environment variable changes it: a terminal gets
-the bytes a pipe gets.
+errors, and 3 for a broken engine invariant (a program defect); :func:`main`
+prints either error as one line on stderr.  An input error reads
+``source:line:col: reason`` (edge lists: ``source:line: reason``), where the
+source is the input file, ``<combo>`` or a sweep state's ``<NAME:SIZE>``; a
+broken invariant reads ``internal error: reason``, after ``source:line:col: ``
+when a script statement found it.  All output is deterministic given the
+inputs and seed, apart from the wall-clock times in the claims report, and
+no environment variable changes it: a terminal gets the bytes a pipe gets.
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ import math
 import sys
 
 from . import claims as claims_suite
-from . import graphs, ledger, protocols, scenario
+from . import graphs, protocols, scenario
 from .errors import CvClusterError, InternalConsistencyError
 from .gates import MAX_MODES
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +95,7 @@ STATE_BUILDERS = {
 }
 
 
-def _build_state(spec: str) -> ledger.Register:
+def _build_state(spec: str):
     name, _, size_text = spec.partition(":")
     try:
         size = int(size_text)
@@ -108,24 +111,25 @@ def _build_state(spec: str) -> ledger.Register:
     return build(size)
 
 
-def _parse_r_list(text: str) -> list[float]:
-    return [float(piece) for piece in text.split(",")] if text.strip() else []
+def _parse_r_list(text: str) -> tuple[float, ...]:
+    return tuple(float(piece) for piece in text.split(",")) if text.strip() else ()
 
 
 def _cmd_sweep(args) -> int:
     if args.script is not None:
-        reg = scenario.execute(scenario.load(args.script), source=args.script).register
+        source, stmts = args.script, scenario.load(args.script).statements
     else:
-        reg = _build_state(args.state)
-    rows = []
-    for raw in args.combo:
-        terms = scenario.parse_combo(raw, reg.n)
-        rendered = scenario.render_combo(terms)
-        expr = reg.combine(scenario.combo_parts(terms))
-        for rv in args.r:
-            rows.append((rendered, rv, ledger.variance_formula(expr, rv)))
-    rows.sort(key=lambda row: (row[0], row[1]))
-    csv = scenario.variance_csv(rows)
+        source, reg = f"<{args.state}>", _build_state(args.state)
+        stmts = (scenario.RegisterStmt(reg.n, line=1, col=1),  # the state's tape as script lines
+                 *(scenario.GateStmt.of(gate, line) for line, gate in enumerate(reg.history, 2)))
+    # One print per combo, numbered on from the last statement; only their rows are written.
+    stmts += tuple(scenario.PrintVarianceStmt(scenario.parse_combo(raw, stmts[0].n), args.r,
+                                              line=stmts[-1].line + k, col=1)
+                   for k, raw in enumerate(args.combo, 1))
+    report = scenario.execute(scenario.Scenario(stmts), source=source)
+    rows = report.csv_rows[len(report.csv_rows) - len(args.combo) * len(args.r):]
+    report.csv_rows = sorted(rows, key=lambda row: row[:2])
+    csv = report.csv()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(csv)
@@ -330,8 +334,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
-    except InternalConsistencyError:
-        raise  # a broken engine invariant is a program defect, not a usage error
+    except InternalConsistencyError as err:  # a program defect, not a usage error
+        where = "" if err.line is None else f"{err.source}:{err.line}:{err.col}: "
+        print(f"{where}internal error: {err.reason}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (OSError, CvClusterError, ValueError) as err:
         print(err, file=sys.stderr)
         return EXIT_USAGE

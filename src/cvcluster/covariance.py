@@ -303,9 +303,9 @@ def bridge_agrees(state: GaussianState, weights, numeric: float, symbolic: float
 
 
 def is_mode_product(state: GaussianState) -> bool:
-    """True when no 2x2 mode block above the diagonal has an entry past PRODUCT_TOL (NaN is not)."""
+    """True when every 2x2 mode block above the diagonal is within PRODUCT_TOL; a NaN is not."""
     largest = np.abs(state.cov).reshape(state.n, 2, state.n, 2).max(axis=(1, 3))
-    return not (np.triu(largest, 1) > PRODUCT_TOL).any()
+    return bool((np.triu(largest, 1) <= PRODUCT_TOL).all())
 
 
 def reduced_state(state: GaussianState, modes) -> GaussianState:

@@ -34,7 +34,10 @@ class RecordOwnershipError(CvClusterError):
 
 
 class InternalConsistencyError(CvClusterError):
-    """The engine detected a broken invariant (e.g. unbalanced commutator terms)."""
+    """A broken engine invariant; a script run sets ``source``, ``line`` and ``col`` to its statement."""
+
+    source = line = col = None
+    reason = property(str)
 
 
 class SingularMeasurementError(CvClusterError):

@@ -188,7 +188,7 @@ def graph_row_deviation(reg: ledger.Register, graph: graphs.Graph) -> float:
 
     The closed form is ``X_a = e^{+r} x0_a`` and ``Y_a = e^{-r} y0_a`` plus
     ``e^{+r}`` times the neighbours' ``x0``; every vertex mode must be active.
-    A gap at or below ``PRUNE_TOL`` counts as none, as the ledger prunes it.
+    A gap at or below ``PRUNE_TOL`` counts as none, as the ledger prunes it; a NaN counts.
     """
     worst = 0.0
     for m in graph.vertices:
@@ -198,8 +198,8 @@ def graph_row_deviation(reg: ledger.Register, graph: graphs.Graph) -> float:
             row = reg.quad_expr(m, kind)
             for key in row.keys() | closed.keys():
                 gap = abs(row.get(key, 0.0) - closed.get(key, 0.0))
-                if gap > PRUNE_TOL:
-                    worst = max(worst, gap)
+                if not gap <= PRUNE_TOL:
+                    worst = float(np.maximum(worst, gap))
     return worst
 
 
@@ -275,7 +275,7 @@ def solve_feedforward(reg: ledger.Register, targets, records):
     for b in growing[:, len(records):].T:
         alpha, _, _, singular = np.linalg.lstsq(a_mat, -b, rcond=None)
         rank = int(np.count_nonzero(singular > SOLVER_TOL))
-        if np.max(np.abs(a_mat @ alpha + b)) > SOLVER_TOL:
+        if not np.max(np.abs(a_mat @ alpha + b)) <= SOLVER_TOL:
             return Infeasible(len(records), rank)
         coeff_dicts.append(
             {records[j].index: float(c) for j, c in enumerate(alpha) if abs(c) > SOLVER_TOL}

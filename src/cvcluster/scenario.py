@@ -75,11 +75,6 @@ def fmt_num(v: float) -> str:
     return repr(v)
 
 
-def variance_csv(rows) -> str:
-    """``combo,r,variance`` text, one line per (combo text, r, variance) row."""
-    return "combo,r,variance\n" + "".join(f"{c},{fmt_num(r)},{v:.12g}\n" for c, r, v in rows)
-
-
 @dataclass(frozen=True)
 class ComboTerm:
     coeff: float
@@ -120,6 +115,7 @@ class RegisterStmt(Statement):
 # Gate statement keyword -> the gate it builds from its modes and value.
 _GATES = {"squeeze": gates.Squeeze, "kerr": gates.Kerr, "rotate": gates.Rotate,
           "bs": gates.Beamsplit}
+_KEYWORDS = {gate: keyword for keyword, gate in _GATES.items()}
 
 
 @dataclass(frozen=True)
@@ -135,6 +131,15 @@ class GateStmt(Statement):
 
     def render(self):
         return " ".join([self.keyword, *map(str, self.modes), self.option]).rstrip()
+
+    @classmethod
+    def of(cls, gate: gates.Gate, line: int) -> GateStmt:
+        """The line the parser reads back as ``gate``, with the option text it builds."""
+        keyword = _KEYWORDS[type(gate)]
+        *modes, value = vars(gate).values()  # the fields in order: modes, then the value
+        option = (f"{_TWO_MODE[keyword][0]}{fmt_num(value)}" if keyword in _TWO_MODE
+                  else f"{value!r}rad" if keyword == "rotate" else value)
+        return cls(keyword, tuple(modes), value, option, line=line, col=1)
 
 
 @dataclass(frozen=True)
@@ -486,7 +491,8 @@ class RunReport:
         return not self.failures
 
     def csv(self) -> str:
-        return variance_csv(self.csv_rows)
+        """``combo,r,variance`` text, one line per (combo text, r, variance) row."""
+        return "combo,r,variance\n" + "".join(f"{c},{fmt_num(r)},{v:.12g}\n" for c, r, v in self.csv_rows)
 
     def render(self) -> str:
         passed = self.asserts_total - len(self.failures)
@@ -528,7 +534,8 @@ def execute(
     and checked against the ledger's closed form.  Prints at one tape point
     with the same r list share one stacked replay; each ``assert nullifier``
     replays its tape once.  The report's ``register`` is the finished ledger
-    state, for evaluating further combinations (the command-line sweep does).
+    state.  A failing statement raises :class:`ScenarioRuntimeError` at its position,
+    but a broken engine invariant stays an :class:`InternalConsistencyError`, positioned there.
     """
     if engine not in (LEDGER, COVARIANCE):
         raise ScenarioRuntimeError(source, 1, 1, f"unknown engine {engine!r}")
@@ -538,6 +545,9 @@ def execute(
     for stmt in scn.statements:
         try:
             exe.apply(stmt)
+        except InternalConsistencyError as err:
+            err.source, err.line, err.col = source, stmt.line, stmt.col
+            raise
         except CvClusterError as err:
             raise ScenarioRuntimeError(source, stmt.line, stmt.col, str(err)) from err
     return exe.report

@@ -46,6 +46,7 @@ COV = "src/cvcluster/covariance.py"
 PROTOCOLS = "src/cvcluster/protocols.py"
 SCENARIO = "src/cvcluster/scenario.py"
 CLAIMS = "src/cvcluster/claims.py"
+CLI = "src/cvcluster/cli.py"
 
 MUTANTS = [
     # Gate rules, ledger engine.
@@ -153,6 +154,42 @@ MUTANTS = [
     Mutant("nullifier-skips-non-finite", LEDGER,
            "if not abs(c) <= NULLIFIER_TOL",
            "if abs(c) > NULLIFIER_TOL"),
+    # The remaining verdicts and folds: a NaN never passes as "no gap".
+    Mutant("row-deviation-nan-passes", PROTOCOLS,
+           "if not gap <= PRUNE_TOL:",
+           "if gap > PRUNE_TOL:"),
+    Mutant("row-deviation-fold-drops-nan", PROTOCOLS,
+           "worst = float(np.maximum(worst, gap))",
+           "worst = max(worst, gap)"),
+    Mutant("mode-product-nan-passes", COV,
+           "return bool((np.triu(largest, 1) <= PRODUCT_TOL).all())",
+           "return not (np.triu(largest, 1) > PRODUCT_TOL).any()"),
+    Mutant("solver-residual-nan-passes", PROTOCOLS,
+           "if not np.max(np.abs(a_mat @ alpha + b)) <= SOLVER_TOL:",
+           "if np.max(np.abs(a_mat @ alpha + b)) > SOLVER_TOL:"),
+    Mutant("chain-rows-fold-drops-nan", CLAIMS,
+           "float(np.maximum(worst, protocols.graph_row_deviation(reg, g)))",
+           "max(worst, protocols.graph_row_deviation(reg, g))"),
+    Mutant("bs-chain-fold-drops-nan", CLAIMS,
+           "float(np.max([abs(c) for parts in weighted  # NaN kept\n"
+           "                          for (_, _, k), c in reg.combine(parts).items() if k >= 0],"
+           " initial=0.0))",
+           "max([0.0] + [abs(c) for parts in weighted\n"
+           "                          for (_, _, k), c in reg.combine(parts).items() if k >= 0])"),
+    Mutant("cross-engine-fold-drops-nan", CLAIMS,
+           "float(np.maximum(worst, abs(numeric - symbolic)))",
+           "max(worst, abs(numeric - symbolic))"),
+    # One exit policy for a broken invariant, positioned where a script found it.
+    Mutant("internal-error-exits-2", CLI,
+           "return EXIT_INTERNAL",
+           "return EXIT_USAGE"),
+    Mutant("internal-error-unpositioned", SCENARIO,
+           "err.source, err.line, err.col = source, stmt.line, stmt.col",
+           "pass"),
+    # The tape renderer writes the option text the parser builds.
+    Mutant("gate-stmt-wrong-prefix", SCENARIO,
+           "f\"{_TWO_MODE[keyword][0]}{fmt_num(value)}\"",
+           "f\"{_TWO_MODE['kerr'][0]}{fmt_num(value)}\""),
     # Every entry of the gates.py tolerance table, loosened.
     Mutant("PRUNE_TOL-1e-6", GATES, "PRUNE_TOL = 1e-12", "PRUNE_TOL = 1e-6"),
     Mutant("NULLIFIER_TOL-1e-3", GATES, "NULLIFIER_TOL = 1e-9", "NULLIFIER_TOL = 1e-3"),

@@ -239,6 +239,42 @@ def test_a_nan_commutator_fails_hygiene():
     assert hygiene.value == "5 commutators (max defect nan); 1 states replayed, 0 unphysical"
 
 
+def test_the_chain_rows_fold_keeps_a_nan(monkeypatch):
+    """max(0.0, nan) is 0.0, so a NaN deviation must survive the fold some other way."""
+    deviations = iter([0.0, math.nan, 0.0, 0.0])  # one per chain length
+    monkeypatch.setattr(protocols, "graph_row_deviation", lambda reg, g: next(deviations))
+    res = claims._claim_chain_rows(claims.Battery())
+    assert not res.passed
+    assert res.value.startswith("max coefficient deviation nan in ")
+
+
+def test_the_beamsplitter_chain_fold_keeps_a_nan(monkeypatch):
+    """A NaN at a growing exponent of X_1 of the first build, the rotated N=4
+    chain, reaches its weighted correlations."""
+    build, calls = protocols.build_bs_chain, []
+
+    def planted(n):
+        reg = build(n)
+        if not calls:
+            reg._modes[0].row[X][(1, X, 1)] = math.nan
+        calls.append(n)
+        return reg
+
+    monkeypatch.setattr(protocols, "build_bs_chain", planted)
+    res = claims._claim_bs_chain(claims.Battery())
+    assert not res.passed
+    assert res.value == "residual nan; bases N=2..10 complete"
+
+
+def test_the_cross_engine_fold_keeps_a_nan(monkeypatch):
+    battery = claims.Battery()
+    battery.add("chain(3)", protocols.build_graph_state(graphs.chain(3)), [[(1.0, 1, Y), (-1.0, 2, X)]])
+    monkeypatch.setattr(ledger, "variance_formula", lambda expr, r: math.nan if r == 0.5 else 0.0)
+    res = claims._claim_cross_engine(battery)
+    assert not res.passed
+    assert res.value == "5 comparisons, max gap nan"
+
+
 def test_a_nan_at_a_growing_exponent_is_an_unbalanced_commutator():
     """chain(3)'s X_1 is e^{+r} x0_1; a NaN there fills the s = 2 sum, whose
     test must not read NaN as small."""

@@ -20,6 +20,9 @@ def script(name):
     return os.path.join(SCRIPT_DIR, name)
 
 
+GRAPH_EDGES = os.path.join(os.path.dirname(__file__), "golden", "edges", "chain6.txt")
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -257,8 +260,8 @@ def test_run_bad_r_or_seed_is_a_usage_error(capsys, flag, value):
      f"{script('epr_n2.cvq')}:5:1: "),
     (["run", script("teleport_step_n3.cvq"), "--engine", "covariance", "--r", "400",
       "--seed", "7"], f"{script('teleport_step_n3.cvq')}:5:1: "),
-    (["sweep", "--state", "chain:2", "--combo", "1*x1", "--r", "800"], ""),
-    (["sweep", "--state", "chain:2", "--combo", "1*x1", "--r", "400"], ""),
+    (["sweep", "--state", "chain:2", "--combo", "1*x1", "--r", "800"], "<chain:2>:5:1: "),
+    (["sweep", "--state", "chain:2", "--combo", "1*x1", "--r", "400"], "<chain:2>:5:1: "),
 ], ids=["run-overflow", "run-nan-outcome", "sweep-overflow", "sweep-inf-variance"])
 def test_large_r_is_a_one_line_diagnostic(capsys, argv, where):
     """Squeezing past float range is a diagnostic, never inf, nan or a traceback."""
@@ -540,19 +543,27 @@ def test_sweep_unwritable_output_exits_two(tmp_path, capsys):
     assert str(out_path) in captured.err and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv, target", [
-    (["claims"], (cli.claims_suite, "run_claims")),
-    (["sweep", "--state", "chain:2", "--combo", "1*x1", "--r", "1"], (ledger.Register, "combine")),
-], ids=["claims", "sweep"])
-def test_a_broken_engine_invariant_is_not_a_usage_error(monkeypatch, capsys, argv, target):
-    """Exit 2 means usage, I/O or input; a program defect keeps its traceback."""
+@pytest.mark.parametrize("argv, target, where", [
+    (["claims"], (cli.claims_suite, "run_claims"), ""),
+    (["sweep", "--state", "chain:2", "--combo", "1*x1", "--r", "1"], (ledger.Register, "combine"),
+     "<chain:2>:5:1: "),
+    # The script's first combination is its assert on line 9.
+    (["sweep", "--script", script("epr_n2.cvq"), "--combo", "1*x1", "--r", "1"],
+     (ledger.Register, "combine"), f"{script('epr_n2.cvq')}:9:1: "),
+    (["run", script("epr_n2.cvq")], (ledger.Register, "combine"), f"{script('epr_n2.cvq')}:9:1: "),
+    (["graph", GRAPH_EDGES, "--protocol", "disentangle"], (ledger.Register, "combine"), ""),
+], ids=["claims", "sweep", "sweep-script", "run", "graph"])
+def test_a_broken_engine_invariant_is_not_a_usage_error(monkeypatch, capsys, argv, target, where):
+    """Exit 2 means usage, I/O or input; a program defect exits 3 with one line,
+    positioned at the statement that found it when a script was running."""
     def broken(*args, **kwargs):
         raise InternalConsistencyError("unbalanced commutator terms")
 
     monkeypatch.setattr(*target, broken)
-    with pytest.raises(InternalConsistencyError, match="unbalanced"):
-        cli.main(argv)
-    assert capsys.readouterr().err == ""
+    assert cli.main(argv) == cli.EXIT_INTERNAL == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{where}internal error: unbalanced commutator terms\n"
 
 
 def test_sweep_bad_state_spec_exits_two(capsys):

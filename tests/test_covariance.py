@@ -634,11 +634,12 @@ def test_reduced_state_picks_blocks():
 
 
 def looped_is_mode_product(state):
-    """The mode-pair loop that ``is_mode_product`` reduces to one array step."""
+    """The mode-pair loop that ``is_mode_product`` reduces to one array step;
+    a NaN entry makes its block no product."""
     cov = state.cov
     for i in range(state.n):
         for j in range(i + 1, state.n):
-            if np.max(np.abs(cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2])) > gates.PRODUCT_TOL:
+            if not np.max(np.abs(cov[2 * i : 2 * i + 2, 2 * j : 2 * j + 2])) <= gates.PRODUCT_TOL:
                 return False
     return True
 
@@ -677,6 +678,12 @@ def test_is_mode_product_is_the_mode_pair_loop():
     assert not covariance.is_mode_product(GaussianState(2, np.zeros(4), above))
     above[0, 3] = np.nextafter(tol, 0.0)
     assert covariance.is_mode_product(GaussianState(2, np.zeros(4), above))
+
+
+def test_a_nan_off_diagonal_entry_is_no_product():
+    cov = 0.5 * np.eye(4)
+    cov[0, 3] = cov[3, 0] = np.nan
+    assert not covariance.is_mode_product(GaussianState(2, np.zeros(4), cov))
 
 
 def test_uncertainty_defect_and_physicality():

@@ -102,6 +102,14 @@ CASES.update({
     "graph_edge_error": ["graph", f"{BAD}/loop_edge.txt", "--protocol", "disentangle"],
     "claims_unknown_id_error": ["claims", "--only", "nope"],
     "sweep_combo_error": ["sweep", "--state", "chain:3", "--combo", "1*q1", "--r", "1"],
+    # sweep runs its rows as script lines: a state's tape is numbered from its
+    # register line, and a --combo line follows the script's last statement.
+    "sweep_state_overflow_error": ["sweep", "--state", "chain:2", "--combo", "1*y1 - 1*x2",
+                                   "--r", "400"],
+    "sweep_script_overflow_error": ["sweep", "--script", "scenarios/epr_n2.cvq", "--combo",
+                                    "1*y1 - 1*x2", "--r", "400"],
+    "sweep_consumed_mode_error": ["sweep", "--script", "scenarios/teleport_step_n3.cvq",
+                                  "--combo", "1*x2", "--r", "1"],
 })
 
 

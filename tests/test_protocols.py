@@ -36,6 +36,14 @@ def test_chain_rows_closed_form():
     assert protocols.graph_row_deviation(reg, g) == pytest.approx(math.sin(0.1))
 
 
+def test_a_nan_row_coefficient_is_a_graph_row_deviation():
+    """A NaN is no gap at or below PRUNE_TOL, and the fold over rows keeps it."""
+    g = graphs.chain(3)
+    reg = protocols.build_graph_state(g)
+    reg._modes[0].row[X][(1, X, 1)] = math.nan
+    assert math.isnan(protocols.graph_row_deviation(reg, g))
+
+
 def test_star_rows_follow_the_graph():
     g = graphs.star(3)
     reg = protocols.build_graph_state(g)
@@ -278,6 +286,16 @@ def test_solver_rejects_a_small_uncancellable_residue():
     reg.measure(2, X)
     sol = protocols.solve_feedforward(reg, [[(1.0, 1, Y), (1e-5, 3, X)]], reg.records)
     assert sol == protocols.Infeasible(1, 1)
+
+
+def test_a_nan_in_the_target_row_alone_is_infeasible():
+    """The X_2 record cancels Y_1's bond on chain(3), but a NaN planted in Y_1
+    (the record keeps its own copy) leaves a NaN residual: not at or below SOLVER_TOL."""
+    reg = protocols.build_graph_state(graphs.chain(3))
+    reg.measure(2, X)
+    reg._modes[0].row[Y][(2, X, 1)] = math.nan
+    sol = protocols.solve_feedforward(reg, [[(1.0, 1, Y)]], reg.records)
+    assert isinstance(sol, protocols.Infeasible)
 
 
 def test_solver_allowance_keeps_a_bond():

@@ -9,11 +9,14 @@ import time
 import numpy as np
 import pytest
 
-from cvcluster import claims, covariance, gates, graphs, ledger, protocols, scenario
-from cvcluster.errors import DomainError
+from cvcluster import claims, cli, covariance, gates, graphs, ledger, protocols, scenario
+from cvcluster.errors import DomainError, InternalConsistencyError
 from cvcluster.gates import MAX_MODES, X, Y
 from cvcluster.scenario import (
+    GateStmt,
     ParseError,
+    RegisterStmt,
+    Scenario,
     ScenarioRuntimeError,
     execute,
     parse,
@@ -79,6 +82,42 @@ def test_rotation_forms_render_faithfully():
         "rotate 1 0.25rad\n"
     )
     assert parse(text).render() == text
+
+
+def _graph_law_graphs():
+    """The graph-law claim's 200 random graphs, drawn as the claim draws them."""
+    rng = np.random.default_rng(20260823)
+    for _ in range(200):
+        n = int(rng.integers(2, 51))
+        yield graphs.random_graph(n, float(rng.uniform(0.05, 0.5)), rng)
+
+
+def _builder_registers():
+    for name, (build, _) in cli.STATE_BUILDERS.items():
+        for size in range(2, 12):
+            yield f"{name}:{size}", build(size)
+    for i, g in enumerate(_graph_law_graphs()):
+        yield f"graph-law #{i}", protocols.build_graph_state(g)
+
+
+def test_a_builder_tape_renders_to_lines_that_parse_and_run_back_to_it():
+    """``sweep --state`` runs ``register n`` and one ``GateStmt.of`` line per gate
+    of the builder's history: the text parses back to the same statements, and
+    executing them applies the builder's gates, gate for gate."""
+    for label, reg in _builder_registers():
+        scn = Scenario((RegisterStmt(reg.n, line=1, col=1),
+                        *(GateStmt.of(g, line) for line, g in enumerate(reg.history, 2))))
+        assert parse(scn.render()) == scn, label
+        assert execute(scn).register.history == reg.history, label
+
+
+def test_gate_lines_render_every_option_as_the_parser_builds_it():
+    tape = [gates.Squeeze(1, "position"), gates.Kerr(1, 2, -2.5), gates.Kerr(2, 1),
+            gates.Rotate(2, -math.pi / 2), gates.Beamsplit(2, 1, 1 / 3), gates.Beamsplit(1, 2, 1.0)]
+    lines = [GateStmt.of(g, line).render() for line, g in enumerate(tape, 2)]
+    assert lines == ["squeeze 1 position", "kerr 1 2 g=-2.5", "kerr 2 1 g=1",
+                     "rotate 2 -1.5707963267948966rad", "bs 2 1 t=0.3333333333333333",
+                     "bs 1 2 t=1"]
 
 
 def test_quarter_turn_rad_form_equals_degree_form():
@@ -422,7 +461,7 @@ def test_bridge_still_catches_a_variance_off_by_1e_7(monkeypatch):
     battery.add("chain(3)", reg, [[(1.0, 1, Y), (-1.0, 2, X)]])
     assert claims._claim_cross_engine(battery).passed
     monkeypatch.setattr(ledger, "variance_formula", lambda expr, r: exact(expr, r) + 1e-7 * (r == 1.0))
-    with pytest.raises(ScenarioRuntimeError, match="engines disagree"):
+    with pytest.raises(InternalConsistencyError, match="engines disagree"):
         execute(parse(BASIC.replace("at r=0,1", "at r=1")), engine="covariance", r=1.0, seed=7)
     assert not claims._claim_cross_engine(battery).passed
 
@@ -612,7 +651,7 @@ def test_an_engine_disagreement_names_r_both_sides_and_the_allowance():
         "register 2\nsqueeze 1 momentum\nsqueeze 2 momentum\nkerr 1 2 g=100000\n"
         "rotate 1 0.3rad\nrotate 1 -0.3rad\nassert nullifier 1*y2 - 100000*x1\n"
     )
-    with pytest.raises(ScenarioRuntimeError) as err:
+    with pytest.raises(InternalConsistencyError) as err:
         execute(parse(text), engine="covariance", r=1.0, seed=7)
     reg = execute(parse(text)).register
     parts = [(1.0, 2, Y), (-100000.0, 1, X)]
