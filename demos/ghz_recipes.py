@@ -32,8 +32,8 @@ def ring_route(m):
 
 def optics_route():
     print("\nsplitter cascade, three parties:")
-    for r in (0.0, 0.3, 1.0):
-        state = protocols.build_ghz_optics(3, "covariance", r)
+    rs = (0.0, 0.3, 1.0)
+    for r, state in zip(rs, covariance.replay(3, protocols.ghz_optics_tape(3), rs)):
         nus = [covariance.ppt_min_symplectic_eig(state, p)
                for p in ((1, 2), (1, 3), (2, 3))]
         verdict = "separable threshold" if r == 0 else "pairwise entangled"

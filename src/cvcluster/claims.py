@@ -278,7 +278,7 @@ def _claim_parity(battery: Battery) -> ClaimResult:
 def _claim_bs_chain(battery: Battery) -> ClaimResult:
     ok, details = True, []
     s2 = math.sqrt(2.0)
-    reg = protocols.build_bs_chain(4)
+    reg = protocols.build(4, protocols.bs_chain_tape(4))
     reg.apply(Rotate(2, -math.pi / 2))
     reg.apply(Rotate(4, -math.pi / 2))
     weighted = [
@@ -293,7 +293,7 @@ def _claim_bs_chain(battery: Battery) -> ClaimResult:
     details.append(f"N=4 rotated correlations: max surviving weight {worst:.3g}")
     battery.add("rotated beamsplitter chain (4)", reg, weighted)
     for n in range(2, 11):
-        reg = protocols.build_bs_chain(n)
+        reg = protocols.build(n, protocols.bs_chain_tape(n))
         basis = protocols.nullifier_basis(reg)
         good = len(basis) == n and all(ledger.is_nullifier(reg.combine(c)) for c in basis)
         ok &= good
@@ -335,8 +335,8 @@ def _claim_cross_engine(battery: Battery) -> ClaimResult:
 
 def _claim_finite_squeezing(battery: Battery) -> ClaimResult:
     ok, details = True, []
-    for r, expect_entangled in ((0.3, True), (0.0, False)):
-        state = protocols.build_ghz_optics(3, "covariance", r)
+    tape, rs = protocols.ghz_optics_tape(3), (0.3, 0.0)
+    for r, expect_entangled, state in zip(rs, (True, False), covariance.replay(3, tape, rs)):
         for pair in ((1, 2), (1, 3), (2, 3)):
             nu = covariance.ppt_min_symplectic_eig(state, pair)
             if expect_entangled:
@@ -348,7 +348,7 @@ def _claim_finite_squeezing(battery: Battery) -> ClaimResult:
             ok &= good
             details.append(f"r={r}: traced pair {pair}: min symplectic eig "
                            f"{nu:.6f} ({verdict}{'' if good else ' EXPECTED'})")
-    reg = protocols.build_ghz_optics(3)
+    reg = protocols.build(3, tape)
     parts = [[(1.0, m, X) for m in (1, 2, 3)],
              [(1.0, 1, Y), (-1.0, 2, Y)], [(1.0, 2, Y), (-1.0, 3, Y)]]
     battery.add("GHZ optics (3)", reg, parts)

@@ -43,9 +43,8 @@ EXIT_INTERNAL = 3
 
 
 def _cmd_run(args) -> int:
-    if args.engine == scenario.COVARIANCE and args.r is None:
-        raise ValueError("covariance engine requires --r")
-    report = scenario.run_file(args.script, engine=args.engine, r=args.r, seed=args.seed)
+    report = scenario.execute(scenario.load(args.script), args.engine, args.r, args.seed,
+                              source=args.script)
     sys.stdout.write(report.render())
     return EXIT_PASS if report.ok else EXIT_FAIL
 
@@ -83,15 +82,14 @@ def _cmd_claims(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Named sweep states: name -> (builder of the size, modes that size makes).
+# Named sweep states: name -> (gate tape of the size, modes that size makes).
 STATE_BUILDERS = {
-    "chain": (lambda n: protocols.build_graph_state(graphs.chain(n)), lambda n: n),
-    "star": (lambda n: protocols.build_graph_state(graphs.star(n)), lambda n: n + 1),
+    "chain": (lambda n: protocols.graph_tape(graphs.chain(n)), lambda n: n),
+    "star": (lambda n: protocols.graph_tape(graphs.star(n)), lambda n: n + 1),
     # size is the family index m: hub 1 on 3, 5, ..., 2m+1 of the ring 2..2m+1
-    "ringstar": (lambda m: protocols.build_graph_state(graphs.ring_star(2 * m)),
-                 lambda m: 2 * m + 1),
-    "bschain": (protocols.build_bs_chain, lambda n: n),
-    "ghz": (protocols.build_ghz_optics, lambda n: n),
+    "ringstar": (lambda m: protocols.graph_tape(graphs.ring_star(2 * m)), lambda m: 2 * m + 1),
+    "bschain": (protocols.bs_chain_tape, lambda n: n),
+    "ghz": (protocols.ghz_optics_tape, lambda n: n),
 }
 
 
@@ -105,10 +103,10 @@ def _build_state(spec: str):
         raise ValueError(
             f"unknown state {name!r}; choose from {', '.join(STATE_BUILDERS)}"
         )
-    build, modes = STATE_BUILDERS[name]
+    tape, modes = STATE_BUILDERS[name]
     if modes(size) > MAX_MODES:
         raise ValueError(f"state {spec!r} has {modes(size)} modes; at most {MAX_MODES} allowed")
-    return build(size)
+    return modes(size), tape(size)
 
 
 def _parse_r_list(text: str) -> tuple[float, ...]:
@@ -119,9 +117,9 @@ def _cmd_sweep(args) -> int:
     if args.script is not None:
         source, stmts = args.script, scenario.load(args.script).statements
     else:
-        source, reg = f"<{args.state}>", _build_state(args.state)
-        stmts = (scenario.RegisterStmt(reg.n, line=1, col=1),  # the state's tape as script lines
-                 *(scenario.GateStmt.of(gate, line) for line, gate in enumerate(reg.history, 2)))
+        source, (n, tape) = f"<{args.state}>", _build_state(args.state)
+        stmts = (scenario.RegisterStmt(n, line=1, col=1),  # the state's tape as script lines
+                 *(scenario.GateStmt.of(gate, line) for line, gate in enumerate(tape, 2)))
     # One print per combo, numbered on from the last statement; only their rows are written.
     stmts += tuple(scenario.PrintVarianceStmt(scenario.parse_combo(raw, stmts[0].n), args.r,
                                               line=stmts[-1].line + k, col=1)

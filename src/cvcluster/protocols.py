@@ -1,16 +1,17 @@
 """Entanglement protocols on graph registers: build, measure, feed forward.
 
-Builders turn a :class:`~cvcluster.graphs.Graph` into either a symbolic
-:class:`~cvcluster.ledger.Register` or a numeric
-:class:`~cvcluster.covariance.GaussianState`.  Every protocol follows one
-recipe: build its graph's state, consume some vertices by homodyne-style
-quadrature measurements, repair the survivors with displacements
-proportional to the records, and certify its target combinations
-(``_finish``).  Fixed +-1 steps serve cuts, teleports, the star GHZ and
-:func:`extract_pair`'s default outers; :class:`CustomOuter` helpers, path
-reduction and the ring-star GHZ take :func:`solve_feedforward`'s
-coefficients (``_repair``).  The :class:`ProtocolReport` says which targets
-ended up as nullifiers and carries the final register as ``register``.
+Every state is a gate tape (:func:`graph_tape`, :func:`bs_chain_tape`,
+:func:`ghz_optics_tape`) that the caller runs on the ledger with
+:func:`build` (:func:`build_graph_state` caches a graph's) or from vacuum
+with ``covariance.replay``.  Every protocol follows one recipe: build its
+graph's state, consume some vertices by homodyne-style quadrature
+measurements, repair the survivors with displacements proportional to the
+records, and certify its target combinations (``_finish``).  Fixed +-1 steps
+serve cuts, teleports, the star GHZ and :func:`extract_pair`'s default
+outers; :class:`CustomOuter` helpers, path reduction and the ring-star GHZ
+take :func:`solve_feedforward`'s coefficients (``_repair``).  The
+:class:`ProtocolReport` says which targets ended up as nullifiers and
+carries the final register as ``register``.
 
 Graph vertex v is register mode v, so every vertex a protocol names is a mode.
 """
@@ -26,7 +27,7 @@ from itertools import combinations, groupby, product
 import numpy as np
 
 from . import covariance, graphs, ledger
-from .errors import ProtocolPreconditionError, SelfInteractionError
+from .errors import InternalConsistencyError, ProtocolPreconditionError, SelfInteractionError
 from .gates import (
     MOMENTUM_SQUEEZED,
     POSITION_SQUEEZED,
@@ -100,31 +101,13 @@ class FeedforwardSolution:
 # ---------------------------------------------------------------------------
 
 
-# Ledger graph states per Graph, kept while the graph lives: None once its
-# first build was handed out, then a build that later requests copy.
-_BUILDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+def graph_tape(graph: graphs.Graph) -> list:
+    """Momentum-squeeze every vertex mode, then couple every edge with g=1."""
+    tape = [Squeeze(m, MOMENTUM_SQUEEZED) for m in range(1, graph.n_vertices + 1)]
+    return tape + [Kerr(l, k, 1.0) for l, k in sorted(graph.edges)]
 
 
-def build_graph_state(graph: graphs.Graph, engine: str = "ledger", r: float | None = None):
-    """Momentum-squeeze every vertex mode, then couple every edge with g=1.
-
-    Ledger rows come out as ``X_a = e^{+r} x0_a`` and
-    ``Y_a = e^{-r} y0_a + e^{+r} sum of neighbour x0``.  A graph's first
-    ledger build is returned as is; the second is also kept, as a copy, and
-    every later request gets an independent ``Register.copy()`` of it.
-    """
-    if engine == "ledger" and _BUILDS.get(graph) is not None:
-        return _BUILDS[graph].copy()
-    n = graph.n_vertices
-    tape = [Squeeze(m, MOMENTUM_SQUEEZED) for m in range(1, n + 1)]
-    tape += [Kerr(l, k, 1.0) for l, k in sorted(graph.edges)]
-    built = _on_engine(n, tape, engine, r)
-    if engine == "ledger":
-        _BUILDS[graph] = built.copy() if graph in _BUILDS else None
-    return built
-
-
-def build_bs_chain(n: int, engine: str = "ledger", r: float | None = None):
+def bs_chain_tape(n: int) -> list:
     """Passive-optics chain: squeezed inputs through a beamsplitter cascade.
 
     Layout (found by exhaustive search for the weighted four-mode
@@ -142,10 +125,10 @@ def build_bs_chain(n: int, engine: str = "ledger", r: float | None = None):
     tape += [Squeeze(m, POSITION_SQUEEZED) for m in range(2, n + 1)]
     for i in range(1, n):
         tape += [Beamsplit(i, i + 1, 0.5), Rotate(i + 1, -math.pi / 2.0)]
-    return _on_engine(n, tape, engine, r)
+    return tape
 
 
-def build_ghz_optics(n: int, engine: str = "ledger", r: float | None = None):
+def ghz_optics_tape(n: int) -> list:
     """GHZ-type state from passive optics: splitter cascade on squeezed inputs.
 
     Mode 1 is position-squeezed, modes 2..n momentum-squeezed; beamsplitter
@@ -159,23 +142,33 @@ def build_ghz_optics(n: int, engine: str = "ledger", r: float | None = None):
         raise ProtocolPreconditionError("GHZ optics needs n >= 2")
     tape = [Squeeze(1, POSITION_SQUEEZED)]
     tape += [Squeeze(m, MOMENTUM_SQUEEZED) for m in range(2, n + 1)]
-    tape += [Beamsplit(i, i + 1, 1.0 / (n - i + 1)) for i in range(1, n)]
-    return _on_engine(n, tape, engine, r)
+    return tape + [Beamsplit(i, i + 1, 1.0 / (n - i + 1)) for i in range(1, n)]
 
 
-def _on_engine(n: int, tape, engine: str, r: float | None):
-    """The gate tape applied to a fresh ``Register(n)``, or replayed from
-    vacuum at ``r`` on the covariance engine (no ledger algebra runs)."""
-    if engine == "ledger":
-        reg = ledger.Register(n)
-        for gate in tape:
-            reg.apply(gate)
-        return reg
-    if engine == "covariance":
-        if r is None:
-            raise ProtocolPreconditionError("covariance build needs numeric r")
-        return covariance.apply_tape(covariance.vacuum_state(n), tape, r)
-    raise ProtocolPreconditionError(f"unknown engine {engine!r}")
+def build(n: int, tape) -> ledger.Register:
+    """A fresh ``Register(n)`` after ``tape``."""
+    reg = ledger.Register(n)
+    for gate in tape:
+        reg.apply(gate)
+    return reg
+
+
+# Ledger graph states per Graph, kept while the graph lives: None once its
+# first build was handed out, then a build that later requests copy.
+_BUILDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def build_graph_state(graph: graphs.Graph) -> ledger.Register:
+    """The ledger build of :func:`graph_tape`: rows ``X_a = e^{+r} x0_a`` and
+    ``Y_a = e^{-r} y0_a + e^{+r} sum of neighbour x0``.  A graph's first
+    build is returned as is; the second is also kept, as a copy, and every
+    later request gets an independent ``Register.copy()`` of it.
+    """
+    if _BUILDS.get(graph) is not None:
+        return _BUILDS[graph].copy()
+    built = build(graph.n_vertices, graph_tape(graph))
+    _BUILDS[graph] = built.copy() if graph in _BUILDS else None
+    return built
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +259,14 @@ def solve_feedforward(reg: ledger.Register, targets, records):
     :class:`FeedforwardSolution` with one coefficient dict per target, or
     :class:`Infeasible` with the equation/rank count.  The rank is read off
     the singular values ``lstsq`` returns, counted above ``SOLVER_TOL`` as
-    ``matrix_rank`` would; with no target it is 0.
+    ``matrix_rank`` would; with no target it is 0.  A non-finite record
+    coefficient is an :class:`InternalConsistencyError`, one in a target :class:`Infeasible`.
     """
     bases = [reg.combine(parts) for parts in targets]
     growing = _growing_part([rec.observable for rec in records] + bases)
     a_mat = growing[:, : len(records)]
+    if not np.isfinite(a_mat).all():  # LAPACK would print to stderr and raise on it
+        raise InternalConsistencyError("a measurement record holds a non-finite coefficient")
     rank, coeff_dicts = 0, []
     for b in growing[:, len(records):].T:
         alpha, _, _, singular = np.linalg.lstsq(a_mat, -b, rcond=None)
@@ -600,7 +596,10 @@ def _cycle_without(graph: graphs.Graph, hub: int) -> list[int] | None:
 def _null_space(exprs) -> np.ndarray:
     """Rows spanning the weights ``w`` whose ``sum_j w_j exprs[j]`` has no growing
     (exponent >= 0) content, with the rank counted above ``SOLVER_TOL``."""
-    u, s, _ = np.linalg.svd(_growing_part(exprs).T, full_matrices=True)
+    mat = _growing_part(exprs).T
+    if not np.isfinite(mat).all():  # LAPACK would print to stderr and raise on it
+        raise InternalConsistencyError("a nullifier-space row holds a non-finite coefficient")
+    u, s, _ = np.linalg.svd(mat, full_matrices=True)
     rank = int(np.sum(s > SOLVER_TOL))
     return u[:, rank:].T
 
@@ -646,7 +645,7 @@ def minimal_disentangling_measurements(n: int) -> int:
     covariance factorizes at both probe squeezings, r = 1 and r = 0.7.
     Exponential in n — meant for n <= 6.
     """
-    probes = [build_graph_state(graphs.chain(n), "covariance", r) for r in (1.0, 0.7)]
+    probes = list(covariance.replay(n, graph_tape(graphs.chain(n)), (1.0, 0.7)))
     for size in range(0, n):
         for subset in combinations(range(1, n + 1), size):
             for kinds in product((X, Y), repeat=size):

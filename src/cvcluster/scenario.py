@@ -668,8 +668,3 @@ class _Execution:
 def load(path) -> Scenario:
     """Read and parse a ``.cvq`` file (UTF-8, a leading byte order mark dropped)."""
     return parse(read_text(path), str(path))
-
-
-def run_file(path, engine: str = LEDGER, r: float | None = None, seed: int | None = None) -> RunReport:
-    """Load and execute a ``.cvq`` file."""
-    return execute(load(path), engine=engine, r=r, seed=seed, source=str(path))

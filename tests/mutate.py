@@ -167,6 +167,13 @@ MUTANTS = [
     Mutant("solver-residual-nan-passes", PROTOCOLS,
            "if not np.max(np.abs(a_mat @ alpha + b)) <= SOLVER_TOL:",
            "if np.max(np.abs(a_mat @ alpha + b)) > SOLVER_TOL:"),
+    # A NaN never reaches LAPACK, which would print to stderr and raise LinAlgError.
+    Mutant("solver-record-nan-to-lapack", PROTOCOLS,
+           "    if not np.isfinite(a_mat).all():",
+           "    if False:"),
+    Mutant("null-space-nan-to-lapack", PROTOCOLS,
+           "    if not np.isfinite(mat).all():",
+           "    if False:"),
     Mutant("chain-rows-fold-drops-nan", CLAIMS,
            "float(np.maximum(worst, protocols.graph_row_deviation(reg, g)))",
            "max(worst, protocols.graph_row_deviation(reg, g))"),

@@ -164,7 +164,7 @@ def test_criterion_07_ghz_and_parity():
 
 def test_criterion_08_weighted_beamsplitter_correlations():
     s2 = math.sqrt(2.0)
-    reg = protocols.build_bs_chain(4)
+    reg = protocols.build(4, protocols.bs_chain_tape(4))
     reg.apply(Rotate(2, -math.pi / 2))
     reg.apply(Rotate(4, -math.pi / 2))
     worst = 0.0
@@ -180,7 +180,7 @@ def test_criterion_08_weighted_beamsplitter_correlations():
             max((abs(c) for (_, _, k), c in expr.items() if k >= 0), default=0.0),
         )
     for n in range(2, 11):
-        reg = protocols.build_bs_chain(n)
+        reg = protocols.build(n, protocols.bs_chain_tape(n))
         basis = protocols.nullifier_basis(reg)
         assert len(basis) == n and all(ledger.is_nullifier(reg.combine(c)) for c in basis), n
     verdict(8, worst <= COEFF_TOL,
@@ -193,14 +193,9 @@ def test_criterion_09_cross_engine_agreement(suite):
 
 
 def test_criterion_10_finite_squeezing_entanglement():
-    entangled = [
-        covariance.ppt_min_symplectic_eig(protocols.build_ghz_optics(3, "covariance", 0.3), p)
-        for p in ((1, 2), (1, 3), (2, 3))
-    ]
-    threshold = [
-        covariance.ppt_min_symplectic_eig(protocols.build_ghz_optics(3, "covariance", 0.0), p)
-        for p in ((1, 2), (1, 3), (2, 3))
-    ]
+    at_03, at_0 = covariance.replay(3, protocols.ghz_optics_tape(3), (0.3, 0.0))
+    entangled = [covariance.ppt_min_symplectic_eig(at_03, p) for p in ((1, 2), (1, 3), (2, 3))]
+    threshold = [covariance.ppt_min_symplectic_eig(at_0, p) for p in ((1, 2), (1, 3), (2, 3))]
     ok = all(v < 0.5 for v in entangled) and all(abs(v - 0.5) <= BRIDGE_TOL for v in threshold)
     verdict(10, ok,
             f"traced pairs at r=0.3 reach {max(entangled):.4f} < 0.5; at r=0 all equal 0.5")

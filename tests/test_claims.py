@@ -107,12 +107,12 @@ def test_finite_squeezing_fails_when_the_entangled_state_is_vacuum(monkeypatch):
     vacuum = covariance.vacuum_state(3)
     assert all(covariance.ppt_min_symplectic_eig(vacuum, pair) == 0.5
                for pair in ((1, 2), (1, 3), (2, 3)))
-    build = protocols.build_ghz_optics
+    replay = covariance.replay
 
-    def vacuum_at_r_03(n, engine="ledger", r=None):
-        return vacuum if (engine, r) == ("covariance", 0.3) else build(n, engine, r)
+    def vacuum_at_r_03(n, tape, rs):
+        return (vacuum if r == 0.3 else state for r, state in zip(rs, replay(n, tape, rs)))
 
-    monkeypatch.setattr(protocols, "build_ghz_optics", vacuum_at_r_03)
+    monkeypatch.setattr(covariance, "replay", vacuum_at_r_03)
     result = claims._claim_finite_squeezing(claims.Battery())
     assert not result.passed
     assert sum("(entangled EXPECTED)" in line for line in result.details) == 3
@@ -251,16 +251,16 @@ def test_the_chain_rows_fold_keeps_a_nan(monkeypatch):
 def test_the_beamsplitter_chain_fold_keeps_a_nan(monkeypatch):
     """A NaN at a growing exponent of X_1 of the first build, the rotated N=4
     chain, reaches its weighted correlations."""
-    build, calls = protocols.build_bs_chain, []
+    build, calls = protocols.build, []
 
-    def planted(n):
-        reg = build(n)
+    def planted(n, tape):
+        reg = build(n, tape)
         if not calls:
             reg._modes[0].row[X][(1, X, 1)] = math.nan
         calls.append(n)
         return reg
 
-    monkeypatch.setattr(protocols, "build_bs_chain", planted)
+    monkeypatch.setattr(protocols, "build", planted)
     res = claims._claim_bs_chain(claims.Battery())
     assert not res.passed
     assert res.value == "residual nan; bases N=2..10 complete"

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from cvcluster import claims, cli, ledger, protocols
+from cvcluster import claims, cli, graphs, ledger, protocols
 from cvcluster.errors import InternalConsistencyError
 from cvcluster.gates import MAX_MODES
 
@@ -171,9 +171,10 @@ def test_run_failing_assert_exits_one(tmp_path, capsys):
 
 
 def test_run_covariance_without_r_is_usage_error(capsys):
-    code = cli.main(["run", script("chain_rows_n4.cvq"), "--engine", "covariance"])
+    path = script("chain_rows_n4.cvq")
+    code = cli.main(["run", path, "--engine", "covariance"])
     assert code == 2
-    assert "requires --r" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"{path}:1:1: covariance engine requires numeric r\n"
 
 
 def test_run_runtime_error_position(tmp_path, capsys):
@@ -451,6 +452,16 @@ def test_sweep_decay_series(capsys):
         "1*y1 - 1*x2,1,0.0676676416183",
         "1*y1 - 1*x2,2,0.00915781944437",
     ]
+
+
+def test_sweep_state_applies_each_tape_gate_once(monkeypatch, capsys):
+    """chain:5's tape is 5 squeezes and 4 couplings; only the script run applies them."""
+    applied, apply = [], ledger.Register.apply
+    monkeypatch.setattr(ledger.Register, "apply",
+                        lambda self, gate: applied.append(gate) or apply(self, gate))
+    assert cli.main(["sweep", "--state", "chain:5", "--combo", "1*y1 - 1*x2", "--r", "1"]) == 0
+    assert applied == protocols.graph_tape(graphs.chain(5))
+    assert len(applied) == 9
 
 
 def test_sweep_empty_r_list_gives_header_only(capsys):

@@ -573,7 +573,7 @@ def test_homodyne_is_bit_for_bit_the_masked_formula():
     for _ in range(300):
         n = int(rng.integers(2, 9))
         g = graphs.random_graph(n, float(rng.uniform(0.2, 0.8)), rng)
-        state = protocols.build_graph_state(g, "covariance", float(rng.uniform(0.0, 1.5)))
+        state = next(replay(n, protocols.graph_tape(g), [float(rng.uniform(0.0, 1.5))]))
         turns = [Rotate(m, float(rng.uniform(0.0, 2.0 * math.pi))) for m in range(1, n + 1)]
         state = apply_tape(GaussianState(n, rng.normal(size=2 * n), state.cov), turns)
         mode, kind = int(rng.integers(1, n + 1)), (X, Y)[int(rng.integers(2))]

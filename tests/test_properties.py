@@ -82,7 +82,7 @@ def z_oracle_covariance(g: graphs.Graph, r: float, weights=None) -> np.ndarray:
 @given(g=simple_graphs(), r=st.floats(0.0, 2.0))
 def test_graph_state_matches_the_z_oracle(g, r):
     want = z_oracle_covariance(g, r)
-    got = protocols.build_graph_state(g, "covariance", r).cov
+    got = next(covariance.replay(g.n_vertices, protocols.graph_tape(g), [r])).cov
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert protocols.graph_row_deviation(protocols.build_graph_state(g), g) == 0
 
@@ -128,7 +128,7 @@ def test_x_measurement_deletes_the_vertex_in_the_z_oracle(data, g, r):
     with v deleted (vertices above v move down one), whatever the outcome,
     and puts mode v back in vacuum."""
     v = data.draw(st.sampled_from(g.vertices))
-    state = protocols.build_graph_state(g, "covariance", r)
+    state = next(covariance.replay(g.n_vertices, protocols.graph_tape(g), [r]))
     cov = covariance.homodyne(state, v, X, outcome=0.0).state.cov
     rest = graphs.from_edges(g.n_vertices - 1, [(a - (a > v), b - (b > v))
                                                 for a, b in g.edges if v not in (a, b)])

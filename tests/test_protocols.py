@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cvcluster import covariance, graphs, ledger, protocols, scenario
-from cvcluster.errors import ProtocolPreconditionError, SelfInteractionError
+from cvcluster.errors import InternalConsistencyError, ProtocolPreconditionError, SelfInteractionError
 from cvcluster.gates import MOMENTUM_SQUEEZED, SOLVER_TOL, Kerr, Rotate, Squeeze, X, Y
 
 
@@ -64,36 +64,51 @@ def test_graph_law_holds_on_a_grid():
 def test_covariance_builder_matches_ledger():
     g = graphs.chain(3)
     reg = protocols.build_graph_state(g)
-    for r in (0.3, 1.0):
-        state = protocols.build_graph_state(g, "covariance", r)
+    for r, state in zip((0.3, 1.0), covariance.replay(3, protocols.graph_tape(g), (0.3, 1.0))):
         parts = [(1.0, 2, Y), (-1.0, 1, X), (-1.0, 3, X)]
         assert covariance.variance_of(state, covariance.combo_weights(parts)) == pytest.approx(
             ledger.variance_formula(reg.combine(parts), r), abs=1e-12
         )
 
 
-def test_covariance_builder_needs_r():
-    with pytest.raises(ProtocolPreconditionError):
-        protocols.build_graph_state(graphs.chain(2), "covariance")
-    with pytest.raises(ProtocolPreconditionError):
-        protocols.build_graph_state(graphs.chain(2), "matrixproduct")
+NAMED_TAPES = [
+    ("grid(3, 4)", 12, protocols.graph_tape(graphs.grid(3, 4))),
+    ("ring_star(6)", 7, protocols.graph_tape(graphs.ring_star(6))),
+    ("bs_chain(4)", 4, protocols.bs_chain_tape(4)),
+    ("ghz_optics(3)", 3, protocols.ghz_optics_tape(3)),
+]
 
 
 def test_covariance_builds_run_no_ledger_algebra(monkeypatch):
-    """Builders hand their gate tape straight to the covariance engine."""
+    """A tape goes straight to the covariance engine."""
     def refuse(self, gate):
         raise AssertionError(f"ledger applied {gate!r} during a covariance build")
 
     monkeypatch.setattr(ledger.Register, "apply", refuse)
-    assert protocols.build_graph_state(graphs.grid(3, 4), "covariance", 0.5).n == 12
-    assert protocols.build_bs_chain(4, "covariance", 0.5).n == 4
-    assert protocols.build_ghz_optics(3, "covariance", 0.5).n == 3
+    for label, n, tape in NAMED_TAPES:
+        (state,) = covariance.replay(n, tape, [0.5])
+        assert state.n == n, label
+
+
+@pytest.mark.parametrize("label, n, tape", NAMED_TAPES)
+def test_a_named_tape_is_what_both_engines_run(label, n, tape):
+    """The ledger build's history is the tape, and a one-r replay has the bits
+    of the per-gate rule from vacuum."""
+    assert protocols.build(n, tape).history == tape
+    (state,) = covariance.replay(n, tape, [0.8])
+    assert np.array_equal(state.cov, covariance.apply_tape(covariance.vacuum_state(n), tape, 0.8).cov)
+
+
+@pytest.mark.parametrize("tape_of", [protocols.bs_chain_tape, protocols.ghz_optics_tape])
+def test_an_optics_tape_needs_two_modes(tape_of):
+    with pytest.raises(ProtocolPreconditionError, match="needs n >= 2"):
+        tape_of(1)
 
 
 def test_bs_chain_quarter_turned_weights():
     """The four-mode cascade carries the sqrt(2)-weighted correlation set."""
     s2 = math.sqrt(2.0)
-    reg = protocols.build_bs_chain(4)
+    reg = protocols.build(4, protocols.bs_chain_tape(4))
     reg.apply(Rotate(2, -math.pi / 2))
     reg.apply(Rotate(4, -math.pi / 2))
     for parts in (
@@ -108,7 +123,7 @@ def test_bs_chain_quarter_turned_weights():
 
 
 def test_bs_chain_two_modes_is_epr():
-    reg = protocols.build_bs_chain(2)
+    reg = protocols.build(2, protocols.bs_chain_tape(2))
     reg.apply(Rotate(2, -math.pi / 2))
     assert ledger.is_nullifier(reg.combine([(1.0, 1, X), (1.0, 2, X)]))
     assert ledger.is_nullifier(reg.combine([(1.0, 1, Y), (-1.0, 2, Y)]))
@@ -116,7 +131,7 @@ def test_bs_chain_two_modes_is_epr():
 
 def test_nullifier_basis_spans_n_dimensions():
     for n in (2, 3, 6, 10):
-        reg = protocols.build_bs_chain(n)
+        reg = protocols.build(n, protocols.bs_chain_tape(n))
         basis = protocols.nullifier_basis(reg)
         assert len(basis) == n
         for combo in basis:
@@ -126,7 +141,7 @@ def test_nullifier_basis_spans_n_dimensions():
 
 def test_ghz_optics_unweighted_set():
     for n in (2, 3, 5):
-        reg = protocols.build_ghz_optics(n)
+        reg = protocols.build(n, protocols.ghz_optics_tape(n))
         assert ledger.is_nullifier(reg.combine([(1.0, m, X) for m in range(1, n + 1)]))
         for a, b in itertools.combinations(range(1, n + 1), 2):
             assert ledger.is_nullifier(reg.combine([(1.0, a, Y), (-1.0, b, Y)]))
@@ -298,6 +313,24 @@ def test_a_nan_in_the_target_row_alone_is_infeasible():
     assert isinstance(sol, protocols.Infeasible)
 
 
+def test_a_nan_in_a_record_is_an_internal_error_that_prints_nothing(capfd):
+    """LAPACK's least squares would print to stderr and raise LinAlgError on it."""
+    reg = protocols.build_graph_state(graphs.chain(3))
+    reg.measure(2, X).observable[(2, X, 1)] = math.nan
+    with pytest.raises(InternalConsistencyError, match="record holds a non-finite"):
+        protocols.solve_feedforward(reg, [[(1.0, 1, Y)]], reg.records)
+    assert capfd.readouterr().err == ""
+
+
+def test_a_nan_row_in_the_null_space_is_an_internal_error_that_prints_nothing(capfd):
+    """LAPACK's SVD would print to stderr and raise LinAlgError on it."""
+    reg = protocols.build(4, protocols.bs_chain_tape(4))
+    reg._modes[0].row[X][(1, X, 1)] = math.nan
+    with pytest.raises(InternalConsistencyError, match="row holds a non-finite"):
+        protocols.nullifier_basis(reg)
+    assert capfd.readouterr().err == ""
+
+
 def test_solver_allowance_keeps_a_bond():
     g = graphs.chain(3)
     reg = protocols.build_graph_state(g)
@@ -381,7 +414,7 @@ def test_disentangle_even_gives_singletons(n):
 
 def test_disentangle_matches_covariance_oracle():
     def separated(pattern):
-        state = protocols.build_graph_state(graphs.chain(5), "covariance", 1.0)
+        (state,) = covariance.replay(5, protocols.graph_tape(graphs.chain(5)), [1.0])
         for pos, kind in pattern:
             state = covariance.homodyne(state, pos, kind, outcome=0.0).state
         return covariance.is_mode_product(state)
@@ -635,8 +668,8 @@ def test_epr_projection_rejects_product_planes():
 
 def test_persistency_oracle_builds_each_probe_once(monkeypatch):
     built = []
-    build = protocols.build_graph_state
-    monkeypatch.setattr(protocols, "build_graph_state",
-                        lambda graph, *args: built.append(args) or build(graph, *args))
+    replay = covariance.replay
+    monkeypatch.setattr(covariance, "replay",
+                        lambda n, tape, rs: built.append((n, tape, rs)) or replay(n, tape, rs))
     assert protocols.minimal_disentangling_measurements(4) == 2
-    assert built == [("covariance", 1.0), ("covariance", 0.7)]
+    assert built == [(4, protocols.graph_tape(graphs.chain(4)), (1.0, 0.7))]

@@ -19,10 +19,10 @@ from cvcluster.scenario import (
     Scenario,
     ScenarioRuntimeError,
     execute,
+    load,
     parse,
     parse_combo,
     render_combo,
-    run_file,
 )
 
 SCRIPT_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -92,23 +92,23 @@ def _graph_law_graphs():
         yield graphs.random_graph(n, float(rng.uniform(0.05, 0.5)), rng)
 
 
-def _builder_registers():
-    for name, (build, _) in cli.STATE_BUILDERS.items():
+def _builder_tapes():
+    for name, (tape, modes) in cli.STATE_BUILDERS.items():
         for size in range(2, 12):
-            yield f"{name}:{size}", build(size)
+            yield f"{name}:{size}", modes(size), tape(size)
     for i, g in enumerate(_graph_law_graphs()):
-        yield f"graph-law #{i}", protocols.build_graph_state(g)
+        yield f"graph-law #{i}", g.n_vertices, protocols.graph_tape(g)
 
 
 def test_a_builder_tape_renders_to_lines_that_parse_and_run_back_to_it():
     """``sweep --state`` runs ``register n`` and one ``GateStmt.of`` line per gate
-    of the builder's history: the text parses back to the same statements, and
+    of the state's tape: the text parses back to the same statements, and
     executing them applies the builder's gates, gate for gate."""
-    for label, reg in _builder_registers():
-        scn = Scenario((RegisterStmt(reg.n, line=1, col=1),
-                        *(GateStmt.of(g, line) for line, g in enumerate(reg.history, 2))))
+    for label, n, tape in _builder_tapes():
+        scn = Scenario((RegisterStmt(n, line=1, col=1),
+                        *(GateStmt.of(g, line) for line, g in enumerate(tape, 2))))
         assert parse(scn.render()) == scn, label
-        assert execute(scn).register.history == reg.history, label
+        assert execute(scn).register.history == tape, label
 
 
 def test_gate_lines_render_every_option_as_the_parser_builds_it():
@@ -326,23 +326,23 @@ def test_unknown_engine_rejected():
 
 @pytest.mark.parametrize("path", SCRIPTS)
 def test_corpus_runs_green_on_both_engines(path):
-    ledger_report = run_file(path, engine="ledger")
+    ledger_report = execute(load(path), engine="ledger")
     assert ledger_report.ok, ledger_report.failures
-    cov_report = run_file(path, engine="covariance", r=1.0, seed=7)
+    cov_report = execute(load(path), engine="covariance", r=1.0, seed=7)
     assert cov_report.ok, cov_report.failures
 
 
 def test_covariance_reports_are_byte_identical_for_a_seed():
     path = SCRIPTS[0]
-    a = run_file(path, engine="covariance", r=0.8, seed=123).render()
-    b = run_file(path, engine="covariance", r=0.8, seed=123).render()
+    a = execute(load(path), engine="covariance", r=0.8, seed=123).render()
+    b = execute(load(path), engine="covariance", r=0.8, seed=123).render()
     assert a == b
 
 
 def test_seeds_change_outcomes_not_variances():
     persistency = [p for p in SCRIPTS if "persistency" in p][0]
-    a = run_file(persistency, engine="covariance", r=1.0, seed=1)
-    b = run_file(persistency, engine="covariance", r=1.0, seed=2)
+    a = execute(load(persistency), engine="covariance", r=1.0, seed=1)
+    b = execute(load(persistency), engine="covariance", r=1.0, seed=2)
     assert a.csv_rows == b.csv_rows  # variances are outcome independent
     assert a.events != b.events  # sampled outcomes differ
     assert a.ok and b.ok
@@ -351,8 +351,8 @@ def test_seeds_change_outcomes_not_variances():
 def test_print_rows_agree_across_engines():
     """The numeric engine must reproduce the symbolic variance table."""
     for path in SCRIPTS:
-        sym = run_file(path, engine="ledger")
-        num = run_file(path, engine="covariance", r=1.0, seed=5)
+        sym = execute(load(path), engine="ledger")
+        num = execute(load(path), engine="covariance", r=1.0, seed=5)
         assert len(sym.csv_rows) == len(num.csv_rows)
         for (c1, r1, v1), (c2, r2, v2) in zip(sym.csv_rows, num.csv_rows):
             assert (c1, r1) == (c2, r2)
@@ -449,7 +449,7 @@ def test_large_squeezing_is_not_a_false_disagreement(name, engine):
         report = execute(parse(BASIC.replace("at r=0,1", "at r=10")), engine=engine)
         assert report.csv_rows == [("1*y1 - 1*x2", 10.0, pytest.approx(0.5 * math.exp(-20.0)))]
     else:
-        report = run_file(os.path.join(SCRIPT_DIR, name), engine=engine, r=10.0, seed=7)
+        report = execute(load(os.path.join(SCRIPT_DIR, name)), engine=engine, r=10.0, seed=7)
     assert report.failures == []
 
 
