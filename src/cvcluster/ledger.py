@@ -118,7 +118,7 @@ class _Mode:
         # index -> coeff).  Gates apply the same linear map to both.  A mode
         # is active until measured; then ``record_index`` names its record.
         # A quarter turn only counts in ``turns``, a frame settled on read.
-        self.row = {kd: {(index, kd, 0): 1.0} for kd in (X, Y)}
+        self.row = {X: {(index, X, 0): 1.0}, Y: {(index, Y, 0): 1.0}}
         self.book = {X: {}, Y: {}}
         self.record_index = None
         self.turns = 0
@@ -182,8 +182,8 @@ class Register:
         out._modes = []
         for md in self._modes:
             c = _Mode.__new__(_Mode)
-            c.row = {kd: dict(d) for kd, d in md.row.items()}
-            c.book = {kd: dict(d) for kd, d in md.book.items()}
+            c.row = {X: md.row[X].copy(), Y: md.row[Y].copy()}
+            c.book = {X: md.book[X].copy(), Y: md.book[Y].copy()}
             c.record_index, c.turns = md.record_index, md.turns
             out._modes.append(c)
         out.records = [replace(r) for r in self.records]  # new values: the copy's own

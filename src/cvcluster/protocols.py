@@ -18,6 +18,7 @@ Graph vertex v is register mode v, so every vertex a protocol names is a mode.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from collections import Counter
@@ -26,7 +27,7 @@ from itertools import combinations, groupby, product
 
 import numpy as np
 
-from . import covariance, graphs, ledger
+from . import covariance, gates, graphs, ledger
 from .errors import InternalConsistencyError, ProtocolPreconditionError, SelfInteractionError
 from .gates import (
     MOMENTUM_SQUEEZED,
@@ -101,10 +102,16 @@ class FeedforwardSolution:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=gates.BLOCK_CACHE_SIZE, typed=True)
+def _gate(kind, *args) -> gates.Gate:
+    """One shared value per distinct gate: gates are frozen, so a tape may hold it often."""
+    return kind(*args)
+
+
 def graph_tape(graph: graphs.Graph) -> list:
     """Momentum-squeeze every vertex mode, then couple every edge with g=1."""
-    tape = [Squeeze(m, MOMENTUM_SQUEEZED) for m in range(1, graph.n_vertices + 1)]
-    return tape + [Kerr(l, k, 1.0) for l, k in sorted(graph.edges)]
+    tape = [_gate(Squeeze, m, MOMENTUM_SQUEEZED) for m in range(1, graph.n_vertices + 1)]
+    return tape + [_gate(Kerr, l, k, 1.0) for l, k in sorted(graph.edges)]
 
 
 def bs_chain_tape(n: int) -> list:
@@ -416,7 +423,7 @@ def extract_pair(graph: graphs.Graph, j: int, k: int,
     # record into X_j, then quarter-turn j so the rows stay in chain form.
     for p in inner:
         _displace(report, j, X, -1.0, report.register.measure(p, Y))
-        report.register.apply(Rotate(j, math.pi / 2.0))
+        report.register.apply(_gate(Rotate, j, math.pi / 2.0))
 
     _finish(report, _chain_laws((j, k)))
     report.flavor = "two-chain EPR (X_j + X_k and Y_j - Y_k after a -90 turn on k)"
@@ -519,10 +526,12 @@ def ring_star_to_ghz(
     hub, ring_order = _ring_and_hub(graph)
     if measured is None:
         measured = graph.neighborhood(hub)
-    measured = sorted(set(measured))
-    for v in measured:
+    measured = sorted(measured)
+    for i, v in enumerate(measured):
         if v not in ring_order:
             raise ProtocolPreconditionError(f"measured vertex {v} is not on the ring")
+        if v in measured[:i]:
+            raise ProtocolPreconditionError(f"measured vertex {v} is listed twice")
     remaining = [v for v in ring_order if v not in set(measured)]
     if len(remaining) < 2:
         raise ProtocolPreconditionError("GHZ projection needs at least two survivors")

@@ -218,6 +218,34 @@ MUTANTS = [
     Mutant("bridge-absolute-only", COV,
            "return gap <= BRIDGE_TOL or gap <= bridge_allowance(state, weights)",
            "return gap <= BRIDGE_TOL"),
+    # Shared gate values and register copies: the same values, nothing aliased.
+    Mutant("gate-cache-untyped", PROTOCOLS,
+           "typed=True",
+           "typed=False"),
+    Mutant("gate-cache-off", PROTOCOLS,
+           "maxsize=gates.BLOCK_CACHE_SIZE",
+           "maxsize=0"),
+    Mutant("graph-tape-one-squeeze", PROTOCOLS,
+           "_gate(Squeeze, m, MOMENTUM_SQUEEZED)",
+           "_gate(Squeeze, 1, MOMENTUM_SQUEEZED)"),
+    Mutant("graph-tape-int-coupling", PROTOCOLS,
+           "_gate(Kerr, l, k, 1.0)",
+           "_gate(Kerr, l, k, 1)"),
+    Mutant("extract-pair-fresh-quarter-turn", PROTOCOLS,
+           "report.register.apply(_gate(Rotate, j, math.pi / 2.0))",
+           "report.register.apply(Rotate(j, math.pi / 2.0))"),
+    Mutant("copy-shares-row-x", LEDGER,
+           "{X: md.row[X].copy(),",
+           "{X: md.row[X],"),
+    Mutant("copy-shares-book-y", LEDGER,
+           "Y: md.book[Y].copy()}",
+           "Y: md.book[Y]}"),
+    Mutant("mode-init-y-row-exponent", LEDGER,
+           "Y: {(index, Y, 0): 1.0}",
+           "Y: {(index, Y, 1): 1.0}"),
+    Mutant("ring-star-keeps-a-repeated-vertex", PROTOCOLS,
+           "        if v in measured[:i]:\n",
+           "        if False:\n"),
     # The parser's column rule.
     Mutant("parser-column-from-line-start", SCENARIO,
            "at = self.body.find(tok, at)",

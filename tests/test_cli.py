@@ -665,6 +665,7 @@ def test_graph_failed_extraction_with_solvable_sides_prints_no_rank(tmp_path, ca
 @pytest.mark.parametrize("value, message", [
     ("2,x", "--measured wants comma-separated integers, got '2,x'"),
     ("7", "measured vertex 7 is not on the ring"),
+    ("3,3", "measured vertex 3 is listed twice"),
 ])
 def test_graph_ring_star_rejects_a_bad_measured_list(capsys, value, message):
     path = os.path.join(os.path.dirname(__file__), "golden", "edges", "ringstar3.txt")

@@ -239,6 +239,24 @@ def test_displace_rejects_foreign_records():
             copy.displace_with(3, X, 1.0, r)
 
 
+def test_a_copy_shares_no_table_with_its_source():
+    """Feed-forward and gates on a copy, in place on every row and book,
+    leave the source's tables as they were."""
+    reg = Register(3)
+    for gate in (Squeeze(1), Squeeze(2), Squeeze(3), Kerr(1, 2), Kerr(2, 3)):
+        reg.apply(gate)
+    reg.displace_with(2, X, 0.5, reg.measure(1, X))
+    before = [(dict(md.row[kd]), dict(md.book[kd])) for md in reg._modes for kd in (X, Y)]
+    twin = reg.copy()
+    for m in (2, 3):
+        for kind in (X, Y):
+            twin.displace_with(m, kind, 2.0, twin.records[0])
+    twin.apply(Kerr(2, 3, 0.7))
+    after = [(dict(md.row[kd]), dict(md.book[kd])) for md in reg._modes for kd in (X, Y)]
+    assert after == before
+    assert twin.quad_expr(3, Y) != reg.quad_expr(3, Y)
+
+
 def test_displace_onto_consumed_mode_rejected():
     reg = Register(2)
     rec = reg.measure(1, X)

@@ -4,7 +4,9 @@ tables over random simple graphs, vertex v on mode v for every graph
 generator, canonical commutators on random ledger tapes with feed-forward,
 the covariance tape replay against its per-gate rule, overflow included,
 the ledger's accumulate step, Kerr books included, against its general loop,
-and its lazy quarter-turn frame against turns settled one at a time.
+its lazy quarter-turn frame against turns settled one at a time, graph tapes'
+shared gate values against fresh ones, and random ``.cvq`` scripts run
+through the command line on both engines.
 
 The oracle is the Gaussian graphical calculus (Menicucci, Flammia & van Loock,
 PRA 83, 042335 (2011)): the graph state of adjacency matrix A at squeezing r
@@ -17,8 +19,12 @@ Runs are derandomized and keep no example database, so the suite stays
 deterministic.
 """
 
+import contextlib
+import io
 import math
+import os
 import pickle
+import re
 import tempfile
 
 import numpy as np
@@ -26,7 +32,7 @@ import pytest
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
-from cvcluster import claims, covariance, graphs, ledger, protocols
+from cvcluster import claims, cli, covariance, graphs, ledger, protocols
 from cvcluster.errors import DomainError, InvalidGraphError, UnsupportedOperationError
 from cvcluster.gates import (
     MOMENTUM_SQUEEZED,
@@ -481,3 +487,133 @@ def test_quarter_turn_frames_settle_as_single_turns(n, steps, split):
     settled at once, with generic rotations, Kerr, beamsplitters, squeezes,
     measurements and a copy in between."""
     assert run_frame_steps(n, steps, split, eager=False) == run_frame_steps(n, steps, split, eager=True)
+
+
+# ---------------------------------------------------------------------------
+# shared gate values: graph tapes against freshly built gates
+# ---------------------------------------------------------------------------
+
+
+def register_state(reg):
+    """Rows and books with their key orders, records and history, by value."""
+    tables = [(md.record_index, md.turns, [[(kd, list(d.items())) for kd, d in t.items()]
+                                           for t in (md.row, md.book)])
+              for md in reg._modes]
+    records = [(rec.index, rec.mode, rec.kind, list(rec.observable.items())) for rec in reg.records]
+    return tables, records, list(reg.history)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), g=simple_graphs())
+def test_graph_tapes_share_values_equal_to_fresh_gates(data, g):
+    """A graph tape holds the values its fresh gates would, type and repr
+    included; equal graphs share them; and a ledger run on the shared tape,
+    measured, displaced and copied, is the run on fresh gates."""
+    fresh = [Squeeze(m, MOMENTUM_SQUEEZED) for m in range(1, g.n_vertices + 1)]
+    fresh += [Kerr(l, k, 1.0) for l, k in sorted(g.edges)]
+    tape = protocols.graph_tape(g)
+    assert [(type(a), repr(a)) for a in tape] == [(type(b), repr(b)) for b in fresh]
+    assert tape == fresh
+    twin = protocols.graph_tape(graphs.from_edges(g.n_vertices, list(g.edges)))
+    assert all(a is b for a, b in zip(tape, twin, strict=True))
+    m = data.draw(st.integers(1, g.n_vertices), label="measured")
+    kind = data.draw(st.sampled_from([X, Y]), label="kind")
+    runs = []
+    for gates_in in (tape, fresh):
+        reg = protocols.build(g.n_vertices, gates_in)
+        if g.n_vertices > 1:
+            rec = reg.measure(m, kind)
+            for v in reg.active_modes():
+                reg.displace_with(v, Y, -1.0, rec)
+        runs.append(reg.copy())
+        runs.append(reg)
+    assert [register_state(r) for r in runs[:2]] == [register_state(r) for r in runs[2:]]
+    assert register_state(runs[0]) == register_state(runs[1])
+
+
+# ---------------------------------------------------------------------------
+# random .cvq scripts: both engines through the command line
+# ---------------------------------------------------------------------------
+
+_R_VALUES = st.floats(0.0, 3.0).map(lambda r: f"{r:g}")
+_COEFF = st.one_of(st.sampled_from(["1", "-1", "sqrt2", "-sqrt2"]),
+                   st.floats(-3.0, 3.0).map(lambda c: f"{c:g}"))
+
+
+@st.composite
+def cvq_scripts(draw):
+    """Script text with every statement kind on up to five modes: couplings
+    with |g| <= 1e3, turns by quarter or any angle, and no statement that
+    names a mode once it is measured."""
+    n = draw(st.integers(1, 5), label="modes")
+    lines, active, names = [f"register {n}"], list(range(1, n + 1)), []
+
+    def combo():
+        terms = draw(st.lists(st.tuples(_COEFF, st.sampled_from(active), st.sampled_from("xy")),
+                              min_size=1, max_size=3))
+        return " + ".join(f"{c}*{kind}{m}" for c, m, kind in terms)
+
+    for _ in range(draw(st.integers(0, 12), label="statements")):
+        if not active:
+            break
+        m = draw(st.sampled_from(active))
+        others = [o for o in active if o != m]
+        step = draw(st.sampled_from(["squeeze", "squeeze", "kerr", "kerr", "bs", "rotate", "measure",
+                                     "displace", "nullifier", "product", "print"]))
+        if step == "squeeze":
+            lines.append(f"squeeze {m} {draw(st.sampled_from(['momentum', 'position']))}")
+        elif step in ("kerr", "bs") and others:
+            k = draw(st.sampled_from(others))
+            if step == "kerr":
+                lines.append(f"kerr {m} {k} g={draw(st.floats(-1e3, 1e3)):g}")
+            else:
+                lines.append(f"bs {m} {k} t={draw(st.floats(0.0, 1.0)):g}")
+        elif step == "rotate":
+            angle = draw(st.one_of(st.sampled_from(["90", "-90", "180"]),
+                                   st.integers(-4, 4).map(lambda q: f"{q * math.pi / 2.0!r}rad"),
+                                   st.floats(-7.0, 7.0).map(lambda t: f"{t!r}rad")))
+            lines.append(f"rotate {m} {angle}")
+        elif step == "measure" and others:
+            names.append(f"t{len(names) + 1}")
+            lines.append(f"measure {draw(st.sampled_from('xy'))} {m} -> {names[-1]}")
+            active.remove(m)
+        elif step == "displace" and names:
+            lines.append(f"displace {draw(st.sampled_from('xy'))} {m} += "
+                         f"{draw(_COEFF)}*{draw(st.sampled_from(names))}")
+        elif step == "nullifier":
+            lines.append(f"assert nullifier {combo()}")
+        elif step == "product":
+            lines.append("assert product")
+        elif step == "print":
+            rs = draw(st.lists(_R_VALUES, min_size=1, max_size=3))
+            lines.append(f"print variance {combo()} at r={','.join(rs)}")
+    return "\n".join(lines) + "\n"
+
+
+def run_script(path, *options):
+    """``cvcluster run path options``: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["run", path, *options])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(text=cvq_scripts(), r=_R_VALUES)
+def test_random_scripts_end_alike_on_both_engines(text, r):
+    """Every script ends in a report (exit 0 or 1) or one positioned line
+    (exit 2) on each engine, and the two engines agree on the exit code and
+    on every assert's verdict."""
+    with tempfile.TemporaryDirectory(prefix="cvq-") as tmp:
+        path = os.path.join(tmp, "fuzz.cvq")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        runs = [run_script(path, "--r", r), run_script(path, "--engine", "covariance", "--r", r)]
+    verdicts = []
+    for code, out, err in runs:
+        assert code in (0, 1, 2), err
+        if code == 2:
+            assert re.fullmatch(re.escape(path) + r":\d+:\d+: [^\n]*\n", err), err
+        verdicts.append(re.findall(r"^line (\d+): assert .* \.\. (\w+)$", out, re.MULTILINE))
+    assert runs[0][0] == runs[1][0]
+    assert verdicts[0] == verdicts[1]

@@ -509,6 +509,21 @@ def test_extract_pair_inner_teleports_count():
     assert "4 inner teleport steps" in rep.details
 
 
+def test_extract_pair_turns_with_one_shared_quarter_turn():
+    """Every inner teleport step turns j by the same +90 degree value."""
+    turns = [g for g in protocols.extract_pair(graphs.chain(8), 2, 7).register.history
+             if isinstance(g, Rotate)]
+    assert turns == [Rotate(2, math.pi / 2.0)] * 4
+    assert len({id(g) for g in turns}) == 1
+
+
+def test_shared_gate_values_keep_an_int_apart_from_a_float():
+    """Equal arguments of another type make another value: ``g=1`` is not ``g=1.0``."""
+    assert repr(protocols._gate(Kerr, 1, 2, 1)) == "Kerr(l=1, k=2, g=1)"
+    assert repr(protocols._gate(Kerr, 1, 2, 1.0)) == "Kerr(l=1, k=2, g=1.0)"
+    assert protocols._gate(Kerr, 1, 2, 1.0) is protocols._gate(Kerr, 1, 2, 1.0)
+
+
 def test_extract_pair_custom_outer_patterns():
     for n, j, k, outer in (
         (7, 4, 5, protocols.CustomOuter(left=(2, 1), right=(7,))),
