@@ -8,9 +8,11 @@ copies its input once and replays a gate tape on the copy at one squeezing r,
 under one ``np.errstate`` overflow guard (a bare :func:`apply_gate` call
 guards itself); :func:`replay` runs a tape from vacuum at several r at once
 (print rows, the closing claims), applying each gate once to a stack of
-zero-mean states.  Squeezes and g = 1 couplings, the paper's gates, skip the
-block product: they update row and column views in place, each written once,
-and each entry is one product or a two-term sum, rounded once, so bits hold.
+zero-mean states.  :func:`light_cone` cuts a tape to the gates a combination
+reads, on the modes they touch, so a print replays only that.  Squeezes and
+g = 1 couplings, the paper's gates, skip the block product: they update row
+and column views in place, each written once, and each entry is one product
+or a two-term sum, rounded once, so bits hold.
 
 This engine is deliberately independent of :mod:`cvcluster.ledger`: the two
 are cross-checked against each other by the test- and claims-suites, so the
@@ -202,6 +204,47 @@ def replay(n: int, tape, rs) -> Iterator[GaussianState]:
                 except FloatingPointError:
                     raise _overflow(gate, f"r in {part!r}") from None
         yield from (GaussianState(n, np.zeros(2 * n), c) for c in cov)
+
+
+def light_cone(n: int, tape, combo) -> tuple[int, list, list]:
+    """``(m, cone, local)``: the gates of ``tape`` that the final-frame ``combo``
+    reads, on the ``m`` modes they touch, kept in order (all ``n`` when all are
+    touched).  The sub-block of ``replay(m, cone, rs)`` that ``combo_weights(local)``
+    reads has the bits of ``combo``'s in ``replay(n, tape, rs)``.  Walking
+    back, a gate is kept when it writes a quadrature that is read, and its
+    outputs read what :func:`_step` reads: a Squeeze's only themselves, a g = 1
+    Kerr's Y_l also X_k and its Y_k also X_l, any other gate's its whole block
+    (a ``0·x`` term too), so each kept gate runs on the inputs it always had."""
+    need: dict[int, int] = {}  # mode -> a mask of its quadratures read: X is 1, Y is 2
+    for _, mode, kind in combo:
+        need[mode] = need.get(mode, 0) | (1 if kind == X else 2)
+    squeeze, kerr, cone = gates.Squeeze, gates.Kerr, []  # bound once: this loop is per gate
+    for gate in reversed(tape):
+        if isinstance(gate, squeeze):
+            hit = gate.mode in need
+        elif isinstance(gate, kerr) and gate.g == 1.0:
+            hit = False
+            if gate.l in need or gate.k in need:
+                for y, x in ((gate.l, gate.k), (gate.k, gate.l)):
+                    if need.get(y, 0) & 2:  # Y_y reads X_x
+                        need[x] = need.get(x, 0) | 1
+                        hit = True
+        else:
+            ms = gates.modes(gate)
+            hit = not need.keys().isdisjoint(ms)
+            if hit:
+                need.update(dict.fromkeys(ms, 3))
+        if hit:
+            cone.append(gate)
+    cone.reverse()
+    if len(need) == n or not need:
+        return n, cone, combo
+    new = {m: i for i, m in enumerate(sorted(need), 1)}
+    moved = []
+    for gate in cone:
+        *ms, value = vars(gate).values()  # the fields in order: modes, then the value
+        moved.append(type(gate)(*(new[m] for m in ms), value))
+    return len(new), moved, [(c, new[m], kind) for c, m, kind in combo]
 
 
 # ---------------------------------------------------------------------------

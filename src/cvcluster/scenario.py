@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import covariance, gates, ledger
-from .errors import CvClusterError, InputError, InternalConsistencyError, read_text, split_lines
+from .errors import (CvClusterError, DomainError, InputError, InternalConsistencyError, read_text,
+                     split_lines)
 from .gates import MAX_MODES, MOMENTUM_SQUEEZED, POSITION_SQUEEZED, PRUNE_TOL, X, Y
 
 SQRT2 = math.sqrt(2.0)
@@ -531,9 +532,9 @@ def execute(
     conditions a numeric Gaussian state: measurement outcomes are drawn
     from the prior marginal (deterministically under ``seed``), displacements
     move means, and every reported variance is recomputed from the gate tape
-    and checked against the ledger's closed form.  Prints at one tape point
-    with the same r list share one stacked replay; each ``assert nullifier``
-    replays its tape once.  The report's ``register`` is the finished ledger
+    and checked against the ledger's closed form.  A print replays only its
+    combination's light cone, every row at once; each ``assert nullifier``
+    replays its whole tape once.  The report's ``register`` is the finished ledger
     state.  A failing statement raises :class:`ScenarioRuntimeError` at its position,
     but a broken engine invariant stays an :class:`InternalConsistencyError`, positioned there.
     """
@@ -561,17 +562,16 @@ class _Execution:
         self.records: dict[str, tuple] = {}  # name -> (record, outcome or None)
         self.report = RunReport(source, engine, r, seed, len(scn.statements), self.reg)
         self.state = None
-        self.printed: dict[tuple, list] = {}  # the last print's states by (len(history), rs)
         if engine == COVARIANCE:
             self.state = covariance.vacuum_state(scn.n)
             self.rng = np.random.default_rng(seed)
 
     # -- engine plumbing ---------------------------------------------------
 
-    def _replay_variances(self, parts, expr, rs, states=None) -> list[float]:
-        """Variances of a (possibly displaced) combo, ledger expression ``expr``, at each
-        r, two independent ways; the tape is replayed unless ``states`` are its replays."""
-        weights = covariance.combo_weights(self.reg.frame_combo(parts))
+    def _replay_variances(self, combo, expr, rs, states=None) -> list[float]:
+        """Variances of a final-frame combo, ledger expression ``expr``, at each r, two
+        independent ways; the tape is replayed unless ``states`` are replays ``combo`` reads."""
+        weights = covariance.combo_weights(combo)
         if states is None:
             vacuum = covariance.vacuum_state(self.reg.n)
             states = (covariance.apply_tape(vacuum, self.reg.history, r) for r in rs)
@@ -626,7 +626,7 @@ class _Execution:
         if self.engine == COVARIANCE:
             # Nullifier status is symbolic; the numeric engine contributes a
             # consistency check of the same combination's variance at run r.
-            self._replay_variances(parts, expr, (self.r,))
+            self._replay_variances(self.reg.frame_combo(parts), expr, (self.r,))
         self._record_assert(stmt, f"assert nullifier {render_combo(stmt.terms)}", ok)
 
     def _do_AssertProductStmt(self, stmt):
@@ -639,18 +639,15 @@ class _Execution:
     def _do_PrintVarianceStmt(self, stmt):
         combo_text = render_combo(stmt.terms)
         parts = combo_parts(stmt.terms)
-        expr = self.reg.combine(parts)
-        key = (len(self.reg.history), stmt.rs)  # only gates grow history
-        states, self.printed = self.printed.get(key), {}  # drop a stale stack before replaying
+        expr, combo = self.reg.combine(parts), self.reg.frame_combo(parts)
         try:
-            if states is None:
-                states = covariance.replay(self.reg.n, self.reg.history, stmt.rs)
-            if len(stmt.rs) * (2 * self.reg.n) ** 2 <= (2 * gates.MAX_MODES) ** 2:
-                states = self.printed[key] = list(states)  # one chunk, already in memory
-            values = self._replay_variances(parts, expr, stmt.rs, states)
-        except CvClusterError:
-            # Report what a row-by-row replay reports: the first failing row.
-            values = self._replay_variances(parts, expr, stmt.rs)
+            m, cone, local = covariance.light_cone(self.reg.n, self.reg.history, combo)
+            states = covariance.replay(m, cone, stmt.rs)
+            values = self._replay_variances(local, expr, stmt.rs, states)
+        except DomainError:
+            # Report what a row-by-row replay of the whole tape reports: the first failing
+            # row.  A disagreement is the whole tape's, bit for bit, at the same row.
+            values = self._replay_variances(combo, expr, stmt.rs)
         self.report.csv_rows += [(combo_text, rv, v) for rv, v in zip(stmt.rs, values)]
         self.report.events.append(
             f"line {stmt.line}: print variance {combo_text} ({len(stmt.rs)} rows)"

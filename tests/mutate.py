@@ -4,16 +4,19 @@ Usage (from the repository root)::
 
     python3 tests/mutate.py            # every mutant
     python3 tests/mutate.py NAME ...   # the named ones
+    python3 tests/mutate.py --test NODEID   # every mutant, against that test only
 
 Each mutant is a file, an old text that occurs in it exactly once, and a new
 text.  The script copies the repository (without ``.git`` and caches) to a
 temporary directory once, checks there that Tier-1 passes unmutated, then for
 each mutant writes the edited file into the copy, runs Tier-1 with ``-x``
-against the copy's ``src`` and puts the file back.  It prints one row per
-mutant: killed, with the first failing test, or survived.  The working tree
-is only read.  A mutant survives when no test notices it; each survivor
-wants a test whose right answer comes from physics or a closed form, or a
-reason why the mutant is equivalent.  pytest does not collect this file.
+against the copy's ``src`` and puts the file back; ``--test`` (repeatable)
+runs only the given pytest node ids instead, to count what one test kills
+alone.  It prints one row per mutant: killed, with the first failing test,
+or survived.  The working tree is only read.  A mutant survives when no
+test notices it; each survivor wants a test whose right answer comes from
+physics or a closed form, or a reason why the mutant is equivalent.  pytest
+does not collect this file.
 """
 
 from __future__ import annotations
@@ -99,6 +102,16 @@ MUTANTS = [
     Mutant("cov-beamsplitter-s-c-swap", GATES,
            "s = math.sqrt(gate.t)\n        c = math.sqrt(1.0 - gate.t)",
            "c = math.sqrt(gate.t)\n        s = math.sqrt(1.0 - gate.t)"),
+    # A print's light cone: what each kept gate reads.
+    Mutant("cone-kerr-reads-wrong-x", COV,
+           "((gate.l, gate.k), (gate.k, gate.l))",
+           "((gate.l, gate.l), (gate.k, gate.k))"),
+    Mutant("cone-generic-adds-only-hit-outputs", COV,
+           "need.update(dict.fromkeys(ms, 3))",
+           "need.update({m: need[m] for m in ms if m in need})"),
+    Mutant("cone-drops-squeeze", COV,
+           "hit = gate.mode in need",
+           "hit = False"),
     # Homodyne on the covariance engine.
     Mutant("homodyne-schur-sign", COV,
            "cov = state.cov - np.outer(b, b) / v",
@@ -256,11 +269,12 @@ MUTANTS = [
 ]
 
 
-def tier1(copy: Path) -> tuple[bool, str]:
-    """Run Tier-1 with ``-x`` in ``copy`` against its own ``src``: (passed, first failing test)."""
+def tier1(copy: Path, tests=()) -> tuple[bool, str]:
+    """Run Tier-1 (or only the pytest node ids ``tests``) with ``-x`` in ``copy``
+    against its own ``src``: (passed, first failing test)."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
-            "--continue-on-collection-errors"]
+            "--continue-on-collection-errors", *tests]
     try:
         proc = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True,
                               timeout=TIMEOUT_S)
@@ -275,6 +289,8 @@ def tier1(copy: Path) -> tuple[bool, str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--test", action="append", default=[], metavar="NODEID",
+                        help="run only this pytest node id (repeatable; default: Tier-1)")
     args = parser.parse_args(argv)
     by_name = {m.name: m for m in MUTANTS}
     assert len(by_name) == len(MUTANTS), "mutant names must be unique"
@@ -291,9 +307,9 @@ def main(argv=None) -> int:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info"))
-        ok, first = tier1(copy)
+        ok, first = tier1(copy, args.test)
         if not ok:
-            sys.exit(f"Tier-1 fails without a mutant ({first}); nothing to judge")
+            sys.exit(f"the tests fail without a mutant ({first}); nothing to judge")
         width = max(len(m.name) for m in chosen)
         print(f"{'mutant':<{width}}  {'verdict':<8}  {'s':>5}  first failing test")
         survivors = 0
@@ -303,7 +319,7 @@ def main(argv=None) -> int:
             target.write_text(original.replace(m.old, m.new, 1), encoding="utf-8")
             started = time.perf_counter()
             try:
-                passed, first = tier1(copy)
+                passed, first = tier1(copy, args.test)
             finally:
                 target.write_text(original, encoding="utf-8")
             survivors += passed

@@ -3,6 +3,7 @@ and after an X-measurement, the edge-list round trip and the graph lookup
 tables over random simple graphs, vertex v on mode v for every graph
 generator, canonical commutators on random ledger tapes with feed-forward,
 the covariance tape replay against its per-gate rule, overflow included,
+a combination's light cone against the whole tape's replay,
 the ledger's accumulate step, Kerr books included, against its general loop,
 its lazy quarter-turn frame against turns settled one at a time, graph tapes'
 shared gate values against fresh ones, and random ``.cvq`` scripts run
@@ -347,6 +348,60 @@ def test_apply_tape_is_the_per_gate_rule_overflow_included(drawn):
         with pytest.raises(DomainError) as raised:
             covariance.apply_tape(covariance.vacuum_state(n), tape, r)
         assert str(raised.value) == message
+
+
+@st.composite
+def cone_cases(draw):
+    """A state size, a tape of squeezes, g = 1 and other couplings, quarter and
+    other turns and beamsplitters, a final-frame combo and r values in [0, 3]."""
+    n = draw(st.integers(1, 6))
+    modes = st.integers(1, n)
+    kinds = ["squeeze", "rotate"] + (["kerr", "beamsplit"] if n > 1 else [])
+    tape = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(kinds))
+        l, k = draw(modes), draw(modes)
+        k = k if k != l else l % n + 1
+        if kind == "squeeze":
+            tape.append(Squeeze(l, draw(st.sampled_from([MOMENTUM_SQUEEZED, POSITION_SQUEEZED]))))
+        elif kind == "kerr":
+            tape.append(Kerr(l, k, draw(st.one_of(st.just(1.0), st.floats(-2.0, 2.0)))))
+        elif kind == "rotate":
+            quarter = st.sampled_from([math.pi / 2.0, -math.pi / 2.0, math.pi])
+            tape.append(Rotate(l, draw(st.one_of(quarter, st.floats(-4.0, 4.0)))))
+        else:
+            tape.append(Beamsplit(l, k, draw(st.floats(0.0, 1.0))))
+    term = st.tuples(st.floats(-2.0, 2.0), modes, st.sampled_from([X, Y]))
+    combo = draw(st.lists(term, min_size=1, max_size=4))
+    return n, tape, combo, draw(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3))
+
+
+@PROPERTY_SETTINGS
+@given(drawn=cone_cases())
+def test_a_combos_light_cone_replays_its_sub_block_bit_for_bit(drawn):
+    """Replaying only the cone gives the sub-block the combo reads, and so its
+    variance and bridge allowance, with the bits of the whole tape's replay."""
+    n, tape, combo, rs = drawn
+    m, cone, local = covariance.light_cone(n, tape, combo)
+    assert m <= n and len(cone) <= len(tape)
+    whole, mine = covariance.combo_weights(combo), covariance.combo_weights(local)
+    for full, part in zip(covariance.replay(n, tape, rs), covariance.replay(m, cone, rs), strict=True):
+        a, b = full.cov[whole[1]], part.cov[mine[1]]
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+        assert covariance.variance_of(full, whole) == covariance.variance_of(part, mine)
+        assert covariance.bridge_allowance(full, whole) == covariance.bridge_allowance(part, mine)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), g=simple_graphs())
+def test_a_vertex_laws_cone_is_its_squeezes_and_its_edges(data, g):
+    """On a graph tape, Y_v - sum X_b over v's neighbours reads v's squeeze,
+    each neighbour's squeeze and each of v's couplings: 1 + 2 deg(v) gates."""
+    v = data.draw(st.sampled_from(g.vertices))
+    law = [(1.0, v, Y)] + [(-1.0, b, X) for b in g.neighborhood(v)]
+    m, cone, _ = covariance.light_cone(g.n_vertices, protocols.graph_tape(g), law)
+    assert len(cone) == 1 + 2 * g.degree(v)
+    assert m == 1 + g.degree(v)
 
 
 def accumulate_reference(dst, c, src):

@@ -1,10 +1,12 @@
 """Script language: parsing, precise diagnostics, execution on both engines."""
 
+import gc
 import glob
 import math
 import os
 import re
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -526,14 +528,12 @@ def test_a_print_replays_its_tape_once_for_all_rows(monkeypatch):
     assert len(want) == 4 and calls == []
 
 
-# A print's states are kept for the next print at the same tape point.
 TAPE = (
     "register 3\n"
     "squeeze 1 momentum\nsqueeze 2 momentum\nsqueeze 3 momentum\n"
     "kerr 1 2\nkerr 2 3 g=0.7\nrotate 1 0.4rad\n"
 )
 PRINT_A = "print variance 1*y1 - 1*x2 at r=0,0.5,1,2\n"
-PRINT_B = "print variance 1*y2 - 1*x1 - 0.7*x3 at r=0,0.5,1,2\n"
 
 
 def count_replays(monkeypatch):
@@ -542,6 +542,32 @@ def count_replays(monkeypatch):
     monkeypatch.setattr(covariance, "replay",
                         lambda n, tape, rs: calls.append(len(tape)) or replay(n, tape, rs))
     return calls
+
+
+# A chain of five modes: a print's cone holds only the gates its combo reads.
+CHAIN = (
+    "register 5\n"
+    + "".join(f"squeeze {m} momentum\n" for m in range(1, 6))
+    + "kerr 1 2\nkerr 2 3\nkerr 3 4\nkerr 4 5\nrotate 5 0.4rad\n"
+)
+EDGE = "print variance 1*y1 - 1*x2 at r=0,0.5,1,2\n"
+MIDDLE = "print variance 1*y3 - 1*x2 - 1*x4 at r=0,0.5,1,2\n"
+
+
+def record_replays(monkeypatch):
+    """Record each ``covariance.replay`` call as (n, tape), and a weak
+    reference to each covariance it yields."""
+    calls, states = [], []
+    replay = covariance.replay
+
+    def spy(n, tape, rs):
+        calls.append((n, list(tape)))
+        for state in replay(n, tape, rs):
+            states.append(weakref.ref(state.cov))
+            yield state
+
+    monkeypatch.setattr(covariance, "replay", spy)
+    return calls, states
 
 
 def run_by_statement(text, engine):
@@ -566,10 +592,17 @@ def run_by_statement(text, engine):
 
 
 @pytest.mark.parametrize("engine", ["ledger", "covariance"])
-def test_prints_at_one_tape_point_share_one_replay(monkeypatch, engine):
-    calls = count_replays(monkeypatch)
-    exe, want = run_by_statement(TAPE + PRINT_A + PRINT_B, engine)
-    assert calls == [6]
+def test_each_print_replays_only_its_cone(monkeypatch, engine):
+    """Two prints at one tape point replay their own cones: the squeezes and
+    couplings of the modes each combo reads, renumbered onto those modes in
+    order, with the values of a row-by-row replay of the whole tape."""
+    calls, _ = record_replays(monkeypatch)
+    exe, want = run_by_statement(CHAIN + EDGE + MIDDLE, engine)
+    sq, kerr = gates.Squeeze, gates.Kerr
+    assert calls == [
+        (2, [sq(1), sq(2), kerr(1, 2)]),  # y1 reads x2
+        (3, [sq(1), sq(2), sq(3), kerr(1, 2), kerr(2, 3)]),  # modes 2, 3, 4: y3 reads x2 and x4
+    ]
     assert [v for _, _, v in exe.report.csv_rows] == want
     assert [r for _, r, _ in exe.report.csv_rows] == [0, 0.5, 1, 2] * 2
 
@@ -584,49 +617,84 @@ def test_a_gate_between_two_prints_replays_again(monkeypatch, engine):
 
 
 @pytest.mark.parametrize("engine", ["ledger", "covariance"])
-def test_a_measure_or_displace_between_two_prints_replays_once(monkeypatch, engine):
+def test_a_displace_brings_its_record_into_the_cone(monkeypatch, engine):
+    """A measure or displace leaves the tape as it was, but a displacement
+    puts its record in the final-frame combo, and so its mode in the cone."""
     wire = "print variance 1*y2 - 1*x1 at r=0,0.5,1,2\n"
-    text = (TAPE + PRINT_A + "measure x 3 -> m\n" + wire
-            + "displace y 2 += -0.7*m\n" + wire + PRINT_A)
-    calls = count_replays(monkeypatch)
+    text = CHAIN + wire + "measure x 4 -> m\n" + wire + "displace y 2 += -1*m\n" + wire
+    calls, _ = record_replays(monkeypatch)
     exe, want = run_by_statement(text, engine)
-    assert calls == [6]
+    assert [(n, len(tape)) for n, tape in calls] == [(3, 5), (3, 5), (4, 6)]
     assert [v for _, _, v in exe.report.csv_rows] == want
-    assert want[4:8] != want[8:12]  # the displacement changed what the wire reads
+    assert want[:4] == want[4:8] != want[8:]  # the displacement changed what the wire reads
 
 
-def test_an_r_list_over_one_chunk_keeps_no_states(monkeypatch):
-    text = (TAPE + PRINT_A + PRINT_A).replace("at r=0,0.5,1,2", "at r=0,0.25,0.5,1,2")
+def test_an_r_list_over_one_chunk_replays_its_cone_and_keeps_no_states(monkeypatch):
+    text = (CHAIN + MIDDLE + MIDDLE).replace("at r=0,0.5,1,2", "at r=0,0.25,0.5,1,2")
     want = execute(parse(text), engine="covariance", r=1.0, seed=7).csv_rows
     monkeypatch.setattr(gates, "MAX_MODES", 3)  # a chunk holds one 6x6 state
-    calls = count_replays(monkeypatch)
+    calls, states = record_replays(monkeypatch)
     exe, per_row = run_by_statement(text, "covariance")
-    assert calls == [6, 6] and exe.printed == {}
+    assert [(n, len(tape)) for n, tape in calls] == [(3, 5), (3, 5)]
     assert exe.report.csv_rows == want
     assert [v for _, _, v in want] == per_row
+    gc.collect()
+    assert len(states) == 10 and all(ref() is None for ref in states)
 
 
-def test_a_failing_print_keeps_nothing_and_reports_as_before(monkeypatch):
+def test_a_failing_print_reports_as_before_and_keeps_nothing(monkeypatch):
+    """A print whose cone leaves float range reports what a row-by-row replay
+    of the whole tape reports, whatever follows it, and keeps no state."""
     bad = "print variance 1*y1 - 1*x2 at r=0,1,400\n"
     with pytest.raises(ScenarioRuntimeError) as alone:
-        execute(parse(TAPE + bad))
+        execute(parse(CHAIN + bad))
     with pytest.raises(ScenarioRuntimeError) as err:
-        execute(parse(TAPE + bad + PRINT_A))
+        execute(parse(CHAIN + bad + EDGE))
     assert (err.value.line, err.value.col, err.value.reason) == (
-        alone.value.line, alone.value.col, alone.value.reason)
-    # The failing print drops the states it found and keeps none of its own,
-    # so the next print at this tape point replays afresh.
-    calls = count_replays(monkeypatch)
-    scn = parse(TAPE + PRINT_A + bad + PRINT_A)
+        alone.value.line, alone.value.col, alone.value.reason) == (
+        CHAIN.count("\n") + 1, 1,
+        "Squeeze(mode=1, direction='momentum') at r=400.0 leaves float range; squeezing too large")
+    calls, states = record_replays(monkeypatch)
+    tapes = []
+    apply_tape = covariance.apply_tape
+    monkeypatch.setattr(covariance, "apply_tape",
+                        lambda *args: tapes.append(len(args[1])) or apply_tape(*args))
+    scn = parse(CHAIN + EDGE + bad + EDGE)
     exe = scenario._Execution(scn, "ledger", None, None, "<scenario>")
     for stmt in scn.statements[:-2]:
         exe.apply(stmt)
     with pytest.raises(DomainError, match=re.escape(alone.value.reason)):
         exe.apply(scn.statements[-2])
-    assert exe.printed == {}
+    assert tapes == [10, 10, 10]  # the whole tape at r = 0, 1 and 400, where it fails
     exe.apply(scn.statements[-1])
-    assert calls == [6, 6, 6]
+    assert [(n, len(tape)) for n, tape in calls] == [(2, 3)] * 3
     assert exe.report.csv_rows[:4] == exe.report.csv_rows[4:]
+    gc.collect()
+    assert len(states) == 8 and all(ref() is None for ref in states)
+
+
+@pytest.mark.parametrize("engine", ["ledger", "covariance"])
+def test_a_row_fails_only_when_its_own_cone_leaves_float_range(engine):
+    """A squeeze the combo does not read cannot fail its print at r=400; one
+    it reads still fails it as a row-by-row replay of the whole tape does."""
+    text = "register 2\nsqueeze 2 momentum\nprint variance 1*x1 at r=0,400\n"
+    report = execute(parse(text), engine=engine, r=1.0, seed=7)
+    assert report.csv_rows == [("1*x1", 0.0, 0.5), ("1*x1", 400.0, 0.5)]
+    text = ("register 2\nsqueeze 1 momentum\nsqueeze 2 momentum\nkerr 1 2\n"
+            "print variance 1*y1 - 1*x2 at r=400\n")
+    with pytest.raises(ScenarioRuntimeError) as err:
+        execute(parse(text), engine=engine, r=1.0, seed=7)
+    assert (err.value.line, err.value.col) == (5, 1)
+    assert err.value.reason == ("Squeeze(mode=1, direction='momentum') at r=400.0 "
+                                "leaves float range; squeezing too large")
+
+
+@pytest.mark.parametrize("engine", ["ledger", "covariance"])
+def test_a_combination_that_cancels_to_nothing_prints_zero(engine):
+    """Its final-frame combo is empty, so its cone reads no gate at all."""
+    text = "register 2\nsqueeze 1 momentum\nkerr 1 2\nprint variance 1*x1 - 1*x1 at r=0,1\n"
+    report = execute(parse(text), engine=engine, r=1.0, seed=7)
+    assert [v for _, _, v in report.csv_rows] == [0.0, 0.0]
 
 
 def test_each_assert_nullifier_replays_its_tape_once(monkeypatch):
