@@ -287,8 +287,8 @@ def _claim_bs_chain(battery: Battery) -> ClaimResult:
         [(1, 1, Y), (-s2, 2, Y)],
         [(s2, 2, Y), (-1, 3, Y), (1, 4, Y)],
     ]
-    worst = float(np.max([abs(c) for parts in weighted  # NaN kept
-                          for (_, _, k), c in reg.combine(parts).items() if k >= 0], initial=0.0))
+    coords, mat = ledger.coefficient_matrix([reg.combine(parts) for parts in weighted])
+    worst = float(np.max(np.abs(mat[[k >= 0 for *_, k in coords]]), initial=0.0))  # NaN kept
     ok &= worst <= COEFF_TOL
     details.append(f"N=4 rotated correlations: max surviving weight {worst:.3g}")
     battery.add("rotated beamsplitter chain (4)", reg, weighted)
@@ -365,15 +365,14 @@ def _claim_finite_squeezing(battery: Battery) -> ClaimResult:
 def _commutator_matrix(reg: ledger.Register) -> np.ndarray:
     """Commutators of the active rows (X_a, Y_a, ...) in units of i, from ``S Ω Sᵀ = Ω``
     in powers of ``e^r``: ``Σ_{k+l=s} M_k Ω M_lᵀ = Ω·[s = 0]``, where ``M_k`` holds the
-    rows' ``e^{kr}`` coefficients over the initial quadratures they use, in flat order.
+    rows' ``e^{kr}`` coefficients (``ledger.coefficient_matrix``) in flat order.
     Returns the s = 0 sum; one above ``COMMUTATOR_TOL`` at s != 0 raises."""
     rows = [reg.quad_expr(m, kind) for m in reg.active_modes() for kind in (X, Y)]
-    col = {quad: j for j, quad in enumerate(sorted({key[:2] for row in rows for key in row}))}
-    exps = {k: e for e, k in enumerate(sorted({key[2] for row in rows for key in row}))}
+    coords, mat = ledger.coefficient_matrix(rows)
+    col = {quad: j for j, quad in enumerate(dict.fromkeys(key[:2] for key in coords))}
+    exps = {k: e for e, k in enumerate(sorted({key[2] for key in coords}))}
     mats = np.zeros((len(exps), len(rows), len(col)))
-    for i, row in enumerate(rows):
-        for (m, kind, k), c in row.items():
-            mats[exps[k], i, col[m, kind]] = c
+    mats[[exps[k] for *_, k in coords], :, [col[key[:2]] for key in coords]] = mat
     # M Ω moves column x0_m to y0_m, the next column, and -y0_m to x0_m.
     xs = np.array([j for (m, kind), j in col.items() if kind == X and (m, Y) in col], dtype=int)
     m_omega = np.zeros_like(mats)

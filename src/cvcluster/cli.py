@@ -190,48 +190,39 @@ def _render_protocol_report(report, graph: graphs.Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _ints(args, flag: str) -> tuple[int, ...] | None:
+    """The comma-separated integers given to ``flag``, or None when it was not given."""
+    text = getattr(args, flag[2:].replace("-", "_"))
     try:
-        return [int(piece) for piece in text.split(",")]
+        return None if text is None else tuple(int(piece) for piece in text.split(","))
     except ValueError:
         raise ValueError(f"{flag} wants comma-separated integers, got {text!r}") from None
 
 
-def _cmd_graph(args) -> int:
-    def need(*flags):
-        missing = [f"--{name}" for name in flags if getattr(args, name) is None]
-        if missing:
-            raise ValueError(
-                f"protocol {args.protocol} requires {' and '.join(missing)}"
-            )
+def _outer(args) -> protocols.CustomOuter | None:
+    left, right = _ints(args, "--outer-left"), _ints(args, "--outer-right")
+    return None if (left, right) == (None, None) else protocols.CustomOuter(left or (), right or ())
 
+
+# --protocol name -> (the flags it requires, its run on the graph and the parsed arguments).
+_PROTOCOLS = {
+    "reduce-path": (("a", "b"), lambda g, a: protocols.reduce_graph_to_path(g, a.a, a.b)),
+    "star-ghz": ((), lambda g, a: protocols.star_to_ghz(g)),
+    "ring-star-ghz": ((), lambda g, a: protocols.ring_star_to_ghz(g, _ints(a, "--measured"),
+                                                                  a.flavor)),
+    "extract-pair": (("j", "k"), lambda g, a: protocols.extract_pair(g, a.j, a.k, _outer(a))),
+    "disconnect": (("j",), lambda g, a: protocols.disconnect(g, a.j)),
+    "disentangle": ((), lambda g, a: protocols.disentangle_even(g)),
+}
+
+
+def _cmd_graph(args) -> int:
     graph = graphs.load_edge_list(args.edges)
-    if args.protocol == "reduce-path":
-        need("a", "b")
-        report = protocols.reduce_graph_to_path(graph, args.a, args.b)
-    elif args.protocol == "star-ghz":
-        report = protocols.star_to_ghz(graph)
-    elif args.protocol == "ring-star-ghz":
-        measured = None
-        if args.measured is not None:
-            measured = _parse_int_list(args.measured, "--measured")
-        report = protocols.ring_star_to_ghz(graph, measured=measured, flavor=args.flavor)
-    elif args.protocol == "extract-pair":
-        need("j", "k")
-        outer = None
-        if args.outer_left is not None or args.outer_right is not None:
-            outer = protocols.CustomOuter(
-                left=tuple(_parse_int_list(args.outer_left, "--outer-left"))
-                if args.outer_left is not None else (),
-                right=tuple(_parse_int_list(args.outer_right, "--outer-right"))
-                if args.outer_right is not None else (),
-            )
-        report = protocols.extract_pair(graph, args.j, args.k, outer)
-    elif args.protocol == "disconnect":
-        need("j")
-        report = protocols.disconnect(graph, args.j)
-    else:  # disentangle
-        report = protocols.disentangle_even(graph)
+    required, run = _PROTOCOLS[args.protocol]
+    missing = [f"--{name}" for name in required if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"protocol {args.protocol} requires {' and '.join(missing)}")
+    report = run(graph, args)
     sys.stdout.write(_render_protocol_report(report, graph))
     return EXIT_PASS if report.success else EXIT_FAIL
 
@@ -300,11 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     graph_parser = sub.add_parser("graph", help="run a protocol on an edge-list graph")
     graph_parser.add_argument("edges", help="edge-list file: one 'a b' pair per line")
-    graph_parser.add_argument(
-        "--protocol", required=True,
-        choices=("reduce-path", "star-ghz", "ring-star-ghz", "extract-pair",
-                 "disconnect", "disentangle"),
-    )
+    graph_parser.add_argument("--protocol", required=True, choices=tuple(_PROTOCOLS))
     graph_parser.add_argument("--a", type=int, default=None, help="path start vertex")
     graph_parser.add_argument("--b", type=int, default=None, help="path end vertex")
     graph_parser.add_argument("--j", type=int, default=None, help="pair / cut position")

@@ -2,8 +2,9 @@
 
 States are Gaussian, stored as a mean vector and covariance matrix in
 ``(X_1, Y_1, ..., X_n, Y_n)`` order with vacuum variance 1/2 per quadrature
-(``[X, Y] = i``).  Every operation but one is pure and returns a new state;
-:func:`apply_gate` updates the state it is given in place.  :func:`apply_tape`
+(``[X, Y] = i``).  One rule: gates (:func:`apply_gate`) and measurements
+(:func:`homodyne`) update the state they are given in place, and
+:func:`apply_tape` and :func:`replay` build new states.  :func:`apply_tape`
 copies its input once and replays a gate tape on the copy at one squeezing r,
 under one ``np.errstate`` overflow guard (a bare :func:`apply_gate` call
 guards itself); :func:`replay` runs a tape from vacuum at several r at once
@@ -47,14 +48,6 @@ class GaussianState:
     n: int
     mean: np.ndarray
     cov: np.ndarray
-
-
-@dataclass(frozen=True)
-class HomodyneResult:
-    """Outcome of measuring one quadrature; the measured mode is back in vacuum."""
-
-    state: GaussianState
-    outcome: float
 
 
 def quad_index(mode: int, kind: str) -> int:
@@ -206,11 +199,12 @@ def replay(n: int, tape, rs) -> Iterator[GaussianState]:
         yield from (GaussianState(n, np.zeros(2 * n), c) for c in cov)
 
 
-def light_cone(n: int, tape, combo) -> tuple[int, list, list]:
-    """``(m, cone, local)``: the gates of ``tape`` that the final-frame ``combo``
-    reads, on the ``m`` modes they touch, kept in order (all ``n`` when all are
-    touched).  The sub-block of ``replay(m, cone, rs)`` that ``combo_weights(local)``
-    reads has the bits of ``combo``'s in ``replay(n, tape, rs)``.  Walking
+def light_cone(n: int, tape, combo) -> tuple[int, list, list, list]:
+    """``(m, cone, local, kept)``: the gates ``kept`` of ``tape`` that the final-frame
+    ``combo`` reads, in order, and ``cone``, the same gates on the ``m`` modes they
+    touch (all ``n`` when all are touched).  The sub-block of ``replay(m, cone, rs)``
+    that ``combo_weights(local)`` reads has the bits of ``combo``'s in
+    ``replay(n, tape, rs)``, and so has ``replay(n, kept, rs)``'s.  Walking
     back, a gate is kept when it writes a quadrature that is read, and its
     outputs read what :func:`_step` reads: a Squeeze's only themselves, a g = 1
     Kerr's Y_l also X_k and its Y_k also X_l, any other gate's its whole block
@@ -238,13 +232,13 @@ def light_cone(n: int, tape, combo) -> tuple[int, list, list]:
             cone.append(gate)
     cone.reverse()
     if len(need) == n or not need:
-        return n, cone, combo
+        return n, cone, combo, cone
     new = {m: i for i, m in enumerate(sorted(need), 1)}
     moved = []
     for gate in cone:
         *ms, value = vars(gate).values()  # the fields in order: modes, then the value
         moved.append(type(gate)(*(new[m] for m in ms), value))
-    return len(new), moved, [(c, new[m], kind) for c, m, kind in combo]
+    return len(new), moved, [(c, new[m], kind) for c, m, kind in combo], cone
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +252,17 @@ def homodyne(
     kind: str,
     outcome: float | None = None,
     rng: np.random.Generator | None = None,
-) -> HomodyneResult:
-    """Measure one quadrature; condition the other modes, reset the measured one.
+) -> float:
+    """Measure one quadrature of ``state`` in place and return the outcome.
 
     The conditional covariance of the other modes is the Schur complement of
     the measured variance, ``A - b b^T / v``, and the conditional mean shifts
     by ``b (outcome - prior_mean) / v``: one update of the whole matrix and
-    mean, with ``b`` zero on the measured mode, which is then reset to vacuum
-    (covariance ``I/2``, no cross terms, zero mean), so ``n`` and every mode
-    number stay as they were.  When no outcome is supplied one is drawn from
-    the prior marginal with ``rng``, which is then required.
+    mean, with ``b`` a copy of the measured column, zero on the measured mode,
+    which is then reset to vacuum (covariance ``I/2``, no cross terms, zero
+    mean), so ``n`` and every mode number stay as they were.  When no outcome
+    is supplied one is drawn from the prior marginal with ``rng``, which is
+    then required.  A rejection leaves ``state`` as it was.
     """
     if not 1 <= mode <= state.n:
         raise InvalidSizeError(f"mode {mode} outside 1..{state.n}")
@@ -285,14 +280,15 @@ def homodyne(
             raise DomainError("homodyne needs an outcome or an rng to draw one")
         outcome = float(rng.normal(prior_mean, math.sqrt(v)))
     own = slice(2 * mode - 2, 2 * mode)  # both quadratures of the measured mode
-    b = state.cov[:, q].copy()
+    cov, mean = state.cov, state.mean  # updated in place: the state is frozen, its arrays are not
+    b = cov[:, q].copy()
     b[own] = 0.0
-    cov = state.cov - np.outer(b, b) / v
+    cov -= np.outer(b, b) / v
     cov[own, :] = cov[:, own] = 0.0
     cov[q, q] = cov[q ^ 1, q ^ 1] = 0.5  # q ^ 1 is the conjugate quadrature
-    mean = state.mean + b * (outcome - prior_mean) / v
+    mean += b * (outcome - prior_mean) / v
     mean[own] = 0.0
-    return HomodyneResult(GaussianState(state.n, mean, cov), outcome)
+    return outcome
 
 
 # ---------------------------------------------------------------------------

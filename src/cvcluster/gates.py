@@ -64,17 +64,15 @@ BRIDGE_TOL = 1e-9
 COEFF_TOL = 1e-12
 # Claims: a traced pair is entangled when its PPT eigenvalue is this far below 1/2.
 ENTANGLEMENT_MARGIN = 1e-12
-# Inputs: the most modes a script, edge list or named state may ask for.  The
-# covariance engine holds a dense (2n)x(2n) float64 matrix, 134 MB at this n,
-# and copies it once per tape; covariance.replay's stack of covariances over r
-# holds at most that many floats, chunking its r list.
+# Inputs: the most modes a script, edge list or named state may ask for.  The covariance
+# engine holds a dense (2n)x(2n) float64 matrix, 134 MB at this n, that gates and measurements
+# update in place; apply_tape copies it once per tape, and covariance.replay's stack of
+# covariances over r holds at most that many floats, chunking its r list.
 MAX_MODES = 2048
 
 
 @dataclass(frozen=True)
 class Squeeze:
-    MODE_FIELDS = ("mode",)
-
     mode: int
     direction: str = MOMENTUM_SQUEEZED
 
@@ -86,8 +84,6 @@ class Squeeze:
 @dataclass(frozen=True)
 class Kerr:
     """Quadrature coupler: Y_l += g X_k and Y_k += g X_l, X unchanged."""
-
-    MODE_FIELDS = ("l", "k")
 
     l: int
     k: int
@@ -102,8 +98,6 @@ class Kerr:
 
 @dataclass(frozen=True)
 class Rotate:
-    MODE_FIELDS = ("mode",)
-
     mode: int
     theta: float
 
@@ -114,8 +108,6 @@ class Rotate:
 
 @dataclass(frozen=True)
 class Beamsplit:
-    MODE_FIELDS = ("l", "k")
-
     l: int
     k: int
     t: float = 0.5
@@ -132,8 +124,9 @@ QUARTER_TURNS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))  # cos_sin of
 
 
 def modes(gate: Gate) -> tuple[int, ...]:
-    """The modes a gate acts on, in the order its block's rows follow."""
-    return tuple(getattr(gate, f) for f in gate.MODE_FIELDS)
+    """The modes a gate acts on, in its block's row order: every field but the last, the
+    value.  ``__match_args__`` names the fields; ``vars`` would slow the gate's attribute reads."""
+    return tuple(getattr(gate, name) for name in gate.__match_args__[:-1])
 
 
 def cos_sin(theta: float) -> tuple[float, float]:

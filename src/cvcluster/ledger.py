@@ -27,6 +27,8 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import gates
 from .errors import (
     ConsumedModeError,
@@ -344,6 +346,19 @@ def is_nullifier(expr: dict) -> bool:
     NaN or infinite term, as an overflowed row holds, fails.
     """
     return all(k < 0 and math.isfinite(c) for (_, _, k), c in expr.items() if not abs(c) <= NULLIFIER_TOL)
+
+
+def coefficient_matrix(exprs) -> tuple[list, np.ndarray]:
+    """``(coords, mat)``: the sorted ``(mode, kind, exponent)`` keys that any of
+    ``exprs`` uses, and the keys x expressions matrix of their coefficients, so
+    ``mat[coords.index(key), j]`` is ``exprs[j][key]``; every other entry is 0."""
+    coords = sorted({key for expr in exprs for key in expr})
+    pos = {key: i for i, key in enumerate(coords)}
+    mat = np.zeros((len(coords), len(exprs)))
+    for j, expr in enumerate(exprs):
+        for key, c in expr.items():
+            mat[pos[key], j] = c
+    return coords, mat
 
 
 def variance_formula(expr: dict, r: float) -> float:

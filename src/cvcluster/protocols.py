@@ -190,17 +190,14 @@ def graph_row_deviation(reg: ledger.Register, graph: graphs.Graph) -> float:
     ``e^{+r}`` times the neighbours' ``x0``; every vertex mode must be active.
     A gap at or below ``PRUNE_TOL`` counts as none, as the ledger prunes it; a NaN counts.
     """
-    worst = 0.0
+    rows, closed = [], []
     for m in graph.vertices:
-        closed_y = {(b, X, 1): 1.0 for b in graph.neighborhood(m)}
-        closed_y[(m, Y, -1)] = 1.0
-        for kind, closed in ((X, {(m, X, 1): 1.0}), (Y, closed_y)):
-            row = reg.quad_expr(m, kind)
-            for key in row.keys() | closed.keys():
-                gap = abs(row.get(key, 0.0) - closed.get(key, 0.0))
-                if not gap <= PRUNE_TOL:
-                    worst = float(np.maximum(worst, gap))
-    return worst
+        rows += [reg.quad_expr(m, X), reg.quad_expr(m, Y)]
+        closed_y = {(b, X, 1): 1.0 for b in graph.neighborhood(m)} | {(m, Y, -1): 1.0}
+        closed += [{(m, X, 1): 1.0}, closed_y]
+    _, mat = ledger.coefficient_matrix(rows + closed)
+    gaps = np.abs(mat[:, :len(rows)] - mat[:, len(rows):])
+    return float(np.max(gaps[~(gaps <= PRUNE_TOL)], initial=0.0))
 
 
 def _require_chain(graph: graphs.Graph, protocol: str) -> int:
@@ -287,20 +284,10 @@ def solve_feedforward(reg: ledger.Register, targets, records):
 
 
 def _growing_part(exprs) -> np.ndarray:
-    """Coordinate x expression matrix of the growing (exponent >= 0) coefficients.
-
-    Rows are the sorted (mode, kind, exponent) coordinates with exponent >= 0
-    that any expression uses, with one all-zero row when none does; column j
-    holds expression j's coefficients.
-    """
-    coords = sorted({key for col in exprs for key in col if key[2] >= 0})
-    pos = {c: idx for idx, c in enumerate(coords)}
-    mat = np.zeros((max(len(coords), 1), len(exprs)))
-    for j, col in enumerate(exprs):
-        for key, c in col.items():
-            if key[2] >= 0:
-                mat[pos[key], j] = c
-    return mat
+    """The growing (exponent >= 0) rows of ``ledger.coefficient_matrix(exprs)``, in
+    order, built from the growing terms alone, or one all-zero row when there are none."""
+    _, mat = ledger.coefficient_matrix([{t: c for t, c in e.items() if t[2] >= 0} for e in exprs])
+    return mat if len(mat) else np.zeros((1, len(exprs)))
 
 
 # ---------------------------------------------------------------------------
@@ -637,12 +624,13 @@ def nullifier_basis(reg: ledger.Register) -> list[tuple]:
 def _separates(state: covariance.GaussianState, pattern) -> bool:
     """Is ``state`` a mode product after homodyning ``pattern`` at outcome 0?
 
-    ``pattern`` is a list of (position, kind).  The conditional covariance is
-    outcome independent and displacements only move means, so this holds for
-    every outcome iff it holds at 0.
+    ``pattern`` is a list of (position, kind), measured on one copy of ``state``.
+    The conditional covariance is outcome independent and displacements only
+    move means, so this holds for every outcome iff it holds at 0.
     """
+    state = covariance.GaussianState(state.n, state.mean.copy(), state.cov.copy())
     for pos, kind in pattern:
-        state = covariance.homodyne(state, pos, kind, outcome=0.0).state
+        covariance.homodyne(state, pos, kind, outcome=0.0)
     return covariance.is_mode_product(state)
 
 

@@ -533,10 +533,11 @@ def execute(
     from the prior marginal (deterministically under ``seed``), displacements
     move means, and every reported variance is recomputed from the gate tape
     and checked against the ledger's closed form.  A print replays only its
-    combination's light cone, every row at once; each ``assert nullifier``
-    replays its whole tape once.  The report's ``register`` is the finished ledger
-    state.  A failing statement raises :class:`ScenarioRuntimeError` at its position,
-    but a broken engine invariant stays an :class:`InternalConsistencyError`, positioned there.
+    combination's light cone, every row at once; an overflowing row names its
+    cone's first failing gate.  Each ``assert nullifier`` replays its whole tape
+    once.  The report's ``register`` is the finished ledger state.  A failing
+    statement raises :class:`ScenarioRuntimeError` at its position, but a
+    broken engine invariant stays an :class:`InternalConsistencyError`, positioned there.
     """
     if engine not in (LEDGER, COVARIANCE):
         raise ScenarioRuntimeError(source, 1, 1, f"unknown engine {engine!r}")
@@ -568,13 +569,14 @@ class _Execution:
 
     # -- engine plumbing ---------------------------------------------------
 
-    def _replay_variances(self, combo, expr, rs, states=None) -> list[float]:
+    def _replay_variances(self, combo, expr, rs, tape, states=None) -> list[float]:
         """Variances of a final-frame combo, ledger expression ``expr``, at each r, two
-        independent ways; the tape is replayed unless ``states`` are replays ``combo`` reads."""
+        independent ways, on ``states``: replays of ``tape`` that ``combo`` reads, by
+        default made here from vacuum, row by row."""
         weights = covariance.combo_weights(combo)
         if states is None:
             vacuum = covariance.vacuum_state(self.reg.n)
-            states = (covariance.apply_tape(vacuum, self.reg.history, r) for r in rs)
+            states = (covariance.apply_tape(vacuum, tape, r) for r in rs)
         values = []
         for r, state in zip(rs, states):
             numeric = covariance.variance_of(state, weights)
@@ -604,8 +606,7 @@ class _Execution:
     def _do_MeasureStmt(self, stmt):
         rec, outcome, note = self.reg.measure(stmt.mode, stmt.kind), None, ""
         if self.engine == COVARIANCE:
-            res = covariance.homodyne(self.state, stmt.mode, stmt.kind, rng=self.rng)
-            self.state, outcome = res.state, res.outcome
+            outcome = covariance.homodyne(self.state, stmt.mode, stmt.kind, rng=self.rng)
             note = f" = {outcome:.12g}"
         self.records[stmt.name] = (rec, outcome)
         self.report.events.append(
@@ -626,7 +627,7 @@ class _Execution:
         if self.engine == COVARIANCE:
             # Nullifier status is symbolic; the numeric engine contributes a
             # consistency check of the same combination's variance at run r.
-            self._replay_variances(self.reg.frame_combo(parts), expr, (self.r,))
+            self._replay_variances(self.reg.frame_combo(parts), expr, (self.r,), self.reg.history)
         self._record_assert(stmt, f"assert nullifier {render_combo(stmt.terms)}", ok)
 
     def _do_AssertProductStmt(self, stmt):
@@ -640,14 +641,14 @@ class _Execution:
         combo_text = render_combo(stmt.terms)
         parts = combo_parts(stmt.terms)
         expr, combo = self.reg.combine(parts), self.reg.frame_combo(parts)
+        m, cone, local, kept = covariance.light_cone(self.reg.n, self.reg.history, combo)
         try:
-            m, cone, local = covariance.light_cone(self.reg.n, self.reg.history, combo)
             states = covariance.replay(m, cone, stmt.rs)
-            values = self._replay_variances(local, expr, stmt.rs, states)
+            values = self._replay_variances(local, expr, stmt.rs, cone, states)
         except DomainError:
-            # Report what a row-by-row replay of the whole tape reports: the first failing
-            # row.  A disagreement is the whole tape's, bit for bit, at the same row.
-            values = self._replay_variances(combo, expr, stmt.rs)
+            # The first failing row, and the first gate of its cone that fails, from the cone
+            # replayed row by row on the script's modes; a disagreement is the whole tape's.
+            values = self._replay_variances(combo, expr, stmt.rs, kept)
         self.report.csv_rows += [(combo_text, rv, v) for rv, v in zip(stmt.rs, values)]
         self.report.events.append(
             f"line {stmt.line}: print variance {combo_text} ({len(stmt.rs)} rows)"

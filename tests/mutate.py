@@ -114,17 +114,20 @@ MUTANTS = [
            "hit = False"),
     # Homodyne on the covariance engine.
     Mutant("homodyne-schur-sign", COV,
-           "cov = state.cov - np.outer(b, b) / v",
-           "cov = state.cov + np.outer(b, b) / v"),
+           "cov -= np.outer(b, b) / v",
+           "cov += np.outer(b, b) / v"),
     Mutant("homodyne-schur-scale", COV,
-           "cov = state.cov - np.outer(b, b) / v",
-           "cov = state.cov - np.outer(b, b) / (2 * v)"),
+           "cov -= np.outer(b, b) / v",
+           "cov -= np.outer(b, b) / (2 * v)"),
     Mutant("homodyne-mean-shift-sign", COV,
-           "mean = state.mean + b * (outcome - prior_mean) / v",
-           "mean = state.mean - b * (outcome - prior_mean) / v"),
+           "mean += b * (outcome - prior_mean) / v",
+           "mean -= b * (outcome - prior_mean) / v"),
     Mutant("homodyne-mean-shift-prior", COV,
-           "mean = state.mean + b * (outcome - prior_mean) / v",
-           "mean = state.mean + b * outcome / v"),
+           "mean += b * (outcome - prior_mean) / v",
+           "mean += b * outcome / v"),
+    Mutant("homodyne-b-aliases-column", COV,
+           "b = cov[:, q].copy()",
+           "b = cov[:, q]"),
     Mutant("homodyne-reset-variance", COV,
            "cov[q, q] = cov[q ^ 1, q ^ 1] = 0.5",
            "cov[q, q] = 0.5"),
@@ -147,6 +150,10 @@ MUTANTS = [
     Mutant("frame-combo-fold-sign", LEDGER,
            "due[i] = due.get(i, 0.0) + c * w",
            "due[i] = due.get(i, 0.0) - c * w"),
+    # The one expressions-to-matrix fill that the solver, null space, hygiene and row checks read.
+    Mutant("coefficient-matrix-drops-sign", LEDGER,
+           "mat[pos[key], j] = c",
+           "mat[pos[key], j] = abs(c)"),
     # Hygiene's commutator identity, NaN included, and the nullifier rule's
     # non-finite terms.
     Mutant("commutator-omega-column-sign", CLAIMS,
@@ -169,11 +176,11 @@ MUTANTS = [
            "if abs(c) > NULLIFIER_TOL"),
     # The remaining verdicts and folds: a NaN never passes as "no gap".
     Mutant("row-deviation-nan-passes", PROTOCOLS,
-           "if not gap <= PRUNE_TOL:",
-           "if gap > PRUNE_TOL:"),
+           "gaps[~(gaps <= PRUNE_TOL)]",
+           "gaps[gaps > PRUNE_TOL]"),
     Mutant("row-deviation-fold-drops-nan", PROTOCOLS,
-           "worst = float(np.maximum(worst, gap))",
-           "worst = max(worst, gap)"),
+           "float(np.max(gaps[~(gaps <= PRUNE_TOL)], initial=0.0))",
+           "float(np.nanmax(gaps[~(gaps <= PRUNE_TOL)], initial=0.0))"),
     Mutant("mode-product-nan-passes", COV,
            "return bool((np.triu(largest, 1) <= PRODUCT_TOL).all())",
            "return not (np.triu(largest, 1) > PRODUCT_TOL).any()"),
@@ -191,11 +198,8 @@ MUTANTS = [
            "float(np.maximum(worst, protocols.graph_row_deviation(reg, g)))",
            "max(worst, protocols.graph_row_deviation(reg, g))"),
     Mutant("bs-chain-fold-drops-nan", CLAIMS,
-           "float(np.max([abs(c) for parts in weighted  # NaN kept\n"
-           "                          for (_, _, k), c in reg.combine(parts).items() if k >= 0],"
-           " initial=0.0))",
-           "max([0.0] + [abs(c) for parts in weighted\n"
-           "                          for (_, _, k), c in reg.combine(parts).items() if k >= 0])"),
+           "float(np.max(np.abs(mat[[k >= 0 for *_, k in coords]]), initial=0.0))",
+           "float(np.nanmax(np.abs(mat[[k >= 0 for *_, k in coords]]), initial=0.0))"),
     Mutant("cross-engine-fold-drops-nan", CLAIMS,
            "float(np.maximum(worst, abs(numeric - symbolic)))",
            "max(worst, abs(numeric - symbolic))"),

@@ -1,7 +1,9 @@
 """Numeric Gaussian engine: gates, homodyne conditioning, witnesses, bridge."""
 
+import dataclasses
 import math
 import re
+import typing
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from cvcluster.errors import (
     InternalConsistencyError,
     InvalidSizeError,
     SelfInteractionError,
+    SingularMeasurementError,
 )
 from cvcluster.gates import (
     MOMENTUM_SQUEEZED,
@@ -255,13 +258,27 @@ def test_blocks_are_their_closed_forms_bit_for_bit():
         assert np.array_equal(gates.placement(Rotate(1, theta))[0], [[c, s], [-s, c]])
 
 
+def test_a_gates_modes_are_every_field_but_the_last():
+    """``gates.modes`` reads the field layout that ``light_cone`` and
+    ``GateStmt.of`` also unpack: the modes, then the one value."""
+    samples = {Squeeze: Squeeze(3, POSITION_SQUEEZED), Kerr: Kerr(7, 3, 0.5),
+               Rotate: Rotate(4, -0.3), Beamsplit: Beamsplit(2, 6, 0.25)}
+    assert set(samples) == set(typing.get_args(gates.Gate))
+    for gate in samples.values():
+        fields = dataclasses.fields(gate)
+        assert gates.modes(gate) == tuple(getattr(gate, f.name) for f in fields[:-1])
+        assert all(isinstance(m, int) for m in gates.modes(gate))
+        assert not isinstance(getattr(gate, fields[-1].name), int)
+    assert gates.modes(Kerr(7, 3, 0.5)) == (7, 3)
+
+
 def test_gate_placement_is_cached_with_the_block():
     block, index, span = gates.placement(Squeeze(3, POSITION_SQUEEZED), 0.7)
     assert block is gates.placement(Squeeze(3, POSITION_SQUEEZED), 0.7)[0]
     assert (index, span) == (slice(4, 6), (3, 3))
     block, index, span = gates.placement(Kerr(7, 3, 0.5))
     assert block is gates.placement(Kerr(7, 3, 0.5), 1.3)[0]
-    assert index.tolist() == [12, 13, 4, 5]  # MODE_FIELDS order, not sorted
+    assert index.tolist() == [12, 13, 4, 5]  # the fields' order, not sorted
     assert index.dtype == np.intp and span == (3, 7)
     assert gates.placement(Kerr(7, 3, 0.5), 1.3)[1] is index
     assert index.flags.writeable is False
@@ -512,13 +529,13 @@ def epr_state(r=1.0):
 
 
 def test_homodyne_resets_the_measured_mode_to_vacuum():
-    res = homodyne(epr_state(), 1, X, outcome=0.3)
-    assert res.state.n == 2
-    assert res.outcome == 0.3
-    assert np.array_equal(res.state.cov[0:2, 0:2], 0.5 * np.eye(2))
-    assert not res.state.cov[0:2, 2:4].any()
-    assert not res.state.cov[2:4, 0:2].any()
-    assert not res.state.mean[0:2].any()
+    state = epr_state()
+    assert homodyne(state, 1, X, outcome=0.3) == 0.3
+    assert state.n == 2
+    assert np.array_equal(state.cov[0:2, 0:2], 0.5 * np.eye(2))
+    assert not state.cov[0:2, 2:4].any()
+    assert not state.cov[2:4, 0:2].any()
+    assert not state.mean[0:2].any()
 
 
 def test_homodyne_conditions_the_partner():
@@ -526,8 +543,8 @@ def test_homodyne_conditions_the_partner():
     state = epr_state(1.0)
     y2 = covariance.combo_weights([(1.0, 2, Y)])
     prior = variance_of(state, y2)
-    res = homodyne(state, 1, X, outcome=0.0)
-    post = variance_of(res.state, y2)  # the partner keeps its number
+    homodyne(state, 1, X, outcome=0.0)
+    post = variance_of(state, y2)  # the partner keeps its number
     assert post < prior
     # Y_2 - X_1 is the pure-decay combination; conditioning on X_1 leaves
     # exactly its variance e^{-2r}/2
@@ -536,18 +553,18 @@ def test_homodyne_conditions_the_partner():
 
 def test_homodyne_outcome_shifts_conditional_mean():
     state = epr_state(1.0)
-    res = homodyne(state, 1, X, outcome=2.0)
-    # E[Y_2 | X_1 = v] = v * Cov(Y2,X1)/Var(X1)
+    # E[Y_2 | X_1 = v] = v * Cov(Y2,X1)/Var(X1), read from the prior before it is conditioned
     gain = state.cov[quad_index(2, Y), quad_index(1, X)] / state.cov[quad_index(1, X), quad_index(1, X)]
-    assert res.state.mean[quad_index(2, Y)] == pytest.approx(2.0 * gain)
+    homodyne(state, 1, X, outcome=2.0)
+    assert state.mean[quad_index(2, Y)] == pytest.approx(2.0 * gain)
 
 
 def test_homodyne_sampling_is_seeded():
     a = homodyne(epr_state(), 1, X, rng=np.random.default_rng(9))
     b = homodyne(epr_state(), 1, X, rng=np.random.default_rng(9))
     c = homodyne(epr_state(), 1, X, rng=np.random.default_rng(10))
-    assert a.outcome == b.outcome
-    assert a.outcome != c.outcome
+    assert a == b
+    assert a != c
 
 
 def _masked_homodyne(state, mode, kind, outcome):
@@ -579,15 +596,37 @@ def test_homodyne_is_bit_for_bit_the_masked_formula():
         mode, kind = int(rng.integers(1, n + 1)), (X, Y)[int(rng.integers(2))]
         outcome = float(rng.normal(0.0, 2.0))
         mean, cov = _masked_homodyne(state, mode, kind, outcome)
-        res = homodyne(state, mode, kind, outcome=outcome)
-        assert np.array_equal(res.state.cov, cov)
-        assert np.array_equal(res.state.mean, mean)
+        assert homodyne(state, mode, kind, outcome=outcome) == outcome
+        assert np.array_equal(state.cov, cov)
+        assert np.array_equal(state.mean, mean)
 
 
 def test_homodyne_mode_validation():
     state = epr_state()
     with pytest.raises(InvalidSizeError):
         homodyne(state, 3, X, outcome=0.0)
+
+
+@pytest.mark.parametrize("case", ["bad mode", "zero variance", "non-finite variance", "no rng"])
+def test_a_rejected_homodyne_leaves_the_state_bit_for_bit(case):
+    """Every rejection comes before the in-place update: mean and covariance keep their bits."""
+    state = epr_state()
+    state.mean[:] = [0.25, -1.5, 3.0, 0.125]
+    mode, kwargs, error = 1, {"outcome": 0.0}, DomainError
+    if case == "bad mode":
+        mode, error = 3, InvalidSizeError
+    elif case == "zero variance":
+        state.cov[0, :] = state.cov[:, 0] = 0.0
+        error = SingularMeasurementError
+    elif case == "non-finite variance":
+        state.cov[0, 0] = math.inf
+    else:
+        kwargs = {}
+    mean, cov = state.mean.copy(), state.cov.copy()
+    with pytest.raises(error):
+        homodyne(state, mode, X, **kwargs)
+    assert mean.tobytes() == state.mean.tobytes()
+    assert cov.tobytes() == state.cov.tobytes()
 
 
 def test_homodyne_without_an_outcome_needs_an_rng():

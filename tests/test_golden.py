@@ -108,6 +108,11 @@ CASES.update({
                                    "--r", "400"],
     "sweep_script_overflow_error": ["sweep", "--script", "scenarios/epr_n2.cvq", "--combo",
                                     "1*y1 - 1*x2", "--r", "400"],
+    # A print row that leaves float range names the first failing gate of its own
+    # cone (squeeze 1), not the tape's first (squeeze 3), on either engine.
+    "run_print_blame_ledger_error": ["run", f"{BAD}/print_blame.cvq"],
+    "run_print_blame_covariance_error": ["run", f"{BAD}/print_blame.cvq", "--engine",
+                                         "covariance", "--r", "1", "--seed", "7"],
     "sweep_consumed_mode_error": ["sweep", "--script", "scenarios/teleport_step_n3.cvq",
                                   "--combo", "1*x2", "--r", "1"],
 })

@@ -33,7 +33,7 @@ import pytest
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
-from cvcluster import claims, cli, covariance, graphs, ledger, protocols
+from cvcluster import claims, cli, covariance, gates, graphs, ledger, protocols
 from cvcluster.errors import DomainError, InvalidGraphError, UnsupportedOperationError
 from cvcluster.gates import (
     MOMENTUM_SQUEEZED,
@@ -136,7 +136,8 @@ def test_x_measurement_deletes_the_vertex_in_the_z_oracle(data, g, r):
     and puts mode v back in vacuum."""
     v = data.draw(st.sampled_from(g.vertices))
     state = next(covariance.replay(g.n_vertices, protocols.graph_tape(g), [r]))
-    cov = covariance.homodyne(state, v, X, outcome=0.0).state.cov
+    covariance.homodyne(state, v, X, outcome=0.0)
+    cov = state.cov
     rest = graphs.from_edges(g.n_vertices - 1, [(a - (a > v), b - (b > v))
                                                 for a, b in g.edges if v not in (a, b)])
     want = z_oracle_covariance(rest, r)
@@ -382,12 +383,15 @@ def test_a_combos_light_cone_replays_its_sub_block_bit_for_bit(drawn):
     """Replaying only the cone gives the sub-block the combo reads, and so its
     variance and bridge allowance, with the bits of the whole tape's replay."""
     n, tape, combo, rs = drawn
-    m, cone, local = covariance.light_cone(n, tape, combo)
-    assert m <= n and len(cone) <= len(tape)
+    m, cone, local, kept = covariance.light_cone(n, tape, combo)
+    assert m <= n and len(cone) == len(kept) <= len(tape)
     whole, mine = covariance.combo_weights(combo), covariance.combo_weights(local)
-    for full, part in zip(covariance.replay(n, tape, rs), covariance.replay(m, cone, rs), strict=True):
-        a, b = full.cov[whole[1]], part.cov[mine[1]]
+    replays = zip(covariance.replay(n, tape, rs), covariance.replay(m, cone, rs),
+                  covariance.replay(n, kept, rs), strict=True)
+    for full, part, unmoved in replays:
+        a, b, c = full.cov[whole[1]], part.cov[mine[1]], unmoved.cov[whole[1]]
         assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+        assert np.array_equal(a, c) and np.array_equal(np.signbit(a), np.signbit(c))
         assert covariance.variance_of(full, whole) == covariance.variance_of(part, mine)
         assert covariance.bridge_allowance(full, whole) == covariance.bridge_allowance(part, mine)
 
@@ -399,8 +403,9 @@ def test_a_vertex_laws_cone_is_its_squeezes_and_its_edges(data, g):
     each neighbour's squeeze and each of v's couplings: 1 + 2 deg(v) gates."""
     v = data.draw(st.sampled_from(g.vertices))
     law = [(1.0, v, Y)] + [(-1.0, b, X) for b in g.neighborhood(v)]
-    m, cone, _ = covariance.light_cone(g.n_vertices, protocols.graph_tape(g), law)
+    m, cone, _, kept = covariance.light_cone(g.n_vertices, protocols.graph_tape(g), law)
     assert len(cone) == 1 + 2 * g.degree(v)
+    assert {q for gate in kept for q in gates.modes(gate)} == {v, *g.neighborhood(v)}
     assert m == 1 + g.degree(v)
 
 
@@ -440,6 +445,44 @@ def test_accumulate_is_the_general_loop_value_for_value_and_in_order(dst, c, src
     got = dict(dst)
     assert ledger._accumulate(got, c, src) is got
     assert list(got.items()) == list(want.items())
+
+
+_EXPR_LISTS = st.lists(st.dictionaries(_TERM_KEYS, _COEFFS | st.just(math.nan), max_size=8), max_size=6)
+
+
+@PROPERTY_SETTINGS
+@given(exprs=_EXPR_LISTS)
+def test_coefficient_matrix_holds_each_coefficient_at_its_key_and_zeros_elsewhere(exprs):
+    """``coords`` are exactly the keys used, sorted; ``mat[pos[key], j]`` is
+    ``exprs[j][key]`` with its bits (NaN and -0.0 too), and every other entry is +0.0."""
+    coords, mat = ledger.coefficient_matrix(exprs)
+    assert coords == sorted({key for expr in exprs for key in expr})
+    pos = {key: i for i, key in enumerate(coords)}
+    want = np.zeros((len(coords), len(exprs)))
+    for j, expr in enumerate(exprs):
+        for key, c in expr.items():
+            want[pos[key], j] = c
+    assert mat.shape == want.shape and mat.tobytes() == want.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(exprs=_EXPR_LISTS)
+def test_growing_part_has_the_bits_of_its_own_loop(exprs):
+    """The growing part is the k >= 0 rows of the coefficient matrix, and it has,
+    bit for bit and C-contiguous, what the growing part's own fill loop made."""
+    coords = sorted({key for col in exprs for key in col if key[2] >= 0})
+    pos = {c: idx for idx, c in enumerate(coords)}
+    want = np.zeros((max(len(coords), 1), len(exprs)))
+    for j, col in enumerate(exprs):
+        for key, c in col.items():
+            if key[2] >= 0:
+                want[pos[key], j] = c
+    got = protocols._growing_part(exprs)
+    assert got.flags.c_contiguous
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    keys, full = ledger.coefficient_matrix(exprs)
+    if coords:
+        assert got.tobytes() == full[[i for i, key in enumerate(keys) if key[2] >= 0]].tobytes()
 
 
 @settings(PROPERTY_SETTINGS, max_examples=100)

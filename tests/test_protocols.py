@@ -390,6 +390,19 @@ def test_solver_rank_is_matrix_rank(monkeypatch):
     assert checked == 50
 
 
+def test_growing_part_is_the_coefficient_matrix_rows_with_exponent_at_least_zero():
+    """The k >= 0 rows of ``ledger.coefficient_matrix``, in key order and
+    C-contiguous; one zero row, as wide as the expressions, when none grows."""
+    exprs = [{(2, Y, -1): 4.0, (1, X, 1): 1.5, (2, X, 0): -2.0}, {}, {(1, X, 1): -0.25, (1, Y, 2): 3.0}]
+    got = protocols._growing_part(exprs)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, [[1.5, 0.0, -0.25], [0.0, 0.0, 3.0], [-2.0, 0.0, 0.0]])
+    assert ledger.coefficient_matrix(exprs)[0] == [(1, X, 1), (1, Y, 2), (2, X, 0), (2, Y, -1)]
+    for shrinking in ([{(1, X, -1): 2.0}, {}], [{}], []):
+        empty = protocols._growing_part(shrinking)
+        assert empty.shape == (1, len(shrinking)) and not empty.any()
+
+
 # ---------------------------------------------------------------------------
 # separation protocols
 # ---------------------------------------------------------------------------
@@ -416,11 +429,21 @@ def test_disentangle_matches_covariance_oracle():
     def separated(pattern):
         (state,) = covariance.replay(5, protocols.graph_tape(graphs.chain(5)), [1.0])
         for pos, kind in pattern:
-            state = covariance.homodyne(state, pos, kind, outcome=0.0).state
+            covariance.homodyne(state, pos, kind, outcome=0.0)
         return covariance.is_mode_product(state)
 
     assert separated([(2, X), (4, X)])
     assert not separated([(2, X)])
+
+
+def test_separates_leaves_its_probe_state_as_it_was():
+    """The oracle measures a copy: the probe, shared by every pattern, keeps its bits."""
+    (state,) = covariance.replay(5, protocols.graph_tape(graphs.chain(5)), [1.0])
+    mean, cov = state.mean.copy(), state.cov.copy()
+    assert protocols._separates(state, [(2, X), (4, X)])
+    assert not protocols._separates(state, [(3, Y)])
+    assert state.mean.tobytes() == mean.tobytes()
+    assert state.cov.tobytes() == cov.tobytes()
 
 
 def test_minimal_pattern_is_floor_n_over_2():

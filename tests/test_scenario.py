@@ -643,8 +643,9 @@ def test_an_r_list_over_one_chunk_replays_its_cone_and_keeps_no_states(monkeypat
 
 
 def test_a_failing_print_reports_as_before_and_keeps_nothing(monkeypatch):
-    """A print whose cone leaves float range reports what a row-by-row replay
-    of the whole tape reports, whatever follows it, and keeps no state."""
+    """A print whose cone leaves float range reports the first failing row and
+    the first gate of its cone that fails there, replaying the cone row by row
+    on the script's modes, whatever follows it, and keeps no state."""
     bad = "print variance 1*y1 - 1*x2 at r=0,1,400\n"
     with pytest.raises(ScenarioRuntimeError) as alone:
         execute(parse(CHAIN + bad))
@@ -665,7 +666,7 @@ def test_a_failing_print_reports_as_before_and_keeps_nothing(monkeypatch):
         exe.apply(stmt)
     with pytest.raises(DomainError, match=re.escape(alone.value.reason)):
         exe.apply(scn.statements[-2])
-    assert tapes == [10, 10, 10]  # the whole tape at r = 0, 1 and 400, where it fails
+    assert tapes == [3, 3, 3]  # the cone at r = 0, 1 and 400, where it fails
     exe.apply(scn.statements[-1])
     assert [(n, len(tape)) for n, tape in calls] == [(2, 3)] * 3
     assert exe.report.csv_rows[:4] == exe.report.csv_rows[4:]
