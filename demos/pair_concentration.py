@@ -11,8 +11,8 @@ records finds the feed-forward weights.
 from cvcluster import graphs, protocols
 
 
-def concentrate(n, j, k, outer=None):
-    rep = protocols.extract_pair(graphs.chain(n), j, k, outer)
+def concentrate(n, j, k, **outer):
+    rep = protocols.extract_pair(graphs.chain(n), j, k, **outer)
     kinds = " ".join(f"{kind}{mode}" for mode, kind in rep.measurements)
     print(f"chain {n}, pair ({j},{k}): success={rep.success}  measured: {kinds}")
     return rep
@@ -24,11 +24,11 @@ def main():
         concentrate(8, j, k)
 
     print("\nthe same pair served by remote helpers:")
-    concentrate(7, 4, 5, protocols.CustomOuter(left=(2, 1), right=(7,)))
-    concentrate(9, 6, 7, protocols.CustomOuter(left=(4, 2, 1), right=(9,)))
+    concentrate(7, 4, 5, left=(2, 1), right=(7,))
+    concentrate(9, 6, 7, left=(4, 2, 1), right=(9,))
 
     print("\nwhat failure looks like (right side left attached):")
-    rep = concentrate(6, 4, 5, protocols.CustomOuter(left=(2, 1)))
+    rep = concentrate(6, 4, 5, left=(2, 1))
     print(f"  -> success={rep.success}: position 6 still couples to the pair")
 
     print("\nEvery successful run ends on the two-mode correlations")

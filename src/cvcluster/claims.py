@@ -183,11 +183,11 @@ def _claim_pair_extraction(battery: Battery) -> ClaimResult:
                 elif n == 8 or (n == 20 and (j, k) in ((1, 2), (1, 20), (19, 20), (7, 14))):
                     battery.add_report(f"pair ({j},{k}) of chain({n})", rep)
     custom_cases = [
-        (7, 4, 5, protocols.CustomOuter(left=(2, 1), right=(7,))),
-        (9, 6, 7, protocols.CustomOuter(left=(4, 2, 1), right=(9,))),
+        (7, 4, 5, dict(left=(2, 1), right=(7,))),
+        (9, 6, 7, dict(left=(4, 2, 1), right=(9,))),
     ]
     for n, j, k, outer in custom_cases:
-        rep = protocols.extract_pair(graphs.chain(n), j, k, outer)
+        rep = protocols.extract_pair(graphs.chain(n), j, k, **outer)
         runs += 1
         if not rep.success:
             failed += 1

@@ -190,39 +190,52 @@ def _render_protocol_report(report, graph: graphs.Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ints(args, flag: str) -> tuple[int, ...] | None:
-    """The comma-separated integers given to ``flag``, or None when it was not given."""
-    text = getattr(args, flag[2:].replace("-", "_"))
+def _ints(flag: str, text: str) -> tuple[int, ...]:
     try:
-        return None if text is None else tuple(int(piece) for piece in text.split(","))
+        return tuple(int(piece) for piece in text.split(","))
     except ValueError:
         raise ValueError(f"{flag} wants comma-separated integers, got {text!r}") from None
 
 
-def _outer(args) -> protocols.CustomOuter | None:
-    left, right = _ints(args, "--outer-left"), _ints(args, "--outer-right")
-    return None if (left, right) == (None, None) else protocols.CustomOuter(left or (), right or ())
-
-
-# --protocol name -> (the flags it requires, its run on the graph and the parsed arguments).
+# --protocol name -> (its function's name in protocols, the flags it requires, the other
+# flags it takes).  The function is looked up per call, so a patched or wrapped attribute is
+# the one run; each flag given reaches it as the keyword its name ends in (--outer-left: left).
 _PROTOCOLS = {
-    "reduce-path": (("a", "b"), lambda g, a: protocols.reduce_graph_to_path(g, a.a, a.b)),
-    "star-ghz": ((), lambda g, a: protocols.star_to_ghz(g)),
-    "ring-star-ghz": ((), lambda g, a: protocols.ring_star_to_ghz(g, _ints(a, "--measured"),
-                                                                  a.flavor)),
-    "extract-pair": (("j", "k"), lambda g, a: protocols.extract_pair(g, a.j, a.k, _outer(a))),
-    "disconnect": (("j",), lambda g, a: protocols.disconnect(g, a.j)),
-    "disentangle": ((), lambda g, a: protocols.disentangle_even(g)),
+    "reduce-path": ("reduce_graph_to_path", ("--a", "--b"), ()),
+    "star-ghz": ("star_to_ghz", (), ()),
+    "ring-star-ghz": ("ring_star_to_ghz", (), ("--measured", "--flavor")),
+    "extract-pair": ("extract_pair", ("--j", "--k"), ("--outer-left", "--outer-right")),
+    "disconnect": ("disconnect", ("--j",), ()),
+    "disentangle": ("disentangle_even", (), ()),
+}
+# Every protocol flag as argparse declares it, in the order they are read.  A LIST becomes
+# integers only once the protocol is known to take it.
+_FLAGS = {
+    "--a": dict(type=int, help="path start vertex"),
+    "--b": dict(type=int, help="path end vertex"),
+    "--j": dict(type=int, help="pair / cut position"),
+    "--k": dict(type=int, help="pair position"),
+    "--measured": dict(metavar="LIST", help="ring vertices to measure (default: the hub's spokes)"),
+    "--flavor": dict(choices=tuple(protocols.FLAVORS)),
+    "--outer-left": dict(metavar="LIST", help="helper positions left of the pair"),
+    "--outer-right": dict(metavar="LIST", help="helper positions right of the pair"),
 }
 
 
 def _cmd_graph(args) -> int:
     graph = graphs.load_edge_list(args.edges)
-    required, run = _PROTOCOLS[args.protocol]
-    missing = [f"--{name}" for name in required if getattr(args, name) is None]
+    name, required, optional = _PROTOCOLS[args.protocol]
+    given = {flag: value for flag in _FLAGS
+             if (value := getattr(args, flag[2:].replace("-", "_"))) is not None}
+    missing = [flag for flag in required if flag not in given]
     if missing:
         raise ValueError(f"protocol {args.protocol} requires {' and '.join(missing)}")
-    report = run(graph, args)
+    unread = [flag for flag in given if flag not in required + optional]
+    if unread:
+        raise ValueError(f"protocol {args.protocol} does not take {' or '.join(unread)}")
+    kwargs = {flag.rpartition("-")[2]: _ints(flag, value) if _FLAGS[flag].get("metavar") == "LIST"
+              else value for flag, value in given.items()}
+    report = getattr(protocols, name)(graph, **kwargs)
     sys.stdout.write(_render_protocol_report(report, graph))
     return EXIT_PASS if report.success else EXIT_FAIL
 
@@ -292,18 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     graph_parser = sub.add_parser("graph", help="run a protocol on an edge-list graph")
     graph_parser.add_argument("edges", help="edge-list file: one 'a b' pair per line")
     graph_parser.add_argument("--protocol", required=True, choices=tuple(_PROTOCOLS))
-    graph_parser.add_argument("--a", type=int, default=None, help="path start vertex")
-    graph_parser.add_argument("--b", type=int, default=None, help="path end vertex")
-    graph_parser.add_argument("--j", type=int, default=None, help="pair / cut position")
-    graph_parser.add_argument("--k", type=int, default=None, help="pair position")
-    graph_parser.add_argument("--measured", default=None, metavar="LIST",
-                              help="ring vertices to measure (default: the hub's spokes)")
-    graph_parser.add_argument("--flavor", choices=("total-momentum", "total-position"),
-                              default="total-momentum")
-    graph_parser.add_argument("--outer-left", default=None, metavar="LIST",
-                              help="helper positions left of the pair")
-    graph_parser.add_argument("--outer-right", default=None, metavar="LIST",
-                              help="helper positions right of the pair")
+    for flag, options in _FLAGS.items():
+        graph_parser.add_argument(flag, **options)
     return parser
 
 

@@ -236,7 +236,7 @@ def light_cone(n: int, tape, combo) -> tuple[int, list, list, list]:
     new = {m: i for i, m in enumerate(sorted(need), 1)}
     moved = []
     for gate in cone:
-        *ms, value = vars(gate).values()  # the fields in order: modes, then the value
+        *ms, value = (getattr(gate, name) for name in gate.__match_args__)  # as gates.modes
         moved.append(type(gate)(*(new[m] for m in ms), value))
     return len(new), moved, [(c, new[m], kind) for c, m, kind in combo], cone
 

@@ -8,8 +8,8 @@ graph's state, consume some vertices by homodyne-style quadrature
 measurements, repair the survivors with displacements proportional to the
 records, and certify its target combinations (``_finish``).  Fixed +-1 steps
 serve cuts, teleports, the star GHZ and :func:`extract_pair`'s default
-outers; :class:`CustomOuter` helpers, path reduction and the ring-star GHZ
-take :func:`solve_feedforward`'s coefficients (``_repair``).  The
+outers; its named helpers, path reduction and the ring-star GHZ (in each of
+its :data:`FLAVORS`) take :func:`solve_feedforward`'s coefficients.  The
 :class:`ProtocolReport` says which targets ended up as nullifiers and
 carries the final register as ``register``.
 
@@ -318,6 +318,17 @@ def disconnect(graph: graphs.Graph, j: int) -> ProtocolReport:
     return report
 
 
+def _listed_once(vertices, allowed, name: str, where: str) -> list:
+    """``vertices`` as a list, once each and all in ``allowed``; else the error naming ``name``."""
+    vertices = list(vertices)
+    for i, v in enumerate(vertices):
+        if v not in allowed:
+            raise ProtocolPreconditionError(f"{name} {v} is not {where}")
+        if v in vertices[:i]:
+            raise ProtocolPreconditionError(f"{name} {v} is listed twice")
+    return vertices
+
+
 def _cut_chain(graph: graphs.Graph, cuts, protocol: str) -> ProtocolReport:
     """Measure X at each cut, subtract each record from the momenta of its
     surviving chain neighbours, and certify the sub-chains between the cuts."""
@@ -341,31 +352,18 @@ def _chain_laws(modes) -> list:
             for i, m in enumerate(modes)]
 
 
-@dataclass(frozen=True)
-class CustomOuter:
-    """Helper positions away from the pair, for :func:`extract_pair`.
-
-    Left helpers lie left of j and right helpers right of k.  Helpers at
-    even distance from the protected end are measured in Y, odd-distance
-    helpers in X; the feed-forward solver then picks the coefficients.  The
-    canonical examples are left={j-2, j-3} and left={j-2, j-4, j-5}.
-    """
-
-    left: tuple = ()
-    right: tuple = ()
-
-
-def extract_pair(graph: graphs.Graph, j: int, k: int,
-                 outer: CustomOuter | None = None) -> ProtocolReport:
+def extract_pair(graph: graphs.Graph, j: int, k: int, left=None, right=None) -> ProtocolReport:
     """Concentrate a chain onto positions (j, k) as an EPR pair.
 
-    Outer measurements detach the pair's far sides: by default X of the
-    next neighbours j-1 and k+1 (where present), each record a fixed -1
-    displacement of the end's Y, or the helpers ``outer`` names, whose
-    coefficients come from :func:`solve_feedforward`.  Then each inner
-    position is removed by the measure/displace/rotate teleportation step.
-    Success means the final two modes satisfy the two-chain nullifiers
-    ``Y_j - X_k`` and ``Y_k - X_j`` (EPR up to a local quarter turn).
+    Outer measurements detach the pair's far sides: by default X of the next
+    neighbours j-1 and k+1 (where present), each record a fixed -1 displacement
+    of the end's Y.  Given ``left`` (helpers left of j, e.g. (j-2, j-3)) or
+    ``right`` (right of k), only the named helpers are measured, Y at even and
+    X at odd distance from the pair, and :func:`solve_feedforward` picks the
+    coefficients.  Then each inner position is removed by the
+    measure/displace/rotate teleportation step.  Success means the final two
+    modes satisfy the two-chain nullifiers ``Y_j - X_k`` and ``Y_k - X_j``
+    (EPR up to a local quarter turn).
     """
     n = _require_chain(graph, "extract_pair")
     if j == k:
@@ -373,20 +371,15 @@ def extract_pair(graph: graphs.Graph, j: int, k: int,
     j, k = min(j, k), max(j, k)
     if not (1 <= j and k <= n):
         raise ProtocolPreconditionError("pair positions outside the chain")
-    if outer is None:
+    solved = (left, right) != (None, None)
+    if solved:
+        where = f"of the pair ({j}, {k}) on the {n}-chain"
+        left = _listed_once(left or (), range(1, j), "outer-left helper", f"left {where}")
+        right = _listed_once(right or (), range(k + 1, n + 1), "outer-right helper",
+                             f"right {where}")
+    else:
         left = [j - 1] if j > 1 else []
         right = [k + 1] if k < n else []
-    else:
-        left, right = list(outer.left), list(outer.right)
-        for side, helpers, allowed in (("left", left, range(1, j)),
-                                       ("right", right, range(k + 1, n + 1))):
-            for i, h in enumerate(helpers):
-                if h not in allowed:
-                    raise ProtocolPreconditionError(
-                        f"outer-{side} helper {h} is not {side} of the pair ({j}, {k}) "
-                        f"on the {n}-chain")
-                if h in helpers[:i]:
-                    raise ProtocolPreconditionError(f"outer-{side} helper {h} is listed twice")
     report = ProtocolReport("extract_pair", False, build_graph_state(graph))
 
     inner = list(range(j + 1, k))
@@ -398,7 +391,7 @@ def extract_pair(graph: graphs.Graph, j: int, k: int,
         # Measure the helpers, then clean the chain end while keeping its bond
         # to the inner neighbour (a next neighbour's X record takes the -1 step).
         recs = [report.register.measure(h, Y if abs(end - h) % 2 == 0 else X) for h in helpers]
-        if outer is None:
+        if not solved:
             _displace(report, end, Y, -1.0, recs[0])
             continue
         keep_bond = [(1.0, end, Y), (-1.0, inner_neighbor, X)]
@@ -496,11 +489,12 @@ def _find_center(graph: graphs.Graph) -> int:
     return centers[0]
 
 
-def ring_star_to_ghz(
-    graph: graphs.Graph,
-    measured=None,
-    flavor: str = "total-momentum",
-) -> ProtocolReport:
+# Ring-star GHZ flavor -> (the kind the survivors sum, the kind they difference pairwise).
+FLAVORS = {"total-momentum": (Y, X), "total-position": (X, Y)}
+
+
+def ring_star_to_ghz(graph: graphs.Graph, measured=None,
+                     flavor: str = "total-momentum") -> ProtocolReport:
     """GHZ projection on the unmeasured ring vertices of a hub-spoked ring.
 
     Measures Y of the hub and of the given ring vertices (default: the
@@ -513,23 +507,15 @@ def ring_star_to_ghz(
     hub, ring_order = _ring_and_hub(graph)
     if measured is None:
         measured = graph.neighborhood(hub)
-    measured = sorted(measured)
-    for i, v in enumerate(measured):
-        if v not in ring_order:
-            raise ProtocolPreconditionError(f"measured vertex {v} is not on the ring")
-        if v in measured[:i]:
-            raise ProtocolPreconditionError(f"measured vertex {v} is listed twice")
+    measured = _listed_once(sorted(measured), ring_order, "measured vertex", "on the ring")
     remaining = [v for v in ring_order if v not in set(measured)]
     if len(remaining) < 2:
         raise ProtocolPreconditionError("GHZ projection needs at least two survivors")
     report = ProtocolReport("ring_star_to_ghz", False, build_graph_state(graph), flavor=flavor)
     recs = [report.register.measure(v, Y) for v in [hub] + measured]
-    if flavor == "total-momentum":
-        sum_kind, diff_kind = Y, X
-    elif flavor == "total-position":
-        sum_kind, diff_kind = X, Y
-    else:
+    if flavor not in FLAVORS:
         raise ProtocolPreconditionError(f"unknown flavor {flavor!r}")
+    sum_kind, diff_kind = FLAVORS[flavor]
     laws = [[(1.0, m, sum_kind) for m in remaining]]
     laws += [[(1.0, remaining[0], diff_kind), (-1.0, m, diff_kind)] for m in remaining[1:]]
     # The sum rides on the first survivor, each difference on its non-reference mode.

@@ -137,7 +137,7 @@ class GateStmt(Statement):
     def of(cls, gate: gates.Gate, line: int) -> GateStmt:
         """The line the parser reads back as ``gate``, with the option text it builds."""
         keyword = _KEYWORDS[type(gate)]
-        *modes, value = vars(gate).values()  # the fields in order: modes, then the value
+        *modes, value = (getattr(gate, name) for name in gate.__match_args__)  # as gates.modes
         option = (f"{_TWO_MODE[keyword][0]}{fmt_num(value)}" if keyword in _TWO_MODE
                   else f"{value!r}rad" if keyword == "rotate" else value)
         return cls(keyword, tuple(modes), value, option, line=line, col=1)

@@ -261,8 +261,16 @@ MUTANTS = [
            "Y: {(index, Y, 0): 1.0}",
            "Y: {(index, Y, 1): 1.0}"),
     Mutant("ring-star-keeps-a-repeated-vertex", PROTOCOLS,
-           "        if v in measured[:i]:\n",
+           "        if v in vertices[:i]:\n",
            "        if False:\n"),
+    # cvcluster graph: a flag the protocol never reads is refused, and the table's
+    # functions are looked up per call (a copy of the module made at import is not).
+    Mutant("graph-accepts-unread-flags", CLI,
+           "    if unread:\n",
+           "    if False:\n"),
+    Mutant("graph-binds-protocols-at-import", CLI,
+           "_FLAGS = {\n",
+           "protocols = argparse.Namespace(**vars(protocols))\n_FLAGS = {\n"),
     # The parser's column rule.
     Mutant("parser-column-from-line-start", SCENARIO,
            "at = self.body.find(tok, at)",

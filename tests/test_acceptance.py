@@ -123,10 +123,10 @@ def test_criterion_05_pair_extraction():
                 runs += 1
     customs = 0
     for n, j, k, outer in (
-        (7, 4, 5, protocols.CustomOuter(left=(2, 1), right=(7,))),
-        (9, 6, 7, protocols.CustomOuter(left=(4, 2, 1), right=(9,))),
+        (7, 4, 5, dict(left=(2, 1), right=(7,))),
+        (9, 6, 7, dict(left=(4, 2, 1), right=(9,))),
     ):
-        rep = protocols.extract_pair(graphs.chain(n), j, k, outer)
+        rep = protocols.extract_pair(graphs.chain(n), j, k, **outer)
         assert rep.success, (n, j, k)
         customs += 1
     verdict(5, customs == 2,

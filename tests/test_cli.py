@@ -400,8 +400,8 @@ def test_a_failing_claim_exits_one_and_lists_what_failed(monkeypatch, capsys):
     reported claim runs."""
     extract_pair = protocols.extract_pair
 
-    def failing_on_two_modes(graph, j, k, outer=None):
-        report = extract_pair(graph, j, k, outer)
+    def failing_on_two_modes(graph, j, k, left=None, right=None):
+        report = extract_pair(graph, j, k, left, right)
         if graph.n_vertices == 2:
             report.success, report.details = False, "forced failure"
         return report
@@ -673,6 +673,86 @@ def test_graph_ring_star_rejects_a_bad_measured_list(capsys, value, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+EDGES_DIR = os.path.join(os.path.dirname(__file__), "golden", "edges")
+# Each protocol: an edge list it runs on, the flags it requires with values, and the
+# optional flags it takes with values.  Every other protocol flag is refused.
+PROTOCOL_FLAGS = {
+    "reduce-path": ("chain6.txt", ["--a", "2", "--b", "5"], []),
+    "star-ghz": ("star4.txt", [], []),
+    "ring-star-ghz": ("ringstar3.txt", [], ["--measured", "2,4", "--flavor", "total-position"]),
+    "extract-pair": ("chain6.txt", ["--j", "4", "--k", "5"],
+                     ["--outer-left", "2,1", "--outer-right", "6"]),
+    "disconnect": ("chain6.txt", ["--j", "3"], []),
+    "disentangle": ("chain6.txt", [], []),
+}
+# Every protocol flag with a value argparse accepts.
+FLAG_VALUES = {"--a": "1", "--b": "2", "--j": "2", "--k": "3", "--measured": "x",
+               "--flavor": "total-momentum", "--outer-left": "1", "--outer-right": "y"}
+
+
+def test_the_protocol_table_names_every_protocol():
+    assert sorted(PROTOCOL_FLAGS) == sorted(cli._PROTOCOLS)
+
+
+@pytest.mark.parametrize("protocol, flag", [
+    (protocol, flag) for protocol, (_, required, optional) in PROTOCOL_FLAGS.items()
+    for flag in FLAG_VALUES if flag not in required + optional])
+def test_graph_refuses_a_flag_the_protocol_does_not_take(capsys, protocol, flag):
+    """Refused before any list is parsed (the values here are malformed) and
+    before the protocol runs, with one line and nothing on stdout."""
+    edges, required, _ = PROTOCOL_FLAGS[protocol]
+    argv = ["graph", os.path.join(EDGES_DIR, edges), "--protocol", protocol, *required,
+            flag, FLAG_VALUES[flag]]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"protocol {protocol} does not take {flag}\n"
+
+
+def test_graph_names_every_unread_flag_in_declaration_order(capsys):
+    argv = ["graph", GRAPH_EDGES, "--protocol", "disconnect", "--j", "3",
+            "--outer-right", "6", "--measured", "2", "--k", "4"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "protocol disconnect does not take --k or --measured or --outer-right\n")
+
+
+@pytest.mark.parametrize("tail, message", [
+    (["--j", "4", "--measured", "x"], "protocol extract-pair requires --k"),
+    (["--j", "4", "--k", "5", "--outer-right", "y", "--outer-left", "x"],
+     "--outer-left wants comma-separated integers, got 'x'"),
+    (["--j", "4", "--k", "5", "--outer-right", "3", "--outer-left", "7"],
+     "outer-left helper 7 is not left of the pair (4, 5) on the 6-chain"),
+])
+def test_graph_reports_the_first_fault_in_a_fixed_order(capsys, tail, message):
+    """A missing flag, then an unread one, then each list left before right."""
+    assert cli.main(["graph", GRAPH_EDGES, "--protocol", "extract-pair", *tail]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("protocol", sorted(PROTOCOL_FLAGS))
+def test_graph_takes_every_flag_the_protocol_reads(capsys, protocol):
+    edges, required, optional = PROTOCOL_FLAGS[protocol]
+    argv = ["graph", os.path.join(EDGES_DIR, edges), "--protocol", protocol, *required, *optional]
+    assert cli.main(argv) in (0, 1)  # the total-position ring-star GHZ has no solution
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("protocol: ")
+
+
+def test_graph_runs_the_protocol_the_module_holds_at_call_time(monkeypatch, capsys):
+    """The table names each protocol function and looks it up per call, so a
+    patched (or a tracer's wrapped) module attribute is the one that runs."""
+    calls, star_to_ghz = [], protocols.star_to_ghz
+    monkeypatch.setattr(protocols, "star_to_ghz",
+                        lambda graph: calls.append(graph.n_vertices) or star_to_ghz(graph))
+    assert cli.main(["graph", os.path.join(EDGES_DIR, "star4.txt"), "--protocol", "star-ghz"]) == 0
+    assert calls == [5]
+    assert "status: success" in capsys.readouterr().out
 
 
 def test_graph_star_ghz_rejects_a_non_star(tmp_path, capsys):

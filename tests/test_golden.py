@@ -36,6 +36,7 @@ BAD = "tests/golden/bad"
 DEMOS = sorted(p.stem for p in (ROOT / "demos").glob("*.py"))
 SCENARIOS = ("bs_chain_n4", "chain_rows_n4", "epr_n2", "persistency_n4", "teleport_step_n3")
 R_LIST = "0,0.5,1,2"
+COLUMNS = "80"  # argparse wraps --help to the terminal width this names
 # The claims report's two clocks: the chain-rows timing and the total.
 CLAIMS_CLOCKS = (
     (re.compile(r"(max coefficient deviation \S+ in )\d+\.\d+s"), r"\1<t>s"),
@@ -89,6 +90,8 @@ CASES.update({
     "graph_mesh_reduce_path": ["graph", f"{EDGES}/mesh7.txt", "--protocol", "reduce-path",
                                "--a", "1", "--b", "4"],
     "graph_star_ghz": ["graph", f"{EDGES}/star4.txt", "--protocol", "star-ghz"],
+    # The protocol flags argparse declares, at a fixed width (see COLUMNS).
+    "graph_help": ["graph", "--help"],
     "graph_ringstar_odd": ["graph", f"{EDGES}/ringstar3.txt", "--protocol", "ring-star-ghz"],
     "graph_ringstar_odd_position": ["graph", f"{EDGES}/ringstar3.txt", "--protocol",
                                     "ring-star-ghz", "--flavor", "total-position"],
@@ -100,6 +103,9 @@ CASES.update({
     "run_runtime_error": ["run", f"{BAD}/runtime_error.cvq"],
     "run_encoding_error": ["run", f"{BAD}/not_utf8.cvq"],
     "graph_edge_error": ["graph", f"{BAD}/loop_edge.txt", "--protocol", "disentangle"],
+    # A flag the protocol never reads is refused before its list is parsed.
+    "graph_unread_flag_error": ["graph", f"{EDGES}/chain6.txt", "--protocol", "disconnect",
+                                "--j", "3", "--measured", "x"],
     "claims_unknown_id_error": ["claims", "--only", "nope"],
     "sweep_combo_error": ["sweep", "--state", "chain:3", "--combo", "1*q1", "--r", "1"],
     # sweep runs its rows as script lines: a state's tape is numbered from its
@@ -123,7 +129,10 @@ def run_case(argv) -> str:
     its stderr under a ``stderr:`` line when there is any."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exit_:  # argparse's --help
+            code = exit_.code
     report = f"exit: {code}\n{out.getvalue()}"
     if err.getvalue():
         report += f"stderr:\n{err.getvalue()}"
@@ -152,6 +161,7 @@ def run_demo(name) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case, monkeypatch):
     monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("COLUMNS", COLUMNS)
     expected = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
     assert run_case(CASES[case]) == expected
 
@@ -175,6 +185,7 @@ def test_claims_report_matches_golden(claims_outcome, monkeypatch):
 
 if __name__ == "__main__":
     os.chdir(ROOT)
+    os.environ["COLUMNS"] = COLUMNS
     for case, argv in sorted(CASES.items()):
         (GOLDEN / f"{case}.txt").write_text(run_case(argv), encoding="utf-8")
     for name in DEMOS:

@@ -518,8 +518,8 @@ def test_next_neighbour_outers_take_the_step_the_solver_finds(monkeypatch):
         g = graphs.chain(n)
         fixed = protocols.extract_pair(g, j, k)
         assert not calls
-        solved = protocols.extract_pair(g, j, k, protocols.CustomOuter(
-            left=(j - 1,) if j > 1 else (), right=(k + 1,) if k < n else ()))
+        solved = protocols.extract_pair(g, j, k, left=(j - 1,) if j > 1 else (),
+                                        right=(k + 1,) if k < n else ())
         assert len(calls) == (j > 1) + (k < n)
         calls.clear()
         assert fixed.success
@@ -549,31 +549,31 @@ def test_shared_gate_values_keep_an_int_apart_from_a_float():
 
 def test_extract_pair_custom_outer_patterns():
     for n, j, k, outer in (
-        (7, 4, 5, protocols.CustomOuter(left=(2, 1), right=(7,))),
-        (9, 6, 7, protocols.CustomOuter(left=(4, 2, 1), right=(9,))),
+        (7, 4, 5, dict(left=(2, 1), right=(7,))),
+        (9, 6, 7, dict(left=(4, 2, 1), right=(9,))),
     ):
-        rep = protocols.extract_pair(graphs.chain(n), j, k, outer)
+        rep = protocols.extract_pair(graphs.chain(n), j, k, **outer)
         assert rep.success
         assert two_chain_relations_hold(rep.register, j, k)
 
 
 def test_extract_pair_incomplete_outer_fails_honestly():
-    rep = protocols.extract_pair(graphs.chain(6), 4, 5, protocols.CustomOuter(left=(2, 1)))
+    rep = protocols.extract_pair(graphs.chain(6), 4, 5, left=(2, 1))
     assert not rep.success
 
 
 @pytest.mark.parametrize("outer, message", [
-    (protocols.CustomOuter(left=(7,)), "outer-left helper 7 is not left of the pair (4, 5)"),
-    (protocols.CustomOuter(left=(2, 4)), "outer-left helper 4 is not left of the pair (4, 5)"),
-    (protocols.CustomOuter(left=(0,)), "outer-left helper 0 is not left of the pair (4, 5)"),
-    (protocols.CustomOuter(right=(3,)), "outer-right helper 3 is not right of the pair (4, 5)"),
-    (protocols.CustomOuter(right=(8,)), "outer-right helper 8 is not right of the pair (4, 5)"),
-    (protocols.CustomOuter(left=(2, 2)), "outer-left helper 2 is listed twice"),
-    (protocols.CustomOuter(left=(2, 1), right=(7, 6, 7)), "outer-right helper 7 is listed twice"),
+    (dict(left=(7,)), "outer-left helper 7 is not left of the pair (4, 5)"),
+    (dict(left=(2, 4)), "outer-left helper 4 is not left of the pair (4, 5)"),
+    (dict(left=(0,)), "outer-left helper 0 is not left of the pair (4, 5)"),
+    (dict(right=(3,)), "outer-right helper 3 is not right of the pair (4, 5)"),
+    (dict(right=(8,)), "outer-right helper 8 is not right of the pair (4, 5)"),
+    (dict(left=(2, 2)), "outer-left helper 2 is listed twice"),
+    (dict(left=(2, 1), right=(7, 6, 7)), "outer-right helper 7 is listed twice"),
 ])
 def test_extract_pair_rejects_misplaced_or_repeated_helpers(outer, message):
     with pytest.raises(ProtocolPreconditionError, match=re.escape(message)):
-        protocols.extract_pair(graphs.chain(7), 4, 5, outer)
+        protocols.extract_pair(graphs.chain(7), 4, 5, **outer)
 
 
 def test_extract_pair_validates_positions():

@@ -607,6 +607,28 @@ def test_each_print_replays_only_its_cone(monkeypatch, engine):
     assert [r for _, r, _ in exe.report.csv_rows] == [0, 0.5, 1, 2] * 2
 
 
+def gates_with_a_dict(values):
+    """The gates among ``values`` whose instance ``__dict__`` exists: ``vars`` builds it,
+    and from then on each attribute read and hash of the gate (``gates.placement``'s
+    cache key) is slower."""
+    return [g for g in values if any(type(ref) is dict for ref in gc.get_referents(g))]
+
+
+@pytest.mark.parametrize("engine", ["ledger", "covariance"])
+def test_a_renumbered_cone_reads_its_gates_without_vars(engine):
+    exe, _ = run_by_statement(CHAIN + EDGE + MIDDLE, engine)
+    cone = covariance.light_cone(5, exe.reg.history, [(1.0, 3, Y), (-1.0, 2, X)])
+    assert cone[0] == 3 and len(cone[3]) == 5  # renumbered
+    assert gates_with_a_dict(exe.reg.history + cone[1]) == []
+
+
+def test_a_gate_statement_reads_its_gate_without_vars():
+    tape = protocols.graph_tape(graphs.chain(4))  # the shared ``protocols._gate`` values
+    stmts = [scenario.GateStmt.of(gate, line) for line, gate in enumerate(tape, 2)]
+    assert (stmts[-1].keyword, stmts[-1].modes) == ("kerr", (3, 4))
+    assert gates_with_a_dict(tape) == []
+
+
 @pytest.mark.parametrize("engine", ["ledger", "covariance"])
 def test_a_gate_between_two_prints_replays_again(monkeypatch, engine):
     calls = count_replays(monkeypatch)
