@@ -77,7 +77,7 @@ def _claim_chain_rows(battery: Battery) -> ClaimResult:
     worst = 0.0
     for n in (2, 5, 25, 100):
         g = graphs.chain(n)
-        reg = protocols.build_graph_state(g)
+        reg = protocols.build(n, protocols.graph_tape(g))  # the gates, not the closed form
         worst = float(np.maximum(worst, protocols.graph_row_deviation(reg, g)))  # NaN kept
         if n <= 25:
             battery.add(f"chain({n}) rows", reg,
@@ -126,7 +126,7 @@ def _claim_graph_law(battery: Battery) -> ClaimResult:
     for i in range(200):
         n = int(rng.integers(2, 51))
         g = graphs.random_graph(n, float(rng.uniform(0.05, 0.5)), rng)
-        reg = protocols.build_graph_state(g)
+        reg = protocols.build(n, protocols.graph_tape(g))  # the gates, not the closed form
         combos = []
         for v in g.vertices:
             parts = [(1.0, v, Y)] + [(-1.0, b, X) for b in g.neighborhood(v)]

@@ -260,9 +260,20 @@ def _checked(convert, valid, wanted: str):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser and subparsers: help at 78 columns whatever ``COLUMNS`` says; errors in one line."""
+
+    def __init__(self, **kwargs):
+        kwargs.setdefault("formatter_class", functools.partial(argparse.HelpFormatter, width=78))
+        super().__init__(**kwargs)
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache  # one parser per process, built on first use
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cvcluster",
         description="Continuous-variable cluster-state toolkit",
     )

@@ -113,17 +113,15 @@ _FRAME = ({X: (X, 1.0), Y: (Y, 1.0)}, {X: (Y, 1.0), Y: (X, -1.0)},
 class _Mode:
     __slots__ = ("row", "book", "record_index", "turns")
 
-    def __init__(self, index: int):
+    def __init__(self, x_row: dict, y_row: dict):
         # Per quadrature kind: the row, a pruned dict (mode, kind, exponent) ->
         # coeff over the initial operators, and its feed-forward book, how much
         # of each measurement record has been folded into that row (record
         # index -> coeff).  Gates apply the same linear map to both.  A mode
         # is active until measured; then ``record_index`` names its record.
         # A quarter turn only counts in ``turns``, a frame settled on read.
-        self.row = {X: {(index, X, 0): 1.0}, Y: {(index, Y, 0): 1.0}}
-        self.book = {X: {}, Y: {}}
-        self.record_index = None
-        self.turns = 0
+        self.row, self.book = {X: x_row, Y: y_row}, {X: {}, Y: {}}
+        self.record_index, self.turns = None, 0
 
     def settle(self) -> None:
         """Write the owed turns through; their exact +-1 and 0 factors keep bits and key order."""
@@ -155,9 +153,19 @@ class Register:
         if not isinstance(n, int) or n < 1:
             raise InvalidSizeError(f"register needs at least one mode, got {n!r}")
         self.n = n
-        self._modes = [_Mode(i) for i in range(1, n + 1)]
+        self._modes = [_Mode({(i, X, 0): 1.0}, {(i, Y, 0): 1.0}) for i in range(1, n + 1)]
         self.records: list[MeasurementRecord] = []
         self.history: list[gates.Gate] = []
+
+    @classmethod
+    def from_rows(cls, rows: list, history) -> "Register":
+        """A register in a known state: mode m holds ``rows[m - 1] = (X row, Y row)``
+        as given, empty books, no records and no owed turns, and a copy of
+        ``history``, which the caller vouches is the tape that makes those rows."""
+        out = cls.__new__(cls)
+        out.n, out._modes = len(rows), [_Mode(x_row, y_row) for x_row, y_row in rows]
+        out.records, out.history = [], list(history)
+        return out
 
     # -- bookkeeping helpers ----------------------------------------------
 

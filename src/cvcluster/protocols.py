@@ -1,17 +1,18 @@
 """Entanglement protocols on graph registers: build, measure, feed forward.
 
 Every state is a gate tape (:func:`graph_tape`, :func:`bs_chain_tape`,
-:func:`ghz_optics_tape`) that the caller runs on the ledger with
-:func:`build` (:func:`build_graph_state` caches a graph's) or from vacuum
-with ``covariance.replay``.  Every protocol follows one recipe: build its
-graph's state, consume some vertices by homodyne-style quadrature
+:func:`ghz_optics_tape`) that the caller runs from vacuum with
+``covariance.replay`` or on the ledger with :func:`build`, except that
+:func:`build_graph_state` writes a graph tape's ledger state from its closed
+form (:func:`graph_rows`) and caches it.  Every protocol follows one recipe:
+build its graph's state, consume some vertices by homodyne-style quadrature
 measurements, repair the survivors with displacements proportional to the
 records, and certify its target combinations (``_finish``).  Fixed +-1 steps
-serve cuts, teleports, the star GHZ and :func:`extract_pair`'s default
-outers; its named helpers, path reduction and the ring-star GHZ (in each of
-its :data:`FLAVORS`) take :func:`solve_feedforward`'s coefficients.  The
-:class:`ProtocolReport` says which targets ended up as nullifiers and
-carries the final register as ``register``.
+serve cuts, teleports, the star GHZ and :func:`extract_pair`'s default outers;
+its named helpers, path reduction and the ring-star GHZ (in each of its
+:data:`FLAVORS`) take :func:`solve_feedforward`'s coefficients.  The
+:class:`ProtocolReport` says which targets ended up as nullifiers and carries
+the final register as ``register``.
 
 Graph vertex v is register mode v, so every vertex a protocol names is a mode.
 """
@@ -160,20 +161,30 @@ def build(n: int, tape) -> ledger.Register:
     return reg
 
 
+def graph_rows(graph: graphs.Graph) -> list:
+    """Per vertex a, the closed-form rows ``(X_a, Y_a)`` that ``build(n, graph_tape(graph))``
+    leaves, key order and bits included: ``X_a = e^{+r} x0_a``; ``Y_a = e^{-r} y0_a``,
+    then ``e^{+r} x0_b`` for each neighbour b in ascending order; every coefficient 1.0."""
+    rows = [({(a, X, 1): 1.0}, {(a, Y, -1): 1.0}) for a in graph.vertices]
+    for a, (_, y_row) in enumerate(rows, 1):
+        for b in graph.neighborhood(a):
+            y_row[b, X, 1] = 1.0
+    return rows
+
+
 # Ledger graph states per Graph, kept while the graph lives: None once its
 # first build was handed out, then a build that later requests copy.
 _BUILDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def build_graph_state(graph: graphs.Graph) -> ledger.Register:
-    """The ledger build of :func:`graph_tape`: rows ``X_a = e^{+r} x0_a`` and
-    ``Y_a = e^{-r} y0_a + e^{+r} sum of neighbour x0``.  A graph's first
-    build is returned as is; the second is also kept, as a copy, and every
-    later request gets an independent ``Register.copy()`` of it.
-    """
+    """The ledger state :func:`graph_tape` makes, written from :func:`graph_rows`, not
+    replayed gate by gate; ``history`` is the tape.  A graph's first build is returned
+    as is; the second is also kept, as a copy, and every later request gets an
+    independent ``Register.copy()`` of it."""
     if _BUILDS.get(graph) is not None:
         return _BUILDS[graph].copy()
-    built = build(graph.n_vertices, graph_tape(graph))
+    built = ledger.Register.from_rows(graph_rows(graph), graph_tape(graph))
     _BUILDS[graph] = built.copy() if graph in _BUILDS else None
     return built
 
@@ -186,16 +197,11 @@ def build_graph_state(graph: graphs.Graph) -> ledger.Register:
 def graph_row_deviation(reg: ledger.Register, graph: graphs.Graph) -> float:
     """Largest coefficient gap between ``reg``'s rows and the graph-state closed form.
 
-    The closed form is ``X_a = e^{+r} x0_a`` and ``Y_a = e^{-r} y0_a`` plus
-    ``e^{+r}`` times the neighbours' ``x0``; every vertex mode must be active.
+    The closed form is :func:`graph_rows`; every vertex mode must be active.
     A gap at or below ``PRUNE_TOL`` counts as none, as the ledger prunes it; a NaN counts.
     """
-    rows, closed = [], []
-    for m in graph.vertices:
-        rows += [reg.quad_expr(m, X), reg.quad_expr(m, Y)]
-        closed_y = {(b, X, 1): 1.0 for b in graph.neighborhood(m)} | {(m, Y, -1): 1.0}
-        closed += [{(m, X, 1): 1.0}, closed_y]
-    _, mat = ledger.coefficient_matrix(rows + closed)
+    rows = [reg.quad_expr(m, kind) for m in graph.vertices for kind in (X, Y)]
+    _, mat = ledger.coefficient_matrix(rows + [row for pair in graph_rows(graph) for row in pair])
     gaps = np.abs(mat[:, :len(rows)] - mat[:, len(rows):])
     return float(np.max(gaps[~(gaps <= PRUNE_TOL)], initial=0.0))
 

@@ -258,8 +258,15 @@ MUTANTS = [
            "Y: md.book[Y].copy()}",
            "Y: md.book[Y]}"),
     Mutant("mode-init-y-row-exponent", LEDGER,
-           "Y: {(index, Y, 0): 1.0}",
-           "Y: {(index, Y, 1): 1.0}"),
+           "{(i, Y, 0): 1.0}",
+           "{(i, Y, 1): 1.0}"),
+    # The closed form build_graph_state writes: key order and exponents of the rows.
+    Mutant("graph-rows-neighbours-descending", PROTOCOLS,
+           "for b in graph.neighborhood(a):",
+           "for b in reversed(graph.neighborhood(a)):"),
+    Mutant("graph-rows-own-exponent", PROTOCOLS,
+           "{(a, Y, -1): 1.0}) for a in graph.vertices]",
+           "{(a, Y, 1): 1.0}) for a in graph.vertices]"),
     Mutant("ring-star-keeps-a-repeated-vertex", PROTOCOLS,
            "        if v in vertices[:i]:\n",
            "        if False:\n"),

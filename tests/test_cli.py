@@ -889,6 +889,29 @@ def test_python_dash_m_cvcluster_runs_the_cli(tmp_path, argv, code):
         assert "1/1 claims passed" in proc.stdout
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["graph", "tests/golden/edges/chain6.txt", "--protocol", "nope"],
+     "cvcluster graph: error: argument --protocol: invalid choice: 'nope' (choose from "
+     "'reduce-path', 'star-ghz', 'ring-star-ghz', 'extract-pair', 'disconnect', 'disentangle')"),
+    (["graph", "tests/golden/edges/chain6.txt", "--protocol", "disconnect", "--j", "x"],
+     "cvcluster graph: error: argument --j: invalid int value: 'x'"),
+    (["sweep", "--state", "chain:2"],
+     "cvcluster sweep: error: the following arguments are required: --combo"),
+    (["run", "scenarios/epr_n2.cvq", "--seed", "-1"],
+     "cvcluster run: error: argument --seed: expected a non-negative integer, got '-1'"),
+    ([], "cvcluster: error: the following arguments are required: subcommand"),
+    (["claims", "--bogus"], "cvcluster: error: unrecognized arguments: --bogus"),
+])
+def test_an_argparse_usage_error_is_one_stderr_line(argv, line, capsys):
+    """No usage block: exit 2, the one line, nothing on stdout."""
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+
+
 def test_usage_error_from_argparse(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["sweep", "--state", "chain:2"])  # --combo missing
@@ -929,5 +952,4 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, monkeyp
     assert "the following arguments are required: --protocol" in earlier.getvalue()
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("usage: cvcluster run")
-    assert "error: argument --seed: expected a non-negative integer" in captured.err
+    assert captured.err == "cvcluster run: error: argument --seed: expected a non-negative integer, got '-1'\n"

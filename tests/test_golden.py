@@ -36,7 +36,6 @@ BAD = "tests/golden/bad"
 DEMOS = sorted(p.stem for p in (ROOT / "demos").glob("*.py"))
 SCENARIOS = ("bs_chain_n4", "chain_rows_n4", "epr_n2", "persistency_n4", "teleport_step_n3")
 R_LIST = "0,0.5,1,2"
-COLUMNS = "80"  # argparse wraps --help to the terminal width this names
 # The claims report's two clocks: the chain-rows timing and the total.
 CLAIMS_CLOCKS = (
     (re.compile(r"(max coefficient deviation \S+ in )\d+\.\d+s"), r"\1<t>s"),
@@ -90,7 +89,7 @@ CASES.update({
     "graph_mesh_reduce_path": ["graph", f"{EDGES}/mesh7.txt", "--protocol", "reduce-path",
                                "--a", "1", "--b", "4"],
     "graph_star_ghz": ["graph", f"{EDGES}/star4.txt", "--protocol", "star-ghz"],
-    # The protocol flags argparse declares, at a fixed width (see COLUMNS).
+    # The protocol flags argparse declares, wrapped at a fixed width.
     "graph_help": ["graph", "--help"],
     "graph_ringstar_odd": ["graph", f"{EDGES}/ringstar3.txt", "--protocol", "ring-star-ghz"],
     "graph_ringstar_odd_position": ["graph", f"{EDGES}/ringstar3.txt", "--protocol",
@@ -161,9 +160,16 @@ def run_demo(name) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case, monkeypatch):
     monkeypatch.chdir(ROOT)
-    monkeypatch.setenv("COLUMNS", COLUMNS)
     expected = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
     assert run_case(CASES[case]) == expected
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+def test_help_is_the_same_at_any_terminal_width(columns, monkeypatch):
+    """argparse would wrap help to ``COLUMNS``; the parser fixes its own width."""
+    monkeypatch.setenv("COLUMNS", columns)
+    expected = (GOLDEN / "graph_help.txt").read_text(encoding="utf-8")
+    assert run_case(["graph", "--help"]) == expected
 
 
 @pytest.mark.parametrize("name", DEMOS)
@@ -185,7 +191,6 @@ def test_claims_report_matches_golden(claims_outcome, monkeypatch):
 
 if __name__ == "__main__":
     os.chdir(ROOT)
-    os.environ["COLUMNS"] = COLUMNS
     for case, argv in sorted(CASES.items()):
         (GOLDEN / f"{case}.txt").write_text(run_case(argv), encoding="utf-8")
     for name in DEMOS:

@@ -44,6 +44,20 @@ def test_vacuum_rows_are_identity():
         assert reg.quad_expr(m, Y) == {(m, Y, 0): 1.0}
 
 
+def test_a_register_from_rows_takes_the_rows_and_copies_the_history():
+    tape = [Squeeze(1), Squeeze(2)]
+    rows = [({(1, X, 1): 1.0}, {(1, Y, -1): 1.0}), ({(2, X, 1): 1.0}, {(2, Y, -1): 1.0})]
+    reg = Register.from_rows(rows, tape)
+    assert reg.n == 2 and reg.records == [] and reg.history == tape
+    assert reg.history is not tape
+    assert reg._modes[0].row[Y] is rows[0][1]
+    assert all(md.book == {X: {}, Y: {}} and md.turns == 0 and md.record_index is None
+               for md in reg._modes)
+    rec = reg.measure(1, X)
+    assert reg.displace_with(2, Y, -1.0, rec).quad_expr(2, Y) == {(2, Y, -1): 1.0, (1, X, 1): -1.0}
+    assert reg.frame_combo([(1.0, 2, Y)]) == [(-1.0, 1, X), (1.0, 2, Y)]
+
+
 def test_register_size_validation():
     with pytest.raises(InvalidSizeError):
         Register(0)

@@ -6,8 +6,9 @@ the covariance tape replay against its per-gate rule, overflow included,
 a combination's light cone against the whole tape's replay,
 the ledger's accumulate step, Kerr books included, against its general loop,
 its lazy quarter-turn frame against turns settled one at a time, graph tapes'
-shared gate values against fresh ones, and random ``.cvq`` scripts run
-through the command line on both engines.
+shared gate values against fresh ones, the graph state written in closed form
+against its tape run on the ledger, bit for bit, and random ``.cvq`` scripts
+run through the command line on both engines.
 
 The oracle is the Gaussian graphical calculus (Menicucci, Flammia & van Loock,
 PRA 83, 042335 (2011)): the graph state of adjacency matrix A at squeezing r
@@ -30,7 +31,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import configuration, given, settings
+from hypothesis import configuration, example, given, settings
 from hypothesis import strategies as st
 
 from cvcluster import claims, cli, covariance, gates, graphs, ledger, protocols
@@ -627,6 +628,61 @@ def test_graph_tapes_share_values_equal_to_fresh_gates(data, g):
         runs.append(reg)
     assert [register_state(r) for r in runs[:2]] == [register_state(r) for r in runs[2:]]
     assert register_state(runs[0]) == register_state(runs[1])
+
+
+# ---------------------------------------------------------------------------
+# graph states: the closed form written against the gates replayed
+# ---------------------------------------------------------------------------
+
+
+def exact_state(reg):
+    """Rows and books as ``(key, float.hex)`` in key order, so a sign of zero
+    counts; record and turns per mode; records; and history by identity."""
+    tables = [(md.record_index, md.turns, [[(kd, [(key, v.hex()) for key, v in d.items()])
+                                            for kd, d in t.items()] for t in (md.row, md.book)])
+              for md in reg._modes]
+    return reg.n, tables, reg.records, [id(gate) for gate in reg.history]
+
+
+def assert_written_is_replayed(g):
+    written = protocols.build_graph_state(g)
+    replayed = protocols.build(g.n_vertices, protocols.graph_tape(g))
+    assert exact_state(written) == exact_state(replayed)
+    assert all(not md.book[X] and not md.book[Y] and md.turns == 0 for md in written._modes)
+    assert written.records == [] and written.active_modes() == list(g.vertices)
+
+
+@PROPERTY_SETTINGS
+@given(g=simple_graphs())
+@example(g=graphs.from_edges(1, []))
+def test_a_written_graph_state_is_the_replayed_tape_bit_for_bit(g):
+    assert_written_is_replayed(g)
+
+
+@pytest.mark.parametrize("g", [graphs.chain(200), graphs.grid(10, 15), graphs.star(12),
+                               graphs.ring_star(10), graphs.ring(7)],
+                         ids=["chain(200)", "grid(10,15)", "star(12)", "ring_star(10)", "ring(7)"])
+def test_a_written_named_graph_state_is_the_replayed_tape_bit_for_bit(g):
+    for _ in range(3):  # the first build, the one cached, then a copy of it
+        assert_written_is_replayed(g)
+
+
+def test_the_row_claims_run_the_gates_and_the_protocols_do_not(monkeypatch):
+    """With every Kerr gain off by 1e-6 on the ledger, the two claims about the
+    gate algebra fail, while a protocol's graph state is still the closed form."""
+    apply = ledger.Register.apply
+
+    def skewed(reg, gate):
+        if isinstance(gate, Kerr):
+            gate = Kerr(gate.l, gate.k, gate.g * (1.0 + 1e-6))
+        return apply(reg, gate)
+
+    monkeypatch.setattr(ledger.Register, "apply", skewed)
+    assert not claims._claim_chain_rows(claims.Battery()).passed
+    assert not claims._claim_graph_law(claims.Battery()).passed
+    g = graphs.chain(6)
+    assert protocols.graph_row_deviation(protocols.build_graph_state(g), g) == 0
+    assert protocols.disentangle_even(g).success
 
 
 # ---------------------------------------------------------------------------
