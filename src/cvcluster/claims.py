@@ -409,15 +409,13 @@ def _claim_hygiene(battery: Battery) -> ClaimResult:
             (state,) = covariance.replay(entry.reg.n, entry.reg.history, (HYGIENE_R,))
             entry.physical = covariance.is_physical(state)
         physical_fails += not entry.physical
-    # Absolute on purpose: commutators are numbers of order 1 that do not
-    # depend on r, unlike the variances the cross-engine claim compares.
     return ClaimResult(
         "canonical commutators survive every battery gate sequence and the "
         "replayed covariance states respect the uncertainty bound",
-        worst <= BRIDGE_TOL and physical_fails == 0,
+        worst <= COMMUTATOR_TOL and physical_fails == 0,
         f"{pair_checks} commutators (max defect {worst:.3g}); "
         f"{len(battery.entries)} states replayed, {physical_fails} unphysical",
-        f"{BRIDGE_TOL:g}",
+        f"{COMMUTATOR_TOL:g}",
     )
 
 

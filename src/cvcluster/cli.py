@@ -270,6 +270,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        """Refuse extras in the parser that collected them, so the error names its subcommand."""
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 @functools.cache  # one parser per process, built on first use
 def build_parser() -> argparse.ArgumentParser:

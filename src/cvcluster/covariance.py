@@ -234,10 +234,7 @@ def light_cone(n: int, tape, combo) -> tuple[int, list, list, list]:
     if len(need) == n or not need:
         return n, cone, combo, cone
     new = {m: i for i, m in enumerate(sorted(need), 1)}
-    moved = []
-    for gate in cone:
-        *ms, value = (getattr(gate, name) for name in gate.__match_args__)  # as gates.modes
-        moved.append(type(gate)(*(new[m] for m in ms), value))
+    moved = [type(gate)(*(new[m] for m in gates.modes(gate)), gates.value(gate)) for gate in cone]
     return len(new), moved, [(c, new[m], kind) for c, m, kind in combo], cone
 
 

@@ -40,7 +40,8 @@ Y = "y"
 PRUNE_TOL = 1e-12
 # Ledger: a combination is a nullifier when all terms above this survive at k <= -1.
 NULLIFIER_TOL = 1e-9
-# Claims (hygiene): net commutator contributions at nonzero exponent-sum above this are a bug.
+# Claims (hygiene): a commutator this far from canonical, at any exponent sum, is a bug.
+# Commutators do not grow with r, so the bound is absolute.
 COMMUTATOR_TOL = 1e-9
 # Gates: an angle this close (in quarter turns) to a multiple of pi/2 snaps to it.
 QUARTER_TURN_TOL = 1e-12
@@ -57,8 +58,7 @@ PRODUCT_TOL = 1e-9
 SOLVER_TOL = 1e-9
 # Bridge: numeric and symbolic variances of one combination agree to this,
 # scaled by the size of the terms the numeric side sums once that exceeds 1
-# (covariance.bridge_agrees, the one rule for script runs and claims).  The
-# hygiene claim compares commutators, which do not grow with r, absolutely.
+# (covariance.bridge_agrees, the one rule for script runs and claims).
 BRIDGE_TOL = 1e-9
 # Claims: exact-coefficient checks on closed-form rows and surviving weights.
 COEFF_TOL = 1e-12
@@ -127,6 +127,11 @@ def modes(gate: Gate) -> tuple[int, ...]:
     """The modes a gate acts on, in its block's row order: every field but the last, the
     value.  ``__match_args__`` names the fields; ``vars`` would slow the gate's attribute reads."""
     return tuple(getattr(gate, name) for name in gate.__match_args__[:-1])
+
+
+def value(gate: Gate):
+    """A gate's last field: direction, g, angle in radians or t."""
+    return getattr(gate, gate.__match_args__[-1])
 
 
 def cos_sin(theta: float) -> tuple[float, float]:

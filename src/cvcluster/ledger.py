@@ -23,7 +23,6 @@ flat vector is involved.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
 
@@ -283,28 +282,27 @@ class Register:
         their measured quadrature.  This is the bridge the covariance engine
         uses: displaced expressions become plain weight vectors.  A record
         of a mode that was itself displaced before it was measured carries
-        those earlier records too.  A book names only earlier records, so
-        each record is resolved once, from the latest down, with everything
-        due to it summed first, however many paths reach it.
+        those earlier records too.  A book names only records made before its
+        mode was measured, so one walk down the indices from the newest owed
+        resolves each record once, all due to it summed first, however reached.
         """
         acc: dict[tuple[int, str], float] = {}
         due: dict[int, float] = {}  # record index -> weight owed to it
-        latest: list[int] = []  # heap of -index for each index in due
 
         def fold(c, book):
             for i, w in book.items():
-                if i not in due:
-                    heapq.heappush(latest, -i)
                 due[i] = due.get(i, 0.0) + c * w
 
         for c, mode, kind in parts:
             fold(c, self._mode(mode).book[kind])  # only active modes may be combined
             acc[(mode, kind)] = acc.get((mode, kind), 0.0) + c
-        while latest:  # a book never names a later record, so none comes back
-            i = -heapq.heappop(latest)
-            c, rec = due.pop(i), self.records[i]
-            acc[(rec.mode, rec.kind)] = c
-            fold(c, self._modes[rec.mode - 1].book[rec.kind])
+        i = max(due, default=0)
+        while due:  # a book never names a later record, so none comes back
+            if i in due:
+                c, rec = due.pop(i), self.records[i]
+                acc[(rec.mode, rec.kind)] = c
+                fold(c, self._modes[rec.mode - 1].book[rec.kind])
+            i -= 1
         return [(c, m, kd) for (m, kd), c in sorted(acc.items()) if abs(c) > PRUNE_TOL]
 
     def product_partition(self) -> list[tuple[int, ...]]:

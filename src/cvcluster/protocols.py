@@ -514,14 +514,15 @@ def ring_star_to_ghz(graph: graphs.Graph, measured=None,
     if measured is None:
         measured = graph.neighborhood(hub)
     measured = _listed_once(sorted(measured), ring_order, "measured vertex", "on the ring")
-    remaining = [v for v in ring_order if v not in set(measured)]
+    gone = set(measured)
+    remaining = [v for v in ring_order if v not in gone]
     if len(remaining) < 2:
         raise ProtocolPreconditionError("GHZ projection needs at least two survivors")
-    report = ProtocolReport("ring_star_to_ghz", False, build_graph_state(graph), flavor=flavor)
-    recs = [report.register.measure(v, Y) for v in [hub] + measured]
     if flavor not in FLAVORS:
         raise ProtocolPreconditionError(f"unknown flavor {flavor!r}")
     sum_kind, diff_kind = FLAVORS[flavor]
+    report = ProtocolReport("ring_star_to_ghz", False, build_graph_state(graph), flavor=flavor)
+    recs = [report.register.measure(v, Y) for v in [hub] + measured]
     laws = [[(1.0, m, sum_kind) for m in remaining]]
     laws += [[(1.0, remaining[0], diff_kind), (-1.0, m, diff_kind)] for m in remaining[1:]]
     # The sum rides on the first survivor, each difference on its non-reference mode.

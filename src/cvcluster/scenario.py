@@ -137,10 +137,10 @@ class GateStmt(Statement):
     def of(cls, gate: gates.Gate, line: int) -> GateStmt:
         """The line the parser reads back as ``gate``, with the option text it builds."""
         keyword = _KEYWORDS[type(gate)]
-        *modes, value = (getattr(gate, name) for name in gate.__match_args__)  # as gates.modes
+        modes, value = gates.modes(gate), gates.value(gate)
         option = (f"{_TWO_MODE[keyword][0]}{fmt_num(value)}" if keyword in _TWO_MODE
                   else f"{value!r}rad" if keyword == "rotate" else value)
-        return cls(keyword, tuple(modes), value, option, line=line, col=1)
+        return cls(keyword, modes, value, option, line=line, col=1)
 
 
 @dataclass(frozen=True)
@@ -420,7 +420,7 @@ class _Parser:
 # Exact coefficients written as words.
 _LITERALS = {"sqrt2": SQRT2, "-sqrt2": -SQRT2}
 # Two-mode gate statements: option prefix, default value.
-_TWO_MODE = {"kerr": ("g=", 1.0), "bs": ("t=", 0.5)}
+_TWO_MODE = {"kerr": ("g=", gates.Kerr.g), "bs": ("t=", gates.Beamsplit.t)}
 # Statement keyword -> the parser method that reads the rest of its line.
 _STATEMENTS = {
     "register": _Parser._register, "squeeze": _Parser._squeeze, "kerr": _Parser._two_mode,
@@ -609,9 +609,7 @@ class _Execution:
             outcome = covariance.homodyne(self.state, stmt.mode, stmt.kind, rng=self.rng)
             note = f" = {outcome:.12g}"
         self.records[stmt.name] = (rec, outcome)
-        self.report.events.append(
-            f"line {stmt.line}: measure {stmt.kind} {stmt.mode} -> {stmt.name}{note}"
-        )
+        self.report.events.append(f"line {stmt.line}: {stmt.render()}{note}")
 
     def _do_DisplaceStmt(self, stmt):
         rec, outcome = self.records[stmt.name]
@@ -628,14 +626,14 @@ class _Execution:
             # Nullifier status is symbolic; the numeric engine contributes a
             # consistency check of the same combination's variance at run r.
             self._replay_variances(self.reg.frame_combo(parts), expr, (self.r,), self.reg.history)
-        self._record_assert(stmt, f"assert nullifier {render_combo(stmt.terms)}", ok)
+        self._record_assert(stmt, ok)
 
     def _do_AssertProductStmt(self, stmt):
         partition = self.reg.product_partition()
         ok = all(len(block) == 1 for block in partition)
         if self.engine == COVARIANCE and ok:
             ok = covariance.is_mode_product(self.state)
-        self._record_assert(stmt, "assert product", ok)
+        self._record_assert(stmt, ok)
 
     def _do_PrintVarianceStmt(self, stmt):
         combo_text = render_combo(stmt.terms)
@@ -654,13 +652,13 @@ class _Execution:
             f"line {stmt.line}: print variance {combo_text} ({len(stmt.rs)} rows)"
         )
 
-    def _record_assert(self, stmt, text: str, ok: bool):
+    def _record_assert(self, stmt, ok: bool):
         self.report.asserts_total += 1
         self.report.events.append(
-            f"line {stmt.line}: {text} .. {'pass' if ok else 'FAIL'}"
+            f"line {stmt.line}: {stmt.render()} .. {'pass' if ok else 'FAIL'}"
         )
         if not ok:
-            self.report.failures.append((stmt.line, text))
+            self.report.failures.append((stmt.line, stmt.render()))
 
 
 def load(path) -> Scenario:

@@ -142,11 +142,14 @@ MUTANTS = [
            "_displace(report, mode, kind, c / weight, report.register.records[idx])",
            "_displace(report, mode, kind, c * weight, report.register.records[idx])"),
     Mutant("frame-combo-drops-earlier-records", LEDGER,
-           "            fold(c, self._modes[rec.mode - 1].book[rec.kind])\n",
+           "                fold(c, self._modes[rec.mode - 1].book[rec.kind])\n",
            ""),
     Mutant("frame-combo-earliest-first", LEDGER,
-           "i = -heapq.heappop(latest)",
-           "i = -latest.pop(latest.index(max(latest)))"),
+           "            if i in due:",
+           "            if (i := min(due)) in due:"),
+    Mutant("frame-combo-stops-after-first-record", LEDGER,
+           "                fold(c, self._modes[rec.mode - 1].book[rec.kind])\n",
+           "                fold(c, self._modes[rec.mode - 1].book[rec.kind])\n                break\n"),
     Mutant("frame-combo-fold-sign", LEDGER,
            "due[i] = due.get(i, 0.0) + c * w",
            "due[i] = due.get(i, 0.0) - c * w"),
@@ -290,8 +293,14 @@ MUTANTS = [
 
 def tier1(copy: Path, tests=()) -> tuple[bool, str]:
     """Run Tier-1 (or only the pytest node ids ``tests``) with ``-x`` in ``copy``
-    against its own ``src``: (passed, first failing test)."""
+    against its own ``src``: (passed, first failing test).  Tier-1 runs
+    ``tests/test_ledger.py`` first: a ledger fault that only slows the claims
+    down (an aliased book) dies there in seconds, not through the timeout."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    if not tests:
+        files = sorted((copy / "tests").glob("test_*.py"),
+                       key=lambda f: (f.name != "test_ledger.py", f.name))
+        tests = [str(f.relative_to(copy)) for f in files]
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
             "--continue-on-collection-errors", *tests]
     try:

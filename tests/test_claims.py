@@ -9,7 +9,7 @@ still judges it, and its combinations are bridged here instead.  The
 finite-squeezing claim must fail on a state with no entanglement.  Hygiene
 reads the commutators off one matrix identity: a pairwise loop gives its count
 and worst defect, every ordered pair of the battery is canonical, and a planted
-defect fails it, a planted NaN too.
+defect fails it by the commutator bound alone, a planted NaN too.
 """
 
 import math
@@ -21,7 +21,7 @@ from commutators import reference_commutator
 from cvcluster import claims, covariance, graphs, ledger, protocols
 from cvcluster.errors import InternalConsistencyError
 from cvcluster.gates import (
-    BRIDGE_TOL,
+    COMMUTATOR_TOL,
     MOMENTUM_SQUEEZED,
     Beamsplit,
     Kerr,
@@ -220,10 +220,26 @@ def test_hygiene_fails_on_a_row_given_another_modes_conjugate(claims_run):
     alone = claims.Battery()
     alone.entries.append(claims.BatteryEntry(entry.label, reg, entry.pairs))
     hygiene = claims._claim_hygiene(alone)
-    assert not hygiene.passed and hygiene.tolerance == f"{BRIDGE_TOL:g}"
+    assert not hygiene.passed and hygiene.tolerance == f"{COMMUTATOR_TOL:g}"
     assert hygiene.value == "35 commutators (max defect 0.001); 1 states replayed, 0 unphysical"
     reg._modes[1].row[Y] = {}  # X_2 and Y_2 now share no operator: [X_2, Y_2] reads 0
     assert claims._commutator_defect(reg) == all_pairs_defect(reg) == (35, 1.0)
+
+
+def test_the_hygiene_verdict_reads_the_commutator_bound_alone(monkeypatch):
+    """X_1 of an unsqueezed pair gains 1e-3 y0_2, so [X_1, X_2] = -1e-3: a
+    looser bridge leaves it failing, a commutator bound above it passes it."""
+    reg = ledger.Register(2)
+    reg._modes[0].row[X][(2, Y, 0)] = 1e-3
+    assert claims._commutator_defect(reg) == (5, 1e-3)
+    alone = claims.Battery()
+    alone.entries.append(claims.BatteryEntry("planted 1e-3", reg, []))
+    monkeypatch.setattr(claims, "BRIDGE_TOL", 1.0)
+    hygiene = claims._claim_hygiene(alone)
+    assert not hygiene.passed and hygiene.tolerance == "1e-09"
+    monkeypatch.setattr(claims, "COMMUTATOR_TOL", 1e-2)
+    hygiene = claims._claim_hygiene(alone)
+    assert hygiene.passed and hygiene.tolerance == "0.01"
 
 
 def test_a_nan_commutator_fails_hygiene():

@@ -900,7 +900,16 @@ def test_python_dash_m_cvcluster_runs_the_cli(tmp_path, argv, code):
     (["run", "scenarios/epr_n2.cvq", "--seed", "-1"],
      "cvcluster run: error: argument --seed: expected a non-negative integer, got '-1'"),
     ([], "cvcluster: error: the following arguments are required: subcommand"),
-    (["claims", "--bogus"], "cvcluster: error: unrecognized arguments: --bogus"),
+    # An unrecognized argument is refused by the parser that collected it: the
+    # top parser before the subcommand, the subcommand's own parser after it.
+    (["--bogus", "claims"], "cvcluster: error: unrecognized arguments: --bogus"),
+    (["claims", "--bogus"], "cvcluster claims: error: unrecognized arguments: --bogus"),
+    (["run", "scenarios/epr_n2.cvq", "extra", "--bogus"],
+     "cvcluster run: error: unrecognized arguments: extra --bogus"),
+    (["sweep", "--state", "chain:2", "--combo", "1*x1", "--bogus", "1"],
+     "cvcluster sweep: error: unrecognized arguments: --bogus 1"),
+    (["graph", "tests/golden/edges/chain6.txt", "--protocol", "disentangle", "--bogus"],
+     "cvcluster graph: error: unrecognized arguments: --bogus"),
 ])
 def test_an_argparse_usage_error_is_one_stderr_line(argv, line, capsys):
     """No usage block: exit 2, the one line, nothing on stdout."""

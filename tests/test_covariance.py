@@ -272,6 +272,18 @@ def test_a_gates_modes_are_every_field_but_the_last():
     assert gates.modes(Kerr(7, 3, 0.5)) == (7, 3)
 
 
+def test_a_gates_value_is_its_last_field():
+    """``gates.value`` is the field ``gates.modes`` leaves out, for each gate kind."""
+    samples = {Squeeze(3, POSITION_SQUEEZED): POSITION_SQUEEZED, Kerr(7, 3, 0.5): 0.5,
+               Rotate(4, -0.3): -0.3, Beamsplit(2, 6, 0.25): 0.25}
+    assert {type(gate) for gate in samples} == set(typing.get_args(gates.Gate))
+    for gate, value in samples.items():
+        assert gates.value(gate) == value
+        assert gates.value(gate) == getattr(gate, dataclasses.fields(gate)[-1].name)
+        assert type(gate)(*gates.modes(gate), gates.value(gate)) == gate
+    assert gates.value(Kerr(1, 2)) == 1.0 and gates.value(Beamsplit(1, 2)) == 0.5
+
+
 def test_gate_placement_is_cached_with_the_block():
     block, index, span = gates.placement(Squeeze(3, POSITION_SQUEEZED), 0.7)
     assert block is gates.placement(Squeeze(3, POSITION_SQUEEZED), 0.7)[0]

@@ -106,6 +106,8 @@ CASES.update({
     "graph_unread_flag_error": ["graph", f"{EDGES}/chain6.txt", "--protocol", "disconnect",
                                 "--j", "3", "--measured", "x"],
     "claims_unknown_id_error": ["claims", "--only", "nope"],
+    # An argument the subcommand does not know is refused in the subcommand's name.
+    "claims_unrecognized_argument_error": ["claims", "--bogus"],
     "sweep_combo_error": ["sweep", "--state", "chain:3", "--combo", "1*q1", "--r", "1"],
     # sweep runs its rows as script lines: a state's tape is numbered from its
     # register line, and a --combo line follows the script's last statement.

@@ -5,8 +5,9 @@ generator, canonical commutators on random ledger tapes with feed-forward,
 the covariance tape replay against its per-gate rule, overflow included,
 a combination's light cone against the whole tape's replay,
 the ledger's accumulate step, Kerr books included, against its general loop,
-its lazy quarter-turn frame against turns settled one at a time, graph tapes'
-shared gate values against fresh ones, the graph state written in closed form
+its lazy quarter-turn frame against turns settled one at a time, the
+resolution of relayed feed-forward records against a newest-first heap, graph
+tapes' shared gate values against fresh ones, the graph state written in closed form
 against its tape run on the ledger, bit for bit, and random ``.cvq`` scripts
 run through the command line on both engines.
 
@@ -22,6 +23,7 @@ deterministic.
 """
 
 import contextlib
+import heapq
 import io
 import math
 import os
@@ -586,6 +588,68 @@ def test_quarter_turn_frames_settle_as_single_turns(n, steps, split):
     settled at once, with generic rotations, Kerr, beamsplitters, squeezes,
     measurements and a copy in between."""
     assert run_frame_steps(n, steps, split, eager=False) == run_frame_steps(n, steps, split, eager=True)
+
+
+# ---------------------------------------------------------------------------
+# feed-forward records: the walk down the indices against a newest-first heap
+# ---------------------------------------------------------------------------
+
+
+# A displacement coefficient that no prune removes.
+_NONZERO = st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)
+
+
+def heap_frame_combo(reg, parts):
+    """``Register.frame_combo`` with the owed record indices on a heap, popped
+    newest first: the reference rule for the walk down the indices."""
+    acc, due, latest = {}, {}, []
+
+    def fold(c, book):
+        for i, w in book.items():
+            if i not in due:
+                heapq.heappush(latest, -i)
+            due[i] = due.get(i, 0.0) + c * w
+
+    for c, mode, kind in parts:
+        fold(c, reg._mode(mode).book[kind])
+        acc[(mode, kind)] = acc.get((mode, kind), 0.0) + c
+    while latest:
+        i = -heapq.heappop(latest)
+        c, rec = due.pop(i), reg.records[i]
+        acc[(rec.mode, rec.kind)] = c
+        fold(c, reg._modes[rec.mode - 1].book[rec.kind])
+    return [(c, m, kd) for (m, kd), c in sorted(acc.items()) if abs(c) > PRUNE_TOL]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(
+    n=st.integers(4, 7),
+    before=st.lists(GATE_STEPS, max_size=6),
+    relay=st.tuples(_KIND, _KIND, _KIND, _NONZERO, _NONZERO, _NONZERO),
+    after=st.lists(st.one_of(GATE_STEPS, FEEDFORWARD_STEPS), max_size=10),
+    weights=st.lists(st.floats(-2.0, 2.0), min_size=14, max_size=14),
+)
+def test_frame_combo_is_the_newest_first_rule_bit_for_bit(n, before, relay, after, weights):
+    """Mode 2 is displaced by mode 1's record and then measured; mode 3 is
+    displaced by both records, so it reaches the first one twice.  Gates and
+    further feed-forward follow.  Every active quadrature, and a weighted sum
+    of all of them, resolves to the weights the heap rule gives, float bits
+    included."""
+    reg = ledger.Register(n)
+    for step in before:
+        apply_gate_step(reg, step)
+    kind, relayed, direct, c1, c2, c3 = relay
+    first = reg.measure(1, kind)
+    reg.displace_with(2, Y, c1, first)
+    reg.displace_with(3, Y, c2, reg.measure(2, relayed))
+    reg.displace_with(3, direct, c3, first)
+    for step in after:
+        (apply_gate_step if len(step) == 4 else apply_feedforward_step)(reg, step)
+    quads = [(m, kd) for m in reg.active_modes() for kd in (X, Y)]
+    combos = [[(1.0, m, kd)] for m, kd in quads] + [[(w, m, kd) for w, (m, kd) in zip(weights, quads)]]
+    for parts in combos:
+        got, want = reg.frame_combo(parts), heap_frame_combo(reg, parts)
+        assert [(c.hex(), m, kd) for c, m, kd in got] == [(c.hex(), m, kd) for c, m, kd in want]
 
 
 # ---------------------------------------------------------------------------

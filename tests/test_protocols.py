@@ -653,6 +653,18 @@ def test_ring_star_explicit_measured_set():
     assert rep.success
 
 
+def test_ring_star_refuses_an_unknown_flavor_before_it_builds(monkeypatch):
+    """The flavor is checked after the survivor count and before any build or measurement."""
+    def no_build(graph):
+        raise AssertionError("built a graph state for an unknown flavor")
+
+    monkeypatch.setattr(protocols, "build_graph_state", no_build)
+    with pytest.raises(ProtocolPreconditionError, match="^unknown flavor 'nope'$"):
+        protocols.ring_star_to_ghz(graphs.ring_star(6), flavor="nope")
+    with pytest.raises(ProtocolPreconditionError, match="at least two survivors"):
+        protocols.ring_star_to_ghz(graphs.ring_star(6), measured=[2, 3, 4, 5, 6], flavor="nope")
+
+
 def test_alternating_attachment_is_the_only_working_five_spoke():
     """Of all 252 ways to hub five spokes on a ten-ring, only the two
     alternating patterns admit the GHZ projection (hub 1, ring 2..11)."""
