@@ -16,14 +16,14 @@ from cvcluster import covariance, graphs, protocols
 def star_route(leaves):
     rep = protocols.star_to_ghz(graphs.star(leaves))
     print(f"star with {leaves} leaves: success={rep.success}, "
-          f"{len(rep.nullifiers)} GHZ-type nullifiers")
+          f"{len(rep.targets)} GHZ-type nullifiers")
 
 
 def ring_route(m):
     rep = protocols.ring_star_to_ghz(graphs.ring_star(2 * m))
     if rep.success:
         print(f"ring of {2 * m}, {m} measured: success "
-              f"({len(rep.nullifiers)} nullifiers on the survivors)")
+              f"({len(rep.targets)} nullifiers on the survivors)")
     else:
         eqs, rank = rep.rank_info
         print(f"ring of {2 * m}, {m} measured: degenerate "

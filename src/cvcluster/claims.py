@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import covariance, errors, graphs, ledger, protocols
-from .gates import BRIDGE_TOL, COEFF_TOL, COMMUTATOR_TOL, ENTANGLEMENT_MARGIN, X, Y, Rotate, symplectic_form
+from .gates import (BRIDGE_TOL, COEFF_TOL, COMMUTATOR_TOL, ENTANGLEMENT_MARGIN, PPT_THRESHOLD_TOL,
+                    X, Y, Rotate, symplectic_form)
 
 BRIDGE_RS = (0.0, 0.25, 0.5, 1.0, 2.0)
 HYGIENE_R = 0.7
@@ -61,10 +62,6 @@ class Battery:
     def add(self, label: str, reg: ledger.Register, parts_list):
         pairs = [(reg.frame_combo(p), reg.combine(p)) for p in parts_list]
         self.entries.append(BatteryEntry(label, reg, pairs))
-
-    def add_report(self, label: str, report):
-        pairs = list(zip(report.combos, report.nullifiers))
-        self.entries.append(BatteryEntry(label, report.register, pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +148,7 @@ def _claim_persistency(battery: Battery) -> ClaimResult:
         good = rep.success and len(rep.measurements) == n // 2
         ok &= good
         if n in (6, 40):
-            battery.add_report(f"disentangled chain({n})", rep)
+            battery.add(f"disentangled chain({n})", rep.register, rep.targets)
         if not good:
             details.append(f"N={n}: {rep.details}")
     minima = {n: protocols.minimal_disentangling_measurements(n) for n in range(2, 7)}
@@ -181,7 +178,7 @@ def _claim_pair_extraction(battery: Battery) -> ClaimResult:
                     failed += 1
                     details.append(f"N={n} pair ({j},{k}): {rep.details}")
                 elif n == 8 or (n == 20 and (j, k) in ((1, 2), (1, 20), (19, 20), (7, 14))):
-                    battery.add_report(f"pair ({j},{k}) of chain({n})", rep)
+                    battery.add(f"pair ({j},{k}) of chain({n})", rep.register, rep.targets)
     custom_cases = [
         (7, 4, 5, dict(left=(2, 1), right=(7,))),
         (9, 6, 7, dict(left=(4, 2, 1), right=(9,))),
@@ -193,7 +190,7 @@ def _claim_pair_extraction(battery: Battery) -> ClaimResult:
             failed += 1
             details.append(f"custom outer N={n} ({j},{k}) failed")
         else:
-            battery.add_report(f"custom outer ({j},{k}) of chain({n})", rep)
+            battery.add(f"custom outer ({j},{k}) of chain({n})", rep.register, rep.targets)
     return ClaimResult(
         "every chain pair concentrates to an EPR pair (N<=20, all pairs, "
         "next-neighbour outers; two custom outer patterns included)",
@@ -217,7 +214,7 @@ def _claim_path_reduction(battery: Battery) -> ClaimResult:
             failed += 1
             details.append(f"graph #{i} (|V|={n}) {a}->{b}: {rep.details}")
         else:
-            battery.add_report(f"path {a}->{b} in graph #{i}", rep)
+            battery.add(f"path {a}->{b} in graph #{i}", rep.register, rep.targets)
     return ClaimResult(
         "50 random connected graphs reduce to exact chain form along a "
         "shortest path between random endpoints",
@@ -232,11 +229,11 @@ def _claim_ghz_star(battery: Battery) -> ClaimResult:
     failed, details = 0, []
     for m in range(2, 13):
         rep = protocols.star_to_ghz(graphs.star(m))
-        if not (rep.success and len(rep.nullifiers) == m):
+        if not (rep.success and len(rep.targets) == m):
             failed += 1
             details.append(f"m={m}: {rep.details}")
         if m in (2, 5, 12):
-            battery.add_report(f"GHZ from star({m})", rep)
+            battery.add(f"GHZ from star({m})", rep.register, rep.targets)
     return ClaimResult(
         "hub momentum measurement projects star(m) onto a GHZ-type state "
         "for m = 2..12",
@@ -255,7 +252,7 @@ def _claim_parity(battery: Battery) -> ClaimResult:
         line = f"family {m} (ring {2 * m}): "
         if rep.success:
             line += "success"
-            battery.add_report(f"ring-star family {m}", rep)
+            battery.add(f"ring-star family {m}", rep.register, rep.targets)
         else:
             deficiency = rep.rank_info[0] - rep.rank_info[1]
             line += f"infeasible, rank deficiency {deficiency}"
@@ -343,7 +340,7 @@ def _claim_finite_squeezing(battery: Battery) -> ClaimResult:
                 good = nu < 0.5 - ENTANGLEMENT_MARGIN
                 verdict = "entangled"
             else:
-                good = abs(nu - 0.5) <= BRIDGE_TOL
+                good = abs(nu - 0.5) <= PPT_THRESHOLD_TOL
                 verdict = "threshold"
             ok &= good
             details.append(f"r={r}: traced pair {pair}: min symplectic eig "

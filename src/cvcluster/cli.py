@@ -169,9 +169,9 @@ def _render_protocol_report(report, graph: graphs.Graph) -> str:
         lines.append(f"displacements: {count} feed-forward correction{plural}")
     if report.success:
         lines.append("status: success")
-        if report.combos:
+        if report.targets:
             lines.append("nullifiers:")
-            lines += [f"  {_combo_text(parts)}" for parts in report.combos]
+            lines += [f"  {_combo_text(report.register.frame_combo(p))}" for p in report.targets]
         if report.partition:
             rendered = " | ".join(
                 "{" + ",".join(str(m) for m in block) + "}" for block in report.partition

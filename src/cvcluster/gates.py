@@ -64,6 +64,8 @@ BRIDGE_TOL = 1e-9
 COEFF_TOL = 1e-12
 # Claims: a traced pair is entangled when its PPT eigenvalue is this far below 1/2.
 ENTANGLEMENT_MARGIN = 1e-12
+# Claims: a traced pair of the vacuum sits on the PPT threshold: its eigenvalue is 1/2 to this.
+PPT_THRESHOLD_TOL = 1e-9
 # Inputs: the most modes a script, edge list or named state may ask for.  The covariance
 # engine holds a dense (2n)x(2n) float64 matrix, 134 MB at this n, that gates and measurements
 # update in place; apply_tape copies it once per tape, and covariance.replay's stack of

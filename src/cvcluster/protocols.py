@@ -11,8 +11,8 @@ records, and certify its target combinations (``_finish``).  Fixed +-1 steps
 serve cuts, teleports, the star GHZ and :func:`extract_pair`'s default outers;
 its named helpers, path reduction and the ring-star GHZ (in each of its
 :data:`FLAVORS`) take :func:`solve_feedforward`'s coefficients.  The
-:class:`ProtocolReport` says which targets ended up as nullifiers and carries
-the final register as ``register``.
+:class:`ProtocolReport` says whether its targets ended up as nullifiers and
+carries them once, as ``targets``, beside the final register ``register``.
 
 Graph vertex v is register mode v, so every vertex a protocol names is a mode.
 """
@@ -54,17 +54,17 @@ class ProtocolReport:
     """What a protocol did and whether its targets became nullifiers.
 
     ``register`` is the graph state the protocol built, as measurement and
-    feed-forward left it.  ``combos`` lists the verified target combinations
-    as final-frame ``(coeff, mode, kind)`` weights (consumed modes stand for
-    their measured quadrature), ready for replay on the covariance engine.
+    feed-forward left it; nothing changes it later.  ``targets`` holds the
+    ``(coeff, mode, kind)`` parts of each certified target: ``register.combine``
+    gives its expression and ``register.frame_combo`` its final-frame weights
+    (consumed modes stand for their measured quadrature) for covariance replay.
     """
 
     protocol: str
     success: bool
     register: ledger.Register
     displacements: list = field(default_factory=list)  # (mode, kind, coeff, record_index)
-    nullifiers: list = field(default_factory=list)  # dict (mode, kind, exponent) -> coeff
-    combos: list = field(default_factory=list)  # [(coeff, mode, kind)]
+    targets: list = field(default_factory=list)  # [[(coeff, mode, kind)]], as certified
     rank_info: tuple | None = None
     flavor: str | None = None
     partition: list | None = None
@@ -246,12 +246,9 @@ def _repair(report: ProtocolReport, targets, records):
 
 
 def _finish(report: ProtocolReport, targets, ok: bool = True) -> ProtocolReport:
-    """Certify each target combination; succeed when ``ok`` and all are nullifiers."""
-    reg = report.register
-    for parts in targets:
-        report.nullifiers.append(reg.combine(parts))
-        report.combos.append(reg.frame_combo(parts))
-    report.success = ok and all(ledger.is_nullifier(e) for e in report.nullifiers)
+    """Keep ``targets`` on the report; succeed when ``ok`` and each is a nullifier."""
+    report.targets = targets
+    report.success = ok and all(ledger.is_nullifier(report.register.combine(p)) for p in targets)
     return report
 
 
@@ -691,8 +688,9 @@ def chain_pair_after_discard(n: int, d: int) -> ProtocolReport:
             _displace(report, p2, Y, 1.0, report.register.measure(pos(5), X))
     # The recovered plane must be genuinely conjugate, not two one-mode
     # squeezes, and the witness must not lean on the lost party's operators.
-    _finish(report, _chain_laws((p1, p2)), ok=pair_epr_projection(report.register, (p1, p2)))
-    report.success = report.success and all(key[0] != d for e in report.nullifiers for key in e)
+    reg, laws = report.register, _chain_laws((p1, p2))
+    lost = any(key[0] == d for parts in laws for key in reg.combine(parts))
+    _finish(report, laws, ok=pair_epr_projection(reg, (p1, p2)) and not lost)
     report.details = f"pair ({p1}, {p2}) of a {n}-chain after losing {d}"
     return report
 

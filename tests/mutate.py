@@ -153,6 +153,13 @@ MUTANTS = [
     Mutant("frame-combo-fold-sign", LEDGER,
            "due[i] = due.get(i, 0.0) + c * w",
            "due[i] = due.get(i, 0.0) - c * w"),
+    # A report keeps its certified targets; its readers work out the rest from its register.
+    Mutant("finish-stores-no-targets", PROTOCOLS,
+           "    report.targets = targets\n",
+           ""),
+    Mutant("cli-renders-combine-not-frame-combo", CLI,
+           "_combo_text(report.register.frame_combo(p))",
+           "_combo_text(report.register.combine(p))"),
     # The one expressions-to-matrix fill that the solver, null space, hygiene and row checks read.
     Mutant("coefficient-matrix-drops-sign", LEDGER,
            "mat[pos[key], j] = c",
@@ -231,6 +238,7 @@ MUTANTS = [
     Mutant("COEFF_TOL-1e-3", GATES, "COEFF_TOL = 1e-12", "COEFF_TOL = 1e-3"),
     Mutant("ENTANGLEMENT_MARGIN--1e-3", GATES,
            "ENTANGLEMENT_MARGIN = 1e-12", "ENTANGLEMENT_MARGIN = -1e-3"),
+    Mutant("PPT_THRESHOLD_TOL-1e-5", GATES, "PPT_THRESHOLD_TOL = 1e-9", "PPT_THRESHOLD_TOL = 1e-5"),
     # The bridge allowance.
     Mutant("bridge-allowance-by-variance", COV,
            "float(np.abs(w) @ np.abs(state.cov[ix]) @ np.abs(w))",

@@ -141,14 +141,14 @@ def test_criterion_06_path_reduction():
         a, b = (int(v) for v in rng.choice(g.vertices, size=2, replace=False))
         rep = protocols.reduce_graph_to_path(g, a, b)
         assert rep.success, (i, n, a, b, rep.details)
-        assert len(rep.nullifiers) >= 2
+        assert len(rep.targets) >= 2
     verdict(6, True, "50 random connected graphs reduce to chain form")
 
 
 def test_criterion_07_ghz_and_parity():
     for m in range(2, 13):
         rep = protocols.star_to_ghz(graphs.star(m))
-        assert rep.success and len(rep.nullifiers) == m, m
+        assert rep.success and len(rep.targets) == m, m
     outcomes = []
     for m in range(3, 13):
         rep = protocols.ring_star_to_ghz(graphs.ring_star(2 * m))

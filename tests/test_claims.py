@@ -6,13 +6,16 @@ saw.  The three-mode GHZ optics state enters the battery after the
 cross-engine claim, so only the hygiene claim can replay it; a one-entry
 battery with an ``is_physical`` that rejects that state checks that hygiene
 still judges it, and its combinations are bridged here instead.  The
-finite-squeezing claim must fail on a state with no entanglement.  Hygiene
-reads the commutators off one matrix identity: a pairwise loop gives its count
-and worst defect, every ordered pair of the battery is canonical, and a planted
-defect fails it by the commutator bound alone, a planted NaN too.
+finite-squeezing claim must fail on a state with no entanglement, and its
+threshold check reads its own bound.  Every number a claim prints as its
+tolerance is the constant it decides by.  Hygiene reads the commutators off
+one matrix identity: a pairwise loop gives its count and worst defect, every
+ordered pair of the battery is canonical, and a planted defect fails it by the
+commutator bound alone, a planted NaN too.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,8 +24,14 @@ from commutators import reference_commutator
 from cvcluster import claims, covariance, graphs, ledger, protocols
 from cvcluster.errors import InternalConsistencyError
 from cvcluster.gates import (
+    BRIDGE_TOL,
+    COEFF_TOL,
     COMMUTATOR_TOL,
     MOMENTUM_SQUEEZED,
+    NULLIFIER_TOL,
+    PPT_THRESHOLD_TOL,
+    PRUNE_TOL,
+    SOLVER_TOL,
     Beamsplit,
     Kerr,
     Rotate,
@@ -116,6 +125,55 @@ def test_finite_squeezing_fails_when_the_entangled_state_is_vacuum(monkeypatch):
     result = claims._claim_finite_squeezing(claims.Battery())
     assert not result.passed
     assert sum("(entangled EXPECTED)" in line for line in result.details) == 3
+
+
+def test_the_ppt_threshold_reads_its_own_bound(monkeypatch):
+    """A traced pair planted at 0.5 + 1e-6 at r = 0 fails the threshold check
+    with the bridge bound loosened to 1.0, and passes once the threshold's own
+    bound is 1e-5."""
+    ppt = covariance.ppt_min_symplectic_eig
+
+    def planted(state, pair):
+        nu = ppt(state, pair)
+        return 0.5 + 1e-6 if abs(nu - 0.5) < 1e-3 else nu  # only the r = 0 pairs sit near 0.5
+
+    monkeypatch.setattr(covariance, "ppt_min_symplectic_eig", planted)
+    monkeypatch.setattr(claims, "BRIDGE_TOL", 1.0)
+    res = claims._claim_finite_squeezing(claims.Battery())
+    assert not res.passed
+    assert [line for line in res.details if "EXPECTED" in line] == [
+        f"r=0.0: traced pair {pair}: min symplectic eig 0.500001 (threshold EXPECTED)"
+        for pair in ((1, 2), (1, 3), (2, 3))]
+    monkeypatch.setattr(claims, "PPT_THRESHOLD_TOL", 1e-5)
+    assert claims._claim_finite_squeezing(claims.Battery()).passed
+
+
+# Claim id -> the constant it decides by and its printed tolerance, {} for the number.
+PRINTED_TOLERANCES = {
+    "chain-rows": (COEFF_TOL, "{} on coefficients, 1s wall"),
+    "rotated-sets": (PRUNE_TOL, "exact (coefficients pruned at {})"),
+    "pair-extraction": (NULLIFIER_TOL, "nullifier exactness at {}"),
+    "path-reduction": (NULLIFIER_TOL, "nullifier exactness at {}"),
+    "ghz-star": (NULLIFIER_TOL, "nullifier exactness at {}"),
+    "parity": (SOLVER_TOL, "rank computed at {}"),
+    "bs-chain": (COEFF_TOL, "{} on weights"),
+    "cross-engine": (BRIDGE_TOL, "{}"),
+    "finite-squeezing": (PPT_THRESHOLD_TOL, "PPT threshold 0.5, equality to {}"),
+    "hygiene": (COMMUTATOR_TOL, "{}"),
+}
+
+
+def test_each_printed_tolerance_is_its_constant(claims_outcome):
+    """Some claims print their bound as a literal (1e-9 formats as 1e-09, so
+    the report's bytes keep the literal): each number must still equal the
+    constant the claim decides by.  A claim with no constant prints no number."""
+    for res in claims_outcome.results:
+        if res.claim_id not in PRINTED_TOLERANCES:
+            assert not re.search(r"\d", res.tolerance), res.claim_id
+            continue
+        constant, text = PRINTED_TOLERANCES[res.claim_id]
+        number = re.fullmatch(re.escape(text).replace(r"\{\}", r"(\S+)"), res.tolerance)
+        assert number and float(number.group(1)) == constant, (res.claim_id, res.tolerance)
 
 
 def test_run_claims_times_each_claim(claims_run):

@@ -10,7 +10,10 @@ case whose stderr is not empty has it appended after its stdout.  Each
 ``demos/<name>.py`` is pinned the same way: its ``main()`` runs in process
 and its stdout is compared with ``tests/golden/demo_<name>.txt``.  The
 claims report is pinned in ``tests/golden/claims.txt`` with its two
-wall-clock fields replaced by ``<t>``.
+wall-clock fields replaced by ``<t>``.  A protocol report keeps only its
+targets; what its readers, the claims battery and the graph report, work out
+from its register is checked against the rule of working both out when the
+report is finished, bit for bit.
 
 After a change that is meant to alter what the command line prints, record
 the files again from the repository root with::
@@ -27,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from cvcluster import claims, cli
+from cvcluster import claims, cli, graphs, protocols
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -189,6 +192,66 @@ def test_claims_report_matches_golden(claims_outcome, monkeypatch):
     monkeypatch.setattr(claims, "run_claims", shared_run)
     expected = (GOLDEN / "claims.txt").read_text(encoding="utf-8")
     assert run_claims_report() == expected
+
+
+def _combo_bits(combo):
+    """A final-frame combo with its weights as ``float.hex``."""
+    return [(float(c).hex(), m, kind) for c, m, kind in combo]
+
+
+def _bits(expr, combo):
+    """An expression (key order and ``float.hex``) and a final-frame combo."""
+    return [(key, c.hex()) for key, c in expr.items()], _combo_bits(combo)
+
+
+def test_report_readers_match_the_rule_of_reading_at_finish(monkeypatch):
+    """Each target's ``combine`` and ``frame_combo``, taken as ``protocols._finish``
+    certifies it, equal bit for bit what the battery pairs up later and what the
+    graph report renders: over every report of one ``run_claims()`` and of every
+    ``graph`` golden case."""
+    finished, rendered, entries = [], [], {}
+    finish, combo_text, add = protocols._finish, cli._combo_text, claims.Battery.add
+
+    def eager_finish(report, targets, ok=True):
+        reg = report.register
+        finished.append((report, [_bits(reg.combine(p), reg.frame_combo(p)) for p in targets]))
+        return finish(report, targets, ok)
+
+    def recorded_add(battery, label, reg, parts_list):
+        add(battery, label, reg, parts_list)
+        entries[id(reg)] = battery.entries[-1]
+
+    def recorded_text(parts):
+        rendered.append(_combo_bits(parts))
+        return combo_text(parts)
+
+    monkeypatch.setattr(protocols, "_finish", eager_finish)
+    monkeypatch.setattr(claims.Battery, "add", recorded_add)
+    monkeypatch.setattr(cli, "_combo_text", recorded_text)
+
+    def renders_eager_combos(rep, eager):
+        rendered.clear()
+        cli._render_protocol_report(rep, graphs.chain(rep.register.n))  # a graph for the header
+        return rendered == ([combo for _, combo in eager] if rep.success else [])
+
+    assert claims.run_claims().ok
+    in_battery = [(rep, eager) for rep, eager in finished if id(rep.register) in entries]
+    assert in_battery, "no finished report reached the battery"
+    for rep, eager in in_battery:
+        entry = entries[id(rep.register)]
+        assert entry.reg is rep.register
+        assert [_bits(expr, combo) for combo, expr in entry.pairs] == eager, entry.label
+    assert all(renders_eager_combos(rep, eager) for rep, eager in finished)
+
+    monkeypatch.chdir(ROOT)
+    certified = 0
+    for case in sorted(c for c in CASES if c.startswith("graph_")):
+        finished.clear()
+        rendered.clear()
+        assert run_case(CASES[case]) == (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+        assert rendered == [combo for rep, eager in finished if rep.success for _, combo in eager]
+        certified += len(rendered)
+    assert certified, "no graph golden case certified a target"
 
 
 if __name__ == "__main__":

@@ -279,21 +279,42 @@ def apply_feedforward_step(reg, step):
         reg.displace_with(target, target_kind, coeff, reg.records[pick % len(reg.records)])
 
 
+# A displacement coefficient that no prune removes.
+_NONZERO = st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)
+# (kind measured on mode 1, on mode 2, displaced on mode 3 by record 0, three coefficients)
+RELAYS = st.tuples(_KIND, _KIND, _KIND, _NONZERO, _NONZERO, _NONZERO)
+
+
+def apply_relay(reg, relay):
+    """Mode 2 is displaced by mode 1's record and then measured; mode 3 is
+    displaced by both records, so it reaches the first one twice when mode 2's
+    record is its Y, which carries the first (needs n >= 4)."""
+    kind, relayed, direct, c1, c2, c3 = relay
+    first = reg.measure(1, kind)
+    reg.displace_with(2, Y, c1, first)
+    reg.displace_with(3, Y, c2, reg.measure(2, relayed))
+    reg.displace_with(3, direct, c3, first)
+
+
 @PROPERTY_SETTINGS
 @given(
     n=st.integers(2, 6),
     before=st.lists(GATE_STEPS, max_size=6),
+    relay=st.none() | RELAYS,
     feedforward=st.lists(FEEDFORWARD_STEPS, min_size=1, max_size=4),
     after=st.lists(GATE_STEPS, min_size=1, max_size=6),
 )
-def test_random_tapes_keep_canonical_commutators(n, before, feedforward, after):
+def test_random_tapes_keep_canonical_commutators(n, before, relay, feedforward, after):
     """[X_a, Y_b] = delta_ab and [X_a, X_b] = [Y_a, Y_b] = 0 over every ordered
     pair of active rows (the identity's s = 0 sum is Omega and no other sum
-    raises), through measurements, displacements by earlier records and the
-    gates that follow them."""
+    raises), through measurements, displacements by earlier records (from n = 4
+    on, some after a record relayed through another) and the gates that follow
+    them."""
     reg = ledger.Register(n)
     for step in before:
         apply_gate_step(reg, step)
+    if relay is not None and n >= 4:
+        apply_relay(reg, relay)
     for step in feedforward:
         apply_feedforward_step(reg, step)
     for step in after:
@@ -595,10 +616,6 @@ def test_quarter_turn_frames_settle_as_single_turns(n, steps, split):
 # ---------------------------------------------------------------------------
 
 
-# A displacement coefficient that no prune removes.
-_NONZERO = st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)
-
-
 def heap_frame_combo(reg, parts):
     """``Register.frame_combo`` with the owed record indices on a heap, popped
     newest first: the reference rule for the walk down the indices."""
@@ -625,24 +642,18 @@ def heap_frame_combo(reg, parts):
 @given(
     n=st.integers(4, 7),
     before=st.lists(GATE_STEPS, max_size=6),
-    relay=st.tuples(_KIND, _KIND, _KIND, _NONZERO, _NONZERO, _NONZERO),
+    relay=RELAYS,
     after=st.lists(st.one_of(GATE_STEPS, FEEDFORWARD_STEPS), max_size=10),
     weights=st.lists(st.floats(-2.0, 2.0), min_size=14, max_size=14),
 )
 def test_frame_combo_is_the_newest_first_rule_bit_for_bit(n, before, relay, after, weights):
-    """Mode 2 is displaced by mode 1's record and then measured; mode 3 is
-    displaced by both records, so it reaches the first one twice.  Gates and
-    further feed-forward follow.  Every active quadrature, and a weighted sum
-    of all of them, resolves to the weights the heap rule gives, float bits
-    included."""
+    """After the relay (:func:`apply_relay`), gates and further feed-forward
+    follow.  Every active quadrature, and a weighted sum of all of them,
+    resolves to the weights the heap rule gives, float bits included."""
     reg = ledger.Register(n)
     for step in before:
         apply_gate_step(reg, step)
-    kind, relayed, direct, c1, c2, c3 = relay
-    first = reg.measure(1, kind)
-    reg.displace_with(2, Y, c1, first)
-    reg.displace_with(3, Y, c2, reg.measure(2, relayed))
-    reg.displace_with(3, direct, c3, first)
+    apply_relay(reg, relay)
     for step in after:
         (apply_gate_step if len(step) == 4 else apply_feedforward_step)(reg, step)
     quads = [(m, kd) for m in reg.active_modes() for kd in (X, Y)]

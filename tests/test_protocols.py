@@ -254,8 +254,10 @@ def _pair_reports(n):
 
 
 def _report_facts(rep):
-    return (rep.success, rep.measurements, rep.displacements, rep.combos,
-            [dict(e) for e in rep.nullifiers], rep.rank_info, rep.details)
+    reg = rep.register
+    return (rep.success, rep.measurements, rep.displacements,
+            [reg.frame_combo(p) for p in rep.targets], [reg.combine(p) for p in rep.targets],
+            rep.rank_info, rep.details)
 
 
 def test_pair_extraction_reports_do_not_depend_on_build_reuse(monkeypatch):
@@ -411,8 +413,8 @@ def test_growing_part_is_the_coefficient_matrix_rows_with_exponent_at_least_zero
 def assert_certifies(rep, laws):
     """The report certified exactly ``laws``, in order."""
     reg = rep.register
-    assert rep.nullifiers == [reg.combine(p) for p in laws]
-    assert rep.combos == [reg.frame_combo(p) for p in laws]
+    assert [reg.combine(p) for p in rep.targets] == [reg.combine(p) for p in laws]
+    assert [reg.frame_combo(p) for p in rep.targets] == [reg.frame_combo(p) for p in laws]
 
 
 @pytest.mark.parametrize("n", range(2, 21))
@@ -600,7 +602,7 @@ def test_teleport_step_removes_the_second_position():
 def test_reduce_grid_to_corner_path():
     rep = protocols.reduce_graph_to_path(graphs.grid(3, 3), 1, 9)
     assert rep.success
-    assert len(rep.nullifiers) == 5
+    assert len(rep.targets) == 5
 
 
 def test_reduce_ring_to_path():
@@ -627,7 +629,7 @@ def test_star_to_ghz_flavors():
     rep = protocols.star_to_ghz(graphs.star(5))
     assert rep.success
     assert rep.flavor == "total-position"
-    assert len(rep.nullifiers) == 5
+    assert len(rep.targets) == 5
 
 
 def test_star_to_ghz_rejects_a_hub_with_a_leaf_edge():
@@ -641,7 +643,7 @@ def test_ring_star_parity_rule():
         rep = protocols.ring_star_to_ghz(graphs.ring_star(2 * m))
         if m % 2:
             assert rep.success
-            assert len(rep.nullifiers) == m
+            assert len(rep.targets) == m
         else:
             assert not rep.success
             equations, rank = rep.rank_info
@@ -692,7 +694,7 @@ def test_chain_survives_any_single_discard():
     for n, d in ((4, 1), (4, 4), (5, 3), (6, 3), (6, 6)):
         rep = protocols.chain_pair_after_discard(n, d)
         assert rep.success is True
-        assert all(key[0] != d for e in rep.nullifiers for key in e)
+        assert all(key[0] != d for p in rep.targets for key in rep.register.combine(p))
 
 
 def test_a_discard_pair_needs_a_conjugate_plane(monkeypatch):
