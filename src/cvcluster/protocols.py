@@ -264,25 +264,23 @@ def solve_feedforward(reg: ledger.Register, targets, records):
     to keep is a term of the target: ``Y_end - X_b`` keeps ``e^{+r} x0_b`` in
     ``Y_end`` while ``X_b`` is still that alone.  Returns a
     :class:`FeedforwardSolution` with one coefficient dict per target, or
-    :class:`Infeasible` with the equation/rank count.  The rank is read off
-    the singular values ``lstsq`` returns, counted above ``SOLVER_TOL`` as
-    ``matrix_rank`` would; with no target it is 0.  A non-finite record
+    :class:`Infeasible` with the equation/rank count.  One ``lstsq`` call takes
+    every target as a column; each column's residual must be at or below
+    ``SOLVER_TOL``, and the rank is its singular values above ``SOLVER_TOL``, as
+    ``matrix_rank`` counts (0 with no target).  A non-finite record
     coefficient is an :class:`InternalConsistencyError`, one in a target :class:`Infeasible`.
     """
     bases = [reg.combine(parts) for parts in targets]
     growing = _growing_part([rec.observable for rec in records] + bases)
-    a_mat = growing[:, : len(records)]
+    a_mat, b_mat = growing[:, : len(records)], growing[:, len(records):]
     if not np.isfinite(a_mat).all():  # LAPACK would print to stderr and raise on it
         raise InternalConsistencyError("a measurement record holds a non-finite coefficient")
-    rank, coeff_dicts = 0, []
-    for b in growing[:, len(records):].T:
-        alpha, _, _, singular = np.linalg.lstsq(a_mat, -b, rcond=None)
-        rank = int(np.count_nonzero(singular > SOLVER_TOL))
-        if not np.max(np.abs(a_mat @ alpha + b)) <= SOLVER_TOL:
-            return Infeasible(len(records), rank)
-        coeff_dicts.append(
-            {records[j].index: float(c) for j, c in enumerate(alpha) if abs(c) > SOLVER_TOL}
-        )
+    alpha, _, _, singular = np.linalg.lstsq(a_mat, -b_mat, rcond=None)
+    rank = int(np.count_nonzero(singular > SOLVER_TOL)) if targets else 0
+    if not np.max(np.abs(a_mat @ alpha + b_mat), initial=0.0) <= SOLVER_TOL:
+        return Infeasible(len(records), rank)
+    coeff_dicts = [{records[j].index: float(c) for j, c in enumerate(col) if abs(c) > SOLVER_TOL}
+                   for col in alpha.T]
     return FeedforwardSolution(coeff_dicts, (len(records), rank))
 
 
@@ -544,21 +542,21 @@ def _ring_and_hub(graph: graphs.Graph) -> tuple[int, list[int]]:
     The hub is the vertex whose removal leaves a single cycle through every
     other vertex.  Degree alone cannot identify it (with alternating spokes
     half the ring shares the hub's degree for small rings), so the cycle
-    test is structural; ties are broken by higher degree, then lower label.
+    test is structural.  The vertices are tried by higher degree, then lower
+    label, and the first that passes is the hub.
     """
-    candidates = []
-    for hub in graph.vertices:
+    for hub in sorted(graph.vertices, key=lambda v: (-graph.degree(v), v)):
         order = _cycle_without(graph, hub)
         if order is not None:
-            candidates.append((hub, order))
-    if not candidates:
-        raise ProtocolPreconditionError("graph is not a hub-spoked ring")
-    hub, order = min(candidates, key=lambda c: (-graph.degree(c[0]), c[0]))
-    return hub, order
+            return hub, order
+    raise ProtocolPreconditionError("graph is not a hub-spoked ring")
 
 
 def _cycle_without(graph: graphs.Graph, hub: int) -> list[int] | None:
-    """Cycle order of the graph minus ``hub``, or None if it is not a cycle."""
+    """Cycle order of the graph minus ``hub``, or None if it is not a cycle: first
+    of all when the other n - 1 vertices do not share n - 1 edges."""
+    if len(graph.edges) - graph.degree(hub) != graph.n_vertices - 1:
+        return None
     ring = [v for v in graph.vertices if v != hub]
     nbrs = {v: [u for u in graph.neighborhood(v) if u != hub] for v in ring}
     if len(ring) < 3 or any(len(ns) != 2 for ns in nbrs.values()):

@@ -195,8 +195,12 @@ MUTANTS = [
            "return bool((np.triu(largest, 1) <= PRODUCT_TOL).all())",
            "return not (np.triu(largest, 1) > PRODUCT_TOL).any()"),
     Mutant("solver-residual-nan-passes", PROTOCOLS,
-           "if not np.max(np.abs(a_mat @ alpha + b)) <= SOLVER_TOL:",
-           "if np.max(np.abs(a_mat @ alpha + b)) > SOLVER_TOL:"),
+           "if not np.max(np.abs(a_mat @ alpha + b_mat), initial=0.0) <= SOLVER_TOL:",
+           "if np.max(np.abs(a_mat @ alpha + b_mat), initial=0.0) > SOLVER_TOL:"),
+    # One solve serves every target: each column's residual counts.
+    Mutant("solver-checks-first-target-only", PROTOCOLS,
+           "np.abs(a_mat @ alpha + b_mat)",
+           "np.abs(a_mat @ alpha[:, :1] + b_mat[:, :1])"),
     # A NaN never reaches LAPACK, which would print to stderr and raise LinAlgError.
     Mutant("solver-record-nan-to-lapack", PROTOCOLS,
            "    if not np.isfinite(a_mat).all():",
@@ -281,6 +285,14 @@ MUTANTS = [
     Mutant("ring-star-keeps-a-repeated-vertex", PROTOCOLS,
            "        if v in vertices[:i]:\n",
            "        if False:\n"),
+    # The ring-star hub: the first candidate in tie order, and no cycle test where
+    # the edge count already rules one out (a refusal reads each neighbourhood O(1) times).
+    Mutant("hub-ties-by-higher-label", PROTOCOLS,
+           "key=lambda v: (-graph.degree(v), v))",
+           "key=lambda v: (-graph.degree(v), -v))"),
+    Mutant("hub-skips-edge-count", PROTOCOLS,
+           "    if len(graph.edges) - graph.degree(hub) != graph.n_vertices - 1:\n        return None\n",
+           ""),
     # cvcluster graph: a flag the protocol never reads is refused, and the table's
     # functions are looked up per call (a copy of the module made at import is not).
     Mutant("graph-accepts-unread-flags", CLI,

@@ -47,7 +47,7 @@ def result(outcome, cid):
 
 
 def test_the_closing_claims_replay_each_battery_entry_once(claims_run):
-    outcome, calls, batteries = claims_run
+    outcome, calls, batteries = claims_run[:3]
     battery, before = batteries["cross-engine"]
     late = len(battery.entries) - before
     assert before == 124 and late == 1
@@ -60,7 +60,7 @@ def test_the_closing_claims_replay_each_battery_entry_once(claims_run):
 
 
 def test_each_entry_keeps_the_verdict_of_its_own_fold(claims_run):
-    outcome, calls, batteries = claims_run
+    outcome, calls, batteries = claims_run[:3]
     battery, before = batteries["cross-engine"]
     assert claims.HYGIENE_R == 0.7
     assert len(battery.entries) == 125
@@ -206,7 +206,7 @@ def all_pairs_defect(reg):
 
 
 def test_hygiene_counts_and_worst_match_an_all_pairs_loop(claims_run):
-    outcome, _, batteries = claims_run
+    outcome, _, batteries = claims_run[:3]
     battery, _ = batteries["hygiene"]
     checks, worst = 0, 0.0
     for entry in battery.entries:

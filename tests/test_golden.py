@@ -204,29 +204,20 @@ def _bits(expr, combo):
     return [(key, c.hex()) for key, c in expr.items()], _combo_bits(combo)
 
 
-def test_report_readers_match_the_rule_of_reading_at_finish(monkeypatch):
+def test_report_readers_match_the_rule_of_reading_at_finish(claims_run, monkeypatch):
     """Each target's ``combine`` and ``frame_combo``, taken as ``protocols._finish``
     certifies it, equal bit for bit what the battery pairs up later and what the
-    graph report renders: over every report of one ``run_claims()`` and of every
-    ``graph`` golden case."""
-    finished, rendered, entries = [], [], {}
-    finish, combo_text, add = protocols._finish, cli._combo_text, claims.Battery.add
-
-    def eager_finish(report, targets, ok=True):
-        reg = report.register
-        finished.append((report, [_bits(reg.combine(p), reg.frame_combo(p)) for p in targets]))
-        return finish(report, targets, ok)
-
-    def recorded_add(battery, label, reg, parts_list):
-        add(battery, label, reg, parts_list)
-        entries[id(reg)] = battery.entries[-1]
+    graph report renders: over every report of the test run's one ``run_claims()``
+    (``claims_run`` wraps ``_finish`` and ``Battery.add``) and of every ``graph``
+    golden case."""
+    finished = [(rep, [_bits(*pair) for pair in pairs]) for rep, pairs in claims_run.finished]
+    entries, rendered = claims_run.entries, []
+    combo_text = cli._combo_text
 
     def recorded_text(parts):
         rendered.append(_combo_bits(parts))
         return combo_text(parts)
 
-    monkeypatch.setattr(protocols, "_finish", eager_finish)
-    monkeypatch.setattr(claims.Battery, "add", recorded_add)
     monkeypatch.setattr(cli, "_combo_text", recorded_text)
 
     def renders_eager_combos(rep, eager):
@@ -234,7 +225,7 @@ def test_report_readers_match_the_rule_of_reading_at_finish(monkeypatch):
         cli._render_protocol_report(rep, graphs.chain(rep.register.n))  # a graph for the header
         return rendered == ([combo for _, combo in eager] if rep.success else [])
 
-    assert claims.run_claims().ok
+    assert claims_run.outcome.ok
     in_battery = [(rep, eager) for rep, eager in finished if id(rep.register) in entries]
     assert in_battery, "no finished report reached the battery"
     for rep, eager in in_battery:
@@ -243,6 +234,14 @@ def test_report_readers_match_the_rule_of_reading_at_finish(monkeypatch):
         assert [_bits(expr, combo) for combo, expr in entry.pairs] == eager, entry.label
     assert all(renders_eager_combos(rep, eager) for rep, eager in finished)
 
+    finish = protocols._finish
+
+    def eager_finish(report, targets, ok=True):
+        reg = report.register
+        finished.append((report, [_bits(reg.combine(p), reg.frame_combo(p)) for p in targets]))
+        return finish(report, targets, ok)
+
+    monkeypatch.setattr(protocols, "_finish", eager_finish)
     monkeypatch.chdir(ROOT)
     certified = 0
     for case in sorted(c for c in CASES if c.startswith("graph_")):

@@ -3,15 +3,17 @@
 import gc
 import itertools
 import math
+import random
 import re
 import weakref
 
 import numpy as np
 import pytest
 
-from cvcluster import covariance, graphs, ledger, protocols, scenario
+from cvcluster import claims, covariance, graphs, ledger, protocols, scenario
 from cvcluster.errors import InternalConsistencyError, ProtocolPreconditionError, SelfInteractionError
 from cvcluster.gates import MOMENTUM_SQUEEZED, SOLVER_TOL, Kerr, Rotate, Squeeze, X, Y
+from reference_rules import exhaustive_ring_and_hub, hub_candidates, pairing, same_solution
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +394,69 @@ def test_solver_rank_is_matrix_rank(monkeypatch):
     assert checked == 50
 
 
+@pytest.mark.parametrize("nan_target", range(3))
+def test_a_nan_in_any_target_of_three_is_infeasible_and_prints_nothing(nan_target, capfd):
+    """On chain(5) the X_2 and X_4 records cancel the bonds of Y_1, Y_3 and Y_5,
+    solved as one system; a NaN planted in any one target's growing row leaves a
+    NaN in its column's residual, and one NaN column makes the system Infeasible."""
+    reg = protocols.build_graph_state(graphs.chain(5))
+    reg.measure(2, X)
+    reg.measure(4, X)
+    targets = [[(1.0, m, Y)] for m in (1, 3, 5)]
+    assert isinstance(protocols.solve_feedforward(reg, targets, reg.records),
+                      protocols.FeedforwardSolution)
+    mode = targets[nan_target][0][1]
+    reg._modes[mode - 1].row[Y][(4 if mode > 1 else 2, X, 1)] = math.nan
+    assert protocols.solve_feedforward(reg, targets, reg.records) == protocols.Infeasible(2, 2)
+    assert capfd.readouterr().err == ""
+
+
+def test_a_solve_with_no_target_has_rank_0():
+    reg = protocols.build_graph_state(graphs.chain(3))
+    reg.measure(2, X)
+    assert protocols.solve_feedforward(reg, [], reg.records) == protocols.FeedforwardSolution([], (1, 0))
+
+
+def test_one_solve_for_every_target_matches_one_per_target_on_ring_stars(monkeypatch):
+    """Reference: ``per_target_solve`` (one ``lstsq`` per target).  Ring-star
+    families 3-19 in both flavors, with the default measured set and random odd
+    and even ones, give the same verdict and rank, the same record keys and
+    values within 1e-12."""
+    pairs, rng = [], random.Random(41)
+    monkeypatch.setattr(protocols, "solve_feedforward", pairing(protocols.solve_feedforward, pairs))
+    for m in range(3, 20):
+        g, ring = graphs.ring_star(2 * m), range(2, 2 * m + 2)
+        odd, even = rng.randrange(1, 2 * m - 1, 2), rng.randrange(2, 2 * m - 1, 2)
+        for measured in (None, rng.sample(ring, odd), rng.sample(ring, even)):
+            for flavor in protocols.FLAVORS:
+                protocols.ring_star_to_ghz(g, measured, flavor)
+    assert len(pairs) == 17 * 3 * 2
+    assert {type(got) for got, _ in pairs} == {protocols.FeedforwardSolution, protocols.Infeasible}
+    assert all(same_solution(got, want) for got, want in pairs)
+
+
+def test_one_solve_for_every_target_matches_one_per_target_on_path_reductions(monkeypatch):
+    """Reference: ``per_target_solve``, on path reductions of 50 seeded random
+    connected graphs and of 10x10 and 20x20 grids corner to corner."""
+    pairs, rng = [], np.random.default_rng(41)
+    monkeypatch.setattr(protocols, "solve_feedforward", pairing(protocols.solve_feedforward, pairs))
+    for _ in range(50):
+        n = int(rng.integers(4, 31))
+        g = graphs.random_connected_graph(n, float(rng.uniform(0.1, 0.4)), rng)
+        a, b = (int(v) for v in rng.choice(g.vertices, size=2, replace=False))
+        protocols.reduce_graph_to_path(g, a, b)
+    for side in (10, 20):
+        assert protocols.reduce_graph_to_path(graphs.grid(side, side), 1, side * side).success
+    assert len(pairs) == 52
+    assert all(same_solution(got, want) for got, want in pairs)
+
+
+def test_one_solve_for_every_target_matches_one_per_target_in_the_claims(claims_run):
+    """Reference: ``per_target_solve``, on every solve of the test run's one ``run_claims()``."""
+    assert len(claims_run.solves) == 64
+    assert all(same_solution(got, want) for got, want in claims_run.solves)
+
+
 def test_growing_part_is_the_coefficient_matrix_rows_with_exponent_at_least_zero():
     """The k >= 0 rows of ``ledger.coefficient_matrix``, in key order and
     C-contiguous; one zero row, as wide as the expressions, when none grows."""
@@ -679,6 +744,79 @@ def test_alternating_attachment_is_the_only_working_five_spoke():
     assert winners == [(2, 4, 6, 8, 10), (3, 5, 7, 9, 11)]
 
 
+def _shuffled_ring_star(rng, m):
+    """A ring of 2m with a hub on every second ring vertex and its labels shuffled,
+    the shape of the ``graph`` benchmark's ring-star inputs; the hub is label[0]."""
+    label = list(range(1, 2 * m + 2))
+    rng.shuffle(label)
+    ring = [(i, i % (2 * m) + 1) for i in range(1, 2 * m + 1)]
+    spokes = [(0, i) for i in range(2, 2 * m + 1, 2)]
+    return graphs.from_edges(2 * m + 1, [(label[a], label[b]) for a, b in ring + spokes]), label[0]
+
+
+def _hub_or_refusal(find, g):
+    try:
+        return find(g)
+    except ProtocolPreconditionError as err:
+        return str(err)
+
+
+def test_the_first_hub_in_tie_order_is_the_best_of_every_candidate():
+    """Reference: ``exhaustive_ring_and_hub`` (every vertex tried, the best kept
+    by ``min``).  Shuffled ring-stars of families 3-20, every spoke pattern on
+    rings of 3-8 under shuffled labels (small rings tie on degree), and graphs
+    that are not ring-stars, refused with the same message."""
+    rng = random.Random(41)
+    for m in range(3, 21):
+        g, hub = _shuffled_ring_star(rng, m)
+        assert protocols._ring_and_hub(g) == exhaustive_ring_and_hub(g)
+        assert protocols._ring_and_hub(g)[0] == hub
+    ties = 0
+    for size in range(3, 9):
+        ring = [(a + 1, b + 1) for a, b in graphs.ring(size).edges]
+        for k in range(size + 1):
+            for spokes in itertools.combinations(range(2, size + 2), k):
+                label = [0, *rng.sample(range(1, size + 2), size + 1)]
+                g = graphs.from_edges(size + 1, [(label[a], label[b])
+                                                 for a, b in ring + [(1, s) for s in spokes]])
+                want = exhaustive_ring_and_hub(g)
+                assert protocols._ring_and_hub(g) == want
+                ties += sum(g.degree(v) == g.degree(want[0]) for v, _ in hub_candidates(g)) > 1
+    assert ties, "no spoke pattern tied two hub candidates on degree"
+    others = [graphs.chain(n) for n in range(1, 30)] + [graphs.star(n) for n in range(1, 30)]
+    others += [graphs.grid(r, c) for r in range(2, 7) for c in range(2, 7)]
+    np_rng = np.random.default_rng(41)
+    others += [graphs.random_connected_graph(n, 0.3, np_rng) for n in range(4, 30)]
+    refused = 0
+    for g in others:
+        want = _hub_or_refusal(exhaustive_ring_and_hub, g)
+        assert _hub_or_refusal(protocols._ring_and_hub, g) == want
+        refused += want == "graph is not a hub-spoked ring"
+    # grid(3, 3) is a ring of 8 around hub 5, and two of the random graphs are ring-stars.
+    assert refused == len(others) - 3
+
+
+@pytest.mark.parametrize("make, hub", [(lambda: graphs.chain(2048), None),
+                                       (lambda: graphs.star(2047), None),
+                                       (lambda: graphs.grid(45, 45), None),
+                                       (lambda: graphs.ring_star(2046), 1)],
+                         ids=["chain-2048", "star-2047", "grid-45x45", "ring-star-2046"])
+def test_the_hub_search_reads_each_neighbourhood_a_bounded_number_of_times(make, hub, monkeypatch):
+    """A graph that is not a ring-star is refused, and ring_star(2046)'s hub found,
+    with at most 3n ``Graph.neighborhood`` calls: linear in n, not a cycle test
+    per vertex."""
+    g, calls = make(), []
+    neighborhood = graphs.Graph.neighborhood
+    monkeypatch.setattr(graphs.Graph, "neighborhood",
+                        lambda graph, a: calls.append(a) or neighborhood(graph, a))
+    if hub is None:
+        with pytest.raises(ProtocolPreconditionError, match="^graph is not a hub-spoked ring$"):
+            protocols.ring_star_to_ghz(g)
+    else:
+        assert protocols._ring_and_hub(g)[0] == hub
+    assert 0 < len(calls) <= 3 * g.n_vertices
+
+
 def test_quarter_turns_reach_ghz_only_up_to_three():
     assert protocols.admits_ghz_under_quarter_turns(2)
     assert protocols.admits_ghz_under_quarter_turns(3)
@@ -725,3 +863,54 @@ def test_persistency_oracle_builds_each_probe_once(monkeypatch):
                         lambda n, tape, rs: built.append((n, tape, rs)) or replay(n, tape, rs))
     assert protocols.minimal_disentangling_measurements(4) == 2
     assert built == [(4, protocols.graph_tape(graphs.chain(4)), (1.0, 0.7))]
+
+
+# ---------------------------------------------------------------------------
+# the cross-engine bridge at the sizes the graph workload runs
+# ---------------------------------------------------------------------------
+
+
+def _far_pair(g, rng):
+    """A random vertex and the vertex farthest from it (smallest label on a tie)."""
+    a = int(rng.choice(g.vertices))
+    return a, max(g.vertices, key=lambda v: (len(g.shortest_path(a, v)), -v))
+
+
+WORKLOAD_SIZED = {
+    "disconnect-chain-200": lambda: protocols.disconnect(graphs.chain(200), 100),
+    "disentangle-chain-200": lambda: protocols.disentangle_even(graphs.chain(200)),
+    "extract-pair-chain-200": lambda: protocols.extract_pair(graphs.chain(200), 37, 137),
+    **{f"reduce-random-200-p{p}": (lambda p=p: protocols.reduce_graph_to_path(
+        g := graphs.random_connected_graph(200, p, np.random.default_rng(27)),
+        *_far_pair(g, np.random.default_rng(28)))) for p in (0.0015, 0.004)},
+    "star-ghz-90": lambda: protocols.star_to_ghz(graphs.star(90)),
+    **{f"ring-star-family-{m}": (lambda m=m: protocols.ring_star_to_ghz(graphs.ring_star(2 * m)))
+       for m in range(5, 15)},
+}
+
+
+@pytest.mark.parametrize("case", WORKLOAD_SIZED)
+def test_every_certified_target_bridges_at_workload_sizes(case):
+    """Each report has its known verdict: success, except that an even ring-star
+    family is rank-deficient by exactly one.  Each target a successful report
+    certified has a covariance variance that ``bridge_agrees`` with the ledger's
+    closed form at every ``claims.BRIDGE_RS``: one light cone of the report's
+    history over the union of its targets' final-frame combos, replayed once."""
+    rep = WORKLOAD_SIZED[case]()
+    if case.startswith("ring-star") and int(case.rsplit("-", 1)[1]) % 2 == 0:
+        assert not rep.success and rep.rank_info[0] - rep.rank_info[1] == 1
+        return
+    assert rep.success, rep.details
+    reg = rep.register
+    combos = [reg.frame_combo(p) for p in rep.targets]
+    exprs = [reg.combine(p) for p in rep.targets]
+    m, cone, local, _ = covariance.light_cone(reg.n, reg.history, [t for c in combos for t in c])
+    ends = list(itertools.accumulate(len(c) for c in combos))
+    weights = [covariance.combo_weights(local[end - len(c):end]) for c, end in zip(combos, ends)]
+    checks = 0
+    for r, state in zip(claims.BRIDGE_RS, covariance.replay(m, cone, claims.BRIDGE_RS)):
+        for w, expr in zip(weights, exprs):
+            numeric, symbolic = covariance.variance_of(state, w), ledger.variance_formula(expr, r)
+            assert covariance.bridge_agrees(state, w, numeric, symbolic), (case, r, numeric, symbolic)
+            checks += 1
+    assert checks == len(claims.BRIDGE_RS) * len(rep.targets) > 0
