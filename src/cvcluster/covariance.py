@@ -87,7 +87,7 @@ def apply_gate(state: GaussianState, gate: gates.Gate, r: float | None = None) -
             with np.errstate(over="raise", invalid="raise"):
                 _step(gate, block, idx, state.mean, state.cov)
     except FloatingPointError:
-        raise _overflow(gate, f"r={r!r}") from None
+        raise _overflow(gate, [r]) from None
     return state
 
 
@@ -123,10 +123,11 @@ def _step(gate: gates.Gate, block, idx, mean, cov) -> None:
             mean[idx] = block @ mean[idx]
 
 
-def _overflow(gate: gates.Gate, at: str) -> DomainError:
-    """The error for a gate that takes the state past float range: a coupling
-    overflows through g squared, any other gate through the squeezing."""
+def _overflow(gate: gates.Gate, rs: list) -> DomainError:
+    """The error for a gate that takes the state past float range at ``rs`` (one r
+    reads ``r=R``): a coupling overflows through g squared, any other gate through the squeezing."""
     cause = "coupling" if isinstance(gate, gates.Kerr) else "squeezing"
+    at = f"r={rs[0]!r}" if len(rs) == 1 else f"r in {rs!r}"
     return DomainError(f"{gate!r} at {at} leaves float range; {cause} too large")
 
 
@@ -176,7 +177,7 @@ def replay(n: int, tape, rs) -> Iterator[GaussianState]:
     r, and every other gate broadcasts its shared block.  A stack holds at
     most as many floats as one covariance matrix at ``gates.MAX_MODES``;
     longer r lists are replayed lazily, chunk by chunk.  Errors are
-    :func:`apply_gate`'s, but an overflow names the chunk's r values.
+    :func:`apply_gate`'s; an overflow names the chunk's r values (one reads ``r=R``).
     """
     rs = list(rs)
     vacuum = vacuum_state(n).cov
@@ -195,17 +196,17 @@ def replay(n: int, tape, rs) -> Iterator[GaussianState]:
                 try:
                     _step(gate, block, idx, None, cov)
                 except FloatingPointError:
-                    raise _overflow(gate, f"r in {part!r}") from None
+                    raise _overflow(gate, part) from None
         yield from (GaussianState(n, np.zeros(2 * n), c) for c in cov)
 
 
 def light_cone(n: int, tape, combo) -> tuple[int, list, list, list]:
     """``(m, cone, local, kept)``: the gates ``kept`` of ``tape`` that the final-frame
-    ``combo`` reads, in order, and ``cone``, the same gates on the ``m`` modes they
-    touch (all ``n`` when all are touched).  The sub-block of ``replay(m, cone, rs)``
-    that ``combo_weights(local)`` reads has the bits of ``combo``'s in
-    ``replay(n, tape, rs)``, and so has ``replay(n, kept, rs)``'s.  Walking
-    back, a gate is kept when it writes a quadrature that is read, and its
+    ``combo`` reads, in order, and ``cone``, the same gates renumbered onto the ``m``
+    modes they touch (in order, so a cone over all ``n`` keeps its numbers).  The
+    sub-block of ``replay(m, cone, rs)`` that ``combo_weights(local)`` reads has the
+    bits of ``combo``'s in ``replay(n, tape, rs)``, and so has ``replay(n, kept, rs)``'s.
+    Walking back, a gate is kept when it writes a quadrature that is read, and its
     outputs read what :func:`_step` reads: a Squeeze's only themselves, a g = 1
     Kerr's Y_l also X_k and its Y_k also X_l, any other gate's its whole block
     (a ``0·x`` term too), so each kept gate runs on the inputs it always had."""
@@ -231,7 +232,7 @@ def light_cone(n: int, tape, combo) -> tuple[int, list, list, list]:
         if hit:
             cone.append(gate)
     cone.reverse()
-    if len(need) == n or not need:
+    if not need:
         return n, cone, combo, cone
     new = {m: i for i, m in enumerate(sorted(need), 1)}
     moved = [type(gate)(*(new[m] for m in gates.modes(gate)), gates.value(gate)) for gate in cone]

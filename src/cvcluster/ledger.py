@@ -43,16 +43,11 @@ def _accumulate(dst: dict, c: float, src: dict) -> dict:
     """``dst += c * src`` in place: the one linear step of rows and books.
 
     ``src`` is read in insertion order and each sum is pruned as it is made,
-    so an entry at or below ``PRUNE_TOL`` is dropped; a zero ``c`` changes
-    nothing.  Returns ``dst``.  Into an empty ``dst`` each sum is
-    ``0.0 + c*v``, which is ``c*v`` bit for bit (only -0.0 turns to +0.0, and
-    zero is pruned), so that case is a scaled copy: same values, same order.
+    so an entry at or below ``PRUNE_TOL`` is dropped and a NaN kept; a zero
+    ``c`` changes nothing.  Returns ``dst``.  A scaled copy is a sum into an
+    empty ``dst``: ``0.0 + c*v`` is ``c*v`` bit for bit but for -0.0, pruned.
     """
-    if c != 0.0 and not dst:
-        for key, v in src.items():
-            if not abs(val := c * v) <= PRUNE_TOL:  # NaN kept, as by the sum
-                dst[key] = val
-    elif c != 0.0:
+    if c != 0.0:
         for key, v in src.items():
             val = dst.get(key, 0.0) + c * v
             if abs(val) <= PRUNE_TOL:

@@ -533,11 +533,11 @@ def execute(
     from the prior marginal (deterministically under ``seed``), displacements
     move means, and every reported variance is recomputed from the gate tape
     and checked against the ledger's closed form.  A print replays only its
-    combination's light cone, every row at once; an overflowing row names its
-    cone's first failing gate.  Each ``assert nullifier`` replays its whole tape
-    once.  The report's ``register`` is the finished ledger state.  A failing
-    statement raises :class:`ScenarioRuntimeError` at its position, but a
-    broken engine invariant stays an :class:`InternalConsistencyError`, positioned there.
+    combination's light cone, all rows at once, or on overflow row by row on the
+    script's modes to name the failing row and gate.  Each ``assert nullifier``
+    replays its whole tape once.  The report's ``register`` is the finished ledger
+    state.  A failing statement raises :class:`ScenarioRuntimeError` at its position,
+    but a broken engine invariant stays an :class:`InternalConsistencyError`, positioned there.
     """
     if engine not in (LEDGER, COVARIANCE):
         raise ScenarioRuntimeError(source, 1, 1, f"unknown engine {engine!r}")
@@ -569,14 +569,10 @@ class _Execution:
 
     # -- engine plumbing ---------------------------------------------------
 
-    def _replay_variances(self, combo, expr, rs, tape, states=None) -> list[float]:
+    def _replay_variances(self, combo, expr, rs, states) -> list[float]:
         """Variances of a final-frame combo, ledger expression ``expr``, at each r, two
-        independent ways, on ``states``: replays of ``tape`` that ``combo`` reads, by
-        default made here from vacuum, row by row."""
+        independent ways: the closed form, and ``states``, one replay per r in step with ``rs``."""
         weights = covariance.combo_weights(combo)
-        if states is None:
-            vacuum = covariance.vacuum_state(self.reg.n)
-            states = (covariance.apply_tape(vacuum, tape, r) for r in rs)
         values = []
         for r, state in zip(rs, states):
             numeric = covariance.variance_of(state, weights)
@@ -625,7 +621,8 @@ class _Execution:
         if self.engine == COVARIANCE:
             # Nullifier status is symbolic; the numeric engine contributes a
             # consistency check of the same combination's variance at run r.
-            self._replay_variances(self.reg.frame_combo(parts), expr, (self.r,), self.reg.history)
+            state = covariance.apply_tape(covariance.vacuum_state(self.reg.n), self.reg.history, self.r)
+            self._replay_variances(self.reg.frame_combo(parts), expr, (self.r,), (state,))
         self._record_assert(stmt, ok)
 
     def _do_AssertProductStmt(self, stmt):
@@ -641,12 +638,11 @@ class _Execution:
         expr, combo = self.reg.combine(parts), self.reg.frame_combo(parts)
         m, cone, local, kept = covariance.light_cone(self.reg.n, self.reg.history, combo)
         try:
-            states = covariance.replay(m, cone, stmt.rs)
-            values = self._replay_variances(local, expr, stmt.rs, cone, states)
+            values = self._replay_variances(local, expr, stmt.rs, covariance.replay(m, cone, stmt.rs))
         except DomainError:
-            # The first failing row, and the first gate of its cone that fails, from the cone
-            # replayed row by row on the script's modes; a disagreement is the whole tape's.
-            values = self._replay_variances(combo, expr, stmt.rs, kept)
+            # The first failing row and gate: the cone replayed row by row on the script's modes.
+            rows = (next(covariance.replay(self.reg.n, kept, (r,))) for r in stmt.rs)
+            values = self._replay_variances(combo, expr, stmt.rs, rows)
         self.report.csv_rows += [(combo_text, rv, v) for rv, v in zip(stmt.rs, values)]
         self.report.events.append(
             f"line {stmt.line}: print variance {combo_text} ({len(stmt.rs)} rows)"

@@ -77,6 +77,10 @@ MUTANTS = [
     Mutant("ledger-beamsplitter-s-c-swap", LEDGER,
            "s, c = math.sqrt(gate.t), math.sqrt(1.0 - gate.t)",
            "c, s = math.sqrt(gate.t), math.sqrt(1.0 - gate.t)"),
+    # The one accumulate step prunes each sum as it is made.
+    Mutant("accumulate-never-prunes", LEDGER,
+           "if abs(val) <= PRUNE_TOL:",
+           "if False:"),
     # Gate rules, covariance engine: the placed blocks and the in-place steps.
     Mutant("cov-squeeze-direction", GATES,
            "x, y = (r, -r) if gate.direction == MOMENTUM_SQUEEZED else (-r, r)",
@@ -112,6 +116,14 @@ MUTANTS = [
     Mutant("cone-drops-squeeze", COV,
            "hit = gate.mode in need",
            "hit = False"),
+    # A print whose cone overflows: the cone again, row by row on the script's modes, and
+    # a one-value overflow named r=R.
+    Mutant("print-fallback-replays-whole-history", SCENARIO,
+           "covariance.replay(self.reg.n, kept, (r,))",
+           "covariance.replay(self.reg.n, self.reg.history, (r,))"),
+    Mutant("replay-one-value-wording", COV,
+           'at = f"r={rs[0]!r}" if len(rs) == 1 else f"r in {rs!r}"',
+           'at = f"r in {rs!r}"'),
     # Homodyne on the covariance engine.
     Mutant("homodyne-schur-sign", COV,
            "cov -= np.outer(b, b) / v",

@@ -1,11 +1,15 @@
 """Test-side references for the feed-forward solver and the ring-star hub: one
 ``lstsq`` per target, and every vertex tried as the hub with the best kept by
 ``min``.  ``protocols.solve_feedforward`` (one ``lstsq`` for every target) and
-``protocols._ring_and_hub`` (the first hub in tie order) are checked against them."""
+``protocols._ring_and_hub`` (the first hub in tie order) are checked against them.
+A protocol report's certified targets are checked against the other engine by
+:func:`bridge_targets`."""
+
+import itertools
 
 import numpy as np
 
-from cvcluster import protocols
+from cvcluster import claims, covariance, ledger, protocols
 from cvcluster.errors import InternalConsistencyError, ProtocolPreconditionError
 from cvcluster.gates import SOLVER_TOL
 
@@ -79,3 +83,23 @@ def exhaustive_ring_and_hub(graph):
     if not candidates:
         raise ProtocolPreconditionError("graph is not a hub-spoked ring")
     return min(candidates, key=lambda c: (-graph.degree(c[0]), c[0]))
+
+
+def bridge_targets(rep) -> int:
+    """Check that each target a successful report certified has a covariance
+    variance that ``bridge_agrees`` with the ledger's closed form at every
+    ``claims.BRIDGE_RS``: one light cone of the report's history over the union
+    of its targets' final-frame combos, replayed once.  Returns the number of checks."""
+    reg = rep.register
+    combos = [reg.frame_combo(p) for p in rep.targets]
+    exprs = [reg.combine(p) for p in rep.targets]
+    m, cone, local, _ = covariance.light_cone(reg.n, reg.history, [t for c in combos for t in c])
+    ends = list(itertools.accumulate(len(c) for c in combos))
+    weights = [covariance.combo_weights(local[end - len(c):end]) for c, end in zip(combos, ends)]
+    checks = 0
+    for r, state in zip(claims.BRIDGE_RS, covariance.replay(m, cone, claims.BRIDGE_RS)):
+        for w, expr in zip(weights, exprs):
+            numeric, symbolic = covariance.variance_of(state, w), ledger.variance_formula(expr, r)
+            assert covariance.bridge_agrees(state, w, numeric, symbolic), (r, numeric, symbolic)
+            checks += 1
+    return checks

@@ -438,10 +438,14 @@ def test_replay_reports_a_mode_outside_the_state_first():
 
 
 def test_an_overflowing_coupling_names_the_coupling_on_both_paths():
+    """One r reads ``r=R`` on both paths; two r values read as the list replayed."""
     tape = [Squeeze(1), Squeeze(2), Kerr(1, 2, 1e200)]
-    with pytest.raises(DomainError, match=r"^Kerr\(l=1, k=2, g=1e\+200\) at r in \[1\.0\] "
+    with pytest.raises(DomainError, match=r"^Kerr\(l=1, k=2, g=1e\+200\) at r=1\.0 "
                        r"leaves float range; coupling too large$"):
         list(replay(2, tape, (1.0,)))
+    with pytest.raises(DomainError, match=r"^Kerr\(l=1, k=2, g=1e\+200\) at r in \[1\.0, 2\.0\] "
+                       r"leaves float range; coupling too large$"):
+        list(replay(2, tape, (1.0, 2.0)))
     with pytest.raises(DomainError, match=r"^Kerr\(l=1, k=2, g=1e\+200\) at r=1\.0 "
                        r"leaves float range; coupling too large$"):
         apply_tape(vacuum_state(2), tape, 1.0)

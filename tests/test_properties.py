@@ -4,12 +4,14 @@ tables over random simple graphs, vertex v on mode v for every graph
 generator, canonical commutators on random ledger tapes with feed-forward,
 the covariance tape replay against its per-gate rule, overflow included,
 a combination's light cone against the whole tape's replay,
-the ledger's accumulate step, Kerr books included, against its general loop,
+the ledger's one accumulate loop, into an empty dict or not and with NaN,
++-inf and -0.0 among its values, and its Kerr books, against the general loop,
 its lazy quarter-turn frame against turns settled one at a time, the
 resolution of relayed feed-forward records against a newest-first heap, graph
 tapes' shared gate values against fresh ones, the graph state written in closed form
-against its tape run on the ledger, bit for bit, and random ``.cvq`` scripts
-run through the command line on both engines.
+against its tape run on the ledger, bit for bit, random ``.cvq`` scripts
+run through the command line on both engines, and random edge lists, protocols
+and flags through ``cvcluster graph``, each certified target bridged.
 
 The oracle is the Gaussian graphical calculus (Menicucci, Flammia & van Loock,
 PRA 83, 042335 (2011)): the graph state of adjacency matrix A at squeezing r
@@ -29,6 +31,7 @@ import math
 import os
 import pickle
 import re
+import struct
 import tempfile
 
 import numpy as np
@@ -50,6 +53,7 @@ from cvcluster.gates import (
     Y,
     symplectic_form,
 )
+from reference_rules import bridge_targets
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -447,28 +451,42 @@ def accumulate_reference(dst, c, src):
 
 
 _TERM_KEYS = st.tuples(st.integers(1, 4), st.sampled_from([X, Y]), st.integers(-2, 2))
+# Sums of these keep or prune by IEEE rules: a NaN (also inf times 0) is kept, -0.0 pruned.
+_NON_FINITE_AND_SIGNED_ZERO = [math.nan, math.inf, -math.inf, -0.0]
 # Coefficients on both sides of PRUNE_TOL, as sums and scaled copies meet them.
 _COEFFS = st.one_of(
     st.floats(-1e3, 1e3),
     st.floats(PRUNE_TOL / 10, PRUNE_TOL * 10),
-    st.sampled_from([PRUNE_TOL, -PRUNE_TOL, 1.0, -1.0]),
+    st.sampled_from([PRUNE_TOL, -PRUNE_TOL, 1.0, -1.0, *_NON_FINITE_AND_SIGNED_ZERO]),
 )
-_SCALES = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 1e-300, -1e-300]), st.floats(-1e6, 1e6))
+_SCALES = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 1e-300, -1e-300, *_NON_FINITE_AND_SIGNED_ZERO]),
+                    st.floats(-1e6, 1e6))
+
+
+def _bits(expr: dict) -> list:
+    """An expression's entries in order, each value by its bits (NaN and -0.0 too)."""
+    return [(key, struct.pack("<d", v)) for key, v in expr.items()]
 
 
 @PROPERTY_SETTINGS
+@example(dst={}, c=math.inf, src={(1, X, 0): 0.0, (2, Y, 1): -0.0, (3, X, -1): 2.0})
+@example(dst={}, c=math.nan, src={(1, X, 0): 1.0})
+@example(dst={}, c=-0.0, src={(1, X, 0): math.inf})
+@example(dst={}, c=-1.0, src={(1, X, 0): -0.0, (2, X, 0): math.nan, (3, Y, 0): -math.inf})
+@example(dst={(1, X, 0): math.inf}, c=1.0, src={(1, X, 0): -math.inf, (2, X, 0): 1.0})
 @given(
     dst=st.one_of(st.just({}), st.dictionaries(_TERM_KEYS, _COEFFS, min_size=1, max_size=8)),
     c=_SCALES,
     src=st.dictionaries(_TERM_KEYS, _COEFFS, max_size=8),
 )
 def test_accumulate_is_the_general_loop_value_for_value_and_in_order(dst, c, src):
-    """The scaled copy into an empty dict keeps what the general loop makes,
-    underflow to zero (c = 1e-300) and pruning included."""
+    """Into an empty dict or not, the step keeps what the general loop makes, bit
+    for bit and in order: underflow to zero (c = 1e-300), pruning, -0.0 (pruned),
+    a NaN (kept, also from inf times 0) and +-inf included."""
     want = accumulate_reference(dict(dst), c, src)
     got = dict(dst)
     assert ledger._accumulate(got, c, src) is got
-    assert list(got.items()) == list(want.items())
+    assert _bits(got) == _bits(want)
 
 
 _EXPR_LISTS = st.lists(st.dictionaries(_TERM_KEYS, _COEFFS | st.just(math.nan), max_size=8), max_size=6)
@@ -846,3 +864,109 @@ def test_random_scripts_end_alike_on_both_engines(text, r):
         verdicts.append(re.findall(r"^line (\d+): assert .* \.\. (\w+)$", out, re.MULTILINE))
     assert runs[0][0] == runs[1][0]
     assert verdicts[0] == verdicts[1]
+
+
+# ---------------------------------------------------------------------------
+# random edge lists, protocols and flags through ``cvcluster graph``
+# ---------------------------------------------------------------------------
+
+# Lines an edge list refuses, each at its own line number.
+_BAD_EDGE_LINES = ["1 1", "0 1", "1 99", "a b", "1 2 3", "1"]
+# The graph each protocol takes; any kind is drawn now and then.
+_FITTING_KIND = {"reduce-path": "random", "star-ghz": "star", "ring-star-ghz": "ring-star",
+                 "extract-pair": "chain", "disconnect": "chain", "disentangle": "chain"}
+
+
+@st.composite
+def graph_cli_inputs(draw):
+    """``(edge-list text, the line number of a refused line or None, protocol,
+    [(flag, text, value)])``: a chain, star, grid, random graph or ring-star with
+    shuffled labels on at most 17 vertices, mostly the kind the protocol takes, its
+    edges in any order, now and then one line the edge list refuses, and flags
+    mostly the protocol's own, now and then another's or a malformed value."""
+    protocol = draw(st.sampled_from(list(cli._PROTOCOLS)))
+    kind = draw(st.one_of(st.just(_FITTING_KIND[protocol]),
+                          st.sampled_from(["chain", "star", "ring-star", "grid", "random"])))
+    if kind == "chain":
+        g = graphs.chain(draw(st.integers(1, 17)))
+    elif kind == "star":
+        g = graphs.star(draw(st.integers(1, 16)))
+    elif kind == "ring-star":
+        g = graphs.ring_star(2 * draw(st.integers(2, 8)))
+        label = [0, *draw(st.permutations(range(1, g.n_vertices + 1)))]
+        g = graphs.from_edges(g.n_vertices, [(label[a], label[b]) for a, b in g.edges])
+    elif kind == "grid":
+        rows = draw(st.integers(1, 4))
+        g = graphs.grid(rows, draw(st.integers(1, 17 // rows)))
+    else:
+        g = graphs.random_graph(draw(st.integers(1, 17)), draw(st.sampled_from([0.2, 0.4, 0.7])),
+                                np.random.default_rng(draw(st.integers(0, 2**16))))
+    n = g.n_vertices
+    lines = [f"vertices {n}"] + [f"{a} {b}" for a, b in draw(st.permutations(sorted(g.edges)))]
+    rnd = draw(st.randoms(use_true_random=True))  # seeded by the draw: the odds below, as written
+    bad_line = None
+    if rnd.random() < 0.1:
+        bad_line = rnd.randint(2, len(lines) + 1)
+        lines.insert(bad_line - 1, rnd.choice(_BAD_EDGE_LINES))
+    _, required, optional = cli._PROTOCOLS[protocol]
+
+    def vertex():
+        return rnd.randint(1, n) if rnd.random() < 0.9 else rnd.randint(-1, n + 2)
+
+    flags = []
+    for flag, options in cli._FLAGS.items():
+        if rnd.random() >= (0.97 if flag in required else 0.3 if flag in optional else 0.03):
+            continue
+        if rnd.random() < 0.03:
+            flags.append((flag, rnd.choice(["x", "1,,2", "", "total"]), None))
+        elif flag == "--flavor":
+            value = rnd.choice(list(protocols.FLAVORS))
+            flags.append((flag, value, value))
+        elif options.get("metavar") == "LIST":
+            value = tuple(vertex() for _ in range(rnd.randint(1, 4)))
+            flags.append((flag, ",".join(map(str, value)), value))
+        else:
+            value = vertex()
+            flags.append((flag, str(value), value))
+    return "\n".join(lines) + "\n", bad_line, protocol, flags
+
+
+def run_graph(path, argv):
+    """``cvcluster graph path argv``: (exit code, stdout, stderr); an argparse
+    refusal counts by its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(["graph", path, *argv])
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(case=graph_cli_inputs())
+def test_random_graph_commands_end_in_a_report_or_one_line(case):
+    """Exit 0, 1 or 2 and never a traceback: exit 2 prints one stderr line (a
+    refused edge-list line as ``path:line:``), exit 0 and 1 print nothing there.
+    On exit 0 the same protocol, called directly, renders the same report and
+    every target it certified bridges to the covariance engine."""
+    text, bad_line, protocol, flags = case
+    with tempfile.TemporaryDirectory(prefix="graph-") as tmp:
+        path = os.path.join(tmp, "edges.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = ["--protocol", protocol, *(part for flag, arg, _ in flags for part in (flag, arg))]
+        code, out, err = run_graph(path, argv)
+    assert code in (0, 1, 2), err
+    if code == 2:
+        assert re.fullmatch(r"[^\n]+\n", err), err
+        if bad_line is not None and not err.startswith("cvcluster graph: error:"):
+            assert err.startswith(f"{path}:{bad_line}: "), err
+        return
+    assert err == "" and bad_line is None
+    if code == 0:
+        g = graphs.parse_edge_list(text)
+        run = getattr(protocols, cli._PROTOCOLS[protocol][0])
+        rep = run(g, **{flag.rpartition("-")[2]: value for flag, _, value in flags})
+        assert rep.success and cli._render_protocol_report(rep, g) == out
+        assert bridge_targets(rep) == len(claims.BRIDGE_RS) * len(rep.targets)

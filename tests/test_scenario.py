@@ -677,23 +677,25 @@ def test_a_failing_print_reports_as_before_and_keeps_nothing(monkeypatch):
         alone.value.line, alone.value.col, alone.value.reason) == (
         CHAIN.count("\n") + 1, 1,
         "Squeeze(mode=1, direction='momentum') at r=400.0 leaves float range; squeezing too large")
-    calls, states = record_replays(monkeypatch)
-    tapes = []
-    apply_tape = covariance.apply_tape
-    monkeypatch.setattr(covariance, "apply_tape",
-                        lambda *args: tapes.append(len(args[1])) or apply_tape(*args))
+    _, states = record_replays(monkeypatch)
+    rows = []
+    replay = covariance.replay
+    monkeypatch.setattr(covariance, "replay",
+                        lambda n, tape, rs: rows.append((n, len(tape), list(rs))) or replay(n, tape, rs))
     scn = parse(CHAIN + EDGE + bad + EDGE)
     exe = scenario._Execution(scn, "ledger", None, None, "<scenario>")
     for stmt in scn.statements[:-2]:
         exe.apply(stmt)
     with pytest.raises(DomainError, match=re.escape(alone.value.reason)):
         exe.apply(scn.statements[-2])
-    assert tapes == [3, 3, 3]  # the cone at r = 0, 1 and 400, where it fails
     exe.apply(scn.statements[-1])
-    assert [(n, len(tape)) for n, tape in calls] == [(2, 3)] * 3
+    # Each print's cone on its 2 modes at every r; the failing one's then on the
+    # script's 5 modes one r at a time: r = 0, 1 and 400, where it fails.
+    edge = (2, 3, [0.0, 0.5, 1.0, 2.0])
+    assert rows == [edge, (2, 3, [0.0, 1.0, 400.0]), (5, 3, [0.0]), (5, 3, [1.0]), (5, 3, [400.0]), edge]
     assert exe.report.csv_rows[:4] == exe.report.csv_rows[4:]
     gc.collect()
-    assert len(states) == 8 and all(ref() is None for ref in states)
+    assert len(states) == 10 and all(ref() is None for ref in states)
 
 
 @pytest.mark.parametrize("engine", ["ledger", "covariance"])
