@@ -540,36 +540,26 @@ def _ring_and_hub(graph: graphs.Graph) -> tuple[int, list[int]]:
     """Identify the hub and the ring cycle order of a ring+spokes graph.
 
     The hub is the vertex whose removal leaves a single cycle through every
-    other vertex.  Degree alone cannot identify it (with alternating spokes
-    half the ring shares the hub's degree for small rings), so the cycle
-    test is structural.  The vertices are tried by higher degree, then lower
-    label, and the first that passes is the hub.
+    other vertex, so its neighbours have degree 3 and every other vertex
+    degree 2.  One degree table lets at most four vertices pass that test (K4),
+    all of the hub's degree; each is tried in label order by walking the cycle
+    without it, and the first whose walk closes through all n - 1 others is the hub.
     """
-    for hub in sorted(graph.vertices, key=lambda v: (-graph.degree(v), v)):
-        order = _cycle_without(graph, hub)
-        if order is not None:
+    n, nbrs = graph.n_vertices, graph.neighborhood
+    deg = {v: len(nbrs(v)) for v in graph.vertices}
+    twos = sum(d == 2 for d in deg.values())
+    for hub, d in deg.items():
+        if n < 4 or twos - (d == 2) != n - 1 - d or any(deg[u] != 3 for u in nbrs(hub)):
+            continue
+        # Step from the smallest other vertex to its smaller neighbour, then
+        # always to the neighbour that is neither the hub nor the previous vertex.
+        order, prev = [2 if hub == 1 else 1], hub
+        while (nxt := next(u for u in nbrs(order[-1]) if u not in (hub, prev))) != order[0]:
+            prev = order[-1]
+            order.append(nxt)
+        if len(order) == n - 1:
             return hub, order
     raise ProtocolPreconditionError("graph is not a hub-spoked ring")
-
-
-def _cycle_without(graph: graphs.Graph, hub: int) -> list[int] | None:
-    """Cycle order of the graph minus ``hub``, or None if it is not a cycle: first
-    of all when the other n - 1 vertices do not share n - 1 edges."""
-    if len(graph.edges) - graph.degree(hub) != graph.n_vertices - 1:
-        return None
-    ring = [v for v in graph.vertices if v != hub]
-    nbrs = {v: [u for u in graph.neighborhood(v) if u != hub] for v in ring}
-    if len(ring) < 3 or any(len(ns) != 2 for ns in nbrs.values()):
-        return None
-    # Every degree is 2: step from the smallest vertex to its smaller
-    # neighbour, then always to the neighbour that is not the previous vertex.
-    order, prev = [min(ring)], None
-    while True:
-        a, b = nbrs[order[-1]]
-        prev, nxt = order[-1], (b if a == prev else a)
-        if nxt == order[0]:
-            return order if len(order) == len(ring) else None
-        order.append(nxt)
 
 
 # ---------------------------------------------------------------------------

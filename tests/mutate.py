@@ -297,13 +297,16 @@ MUTANTS = [
     Mutant("ring-star-keeps-a-repeated-vertex", PROTOCOLS,
            "        if v in vertices[:i]:\n",
            "        if False:\n"),
-    # The ring-star hub: the first candidate in tie order, and no cycle test where
-    # the edge count already rules one out (a refusal reads each neighbourhood O(1) times).
+    # The ring-star hub: the first candidate in label order, and a degree test that
+    # lets at most four vertices reach a walk (a refusal reads each neighbourhood O(1) times).
     Mutant("hub-ties-by-higher-label", PROTOCOLS,
-           "key=lambda v: (-graph.degree(v), v))",
-           "key=lambda v: (-graph.degree(v), -v))"),
-    Mutant("hub-skips-edge-count", PROTOCOLS,
-           "    if len(graph.edges) - graph.degree(hub) != graph.n_vertices - 1:\n        return None\n",
+           "for hub, d in deg.items():",
+           "for hub, d in reversed(deg.items()):"),
+    Mutant("hub-skips-neighbour-degrees", PROTOCOLS,
+           " or any(deg[u] != 3 for u in nbrs(hub)):",
+           ":"),
+    Mutant("hub-skips-twos-count", PROTOCOLS,
+           " or twos - (d == 2) != n - 1 - d",
            ""),
     # cvcluster graph: a flag the protocol never reads is refused, and the table's
     # functions are looked up per call (a copy of the module made at import is not).

@@ -1,7 +1,8 @@
 """Test-side references for the feed-forward solver and the ring-star hub: one
 ``lstsq`` per target, and every vertex tried as the hub with the best kept by
 ``min``.  ``protocols.solve_feedforward`` (one ``lstsq`` for every target) and
-``protocols._ring_and_hub`` (the first hub in tie order) are checked against them.
+``protocols._ring_and_hub`` (the first vertex in label order to pass a degree test
+and a cycle walk) are checked against them.
 A protocol report's certified targets are checked against the other engine by
 :func:`bridge_targets`."""
 

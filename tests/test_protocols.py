@@ -762,11 +762,24 @@ def _hub_or_refusal(find, g):
         return str(err)
 
 
+def _theta(lengths, label=None):
+    """Vertices 1 and 2 joined by one path per entry of ``lengths``, each with that
+    many inner vertices (numbered on from 3), relabelled by ``label`` if given."""
+    edges, nxt = [], 3
+    for k in lengths:
+        path = [1, *range(nxt, nxt + k), 2]
+        edges += zip(path, path[1:])
+        nxt += k
+    label = label or list(range(nxt))
+    return graphs.from_edges(nxt - 1, [(label[a], label[b]) for a, b in edges])
+
+
 def test_the_first_hub_in_tie_order_is_the_best_of_every_candidate():
     """Reference: ``exhaustive_ring_and_hub`` (every vertex tried, the best kept
     by ``min``).  Shuffled ring-stars of families 3-20, every spoke pattern on
-    rings of 3-8 under shuffled labels (small rings tie on degree), and graphs
-    that are not ring-stars, refused with the same message."""
+    rings of 3-8 under shuffled labels (small rings tie on degree), graphs
+    that are not ring-stars, refused with the same message, every labelled
+    graph on at most 5 vertices, and theta graphs of three paths."""
     rng = random.Random(41)
     for m in range(3, 21):
         g, hub = _shuffled_ring_star(rng, m)
@@ -795,17 +808,31 @@ def test_the_first_hub_in_tie_order_is_the_best_of_every_candidate():
         refused += want == "graph is not a hub-spoked ring"
     # grid(3, 3) is a ring of 8 around hub 5, and two of the random graphs are ring-stars.
     assert refused == len(others) - 3
+    # Every labelled graph on at most 5 vertices, and theta graphs under shuffled
+    # labels: a path with one inner vertex makes that vertex a hub, two such paths tie.
+    small = [graphs.from_edges(n, itertools.compress(itertools.combinations(range(1, n + 1), 2), mask))
+             for n in range(1, 6) for mask in itertools.product((0, 1), repeat=n * (n - 1) // 2)]
+    thetas = [_theta(lengths, [0, *rng.sample(range(1, sum(lengths) + 3), sum(lengths) + 2)])
+              for lengths in itertools.combinations_with_replacement(range(6), 3) if lengths[1]]
+    for graph_set in (small, thetas):
+        found = [_hub_or_refusal(protocols._ring_and_hub, g) for g in graph_set]
+        assert found == [_hub_or_refusal(exhaustive_ring_and_hub, g) for g in graph_set]
+        hubs = [f for f in found if not isinstance(f, str)]
+        assert 0 < len(hubs) < len(found)
+        assert any(len(hub_candidates(g)) > 1 for g in graph_set)
 
 
 @pytest.mark.parametrize("make, hub", [(lambda: graphs.chain(2048), None),
                                        (lambda: graphs.star(2047), None),
                                        (lambda: graphs.grid(45, 45), None),
+                                       (lambda: _theta((682, 682, 682)), None),
                                        (lambda: graphs.ring_star(2046), 1)],
-                         ids=["chain-2048", "star-2047", "grid-45x45", "ring-star-2046"])
+                         ids=["chain-2048", "star-2047", "grid-45x45", "theta-2048", "ring-star-2046"])
 def test_the_hub_search_reads_each_neighbourhood_a_bounded_number_of_times(make, hub, monkeypatch):
     """A graph that is not a ring-star is refused, and ring_star(2046)'s hub found,
     with at most 3n ``Graph.neighborhood`` calls: linear in n, not a cycle test
-    per vertex."""
+    per vertex.  In theta(2048) every vertex but 1 and 2 has degree 2 and so
+    passes the count of degree-2 vertices; only its neighbours' degrees rule it out."""
     g, calls = make(), []
     neighborhood = graphs.Graph.neighborhood
     monkeypatch.setattr(graphs.Graph, "neighborhood",
