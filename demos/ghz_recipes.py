@@ -25,9 +25,9 @@ def ring_route(m):
         print(f"ring of {2 * m}, {m} measured: success "
               f"({len(rep.targets)} nullifiers on the survivors)")
     else:
-        eqs, rank = rep.rank_info
+        sol = rep.infeasible
         print(f"ring of {2 * m}, {m} measured: degenerate "
-              f"(rank {rank} of {eqs} equations)")
+              f"(rank {sol.rank} of {sol.equations} equations)")
 
 
 def optics_route():

@@ -254,7 +254,7 @@ def _claim_parity(battery: Battery) -> ClaimResult:
             line += "success"
             battery.add(f"ring-star family {m}", rep.register, rep.targets)
         else:
-            deficiency = rep.rank_info[0] - rep.rank_info[1]
+            deficiency = rep.infeasible.deficiency
             line += f"infeasible, rank deficiency {deficiency}"
             if deficiency != 1:
                 ok = False

@@ -179,12 +179,9 @@ def _render_protocol_report(report, graph: graphs.Graph) -> str:
             lines.append(f"partition: {rendered}")
     else:
         lines.append("status: failed")
-        if report.rank_info is not None:
-            equations, rank = report.rank_info
-            lines.append(
-                f"rank: {rank} of {equations} record equations "
-                f"(deficiency {equations - rank})"
-            )
+        if (sol := report.infeasible) is not None:
+            lines.append(f"rank: {sol.rank} of {sol.equations} record equations "
+                         f"(deficiency {sol.deficiency})")
     if report.details:
         lines.append(f"details: {report.details}")
     return "\n".join(lines) + "\n"

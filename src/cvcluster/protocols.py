@@ -58,6 +58,8 @@ class ProtocolReport:
     ``(coeff, mode, kind)`` parts of each certified target: ``register.combine``
     gives its expression and ``register.frame_combo`` its final-frame weights
     (consumed modes stand for their measured quadrature) for covariance replay.
+    ``infeasible`` is the :class:`Infeasible` of the feed-forward solve that
+    failed, and ``None`` when every solve succeeded.
     """
 
     protocol: str
@@ -65,7 +67,7 @@ class ProtocolReport:
     register: ledger.Register
     displacements: list = field(default_factory=list)  # (mode, kind, coeff, record_index)
     targets: list = field(default_factory=list)  # [[(coeff, mode, kind)]], as certified
-    rank_info: tuple | None = None
+    infeasible: Infeasible | None = None
     flavor: str | None = None
     partition: list | None = None
     details: str = ""
@@ -90,12 +92,6 @@ class Infeasible:
     @property
     def deficiency(self) -> int:
         return self.equations - self.rank
-
-
-@dataclass(frozen=True)
-class FeedforwardSolution:
-    coeffs: list  # one dict {record_index: coeff} per target
-    rank_info: tuple  # (equations, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -224,25 +220,26 @@ def _displace(report: ProtocolReport, mode: int, kind: str, coeff: float, rec):
     report.displacements.append((mode, kind, coeff, rec.index))
 
 
-def _repair(report: ProtocolReport, targets, records):
+def _repair(report: ProtocolReport, targets, records) -> bool:
     """Solve ``targets`` over ``records``; each record coefficient ``c`` displaces the
     target's carrier by ``c / weight``: its first term ``(weight, mode, kind)`` on a
     quadrature no other target reads, so no correction leaks into another target, and
     on a mode no earlier carrier took.  A bond to keep is written as a term of its
-    target, as :func:`solve_feedforward` says.  An :class:`Infeasible` result sets
-    ``rank_info``."""
+    target, as :func:`solve_feedforward` says.  Returns whether the system was solved;
+    if not, the solver's :class:`Infeasible` becomes ``report.infeasible``, which
+    nothing else writes."""
     sol = solve_feedforward(report.register, targets, records)
     if isinstance(sol, Infeasible):
-        report.rank_info = (sol.equations, sol.rank)
-        return sol
+        report.infeasible = sol
+        return False
     readers = Counter(q for parts in targets for q in {(m, k) for _, m, k in parts})
     taken = set()
-    for parts, coeffs in zip(targets, sol.coeffs):
+    for parts, coeffs in zip(targets, sol):
         weight, mode, kind = next(t for t in parts if readers[t[1:]] == 1 and t[1] not in taken)
         taken.add(mode)
         for idx, c in coeffs.items():
             _displace(report, mode, kind, c / weight, report.register.records[idx])
-    return sol
+    return True
 
 
 def _finish(report: ProtocolReport, targets, ok: bool = True) -> ProtocolReport:
@@ -262,13 +259,13 @@ def solve_feedforward(reg: ledger.Register, targets, records):
 
     Each target is a ``(coeff, mode, kind)`` list over active modes.  A bond
     to keep is a term of the target: ``Y_end - X_b`` keeps ``e^{+r} x0_b`` in
-    ``Y_end`` while ``X_b`` is still that alone.  Returns a
-    :class:`FeedforwardSolution` with one coefficient dict per target, or
-    :class:`Infeasible` with the equation/rank count.  One ``lstsq`` call takes
-    every target as a column; each column's residual must be at or below
-    ``SOLVER_TOL``, and the rank is its singular values above ``SOLVER_TOL``, as
-    ``matrix_rank`` counts (0 with no target).  A non-finite record
-    coefficient is an :class:`InternalConsistencyError`, one in a target :class:`Infeasible`.
+    ``Y_end`` while ``X_b`` is still that alone.  Returns one
+    ``{record_index: coeff}`` dict per target, or :class:`Infeasible` with the
+    equation/rank count.  One ``lstsq`` call takes every target as a column; each
+    column's residual must be at or below ``SOLVER_TOL`` (with no target nothing
+    can fail), and the rank is its singular values above ``SOLVER_TOL``, as
+    ``matrix_rank`` counts.  A non-finite record coefficient is an
+    :class:`InternalConsistencyError`, one in a target :class:`Infeasible`.
     """
     bases = [reg.combine(parts) for parts in targets]
     growing = _growing_part([rec.observable for rec in records] + bases)
@@ -276,12 +273,10 @@ def solve_feedforward(reg: ledger.Register, targets, records):
     if not np.isfinite(a_mat).all():  # LAPACK would print to stderr and raise on it
         raise InternalConsistencyError("a measurement record holds a non-finite coefficient")
     alpha, _, _, singular = np.linalg.lstsq(a_mat, -b_mat, rcond=None)
-    rank = int(np.count_nonzero(singular > SOLVER_TOL)) if targets else 0
     if not np.max(np.abs(a_mat @ alpha + b_mat), initial=0.0) <= SOLVER_TOL:
-        return Infeasible(len(records), rank)
-    coeff_dicts = [{records[j].index: float(c) for j, c in enumerate(col) if abs(c) > SOLVER_TOL}
-                   for col in alpha.T]
-    return FeedforwardSolution(coeff_dicts, (len(records), rank))
+        return Infeasible(len(records), int(np.count_nonzero(singular > SOLVER_TOL)))
+    return [{records[j].index: float(c) for j, c in enumerate(col) if abs(c) > SOLVER_TOL}
+            for col in alpha.T]
 
 
 def _growing_part(exprs) -> np.ndarray:
@@ -396,7 +391,7 @@ def extract_pair(graph: graphs.Graph, j: int, k: int, left=None, right=None) -> 
             _displace(report, end, Y, -1.0, recs[0])
             continue
         keep_bond = [(1.0, end, Y), (-1.0, inner_neighbor, X)]
-        if isinstance(_repair(report, [keep_bond], recs), Infeasible):
+        if not _repair(report, [keep_bond], recs):
             report.details = f"outer-{side} feed-forward infeasible"
             return report
 
@@ -439,11 +434,9 @@ def reduce_graph_to_path(graph: graphs.Graph, a: int, b: int) -> ProtocolReport:
     recs = [report.register.measure(v, X) for v in boundary]
     laws = _chain_laws(path)
     # Each vertex law's correction rides on its own Y.
-    sol = _repair(report, laws, recs)
-    if isinstance(sol, Infeasible):
+    if not _repair(report, laws, recs):
         report.details = "path repair infeasible"
         return report
-    report.rank_info = sol.rank_info
     _finish(report, laws)
     report.details = f"path {path} ({len(boundary)} boundary measurements)"
     return report
@@ -521,13 +514,12 @@ def ring_star_to_ghz(graph: graphs.Graph, measured=None,
     laws = [[(1.0, m, sum_kind) for m in remaining]]
     laws += [[(1.0, remaining[0], diff_kind), (-1.0, m, diff_kind)] for m in remaining[1:]]
     # The sum rides on the first survivor, each difference on its non-reference mode.
-    sol = _repair(report, laws, recs)
-    if isinstance(sol, Infeasible):
-        why = (f"system degenerate (deficiency {sol.deficiency})" if sol.deficiency
+    if not _repair(report, laws, recs):
+        deficiency = report.infeasible.deficiency
+        why = (f"system degenerate (deficiency {deficiency})" if deficiency
                else "no feed-forward solution exists")
         report.details = f"{len(measured)} measured ring vertices: {why}"
         return report
-    report.rank_info = sol.rank_info
     _finish(report, laws)
     report.details = (
         f"alternating-spoke ring (reconstructed topology): ring {len(ring_order)}, "

@@ -153,6 +153,13 @@ MUTANTS = [
     Mutant("repair-c-times-weight", PROTOCOLS,
            "_displace(report, mode, kind, c / weight, report.register.records[idx])",
            "_displace(report, mode, kind, c * weight, report.register.records[idx])"),
+    # A failed solve's Infeasible is what the report keeps and prints.
+    Mutant("repair-drops-infeasible", PROTOCOLS,
+           "        report.infeasible = sol\n",
+           ""),
+    Mutant("infeasible-counts-one-more-equation", PROTOCOLS,
+           "Infeasible(len(records), ",
+           "Infeasible(len(records) + 1, "),
     Mutant("frame-combo-drops-earlier-records", LEDGER,
            "                fold(c, self._modes[rec.mode - 1].book[rec.kind])\n",
            ""),

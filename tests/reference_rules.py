@@ -18,22 +18,21 @@ from cvcluster.gates import SOLVER_TOL
 def per_target_solve(reg, targets, records):
     """``solve_feedforward`` as one least-squares solve per target on the same
     record matrix, stopping at the first target whose residual is not at or
-    below ``SOLVER_TOL``; the rank is the last solve's."""
+    below ``SOLVER_TOL`` with that solve's rank; else the coefficient dicts."""
     bases = [reg.combine(parts) for parts in targets]
     growing = protocols._growing_part([rec.observable for rec in records] + bases)
     a_mat = growing[:, : len(records)]
     if not np.isfinite(a_mat).all():
         raise InternalConsistencyError("a measurement record holds a non-finite coefficient")
-    rank, coeff_dicts = 0, []
+    coeff_dicts = []
     for b in growing[:, len(records):].T:
         alpha, _, _, singular = np.linalg.lstsq(a_mat, -b, rcond=None)
-        rank = int(np.count_nonzero(singular > SOLVER_TOL))
         if not np.max(np.abs(a_mat @ alpha + b)) <= SOLVER_TOL:
-            return protocols.Infeasible(len(records), rank)
+            return protocols.Infeasible(len(records), int(np.count_nonzero(singular > SOLVER_TOL)))
         coeff_dicts.append(
             {records[j].index: float(c) for j, c in enumerate(alpha) if abs(c) > SOLVER_TOL}
         )
-    return protocols.FeedforwardSolution(coeff_dicts, (len(records), rank))
+    return coeff_dicts
 
 
 def pairing(solve, pairs):
@@ -46,15 +45,15 @@ def pairing(solve, pairs):
 
 
 def same_solution(got, want, atol=1e-12) -> bool:
-    """The same verdict and rank, and per target the same record keys with
-    values within ``atol``."""
+    """The same ``Infeasible`` (equations and rank), or per target the same
+    record keys with values within ``atol``."""
     if type(got) is not type(want):
         return False
     if isinstance(want, protocols.Infeasible):
         return got == want
-    return got.rank_info == want.rank_info and len(got.coeffs) == len(want.coeffs) and all(
+    return len(got) == len(want) and all(
         g.keys() == w.keys() and all(abs(g[k] - w[k]) <= atol for k in w)
-        for g, w in zip(got.coeffs, want.coeffs))
+        for g, w in zip(got, want))
 
 
 def _cycle_order(graph, hub):

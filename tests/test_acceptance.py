@@ -155,8 +155,7 @@ def test_criterion_07_ghz_and_parity():
         if m % 2:
             assert rep.success, m
         else:
-            equations, rank = rep.rank_info
-            assert not rep.success and equations - rank == 1, m
+            assert not rep.success and rep.infeasible.deficiency == 1, m
         outcomes.append(rep.success)
     verdict(7, outcomes == [True, False] * 5,
             "stars m=2..12 project to GHZ; ring parity with deficiency exactly 1 on evens")

@@ -8,7 +8,7 @@ import typing
 import numpy as np
 import pytest
 
-from cvcluster import covariance, gates, graphs, ledger, protocols
+from cvcluster import cli, covariance, gates, graphs, ledger, protocols, scenario
 from cvcluster.covariance import (
     GaussianState,
     apply_gate,
@@ -837,3 +837,38 @@ def test_bridge_catches_mean_displacement_free_variance():
     shifted = GaussianState(2, state.mean + 3.0, state.cov)
     weights = covariance.combo_weights([(1.0, 1, X), (1.0, 2, X)])
     assert variance_of(shifted, weights) == pytest.approx(variance_of(state, weights))
+
+
+# ---------------------------------------------------------------------------
+# known defects at large squeezing and coupling (ROADMAP item 3 mends them)
+# ---------------------------------------------------------------------------
+
+# 1*y1 - 0.3*x2 is exactly e^{-r} y0_1 here, so each row's exact variance is ½e^{-2r}.
+NOISE = "register 2\nsqueeze 1 momentum\nsqueeze 2 momentum\nkerr 1 2 g=0.3\n" \
+        "print variance 1*y1 - 0.3*x2 at r=9,10,11,12\n"
+NOTHING = "register 4\nsqueeze 1 position\nkerr 2 1 g=-3e6\nrotate 2 -90\nkerr 3 2 g=-3e6\n" \
+          "bs 4 3 t=0.5\nmeasure y 4 -> m1\nmeasure x 2 -> m2\n"
+
+
+def _noise_errors(engine):
+    rows = scenario.execute(scenario.parse(NOISE), engine, r=1.0).csv_rows
+    assert [r for _, r, _ in rows] == [9, 10, 11, 12]
+    return [abs(v / (0.5 * math.exp(-2 * r)) - 1.0) for _, r, v in rows]
+
+
+def test_the_ledger_prints_the_exact_variance_at_large_r():
+    assert max(_noise_errors(scenario.LEDGER)) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: V rounds at e^{2r} scale, so rows read 7.7e-09 .. -3.8e-08")
+def test_the_covariance_engine_prints_the_exact_variance_at_large_r():
+    assert max(_noise_errors(scenario.COVARIANCE)) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: homodyne rounds a 1.1e-13 conditional variance to 0 and exits 2")
+def test_a_tiny_conditional_variance_is_still_measured(tmp_path):
+    scenario.execute(scenario.parse(NOTHING))  # the ledger measures both, raising nothing
+    (tmp_path / "nothing.cvq").write_text(NOTHING)
+    assert cli.main(["run", str(tmp_path / "nothing.cvq"), "--engine", "covariance", "--r", "3"]) == 0

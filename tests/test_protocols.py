@@ -6,15 +6,17 @@ import math
 import random
 import re
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cvcluster import claims, covariance, graphs, ledger, protocols, scenario
+from cvcluster import claims, cli, covariance, graphs, ledger, protocols, scenario
 from cvcluster.errors import InternalConsistencyError, ProtocolPreconditionError, SelfInteractionError
 from cvcluster.gates import MOMENTUM_SQUEEZED, SOLVER_TOL, Kerr, Rotate, Squeeze, X, Y
 from reference_rules import (bridge_targets, exhaustive_ring_and_hub, hub_candidates, pairing,
                              same_solution)
+from test_golden import CASES, GOLDEN, ROOT, run_case
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +262,7 @@ def _report_facts(rep):
     reg = rep.register
     return (rep.success, rep.measurements, rep.displacements,
             [reg.frame_combo(p) for p in rep.targets], [reg.combine(p) for p in rep.targets],
-            rep.rank_info, rep.details)
+            rep.infeasible, rep.details)
 
 
 def test_pair_extraction_reports_do_not_depend_on_build_reuse(monkeypatch):
@@ -281,9 +283,7 @@ def test_solver_finds_the_neighbour_correction():
     reg = protocols.build_graph_state(g)
     reg.measure(2, X)
     sol = protocols.solve_feedforward(reg, [[(1.0, 1, Y)]], reg.records)
-    assert isinstance(sol, protocols.FeedforwardSolution)
-    (coeffs,) = sol.coeffs
-    assert coeffs == {0: pytest.approx(-1.0)}
+    assert sol == [{0: pytest.approx(-1.0)}]
 
 
 def test_solver_reports_infeasibility():
@@ -342,8 +342,7 @@ def test_solver_allowance_keeps_a_bond():
     reg.measure(1, X)
     # Y_2 - X_3 keeps the bond to 3: the X_1 record cancels the bond to 1 alone.
     sol = protocols.solve_feedforward(reg, [[(1.0, 2, Y), (-1.0, 3, X)]], reg.records)
-    assert isinstance(sol, protocols.FeedforwardSolution)
-    assert sol.coeffs == [{0: pytest.approx(-1.0)}]
+    assert sol == [{0: pytest.approx(-1.0)}]
     assert isinstance(protocols.solve_feedforward(reg, [[(1.0, 2, Y)]], reg.records),
                       protocols.Infeasible)
 
@@ -364,35 +363,99 @@ def test_repair_displaces_a_scaled_target_by_its_law_not_its_scale(weight):
 def test_solver_with_no_records_and_clean_target():
     reg = protocols.build_graph_state(graphs.chain(2))
     sol = protocols.solve_feedforward(reg, [[(1.0, 1, Y), (-1.0, 2, X)]], records=[])
-    assert sol == protocols.FeedforwardSolution([{}], (0, 0))
+    assert sol == [{}]
 
 
-def test_solver_rank_is_matrix_rank(monkeypatch):
-    """The rank read off lstsq's singular values is ``matrix_rank`` at
-    ``SOLVER_TOL`` on ring-star families (odd ones solvable, even ones
-    deficient by one) and on path reductions of random graphs."""
+def _ring_star_measured_sets():
+    """Per ring-star family 3-19, ``(graph, (None, odd, even))``: the default
+    measured set and a random odd and even one (``random.Random(41)``)."""
+    rng = random.Random(41)
+    for m in range(3, 20):
+        g, ring = graphs.ring_star(2 * m), range(2, 2 * m + 2)
+        odd, even = rng.randrange(1, 2 * m - 1, 2), rng.randrange(2, 2 * m - 1, 2)
+        yield g, (None, rng.sample(ring, odd), rng.sample(ring, even))
+
+
+# The golden ``cvcluster graph`` cases whose report fails on an Infeasible solve.
+GOLDEN_INFEASIBLE = ("graph_chain_extract_pair_infeasible", "graph_ringstar_measured",
+                     "graph_ringstar_odd_position", "graph_ringstar_even")
+
+
+def _golden_report(case, monkeypatch):
+    """The report a golden case renders, and its golden output (``run_case``'s)."""
+    render, reports = cli._render_protocol_report, []
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "_render_protocol_report", lambda rep, g: reports.append(rep) or render(rep, g))
+        mp.chdir(ROOT)
+        out = run_case(CASES[case])
+    assert out == (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+    (rep,) = reports
+    return rep, out
+
+
+def test_an_infeasible_rank_is_matrix_rank(monkeypatch):
+    """The rank an ``Infeasible`` reads off lstsq's singular values is ``matrix_rank``
+    at ``SOLVER_TOL``: on the even ring-star families 4-14 (deficient by one), on
+    every failed solve of the random even measured sets in both flavors, and on
+    the three golden cases that fail with deficiency 0."""
     solved = []
     lstsq = np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq",
                         lambda a, b, rcond: solved.append(a) or lstsq(a, b, rcond=rcond))
 
-    def check(rep):
-        equations, rank = rep.rank_info
-        # With no records there is nothing to factor and the rank is 0.
-        assert rank == (np.linalg.matrix_rank(solved[-1], tol=SOLVER_TOL) if equations else 0)
+    def deficiency(rep):
+        sol = rep.infeasible
+        assert not rep.success and sol.rank == np.linalg.matrix_rank(solved[-1], tol=SOLVER_TOL)
         solved.clear()
-        return equations - rank
+        return sol.deficiency
 
-    deficiencies = [check(protocols.ring_star_to_ghz(graphs.ring_star(2 * m)))
-                    for m in range(3, 15)]
-    assert deficiencies == [0, 1] * 6
-    rng, checked = np.random.default_rng(777), 0
+    assert [deficiency(protocols.ring_star_to_ghz(graphs.ring_star(2 * m)))
+            for m in range(4, 15, 2)] == [1] * 6
+    failed = Counter()
+    for g, (_, _, even) in _ring_star_measured_sets():
+        for flavor in protocols.FLAVORS:
+            rep = protocols.ring_star_to_ghz(g, even, flavor)
+            failed[None if rep.success else deficiency(rep)] += 1
+            solved.clear()
+    assert failed == {0: 28, 1: 4, 2: 1, None: 1}
+    assert [deficiency(_golden_report(case, monkeypatch)[0])
+            for case in GOLDEN_INFEASIBLE[:3]] == [0, 0, 0]
+
+
+def test_a_report_carries_the_infeasible_of_its_failed_solve_and_none_else(claims_run,
+                                                                             monkeypatch):
+    """``report.infeasible`` is the very ``Infeasible`` a solve returned, and only a
+    failed report has one; a successful report carries ``None``.  Checked on ring-star
+    families 3-14, 50 seeded path reductions, every report the claims run finished,
+    and the golden infeasible cases, whose printed rank line reads its fields."""
+    solves = []
+    solve = protocols.solve_feedforward
+    monkeypatch.setattr(protocols, "solve_feedforward",
+                        lambda *args: solves.append(solve(*args)) or solves[-1])
+
+    def carried(rep):
+        failed = [s for s in solves if isinstance(s, protocols.Infeasible)]
+        solves.clear()
+        assert rep.infeasible is (failed[-1] if failed else None) and len(failed) <= 1
+        assert not (rep.success and failed)
+        return rep.success
+
+    verdicts = [carried(protocols.ring_star_to_ghz(graphs.ring_star(2 * m))) for m in range(3, 15)]
+    assert verdicts == [True, False] * 6
+    rng = np.random.default_rng(777)
     for _ in range(50):
         n = int(rng.integers(4, 21))
         g = graphs.random_connected_graph(n, float(rng.uniform(0.1, 0.4)), rng)
         a, b = (int(v) for v in rng.choice(g.vertices, size=2, replace=False))
-        checked += check(protocols.reduce_graph_to_path(g, a, b)) == 0
-    assert checked == 50
+        assert carried(protocols.reduce_graph_to_path(g, a, b))
+    assert len(claims_run.finished) > 0
+    assert all(rep.infeasible is None for rep, _ in claims_run.finished)
+    for case in GOLDEN_INFEASIBLE:
+        rep, out = _golden_report(case, monkeypatch)
+        assert not carried(rep) and rep.infeasible is not None
+        sol = rep.infeasible
+        assert (f"\nstatus: failed\nrank: {sol.rank} of {sol.equations} record equations "
+                f"(deficiency {sol.deficiency})\n") in out
 
 
 @pytest.mark.parametrize("nan_target", range(3))
@@ -404,18 +467,17 @@ def test_a_nan_in_any_target_of_three_is_infeasible_and_prints_nothing(nan_targe
     reg.measure(2, X)
     reg.measure(4, X)
     targets = [[(1.0, m, Y)] for m in (1, 3, 5)]
-    assert isinstance(protocols.solve_feedforward(reg, targets, reg.records),
-                      protocols.FeedforwardSolution)
+    assert isinstance(protocols.solve_feedforward(reg, targets, reg.records), list)
     mode = targets[nan_target][0][1]
     reg._modes[mode - 1].row[Y][(4 if mode > 1 else 2, X, 1)] = math.nan
     assert protocols.solve_feedforward(reg, targets, reg.records) == protocols.Infeasible(2, 2)
     assert capfd.readouterr().err == ""
 
 
-def test_a_solve_with_no_target_has_rank_0():
+def test_a_solve_with_no_target_is_an_empty_solution():
     reg = protocols.build_graph_state(graphs.chain(3))
     reg.measure(2, X)
-    assert protocols.solve_feedforward(reg, [], reg.records) == protocols.FeedforwardSolution([], (1, 0))
+    assert protocols.solve_feedforward(reg, [], reg.records) == []
 
 
 def test_one_solve_for_every_target_matches_one_per_target_on_ring_stars(monkeypatch):
@@ -423,16 +485,14 @@ def test_one_solve_for_every_target_matches_one_per_target_on_ring_stars(monkeyp
     families 3-19 in both flavors, with the default measured set and random odd
     and even ones, give the same verdict and rank, the same record keys and
     values within 1e-12."""
-    pairs, rng = [], random.Random(41)
+    pairs = []
     monkeypatch.setattr(protocols, "solve_feedforward", pairing(protocols.solve_feedforward, pairs))
-    for m in range(3, 20):
-        g, ring = graphs.ring_star(2 * m), range(2, 2 * m + 2)
-        odd, even = rng.randrange(1, 2 * m - 1, 2), rng.randrange(2, 2 * m - 1, 2)
-        for measured in (None, rng.sample(ring, odd), rng.sample(ring, even)):
+    for g, measured_sets in _ring_star_measured_sets():
+        for measured in measured_sets:
             for flavor in protocols.FLAVORS:
                 protocols.ring_star_to_ghz(g, measured, flavor)
     assert len(pairs) == 17 * 3 * 2
-    assert {type(got) for got, _ in pairs} == {protocols.FeedforwardSolution, protocols.Infeasible}
+    assert {type(got) for got, _ in pairs} == {list, protocols.Infeasible}
     assert all(same_solution(got, want) for got, want in pairs)
 
 
@@ -711,9 +771,7 @@ def test_ring_star_parity_rule():
             assert rep.success
             assert len(rep.targets) == m
         else:
-            assert not rep.success
-            equations, rank = rep.rank_info
-            assert equations - rank == 1
+            assert not rep.success and rep.infeasible.deficiency == 1
 
 
 def test_ring_star_explicit_measured_set():
@@ -924,7 +982,7 @@ def test_every_certified_target_bridges_at_workload_sizes(case):
     certified bridges to the covariance engine (``bridge_targets``)."""
     rep = WORKLOAD_SIZED[case]()
     if case.startswith("ring-star") and int(case.rsplit("-", 1)[1]) % 2 == 0:
-        assert not rep.success and rep.rank_info[0] - rep.rank_info[1] == 1
+        assert not rep.success and rep.infeasible.deficiency == 1
         return
     assert rep.success, rep.details
     assert bridge_targets(rep) == len(claims.BRIDGE_RS) * len(rep.targets) > 0
